@@ -29,7 +29,6 @@ from .numerics import (
     StateVector,
     Svd,
     condition_number,
-    matvec,
     random_with_condition,
     spectral_norm,
     svd,

@@ -13,7 +13,6 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import math
 import sys
 from dataclasses import asdict, dataclass
 from pathlib import Path
@@ -21,16 +20,20 @@ from typing import Optional
 
 import numpy as np
 
-from .invpoly import enforce_qsvt_bounds, inverse_cheb_series, make_inverse_spec
 from .numerics import condition_number, random_with_condition
+from .qsp_phases import MAX_DEGREE, PhaseFindingError
+from .qsvt_core import PostSelectionError
 from .refine import (
+    MIN_EPS_TARGET,
     DivergenceError,
     contraction_check,
     iterative_refine,
     noisy_oracle_backend,
+    nominal_degree,
     qsvt_backend,
     samples_for_accuracy,
     spectral_oracle_backend,
+    theorem_iteration_bound,
 )
 
 __all__ = [
@@ -54,6 +57,10 @@ CSV_COLUMNS = [
 _EXPERIMENTS = ("convergence", "large_kappa", "complexity", "poisson")
 _BACKENDS = ("spectral_oracle", "noisy_oracle", "qsvt_full")
 _QSVT_MAX_QUBITS = 6
+
+# Numerical failures that fail one run (exit code 1) while the others go
+# on; a ValueError here is numerical, as the config is checked up front.
+_RUN_ERRORS = (DivergenceError, PhaseFindingError, PostSelectionError, ValueError)
 
 
 class ConfigError(ValueError):
@@ -87,20 +94,43 @@ class ExperimentConfig:
             )
         if self.kappa is None:
             self.kappa = {"large_kappa": [100.0, 200.0, 300.0]}.get(self.experiment, [10.0])
-        self.kappa = [float(k) for k in self.kappa]
+        self.kappa = _coerced("kappa", self.kappa, float)
         if not self.kappa:
             raise ConfigError("kappa list must be nonempty")
         if self.eps_l is not None:
-            self.eps_l = [float(e) for e in self.eps_l]
+            self.eps_l = _coerced("eps_l", self.eps_l, float)
             if not self.eps_l:
                 raise ConfigError("eps_l list must be nonempty when given")
         if self.seeds is None:
             self.seeds = [0]
-        self.seeds = [int(s) for s in self.seeds]
+        self.seeds = _coerced("seeds", self.seeds, int)
         if not self.seeds:
             raise ConfigError("seeds list must be nonempty")
-        if not self.eps_target > 0.0:
-            raise ConfigError("eps_target must be positive")
+        if not self.eps_target >= MIN_EPS_TARGET:
+            raise ConfigError(f"eps_target must be >= {MIN_EPS_TARGET:g}")
+        if self.backend == "qsvt_full" and self.experiment == "large_kappa":
+            raise ConfigError(
+                "large_kappa requires the spectral_oracle or noisy_oracle backend "
+                f"(phase finding is capped at degree {MAX_DEGREE})"
+            )
+        if self.experiment == "poisson":
+            self.kappa = [condition_number(gen_poisson(self.n_qubits)[0])]
+        for kappa, eps_l in _run_points(self):
+            if not kappa >= 1.0:
+                raise ConfigError(f"kappa = {kappa:g} must be >= 1")
+            if not eps_l > 0.0:
+                raise ConfigError(f"eps_l = {eps_l:g} must be positive")
+            if eps_l * kappa >= 1.0:
+                raise ConfigError(
+                    f"eps_l * kappa = {eps_l * kappa:g} >= 1 breaks the contraction "
+                    "hypothesis; pick eps_l < 1/kappa"
+                )
+            if (self.backend == "qsvt_full"
+                    and (degree := nominal_degree(kappa, eps_l / kappa)) > MAX_DEGREE):
+                raise ConfigError(
+                    f"qsvt_full needs degree {degree} at kappa={kappa:g} "
+                    f"eps_l={eps_l:g}, above the phase-finding cap ({MAX_DEGREE})"
+                )
 
     @classmethod
     def from_json_file(cls, path: str) -> "ExperimentConfig":
@@ -120,6 +150,23 @@ class ExperimentConfig:
             raise ConfigError(str(exc)) from exc
 
 
+def _coerced(name: str, values, kind) -> list:
+    try:
+        return [kind(v) for v in values]
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"{name} must be a list of numbers: {exc}") from exc
+
+
+def _run_points(cfg: ExperimentConfig) -> list[tuple[float, float]]:
+    """``(kappa, eps_l)`` of every refinement sweep the experiment runs;
+    eps_l defaults to 0.4 / kappa, and complexity uses the first pair only."""
+    points = []
+    for kappa in cfg.kappa:
+        eps_l_list = cfg.eps_l if cfg.eps_l is not None else [0.4 / kappa]
+        points.extend((kappa, eps_l) for eps_l in eps_l_list)
+    return points[:1] if cfg.experiment == "complexity" else points
+
+
 def gen_poisson(n_qubits: int) -> tuple[np.ndarray, float]:
     """1-D Poisson finite-difference system: (1/h^2) tridiag(-1, 2, -1)
     with N = 2^n_qubits interior points and step h = 1/(N+1)."""
@@ -137,21 +184,13 @@ def _rhs_vector(n: int, seed: int) -> np.ndarray:
     return b / np.linalg.norm(b)
 
 
-def _make_backend(cfg: ExperimentConfig, a, kappa: float, eps_l: float,
-                  seed: int, series=None):
+def _make_backend(cfg: ExperimentConfig, a, kappa: float, eps_l: float, seed: int):
     shots = samples_for_accuracy(eps_l) if cfg.readout == "shot" else None
     if cfg.backend == "spectral_oracle":
-        return spectral_oracle_backend(a, eps_l, kappa=kappa, seed=seed,
-                                       shots=shots, series=series)
+        return spectral_oracle_backend(a, eps_l, kappa=kappa, seed=seed, shots=shots)
     if cfg.backend == "noisy_oracle":
         return noisy_oracle_backend(a, eps_l, kappa=kappa, seed=seed, shots=shots)
     return qsvt_backend(a, eps_l, kappa=kappa, seed=seed, shots=shots)
-
-
-def _shared_series(kappa: float, eps_l: float):
-    series = inverse_cheb_series(make_inverse_spec(kappa, eps_l / kappa))
-    bounded, _ = enforce_qsvt_bounds(series)
-    return bounded
 
 
 def _trace_rows(cfg: ExperimentConfig, experiment: str, n: int, kappa: float,
@@ -192,55 +231,40 @@ def _run_refinement_sweep(cfg: ExperimentConfig, experiment: str,
 
     rows: list[dict] = []
     failures: list[str] = []
-    for kappa in cfg.kappa:
-        eps_l_list = cfg.eps_l if cfg.eps_l is not None else [0.4 / kappa]
-        for eps_l in eps_l_list:
-            if eps_l * kappa >= 1.0:
-                raise ConfigError(
-                    f"eps_l * kappa = {eps_l * kappa:g} >= 1 breaks the contraction "
-                    "hypothesis; pick eps_l < 1/kappa"
+    for kappa, eps_l in _run_points(cfg):
+        cap = max(theorem_iteration_bound(cfg.eps_target, eps_l, kappa), 10) + 10
+        for seed in cfg.seeds:
+            where = f"kappa={kappa} eps_l={eps_l} seed={seed}"
+            a = matrix_for(kappa, seed)
+            b = _rhs_vector(a.shape[0], seed)
+            try:
+                backend = _make_backend(cfg, a, kappa, eps_l, seed)
+                _x, trace, _cost = iterative_refine(
+                    a, b, backend, cfg.eps_target, max_iter=cap,
                 )
-            series = (_shared_series(kappa, eps_l)
-                      if cfg.backend == "spectral_oracle" else None)
-            for seed in cfg.seeds:
-                a = matrix_for(kappa, seed)
-                b = _rhs_vector(a.shape[0], seed)
-                backend = _make_backend(cfg, a, kappa, eps_l, seed, series=series)
-                cap = max(trace_bound(cfg, eps_l, kappa), 10) + 10
-                try:
-                    _x, trace, _cost = iterative_refine(
-                        a, b, backend, cfg.eps_target, max_iter=cap,
-                    )
-                except DivergenceError as exc:
-                    trace = exc.trace
-                    failures.append(f"divergence at kappa={kappa} eps_l={eps_l} seed={seed}")
-                rows.extend(_trace_rows(cfg, experiment, a.shape[0], kappa,
-                                        eps_l, seed, trace, backend))
-                if trace.converged:
-                    if trace.iterations > trace.theorem_bound:
-                        failures.append(
-                            f"iteration bound exceeded at kappa={kappa} "
-                            f"eps_l={eps_l} seed={seed}: {trace.iterations} > "
-                            f"{trace.theorem_bound}"
-                        )
-                    check = contraction_check(trace, kappa, eps_l)
-                    if cfg.readout == "exact" and not check.passed:
-                        failures.append(
-                            f"contraction violated at kappa={kappa} eps_l={eps_l} "
-                            f"seed={seed} (worst ratio {check.worst_ratio:.3f})"
-                        )
-                else:
+            except DivergenceError as exc:
+                trace = exc.trace
+                failures.append(f"divergence at {where}")
+            except _RUN_ERRORS as exc:
+                failures.append(f"{type(exc).__name__} at {where}: {exc}")
+                continue
+            rows.extend(_trace_rows(cfg, experiment, a.shape[0], kappa,
+                                    eps_l, seed, trace, backend))
+            if trace.converged:
+                if trace.iterations > trace.theorem_bound:
                     failures.append(
-                        f"no convergence at kappa={kappa} eps_l={eps_l} seed={seed}"
+                        f"iteration bound exceeded at {where}: "
+                        f"{trace.iterations} > {trace.theorem_bound}"
                     )
+                check = contraction_check(trace, kappa, eps_l)
+                if cfg.readout == "exact" and not check.passed:
+                    failures.append(
+                        f"contraction violated at {where} "
+                        f"(worst ratio {check.worst_ratio:.3f})"
+                    )
+            else:
+                failures.append(f"no convergence at {where}")
     return rows, failures
-
-
-def trace_bound(cfg: ExperimentConfig, eps_l: float, kappa: float) -> int:
-    rate = eps_l * kappa
-    if not 0.0 < rate < 1.0:
-        return 10
-    return math.ceil(math.log(cfg.eps_target) / math.log(rate))
 
 
 def run_convergence(cfg: ExperimentConfig) -> tuple[list[dict], list[str]]:
@@ -251,21 +275,15 @@ def run_convergence(cfg: ExperimentConfig) -> tuple[list[dict], list[str]]:
 
 def run_large_kappa(cfg: ExperimentConfig) -> tuple[list[dict], list[str]]:
     """Same sweep at kappa in the hundreds; the circuit backend is out of
-    its phase-finding range there, so only oracle backends are allowed."""
-    if cfg.backend == "qsvt_full":
-        raise ConfigError(
-            "large_kappa requires the spectral_oracle or noisy_oracle backend "
-            "(phase finding is capped at degree 500)"
-        )
+    its phase-finding range there, so the config allows only oracle
+    backends."""
     return _run_refinement_sweep(cfg, "large_kappa")
 
 
 def run_poisson(cfg: ExperimentConfig) -> tuple[list[dict], list[str]]:
-    """Convergence experiment on the 1-D Poisson tridiagonal system."""
+    """Convergence experiment on the 1-D Poisson tridiagonal system (the
+    config holds its condition number as the only kappa)."""
     a, _h = gen_poisson(cfg.n_qubits)
-    kappa = condition_number(a)
-    cfg_kappas = [kappa]
-    cfg.kappa = cfg_kappas
     return _run_refinement_sweep(cfg, "poisson", matrix_for=lambda _k, _s: a)
 
 
@@ -284,20 +302,24 @@ def run_complexity(cfg: ExperimentConfig) -> tuple[list[dict], list[str]]:
     closed-form direct QSVT cost, for a sweep of targets eps down to
     ``cfg.eps_target``. Both curves share the row schema; the direct
     rows carry backend="direct"."""
-    kappa = cfg.kappa[0]
-    eps_l = cfg.eps_l[0] if cfg.eps_l else 0.4 / kappa
-    if eps_l * kappa >= 1.0:
-        raise ConfigError("eps_l * kappa >= 1: refinement would not contract")
+    [(kappa, eps_l)] = _run_points(cfg)
     rows: list[dict] = []
     failures: list[str] = []
-    series = _shared_series(kappa, eps_l) if cfg.backend == "spectral_oracle" else None
     n = 2**cfg.n_qubits
     for seed in cfg.seeds:
         a = random_with_condition(n, kappa, seed)
         b = _rhs_vector(n, seed)
-        backend = _make_backend(cfg, a, kappa, eps_l, seed, series=series)
+        try:
+            backend = _make_backend(cfg, a, kappa, eps_l, seed)
+        except _RUN_ERRORS as exc:
+            failures.append(f"{type(exc).__name__} at seed={seed}: {exc}")
+            continue
         for eps in _complexity_eps_sweep(eps_l, cfg.eps_target):
-            _x, trace, cost = iterative_refine(a, b, backend, eps, max_iter=400)
+            try:
+                _x, trace, cost = iterative_refine(a, b, backend, eps, max_iter=400)
+            except _RUN_ERRORS as exc:
+                failures.append(f"{type(exc).__name__} at eps={eps} seed={seed}: {exc}")
+                continue
             direct = cost.comparison_direct
             run_id = f"complexity-n{n}-k{kappa:g}-el{eps_l:g}-s{seed}-e{eps:g}"
             common = {
@@ -370,7 +392,9 @@ def _write_outputs(cfg: ExperimentConfig, rows: list[dict]) -> None:
 def main(argv=None) -> int:
     """Parse flags, run the experiment, write CSV/JSON, print a summary.
 
-    Exit codes: 0 success, 1 experiment assertion failure, 2 bad config.
+    Exit codes: 0 success; 1 a run failed, by a run-level assertion or a
+    numerical error inside it (the rows of the other runs are written);
+    2 bad config, found before any run starts.
     """
     parser = argparse.ArgumentParser(
         prog="qsvt-refine-bench",
@@ -396,16 +420,13 @@ def main(argv=None) -> int:
             if val is not None:
                 setattr(cfg, key, val)
         if args.seeds is not None:
-            cfg.seeds = [int(s) for s in args.seeds.split(",") if s]
+            cfg.seeds = [s for s in args.seeds.split(",") if s]
         cfg = ExperimentConfig(**asdict(cfg))  # re-validate after overrides
-        runner = _RUNNERS[cfg.experiment]
-        rows, failures = runner(cfg)
-    except (ConfigError, ValueError) as exc:
-        # validation errors raised while setting runs up (degree caps,
-        # contraction hypothesis, malformed JSON) are config problems
+    except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
 
+    rows, failures = _RUNNERS[cfg.experiment](cfg)
     _write_outputs(cfg, rows)
     runs = {r["run_id"] for r in rows}
     print(f"experiment : {cfg.experiment}")

@@ -32,8 +32,7 @@ __all__ = [
     "projector_phase_operator",
 ]
 
-_GATE_ARITY = {"ry": 1, "rz": 1, "h": 1, "cnot": 2, "swap": 2, "controlled-ry": 2}
-_ROTATION_KINDS = {"ry", "rz", "controlled-ry"}
+_GATE_ARITY = {"ry": 1, "h": 1, "cnot": 2, "swap": 2}
 
 
 @dataclass(frozen=True)
@@ -46,15 +45,11 @@ class Gate:
 
     def __post_init__(self):
         object.__setattr__(self, "qubits", tuple(int(q) for q in self.qubits))
-        if self.kind in _GATE_ARITY:
-            if len(self.qubits) != _GATE_ARITY[self.kind]:
-                raise ValueError(f"{self.kind} gate expects {_GATE_ARITY[self.kind]} qubits")
-        elif self.kind == "multi-controlled-x":
-            if len(self.qubits) < 2:
-                raise ValueError("multi-controlled-x needs >= 1 control plus a target")
-        else:
+        if self.kind not in _GATE_ARITY:
             raise ValueError(f"unknown gate kind {self.kind!r}")
-        if (self.kind in _ROTATION_KINDS) != (self.angle is not None):
+        if len(self.qubits) != _GATE_ARITY[self.kind]:
+            raise ValueError(f"{self.kind} gate expects {_GATE_ARITY[self.kind]} qubits")
+        if (self.kind == "ry") != (self.angle is not None):
             raise ValueError(f"gate {self.kind} angle mismatch")
         if len(set(self.qubits)) != len(self.qubits):
             raise ValueError("gate qubit indices must be distinct")
@@ -99,9 +94,9 @@ class Circuit:
 class BlockEncoding:
     """Unitary U with contract ``block(U) = A / alpha``.
 
-    Both projectors select the ancilla-zero subspace; with the ancillas
-    as the most significant qubits that subspace is the leading 2^n
-    basis states.
+    The block is taken on the ancilla-zero subspace on both sides; with
+    the ancillas as the most significant qubits that subspace is the
+    leading 2^n basis states.
     """
 
     unitary: np.ndarray
@@ -109,8 +104,6 @@ class BlockEncoding:
     ancilla_qubits: int
     alpha: float
     tolerance: float = 1e-11  # bound on ||block - A/alpha||
-    projector_left: str = "ancilla-zero"
-    projector_right: str = "ancilla-zero"
 
     def __post_init__(self):
         u = as_matrix(self.unitary)
@@ -130,12 +123,6 @@ class BlockEncoding:
         """Top-left data block, equal to the encoded matrix over alpha."""
         n = self.block_dim
         return self.unitary[:n, :n]
-
-    def projector(self) -> np.ndarray:
-        dim = self.unitary.shape[0]
-        diag = np.zeros(dim)
-        diag[: self.block_dim] = 1.0
-        return np.diag(diag)
 
 
 def _require_power_of_two(n: int, what: str) -> int:
@@ -268,9 +255,6 @@ def _gate_matrix(gate: Gate) -> np.ndarray:
     if gate.kind == "ry":
         c, s = math.cos(gate.angle / 2.0), math.sin(gate.angle / 2.0)
         return np.array([[c, -s], [s, c]], dtype=complex)
-    if gate.kind == "rz":
-        e = np.exp(-0.5j * gate.angle)
-        return np.array([[e, 0], [0, np.conj(e)]], dtype=complex)
     if gate.kind == "h":
         return np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2.0)
     if gate.kind == "cnot":
@@ -281,15 +265,6 @@ def _gate_matrix(gate: Gate) -> np.ndarray:
         return np.array(
             [[1, 0, 0, 0], [0, 0, 1, 0], [0, 1, 0, 0], [0, 0, 0, 1]], dtype=complex
         )
-    if gate.kind == "controlled-ry":
-        out = np.eye(4, dtype=complex)
-        out[2:, 2:] = _gate_matrix(Gate("ry", (0,), gate.angle))
-        return out
-    if gate.kind == "multi-controlled-x":
-        k = len(gate.qubits)
-        out = np.eye(2**k, dtype=complex)
-        out[-2:, -2:] = np.array([[0, 1], [1, 0]], dtype=complex)
-        return out
     raise ValueError(f"unknown gate kind {gate.kind!r}")
 
 
@@ -316,12 +291,9 @@ def compile_circuit(circuit: Circuit) -> np.ndarray:
     return state
 
 
-def projector_phase_operator(phi: float, which: str, be: BlockEncoding) -> np.ndarray:
+def projector_phase_operator(phi: float, be: BlockEncoding) -> np.ndarray:
     """The diagonal operator e^{i phi (2 Pi - I)} for the encoding's
-    ancilla-zero projector (``which`` in {"left", "right"}; both
-    projectors coincide for these encodings)."""
-    if which not in ("left", "right"):
-        raise ValueError(f"which must be 'left' or 'right', got {which!r}")
+    ancilla-zero projector Pi."""
     dim = be.unitary.shape[0]
     diag = np.full(dim, np.exp(-1j * phi), dtype=complex)
     diag[: be.block_dim] = np.exp(1j * phi)

@@ -1,9 +1,11 @@
-"""Dense complex linear algebra foundation.
+"""Dense linear algebra shared by every layer.
 
-Matrices and state vectors are carried as plain numpy arrays (complex or
-real). This module owns the SVD (one-sided Jacobi), norms, condition
-numbers, and seeded random test-matrix generation used everywhere else.
-Everything here is a pure function over immutable inputs; arrays are never
+Matrices and state vectors are plain numpy arrays, real or complex. This
+module holds the one SVD the package uses (LAPACK through
+``numpy.linalg.svd``, wrapped in the ``Svd`` economy-form contract),
+the norms and condition numbers built on it, the ``StateVector`` carrier
+and the seeded random test matrices with a prescribed spectrum.
+Everything here is a pure function over its inputs; arrays are never
 mutated in place.
 """
 
@@ -16,36 +18,17 @@ import numpy as np
 __all__ = [
     "Svd",
     "StateVector",
-    "SvdConvergenceError",
     "svd",
     "condition_number",
     "spectral_norm",
     "two_norm",
-    "matvec",
     "random_orthogonal",
     "random_with_condition",
     "as_matrix",
     "check_unitary",
 ]
 
-# Jacobi sweep cap and off-diagonal Gram convergence factor (relative to
-# the squared Frobenius norm of the input).
-_JACOBI_MAX_SWEEPS = 100
-_JACOBI_TOL_FACTOR = 1e-14
-
 _UNITARY_TOL_FACTOR = 1e-12
-
-
-class SvdConvergenceError(RuntimeError):
-    """One-sided Jacobi failed to converge within the sweep cap."""
-
-    def __init__(self, sweeps: int, off_norm: float):
-        self.sweeps = sweeps
-        self.off_norm = off_norm
-        super().__init__(
-            f"Jacobi SVD did not converge after {sweeps} sweeps "
-            f"(largest off-diagonal Gram entry {off_norm:.3e})"
-        )
 
 
 def as_matrix(a) -> np.ndarray:
@@ -106,7 +89,12 @@ class StateVector:
 
 @dataclass(frozen=True)
 class Svd:
-    """Economy SVD ``a = u @ diag(singular_values) @ v.conj().T``."""
+    """Economy SVD ``a = u @ diag(singular_values) @ v.conj().T``.
+
+    For an m x n input ``u`` is m x k and ``v`` is n x k with
+    k = min(m, n), both with orthonormal columns; ``singular_values`` is
+    nonincreasing.
+    """
 
     u: np.ndarray
     singular_values: np.ndarray
@@ -116,93 +104,20 @@ class Svd:
         return (self.u * self.singular_values) @ self.v.conj().T
 
 
-def _complete_column(u: np.ndarray, col: int) -> np.ndarray:
-    """Fill a zero column of ``u`` with a unit vector orthogonal to the rest."""
-    m = u.shape[0]
-    best, best_norm = None, -1.0
-    for k in range(m):
-        cand = np.zeros(m, dtype=complex)
-        cand[k] = 1.0
-        for j in range(u.shape[1]):
-            if j == col:
-                continue
-            cand -= np.vdot(u[:, j], cand) * u[:, j]
-        nrm = np.linalg.norm(cand)
-        if nrm > best_norm:
-            best, best_norm = cand, nrm
-    assert best is not None and best_norm > 0.5 / m
-    return best / best_norm
-
-
 def svd(a) -> Svd:
-    """Singular value decomposition by one-sided Jacobi rotations.
+    """Economy singular value decomposition (LAPACK ``gesdd`` via numpy).
 
-    Returns the economy factorization with singular values sorted
-    nonincreasing. Accurate and simple at the dimensions this package
-    targets (N <= 256); convergence is declared when every off-diagonal
-    Gram entry falls below 1e-14 times the squared Frobenius norm.
+    ``u`` and ``v`` have ``min(m, n)`` orthonormal columns and the
+    singular values are sorted nonincreasing. Real input gives real
+    factors.
 
     Raises
     ------
-    SvdConvergenceError
-        If the sweep cap (100) is exhausted, carrying the sweep count.
+    numpy.linalg.LinAlgError
+        If LAPACK fails to converge.
     """
-    a = as_matrix(a)
-    m, n = a.shape
-    if m < n:
-        flipped = svd(a.conj().T)
-        return Svd(u=flipped.v, singular_values=flipped.singular_values, v=flipped.u)
-
-    work = a.astype(complex, copy=True)
-    v = np.eye(n, dtype=complex)
-    frob2 = float(np.sum(np.abs(a) ** 2))
-    if frob2 == 0.0:
-        return Svd(u=np.eye(m, n, dtype=complex), singular_values=np.zeros(n), v=v)
-    tol = _JACOBI_TOL_FACTOR * frob2
-
-    worst = np.inf
-    for _ in range(_JACOBI_MAX_SWEEPS):
-        worst = 0.0
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = complex(np.vdot(work[:, p], work[:, q]))
-                mag = abs(apq)
-                worst = max(worst, mag)
-                if mag <= tol:
-                    continue
-                app = float(np.vdot(work[:, p], work[:, p]).real)
-                aqq = float(np.vdot(work[:, q], work[:, q]).real)
-                alpha = apq / mag
-                tau = (aqq - app) / (2.0 * mag)
-                t = np.sign(tau) / (abs(tau) + np.hypot(1.0, tau)) if tau != 0 else 1.0
-                c = 1.0 / np.hypot(1.0, t)
-                s = c * t
-                col_p = work[:, p].copy()
-                work[:, p] = c * col_p - s * np.conj(alpha) * work[:, q]
-                work[:, q] = s * alpha * col_p + c * work[:, q]
-                vp = v[:, p].copy()
-                v[:, p] = c * vp - s * np.conj(alpha) * v[:, q]
-                v[:, q] = s * alpha * vp + c * v[:, q]
-        if worst <= tol:
-            break
-    else:
-        raise SvdConvergenceError(_JACOBI_MAX_SWEEPS, worst)
-
-    norms = np.linalg.norm(work, axis=0)
-    order = np.argsort(-norms)
-    norms = norms[order]
-    work = work[:, order]
-    v = v[:, order]
-
-    u = np.zeros((m, n), dtype=complex)
-    zero_cut = np.sqrt(frob2) * 1e-15
-    for j in range(n):
-        if norms[j] > zero_cut:
-            u[:, j] = work[:, j] / norms[j]
-        else:
-            norms[j] = 0.0
-            u[:, j] = _complete_column(u, j)
-    return Svd(u=u, singular_values=norms, v=v)
+    u, s, vh = np.linalg.svd(as_matrix(a), full_matrices=False)
+    return Svd(u=u, singular_values=s, v=vh.conj().T)
 
 
 def spectral_norm(a) -> float:
@@ -216,15 +131,6 @@ def two_norm(vec) -> float:
     if v.ndim != 1:
         raise ValueError(f"expected a 1-D vector, got shape {v.shape}")
     return float(np.linalg.norm(v))
-
-
-def matvec(a, vec) -> np.ndarray:
-    """Matrix-vector product with an explicit dimension check."""
-    a = as_matrix(a)
-    v = np.asarray(vec)
-    if v.ndim != 1 or a.shape[1] != v.size:
-        raise ValueError(f"dimension mismatch: {a.shape} @ {v.shape}")
-    return a @ v
 
 
 def condition_number(a) -> float:

@@ -33,7 +33,7 @@ __all__ = [
 
 CONVENTION_TAG = "wx-re00"
 
-_MAX_DEGREE = 500
+MAX_DEGREE = 500  # largest target degree find_phases accepts
 _MAX_EVALS = 100_000
 _INTERIOR_MARGIN = 1e-8  # targets must satisfy max|P| <= 1 - this
 
@@ -160,9 +160,9 @@ def find_phases(target: ChebyshevSeries, tol: float = 1e-10,
     d = target.degree
     if d < 1:
         raise ValueError("target degree must be >= 1")
-    if d > _MAX_DEGREE:
+    if d > MAX_DEGREE:
         raise ValueError(
-            f"degree {d} exceeds the find_phases cap ({_MAX_DEGREE}); "
+            f"degree {d} exceeds the find_phases cap ({MAX_DEGREE}); "
             "use the spectral-oracle backend for larger runs"
         )
     peak = max_abs_on_interval(target)

@@ -6,7 +6,9 @@
                                                e^{i psi_2j+1 (2 Pt - I)} U ]
     even d: prod_j [ e^{i psi_2j-1 (2 Pi - I)} U^H  e^{i psi_2j (2 Pt - I)} U ]
 
-from phases found in the wx-re00 signal convention. On each singular
+from phases found in the wx-re00 signal convention. Pt and Pi are both
+the ancilla-zero projector of the encodings built here, so one
+projector phase operator serves both. On each singular
 subspace the product above reduces to a phase/reflection sequence, which
 matches the signal product after shifting psi_1 = phi_1 - pi/4,
 psi_j = phi_j - pi/2 (j >= 2) and multiplying by the global phase
@@ -83,20 +85,17 @@ def build_u_phi(encoding: BlockEncoding, phases: PhaseVector,
     psi[1:] -= np.pi / 2.0
     gamma = (1j) ** d * np.exp(-1j * np.pi / 4.0)
 
-    def left(phi):
-        return projector_phase_operator(phi, "left", encoding)
-
-    def right(phi):
-        return projector_phase_operator(phi, "right", encoding)
+    def phase(phi):
+        return projector_phase_operator(phi, encoding)
 
     factors: list[np.ndarray] = []
     if d % 2 == 1:
-        factors += [left(psi[0]), u]
+        factors += [phase(psi[0]), u]
         for j in range(1, (d - 1) // 2 + 1):
-            factors += [right(psi[2 * j - 1]), u.conj().T, left(psi[2 * j]), u]
+            factors += [phase(psi[2 * j - 1]), u.conj().T, phase(psi[2 * j]), u]
     else:
         for j in range(1, d // 2 + 1):
-            factors += [right(psi[2 * j - 2]), u.conj().T, left(psi[2 * j - 1]), u]
+            factors += [phase(psi[2 * j - 2]), u.conj().T, phase(psi[2 * j - 1]), u]
 
     u_phi = factors[0]
     for f in factors[1:]:

@@ -19,6 +19,7 @@ the iteration count is bounded by ceil(ln eps / ln(eps_l kappa)).
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass
@@ -52,6 +53,8 @@ __all__ = [
 ]
 
 _NOISE_SAFETY = 0.95  # noisy-oracle perturbation stays strictly inside eps_l
+MIN_EPS_TARGET = 1e-14  # double-precision residuals leave no headroom below this
+_SERIES_CACHE_SIZE = 16  # distinct (kappa, eps') series kept by _bounded_inverse_series
 
 
 class DivergenceError(RuntimeError):
@@ -103,27 +106,26 @@ def nominal_degree(kappa: float, eps_prime: float) -> int:
     return 2 * min(cap, b - 1) + 1
 
 
+@functools.lru_cache(maxsize=_SERIES_CACHE_SIZE)
 def _bounded_inverse_series(kappa: float, eps_prime: float) -> ChebyshevSeries:
-    # inner accuracy calibration: the series is built at eps' = eps_l / kappa
+    """Bounded inverse series at accuracy eps' (callers pass eps_l / kappa).
+
+    It depends on nothing else, so backends with the same (kappa, eps')
+    share one memoized, read-only series object."""
     series = inverse_cheb_series(make_inverse_spec(kappa, eps_prime))
     bounded, _ = enforce_qsvt_bounds(series)
+    bounded.coefficients.flags.writeable = False
     return bounded
 
 
 def spectral_oracle_backend(a, eps_l: float, kappa: Optional[float] = None,
-                            seed: int = 0, shots: Optional[int] = None,
-                            series: Optional[ChebyshevSeries] = None) -> SolverBackend:
-    """Inverse polynomial applied via the SVD, no circuits.
-
-    ``series`` may be supplied to share one polynomial across many
-    matrices with the same (kappa, eps_l).
-    """
+                            seed: int = 0, shots: Optional[int] = None) -> SolverBackend:
+    """Inverse polynomial applied via the SVD, no circuits."""
     a = as_matrix(a)
     fac = svd(a)
     if kappa is None:
         kappa = float(fac.singular_values[0] / fac.singular_values[-1])
-    if series is None:
-        series = _bounded_inverse_series(kappa, eps_l / kappa)
+    series = _bounded_inverse_series(kappa, eps_l / kappa)
     norm = float(fac.singular_values[0])
     fac = Svd(u=fac.u, singular_values=fac.singular_values / norm, v=fac.v)
     return SolverBackend(
@@ -160,7 +162,7 @@ def noisy_oracle_backend(a, eps_l: float, kappa: Optional[float] = None,
 
 
 def qsvt_backend(a, eps_l: float, kappa: Optional[float] = None, seed: int = 0,
-                 shots: Optional[int] = None, phase_tol: float = 1e-10) -> SolverBackend:
+                 shots: Optional[int] = None) -> SolverBackend:
     """Full simulated pipeline: scale to unit norm, dilation-encode A^H,
     find phases for the bounded inverse series."""
     a = as_matrix(a)
@@ -169,7 +171,7 @@ def qsvt_backend(a, eps_l: float, kappa: Optional[float] = None, seed: int = 0,
     if kappa is None:
         kappa = float(fac.singular_values[0] / fac.singular_values[-1])
     series = _bounded_inverse_series(kappa, eps_l / kappa)
-    phases = find_phases(series, tol=phase_tol)
+    phases = find_phases(series)
     encoding = dilation_encoding((a / norm).conj().T, alpha=1.0)
     return SolverBackend(
         kind="qsvt_full",
@@ -363,10 +365,10 @@ def iterative_refine(a, b, backend: SolverBackend, eps_target: float,
     """
     a = as_matrix(a)
     b = np.asarray(b, dtype=float if not np.iscomplexobj(b) else complex)
-    if eps_target < 1e-14:
+    if eps_target < MIN_EPS_TARGET:
         raise ValueError(
-            "eps_target below 1e-14: double-precision residuals leave no headroom "
-            "(working precision must stay well under the target)"
+            f"eps_target below {MIN_EPS_TARGET:g}: double-precision residuals leave "
+            "no headroom (working precision must stay well under the target)"
         )
     hypothesis_ok = backend.eps_l * backend.kappa < 1.0
     if not hypothesis_ok:

@@ -96,13 +96,10 @@ def test_acceptance_3_theorem_bound_reproduction():
     expected_bounds = {1e-2: 12, 1e-3: 6, 1e-4: 4}
     for eps_l, expected in expected_bounds.items():
         assert theorem_iteration_bound(eps, eps_l, kappa) == expected
-        series = None
         for seed in range(20):
             a = random_with_condition(16, kappa, seed)
             b = unit_rhs(16, seed)
-            backend = spectral_oracle_backend(a, eps_l, kappa=kappa, seed=seed,
-                                              series=series)
-            series = backend.series
+            backend = spectral_oracle_backend(a, eps_l, kappa=kappa, seed=seed)
             _x, trace, _ = iterative_refine(a, b, backend, eps)
             assert trace.converged
             assert trace.iterations <= expected, (eps_l, seed, trace.iterations)
@@ -141,13 +138,10 @@ def test_acceptance_5_large_kappa_convergence():
     for kappa in (100.0, 200.0, 300.0):
         eps_l = 0.4 / kappa
         bound = theorem_iteration_bound(eps, eps_l, kappa)
-        series = None
         for seed in range(10):
             a = random_with_condition(16, kappa, seed)
             b = unit_rhs(16, seed)
-            backend = spectral_oracle_backend(a, eps_l, kappa=kappa, seed=seed,
-                                              series=series)
-            series = backend.series
+            backend = spectral_oracle_backend(a, eps_l, kappa=kappa, seed=seed)
             _x, trace, _ = iterative_refine(a, b, backend, eps)
             assert trace.converged
             assert trace.iterations <= bound, (kappa, seed, trace.iterations, bound)

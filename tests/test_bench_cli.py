@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from qsvt_refine import bench_cli
 from qsvt_refine.bench_cli import (
     CSV_COLUMNS,
     ConfigError,
@@ -12,6 +13,8 @@ from qsvt_refine.bench_cli import (
     run_complexity,
 )
 from qsvt_refine.numerics import condition_number
+from qsvt_refine.qsp_phases import PhaseFindingError
+from qsvt_refine.qsvt_core import PostSelectionError
 
 
 def write_config(tmp_path, name="cfg.json", **overrides):
@@ -146,3 +149,47 @@ def test_poisson_experiment(tmp_path):
     rows = (tmp_path / "out.csv").read_text().splitlines()[1:]
     kappa = float(rows[0].split(",")[3])
     assert kappa == pytest.approx(condition_number(gen_poisson(3)[0]), rel=1e-6)
+
+
+@pytest.mark.parametrize("overrides, message", [
+    ({"eps_l": [0.0]}, "positive"),
+    ({"kappa": [0.5]}, ">= 1"),
+    ({"seeds": ["x"]}, "numbers"),
+    ({"eps_target": 1e-15}, "eps_target"),
+    ({"backend": "qsvt_full", "kappa": [20.0], "eps_l": [1e-3]}, "phase-finding cap"),
+    ({"backend": "qsvt_full", "experiment": "poisson", "eps_l": None}, "phase-finding cap"),
+])
+def test_bad_config_exits_2_before_any_run(tmp_path, capsys, overrides, message):
+    path, _ = write_config(tmp_path, **overrides)
+    assert main(["--config", str(path)]) == 2
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "out.csv").exists()
+
+
+def test_poisson_kappa_is_resolved_in_the_config():
+    cfg = ExperimentConfig(experiment="poisson", n_qubits=3, kappa=[10.0])
+    assert cfg.kappa == [condition_number(gen_poisson(3)[0])]
+
+
+@pytest.mark.parametrize("target, error", [
+    ("spectral_oracle_backend", PhaseFindingError(1e-3, 1e-10)),
+    ("iterative_refine", PostSelectionError("post-selection failure: success probability 0")),
+    ("iterative_refine", ValueError("imaginary component 1e-3 of the averaged state exceeds 1e-06")),
+])
+def test_numerical_failure_fails_only_its_run(tmp_path, monkeypatch, capsys, target, error):
+    real = getattr(bench_cli, target)
+    calls = []
+
+    def flaky(*args, **kwargs):
+        calls.append(None)
+        if len(calls) == 2:
+            raise error
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(bench_cli, target, flaky)
+    path, _ = write_config(tmp_path)  # 2 eps_l x 2 seeds: 4 runs
+    assert main(["--config", str(path)]) == 1
+    assert f"{type(error).__name__} at kappa=10.0 eps_l=0.01 seed=1" in capsys.readouterr().out
+    rows = (tmp_path / "out.csv").read_text().splitlines()[1:]
+    runs = {r.split(",")[0] for r in rows}
+    assert len(calls) == 4 and len(runs) == 3

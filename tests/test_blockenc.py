@@ -125,24 +125,6 @@ def test_compile_gate_embedding_against_kron():
     np.testing.assert_allclose(u, np.kron(np.eye(2), [[c, -s], [s, c]]), atol=1e-14)
 
 
-def test_compile_multi_controlled_x():
-    u = compile_circuit(Circuit(3, (Gate("multi-controlled-x", (0, 1, 2)),)))
-    expected = np.eye(8)
-    expected[[6, 7]] = expected[[7, 6]]
-    np.testing.assert_allclose(u, expected, atol=1e-15)
-
-
-def test_compile_controlled_ry_and_rz():
-    theta = 1.1
-    u = compile_circuit(Circuit(2, (Gate("controlled-ry", (0, 1), theta),)))
-    c, s = math.cos(theta / 2), math.sin(theta / 2)
-    expected = np.eye(4, dtype=complex)
-    expected[2:, 2:] = [[c, -s], [s, c]]
-    np.testing.assert_allclose(u, expected, atol=1e-14)
-    u = compile_circuit(Circuit(1, (Gate("rz", (0,), theta),)))
-    np.testing.assert_allclose(u, np.diag(np.exp([-0.5j * theta, 0.5j * theta])), atol=1e-14)
-
-
 def test_circuit_validation():
     with pytest.raises(ValueError, match="outside"):
         Circuit(1, (Gate("cnot", (0, 1)),))
@@ -150,6 +132,9 @@ def test_circuit_validation():
         Gate("cnot", (0, 0))
     with pytest.raises(ValueError, match="unknown gate"):
         Gate("toffoli", (0, 1, 2))
+    for kind, qubits in (("rz", (0,)), ("controlled-ry", (0, 1)), ("multi-controlled-x", (0, 1, 2))):
+        with pytest.raises(ValueError, match="unknown gate"):
+            Gate(kind, qubits, 0.1)
 
 
 def test_circuit_json_roundtrip():
@@ -160,21 +145,15 @@ def test_circuit_json_roundtrip():
 
 def test_projector_phase_identity_and_exponential_oracle():
     enc = dilation_encoding(0.5 * np.eye(2))
-    np.testing.assert_allclose(
-        projector_phase_operator(0.0, "left", enc), np.eye(4), atol=1e-15
-    )
-    pi_matrix = enc.projector()
+    np.testing.assert_allclose(projector_phase_operator(0.0, enc), np.eye(4), atol=1e-15)
+    pi_matrix = np.diag([1.0, 1.0, 0.0, 0.0])  # ancilla-zero projector
     for phi in (0.3, np.pi, -1.2):
         direct = expm(1j * phi * (2 * pi_matrix - np.eye(4)))
-        np.testing.assert_allclose(
-            projector_phase_operator(phi, "right", enc), direct, atol=1e-12
-        )
+        np.testing.assert_allclose(projector_phase_operator(phi, enc), direct, atol=1e-12)
 
 
 def test_projector_phase_composition():
     enc = dilation_encoding(0.5 * np.eye(2))
-    lhs = projector_phase_operator(0.4 + 0.9, "left", enc)
-    rhs = projector_phase_operator(0.4, "left", enc) @ projector_phase_operator(0.9, "left", enc)
+    lhs = projector_phase_operator(0.4 + 0.9, enc)
+    rhs = projector_phase_operator(0.4, enc) @ projector_phase_operator(0.9, enc)
     np.testing.assert_allclose(lhs, rhs, atol=1e-14)
-    with pytest.raises(ValueError, match="left"):
-        projector_phase_operator(0.1, "middle", enc)

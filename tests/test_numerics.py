@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qsvt_refine.numerics import (
     StateVector,
     condition_number,
-    matvec,
     random_with_condition,
     spectral_norm,
     svd,
@@ -46,6 +47,40 @@ def test_svd_singular_matrix_completes_basis():
     fac = svd(np.diag([1.0, 0.0]))
     np.testing.assert_allclose(fac.singular_values, [1.0, 0.0])
     np.testing.assert_allclose(fac.u.conj().T @ fac.u, np.eye(2), atol=1e-12)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    m=st.integers(1, 24),
+    n=st.integers(1, 24),
+    is_complex=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_svd_contract(m, n, is_complex, seed):
+    rng = np.random.default_rng(seed)
+    a = rng.standard_normal((m, n))
+    if is_complex:
+        a = a + 1j * rng.standard_normal((m, n))
+    fac = svd(a)
+    k = min(m, n)
+    assert fac.u.shape == (m, k)
+    assert fac.v.shape == (n, k)
+    assert fac.singular_values.shape == (k,)
+    assert np.all(np.diff(fac.singular_values) <= 0.0)
+    for q in (fac.u, fac.v):
+        assert np.linalg.norm(q.conj().T @ q - np.eye(k)) <= 1e-13
+    assert np.linalg.norm(fac.reconstruct() - a) <= 1e-13 * np.linalg.norm(a)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.integers(2, 32),
+    kappa=st.floats(1.0, 1e3),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_svd_sigma_min_relative_accuracy(n, kappa, seed):
+    s = svd(random_with_condition(n, kappa, seed)).singular_values
+    assert abs(s[-1] * kappa - 1.0) <= 1e-12
 
 
 def test_svd_values_unitary_invariant():
@@ -99,11 +134,8 @@ def test_random_with_condition_rejects_bad_kappa():
 def test_vector_ops():
     assert two_norm(np.array([3.0, 4.0])) == pytest.approx(5.0)
     assert spectral_norm(np.eye(4)) == pytest.approx(1.0)
-    np.testing.assert_allclose(
-        matvec(np.diag([2.0, 3.0]), np.array([1.0, 1.0])), [2.0, 3.0]
-    )
-    with pytest.raises(ValueError, match="mismatch"):
-        matvec(np.eye(3), np.ones(2))
+    with pytest.raises(ValueError, match="1-D"):
+        two_norm(np.eye(2))
 
 
 def test_state_vector_contracts():

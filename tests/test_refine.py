@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qsvt_refine.numerics import random_with_condition
 from qsvt_refine.refine import (
@@ -310,8 +312,24 @@ def test_backend_equivalence_qsvt_vs_spectral():
     kappa, eps_l = 10.0, 5e-2
     a = random_with_condition(16, kappa, 13)
     b = unit_rhs(16, 13)
-    qsvt = qsvt_backend(a, eps_l, kappa=kappa, phase_tol=1e-10)
-    spectral = spectral_oracle_backend(a, eps_l, kappa=kappa, series=qsvt.series)
+    qsvt = qsvt_backend(a, eps_l, kappa=kappa)
+    spectral = spectral_oracle_backend(a, eps_l, kappa=kappa)
     eta_q, _ = solve_once(qsvt, a, b)
     eta_s, _ = solve_once(spectral, a, b)
     assert angle_between(eta_q, eta_s) <= 1e-6
+
+
+@settings(max_examples=6, deadline=None)
+@given(kappa=st.floats(1.5, 3.0), rate=st.floats(0.1, 0.5), seed=st.integers(0, 99))
+def test_backends_share_one_series_per_kappa_eps(kappa, rate, seed):
+    eps_l = rate / kappa
+    spectral = spectral_oracle_backend(random_with_condition(4, kappa, seed), eps_l, kappa=kappa)
+    qsvt = qsvt_backend(random_with_condition(4, kappa, seed + 1), eps_l, kappa=kappa)
+    assert spectral.series is qsvt.series
+    assert spectral.degree == qsvt.degree == spectral.series.degree
+
+
+def test_shared_series_is_read_only():
+    backend = spectral_oracle_backend(random_with_condition(4, 2.0, 0), 0.1, kappa=2.0)
+    with pytest.raises(ValueError, match="read-only"):
+        backend.series.coefficients[1] = 0.0
