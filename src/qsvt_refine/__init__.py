@@ -38,8 +38,11 @@ from .qsp_phases import PhaseVector, find_phases, signal_unitary, verify_phases
 from .qsvt_core import QsvtOperator, apply_inverse_state, build_u_phi, extract_block, spectral_oracle
 from .refine import (
     CostReport,
+    NoisyOracleBackend,
+    QsvtBackend,
     RefinementTrace,
     SolverBackend,
+    SpectralOracleBackend,
     contraction_check,
     denormalize,
     iterative_refine,

@@ -55,7 +55,11 @@ CSV_COLUMNS = [
 ]
 
 _EXPERIMENTS = ("convergence", "large_kappa", "complexity", "poisson")
-_BACKENDS = ("spectral_oracle", "noisy_oracle", "qsvt_full")
+_BACKENDS = {
+    "spectral_oracle": spectral_oracle_backend,
+    "noisy_oracle": noisy_oracle_backend,
+    "qsvt_full": qsvt_backend,
+}
 _QSVT_MAX_QUBITS = 6
 
 # Numerical failures that fail one run (exit code 1) while the others go
@@ -186,11 +190,7 @@ def _rhs_vector(n: int, seed: int) -> np.ndarray:
 
 def _make_backend(cfg: ExperimentConfig, a, kappa: float, eps_l: float, seed: int):
     shots = samples_for_accuracy(eps_l) if cfg.readout == "shot" else None
-    if cfg.backend == "spectral_oracle":
-        return spectral_oracle_backend(a, eps_l, kappa=kappa, seed=seed, shots=shots)
-    if cfg.backend == "noisy_oracle":
-        return noisy_oracle_backend(a, eps_l, kappa=kappa, seed=seed, shots=shots)
-    return qsvt_backend(a, eps_l, kappa=kappa, seed=seed, shots=shots)
+    return _BACKENDS[cfg.backend](a, eps_l, kappa=kappa, seed=seed, shots=shots)
 
 
 def _trace_rows(cfg: ExperimentConfig, experiment: str, n: int, kappa: float,

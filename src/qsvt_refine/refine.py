@@ -1,20 +1,23 @@
 """Mixed-precision iterative refinement around a low-accuracy inner solve.
 
-The refinement loop runs in native double precision on the host while
-each correction direction comes from a pluggable low-accuracy backend:
+The refinement loop runs in native double precision on the host. Each
+correction direction comes from a backend, a frozen ``SolverBackend``
+subtype bound to one matrix, whose one method ``direction(rhs_hat)``
+maps a unit right-hand side to a unit direction with relative error at
+most eps_l; the loop needs nothing else from it:
 
-* ``qsvt_full``      -- dilation encoding + phase sequence, the honest
-                        simulated pipeline;
-* ``spectral_oracle`` -- the same inverse polynomial applied through the
-                        SVD (ground truth for the circuit path);
-* ``noisy_oracle``   -- exact solve plus seeded noise of relative size
-                        eps_l, for stress sweeps.
+* ``QsvtBackend`` (``qsvt_full``) -- dilation encoding + phase sequence,
+  the honest simulated pipeline; real inputs only;
+* ``SpectralOracleBackend`` (``spectral_oracle``) -- the same inverse
+  polynomial applied through the SVD (ground truth for the circuit path);
+* ``NoisyOracleBackend`` (``noisy_oracle``) -- exact solve plus seeded
+  noise of relative size eps_l, for stress sweeps.
 
-Every backend returns a unit direction; the magnitude is recovered
-classically by minimizing ||A (x + mu eta) - b|| over mu. The scaled
-residual omega = ||b - A x|| / ||b|| both stops the loop and certifies
-the result: omega contracts by at least eps_l * kappa per iteration, so
-the iteration count is bounded by ceil(ln eps / ln(eps_l kappa)).
+The magnitude is recovered classically by minimizing ||A (x + mu eta) - b||
+over mu. The scaled residual omega = ||b - A x|| / ||b|| both stops the
+loop and certifies the result: omega contracts by at least eps_l * kappa
+per iteration, so the iteration count is bounded by
+ceil(ln eps / ln(eps_l kappa)).
 """
 
 from __future__ import annotations
@@ -22,7 +25,8 @@ from __future__ import annotations
 import functools
 import math
 import warnings
-from dataclasses import dataclass
+from abc import ABC, abstractmethod
+from dataclasses import asdict, dataclass
 from typing import Optional
 
 import numpy as np
@@ -31,12 +35,15 @@ from scipy.optimize import minimize_scalar
 from .blockenc import BlockEncoding, dilation_encoding
 from .invpoly import ChebyshevSeries, clenshaw_eval, degree_params, \
     enforce_qsvt_bounds, inverse_cheb_series, make_inverse_spec
-from .numerics import StateVector, Svd, as_matrix, condition_number, svd, two_norm
+from .numerics import StateVector, as_matrix, condition_number, svd, two_norm
 from .qsp_phases import PhaseVector, find_phases
 from .qsvt_core import apply_inverse_state
 
 __all__ = [
     "SolverBackend",
+    "SpectralOracleBackend",
+    "NoisyOracleBackend",
+    "QsvtBackend",
     "RefinementTrace",
     "CostReport",
     "ContractionResult",
@@ -69,9 +76,10 @@ class DivergenceError(RuntimeError):
 
 
 @dataclass(frozen=True)
-class SolverBackend:
-    """One low-accuracy solver instance bound to a specific matrix.
+class SolverBackend(ABC):
+    """One low-accuracy solver bound to a specific matrix.
 
+    A subtype holds what its solve needs and implements ``direction``.
     ``shots=None`` means exact readout; an integer turns on the
     shot-noise surrogate (seeded Gaussian direction of norm
     1/sqrt(shots), then renormalization). The surrogate stands in for
@@ -79,18 +87,78 @@ class SolverBackend:
     unspecified; outputs are flagged accordingly in bench metadata.
     """
 
-    kind: str  # "qsvt_full" | "spectral_oracle" | "noisy_oracle"
     eps_l: float
     kappa: float
     degree: int
-    shots: Optional[int] = None
-    series: Optional[ChebyshevSeries] = None
-    factorization: Optional[Svd] = None          # SVD of the solve matrix
-    oracle_diag: Optional[np.ndarray] = None     # P(sigma_i), precomputed
-    encoding: Optional[BlockEncoding] = None     # block-encoding of A^H / ||A||
-    phases: Optional[PhaseVector] = None
-    matrix: Optional[np.ndarray] = None          # noisy_oracle exact path
-    rng: Optional[np.random.Generator] = None
+    shots: Optional[int]
+    rng: np.random.Generator
+
+    @abstractmethod
+    def direction(self, rhs_hat: np.ndarray) -> np.ndarray:
+        """Unit solution direction for the unit right-hand side ``rhs_hat``."""
+
+
+@dataclass(frozen=True)
+class SpectralOracleBackend(SolverBackend):
+    """The bounded inverse series applied through the SVD A = U S V^H;
+    ``diag`` holds P(sigma_i / sigma_max)."""
+
+    series: ChebyshevSeries
+    u: np.ndarray
+    v: np.ndarray
+    diag: np.ndarray
+
+    def direction(self, rhs_hat: np.ndarray) -> np.ndarray:
+        raw = (self.v * self.diag) @ (self.u.conj().T @ rhs_hat)
+        return raw / np.linalg.norm(raw)
+
+
+@dataclass(frozen=True)
+class NoisyOracleBackend(SolverBackend):
+    """Exact solve with ``matrix`` plus seeded noise of relative size eps_l."""
+
+    matrix: np.ndarray
+
+    def direction(self, rhs_hat: np.ndarray) -> np.ndarray:
+        """Exact solve plus noise, shrunk until the de-normalized solution is
+        guaranteed within eps_l relative error (the backend contract is "by
+        construction", and magnitude recovery optimizes the residual, which
+        can amplify a raw direction error)."""
+        a = self.matrix
+        x = np.linalg.solve(a, rhs_hat)
+        nx = np.linalg.norm(x)
+        eta = x / nx
+        if self.eps_l <= 0.0:
+            return eta
+        g = self.rng.standard_normal(eta.size)
+        g /= np.linalg.norm(g)
+        magnitude = _NOISE_SAFETY * self.eps_l
+        for _ in range(60):
+            cand = eta + magnitude * g
+            cand /= np.linalg.norm(cand)
+            a_cand = a @ cand
+            mu = float(np.vdot(a_cand, rhs_hat).real / np.vdot(a_cand, a_cand).real)
+            if np.linalg.norm(mu * cand - x) <= _NOISE_SAFETY * self.eps_l * nx:
+                return cand
+            magnitude *= 0.5
+        return eta
+
+
+@dataclass(frozen=True)
+class QsvtBackend(SolverBackend):
+    """The phase sequence simulated on ``encoding`` (a dilation of
+    A^H / ||A||); real inputs only."""
+
+    series: ChebyshevSeries
+    encoding: BlockEncoding
+    phases: PhaseVector
+
+    def direction(self, rhs_hat: np.ndarray) -> np.ndarray:
+        if np.any(np.imag(rhs_hat)):
+            raise ValueError("qsvt_full is real-only: the right-hand side is complex")
+        out, _prob = apply_inverse_state(self.encoding, self.phases, self.series,
+                                         StateVector(rhs_hat))
+        return out.amplitudes.real
 
 
 def samples_for_accuracy(eps: float) -> int:
@@ -119,30 +187,22 @@ def _bounded_inverse_series(kappa: float, eps_prime: float) -> ChebyshevSeries:
 
 
 def spectral_oracle_backend(a, eps_l: float, kappa: Optional[float] = None,
-                            seed: int = 0, shots: Optional[int] = None) -> SolverBackend:
+                            seed: int = 0, shots: Optional[int] = None) -> SpectralOracleBackend:
     """Inverse polynomial applied via the SVD, no circuits."""
-    a = as_matrix(a)
-    fac = svd(a)
+    fac = svd(as_matrix(a))
+    sv = fac.singular_values
     if kappa is None:
-        kappa = float(fac.singular_values[0] / fac.singular_values[-1])
+        kappa = float(sv[0] / sv[-1])
     series = _bounded_inverse_series(kappa, eps_l / kappa)
-    norm = float(fac.singular_values[0])
-    fac = Svd(u=fac.u, singular_values=fac.singular_values / norm, v=fac.v)
-    return SolverBackend(
-        kind="spectral_oracle",
-        eps_l=eps_l,
-        kappa=kappa,
-        degree=series.degree,
-        shots=shots,
-        series=series,
-        factorization=fac,
-        oracle_diag=clenshaw_eval(series, fac.singular_values),
+    return SpectralOracleBackend(
+        eps_l=eps_l, kappa=kappa, degree=series.degree, shots=shots,
         rng=np.random.default_rng([seed, 0x5EC7]),
+        series=series, u=fac.u, v=fac.v, diag=clenshaw_eval(series, sv / sv[0]),
     )
 
 
 def noisy_oracle_backend(a, eps_l: float, kappa: Optional[float] = None,
-                         seed: int = 0, shots: Optional[int] = None) -> SolverBackend:
+                         seed: int = 0, shots: Optional[int] = None) -> NoisyOracleBackend:
     """Exact solve perturbed by seeded noise of relative size eps_l."""
     a = as_matrix(a)
     if kappa is None:
@@ -150,83 +210,34 @@ def noisy_oracle_backend(a, eps_l: float, kappa: Optional[float] = None,
     degree = 1  # cost-model degree; no polynomial exists outside (0, 1)
     if 0.0 < eps_l / kappa < 1.0:
         degree = nominal_degree(kappa, eps_l / kappa)
-    return SolverBackend(
-        kind="noisy_oracle",
-        eps_l=eps_l,
-        kappa=kappa,
-        degree=degree,
-        shots=shots,
-        matrix=a.astype(float) if not np.iscomplexobj(a) else a,
+    return NoisyOracleBackend(
+        eps_l=eps_l, kappa=kappa, degree=degree, shots=shots,
         rng=np.random.default_rng([seed, 0x0153]),
+        matrix=a.astype(float) if not np.iscomplexobj(a) else a,
     )
 
 
 def qsvt_backend(a, eps_l: float, kappa: Optional[float] = None, seed: int = 0,
-                 shots: Optional[int] = None) -> SolverBackend:
+                 shots: Optional[int] = None) -> QsvtBackend:
     """Full simulated pipeline: scale to unit norm, dilation-encode A^H,
-    find phases for the bounded inverse series."""
+    find phases for the bounded inverse series. Real matrices only."""
     a = as_matrix(a)
+    if np.any(np.imag(a)):
+        raise ValueError("qsvt_full is real-only: the matrix has a nonzero imaginary part")
     fac = svd(a)
     norm = float(fac.singular_values[0])
     if kappa is None:
         kappa = float(fac.singular_values[0] / fac.singular_values[-1])
     series = _bounded_inverse_series(kappa, eps_l / kappa)
-    phases = find_phases(series)
-    encoding = dilation_encoding((a / norm).conj().T, alpha=1.0)
-    return SolverBackend(
-        kind="qsvt_full",
-        eps_l=eps_l,
-        kappa=kappa,
-        degree=series.degree,
-        shots=shots,
-        series=series,
-        encoding=encoding,
-        phases=phases,
+    return QsvtBackend(
+        eps_l=eps_l, kappa=kappa, degree=series.degree, shots=shots,
         rng=np.random.default_rng([seed, 0x95F7]),
+        series=series, phases=find_phases(series),
+        encoding=dilation_encoding((a / norm).conj().T, alpha=1.0),
     )
 
 
-def _noisy_direction(backend: SolverBackend, rhs_hat: np.ndarray) -> np.ndarray:
-    """Exact solve plus noise, shrunk until the de-normalized solution is
-    guaranteed within eps_l relative error (the backend contract is "by
-    construction", and magnitude recovery optimizes the residual, which
-    can amplify a raw direction error)."""
-    a = backend.matrix
-    x = np.linalg.solve(a, rhs_hat)
-    nx = np.linalg.norm(x)
-    eta = x / nx
-    if backend.eps_l <= 0.0:
-        return eta
-    g = backend.rng.standard_normal(eta.size)
-    g /= np.linalg.norm(g)
-    magnitude = _NOISE_SAFETY * backend.eps_l
-    for _ in range(60):
-        cand = eta + magnitude * g
-        cand /= np.linalg.norm(cand)
-        a_cand = a @ cand
-        mu = float(np.vdot(a_cand, rhs_hat).real / np.vdot(a_cand, a_cand).real)
-        if np.linalg.norm(mu * cand - x) <= _NOISE_SAFETY * backend.eps_l * nx:
-            return cand
-        magnitude *= 0.5
-    return eta
-
-
-def _direction(backend: SolverBackend, rhs_hat: np.ndarray) -> np.ndarray:
-    if backend.kind == "spectral_oracle":
-        fac = backend.factorization
-        raw = (fac.v * backend.oracle_diag) @ (fac.u.conj().T @ rhs_hat)
-        return raw / np.linalg.norm(raw)
-    if backend.kind == "noisy_oracle":
-        return _noisy_direction(backend, rhs_hat)
-    if backend.kind == "qsvt_full":
-        out, _prob = apply_inverse_state(
-            backend.encoding, backend.phases, backend.series, StateVector(rhs_hat)
-        )
-        return out.amplitudes.real
-    raise ValueError(f"unknown backend kind {backend.kind!r}")
-
-
-def solve_once(backend: SolverBackend, a, rhs) -> tuple[np.ndarray, np.ndarray]:
+def solve_once(backend: SolverBackend, rhs) -> tuple[np.ndarray, np.ndarray]:
     """One low-accuracy solve: normalize, run the backend, apply readout.
 
     Returns ``(eta, readout)``: the backend's unit direction and the
@@ -237,7 +248,7 @@ def solve_once(backend: SolverBackend, a, rhs) -> tuple[np.ndarray, np.ndarray]:
     nrm = two_norm(rhs)
     if nrm == 0.0:
         raise ValueError("rhs must be nonzero")
-    eta = _direction(backend, rhs / nrm)
+    eta = backend.direction(rhs / nrm)
     if backend.shots is None:
         return eta, eta
     g = backend.rng.standard_normal(eta.size)
@@ -245,8 +256,9 @@ def solve_once(backend: SolverBackend, a, rhs) -> tuple[np.ndarray, np.ndarray]:
     return eta, readout / np.linalg.norm(readout)
 
 
-def denormalize(a, x_current, eta, b, method: str = "closed_form") -> float:
-    """Magnitude recovery: minimize ||A (x + mu eta) - b|| over real mu.
+def denormalize(a_eta, residual, method: str = "closed_form") -> float:
+    """Magnitude recovery: minimize ||A (x + mu eta) - b|| over real mu,
+    given ``a_eta`` = A eta and ``residual`` = b - A x.
 
     The objective is an exact quadratic, so the default path is the
     closed form mu = <A eta, b - A x> / ||A eta||^2; ``method="brent"``
@@ -256,12 +268,10 @@ def denormalize(a, x_current, eta, b, method: str = "closed_form") -> float:
     Brent result is refined by one parabolic-vertex fit on a
     well-separated stencil (still pure function evaluations).
     """
-    a = as_matrix(a)
-    a_eta = a @ np.asarray(eta)
+    a_eta, residual = np.asarray(a_eta), np.asarray(residual)
     gram = float(np.vdot(a_eta, a_eta).real)
     if gram <= 1e-28:
         raise ValueError("degenerate direction: ||A eta|| ~ 0")
-    residual = np.asarray(b) - a @ np.asarray(x_current)
     if method == "closed_form":
         return float(np.vdot(a_eta, residual).real / gram)
     if method == "brent":
@@ -289,22 +299,11 @@ class RefinementTrace:
     mu_values: list[float]
     iterations: int
     converged: bool
-    be_calls_total: int
-    samples_total: int
     theorem_bound: int
     contraction_hypothesis_ok: bool = True
 
     def to_dict(self) -> dict:
-        return {
-            "scaled_residuals": list(self.scaled_residuals),
-            "mu_values": list(self.mu_values),
-            "iterations": self.iterations,
-            "converged": self.converged,
-            "be_calls_total": self.be_calls_total,
-            "samples_total": self.samples_total,
-            "theorem_bound": self.theorem_bound,
-            "contraction_hypothesis_ok": self.contraction_hypothesis_ok,
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -359,9 +358,10 @@ def iterative_refine(a, b, backend: SolverBackend, eps_target: float,
 
     First solve produces x0; then repeat: residual in working precision,
     correction direction from the backend, magnitude from ``denormalize``,
-    update. Stops at omega <= eps_target or ``max_iter``; three
-    consecutive non-decreasing residuals raise ``DivergenceError``
-    carrying the partial trace.
+    update. Each step costs two products with A: A eta for the magnitude
+    and A x for the next residual, which also gives omega. Stops at
+    omega <= eps_target or ``max_iter``; three consecutive non-decreasing
+    residuals raise ``DivergenceError`` carrying the partial trace.
     """
     a = as_matrix(a)
     b = np.asarray(b, dtype=float if not np.iscomplexobj(b) else complex)
@@ -386,27 +386,25 @@ def iterative_refine(a, b, backend: SolverBackend, eps_target: float,
     mus: list[float] = []
 
     def make_trace(converged: bool) -> RefinementTrace:
-        solves = len(mus)
         return RefinementTrace(
             scaled_residuals=omegas,
             mu_values=mus,
             iterations=len(omegas) - 1,
             converged=converged,
-            be_calls_total=solves * backend.degree,
-            samples_total=solves * samples_for_accuracy(backend.eps_l),
             theorem_bound=bound,
             contraction_hypothesis_ok=hypothesis_ok,
         )
 
     x = np.zeros_like(b)
+    residual = b  # b - A x at x = 0
     stall = 0
     while True:
-        residual = b - a @ x
-        _eta, readout = solve_once(backend, a, residual)
-        mu = denormalize(a, x, readout, b)
+        _eta, readout = solve_once(backend, residual)
+        mu = denormalize(a @ readout, residual)
         x = x + mu * readout
         mus.append(mu)
-        omega = two_norm(b - a @ x) / b_norm
+        residual = b - a @ x
+        omega = two_norm(residual) / b_norm
         omegas.append(omega)
         if omega <= eps_target:
             break

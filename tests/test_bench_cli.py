@@ -177,7 +177,8 @@ def test_poisson_kappa_is_resolved_in_the_config():
     ("iterative_refine", ValueError("imaginary component 1e-3 of the averaged state exceeds 1e-06")),
 ])
 def test_numerical_failure_fails_only_its_run(tmp_path, monkeypatch, capsys, target, error):
-    real = getattr(bench_cli, target)
+    factory = target == "spectral_oracle_backend"  # reached through the name -> factory map
+    real = bench_cli._BACKENDS["spectral_oracle"] if factory else getattr(bench_cli, target)
     calls = []
 
     def flaky(*args, **kwargs):
@@ -186,7 +187,10 @@ def test_numerical_failure_fails_only_its_run(tmp_path, monkeypatch, capsys, tar
             raise error
         return real(*args, **kwargs)
 
-    monkeypatch.setattr(bench_cli, target, flaky)
+    if factory:
+        monkeypatch.setitem(bench_cli._BACKENDS, "spectral_oracle", flaky)
+    else:
+        monkeypatch.setattr(bench_cli, target, flaky)
     path, _ = write_config(tmp_path)  # 2 eps_l x 2 seeds: 4 runs
     assert main(["--config", str(path)]) == 1
     assert f"{type(error).__name__} at kappa=10.0 eps_l=0.01 seed=1" in capsys.readouterr().out

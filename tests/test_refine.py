@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -5,10 +6,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qsvt_refine.numerics import random_with_condition
+from qsvt_refine.numerics import random_with_condition, two_norm
 from qsvt_refine.refine import (
     CostReport,
     DivergenceError,
+    QsvtBackend,
+    SolverBackend,
     contraction_check,
     denormalize,
     direct_cost,
@@ -42,7 +45,7 @@ def test_solve_once_identity_all_backends():
         noisy_oracle_backend(a, 0.0),
         qsvt_backend(a, 0.1),
     ):
-        eta, readout = solve_once(backend, a, 3.7 * b)
+        eta, readout = solve_once(backend, 3.7 * b)
         np.testing.assert_allclose(np.abs(np.vdot(eta, b)), 1.0, atol=1e-8)
         np.testing.assert_allclose(readout, eta)
 
@@ -51,7 +54,7 @@ def test_solve_once_rejects_zero_rhs():
     a = np.eye(2)
     backend = noisy_oracle_backend(a, 0.0)
     with pytest.raises(ValueError, match="nonzero"):
-        solve_once(backend, a, np.zeros(2))
+        solve_once(backend, np.zeros(2))
 
 
 def test_noisy_backend_noise_scale_and_determinism():
@@ -60,8 +63,8 @@ def test_noisy_backend_noise_scale_and_determinism():
     exact = np.linalg.solve(a, b)
     exact /= np.linalg.norm(exact)
     eps_l = 1e-2
-    eta1, _ = solve_once(noisy_oracle_backend(a, eps_l, seed=3), a, b)
-    eta2, _ = solve_once(noisy_oracle_backend(a, eps_l, seed=3), a, b)
+    eta1, _ = solve_once(noisy_oracle_backend(a, eps_l, seed=3), b)
+    eta2, _ = solve_once(noisy_oracle_backend(a, eps_l, seed=3), b)
     np.testing.assert_array_equal(eta1, eta2)
     assert 0.0 < np.linalg.norm(eta1 - exact) <= 2.0 * eps_l
 
@@ -71,7 +74,7 @@ def test_qsvt_direction_accuracy():
     a = random_with_condition(4, kappa, 9)
     b = unit_rhs(4, 9)
     backend = qsvt_backend(a, eps_l)
-    eta, _ = solve_once(backend, a, b)
+    eta, _ = solve_once(backend, b)
     exact = np.linalg.solve(a, b)
     assert angle_between(eta, exact) <= eps_l
 
@@ -81,10 +84,10 @@ def test_shot_readout_perturbs_and_is_seeded():
     b = unit_rhs(4, 2)
     shots = 10_000
     backend = spectral_oracle_backend(a, 1e-2, seed=5, shots=shots)
-    eta, readout = solve_once(backend, a, b)
+    eta, readout = solve_once(backend, b)
     delta = np.linalg.norm(readout - eta)
     assert 0.0 < delta <= 2.0 / math.sqrt(shots)
-    again, readout2 = solve_once(spectral_oracle_backend(a, 1e-2, seed=5, shots=shots), a, b)
+    again, readout2 = solve_once(spectral_oracle_backend(a, 1e-2, seed=5, shots=shots), b)
     np.testing.assert_array_equal(readout, readout2)
 
 
@@ -92,9 +95,9 @@ def test_denormalize_identity_and_orthogonal():
     a = np.eye(3)
     b = np.array([3.0, 0.0, 0.0])
     eta = np.array([1.0, 0.0, 0.0])
-    assert denormalize(a, np.zeros(3), eta, b) == pytest.approx(3.0)
+    assert denormalize(a @ eta, b) == pytest.approx(3.0)
     perp = np.array([0.0, 1.0, 0.0])
-    assert denormalize(a, np.zeros(3), perp, b) == pytest.approx(0.0, abs=1e-15)
+    assert denormalize(a @ perp, b) == pytest.approx(0.0, abs=1e-15)
 
 
 def test_denormalize_cross_check_brent():
@@ -106,17 +109,17 @@ def test_denormalize_cross_check_brent():
         eta = rng.standard_normal(n)
         eta /= np.linalg.norm(eta)
         b = rng.standard_normal(n)
-        closed = denormalize(a, x, eta, b, method="closed_form")
-        brent = denormalize(a, x, eta, b, method="brent")
+        closed = denormalize(a @ eta, b - a @ x, method="closed_form")
+        brent = denormalize(a @ eta, b - a @ x, method="brent")
         assert abs(closed - brent) <= 1e-10 * max(1.0, abs(closed)), f"trial {trial}"
 
 
 def test_denormalize_degenerate_direction():
     a = np.diag([1.0, 1e-20])
     with pytest.raises(ValueError, match="degenerate"):
-        denormalize(a, np.zeros(2), np.array([0.0, 1.0]), np.ones(2))
+        denormalize(a @ np.array([0.0, 1.0]), np.ones(2))
     with pytest.raises(ValueError, match="method"):
-        denormalize(np.eye(2), np.zeros(2), np.array([1.0, 0.0]), np.ones(2), method="x")
+        denormalize(np.array([1.0, 0.0]), np.ones(2), method="x")
 
 
 def test_refine_identity_converges_immediately():
@@ -177,12 +180,12 @@ def test_refine_mu_recovery_accuracy():
             spectral_oracle_backend(a, eps_l, kappa=kappa, seed=seed),
             noisy_oracle_backend(a, eps_l, kappa=kappa, seed=seed),
         ):
-            eta, readout = solve_once(backend, a, b)
-            mu = denormalize(a, np.zeros_like(b), readout, b)
+            eta, readout = solve_once(backend, b)
+            mu = denormalize(a @ readout, b)
             x0 = mu * readout
             x_star = np.linalg.solve(a, b)
             rel = np.linalg.norm(x0 - x_star) / np.linalg.norm(x_star)
-            assert rel <= eps_l * (1.0 + 1e-6), (backend.kind, seed, rel)
+            assert rel <= eps_l * (1.0 + 1e-6), (type(backend).__name__, seed, rel)
 
 
 def test_refine_divergence_detection(monkeypatch):
@@ -192,11 +195,11 @@ def test_refine_divergence_detection(monkeypatch):
     b = unit_rhs(4, 3)
     backend = noisy_oracle_backend(a, 1e-2, kappa=4.0, seed=1)
 
-    def stalled_solve(_backend, a_mat, rhs):
+    def stalled_solve(_backend, rhs):
         rng = np.random.default_rng(0)
         w = rng.standard_normal(rhs.size)
         w -= (w @ rhs) / (rhs @ rhs) * rhs  # w orthogonal to the residual
-        eta = np.linalg.solve(a_mat, w)
+        eta = np.linalg.solve(a, w)
         eta /= np.linalg.norm(eta)  # then <A eta, rhs> = 0, so mu = 0
         return eta, eta
 
@@ -275,7 +278,7 @@ def test_contraction_check_short_trace():
 
     trace = RefinementTrace(
         scaled_residuals=[1e-9], mu_values=[1.0], iterations=0, converged=True,
-        be_calls_total=3, samples_total=100, theorem_bound=2,
+        theorem_bound=2,
     )
     assert contraction_check(trace, 10.0, 1e-3).passed
 
@@ -314,8 +317,8 @@ def test_backend_equivalence_qsvt_vs_spectral():
     b = unit_rhs(16, 13)
     qsvt = qsvt_backend(a, eps_l, kappa=kappa)
     spectral = spectral_oracle_backend(a, eps_l, kappa=kappa)
-    eta_q, _ = solve_once(qsvt, a, b)
-    eta_s, _ = solve_once(spectral, a, b)
+    eta_q, _ = solve_once(qsvt, b)
+    eta_s, _ = solve_once(spectral, b)
     assert angle_between(eta_q, eta_s) <= 1e-6
 
 
@@ -333,3 +336,88 @@ def test_shared_series_is_read_only():
     backend = spectral_oracle_backend(random_with_condition(4, 2.0, 0), 0.1, kappa=2.0)
     with pytest.raises(ValueError, match="read-only"):
         backend.series.coefficients[1] = 0.0
+
+
+def test_qsvt_rejects_complex_inputs_at_the_boundary():
+    kappa, eps_l = 3.0, 0.1
+    a = random_with_condition(8, kappa, 0)
+    b = unit_rhs(8, 0) + 1j * unit_rhs(8, 1)
+    a_complex = a * np.exp(1j * np.linspace(0.0, 1.0, 8))  # A times a unitary diagonal: same kappa
+    with pytest.raises(ValueError, match="qsvt_full is real-only"):
+        qsvt_backend(a_complex, eps_l, kappa=kappa)
+    with pytest.raises(ValueError, match="qsvt_full is real-only"):
+        iterative_refine(a, b, qsvt_backend(a, eps_l, kappa=kappa), 1e-11)
+    # the oracle backends solve the same complex systems
+    for factory in (spectral_oracle_backend, noisy_oracle_backend):
+        for a_in, b_in in ((a, b), (a_complex, unit_rhs(8, 2))):
+            x, trace, _ = iterative_refine(a_in, b_in, factory(a_in, eps_l, kappa=kappa), 1e-11)
+            assert trace.converged, factory.__name__
+            assert np.linalg.norm(b_in - a_in @ x) <= 1e-11 * np.linalg.norm(b_in)
+
+
+def test_backend_missing_a_field_fails_at_construction():
+    with pytest.raises(TypeError):
+        QsvtBackend(eps_l=0.1, kappa=2.0, degree=3, shots=None,
+                    rng=np.random.default_rng(0), series=None, encoding=None)
+    with pytest.raises(TypeError):
+        SolverBackend(eps_l=0.1, kappa=2.0, degree=3, shots=None, rng=np.random.default_rng(0))
+
+
+def plain_refine(a, b, backend, eps_target, max_iter=100):
+    """The refinement loop written out with four products with A per step:
+    the residual is recomputed for the solve, for the closed-form mu and
+    for omega."""
+    x = np.zeros_like(b)
+    omegas, mus = [], []
+    while True:
+        _eta, readout = solve_once(backend, b - a @ x)
+        a_eta = a @ readout
+        mu = float(np.vdot(a_eta, b - a @ x).real / float(np.vdot(a_eta, a_eta).real))
+        x = x + mu * readout
+        mus.append(mu)
+        omegas.append(two_norm(b - a @ x) / two_norm(b))
+        if omegas[-1] <= eps_target or len(omegas) - 1 >= max_iter:
+            return x, omegas, mus
+
+
+@settings(max_examples=100, deadline=None)
+@given(kappa=st.floats(1.5, 20.0), rate=st.floats(0.05, 0.5), seed=st.integers(0, 2**16),
+       shot=st.booleans(), factory=st.sampled_from([spectral_oracle_backend, noisy_oracle_backend]))
+def test_refine_equals_plain_loop(kappa, rate, seed, shot, factory):
+    eps_l = rate / kappa
+    shots = samples_for_accuracy(eps_l) if shot else None
+    a = random_with_condition(8, kappa, seed)
+    b = unit_rhs(8, seed)
+
+    def backend():
+        return factory(a, eps_l, kappa=kappa, seed=seed, shots=shots)
+
+    x, trace, _ = iterative_refine(a, b, backend(), 1e-11)
+    x_plain, omegas, mus = plain_refine(a, b, backend(), 1e-11)
+    assert np.array_equal(x, x_plain)
+    assert trace.scaled_residuals == omegas and trace.mu_values == mus
+
+
+@settings(max_examples=5, deadline=None)
+@given(kappa=st.floats(1.5, 4.0), rate=st.floats(0.1, 0.5), n=st.sampled_from([4, 8]),
+       seed=st.integers(0, 99))
+def test_qsvt_direction_matches_spectral(kappa, rate, n, seed):
+    eps_l = rate / kappa
+    a = random_with_condition(n, kappa, seed)
+    b = unit_rhs(n, seed)
+    eta_q = qsvt_backend(a, eps_l, kappa=kappa).direction(b)
+    eta_s = spectral_oracle_backend(a, eps_l, kappa=kappa).direction(b)
+    assert angle_between(eta_q, eta_s) <= 1e-6
+
+
+@settings(max_examples=12, deadline=None)
+@given(factory=st.sampled_from([spectral_oracle_backend, noisy_oracle_backend, qsvt_backend]),
+       kappa=st.floats(1.5, 3.0), n=st.sampled_from([2, 4, 8]), seed=st.integers(0, 99))
+def test_factories_return_frozen_backends_with_unit_real_directions(factory, kappa, n, seed):
+    backend = factory(random_with_condition(n, kappa, seed), 0.3 / kappa, kappa=kappa, seed=seed)
+    assert isinstance(backend, SolverBackend) and type(backend) is not SolverBackend
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        backend.eps_l = 0.0
+    eta = backend.direction(unit_rhs(n, seed))
+    assert eta.shape == (n,) and not np.iscomplexobj(eta)
+    assert abs(np.linalg.norm(eta) - 1.0) <= 1e-12
