@@ -13,7 +13,6 @@ from .blockenc import (
     compile_circuit,
     dilation_encoding,
     fable_encoding,
-    projector_phase_operator,
 )
 from .invpoly import (
     ChebyshevSeries,

@@ -136,22 +136,28 @@ class ExperimentConfig:
                     f"eps_l={eps_l:g}, above the phase-finding cap ({MAX_DEGREE})"
                 )
 
-    @classmethod
-    def from_json_file(cls, path: str) -> "ExperimentConfig":
+
+def _load_config(path: Optional[str], overrides: dict) -> ExperimentConfig:
+    """The config file's fields (none without a file) with the flag
+    overrides merged in, so every default is resolved once."""
+    fields = {}
+    if path:
         try:
-            raw = json.loads(Path(path).read_text())
+            fields = json.loads(Path(path).read_text())
         except FileNotFoundError as exc:
             raise ConfigError(f"config file not found: {path}") from exc
         except json.JSONDecodeError as exc:
             raise ConfigError(f"config file is not valid JSON: {exc}") from exc
-        known = set(cls.__dataclass_fields__)
-        bad = set(raw) - known
-        if bad:
-            raise ConfigError(f"unknown config keys: {sorted(bad)}")
-        try:
-            return cls(**raw)
-        except TypeError as exc:
-            raise ConfigError(str(exc)) from exc
+        if not isinstance(fields, dict):
+            raise ConfigError("config file must hold a JSON object")
+    fields.update(overrides)
+    bad = set(fields) - set(ExperimentConfig.__dataclass_fields__)
+    if bad:
+        raise ConfigError(f"unknown config keys: {sorted(bad)}")
+    try:
+        return ExperimentConfig(**fields)
+    except TypeError as exc:
+        raise ConfigError(str(exc)) from exc
 
 
 def _coerced(name: str, values, kind) -> list:
@@ -409,19 +415,13 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     try:
-        if args.config:
-            cfg = ExperimentConfig.from_json_file(args.config)
-        elif args.experiment:
-            cfg = ExperimentConfig(experiment=args.experiment)
-        else:
+        if not (args.config or args.experiment):
             raise ConfigError("either --config or --experiment is required")
-        for key in ("experiment", "out", "backend", "readout"):
-            val = getattr(args, key)
-            if val is not None:
-                setattr(cfg, key, val)
+        overrides = {key: val for key in ("experiment", "out", "backend", "readout")
+                     if (val := getattr(args, key)) is not None}
         if args.seeds is not None:
-            cfg.seeds = [s for s in args.seeds.split(",") if s]
-        cfg = ExperimentConfig(**asdict(cfg))  # re-validate after overrides
+            overrides["seeds"] = [s for s in args.seeds.split(",") if s]
+        cfg = _load_config(args.config, overrides)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

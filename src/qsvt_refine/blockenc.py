@@ -29,7 +29,6 @@ __all__ = [
     "dilation_encoding",
     "fable_encoding",
     "compile_circuit",
-    "projector_phase_operator",
 ]
 
 _GATE_ARITY = {"ry": 1, "h": 1, "cnot": 2, "swap": 2}
@@ -290,11 +289,3 @@ def compile_circuit(circuit: Circuit) -> np.ndarray:
     check_unitary(state, 1e-11)
     return state
 
-
-def projector_phase_operator(phi: float, be: BlockEncoding) -> np.ndarray:
-    """The diagonal operator e^{i phi (2 Pi - I)} for the encoding's
-    ancilla-zero projector Pi."""
-    dim = be.unitary.shape[0]
-    diag = np.full(dim, np.exp(-1j * phi), dtype=complex)
-    diag[: be.block_dim] = np.exp(1j * phi)
-    return np.diag(diag)

@@ -1,19 +1,23 @@
-"""Alternating phase modulation sequences and their spectral ground truth.
+"""The alternating phase modulation sequence, applied by one sweep.
 
-``build_u_phi`` assembles the full-space operator
+``_sweep`` applies the sequence
 
     odd d:  e^{i psi_1 (2 Pt - I)} U  prod_j [ e^{i psi_2j (2 Pi - I)} U^H
                                                e^{i psi_2j+1 (2 Pt - I)} U ]
     even d: prod_j [ e^{i psi_2j-1 (2 Pi - I)} U^H  e^{i psi_2j (2 Pt - I)} U ]
 
-from phases found in the wx-re00 signal convention. Pt and Pi are both
-the ancilla-zero projector of the encodings built here, so one
-projector phase operator serves both. On each singular
-subspace the product above reduces to a phase/reflection sequence, which
+right to left to a block of columns: each block-encoding call is a
+matrix product and each projector phase an elementwise multiply, as Pt
+and Pi are both the ancilla-zero projector of the encodings built here.
+``build_u_phi`` sweeps the identity columns; ``apply_inverse_state``
+sweeps the state |0>|b> and forms no 2N x 2N operator.
+
+The phases come in the wx-re00 signal convention. On each singular
+subspace the product reduces to a phase/reflection sequence, which
 matches the signal product after shifting psi_1 = phi_1 - pi/4,
 psi_j = phi_j - pi/2 (j >= 2) and multiplying by the global phase
-i^d e^{-i pi/4}; both corrections are folded in here so the extracted
-block literally carries the signal polynomial on the singular values.
+i^d e^{-i pi/4}; the sweep folds both in, so the extracted block
+literally carries the signal polynomial on the singular values.
 
 For real targets the single sequence realizes P(x) plus an order-one
 imaginary completion (|M00(1)| = 1 is structural), so the state-level
@@ -25,11 +29,10 @@ asserted below 1e-6 to make any convention drift loud.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
-from .blockenc import BlockEncoding, projector_phase_operator
+from .blockenc import BlockEncoding
 from .invpoly import ChebyshevSeries, clenshaw_eval
 from .numerics import StateVector, check_unitary, svd
 from .qsp_phases import CONVENTION_TAG, PhaseVector
@@ -58,7 +61,6 @@ class QsvtOperator:
     encoding: BlockEncoding
     phases: PhaseVector
     parity: str
-    polynomial: Optional[ChebyshevSeries] = None
 
     @property
     def be_calls(self) -> int:
@@ -66,48 +68,50 @@ class QsvtOperator:
         return self.phases.degree
 
 
-def build_u_phi(encoding: BlockEncoding, phases: PhaseVector,
-                polynomial: Optional[ChebyshevSeries] = None) -> QsvtOperator:
-    """Assemble the alternating phase modulation sequence operator."""
+def _check_sequence(encoding: BlockEncoding, phases: PhaseVector) -> None:
+    """Checks every sequence needs before it is swept."""
     if phases.convention_tag != CONVENTION_TAG:
         raise ValueError(
             f"phase convention {phases.convention_tag!r} does not match "
             f"{CONVENTION_TAG!r}"
         )
-    d = phases.degree
-    if d < 1:
+    if phases.degree < 1:
         raise ValueError("need at least one phase")
-    u = encoding.unitary
-    check_unitary(u, 1e-11)
+    check_unitary(encoding.unitary, 1e-11)
 
+
+def _sweep(encoding: BlockEncoding, phases: PhaseVector,
+           columns: np.ndarray) -> np.ndarray:
+    """The sequence applied to ``columns`` (a dim-vector or a dim x m
+    block): the rightmost call is U, the calls alternate U, U^H leftwards
+    and each is followed by its projector phase."""
+    u = encoding.unitary
+    uh = u.conj().T
+    n = encoding.block_dim
+    d = phases.degree
     psi = phases.phases.copy()
     psi[0] -= np.pi / 4.0
     psi[1:] -= np.pi / 2.0
     gamma = (1j) ** d * np.exp(-1j * np.pi / 4.0)
 
-    def phase(phi):
-        return projector_phase_operator(phi, encoding)
+    out = np.array(columns, dtype=complex)
+    for k in range(d - 1, -1, -1):
+        out = (u if (d - 1 - k) % 2 == 0 else uh) @ out
+        out[:n] *= np.exp(1j * psi[k])
+        out[n:] *= np.exp(-1j * psi[k])
+    return gamma * out
 
-    factors: list[np.ndarray] = []
-    if d % 2 == 1:
-        factors += [phase(psi[0]), u]
-        for j in range(1, (d - 1) // 2 + 1):
-            factors += [phase(psi[2 * j - 1]), u.conj().T, phase(psi[2 * j]), u]
-    else:
-        for j in range(1, d // 2 + 1):
-            factors += [phase(psi[2 * j - 2]), u.conj().T, phase(psi[2 * j - 1]), u]
 
-    u_phi = factors[0]
-    for f in factors[1:]:
-        u_phi = u_phi @ f
-    u_phi = gamma * u_phi
+def build_u_phi(encoding: BlockEncoding, phases: PhaseVector) -> QsvtOperator:
+    """Assemble the alternating phase modulation sequence operator."""
+    _check_sequence(encoding, phases)
+    u_phi = _sweep(encoding, phases, np.eye(encoding.unitary.shape[0]))
     check_unitary(u_phi, 1e-10)
     return QsvtOperator(
         u_phi=u_phi,
         encoding=encoding,
         phases=phases,
-        parity="odd" if d % 2 else "even",
-        polynomial=polynomial,
+        parity="odd" if phases.degree % 2 else "even",
     )
 
 
@@ -157,12 +161,15 @@ def apply_inverse_state(encoding: BlockEncoding, phases: PhaseVector,
     if b_state.dim != n:
         raise ValueError(f"state dimension {b_state.dim} does not match block {n}")
 
+    _check_sequence(encoding, phases)
     dim = encoding.unitary.shape[0]
     full = np.zeros(dim, dtype=complex)
     full[:n] = b_state.amplitudes
-    kept_plus = (build_u_phi(encoding, phases, series).u_phi @ full)[:n]
-    kept_minus = (build_u_phi(encoding, phases.negated(), series).u_phi @ full)[:n]
-    raw = 0.5 * (kept_plus + kept_minus)
+    swept = [_sweep(encoding, p, full) for p in (phases, phases.negated())]
+    defect = max(abs(float(np.vdot(v, v).real) - 1.0) for v in swept)
+    if defect > 1e-10 * dim:
+        raise ValueError(f"swept state is not normalized: |norm^2 - 1| = {defect:.3e}")
+    raw = 0.5 * (swept[0][:n] + swept[1][:n])
 
     weight = float(np.linalg.norm(raw))
     if weight**2 < 1e-14:

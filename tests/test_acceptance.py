@@ -62,7 +62,7 @@ def test_acceptance_1_qsvt_block_identity():
         a = random_with_condition(n, kappa, 1000 + trial)
         target = random_odd_series(rng, degree, 0.8)
         phases = find_phases(target, tol=1e-9)
-        op = build_u_phi(dilation_encoding(a), phases, target)
+        op = build_u_phi(dilation_encoding(a), phases)
         gap = np.linalg.norm(extract_block(op).real - spectral_oracle(a, target), 2)
         worst = max(worst, gap)
         assert gap <= 1e-7, f"trial {trial}: {gap:.3e}"

@@ -81,6 +81,8 @@ def test_missing_and_invalid_config(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")
     assert main(["--config", str(bad)]) == 2
+    bad.write_text("5")
+    assert main(["--config", str(bad), "--experiment", "convergence"]) == 2
     path, _ = write_config(tmp_path, experiment="weird")
     assert main(["--config", str(path)]) == 2
     assert main([]) == 2
@@ -92,6 +94,24 @@ def test_flag_overrides(tmp_path):
     assert main(["--config", str(path), "--out", str(out), "--seeds", "5"]) == 0
     rows = out.read_text().splitlines()[1:]
     assert all(",5," in r for r in rows)
+
+    # --experiment resolves the kappa defaults of the flagged experiment,
+    # not of the file's
+    cfg = tmp_path / "lone.json"
+    cfg.write_text(json.dumps({"experiment": "convergence", "n_qubits": 2,
+                               "eps_target": 1e-8}))
+    assert main(["--config", str(cfg), "--out", str(out),
+                 "--experiment", "large_kappa"]) == 0
+    rows = [r.split(",") for r in out.read_text().splitlines()[1:]]
+    assert {r[1] for r in rows} == {"large_kappa"}
+    assert {(r[3], r[4]) for r in rows} == {
+        (repr(k), repr(0.4 / k)) for k in (100.0, 200.0, 300.0)
+    }
+    cfg.write_text(json.dumps({"experiment": "poisson", "n_qubits": 2}))
+    assert main(["--config", str(cfg), "--out", str(out),
+                 "--experiment", "convergence"]) == 0
+    rows = [r.split(",") for r in out.read_text().splitlines()[1:]]
+    assert {(r[1], r[3]) for r in rows} == {("convergence", repr(10.0))}
 
 
 def test_large_kappa_defaults_and_rejection(tmp_path):

@@ -2,7 +2,6 @@ import math
 
 import numpy as np
 import pytest
-from scipy.linalg import expm
 
 from qsvt_refine.blockenc import (
     Circuit,
@@ -10,7 +9,6 @@ from qsvt_refine.blockenc import (
     compile_circuit,
     dilation_encoding,
     fable_encoding,
-    projector_phase_operator,
 )
 from qsvt_refine.numerics import random_with_condition
 
@@ -142,18 +140,3 @@ def test_circuit_json_roundtrip():
     back = Circuit.from_json(circuit.to_json())
     assert back == circuit
 
-
-def test_projector_phase_identity_and_exponential_oracle():
-    enc = dilation_encoding(0.5 * np.eye(2))
-    np.testing.assert_allclose(projector_phase_operator(0.0, enc), np.eye(4), atol=1e-15)
-    pi_matrix = np.diag([1.0, 1.0, 0.0, 0.0])  # ancilla-zero projector
-    for phi in (0.3, np.pi, -1.2):
-        direct = expm(1j * phi * (2 * pi_matrix - np.eye(4)))
-        np.testing.assert_allclose(projector_phase_operator(phi, enc), direct, atol=1e-12)
-
-
-def test_projector_phase_composition():
-    enc = dilation_encoding(0.5 * np.eye(2))
-    lhs = projector_phase_operator(0.4 + 0.9, enc)
-    rhs = projector_phase_operator(0.4, enc) @ projector_phase_operator(0.9, enc)
-    np.testing.assert_allclose(lhs, rhs, atol=1e-14)

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from qsvt_refine.blockenc import dilation_encoding
 from qsvt_refine.invpoly import (
@@ -10,7 +12,7 @@ from qsvt_refine.invpoly import (
     max_abs_on_interval,
 )
 from qsvt_refine.numerics import StateVector, random_with_condition, svd
-from qsvt_refine.qsp_phases import PhaseVector, find_phases
+from qsvt_refine.qsp_phases import PhaseVector, find_phases, realized_values
 from qsvt_refine.qsvt_core import (
     PostSelectionError,
     apply_inverse_state,
@@ -94,7 +96,7 @@ def test_qsvt_identity_property():
         a = random_with_condition(n, float(rng.uniform(1.5, 8.0)), 100 + trial)
         target = random_odd_series(rng, degree, 0.8)
         phases = find_phases(target, tol=1e-10)
-        op = build_u_phi(dilation_encoding(a), phases, target)
+        op = build_u_phi(dilation_encoding(a), phases)
         diff = extract_block(op).real - spectral_oracle(a, target)
         assert np.linalg.norm(diff, 2) <= 1e-7, f"trial {trial}"
 
@@ -122,7 +124,7 @@ def test_extract_block_inverse_polynomial_on_diagonal():
     series = bounded_inverse(kappa, eps)
     phases = find_phases(series, tol=1e-10)
     a = np.diag([0.5, 1.0])
-    op = build_u_phi(dilation_encoding(a), phases, series)
+    op = build_u_phi(dilation_encoding(a), phases)
     block = extract_block(op).real
     want = series.scale * np.diag([2.0, 1.0])
     assert np.max(np.abs(block - want)) <= 2.0 * eps * series.scale
@@ -190,6 +192,9 @@ def test_apply_inverse_input_validation():
     with pytest.raises(ValueError, match="match"):
         apply_inverse_state(enc, PhaseVector(np.zeros(3)), series,
                             StateVector(np.array([1.0, 0.0])))
+    with pytest.raises(ValueError, match="convention"):
+        apply_inverse_state(enc, PhaseVector(phases.phases, convention_tag="other"),
+                            series, StateVector(np.array([1.0, 0.0])))
 
 
 def test_ordering_regression_odd_and_even():
@@ -202,11 +207,31 @@ def test_ordering_regression_odd_and_even():
     for d in (3, 4):
         phases = PhaseVector(rng.uniform(-0.8, 0.8, d))
         op = build_u_phi(enc, phases)
-        from qsvt_refine.qsp_phases import realized_values
-
         vals = realized_values(phases, fac.singular_values)
         if d % 2:
             want = (fac.u * vals) @ fac.v.conj().T
         else:
             want = (fac.v * vals) @ fac.v.conj().T
         np.testing.assert_allclose(extract_block(op).real, want, atol=1e-10)
+
+
+@settings(max_examples=100, deadline=None)
+@given(n=st.sampled_from([2, 4, 8]), d=st.integers(0, 20).map(lambda k: 2 * k + 1),
+       kappa=st.floats(1.0, 20.0), seed=st.integers(0, 2**16))
+def test_apply_inverse_state_matches_svd_transform(n, d, kappa, seed):
+    # the swept state equals the singular value transform of the realized
+    # signal polynomial, for random phases and sizes
+    rng = np.random.default_rng(seed)
+    m = random_with_condition(n, kappa, seed)
+    m /= np.linalg.norm(m, 2)
+    phases = PhaseVector(rng.uniform(-np.pi, np.pi, d))
+    b = rng.standard_normal(n)
+    b /= np.linalg.norm(b)
+    fac = svd(m)
+    tb = (fac.u * realized_values(phases, fac.singular_values)) @ fac.v.conj().T @ b
+    weight = float(np.linalg.norm(tb)) ** 2
+    assume(weight >= 1e-6)
+    t_d = ChebyshevSeries(np.eye(d + 1)[d], "odd")
+    out, prob = apply_inverse_state(dilation_encoding(m), phases, t_d, StateVector(b))
+    np.testing.assert_allclose(out.amplitudes, tb / np.sqrt(weight), rtol=0, atol=1e-9)
+    assert prob == pytest.approx(weight, rel=0, abs=1e-12)
