@@ -95,7 +95,8 @@ class BlockEncoding:
 
     The block is taken on the ancilla-zero subspace on both sides; with
     the ancillas as the most significant qubits that subspace is the
-    leading 2^n basis states.
+    leading 2^n basis states. ``unitary`` is checked once, at
+    construction, and stored as a read-only view of a private copy.
     """
 
     unitary: np.ndarray
@@ -111,8 +112,13 @@ class BlockEncoding:
             raise ValueError(f"unitary shape {u.shape} inconsistent with qubit counts")
         if self.alpha < 1.0 - 1e-12:
             raise ValueError("alpha must be >= 1")
-        check_unitary(u, 1e-11)
-        object.__setattr__(self, "unitary", u)
+        # a read-only view of a private copy: numpy refuses to make a view of
+        # a locked base writeable again, so the array checked here is the one
+        # every later use sees and no consumer has to check it again
+        owner = u.copy()
+        check_unitary(owner, 1e-11)
+        owner.flags.writeable = False
+        object.__setattr__(self, "unitary", owner.view())
 
     @property
     def block_dim(self) -> int:

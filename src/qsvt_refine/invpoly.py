@@ -179,17 +179,19 @@ def inverse_cheb_series(spec: InverseApproxSpec) -> ChebyshevSeries:
 
 def clenshaw_eval(series: ChebyshevSeries, x):
     """Evaluate the series at ``x`` (scalar or array, |x| <= 1) by the
-    backward Clenshaw recurrence."""
-    xs = np.asarray(x, dtype=float)
+    backward Clenshaw recurrence.
+
+    The coefficients are Python floats, so a scalar runs the recurrence
+    on Python floats (rounding exactly as 0-d float64 arrays do, at a
+    fraction of the per-step cost) and returns one."""
+    xs = float(x) if np.isscalar(x) else np.asarray(x, dtype=float)
     if np.any(np.abs(xs) > 1.0 + 1e-12):
         raise ValueError("clenshaw_eval requires |x| <= 1")
-    c = series.coefficients
-    b1 = np.zeros_like(xs)
-    b2 = np.zeros_like(xs)
-    for k in range(c.size - 1, 0, -1):
+    c = series.coefficients.tolist()
+    b1 = b2 = 0.0
+    for k in range(len(c) - 1, 0, -1):
         b1, b2 = c[k] + 2.0 * xs * b1 - b2, b1
-    out = c[0] + xs * b1 - b2
-    return float(out) if np.isscalar(x) else out
+    return c[0] + xs * b1 - b2
 
 
 def _values_on_cheb_grid(coefs: np.ndarray, npts: int) -> tuple[np.ndarray, np.ndarray]:

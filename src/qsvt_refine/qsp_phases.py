@@ -64,9 +64,6 @@ class PhaseVector:
     def degree(self) -> int:
         return self.phases.size
 
-    def negated(self) -> "PhaseVector":
-        return PhaseVector(-self.phases, self.convention_tag)
-
     def to_json(self) -> str:
         return json.dumps(
             {"convention_tag": self.convention_tag, "phases": self.phases.tolist()}
@@ -94,44 +91,71 @@ def signal_unitary(x: float, phases: PhaseVector) -> np.ndarray:
     return m
 
 
-def _signal_row_suffix(phases: np.ndarray, xs: np.ndarray, need_grad: bool):
-    """Vectorized M(x)[0,0] over ``xs``, optionally with d(M00)/d(phi_j).
+class _SignalRows:
+    """M(x)[0,0] on fixed nodes ``xs`` for d phases, optionally with
+    d(M00)/d(phi_j).
 
-    Tracks only the first row of the running prefix product and the first
-    column of the suffix products; the gradient of the (0,0) entry is
-    i * (f_{j-1,0} b_{j,0} - f_{j-1,1} b_{j,1}).
+    Tracks only the first row (f_0, f_1) of the running prefix product and
+    the first column (b_0, b_1) of the suffix products; the gradient of the
+    (0,0) entry is i * (f_{j-1,0} b_{j,0} - f_{j-1,1} b_{j,1}).
+
+    The arrays are allocated once and every call writes them in place, six
+    ufunc calls a recurrence step and no temporaries: phase finding calls
+    this a hundred times or more, and arrays allocated afresh on each call
+    are page-faulted in again each time, a cost that grows with the
+    host's load. Complex products round differently with their operands
+    swapped, so the operand order of each product is part of the result.
+    The returned arrays are overwritten by the next call; the gradient's
+    arrays are allocated by the first call that asks for it.
     """
-    d = phases.size
-    nx = xs.size
-    s = np.sqrt(np.maximum(0.0, 1.0 - xs * xs))
-    e = np.exp(1j * phases)
-    a00 = np.outer(e, xs)
-    a01 = 1j * np.outer(e, s)
-    a10 = 1j * np.outer(np.conj(e), s)
-    a11 = np.outer(np.conj(e), xs)
 
-    f = np.zeros((d + 1, nx, 2), dtype=complex)
-    f[0, :, 0] = 1.0
-    for j in range(d):
-        f[j + 1, :, 0] = f[j, :, 0] * a00[j] + f[j, :, 1] * a10[j]
-        f[j + 1, :, 1] = f[j, :, 0] * a01[j] + f[j, :, 1] * a11[j]
-    m00 = f[d, :, 0]
-    if not need_grad:
-        return m00, None
+    def __init__(self, xs: np.ndarray, d: int):
+        nx = xs.size
+        self.xs = xs
+        self.s = np.sqrt(np.maximum(0.0, 1.0 - xs * xs))
+        self.a00, self.a01, self.a10, self.a11 = (
+            np.empty((d, nx), dtype=complex) for _ in range(4))
+        self.f0, self.f1 = (np.empty((d + 1, nx), dtype=complex) for _ in range(2))
+        self.t0, self.t1 = np.empty(nx, dtype=complex), np.empty(nx, dtype=complex)
+        self.b0 = self.b1 = self.grad = self.tmp = None
 
-    b = np.zeros((d + 1, nx, 2), dtype=complex)
-    b[d, :, 0] = 1.0
-    for j in range(d - 1, -1, -1):
-        b[j, :, 0] = a00[j] * b[j + 1, :, 0] + a01[j] * b[j + 1, :, 1]
-        b[j, :, 1] = a10[j] * b[j + 1, :, 0] + a11[j] * b[j + 1, :, 1]
-    grad = 1j * (f[:d, :, 0] * b[:d, :, 0] - f[:d, :, 1] * b[:d, :, 1])
-    return m00, grad
+    def __call__(self, phases: np.ndarray, need_grad: bool):
+        mul, add = np.multiply, np.add
+        a00, a01, a10, a11 = self.a00, self.a01, self.a10, self.a11
+        f0, f1, t0, t1 = self.f0, self.f1, self.t0, self.t1
+        e = np.exp(1j * phases)
+        np.outer(e, self.xs, out=a00)
+        mul(1j, np.outer(e, self.s, out=a01), out=a01)
+        mul(1j, np.outer(np.conj(e), self.s, out=a10), out=a10)
+        np.outer(np.conj(e), self.xs, out=a11)
+
+        f0[0], f1[0] = 1.0, 0.0
+        for p0, p1, n0, n1, c00, c01, c10, c11 in zip(f0, f1, f0[1:], f1[1:], a00, a01, a10, a11):
+            add(mul(p0, c00, t0), mul(p1, c10, t1), n0)
+            add(mul(p0, c01, t0), mul(p1, c11, t1), n1)
+        m00 = f0[-1]
+        if not need_grad:
+            return m00, None
+
+        if self.grad is None:
+            self.b0, self.b1 = np.empty_like(f0), np.empty_like(f0)
+            self.grad, self.tmp = np.empty_like(a00), np.empty_like(a00)
+        b0, b1 = self.b0, self.b1
+        b0[-1], b1[-1] = 1.0, 0.0
+        for q0, q1, n0, n1, c00, c01, c10, c11 in zip(b0[:0:-1], b1[:0:-1], b0[-2::-1], b1[-2::-1],
+                                                       a00[::-1], a01[::-1], a10[::-1], a11[::-1]):
+            add(mul(c00, q0, t0), mul(c01, q1, t1), n0)
+            add(mul(c10, q0, t0), mul(c11, q1, t1), n1)
+        grad = mul(f0[:-1], b0[:-1], out=self.grad)
+        np.subtract(grad, mul(f1[:-1], b1[:-1], out=self.tmp), out=grad)
+        return m00, mul(1j, grad, out=grad)
 
 
 def realized_values(phases: PhaseVector, xs: np.ndarray) -> np.ndarray:
     """Re M(x)[0,0] on an array of points."""
-    m00, _ = _signal_row_suffix(phases.phases, np.asarray(xs, dtype=float), False)
-    return m00.real
+    xs = np.asarray(xs, dtype=float)
+    m00, _ = _SignalRows(xs, phases.degree)(phases.phases, False)
+    return m00.real.copy()
 
 
 def _chebyshev_nodes(d: int) -> np.ndarray:
@@ -173,9 +197,10 @@ def find_phases(target: ChebyshevSeries, tol: float = 1e-10,
 
     xs = _chebyshev_nodes(d)
     want = clenshaw_eval(target, xs)
+    rows = _SignalRows(xs, d)
 
     def value_and_grad(phis):
-        m00, grad = _signal_row_suffix(phis, xs, True)
+        m00, grad = rows(phis, True)
         resid = m00.real - want
         return float(resid @ resid), 2.0 * (grad.real @ resid)
 
@@ -189,16 +214,16 @@ def find_phases(target: ChebyshevSeries, tol: float = 1e-10,
         options={"maxiter": max_evals, "maxfun": max_evals, "ftol": 1e-30, "gtol": 1e-18},
     )
     phis = result.x
-    resid = np.max(np.abs(_signal_row_suffix(phis, xs, False)[0].real - want))
+    resid = np.max(np.abs(rows(phis, False)[0].real - want))
 
     if resid > tol:
         def residuals(p):
-            m00, _ = _signal_row_suffix(p, xs, False)
+            m00, _ = rows(p, False)
             return m00.real - want
 
         def jacobian(p):
-            _, grad = _signal_row_suffix(p, xs, True)
-            return grad.real.T
+            _, grad = rows(p, True)
+            return grad.real.T.copy()
 
         polish = least_squares(
             residuals, phis, jac=jacobian, method="lm",

@@ -7,8 +7,10 @@
     even d: prod_j [ e^{i psi_2j-1 (2 Pi - I)} U^H  e^{i psi_2j (2 Pt - I)} U ]
 
 right to left to a block of columns: each block-encoding call is a
-matrix product and each projector phase an elementwise multiply, as Pt
-and Pi are both the ancilla-zero projector of the encodings built here.
+matrix product and each projector phase an elementwise multiply by
+precomputed factors e^{+-i psi}, as Pt and Pi are both the ancilla-zero
+projector of the encodings built here. The phase table holds one
+sequence shared by every column or one sequence per column.
 ``build_u_phi`` sweeps the identity columns; ``apply_inverse_state``
 sweeps the state |0>|b> and forms no 2N x 2N operator.
 
@@ -22,8 +24,9 @@ literally carries the signal polynomial on the singular values.
 For real targets the single sequence realizes P(x) plus an order-one
 imaginary completion (|M00(1)| = 1 is structural), so the state-level
 inverse application averages the sequences for phases +Phi and -Phi,
-which cancels the completion exactly; the residual imaginary norm is
-asserted below 1e-6 to make any convention drift loud.
+which cancels the completion exactly; both ride through one sweep as
+the two columns of one block. The residual imaginary norm is asserted
+below 1e-6 to make any convention drift loud.
 """
 
 from __future__ import annotations
@@ -69,7 +72,8 @@ class QsvtOperator:
 
 
 def _check_sequence(encoding: BlockEncoding, phases: PhaseVector) -> None:
-    """Checks every sequence needs before it is swept."""
+    """Checks every sequence needs before it is swept (the encoding's
+    unitarity was checked when it was built and cannot have changed)."""
     if phases.convention_tag != CONVENTION_TAG:
         raise ValueError(
             f"phase convention {phases.convention_tag!r} does not match "
@@ -77,35 +81,44 @@ def _check_sequence(encoding: BlockEncoding, phases: PhaseVector) -> None:
         )
     if phases.degree < 1:
         raise ValueError("need at least one phase")
-    check_unitary(encoding.unitary, 1e-11)
 
 
-def _sweep(encoding: BlockEncoding, phases: PhaseVector,
+def _sweep(encoding: BlockEncoding, phases: np.ndarray,
            columns: np.ndarray) -> np.ndarray:
-    """The sequence applied to ``columns`` (a dim-vector or a dim x m
-    block): the rightmost call is U, the calls alternate U, U^H leftwards
-    and each is followed by its projector phase."""
+    """The sequence applied to the dim x m block ``columns``.
+
+    ``phases`` is a (d,) table shared by every column or a (d, m) table
+    with one sequence per column. The rightmost call is U, the calls
+    alternate U, U^H leftwards and each is followed by its projector
+    phase: e^{i psi} on the ancilla-zero rows, e^{-i psi} on the rest.
+    """
     u = encoding.unitary
     uh = u.conj().T
     n = encoding.block_dim
-    d = phases.degree
-    psi = phases.phases.copy()
+    d = phases.shape[0]
+    psi = np.array(phases, dtype=float)
     psi[0] -= np.pi / 4.0
     psi[1:] -= np.pi / 2.0
     gamma = (1j) ** d * np.exp(-1j * np.pi / 4.0)
+    # factors[k] is dim x 1 (shared) or dim x m: it broadcasts against the
+    # columns, so the identity sweep holds no d copies of the block
+    psi = psi.reshape(d, 1, -1)
+    factors = np.concatenate(
+        [np.repeat(np.exp(1j * psi), n, axis=1), np.repeat(np.exp(-1j * psi), n, axis=1)],
+        axis=1,
+    )
 
     out = np.array(columns, dtype=complex)
     for k in range(d - 1, -1, -1):
         out = (u if (d - 1 - k) % 2 == 0 else uh) @ out
-        out[:n] *= np.exp(1j * psi[k])
-        out[n:] *= np.exp(-1j * psi[k])
+        out *= factors[k]
     return gamma * out
 
 
 def build_u_phi(encoding: BlockEncoding, phases: PhaseVector) -> QsvtOperator:
     """Assemble the alternating phase modulation sequence operator."""
     _check_sequence(encoding, phases)
-    u_phi = _sweep(encoding, phases, np.eye(encoding.unitary.shape[0]))
+    u_phi = _sweep(encoding, phases.phases, np.eye(encoding.unitary.shape[0]))
     check_unitary(u_phi, 1e-10)
     return QsvtOperator(
         u_phi=u_phi,
@@ -145,10 +158,10 @@ def apply_inverse_state(encoding: BlockEncoding, phases: PhaseVector,
 
     ``encoding`` must encode A^H (callers pass the adjoint); the sequence
     is applied to |0>_a (x) |b>, the ancilla-zero component is kept, and
-    the sequences for +Phi and -Phi are averaged so the output is the
-    real polynomial's action. Returns the renormalized data register and
-    the squared norm of the kept component (post-selection success
-    probability).
+    the sequences for +Phi and -Phi, swept together as two columns, are
+    averaged so the output is the real polynomial's action. Returns the
+    renormalized data register and the squared norm of the kept
+    component (post-selection success probability).
     """
     b_state.require_normalized()
     if series.parity != "odd":
@@ -163,13 +176,13 @@ def apply_inverse_state(encoding: BlockEncoding, phases: PhaseVector,
 
     _check_sequence(encoding, phases)
     dim = encoding.unitary.shape[0]
-    full = np.zeros(dim, dtype=complex)
-    full[:n] = b_state.amplitudes
-    swept = [_sweep(encoding, p, full) for p in (phases, phases.negated())]
-    defect = max(abs(float(np.vdot(v, v).real) - 1.0) for v in swept)
+    full = np.zeros((dim, 2), dtype=complex)
+    full[:n] = b_state.amplitudes[:, None]
+    swept = _sweep(encoding, np.stack([phases.phases, -phases.phases], axis=1), full)
+    defect = float(np.max(np.abs(np.linalg.norm(swept, axis=0) ** 2 - 1.0)))
     if defect > 1e-10 * dim:
         raise ValueError(f"swept state is not normalized: |norm^2 - 1| = {defect:.3e}")
-    raw = 0.5 * (swept[0][:n] + swept[1][:n])
+    raw = 0.5 * (swept[:n, 0] + swept[:n, 1])
 
     weight = float(np.linalg.norm(raw))
     if weight**2 < 1e-14:

@@ -7,7 +7,10 @@ maps a unit right-hand side to a unit direction with relative error at
 most eps_l; the loop needs nothing else from it:
 
 * ``QsvtBackend`` (``qsvt_full``) -- dilation encoding + phase sequence,
-  the honest simulated pipeline; real inputs only;
+  the honest simulated pipeline; real inputs only. The bounded inverse
+  series and its phase factors depend only on (kappa, eps' = eps_l /
+  kappa), so each is found once per process and shared, read-only, by
+  every backend with that key (the last 16 keys are kept);
 * ``SpectralOracleBackend`` (``spectral_oracle``) -- the same inverse
   polynomial applied through the SVD (ground truth for the circuit path);
 * ``NoisyOracleBackend`` (``noisy_oracle``) -- exact solve plus seeded
@@ -61,7 +64,7 @@ __all__ = [
 
 _NOISE_SAFETY = 0.95  # noisy-oracle perturbation stays strictly inside eps_l
 MIN_EPS_TARGET = 1e-14  # double-precision residuals leave no headroom below this
-_SERIES_CACHE_SIZE = 16  # distinct (kappa, eps') series kept by _bounded_inverse_series
+_MEMO_SIZE = 16  # distinct (kappa, eps') kept by each per-key memo
 
 
 class DivergenceError(RuntimeError):
@@ -174,7 +177,7 @@ def nominal_degree(kappa: float, eps_prime: float) -> int:
     return 2 * min(cap, b - 1) + 1
 
 
-@functools.lru_cache(maxsize=_SERIES_CACHE_SIZE)
+@functools.lru_cache(maxsize=_MEMO_SIZE)
 def _bounded_inverse_series(kappa: float, eps_prime: float) -> ChebyshevSeries:
     """Bounded inverse series at accuracy eps' (callers pass eps_l / kappa).
 
@@ -184,6 +187,19 @@ def _bounded_inverse_series(kappa: float, eps_prime: float) -> ChebyshevSeries:
     bounded, _ = enforce_qsvt_bounds(series)
     bounded.coefficients.flags.writeable = False
     return bounded
+
+
+@functools.lru_cache(maxsize=_MEMO_SIZE)
+def _inverse_phases(kappa: float, eps_prime: float) -> PhaseVector:
+    """Phase factors of ``_bounded_inverse_series(kappa, eps')``.
+
+    A classical precomputation that depends on the series alone, so QSVT
+    backends with the same (kappa, eps') share one memoized, read-only
+    phase vector. A ``PhaseFindingError`` is raised, not cached: the next
+    call with that key tries again."""
+    phases = find_phases(_bounded_inverse_series(kappa, eps_prime))
+    phases.phases.flags.writeable = False
+    return phases
 
 
 def spectral_oracle_backend(a, eps_l: float, kappa: Optional[float] = None,
@@ -220,7 +236,8 @@ def noisy_oracle_backend(a, eps_l: float, kappa: Optional[float] = None,
 def qsvt_backend(a, eps_l: float, kappa: Optional[float] = None, seed: int = 0,
                  shots: Optional[int] = None) -> QsvtBackend:
     """Full simulated pipeline: scale to unit norm, dilation-encode A^H,
-    find phases for the bounded inverse series. Real matrices only."""
+    take the memoized phases of the bounded inverse series. Real matrices
+    only."""
     a = as_matrix(a)
     if np.any(np.imag(a)):
         raise ValueError("qsvt_full is real-only: the matrix has a nonzero imaginary part")
@@ -228,11 +245,12 @@ def qsvt_backend(a, eps_l: float, kappa: Optional[float] = None, seed: int = 0,
     norm = float(fac.singular_values[0])
     if kappa is None:
         kappa = float(fac.singular_values[0] / fac.singular_values[-1])
-    series = _bounded_inverse_series(kappa, eps_l / kappa)
+    eps_prime = eps_l / kappa
+    series = _bounded_inverse_series(kappa, eps_prime)
     return QsvtBackend(
         eps_l=eps_l, kappa=kappa, degree=series.degree, shots=shots,
         rng=np.random.default_rng([seed, 0x95F7]),
-        series=series, phases=find_phases(series),
+        series=series, phases=_inverse_phases(kappa, eps_prime),
         encoding=dilation_encoding((a / norm).conj().T, alpha=1.0),
     )
 

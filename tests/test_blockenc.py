@@ -2,8 +2,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qsvt_refine.blockenc import (
+    BlockEncoding,
     Circuit,
     Gate,
     compile_circuit,
@@ -39,6 +42,25 @@ def test_dilation_unitarity_sweep():
         a = random_with_condition(n, float(rng.uniform(1, 20)), trial) * rng.uniform(0.1, 1.0)
         u = dilation_encoding(a).unitary
         assert np.linalg.norm(u.conj().T @ u - np.eye(2 * n), 2) <= 1e-11
+
+
+@settings(max_examples=20, deadline=None)
+@given(n=st.sampled_from([1, 2, 4, 8]), kappa=st.floats(1.0, 50.0), seed=st.integers(0, 2**16))
+def test_block_encoding_unitary_is_a_read_only_copy(n, kappa, seed):
+    # the array checked at construction is the one every consumer sees
+    a = random_with_condition(n, kappa, seed)
+    encodings = [dilation_encoding(a / np.linalg.norm(a, 2))]
+    if n > 1:
+        encodings.append(fable_encoding(a / np.max(np.abs(a)))[0])
+    for enc in encodings:
+        with pytest.raises(ValueError, match="read-only"):
+            enc.unitary[0, 0] = 0.0
+        with pytest.raises(ValueError, match="WRITEABLE"):
+            enc.unitary.flags.writeable = True
+        source = np.array(enc.unitary)
+        rebuilt = BlockEncoding(source, enc.data_qubits, enc.ancilla_qubits, enc.alpha)
+        source[0, 0] += 1.0
+        assert np.array_equal(rebuilt.unitary, enc.unitary)
 
 
 def test_dilation_requires_prescaling():

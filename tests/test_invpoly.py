@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qsvt_refine.invpoly import (
     ChebyshevSeries,
@@ -102,6 +104,24 @@ def test_clenshaw_against_trigonometric_oracle():
     theta = np.arccos(xs)
     direct = sum(c * np.cos(k * theta) for k, c in enumerate(coefs))
     np.testing.assert_allclose(clenshaw_eval(series, xs), direct, atol=1e-12)
+
+
+@settings(max_examples=60, deadline=None)
+@given(degree=st.integers(0, 400), seed=st.integers(0, 2**16),
+       points=st.lists(st.floats(-1.0, 1.0), min_size=1, max_size=8))
+def test_clenshaw_scalar_and_array_agree_exactly(degree, seed, points):
+    # a scalar runs the recurrence on Python floats and rounds exactly as
+    # the same points evaluated together as an array
+    coefs = np.random.default_rng(seed).standard_normal(degree + 1)
+    coefs[-1] = 1.0
+    series = ChebyshevSeries(coefs, "none")
+    along_array = clenshaw_eval(series, np.array(points))
+    for x, want in zip(points, along_array):
+        for scalar in (x, np.float64(x)):
+            got = clenshaw_eval(series, scalar)
+            assert type(got) is float and got == want
+    with pytest.raises(ValueError, match="requires"):
+        clenshaw_eval(series, 1.0 + 1e-9)
 
 
 def test_enforce_bounds_trivial_cases():

@@ -12,6 +12,7 @@ from qsvt_refine.qsp_phases import (
     CONVENTION_TAG,
     PhaseFindingError,
     PhaseVector,
+    _SignalRows,
     find_phases,
     signal_unitary,
     verify_phases,
@@ -138,3 +139,52 @@ def test_phase_vector_json_roundtrip():
     back = PhaseVector.from_json(phases.to_json())
     np.testing.assert_array_equal(back.phases, phases.phases)
     assert back.convention_tag == CONVENTION_TAG
+
+
+def _plain_signal_rows(phases, xs, need_grad):
+    """The textbook recurrence, a fresh array per step: the reference the
+    in-place workspace must reproduce bit for bit."""
+    s = np.sqrt(np.maximum(0.0, 1.0 - xs * xs))
+    e = np.exp(1j * phases)
+    a00, a01 = np.outer(e, xs), 1j * np.outer(e, s)
+    a10, a11 = 1j * np.outer(np.conj(e), s), np.outer(np.conj(e), xs)
+    f = [(np.ones_like(xs, dtype=complex), np.zeros_like(xs, dtype=complex))]
+    for j in range(phases.size):
+        f0, f1 = f[-1]
+        f.append((f0 * a00[j] + f1 * a10[j], f0 * a01[j] + f1 * a11[j]))
+    if not need_grad:
+        return f[-1][0], None
+    b = [(np.ones_like(xs, dtype=complex), np.zeros_like(xs, dtype=complex))]
+    for j in range(phases.size - 1, -1, -1):
+        b0, b1 = b[-1]
+        b.append((a00[j] * b0 + a01[j] * b1, a10[j] * b0 + a11[j] * b1))
+    b = b[::-1]
+    grad = [1j * (f[j][0] * b[j][0] - f[j][1] * b[j][1]) for j in range(phases.size)]
+    return f[-1][0], np.array(grad).reshape(phases.size, xs.size)
+
+
+@pytest.mark.parametrize("d", [1, 2, 7, 40])
+def test_signal_rows_match_plain_recurrence_bitwise(d):
+    rng = np.random.default_rng(d)
+    xs = np.cos((2 * np.arange(d + 1) + 1) * np.pi / (4 * d))
+    rows = _SignalRows(xs, d)
+    for need_grad in (False, True, True):
+        phases = rng.uniform(-np.pi, np.pi, d)
+        m00, grad = rows(phases, need_grad)
+        ref_m00, ref_grad = _plain_signal_rows(phases, xs, need_grad)
+        assert np.array_equal(m00, ref_m00)
+        assert (grad is None) == (not need_grad)
+        if need_grad:
+            assert np.array_equal(grad, ref_grad)
+
+
+def test_signal_rows_reuse_their_arrays():
+    # phase finding evaluates the recurrence a hundred times or more; the
+    # workspace must hand back the same memory each time, not fresh arrays
+    d = 9
+    xs = np.cos((2 * np.arange(d + 1) + 1) * np.pi / (4 * d))
+    rows = _SignalRows(xs, d)
+    first = rows(np.full(d, 0.3), True)
+    second = rows(np.full(d, -0.2), True)
+    assert np.shares_memory(first[0], second[0])
+    assert np.shares_memory(first[1], second[1])

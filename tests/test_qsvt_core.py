@@ -15,6 +15,7 @@ from qsvt_refine.numerics import StateVector, random_with_condition, svd
 from qsvt_refine.qsp_phases import PhaseVector, find_phases, realized_values
 from qsvt_refine.qsvt_core import (
     PostSelectionError,
+    _sweep,
     apply_inverse_state,
     build_u_phi,
     extract_block,
@@ -235,3 +236,20 @@ def test_apply_inverse_state_matches_svd_transform(n, d, kappa, seed):
     out, prob = apply_inverse_state(dilation_encoding(m), phases, t_d, StateVector(b))
     np.testing.assert_allclose(out.amplitudes, tb / np.sqrt(weight), rtol=0, atol=1e-9)
     assert prob == pytest.approx(weight, rel=0, abs=1e-12)
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.sampled_from([2, 4, 8]), d=st.integers(0, 20).map(lambda k: 2 * k + 1),
+       seed=st.integers(0, 2**16))
+def test_two_column_sweep_matches_single_sweeps(n, d, seed):
+    # one (d, 2) phase table swept over two columns equals each column swept
+    # alone with its own (d,) sequence
+    rng = np.random.default_rng(seed)
+    m = random_with_condition(n, 4.0, seed)
+    enc = dilation_encoding(m / np.linalg.norm(m, 2))
+    table = rng.uniform(-np.pi, np.pi, (d, 2))
+    columns = rng.standard_normal((2 * n, 2)) + 1j * rng.standard_normal((2 * n, 2))
+    both = _sweep(enc, table, columns)
+    for j in (0, 1):
+        alone = _sweep(enc, table[:, j], columns[:, j:j + 1])
+        np.testing.assert_allclose(both[:, j:j + 1], alone, rtol=0, atol=1e-13)

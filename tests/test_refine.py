@@ -6,7 +6,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import qsvt_refine.refine as refine_mod
+from qsvt_refine import blockenc, numerics, qsvt_core
 from qsvt_refine.numerics import random_with_condition, two_norm
+from qsvt_refine.qsp_phases import PhaseFindingError
 from qsvt_refine.refine import (
     CostReport,
     DivergenceError,
@@ -114,6 +117,19 @@ def test_denormalize_cross_check_brent():
         assert abs(closed - brent) <= 1e-10 * max(1.0, abs(closed)), f"trial {trial}"
 
 
+@settings(max_examples=100, deadline=None)
+@given(n=st.integers(1, 16), seed=st.integers(0, 2**32 - 1),
+       eta_scale=st.floats(-2.0, 2.0), residual_scale=st.floats(-11.0, 2.0))
+def test_denormalize_brent_matches_closed_form(n, seed, eta_scale, residual_scale):
+    # residuals shrink to eps_target during refinement while A eta stays O(1)
+    rng = np.random.default_rng(seed)
+    a_eta = rng.standard_normal(n) * 10.0**eta_scale
+    residual = rng.standard_normal(n) * 10.0**residual_scale
+    closed = denormalize(a_eta, residual)
+    brent = denormalize(a_eta, residual, method="brent")
+    assert abs(closed - brent) <= 1e-10 * max(1.0, abs(closed))
+
+
 def test_denormalize_degenerate_direction():
     a = np.diag([1.0, 1e-20])
     with pytest.raises(ValueError, match="degenerate"):
@@ -170,6 +186,21 @@ def test_refine_scale_invariance_of_omega():
     )
 
 
+@settings(max_examples=40, deadline=None)
+@given(kappa=st.floats(1.5, 20.0), rate=st.floats(0.05, 0.5), seed=st.integers(0, 2**16),
+       power=st.integers(-30, 30))
+def test_omega_is_exactly_invariant_under_power_of_two_scaling_of_b(kappa, rate, seed, power):
+    # scaling b by 2^k scales every residual, mu and iterate exactly
+    eps_l = rate / kappa
+    a = random_with_condition(8, kappa, seed)
+    b = unit_rhs(8, seed)
+    traces = [
+        iterative_refine(a, scale * b, spectral_oracle_backend(a, eps_l, kappa=kappa), 1e-11)[1]
+        for scale in (1.0, math.ldexp(1.0, power))
+    ]
+    assert traces[1].scaled_residuals == traces[0].scaled_residuals
+
+
 def test_refine_mu_recovery_accuracy():
     # de-normalization must not degrade backend accuracy on the first solve
     for seed in range(10):
@@ -202,8 +233,6 @@ def test_refine_divergence_detection(monkeypatch):
         eta = np.linalg.solve(a, w)
         eta /= np.linalg.norm(eta)  # then <A eta, rhs> = 0, so mu = 0
         return eta, eta
-
-    import qsvt_refine.refine as refine_mod
 
     monkeypatch.setattr(refine_mod, "solve_once", stalled_solve)
     with pytest.raises(DivergenceError) as excinfo:
@@ -421,3 +450,88 @@ def test_factories_return_frozen_backends_with_unit_real_directions(factory, kap
     eta = backend.direction(unit_rhs(n, seed))
     assert eta.shape == (n,) and not np.iscomplexobj(eta)
     assert abs(np.linalg.norm(eta) - 1.0) <= 1e-12
+
+
+@pytest.fixture
+def fresh_phase_memo():
+    refine_mod._inverse_phases.cache_clear()
+    yield
+    refine_mod._inverse_phases.cache_clear()
+
+
+def count_find_phases(monkeypatch, fail_first=False):
+    """Wrap ``refine.find_phases``; returns the list of targets it saw."""
+    targets = []
+    real = refine_mod.find_phases
+
+    def find_phases(target, *args, **kwargs):
+        targets.append(target)
+        if fail_first and len(targets) == 1:
+            raise PhaseFindingError(1e-3, 1e-10)
+        return real(target, *args, **kwargs)
+
+    monkeypatch.setattr(refine_mod, "find_phases", find_phases)
+    return targets
+
+
+def test_qsvt_backends_share_one_phase_vector_per_kappa_eps(fresh_phase_memo, monkeypatch):
+    targets = count_find_phases(monkeypatch)
+    kappa = 2.0
+    first = qsvt_backend(random_with_condition(4, kappa, 0), 0.1, kappa=kappa)
+    second = qsvt_backend(random_with_condition(8, kappa, 1), 0.1, kappa=kappa, seed=1)
+    other = qsvt_backend(random_with_condition(4, kappa, 2), 0.2, kappa=kappa)
+    third = qsvt_backend(random_with_condition(2, kappa, 3), 0.2, kappa=kappa)
+    assert first.phases is second.phases
+    assert other.phases is third.phases is not first.phases
+    assert len(targets) == 2
+    assert targets[0] is first.series and targets[1] is other.series
+
+
+def test_shared_phases_are_read_only(fresh_phase_memo):
+    backend = qsvt_backend(random_with_condition(4, 2.0, 0), 0.1, kappa=2.0)
+    with pytest.raises(ValueError, match="read-only"):
+        backend.phases.phases[0] = 0.0
+
+
+def test_phase_finding_error_is_not_cached(fresh_phase_memo, monkeypatch):
+    targets = count_find_phases(monkeypatch, fail_first=True)
+    a = random_with_condition(4, 2.0, 0)
+    with pytest.raises(PhaseFindingError):
+        qsvt_backend(a, 0.1, kappa=2.0)
+    backend = qsvt_backend(a, 0.1, kappa=2.0)
+    assert len(targets) == 2
+    assert refine_mod._inverse_phases(2.0, 0.05) is backend.phases
+
+
+def test_qsvt_solve_checks_unitarity_at_construction_only(fresh_phase_memo, monkeypatch):
+    # structural guard: an inner solve re-checks no 2N x 2N unitary, and a
+    # refined solve finds its phases at most once per (kappa, eps')
+    targets = count_find_phases(monkeypatch)
+    depth, applied, checks_inside = [], [], []
+    real_apply = refine_mod.apply_inverse_state
+
+    def apply_inverse_state(*args, **kwargs):
+        depth.append(None)
+        applied.append(None)
+        try:
+            return real_apply(*args, **kwargs)
+        finally:
+            depth.pop()
+
+    monkeypatch.setattr(refine_mod, "apply_inverse_state", apply_inverse_state)
+    for module in (numerics, blockenc, qsvt_core):
+        def check_unitary(*args, _real=module.check_unitary, **kwargs):
+            if depth:
+                checks_inside.append(args[0].shape)
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(module, "check_unitary", check_unitary)
+    kappa, eps_l = 3.0, 0.1
+    for seed in (0, 1):
+        a = random_with_condition(8, kappa, seed)
+        _, trace, _ = iterative_refine(a, unit_rhs(8, seed),
+                                       qsvt_backend(a, eps_l, kappa=kappa), 1e-11)
+        assert trace.converged
+    assert len(applied) >= 4
+    assert checks_inside == []
+    assert len(targets) == 1
