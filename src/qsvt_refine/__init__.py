@@ -18,7 +18,7 @@ from .invpoly import (
     ChebyshevSeries,
     InverseApproxSpec,
     approx_error_report,
-    clenshaw_eval,
+    cheb_eval,
     degree_params,
     enforce_qsvt_bounds,
     inverse_cheb_series,

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import least_squares, minimize
 
-from .invpoly import ChebyshevSeries, clenshaw_eval, max_abs_on_interval
+from .invpoly import ChebyshevSeries, cheb_eval, max_abs_on_interval
 
 __all__ = [
     "CONVENTION_TAG",
@@ -196,7 +196,7 @@ def find_phases(target: ChebyshevSeries, tol: float = 1e-10,
         )
 
     xs = _chebyshev_nodes(d)
-    want = clenshaw_eval(target, xs)
+    want = cheb_eval(target, xs)
     rows = _SignalRows(xs, d)
 
     def value_and_grad(phis):
@@ -242,4 +242,4 @@ def find_phases(target: ChebyshevSeries, tol: float = 1e-10,
 def verify_phases(phases: PhaseVector, target: ChebyshevSeries, grid: int = 10_000) -> float:
     """Max of |Re M(x)[0,0] - P(x)| over a ``grid``-point span of [-1, 1]."""
     xs = np.linspace(-1.0, 1.0, grid)
-    return float(np.max(np.abs(realized_values(phases, xs) - clenshaw_eval(target, xs))))
+    return float(np.max(np.abs(realized_values(phases, xs) - cheb_eval(target, xs))))

@@ -36,7 +36,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .blockenc import BlockEncoding
-from .invpoly import ChebyshevSeries, clenshaw_eval
+from .invpoly import ChebyshevSeries, cheb_eval
 from .numerics import StateVector, check_unitary, svd
 from .qsp_phases import CONVENTION_TAG, PhaseVector
 
@@ -145,7 +145,7 @@ def spectral_oracle(a, series: ChebyshevSeries) -> np.ndarray:
     if series.parity == "none":
         raise ValueError("spectral_oracle requires a definite-parity series")
     fac = svd(a)
-    vals = clenshaw_eval(series, fac.singular_values)
+    vals = cheb_eval(series, fac.singular_values)
     if series.parity == "odd":
         return (fac.u * vals) @ fac.v.conj().T
     return (fac.v * vals) @ fac.v.conj().T

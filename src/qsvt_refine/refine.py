@@ -30,13 +30,14 @@ import math
 import warnings
 from abc import ABC, abstractmethod
 from dataclasses import asdict, dataclass
+from decimal import ROUND_CEILING, Context
 from typing import Optional
 
 import numpy as np
 from scipy.optimize import minimize_scalar
 
 from .blockenc import BlockEncoding, dilation_encoding
-from .invpoly import ChebyshevSeries, clenshaw_eval, degree_params, \
+from .invpoly import ChebyshevSeries, cheb_eval, degree_params, \
     enforce_qsvt_bounds, inverse_cheb_series, make_inverse_spec
 from .numerics import StateVector, as_matrix, condition_number, svd, two_norm
 from .qsp_phases import PhaseVector, find_phases
@@ -177,6 +178,14 @@ def nominal_degree(kappa: float, eps_prime: float) -> int:
     return 2 * min(cap, b - 1) + 1
 
 
+def _measured_kappa(singular_values: np.ndarray) -> float:
+    """sigma_max / sigma_min rounded up to 12 significant digits, so that
+    matrices of one nominal kappa share the memo keys and [1/kappa, 1]
+    still covers every singular value."""
+    ratio = float(singular_values[0] / singular_values[-1])
+    return float(Context(prec=12, rounding=ROUND_CEILING).create_decimal(ratio))
+
+
 @functools.lru_cache(maxsize=_MEMO_SIZE)
 def _bounded_inverse_series(kappa: float, eps_prime: float) -> ChebyshevSeries:
     """Bounded inverse series at accuracy eps' (callers pass eps_l / kappa).
@@ -208,12 +217,12 @@ def spectral_oracle_backend(a, eps_l: float, kappa: Optional[float] = None,
     fac = svd(as_matrix(a))
     sv = fac.singular_values
     if kappa is None:
-        kappa = float(sv[0] / sv[-1])
+        kappa = _measured_kappa(sv)
     series = _bounded_inverse_series(kappa, eps_l / kappa)
     return SpectralOracleBackend(
         eps_l=eps_l, kappa=kappa, degree=series.degree, shots=shots,
         rng=np.random.default_rng([seed, 0x5EC7]),
-        series=series, u=fac.u, v=fac.v, diag=clenshaw_eval(series, sv / sv[0]),
+        series=series, u=fac.u, v=fac.v, diag=cheb_eval(series, sv / sv[0]),
     )
 
 
@@ -244,7 +253,7 @@ def qsvt_backend(a, eps_l: float, kappa: Optional[float] = None, seed: int = 0,
     fac = svd(a)
     norm = float(fac.singular_values[0])
     if kappa is None:
-        kappa = float(fac.singular_values[0] / fac.singular_values[-1])
+        kappa = _measured_kappa(fac.singular_values)
     eps_prime = eps_l / kappa
     series = _bounded_inverse_series(kappa, eps_prime)
     return QsvtBackend(

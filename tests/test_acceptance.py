@@ -15,7 +15,7 @@ from qsvt_refine.bench_cli import ExperimentConfig, main, run_complexity
 from qsvt_refine.blockenc import dilation_encoding, fable_encoding
 from qsvt_refine.invpoly import (
     ChebyshevSeries,
-    clenshaw_eval,
+    cheb_eval,
     enforce_qsvt_bounds,
     inverse_cheb_series,
     make_inverse_spec,
@@ -80,7 +80,7 @@ def test_acceptance_2_inverse_polynomial_accuracy():
             spec = make_inverse_spec(kappa, eps)
             series = inverse_cheb_series(spec)
             xs = np.linspace(1.0 / kappa, 1.0, 10_000)
-            err = np.max(np.abs(clenshaw_eval(series, xs) - series.scale / xs))
+            err = np.max(np.abs(cheb_eval(series, xs) - series.scale / xs))
             bound = 2.0 * eps * series.scale
             worst_ratio = max(worst_ratio, err / bound)
             assert err <= bound, (kappa, eps, err, bound)

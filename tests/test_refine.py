@@ -503,6 +503,21 @@ def test_phase_finding_error_is_not_cached(fresh_phase_memo, monkeypatch):
     assert refine_mod._inverse_phases(2.0, 0.05) is backend.phases
 
 
+def test_measured_kappa_backends_share_one_phase_vector(fresh_phase_memo, monkeypatch):
+    # sigma_max / sigma_min differs in its last bits between these matrices
+    # (10.000000000000005, ...02, ...09); the memo key rounds it up to 12
+    # significant digits, so one phase finding serves all three
+    targets = count_find_phases(monkeypatch)
+    mats = [random_with_condition(16, 10.0, seed) for seed in (0, 1, 2)]
+    backends = [qsvt_backend(a, 1e-2) for a in mats]
+    assert len(targets) == 1
+    assert all(bk.phases is backends[0].phases for bk in backends)
+    assert spectral_oracle_backend(mats[0], 1e-2).series is backends[0].series
+    for a, bk in zip(mats, backends):
+        sv = np.linalg.svd(a, compute_uv=False)
+        assert bk.kappa >= sv[0] / sv[-1]
+
+
 def test_qsvt_solve_checks_unitarity_at_construction_only(fresh_phase_memo, monkeypatch):
     # structural guard: an inner solve re-checks no 2N x 2N unitary, and a
     # refined solve finds its phases at most once per (kappa, eps')
