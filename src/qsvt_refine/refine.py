@@ -309,7 +309,11 @@ def denormalize(a_eta, residual, method: str = "closed_form") -> float:
         located = float(
             minimize_scalar(objective, method="brent", options={"xtol": 1e-10}).x
         )
-        h = max(1.0, abs(located)) * 1e-3
+        mid = objective(located)
+        # the three values carry rounding ~eps * objective, which moves the
+        # vertex by that over gram * h: widen the stencil until its rise
+        # gram * h^2 reaches the floor value, where that shift is smallest
+        h = max(max(1.0, abs(located)) * 1e-3, math.sqrt(mid / gram))
         below, mid, above = objective(located - h), objective(located), objective(located + h)
         curvature = below - 2.0 * mid + above
         if curvature <= 0.0:
