@@ -4,7 +4,9 @@ Two constructions behind one interface: an exact one-ancilla unitary
 dilation for accuracy experiments, and a FABLE-style compressed
 uniformly-controlled-rotation circuit for gate-count reporting. Both
 satisfy the contract that the top-left (all ancillas |0>) block of the
-unitary equals ``A / alpha``.
+unitary equals ``A / alpha``. A real matrix gets a real (float64)
+dilation and FABLE's gates are all real, so both unitaries stay real
+for real input; the sequence sweep then runs in real arithmetic.
 
 Qubit convention: qubit 0 is the most significant tensor factor, ancilla
 qubits come first, so basis index = ancilla_bits * 2^n + data_bits and
@@ -96,7 +98,8 @@ class BlockEncoding:
     The block is taken on the ancilla-zero subspace on both sides; with
     the ancillas as the most significant qubits that subspace is the
     leading 2^n basis states. ``unitary`` is checked once, at
-    construction, and stored as a read-only view of a private copy.
+    construction, and stored, in the dtype it was given, as a read-only
+    view of a private copy.
     """
 
     unitary: np.ndarray
@@ -141,10 +144,12 @@ def dilation_encoding(a, alpha: float = 1.0) -> BlockEncoding:
 
     U = [[A, sqrt(I - A A^H)], [sqrt(I - A^H A), -A^H]], with the matrix
     square roots taken through the SVD of A and 1 - sigma^2 clamped at
-    zero when it dips within 1e-14 below. Callers holding a matrix with
-    norm > 1 pre-scale it and record the scale through ``alpha``.
+    zero when it dips within 1e-14 below. A real matrix gets a real
+    (float64) dilation, a complex one a complex dilation. Callers holding
+    a matrix with norm > 1 pre-scale it and record the scale through
+    ``alpha``.
     """
-    a = as_matrix(a).astype(complex)
+    a = as_matrix(a).astype(complex if np.iscomplexobj(a) else float)
     if a.shape[0] != a.shape[1]:
         raise ValueError("dilation_encoding requires a square matrix")
     n_qubits = _require_power_of_two(a.shape[0], "matrix dimension")
@@ -259,17 +264,13 @@ def fable_encoding(a, threshold: float = 0.0) -> tuple[BlockEncoding, Circuit, i
 def _gate_matrix(gate: Gate) -> np.ndarray:
     if gate.kind == "ry":
         c, s = math.cos(gate.angle / 2.0), math.sin(gate.angle / 2.0)
-        return np.array([[c, -s], [s, c]], dtype=complex)
+        return np.array([[c, -s], [s, c]])
     if gate.kind == "h":
-        return np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2.0)
+        return np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2.0)
     if gate.kind == "cnot":
-        return np.array(
-            [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]], dtype=complex
-        )
+        return np.array([[1.0, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]])
     if gate.kind == "swap":
-        return np.array(
-            [[1, 0, 0, 0], [0, 0, 1, 0], [0, 1, 0, 0], [0, 0, 0, 1]], dtype=complex
-        )
+        return np.array([[1.0, 0, 0, 0], [0, 0, 1, 0], [0, 1, 0, 0], [0, 0, 0, 1]])
     raise ValueError(f"unknown gate kind {gate.kind!r}")
 
 
@@ -287,9 +288,9 @@ def _apply_gate(state: np.ndarray, gate: Gate, num_qubits: int) -> np.ndarray:
 
 
 def compile_circuit(circuit: Circuit) -> np.ndarray:
-    """Dense unitary of the circuit (gates applied in list order)."""
+    """Dense real unitary of the circuit (gates applied in list order)."""
     dim = 2**circuit.num_qubits
-    state = np.eye(dim, dtype=complex)
+    state = np.eye(dim)
     for gate in circuit.gates:
         state = _apply_gate(state, gate, circuit.num_qubits)
     check_unitary(state, 1e-11)

@@ -152,12 +152,20 @@ def inverse_cheb_series(spec: InverseApproxSpec) -> ChebyshevSeries:
     The coefficient of T_{2j+1} is
     ``4 (-1)^j [2^{-2b} sum_{i=j+1}^{b} C(2b, b+i)] * scale``. The
     bracket is the tail P(X >= b+j+1) of X ~ Bin(2b, 1/2), that is
-    I_{1/2}(b+j+1, b-j): one ``betainc`` call over the D+1 values of j,
-    no array of length b. Coefficients with j >= b vanish and are trimmed.
+    I_{1/2}(b+j+1, b-j). ``betainc`` gives it at the two ends j = 0 and
+    j = jmax; between them tail_j - tail_jmax is the sum of the terms
+    C(2b, b+i) 4^{-b}, i = j+1..jmax, which are the central term times the
+    ratios r_i = prod_{l<=i} (b-l+1)/(b+l). So with S_j = sum_{i=j}^{jmax}
+    r_i, tail_j = tail_jmax + (tail_0 - tail_jmax) S_{j+1} / S_1: O(D)
+    flops, every sum of positive terms, no array of length b.
+    Coefficients with j >= b vanish and are trimmed.
     """
     b, cap, scale = spec.b, spec.cap_degree_D, spec.scale
     j = np.arange(min(cap, b - 1) + 1)
-    tail = betainc(b + j + 1.0, b - j + 0.0, 0.5)
+    first, last = betainc(b + 1.0 + j[[0, -1]], b - j[[0, -1]] + 0.0, 0.5)
+    ratios = np.cumprod((b - j[1:] + 1.0) / (b + j[1:]))
+    above = np.cumsum(np.append(ratios, 0.0)[::-1])[::-1]  # S_{j+1}, zero at jmax
+    tail = last + (first - last) * (above / (above[0] or 1.0))
     if not np.all(np.isfinite(tail)):
         raise OverflowError("binomial tail is not finite")
     coefs = np.zeros(2 * j.size)

@@ -9,8 +9,11 @@
 right to left to a block of columns: each block-encoding call is a
 matrix product and each projector phase an elementwise multiply by
 precomputed factors e^{+-i psi}, as Pt and Pi are both the ancilla-zero
-projector of the encodings built here. The phase table holds one
-sequence shared by every column or one sequence per column.
+projector of the encodings built here. When U is real (the encoding of a
+real matrix), each call is a real product with the float view of the
+complex block, whose rows hold the real and imaginary parts side by
+side, so nothing is copied. The phase table holds one sequence shared
+by every column or one sequence per column.
 ``build_u_phi`` sweeps the identity columns; ``apply_inverse_state``
 sweeps the state |0>|b> and forms no 2N x 2N operator.
 
@@ -93,7 +96,6 @@ def _sweep(encoding: BlockEncoding, phases: np.ndarray,
     phase: e^{i psi} on the ancilla-zero rows, e^{-i psi} on the rest.
     """
     u = encoding.unitary
-    uh = u.conj().T
     n = encoding.block_dim
     d = phases.shape[0]
     psi = np.array(phases, dtype=float)
@@ -103,15 +105,16 @@ def _sweep(encoding: BlockEncoding, phases: np.ndarray,
     # factors[k] is dim x 1 (shared) or dim x m: it broadcasts against the
     # columns, so the identity sweep holds no d copies of the block
     psi = psi.reshape(d, 1, -1)
-    factors = np.concatenate(
-        [np.repeat(np.exp(1j * psi), n, axis=1), np.repeat(np.exp(-1j * psi), n, axis=1)],
-        axis=1,
-    )
+    factors = np.empty((d, u.shape[0], psi.shape[2]), dtype=complex)
+    factors[:, :n], factors[:, n:] = np.exp(1j * psi), np.exp(-1j * psi)
 
-    out = np.array(columns, dtype=complex)
+    out = np.array(columns, dtype=complex, order="C")
+    tmp = np.empty_like(out)
+    mats = (u, u.conj().T)
+    src, dst = (out, tmp) if np.iscomplexobj(u) else (out.view(float), tmp.view(float))
     for k in range(d - 1, -1, -1):
-        out = (u if (d - 1 - k) % 2 == 0 else uh) @ out
-        out *= factors[k]
+        np.dot(mats[(d - 1 - k) % 2], src, out=dst)
+        np.multiply(tmp, factors[k], out=out)
     return gamma * out
 
 

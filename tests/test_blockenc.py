@@ -63,6 +63,19 @@ def test_block_encoding_unitary_is_a_read_only_copy(n, kappa, seed):
         assert np.array_equal(rebuilt.unitary, enc.unitary)
 
 
+def test_dilation_dtype_follows_input():
+    # a real matrix gets a float64 dilation, a complex one a complex dilation
+    a = 0.9 * random_with_condition(4, 5.0, 3)
+    assert dilation_encoding(a).unitary.dtype == np.float64
+    assert dilation_encoding(np.eye(2, dtype=int)).unitary.dtype == np.float64
+    assert dilation_encoding([[0.5]]).unitary.dtype == np.float64
+    c = a + 0.3j * random_with_condition(4, 5.0, 4)
+    enc = dilation_encoding(c / np.linalg.norm(c, 2))
+    assert enc.unitary.dtype == np.complex128
+    np.testing.assert_allclose(enc.block(), c / np.linalg.norm(c, 2), atol=1e-11)
+    assert compile_circuit(fable_encoding(a)[1]).dtype == np.float64
+
+
 def test_dilation_requires_prescaling():
     with pytest.raises(ValueError, match="pre-scale"):
         dilation_encoding(np.array([[2.0]]))

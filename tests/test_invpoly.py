@@ -5,7 +5,7 @@ import mpmath
 import numpy as np
 import pytest
 from cheb_reference import clenshaw_eval
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qsvt_refine import invpoly
@@ -84,29 +84,40 @@ def test_inverse_series_cap_beyond_b():
     assert series.degree == 2 * (spec.b - 1) + 1
 
 
-def mpmath_binomial_tail(b: int, j: int) -> mpmath.mpf:
-    # 2^{-2b} sum_{i=j+1}^{b} C(2b, b+i) to 40 digits: the first term by
-    # loggamma, the rest by the term ratio (b-i)/(b+i+1); mpmath's own
-    # betainc does not converge at b ~ 10^6
+def mpmath_binomial_tails(b: int, js) -> dict:
+    # 2^{-2b} sum_{i=j+1}^{b} C(2b, b+i) to 40 digits for every j in js, in
+    # one pass: the tail at max(js) from its first term (loggamma) up by the
+    # term ratio (b-i)/(b+i+1), then down to min(js) adding one term per
+    # step; mpmath's own betainc does not converge at b ~ 10^6
+    top = max(js)
     with mpmath.workdps(40):
-        term = mpmath.exp(mpmath.loggamma(2 * b + 1) - mpmath.loggamma(b + j + 2)
-                          - mpmath.loggamma(b - j) - 2 * b * mpmath.log(2))
-        total = mpmath.mpf(0)
-        i = j + 1
+        first = mpmath.exp(mpmath.loggamma(2 * b + 1) - mpmath.loggamma(b + top + 2)
+                           - mpmath.loggamma(b - top) - 2 * b * mpmath.log(2))
+        term, total, i = first, mpmath.mpf(0), top + 1
         while i <= b and term > total * mpmath.mpf("1e-45"):
             total += term
             term *= mpmath.mpf(b - i) / (b + i + 1)
             i += 1
-        return total
+        tails, term = {}, first
+        for j in range(top, min(js) - 1, -1):
+            tails[j] = +total
+            term *= mpmath.mpf(b + j + 1) / (b - j)  # C(2b, b+j) 4^-b
+            total += term
+        return {j: tails[j] for j in js}
 
 
 @pytest.mark.parametrize("kappa", [10.0, 100.0, 300.0])
 def test_inverse_series_matches_mpmath_tail(kappa):
+    # eight j across [0, jmax] and eight in the top decile, next to the
+    # j = jmax end where the tails are anchored
     spec = make_inverse_spec(kappa, 0.4 / kappa**2, scale=1.0)
     coefs = inverse_cheb_series(spec).coefficients
     jmax = min(spec.cap_degree_D, spec.b - 1)
-    for j in (0, jmax // 2, jmax):
-        want = mpmath_binomial_tail(spec.b, j)
+    js = np.unique(np.round(np.concatenate([np.linspace(0, jmax, 8),
+                                            np.linspace(0.9 * jmax, jmax, 8)])))
+    wants = mpmath_binomial_tails(spec.b, [int(j) for j in js])
+    assert len(wants) >= 8 and max(wants) == jmax
+    for j, want in wants.items():
         got = (-1) ** j * coefs[2 * j + 1] / 4.0
         assert abs(got - want) <= 1e-12 * want, (kappa, j, float(got / want - 1))
 
@@ -191,19 +202,34 @@ def special_points(series, picks):
     return np.concatenate([[-1.0, 0.0, 1.0], nodes[np.asarray(picks, dtype=int) % nodes.size]])
 
 
+def mpmath_cheb_eval(series, x):
+    # sum c_k cos(k arccos x) to 40 digits
+    with mpmath.workdps(40):
+        theta = mpmath.acos(mpmath.mpf(float(x)))
+        return float(mpmath.fsum(c * mpmath.cos(k * theta)
+                                 for k, c in enumerate(series.coefficients.tolist()) if c))
+
+
 @settings(max_examples=40, deadline=None)
 @given(degree=st.integers(0, 2000), parity=st.sampled_from(["odd", "even", "none"]),
        seed=st.integers(0, 2**16),
        picks=st.lists(st.integers(0, 2**16), max_size=4),
        points=st.lists(st.floats(-1.0, 1.0), max_size=16))
+@example(degree=950, parity="odd", seed=0, picks=[], points=[0.9999999999999999])
 def test_cheb_eval_matches_clenshaw_reference(degree, parity, seed, picks, points):
+    # Clenshaw's own error grows like degree^2 * eps next to +-1 (4.2e-10 at
+    # degree 951, x = 1 - 2^-53, where cheb_eval is within 3.3e-15), so
+    # points within 1e-6 of +-1 are compared with a 40-digit sum instead
     if parity == "odd":
         degree += 1 - degree % 2
     elif parity == "even":
         degree -= degree % 2
     series = random_series(seed, degree, parity)
     xs = np.concatenate([special_points(series, picks), points])
-    err = np.max(np.abs(cheb_eval(series, xs) - clenshaw_eval(series, xs)))
+    want = clenshaw_eval(series, xs)
+    near = np.abs(xs) > 1.0 - 1e-6
+    want[near] = [mpmath_cheb_eval(series, x) for x in xs[near]]
+    err = np.max(np.abs(cheb_eval(series, xs) - want))
     assert err <= 1e-12 * np.sum(np.abs(series.coefficients))
 
 

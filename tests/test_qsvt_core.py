@@ -3,7 +3,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from qsvt_refine.blockenc import dilation_encoding
+from qsvt_refine.blockenc import dilation_encoding, fable_encoding
 from qsvt_refine.invpoly import (
     ChebyshevSeries,
     enforce_qsvt_bounds,
@@ -253,3 +253,48 @@ def test_two_column_sweep_matches_single_sweeps(n, d, seed):
     for j in (0, 1):
         alone = _sweep(enc, table[:, j], columns[:, j:j + 1])
         np.testing.assert_allclose(both[:, j:j + 1], alone, rtol=0, atol=1e-13)
+
+
+def reference_sweep(encoding, phases, columns):
+    # the sequence in complex arithmetic throughout: each call a complex
+    # product with U or U^H, each projector phase e^{+-i psi} applied to the
+    # ancilla-zero rows and the rest
+    u = np.asarray(encoding.unitary, dtype=complex)
+    n = encoding.block_dim
+    d = phases.shape[0]
+    psi = np.array(phases, dtype=float)
+    psi[0] -= np.pi / 4.0
+    psi[1:] -= np.pi / 2.0
+    out = np.array(columns, dtype=complex)
+    for k in range(d - 1, -1, -1):
+        out = (u if (d - 1 - k) % 2 == 0 else u.conj().T) @ out
+        out[:n] *= np.exp(1j * psi[k])
+        out[n:] *= np.exp(-1j * psi[k])
+    return (1j) ** d * np.exp(-1j * np.pi / 4.0) * out
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.sampled_from([2, 4, 8]), d=st.integers(1, 41),
+       kind=st.sampled_from(["dilation", "fable", "complex"]),
+       shared=st.booleans(), seed=st.integers(0, 2**16))
+def test_sweep_matches_complex_reference(n, d, kind, shared, seed):
+    # a real encoding (dilation or FABLE) is swept in real arithmetic on the
+    # float view of the complex block, a complex one in complex arithmetic;
+    # both agree with the all-complex loop, for shared and per-column tables
+    rng = np.random.default_rng(seed)
+    m = random_with_condition(n, 4.0, seed)
+    if kind == "fable":
+        assume(n <= 4)
+        enc = fable_encoding(m / np.max(np.abs(m)))[0]
+    elif kind == "complex":
+        m = m + 1j * random_with_condition(n, 4.0, seed + 1)
+        enc = dilation_encoding(m / np.linalg.norm(m, 2))
+    else:
+        enc = dilation_encoding(m / np.linalg.norm(m, 2))
+    assert enc.unitary.dtype == (complex if kind == "complex" else float)
+    dim = enc.unitary.shape[0]
+    table = rng.uniform(-np.pi, np.pi, d if shared else (d, 2))
+    width = int(rng.integers(1, 4)) if shared else 2
+    columns = rng.standard_normal((dim, width)) + 1j * rng.standard_normal((dim, width))
+    np.testing.assert_allclose(_sweep(enc, table, columns),
+                               reference_sweep(enc, table, columns), rtol=0, atol=1e-13)
