@@ -16,25 +16,22 @@ from .blockenc import (
 )
 from .invpoly import (
     ChebyshevSeries,
-    InverseApproxSpec,
     approx_error_report,
     cheb_eval,
     degree_params,
     enforce_qsvt_bounds,
     inverse_cheb_series,
-    make_inverse_spec,
 )
 from .numerics import (
     StateVector,
     Svd,
     condition_number,
     random_with_condition,
-    spectral_norm,
     svd,
     two_norm,
 )
-from .qsp_phases import PhaseVector, find_phases, signal_unitary, verify_phases
-from .qsvt_core import QsvtOperator, apply_inverse_state, build_u_phi, extract_block, spectral_oracle
+from .qsp_phases import PhaseVector, find_phases, verify_phases
+from .qsvt_core import apply_inverse_state, build_u_phi, spectral_oracle
 from .refine import (
     CostReport,
     NoisyOracleBackend,

@@ -110,8 +110,8 @@ class ExperimentConfig:
         self.seeds = _coerced("seeds", self.seeds, int)
         if not self.seeds:
             raise ConfigError("seeds list must be nonempty")
-        if not self.eps_target >= MIN_EPS_TARGET:
-            raise ConfigError(f"eps_target must be >= {MIN_EPS_TARGET:g}")
+        if not MIN_EPS_TARGET <= self.eps_target < 1.0:
+            raise ConfigError(f"eps_target must lie in [{MIN_EPS_TARGET:g}, 1)")
         if self.backend == "qsvt_full" and self.experiment == "large_kappa":
             raise ConfigError(
                 "large_kappa requires the spectral_oracle or noisy_oracle backend "

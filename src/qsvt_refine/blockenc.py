@@ -15,7 +15,6 @@ the encoded block is literally the top-left submatrix.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from typing import Optional
@@ -73,23 +72,6 @@ class Circuit:
     def gate_count(self) -> int:
         return len(self.gates)
 
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "num_qubits": self.num_qubits,
-                "gates": [
-                    {"kind": g.kind, "qubits": list(g.qubits), "angle": g.angle}
-                    for g in self.gates
-                ],
-            }
-        )
-
-    @classmethod
-    def from_json(cls, payload: str) -> "Circuit":
-        raw = json.loads(payload)
-        gates = tuple(Gate(g["kind"], tuple(g["qubits"]), g.get("angle")) for g in raw["gates"])
-        return cls(raw["num_qubits"], gates)
-
 
 @dataclass(frozen=True)
 class BlockEncoding:
@@ -139,15 +121,14 @@ def _require_power_of_two(n: int, what: str) -> int:
     return n.bit_length() - 1
 
 
-def dilation_encoding(a, alpha: float = 1.0) -> BlockEncoding:
+def dilation_encoding(a) -> BlockEncoding:
     """Exact one-ancilla dilation of a square matrix with norm <= 1.
 
     U = [[A, sqrt(I - A A^H)], [sqrt(I - A^H A), -A^H]], with the matrix
     square roots taken through the SVD of A and 1 - sigma^2 clamped at
     zero when it dips within 1e-14 below. A real matrix gets a real
-    (float64) dilation, a complex one a complex dilation. Callers holding
-    a matrix with norm > 1 pre-scale it and record the scale through
-    ``alpha``.
+    (float64) dilation, a complex one a complex dilation; alpha = 1.
+    Callers holding a matrix with norm > 1 pre-scale it.
     """
     a = as_matrix(a).astype(complex if np.iscomplexobj(a) else float)
     if a.shape[0] != a.shape[1]:
@@ -165,7 +146,7 @@ def dilation_encoding(a, alpha: float = 1.0) -> BlockEncoding:
     top_right = (fac.u * root) @ fac.u.conj().T
     bottom_left = (fac.v * root) @ fac.v.conj().T
     u = np.block([[a, top_right], [bottom_left, -a.conj().T]])
-    return BlockEncoding(unitary=u, data_qubits=n_qubits, ancilla_qubits=1, alpha=alpha)
+    return BlockEncoding(unitary=u, data_qubits=n_qubits, ancilla_qubits=1, alpha=1.0)
 
 
 def _gray(k: int) -> int:

@@ -9,7 +9,6 @@ for singular value transformation (global magnitude <= 1 on [-1, 1]).
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, replace
 from typing import Optional
@@ -21,9 +20,7 @@ from scipy.special import betainc
 
 __all__ = [
     "ChebyshevSeries",
-    "InverseApproxSpec",
     "degree_params",
-    "make_inverse_spec",
     "inverse_cheb_series",
     "cheb_eval",
     "enforce_qsvt_bounds",
@@ -41,15 +38,12 @@ class ChebyshevSeries:
     """Definite-parity polynomial in the Chebyshev basis.
 
     ``coefficients[k]`` multiplies T_k; the trailing coefficient is
-    nonzero so ``degree == len(coefficients) - 1``. The optional kappa /
-    eps / scale metadata records how an inverse-approximation series was
-    built (``P(x) ~ scale / x``) and travels through serialization.
+    nonzero so ``degree == len(coefficients) - 1``. An inverse
+    approximation records its ``scale`` (``P(x) ~ scale / x``).
     """
 
     coefficients: np.ndarray
     parity: str  # "even" | "odd" | "none"
-    kappa: Optional[float] = None
-    eps: Optional[float] = None
     scale: Optional[float] = None
 
     def __post_init__(self):
@@ -70,55 +64,12 @@ class ChebyshevSeries:
     def degree(self) -> int:
         return self.coefficients.size - 1
 
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "parity": self.parity,
-                "coefficients": self.coefficients.tolist(),
-                "kappa": self.kappa,
-                "eps": self.eps,
-                "scale": self.scale,
-            }
-        )
-
-    @classmethod
-    def from_json(cls, payload: str) -> "ChebyshevSeries":
-        raw = json.loads(payload)
-        return cls(
-            coefficients=np.asarray(raw["coefficients"], dtype=float),
-            parity=raw["parity"],
-            kappa=raw.get("kappa"),
-            eps=raw.get("eps"),
-            scale=raw.get("scale"),
-        )
-
 
 def _trimmed(coefs: np.ndarray) -> np.ndarray:
     nz = np.nonzero(coefs)[0]
     if nz.size == 0:
         return coefs[:1]
     return coefs[: nz[-1] + 1]
-
-
-@dataclass(frozen=True)
-class InverseApproxSpec:
-    """Parameters of one inverse-function approximation instance."""
-
-    kappa: float
-    eps: float
-    b: int
-    cap_degree_D: int
-    scale: float
-
-    def __post_init__(self):
-        b, cap = degree_params(self.kappa, self.eps)
-        if (b, cap) != (self.b, self.cap_degree_D):
-            raise ValueError(
-                f"(b, D) = {(self.b, self.cap_degree_D)} disagree with the "
-                f"formulas, expected {(b, cap)}"
-            )
-        if not 0.0 < self.scale <= 1.0:
-            raise ValueError("scale must lie in (0, 1]")
 
 
 def degree_params(kappa: float, eps: float) -> tuple[int, int]:
@@ -137,17 +88,11 @@ def degree_params(kappa: float, eps: float) -> tuple[int, int]:
     return b, cap
 
 
-def make_inverse_spec(kappa: float, eps: float, scale: Optional[float] = None) -> InverseApproxSpec:
-    """Build an InverseApproxSpec; scale defaults to the 1/(2 kappa)
-    normalization that makes the series a candidate for QSVT."""
-    b, cap = degree_params(kappa, eps)
-    if scale is None:
-        scale = 1.0 / (2.0 * kappa)
-    return InverseApproxSpec(kappa=kappa, eps=eps, b=b, cap_degree_D=cap, scale=scale)
-
-
-def inverse_cheb_series(spec: InverseApproxSpec) -> ChebyshevSeries:
-    """Odd Chebyshev series approximating ``spec.scale / x``.
+def inverse_cheb_series(kappa: float, eps: float,
+                        scale: Optional[float] = None) -> ChebyshevSeries:
+    """Odd Chebyshev series approximating ``scale / x`` on [1/kappa, 1] to
+    accuracy eps, with (b, D) from ``degree_params``; scale defaults to
+    the 1/(2 kappa) normalization that makes it a candidate for QSVT.
 
     The coefficient of T_{2j+1} is
     ``4 (-1)^j [2^{-2b} sum_{i=j+1}^{b} C(2b, b+i)] * scale``. The
@@ -160,7 +105,11 @@ def inverse_cheb_series(spec: InverseApproxSpec) -> ChebyshevSeries:
     flops, every sum of positive terms, no array of length b.
     Coefficients with j >= b vanish and are trimmed.
     """
-    b, cap, scale = spec.b, spec.cap_degree_D, spec.scale
+    b, cap = degree_params(kappa, eps)
+    if scale is None:
+        scale = 1.0 / (2.0 * kappa)
+    if not 0.0 < scale <= 1.0:
+        raise ValueError("scale must lie in (0, 1]")
     j = np.arange(min(cap, b - 1) + 1)
     first, last = betainc(b + 1.0 + j[[0, -1]], b - j[[0, -1]] + 0.0, 0.5)
     ratios = np.cumprod((b - j[1:] + 1.0) / (b + j[1:]))
@@ -170,13 +119,7 @@ def inverse_cheb_series(spec: InverseApproxSpec) -> ChebyshevSeries:
         raise OverflowError("binomial tail is not finite")
     coefs = np.zeros(2 * j.size)
     coefs[1::2] = np.where(j % 2 == 0, 4.0, -4.0) * tail * scale
-    return ChebyshevSeries(
-        coefficients=_trimmed(coefs),
-        parity="odd",
-        kappa=spec.kappa,
-        eps=spec.eps,
-        scale=scale,
-    )
+    return ChebyshevSeries(coefficients=_trimmed(coefs), parity="odd", scale=scale)
 
 
 def _values_on_cheb_grid(coefs: np.ndarray, npts: int) -> tuple[np.ndarray, np.ndarray]:
@@ -286,7 +229,7 @@ def approx_error_report(series: ChebyshevSeries, kappa: float, eps: float,
 
     Returns ``(max_err_on_domain, max_abs_on_gap)``: the maximum of
     |P(x) - scale/x| over [1/kappa, 1] and the maximum of |P| over the
-    excluded interval [0, 1/kappa]. Used by tests and the CLI report.
+    excluded interval [0, 1/kappa].
     """
     scale = 1.0 if series.scale is None else series.scale
     xs = np.linspace(1.0 / kappa, 1.0, grid)

@@ -20,7 +20,6 @@ __all__ = [
     "StateVector",
     "svd",
     "condition_number",
-    "spectral_norm",
     "two_norm",
     "random_orthogonal",
     "random_with_condition",
@@ -71,10 +70,6 @@ class StateVector:
     def dim(self) -> int:
         return self.amplitudes.size
 
-    @property
-    def num_qubits(self) -> int:
-        return self.dim.bit_length() - 1
-
     def norm(self) -> float:
         return float(np.linalg.norm(self.amplitudes))
 
@@ -100,9 +95,6 @@ class Svd:
     singular_values: np.ndarray
     v: np.ndarray
 
-    def reconstruct(self) -> np.ndarray:
-        return (self.u * self.singular_values) @ self.v.conj().T
-
 
 def svd(a) -> Svd:
     """Economy singular value decomposition (LAPACK ``gesdd`` via numpy).
@@ -118,11 +110,6 @@ def svd(a) -> Svd:
     """
     u, s, vh = np.linalg.svd(as_matrix(a), full_matrices=False)
     return Svd(u=u, singular_values=s, v=vh.conj().T)
-
-
-def spectral_norm(a) -> float:
-    """Largest singular value (2-norm) of ``a``."""
-    return float(svd(a).singular_values[0])
 
 
 def two_norm(vec) -> float:

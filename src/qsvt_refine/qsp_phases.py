@@ -13,7 +13,6 @@ convention drift.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,7 +24,6 @@ __all__ = [
     "CONVENTION_TAG",
     "PhaseVector",
     "PhaseFindingError",
-    "signal_unitary",
     "realized_values",
     "find_phases",
     "verify_phases",
@@ -63,32 +61,6 @@ class PhaseVector:
     @property
     def degree(self) -> int:
         return self.phases.size
-
-    def to_json(self) -> str:
-        return json.dumps(
-            {"convention_tag": self.convention_tag, "phases": self.phases.tolist()}
-        )
-
-    @classmethod
-    def from_json(cls, payload: str) -> "PhaseVector":
-        raw = json.loads(payload)
-        return cls(np.asarray(raw["phases"], dtype=float), raw["convention_tag"])
-
-
-def signal_unitary(x: float, phases: PhaseVector) -> np.ndarray:
-    """The 2x2 signal product at point ``x`` (|x| <= 1).
-
-    An empty phase vector gives the identity (the constant polynomial 1).
-    """
-    if abs(x) > 1.0 + 1e-12:
-        raise ValueError("signal_unitary requires |x| <= 1")
-    s = np.sqrt(max(0.0, 1.0 - x * x))
-    w = np.array([[x, 1j * s], [1j * s, x]])
-    m = np.eye(2, dtype=complex)
-    for phi in phases.phases:
-        e = np.exp(1j * phi)
-        m = m @ np.array([[e, 0.0], [0.0, np.conj(e)]]) @ w
-    return m
 
 
 class _SignalRows:

@@ -34,8 +34,6 @@ below 1e-6 to make any convention drift loud.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .blockenc import BlockEncoding
@@ -44,10 +42,8 @@ from .numerics import StateVector, check_unitary, svd
 from .qsp_phases import CONVENTION_TAG, PhaseVector
 
 __all__ = [
-    "QsvtOperator",
     "PostSelectionError",
     "build_u_phi",
-    "extract_block",
     "spectral_oracle",
     "apply_inverse_state",
 ]
@@ -57,21 +53,6 @@ _IMAG_JUNK_TOL = 1e-6
 
 class PostSelectionError(RuntimeError):
     """The ancilla-zero component of the output state vanished."""
-
-
-@dataclass(frozen=True)
-class QsvtOperator:
-    """Assembled sequence operator plus its provenance."""
-
-    u_phi: np.ndarray
-    encoding: BlockEncoding
-    phases: PhaseVector
-    parity: str
-
-    @property
-    def be_calls(self) -> int:
-        """Block-encoding invocations in the sequence (= degree)."""
-        return self.phases.degree
 
 
 def _check_sequence(encoding: BlockEncoding, phases: PhaseVector) -> None:
@@ -118,28 +99,18 @@ def _sweep(encoding: BlockEncoding, phases: np.ndarray,
     return gamma * out
 
 
-def build_u_phi(encoding: BlockEncoding, phases: PhaseVector) -> QsvtOperator:
-    """Assemble the alternating phase modulation sequence operator."""
-    _check_sequence(encoding, phases)
-    u_phi = _sweep(encoding, phases.phases, np.eye(encoding.unitary.shape[0]))
-    check_unitary(u_phi, 1e-10)
-    return QsvtOperator(
-        u_phi=u_phi,
-        encoding=encoding,
-        phases=phases,
-        parity="odd" if phases.degree % 2 else "even",
-    )
+def build_u_phi(encoding: BlockEncoding, phases: PhaseVector) -> np.ndarray:
+    """The full sequence operator U_Phi, checked unitary; its data block
+    (ancilla-zero rows and columns) is ``u_phi[:n, :n]``.
 
-
-def extract_block(op: QsvtOperator) -> np.ndarray:
-    """Data block (ancilla-zero rows and columns) of the sequence.
-
-    For a real odd target on a real matrix, the real part of this block
+    For a real odd target on a real matrix, the real part of that block
     equals the spectral oracle; the imaginary part is the polynomial
     completion and is dealt with at the state level (see module notes).
     """
-    n = op.encoding.block_dim
-    return op.u_phi[:n, :n]
+    _check_sequence(encoding, phases)
+    u_phi = _sweep(encoding, phases.phases, np.eye(encoding.unitary.shape[0]))
+    check_unitary(u_phi, 1e-10)
+    return u_phi
 
 
 def spectral_oracle(a, series: ChebyshevSeries) -> np.ndarray:

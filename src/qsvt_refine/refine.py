@@ -29,7 +29,7 @@ import functools
 import math
 import warnings
 from abc import ABC, abstractmethod
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from decimal import ROUND_CEILING, Context
 from typing import Optional
 
@@ -38,7 +38,7 @@ from scipy.optimize import minimize_scalar
 
 from .blockenc import BlockEncoding, dilation_encoding
 from .invpoly import ChebyshevSeries, cheb_eval, degree_params, \
-    enforce_qsvt_bounds, inverse_cheb_series, make_inverse_spec
+    enforce_qsvt_bounds, inverse_cheb_series
 from .numerics import StateVector, as_matrix, condition_number, svd, two_norm
 from .qsp_phases import PhaseVector, find_phases
 from .qsvt_core import apply_inverse_state
@@ -192,7 +192,7 @@ def _bounded_inverse_series(kappa: float, eps_prime: float) -> ChebyshevSeries:
 
     It depends on nothing else, so backends with the same (kappa, eps')
     share one memoized, read-only series object."""
-    series = inverse_cheb_series(make_inverse_spec(kappa, eps_prime))
+    series = inverse_cheb_series(kappa, eps_prime)
     bounded, _ = enforce_qsvt_bounds(series)
     bounded.coefficients.flags.writeable = False
     return bounded
@@ -260,7 +260,7 @@ def qsvt_backend(a, eps_l: float, kappa: Optional[float] = None, seed: int = 0,
         eps_l=eps_l, kappa=kappa, degree=series.degree, shots=shots,
         rng=np.random.default_rng([seed, 0x95F7]),
         series=series, phases=_inverse_phases(kappa, eps_prime),
-        encoding=dilation_encoding((a / norm).conj().T, alpha=1.0),
+        encoding=dilation_encoding((a / norm).conj().T),
     )
 
 
@@ -333,9 +333,6 @@ class RefinementTrace:
     theorem_bound: int
     contraction_hypothesis_ok: bool = True
 
-    def to_dict(self) -> dict:
-        return asdict(self)
-
 
 @dataclass(frozen=True)
 class CostReport:
@@ -350,17 +347,6 @@ class CostReport:
     def __post_init__(self):
         if self.total != self.solves * self.be_calls_per_solve * self.samples_per_solve:
             raise ValueError("cost total is not the product of its factors")
-
-    def to_dict(self) -> dict:
-        out = {
-            "solves": self.solves,
-            "be_calls_per_solve": self.be_calls_per_solve,
-            "samples_per_solve": self.samples_per_solve,
-            "total": self.total,
-        }
-        if self.comparison_direct is not None:
-            out["comparison_direct"] = self.comparison_direct.to_dict()
-        return out
 
 
 def theorem_iteration_bound(eps_target: float, eps_l: float, kappa: float) -> int:
@@ -392,14 +378,18 @@ def iterative_refine(a, b, backend: SolverBackend, eps_target: float,
     update. Each step costs two products with A: A eta for the magnitude
     and A x for the next residual, which also gives omega. Stops at
     omega <= eps_target or ``max_iter``; three consecutive non-decreasing
-    residuals raise ``DivergenceError`` carrying the partial trace.
+    residuals raise ``DivergenceError`` carrying the partial trace. A
+    non-finite ``b`` or an eps_target outside [MIN_EPS_TARGET, 1) raises
+    ``ValueError``.
     """
     a = as_matrix(a)
     b = np.asarray(b, dtype=float if not np.iscomplexobj(b) else complex)
-    if eps_target < MIN_EPS_TARGET:
+    if not np.all(np.isfinite(b)):
+        raise ValueError("b has non-finite entries")
+    if not MIN_EPS_TARGET <= eps_target < 1.0:
         raise ValueError(
-            f"eps_target below {MIN_EPS_TARGET:g}: double-precision residuals leave "
-            "no headroom (working precision must stay well under the target)"
+            f"eps_target = {eps_target!r} must lie in [{MIN_EPS_TARGET:g}, 1): "
+            "double-precision residuals leave no headroom below it"
         )
     hypothesis_ok = backend.eps_l * backend.kappa < 1.0
     if not hypothesis_ok:

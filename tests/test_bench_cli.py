@@ -1,4 +1,5 @@
 import json
+import math
 
 import numpy as np
 import pytest
@@ -178,6 +179,8 @@ def test_poisson_experiment(tmp_path):
     ({"eps_target": 1e-15}, "eps_target"),
     ({"backend": "qsvt_full", "kappa": [20.0], "eps_l": [1e-3]}, "phase-finding cap"),
     ({"backend": "qsvt_full", "experiment": "poisson", "eps_l": None}, "phase-finding cap"),
+    ({"eps_target": math.inf}, "eps_target"),
+    ({"eps_target": 2.0}, "eps_target"),
 ])
 def test_bad_config_exits_2_before_any_run(tmp_path, capsys, overrides, message):
     path, _ = write_config(tmp_path, **overrides)

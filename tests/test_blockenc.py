@@ -168,10 +168,3 @@ def test_circuit_validation():
     for kind, qubits in (("rz", (0,)), ("controlled-ry", (0, 1)), ("multi-controlled-x", (0, 1, 2))):
         with pytest.raises(ValueError, match="unknown gate"):
             Gate(kind, qubits, 0.1)
-
-
-def test_circuit_json_roundtrip():
-    _, circuit, _ = fable_encoding(np.full((2, 2), 0.25), threshold=1e-3)
-    back = Circuit.from_json(circuit.to_json())
-    assert back == circuit
-

@@ -16,7 +16,6 @@ from qsvt_refine.invpoly import (
     degree_params,
     enforce_qsvt_bounds,
     inverse_cheb_series,
-    make_inverse_spec,
     max_abs_on_interval,
 )
 
@@ -42,15 +41,15 @@ def test_degree_params_error_paths():
 
 
 def test_inverse_series_matches_exact_binomials():
-    spec = make_inverse_spec(2.0, 0.1, scale=1.0)
-    series = inverse_cheb_series(spec)
-    for j in range(min(spec.cap_degree_D, spec.b - 1) + 1):
-        exact = brute_inverse_coefficient(spec.b, j)
+    b, cap = degree_params(2.0, 0.1)
+    series = inverse_cheb_series(2.0, 0.1, scale=1.0)
+    for j in range(min(cap, b - 1) + 1):
+        exact = brute_inverse_coefficient(b, j)
         assert series.coefficients[2 * j + 1] == pytest.approx(exact, rel=1e-12)
 
 
 def test_inverse_series_parity_and_antisymmetry():
-    series = inverse_cheb_series(make_inverse_spec(3.0, 0.05))
+    series = inverse_cheb_series(3.0, 0.05)
     assert series.parity == "odd"
     assert np.all(series.coefficients[0::2] == 0.0)
     xs = np.random.default_rng(4).uniform(-1.0, 1.0, 100)
@@ -60,28 +59,35 @@ def test_inverse_series_parity_and_antisymmetry():
 
 
 def test_inverse_series_tracks_target_function():
-    spec = make_inverse_spec(2.0, 0.1, scale=1.0)
-    series = inverse_cheb_series(spec)
+    eps = 0.1
+    b, _ = degree_params(2.0, eps)
+    series = inverse_cheb_series(2.0, eps, scale=1.0)
     xs = np.linspace(0.5, 1.0, 10_000)
-    f = (1.0 - (1.0 - xs**2) ** spec.b) / xs
-    assert np.max(np.abs(cheb_eval(series, xs) - f)) <= 2.0 * spec.eps
+    f = (1.0 - (1.0 - xs**2) ** b) / xs
+    assert np.max(np.abs(cheb_eval(series, xs) - f)) <= 2.0 * eps
 
 
 def test_inverse_series_coefficient_decay():
     for kappa, eps in [(2.0, 0.1), (5.0, 0.05), (10.0, 0.1)]:
-        series = inverse_cheb_series(make_inverse_spec(kappa, eps))
+        series = inverse_cheb_series(kappa, eps)
         mags = np.abs(series.coefficients[1::2])
         tail = mags[2:]
         assert np.all(np.diff(tail) <= 1e-15), (kappa, eps)
 
 
+@pytest.mark.parametrize("scale", [0.0, -0.25, 1.5])
+def test_inverse_series_rejects_scale_outside_unit_interval(scale):
+    with pytest.raises(ValueError, match="scale"):
+        inverse_cheb_series(2.0, 0.1, scale=scale)
+
+
 def test_inverse_series_cap_beyond_b():
     # D >= b regime: coefficients with j >= b vanish, so the built degree
     # is 2 min(D, b-1) + 1
-    spec = make_inverse_spec(1.0, 0.5)
-    assert spec.cap_degree_D >= spec.b
-    series = inverse_cheb_series(spec)
-    assert series.degree == 2 * (spec.b - 1) + 1
+    b, cap = degree_params(1.0, 0.5)
+    assert cap >= b
+    series = inverse_cheb_series(1.0, 0.5)
+    assert series.degree == 2 * (b - 1) + 1
 
 
 def mpmath_binomial_tails(b: int, js) -> dict:
@@ -110,12 +116,12 @@ def mpmath_binomial_tails(b: int, js) -> dict:
 def test_inverse_series_matches_mpmath_tail(kappa):
     # eight j across [0, jmax] and eight in the top decile, next to the
     # j = jmax end where the tails are anchored
-    spec = make_inverse_spec(kappa, 0.4 / kappa**2, scale=1.0)
-    coefs = inverse_cheb_series(spec).coefficients
-    jmax = min(spec.cap_degree_D, spec.b - 1)
+    b, cap = degree_params(kappa, 0.4 / kappa**2)
+    coefs = inverse_cheb_series(kappa, 0.4 / kappa**2, scale=1.0).coefficients
+    jmax = min(cap, b - 1)
     js = np.unique(np.round(np.concatenate([np.linspace(0, jmax, 8),
                                             np.linspace(0.9 * jmax, jmax, 8)])))
-    wants = mpmath_binomial_tails(spec.b, [int(j) for j in js])
+    wants = mpmath_binomial_tails(b, [int(j) for j in js])
     assert len(wants) >= 8 and max(wants) == jmax
     for j, want in wants.items():
         got = (-1) ** j * coefs[2 * j + 1] / 4.0
@@ -133,8 +139,7 @@ def traced_peak_bytes(fn, *args):
 
 def test_inverse_series_builds_in_small_memory():
     # kappa = 300: b = 1.6e6 binomial terms, but only the D + 1 tails are held
-    spec = make_inverse_spec(300.0, 0.4 / 300.0**2)
-    peak = traced_peak_bytes(inverse_cheb_series, spec)
+    peak = traced_peak_bytes(inverse_cheb_series, 300.0, 0.4 / 300.0**2)
     assert peak < 8 * 2**20, peak
 
 
@@ -261,7 +266,7 @@ def test_enforce_bounds_trivial_cases():
 
 
 def test_enforce_bounds_inverse_series_and_idempotency():
-    series = inverse_cheb_series(make_inverse_spec(4.0, 0.05))
+    series = inverse_cheb_series(4.0, 0.05)
     bounded, applied = enforce_qsvt_bounds(series)
     assert max_abs_on_interval(bounded) <= 1.0
     assert 0.0 < applied <= 1.0
@@ -272,7 +277,7 @@ def test_enforce_bounds_inverse_series_and_idempotency():
 
 def test_error_report():
     kappa, eps = 2.0, 0.1
-    series = inverse_cheb_series(make_inverse_spec(kappa, eps))
+    series = inverse_cheb_series(kappa, eps)
     bounded, _ = enforce_qsvt_bounds(series)
     err, gap = approx_error_report(bounded, kappa, eps)
     assert math.isfinite(err) and math.isfinite(gap)
@@ -280,21 +285,8 @@ def test_error_report():
     assert gap <= 1.0
 
 
-def test_series_validation_and_json_roundtrip():
+def test_series_validation():
     with pytest.raises(ValueError, match="even-index"):
         ChebyshevSeries(np.array([1.0, 1.0]), "odd")
     with pytest.raises(ValueError, match="trailing"):
         ChebyshevSeries(np.array([1.0, 0.0]), "even")
-    series = inverse_cheb_series(make_inverse_spec(3.0, 0.1))
-    back = ChebyshevSeries.from_json(series.to_json())
-    np.testing.assert_array_equal(back.coefficients, series.coefficients)
-    assert (back.parity, back.kappa, back.eps, back.scale) == (
-        series.parity, series.kappa, series.eps, series.scale,
-    )
-
-
-def test_inverse_approx_spec_rejects_wrong_degrees():
-    from qsvt_refine.invpoly import InverseApproxSpec
-
-    with pytest.raises(ValueError, match="disagree"):
-        InverseApproxSpec(kappa=2.0, eps=0.1, b=11, cap_degree_D=9, scale=0.25)

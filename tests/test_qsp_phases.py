@@ -5,20 +5,34 @@ from qsvt_refine.invpoly import (
     ChebyshevSeries,
     enforce_qsvt_bounds,
     inverse_cheb_series,
-    make_inverse_spec,
     max_abs_on_interval,
 )
 from qsvt_refine.qsp_phases import (
-    CONVENTION_TAG,
     PhaseFindingError,
     PhaseVector,
     _SignalRows,
     find_phases,
-    signal_unitary,
     verify_phases,
 )
 
 T1 = ChebyshevSeries(np.array([0.0, 1.0]), "odd")
+
+
+def signal_unitary(x: float, phases: PhaseVector) -> np.ndarray:
+    """Reference: the 2x2 signal product at point ``x`` (|x| <= 1), one
+    matrix product per phase.
+
+    An empty phase vector gives the identity (the constant polynomial 1).
+    """
+    if abs(x) > 1.0 + 1e-12:
+        raise ValueError("signal_unitary requires |x| <= 1")
+    s = np.sqrt(max(0.0, 1.0 - x * x))
+    w = np.array([[x, 1j * s], [1j * s, x]])
+    m = np.eye(2, dtype=complex)
+    for phi in phases.phases:
+        e = np.exp(1j * phi)
+        m = m @ np.array([[e, 0.0], [0.0, np.conj(e)]]) @ w
+    return m
 
 
 def random_odd_series(rng, degree, peak):
@@ -67,7 +81,7 @@ def test_find_phases_scaled_t3():
 
 
 def test_find_phases_inverse_polynomial():
-    series = inverse_cheb_series(make_inverse_spec(2.0, 0.1))
+    series = inverse_cheb_series(2.0, 0.1)
     bounded, _ = enforce_qsvt_bounds(series)
     phases = find_phases(bounded, tol=1e-10)
     assert phases.degree == bounded.degree
@@ -132,13 +146,6 @@ def test_verify_phases_grid_monotonicity():
     assert verify_phases(phases, target, grid=10_000) >= verify_phases(
         phases, target, grid=1
     )
-
-
-def test_phase_vector_json_roundtrip():
-    phases = PhaseVector(np.array([0.1, -0.2, 0.3]))
-    back = PhaseVector.from_json(phases.to_json())
-    np.testing.assert_array_equal(back.phases, phases.phases)
-    assert back.convention_tag == CONVENTION_TAG
 
 
 def _plain_signal_rows(phases, xs, need_grad):

@@ -258,6 +258,24 @@ def test_refine_rejects_tiny_eps_target():
         iterative_refine(a, np.ones(2), backend, 1e-16)
 
 
+@pytest.mark.parametrize("eps_target", [math.inf, math.nan, 1.0, 2.0])
+def test_refine_rejects_eps_target_outside_unit_range(eps_target):
+    a = np.eye(2)
+    backend = noisy_oracle_backend(a, 0.0)
+    with pytest.raises(ValueError, match="eps_target"):
+        iterative_refine(a, np.ones(2), backend, eps_target)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_refine_rejects_non_finite_b(bad):
+    a = random_with_condition(4, 3.0, 0)
+    backend = spectral_oracle_backend(a, 1e-2)
+    b = unit_rhs(4, 0)
+    b[2] = bad
+    with pytest.raises(ValueError, match="non-finite"):
+        iterative_refine(a, b, backend, 1e-10)
+
+
 def test_contraction_check_noisy_seed_sweep():
     kappa, eps_l = 6.0, 5e-3
     bound = theorem_iteration_bound(1e-10, eps_l, kappa)
@@ -286,20 +304,6 @@ def test_residual_curves_decrease_geometrically():
         assert all(b < a for a, b in zip(omegas, omegas[1:]))
         ratios = [b / a for a, b in zip(omegas, omegas[1:])]
         assert all(r <= eps_l * kappa for r in ratios)
-
-
-def test_trace_and_cost_json_serializable():
-    import json
-
-    a = random_with_condition(4, 3.0, 6)
-    b = unit_rhs(4, 6)
-    backend = spectral_oracle_backend(a, 1e-2)
-    _, trace, cost = iterative_refine(a, b, backend, 1e-10)
-    parsed = json.loads(json.dumps(trace.to_dict()))
-    assert parsed["iterations"] == trace.iterations
-    parsed = json.loads(json.dumps(cost.to_dict()))
-    assert parsed["total"] == cost.total
-    assert parsed["comparison_direct"]["solves"] == 1
 
 
 def test_contraction_check_short_trace():
@@ -425,6 +429,25 @@ def test_refine_equals_plain_loop(kappa, rate, seed, shot, factory):
     x_plain, omegas, mus = plain_refine(a, b, backend(), 1e-11)
     assert np.array_equal(x, x_plain)
     assert trace.scaled_residuals == omegas and trace.mu_values == mus
+
+
+@settings(max_examples=150, deadline=None)
+@given(n=st.integers(2, 16), kappa=st.floats(1.0, 60.0), rate=st.floats(1e-3, 0.9),
+       seed=st.integers(0, 2**16), log_eps=st.floats(-12.0, -4.0),
+       factory=st.sampled_from([spectral_oracle_backend, noisy_oracle_backend]))
+def test_refinement_meets_contraction_and_iteration_bounds(n, kappa, rate, seed, log_eps,
+                                                           factory):
+    # eps_l < 1/kappa: every run converges, omega_i stays under
+    # (eps_l kappa)^(i+1) and the iteration count under the theorem bound
+    eps_l, eps_target = rate / kappa, 10.0**log_eps
+    a = random_with_condition(n, kappa, seed)
+    bound = theorem_iteration_bound(eps_target, eps_l, kappa)
+    backend = factory(a, eps_l, kappa=kappa, seed=seed)
+    _, trace, _ = iterative_refine(a, unit_rhs(n, seed), backend, eps_target,
+                                   max_iter=max(bound, 10) + 10)
+    assert trace.converged
+    assert contraction_check(trace, kappa, eps_l).passed
+    assert trace.iterations <= trace.theorem_bound == bound
 
 
 @settings(max_examples=5, deadline=None)
