@@ -183,24 +183,34 @@ clenshaw_eval = cheb_eval
 
 def max_abs_on_interval(series: ChebyshevSeries) -> float:
     """Max of |P| over [-1, 1]: Chebyshev-spaced grid of 4M >= 4*degree
-    points plus golden-section refinement around the grid maximizer,
-    interpolating from every fourth grid value (the M-point grid)."""
+    points plus golden-section refinement, interpolating from every fourth
+    grid value (the M-point grid), around each grid local maximum within
+    pi^2/128 of the grid's top (Bernstein's inequality bounds how far the
+    node nearest the true peak can lie below it; a definite-parity |P| is
+    even, so the maximizer's mirror image is skipped)."""
     m = next_fast_len(max(series.degree, 1), real=True)
     xs, vals = _values_on_cheb_grid(series.coefficients, 4 * m)
     interpolant = _interpolant(vals[::4].copy())
     vals = np.abs(vals)
-    k = int(np.argmax(vals))
-    lo = xs[min(k + 1, xs.size - 1)]  # xs is decreasing in j
-    hi = xs[max(k - 1, 0)]
-    if lo >= hi:
-        return float(vals[k])
-    res = minimize_scalar(
-        lambda t: -abs(interpolant(np.array([t]))[0]),
-        bounds=(lo, hi),
-        method="bounded",
-        options={"xatol": _REFINE_XTOL},
-    )
-    return float(max(vals[k], -res.fun))
+
+    def refined(k: int) -> float:
+        lo = xs[min(k + 1, xs.size - 1)]  # xs is decreasing in j
+        hi = xs[max(k - 1, 0)]
+        if lo >= hi:
+            return float(vals[k])
+        res = minimize_scalar(
+            lambda t: -abs(interpolant(np.array([t]))[0]),
+            bounds=(lo, hi),
+            method="bounded",
+            options={"xatol": _REFINE_XTOL},
+        )
+        return float(max(vals[k], -res.fun))
+
+    k, last = int(np.argmax(vals)), vals.size - 1
+    skip = {k, last - k} if series.parity != "none" else {k}
+    rivals = [int(j) for j in np.flatnonzero(vals >= (1.0 - np.pi ** 2 / 128) * vals[k])
+              if j not in skip and vals[j] >= max(vals[max(j - 1, 0)], vals[min(j + 1, last)])]
+    return max([refined(k)] + [refined(j) for j in rivals])
 
 
 def enforce_qsvt_bounds(series: ChebyshevSeries) -> tuple[ChebyshevSeries, float]:
@@ -223,7 +233,7 @@ def enforce_qsvt_bounds(series: ChebyshevSeries) -> tuple[ChebyshevSeries, float
     return rescaled, applied
 
 
-def approx_error_report(series: ChebyshevSeries, kappa: float, eps: float,
+def approx_error_report(series: ChebyshevSeries, kappa: float,
                         grid: int = 10_000) -> tuple[float, float]:
     """Measure the series against its target on dense uniform grids.
 

@@ -9,6 +9,10 @@ with the real part of M(x)[0, 0] carrying the target polynomial. The
 full-space operators of qsvt_core reduce to exactly this product on each
 singular-value subspace, so one tag guards both layers against silent
 convention drift.
+
+``find_phases`` runs Newton's method on the symmetric phases (Dong, Lin,
+Ni & Wang, arXiv:2307.12468; start of Dong, Meng, Whaley & Lin,
+arXiv:2002.11649), one square linear solve a step.
 """
 
 from __future__ import annotations
@@ -16,7 +20,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import least_squares, minimize
 
 from .invpoly import ChebyshevSeries, cheb_eval, max_abs_on_interval
 
@@ -32,18 +35,18 @@ __all__ = [
 CONVENTION_TAG = "wx-re00"
 
 MAX_DEGREE = 500  # largest target degree find_phases accepts
-_MAX_EVALS = 100_000
+_MAX_STEPS = 50  # Newton steps find_phases takes at most
 _INTERIOR_MARGIN = 1e-8  # targets must satisfy max|P| <= 1 - this
 
 
 class PhaseFindingError(RuntimeError):
-    """Optimizer failed to reach the requested node residual."""
+    """The Newton iteration failed to reach the requested node residual."""
 
     def __init__(self, residual: float, tol: float):
         self.residual = residual
         self.tol = tol
         super().__init__(
-            f"phase optimization stalled at node residual {residual:.3e} "
+            f"phase finding stalled at node residual {residual:.3e} "
             f"(requested {tol:.1e}); consider shrinking the polynomial norm"
         )
 
@@ -73,7 +76,7 @@ class _SignalRows:
 
     The arrays are allocated once and every call writes them in place, six
     ufunc calls a recurrence step and no temporaries: phase finding calls
-    this a hundred times or more, and arrays allocated afresh on each call
+    this once per Newton step, and arrays allocated afresh on each call
     are page-faulted in again each time, a cost that grows with the
     host's load. Complex products round differently with their operands
     swapped, so the operand order of each product is part of the result.
@@ -130,21 +133,20 @@ def realized_values(phases: PhaseVector, xs: np.ndarray) -> np.ndarray:
     return m00.real.copy()
 
 
-def _chebyshev_nodes(d: int) -> np.ndarray:
-    k = np.arange(d + 1)
-    return np.cos((2 * k + 1) * np.pi / (4 * d))
-
-
-def find_phases(target: ChebyshevSeries, tol: float = 1e-10,
-                max_evals: int = _MAX_EVALS) -> PhaseVector:
+def find_phases(target: ChebyshevSeries, tol: float = 1e-10) -> PhaseVector:
     """Solve for phases realizing ``target`` in the wx-re00 convention.
 
-    Quasi-Newton (L-BFGS-B) minimization of the squared mismatch between
-    Re M(x)[0,0] and the target at the d+1 Chebyshev nodes
-    cos((2k+1) pi / (4d)), with analytic gradients, started from the
-    zero-polynomial configuration (pi/2, 0, ..., 0). A short
-    Levenberg-Marquardt polish runs if the quasi-Newton stage stops just
-    above ``tol``.
+    Newton's method on the symmetric phases (Dong, Lin, Ni & Wang,
+    arXiv:2307.12468). The unknowns are the m = ceil((d+1)/2) reduced
+    phases r, unfolded as phi_1 = 2 r_0 and phi_{j+1} = r_{min(j, d-j)}
+    for j = 1..d-1: the symmetric sequence (r_0, r_1, ..., r_1, r_0) of
+    d+1 phases with its trailing e^{i r_0 Z} moved to the front, which
+    leaves M(x)[0,0] unchanged. Re M(x)[0,0] is matched to the target at
+    the m positive Chebyshev nodes cos((2k-1) pi / (4m)), so the folded
+    Jacobian is square and each step is one linear solve. The iteration
+    starts from r = (pi/4, 0, ..., 0), the symmetric start of Dong, Meng,
+    Whaley & Lin (arXiv:2002.11649), steps while the max node residual
+    falls (at most ``_MAX_STEPS`` times) and keeps the best iterate.
 
     Raises
     ------
@@ -167,48 +169,30 @@ def find_phases(target: ChebyshevSeries, tol: float = 1e-10,
             f"max|P| = {peak} too close to 1; rescale (enforce_qsvt_bounds) first"
         )
 
-    xs = _chebyshev_nodes(d)
+    m = (d + 2) // 2
+    xs = np.cos((2 * np.arange(1, m + 1) - 1) * np.pi / (4 * m))
     want = cheb_eval(target, xs)
     rows = _SignalRows(xs, d)
+    j = np.arange(d)  # phases = fold @ r; grad.real.T @ fold sums tied columns
+    fold = np.zeros((d, m))
+    fold[j, np.minimum(j, d - j)] = 1.0
+    fold[0, 0] = 2.0
 
-    def value_and_grad(phis):
-        m00, grad = rows(phis, True)
-        resid = m00.real - want
-        return float(resid @ resid), 2.0 * (grad.real @ resid)
-
-    start = np.zeros(d)
-    start[0] = np.pi / 2.0
-    result = minimize(
-        value_and_grad,
-        start,
-        jac=True,
-        method="L-BFGS-B",
-        options={"maxiter": max_evals, "maxfun": max_evals, "ftol": 1e-30, "gtol": 1e-18},
-    )
-    phis = result.x
-    resid = np.max(np.abs(rows(phis, False)[0].real - want))
-
-    if resid > tol:
-        def residuals(p):
-            m00, _ = rows(p, False)
-            return m00.real - want
-
-        def jacobian(p):
-            _, grad = rows(p, True)
-            return grad.real.T.copy()
-
-        polish = least_squares(
-            residuals, phis, jac=jacobian, method="lm",
-            ftol=1e-15, xtol=1e-15, gtol=1e-15,
-            max_nfev=min(max_evals, 200 * (d + 1)),
-        )
-        cand = np.max(np.abs(residuals(polish.x)))
-        if cand < resid:
-            phis, resid = polish.x, float(cand)
+    r = np.zeros(m)
+    r[0] = np.pi / 4.0
+    best, resid = r, np.inf
+    for _ in range(_MAX_STEPS):
+        m00, grad = rows(fold @ r, True)
+        err = m00.real - want
+        size = float(np.max(np.abs(err)))
+        if not size < resid:
+            break
+        best, resid = r, size
+        r = r - np.linalg.solve(grad.real.T @ fold, err)
 
     if resid > tol:
-        raise PhaseFindingError(float(resid), tol)
-    return PhaseVector(phis)
+        raise PhaseFindingError(resid, tol)
+    return PhaseVector(fold @ best)
 
 
 def verify_phases(phases: PhaseVector, target: ChebyshevSeries, grid: int = 10_000) -> float:

@@ -1,10 +1,14 @@
 import json
 import math
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from qsvt_refine import bench_cli
+from qsvt_refine import bench_cli, refine
 from qsvt_refine.bench_cli import (
     CSV_COLUMNS,
     ConfigError,
@@ -75,6 +79,28 @@ def test_determinism_byte_identical(tmp_path):
     first = (tmp_path / "out.csv").read_bytes()
     assert main(["--config", str(path)]) == 0
     assert (tmp_path / "out.csv").read_bytes() == first
+
+
+@settings(max_examples=8, deadline=None)
+@given(kappa=st.floats(2.0, 10.0), rate=st.floats(1e-3, 0.9), seed=st.integers(0, 2**16))
+def test_qsvt_full_csv_is_identical_after_clearing_the_memos(kappa, rate, seed):
+    # the second run finds its series and phases afresh, so the CSV holds
+    # only if phase finding gives the same phases every time
+    with tempfile.TemporaryDirectory() as tmp:
+        outputs = []
+        for run in ("first", "second"):
+            refine._bounded_inverse_series.cache_clear()
+            refine._inverse_phases.cache_clear()
+            path, cfg = write_config(
+                Path(tmp), name=f"{run}.json", kappa=[kappa], eps_l=[rate / kappa],
+                seeds=[seed], n_qubits=2, backend="qsvt_full", eps_target=1e-10,
+                out=str(Path(tmp) / f"{run}.csv"),
+            )
+            assert main(["--config", str(path)]) in (0, 1)  # a failed run still writes
+            meta = json.loads(Path(cfg["out"] + ".meta.json").read_text())
+            meta["config"].pop("out")
+            outputs.append((Path(cfg["out"]).read_bytes(), meta))
+    assert outputs[0] == outputs[1]
 
 
 def test_missing_and_invalid_config(tmp_path):

@@ -254,6 +254,33 @@ def test_cheb_eval_working_memory_is_bounded():
     assert peak < 64 * 2**20, peak
 
 
+def critical_point_peak(series):
+    # max of |P| at +-1 and the real roots of P' in [-1, 1]
+    c = series.coefficients
+    roots = np.polynomial.chebyshev.chebroots(np.polynomial.chebyshev.chebder(c)) if c.size > 2 else []
+    xs = [r.real for r in np.atleast_1d(roots) if abs(r.imag) < 1e-9 and abs(r.real) <= 1.0]
+    return float(np.max(np.abs(np.polynomial.chebyshev.chebval(np.array([-1.0, 1.0] + xs), c))))
+
+
+def test_max_abs_finds_a_peak_away_from_the_grid_maximizer():
+    # |P| peaks at 1.0107 near x = +-0.83, between grid nodes; the grid's
+    # largest value (0.9990 at x = 0.31) sits next to a lower local maximum
+    series = ChebyshevSeries(np.array([0.0, -0.257, 0.0, -0.264, 0.0, 0.865]), "odd")
+    assert max_abs_on_interval(series) == pytest.approx(1.0107002835399, rel=1e-10)
+
+
+@settings(max_examples=60, deadline=None)
+@given(degree=st.integers(1, 60), parity=st.sampled_from(["odd", "even", "none"]),
+       seed=st.integers(0, 2**16))
+def test_max_abs_matches_critical_points(degree, parity, seed):
+    if parity == "odd":
+        degree += 1 - degree % 2
+    elif parity == "even":
+        degree += degree % 2
+    series = random_series(seed, degree, parity)
+    assert max_abs_on_interval(series) == pytest.approx(critical_point_peak(series), rel=1e-9)
+
+
 def test_enforce_bounds_trivial_cases():
     bounded = ChebyshevSeries(np.array([0.0, 0.5]), "odd")
     same, scale = enforce_qsvt_bounds(bounded)
@@ -279,7 +306,7 @@ def test_error_report():
     kappa, eps = 2.0, 0.1
     series = inverse_cheb_series(kappa, eps)
     bounded, _ = enforce_qsvt_bounds(series)
-    err, gap = approx_error_report(bounded, kappa, eps)
+    err, gap = approx_error_report(bounded, kappa)
     assert math.isfinite(err) and math.isfinite(gap)
     assert err <= 2.0 * eps * bounded.scale
     assert gap <= 1.0

@@ -1,6 +1,14 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import qsvt_refine
 from qsvt_refine.invpoly import (
     ChebyshevSeries,
     enforce_qsvt_bounds,
@@ -106,7 +114,7 @@ def test_odd_phases_respect_parity_at_zero():
 
 
 def test_find_phases_even_target():
-    # 0.8 T_2: even targets use the unreduced parametrization
+    # 0.8 T_2: even degrees fold d phases into d/2 + 1 unknowns
     target = ChebyshevSeries(np.array([0.0, 0.0, 0.8]), "even")
     phases = find_phases(target, tol=1e-10)
     assert verify_phases(phases, target) <= 1e-9
@@ -125,11 +133,55 @@ def test_find_phases_preconditions():
 
 
 def test_find_phases_iteration_cap_error():
+    # no iterate reaches a zero node residual, so the iteration stops
+    # when the residual no longer falls and reports the best one
     rng = np.random.default_rng(9)
     target = random_odd_series(rng, 15, 0.8)
     with pytest.raises(PhaseFindingError) as excinfo:
-        find_phases(target, tol=1e-12, max_evals=2)
+        find_phases(target, tol=0.0)
     assert excinfo.value.residual > 0.0
+
+
+@st.composite
+def definite_parity_targets(draw):
+    parity = draw(st.sampled_from(["odd", "even"]))
+    degree = 2 * draw(st.integers(0, 31)) + 1 if parity == "odd" else 2 * draw(st.integers(1, 31))
+    coefs = np.zeros(degree + 1)
+    coefs[degree % 2::2] = draw(st.lists(st.floats(-1.0, 1.0), min_size=degree // 2 + 1,
+                                         max_size=degree // 2 + 1))
+    coefs[degree] = draw(st.floats(0.05, 1.0)) * draw(st.sampled_from([-1.0, 1.0]))
+    series = ChebyshevSeries(coefs, parity)
+    peak = draw(st.floats(0.5, 1.0 - 1e-7))
+    return ChebyshevSeries(coefs * (peak / max_abs_on_interval(series)), parity)
+
+
+@settings(max_examples=80, deadline=None)
+@given(target=definite_parity_targets())
+def test_find_phases_realizes_definite_parity_targets(target):
+    phases = find_phases(target)
+    d = target.degree
+    assert phases.degree == d
+    assert verify_phases(phases, target) <= 1e-10
+    # phi_j == phi_{d+2-j} for j = 2..d, exactly: the phases are unfolded
+    # from the symmetric reduced ones
+    assert np.array_equal(phases.phases[1:], phases.phases[1:][::-1])
+
+
+def test_find_phases_is_identical_across_processes():
+    # kappa = 4, eps_l = 1e-2 (degree 79): a key where an iterative finder
+    # has returned different phases in different processes
+    script = (
+        "import hashlib; from qsvt_refine import refine; "
+        "print(hashlib.sha1(refine.find_phases("
+        "refine._bounded_inverse_series(4.0, 1e-2 / 4.0)).phases.tobytes()).hexdigest())"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(qsvt_refine.__file__).resolve().parents[1]))
+    digests = {
+        subprocess.run([sys.executable, "-c", script], env=env, check=True,
+                       capture_output=True, text=True).stdout.strip()
+        for _ in range(3)
+    }
+    assert len(digests) == 1 and len(digests.pop()) == 40
 
 
 def test_verify_phases_exact_and_perturbed():
@@ -186,7 +238,7 @@ def test_signal_rows_match_plain_recurrence_bitwise(d):
 
 
 def test_signal_rows_reuse_their_arrays():
-    # phase finding evaluates the recurrence a hundred times or more; the
+    # phase finding evaluates the recurrence once per Newton step; the
     # workspace must hand back the same memory each time, not fresh arrays
     d = 9
     xs = np.cos((2 * np.arange(d + 1) + 1) * np.pi / (4 * d))
