@@ -122,15 +122,15 @@ def inverse_cheb_series(kappa: float, eps: float,
     return ChebyshevSeries(coefficients=_trimmed(coefs), parity="odd", scale=scale)
 
 
-def _values_on_cheb_grid(coefs: np.ndarray, npts: int) -> tuple[np.ndarray, np.ndarray]:
+def _values_on_cheb_grid(coefs: np.ndarray, npts: int) -> np.ndarray:
     """Series values at x_j = cos(pi j / M), j = 0..M, via a DCT-I; M is
-    the first FFT-friendly size of at least ``npts`` and the coefficients."""
+    the first FFT-friendly size of at least ``npts`` and the coefficients
+    (the values' length less one). The nodes themselves are not formed."""
     m = next_fast_len(max(npts, coefs.size, 2), real=True)
     padded = np.zeros(m + 1)
     padded[: coefs.size] = coefs
     padded[1:] *= 0.5
-    xs = np.cos(np.pi * np.arange(m + 1) / m)
-    return xs, dct(padded, type=1)
+    return dct(padded, type=1)
 
 
 def _interpolant(vals: np.ndarray):
@@ -172,7 +172,7 @@ def cheb_eval(series: ChebyshevSeries, x):
     xs = float(x) if np.isscalar(x) else np.asarray(x, dtype=float)
     if np.any(np.abs(xs) > 1.0 + 1e-12):
         raise ValueError("cheb_eval requires |x| <= 1")
-    _, vals = _values_on_cheb_grid(series.coefficients, series.degree)
+    vals = _values_on_cheb_grid(series.coefficients, series.degree)
     out = _interpolant(vals)(np.ravel(xs))
     return float(out[0]) if isinstance(xs, float) else out.reshape(np.shape(xs))
 
@@ -189,13 +189,14 @@ def max_abs_on_interval(series: ChebyshevSeries) -> float:
     node nearest the true peak can lie below it; a definite-parity |P| is
     even, so the maximizer's mirror image is skipped)."""
     m = next_fast_len(max(series.degree, 1), real=True)
-    xs, vals = _values_on_cheb_grid(series.coefficients, 4 * m)
+    vals = _values_on_cheb_grid(series.coefficients, 4 * m)
     interpolant = _interpolant(vals[::4].copy())
     vals = np.abs(vals)
+    k, last = int(np.argmax(vals)), vals.size - 1
 
     def refined(k: int) -> float:
-        lo = xs[min(k + 1, xs.size - 1)]  # xs is decreasing in j
-        hi = xs[max(k - 1, 0)]
+        # bracket nodes x_{k+1} < x_{k-1}, x_j = cos(pi j / (4M)) decreasing in j
+        lo, hi = np.cos(np.pi * np.array([min(k + 1, last), max(k - 1, 0)]) / last)
         if lo >= hi:
             return float(vals[k])
         res = minimize_scalar(
@@ -206,7 +207,6 @@ def max_abs_on_interval(series: ChebyshevSeries) -> float:
         )
         return float(max(vals[k], -res.fun))
 
-    k, last = int(np.argmax(vals)), vals.size - 1
     skip = {k, last - k} if series.parity != "none" else {k}
     rivals = [int(j) for j in np.flatnonzero(vals >= (1.0 - np.pi ** 2 / 128) * vals[k])
               if j not in skip and vals[j] >= max(vals[max(j - 1, 0)], vals[min(j + 1, last)])]

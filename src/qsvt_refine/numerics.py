@@ -41,12 +41,21 @@ def as_matrix(a) -> np.ndarray:
 
 
 def check_unitary(u: np.ndarray, tol_factor: float = _UNITARY_TOL_FACTOR) -> None:
-    """Raise if ``u`` is not unitary to ``tol_factor * dim``."""
+    """Raise if ``u`` is not unitary to ``tol_factor * dim``.
+
+    The defect is the spectral norm of U^H U - I. Its Frobenius norm
+    bounds it from above and costs no SVD, so a matrix whose Frobenius
+    defect is within the tolerance passes at once; any other gets the
+    spectral norm.
+    """
     u = as_matrix(u)
     if u.shape[0] != u.shape[1]:
         raise ValueError(f"unitary must be square, got {u.shape}")
     dim = u.shape[0]
-    defect = np.linalg.norm(u.conj().T @ u - np.eye(dim), 2)
+    gram_defect = u.conj().T @ u - np.eye(dim)
+    if np.linalg.norm(gram_defect) <= tol_factor * dim:
+        return
+    defect = np.linalg.norm(gram_defect, 2)
     if defect > tol_factor * dim:
         raise ValueError(f"matrix is not unitary: ||U^H U - I|| = {defect:.3e}")
 

@@ -67,21 +67,24 @@ class PhaseVector:
 
 
 class _SignalRows:
-    """M(x)[0,0] on fixed nodes ``xs`` for d phases, optionally with
-    d(M00)/d(phi_j).
+    """M(x)[0,0] on fixed nodes ``xs`` for d phases (a call), and
+    d(M00)/d(phi_j) at the phases of the last call (``gradient``).
 
     Tracks only the first row (f_0, f_1) of the running prefix product and
     the first column (b_0, b_1) of the suffix products; the gradient of the
-    (0,0) entry is i * (f_{j-1,0} b_{j,0} - f_{j-1,1} b_{j,1}).
+    (0,0) entry is i * (f_{j-1,0} b_{j,0} - f_{j-1,1} b_{j,1}). A call
+    runs the forward pass and keeps its arrays; ``gradient`` runs the
+    backward pass from them, so an iterate whose gradient is never used
+    costs the forward pass alone.
 
-    The arrays are allocated once and every call writes them in place, six
+    The arrays are allocated once and every pass writes them in place, six
     ufunc calls a recurrence step and no temporaries: phase finding calls
     this once per Newton step, and arrays allocated afresh on each call
     are page-faulted in again each time, a cost that grows with the
     host's load. Complex products round differently with their operands
     swapped, so the operand order of each product is part of the result.
-    The returned arrays are overwritten by the next call; the gradient's
-    arrays are allocated by the first call that asks for it.
+    The returned arrays are overwritten by the next pass; the gradient's
+    arrays are allocated by the first ``gradient`` call.
     """
 
     def __init__(self, xs: np.ndarray, d: int):
@@ -94,7 +97,7 @@ class _SignalRows:
         self.t0, self.t1 = np.empty(nx, dtype=complex), np.empty(nx, dtype=complex)
         self.b0 = self.b1 = self.grad = self.tmp = None
 
-    def __call__(self, phases: np.ndarray, need_grad: bool):
+    def __call__(self, phases: np.ndarray) -> np.ndarray:
         mul, add = np.multiply, np.add
         a00, a01, a10, a11 = self.a00, self.a01, self.a10, self.a11
         f0, f1, t0, t1 = self.f0, self.f1, self.t0, self.t1
@@ -108,10 +111,12 @@ class _SignalRows:
         for p0, p1, n0, n1, c00, c01, c10, c11 in zip(f0, f1, f0[1:], f1[1:], a00, a01, a10, a11):
             add(mul(p0, c00, t0), mul(p1, c10, t1), n0)
             add(mul(p0, c01, t0), mul(p1, c11, t1), n1)
-        m00 = f0[-1]
-        if not need_grad:
-            return m00, None
+        return f0[-1]
 
+    def gradient(self) -> np.ndarray:
+        mul, add = np.multiply, np.add
+        a00, a01, a10, a11 = self.a00, self.a01, self.a10, self.a11
+        f0, f1, t0, t1 = self.f0, self.f1, self.t0, self.t1
         if self.grad is None:
             self.b0, self.b1 = np.empty_like(f0), np.empty_like(f0)
             self.grad, self.tmp = np.empty_like(a00), np.empty_like(a00)
@@ -123,14 +128,13 @@ class _SignalRows:
             add(mul(c10, q0, t0), mul(c11, q1, t1), n1)
         grad = mul(f0[:-1], b0[:-1], out=self.grad)
         np.subtract(grad, mul(f1[:-1], b1[:-1], out=self.tmp), out=grad)
-        return m00, mul(1j, grad, out=grad)
+        return mul(1j, grad, out=grad)
 
 
 def realized_values(phases: PhaseVector, xs: np.ndarray) -> np.ndarray:
     """Re M(x)[0,0] on an array of points."""
     xs = np.asarray(xs, dtype=float)
-    m00, _ = _SignalRows(xs, phases.degree)(phases.phases, False)
-    return m00.real.copy()
+    return _SignalRows(xs, phases.degree)(phases.phases).real.copy()
 
 
 def find_phases(target: ChebyshevSeries, tol: float = 1e-10) -> PhaseVector:
@@ -182,13 +186,12 @@ def find_phases(target: ChebyshevSeries, tol: float = 1e-10) -> PhaseVector:
     r[0] = np.pi / 4.0
     best, resid = r, np.inf
     for _ in range(_MAX_STEPS):
-        m00, grad = rows(fold @ r, True)
-        err = m00.real - want
+        err = rows(fold @ r).real - want
         size = float(np.max(np.abs(err)))
         if not size < resid:
             break
         best, resid = r, size
-        r = r - np.linalg.solve(grad.real.T @ fold, err)
+        r = r - np.linalg.solve(rows.gradient().real.T @ fold, err)
 
     if resid > tol:
         raise PhaseFindingError(resid, tol)

@@ -8,12 +8,15 @@
 
 right to left to a block of columns: each block-encoding call is a
 matrix product and each projector phase an elementwise multiply by
-precomputed factors e^{+-i psi}, as Pt and Pi are both the ancilla-zero
-projector of the encodings built here. When U is real (the encoding of a
-real matrix), each call is a real product with the float view of the
-complex block, whose rows hold the real and imaginary parts side by
-side, so nothing is copied. The phase table holds one sequence shared
-by every column or one sequence per column.
+factors e^{+-i psi}, as Pt and Pi are both the ancilla-zero projector of
+the encodings built here. The factors depend only on the phase table and
+the encoding's two dimensions, so ``_factor_table`` builds them once per
+table (memoized on its bytes) and every later sweep reuses them
+read-only. When U is real (the encoding of a real matrix), each call is
+a real product with the float view of the complex block, whose rows hold
+the real and imaginary parts side by side, so nothing is copied. The
+phase table holds one sequence shared by every column or one sequence
+per column.
 ``build_u_phi`` sweeps the identity columns; ``apply_inverse_state``
 sweeps the state |0>|b> and forms no 2N x 2N operator.
 
@@ -33,6 +36,9 @@ below 1e-6 to make any convention drift loud.
 """
 
 from __future__ import annotations
+
+import functools
+import itertools
 
 import numpy as np
 
@@ -67,6 +73,31 @@ def _check_sequence(encoding: BlockEncoding, phases: PhaseVector) -> None:
         raise ValueError("need at least one phase")
 
 
+@functools.lru_cache(maxsize=16)
+def _factor_table(data: bytes, shape: tuple, block_dim: int,
+                  dim: int) -> tuple[tuple[np.ndarray, ...], complex]:
+    """The per-step factors of the float64 phase table whose bytes are
+    ``data``, as read-only dim x 1 (shared) or dim x m views in the order
+    the sweep applies them, and the global phase gamma. Keyed on content,
+    not identity, so equal tables from any caller share one entry.
+
+    A table takes d x dim x m x 16 B: 490 KB for an inner solve's +-Phi
+    table (m = 2) at N=32, d=239; at most 2 MB at the degree cap (500)
+    and the CLI's qubit guard (dim 128), so 32 MB for all 16 entries.
+    """
+    d = shape[0]
+    psi = np.frombuffer(data).reshape(d, 1, -1).copy()
+    psi[0] -= np.pi / 4.0
+    psi[1:] -= np.pi / 2.0
+    gamma = (1j) ** d * np.exp(-1j * np.pi / 4.0)
+    # each step's factors broadcast against the columns, so the identity
+    # sweep holds no d copies of the block
+    table = np.empty((d, dim, psi.shape[2]), dtype=complex)
+    table[:, :block_dim], table[:, block_dim:] = np.exp(1j * psi), np.exp(-1j * psi)
+    table.flags.writeable = False
+    return tuple(table[::-1]), gamma
+
+
 def _sweep(encoding: BlockEncoding, phases: np.ndarray,
            columns: np.ndarray) -> np.ndarray:
     """The sequence applied to the dim x m block ``columns``.
@@ -75,27 +106,18 @@ def _sweep(encoding: BlockEncoding, phases: np.ndarray,
     with one sequence per column. The rightmost call is U, the calls
     alternate U, U^H leftwards and each is followed by its projector
     phase: e^{i psi} on the ancilla-zero rows, e^{-i psi} on the rest.
+    Each step is one product into a preallocated buffer and one multiply
+    by the step's memoized factors.
     """
     u = encoding.unitary
-    n = encoding.block_dim
-    d = phases.shape[0]
-    psi = np.array(phases, dtype=float)
-    psi[0] -= np.pi / 4.0
-    psi[1:] -= np.pi / 2.0
-    gamma = (1j) ** d * np.exp(-1j * np.pi / 4.0)
-    # factors[k] is dim x 1 (shared) or dim x m: it broadcasts against the
-    # columns, so the identity sweep holds no d copies of the block
-    psi = psi.reshape(d, 1, -1)
-    factors = np.empty((d, u.shape[0], psi.shape[2]), dtype=complex)
-    factors[:, :n], factors[:, n:] = np.exp(1j * psi), np.exp(-1j * psi)
-
+    psi = np.ascontiguousarray(phases, dtype=float)
+    factors, gamma = _factor_table(psi.tobytes(), psi.shape, encoding.block_dim, u.shape[0])
     out = np.array(columns, dtype=complex, order="C")
     tmp = np.empty_like(out)
-    mats = (u, u.conj().T)
     src, dst = (out, tmp) if np.iscomplexobj(u) else (out.view(float), tmp.view(float))
-    for k in range(d - 1, -1, -1):
-        np.dot(mats[(d - 1 - k) % 2], src, out=dst)
-        np.multiply(tmp, factors[k], out=out)
+    for mat, factor in zip(itertools.cycle((u, u.conj().T)), factors):
+        mat.dot(src, out=dst)
+        np.multiply(tmp, factor, out=out)
     return gamma * out
 
 

@@ -1,8 +1,11 @@
 """The package's public surface: what the benchmark's tracer wraps and what
-the modules declare must exist, so removing a name shows up here."""
+the modules declare must exist, so removing a name shows up here; and its
+memos, each of which must stay bounded."""
 
+import ast
 import importlib
 import importlib.util
+import inspect
 import pkgutil
 import types
 from pathlib import Path
@@ -43,3 +46,27 @@ def test_every_top_level_export_is_declared_by_its_module():
     undeclared = [name for name, value in exports.items()
                   if name not in importlib.import_module(value.__module__).__all__]
     assert undeclared == []
+
+
+def memoized_functions():
+    for module in MODULES:
+        home = importlib.import_module(f"qsvt_refine.{module}")
+        for owner in [home] + [v for v in vars(home).values() if inspect.isclass(v)]:
+            for name, value in vars(owner).items():
+                if hasattr(value, "cache_parameters") and value.__module__ == home.__name__:
+                    yield f"{module}.{name}", value
+
+
+def test_every_memo_is_bounded():
+    # a memo with maxsize=None (functools.cache) grows without bound over a
+    # long run; the decorators in the source must all be found at run time
+    memos = dict(memoized_functions())
+    decorators = 0
+    for path in Path(qsvt_refine.__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                decorators += sum("cache" in ast.unparse(dec) for dec in node.decorator_list)
+    assert len(memos) == decorators >= 3
+    unbounded = [name for name, memo in memos.items()
+                 if memo.cache_parameters()["maxsize"] is None]
+    assert unbounded == []

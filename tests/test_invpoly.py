@@ -203,7 +203,8 @@ def random_series(seed, degree, parity):
 
 def special_points(series, picks):
     # +-1, 0 and exact nodes of the grid the evaluator interpolates on
-    nodes, _ = invpoly._values_on_cheb_grid(series.coefficients, series.degree)
+    size = invpoly._values_on_cheb_grid(series.coefficients, series.degree).size
+    nodes = np.cos(np.pi * np.arange(size) / (size - 1))
     return np.concatenate([[-1.0, 0.0, 1.0], nodes[np.asarray(picks, dtype=int) % nodes.size]])
 
 

@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from qsvt_refine.numerics import (
     StateVector,
+    check_unitary,
     condition_number,
     random_with_condition,
     svd,
@@ -140,3 +141,29 @@ def test_state_vector_contracts():
         StateVector(np.ones(3))
     with pytest.raises(ValueError, match="not normalized"):
         StateVector(np.array([1.0, 1.0])).require_normalized()
+
+
+@pytest.mark.parametrize("spread", [0.5, 2.0])
+def test_check_unitary_falls_back_to_the_spectral_norm(spread):
+    # U^H U - I = s I: its Frobenius norm s * sqrt(16) = 4 s tops the
+    # tolerance 16 * 1e-6 whenever s > 4e-6, so these verdicts come from the
+    # spectral norm s: a pass at s = 8e-6, a raise at s = 3.2e-5
+    dim, tol_factor = 16, 1e-6
+    defect = spread * tol_factor * dim
+    q = random_with_condition(dim, 1.0, 3)
+    u = q * np.sqrt(1.0 + defect)
+    gram = u.T @ u - np.eye(dim)
+    assert np.linalg.norm(gram) > tol_factor * dim
+    assert np.linalg.norm(gram, 2) == pytest.approx(defect, rel=1e-6)
+    if spread < 1.0:
+        check_unitary(u, tol_factor)
+    else:
+        with pytest.raises(ValueError, match=r"not unitary: \|\|U\^H U - I\|\| = 3\.200e-05"):
+            check_unitary(u, tol_factor)
+
+
+def test_check_unitary_passes_unitaries_and_rejects_non_square():
+    check_unitary(random_with_condition(8, 1.0, 0))
+    check_unitary(np.diag(np.exp(1j * np.arange(4.0))))
+    with pytest.raises(ValueError, match="square"):
+        check_unitary(np.ones((2, 3)))

@@ -229,12 +229,11 @@ def test_signal_rows_match_plain_recurrence_bitwise(d):
     rows = _SignalRows(xs, d)
     for need_grad in (False, True, True):
         phases = rng.uniform(-np.pi, np.pi, d)
-        m00, grad = rows(phases, need_grad)
+        m00 = rows(phases)
         ref_m00, ref_grad = _plain_signal_rows(phases, xs, need_grad)
         assert np.array_equal(m00, ref_m00)
-        assert (grad is None) == (not need_grad)
         if need_grad:
-            assert np.array_equal(grad, ref_grad)
+            assert np.array_equal(rows.gradient(), ref_grad)
 
 
 def test_signal_rows_reuse_their_arrays():
@@ -243,7 +242,28 @@ def test_signal_rows_reuse_their_arrays():
     d = 9
     xs = np.cos((2 * np.arange(d + 1) + 1) * np.pi / (4 * d))
     rows = _SignalRows(xs, d)
-    first = rows(np.full(d, 0.3), True)
-    second = rows(np.full(d, -0.2), True)
+    first = rows(np.full(d, 0.3)), rows.gradient()
+    second = rows(np.full(d, -0.2)), rows.gradient()
     assert np.shares_memory(first[0], second[0])
     assert np.shares_memory(first[1], second[1])
+
+
+@pytest.mark.parametrize("kappa, eps_l", [(10.0, 1e-2), (4.0, 1e-2)])
+def test_find_phases_takes_one_gradient_per_step(monkeypatch, kappa, eps_l):
+    # the iterate that ends the loop (its residual no longer falls) pays the
+    # forward pass alone: gradients == Newton steps == forward passes - 1
+    counts = {"forward": 0, "gradient": 0, "step": 0}
+
+    def counted(name, real):
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return real(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(_SignalRows, "__call__", counted("forward", _SignalRows.__call__))
+    monkeypatch.setattr(_SignalRows, "gradient", counted("gradient", _SignalRows.gradient))
+    monkeypatch.setattr(np.linalg, "solve", counted("step", np.linalg.solve))
+    target, _ = enforce_qsvt_bounds(inverse_cheb_series(kappa, eps_l / kappa))
+    find_phases(target)
+    assert counts["step"] >= 1
+    assert counts["gradient"] == counts["step"] == counts["forward"] - 1

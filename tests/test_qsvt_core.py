@@ -14,6 +14,7 @@ from qsvt_refine.numerics import StateVector, random_with_condition, svd
 from qsvt_refine.qsp_phases import PhaseVector, find_phases, realized_values
 from qsvt_refine.qsvt_core import (
     PostSelectionError,
+    _factor_table,
     _sweep,
     apply_inverse_state,
     build_u_phi,
@@ -293,3 +294,67 @@ def test_sweep_matches_complex_reference(n, d, kind, shared, seed):
     columns = rng.standard_normal((dim, width)) + 1j * rng.standard_normal((dim, width))
     np.testing.assert_allclose(_sweep(enc, table, columns),
                                reference_sweep(enc, table, columns), rtol=0, atol=1e-13)
+
+
+@pytest.fixture
+def fresh_factor_memo():
+    _factor_table.cache_clear()
+    yield
+    _factor_table.cache_clear()
+
+
+@settings(max_examples=40, deadline=None)
+@given(n=st.sampled_from([2, 4, 8]), d=st.integers(1, 41), real=st.booleans(),
+       shared=st.booleans(), seed=st.integers(0, 2**16))
+def test_cold_and_warm_factor_memo_sweep_identically(n, d, real, shared, seed):
+    # the first sweep of a table builds its factors, the second reuses them;
+    # both give the same bits, in real and in complex arithmetic
+    rng = np.random.default_rng(seed)
+    m = random_with_condition(n, 4.0, seed)
+    if not real:
+        m = m + 1j * random_with_condition(n, 4.0, seed + 1)
+    enc = dilation_encoding(m / np.linalg.norm(m, 2))
+    table = rng.uniform(-np.pi, np.pi, d if shared else (d, 2))
+    columns = rng.standard_normal((2 * n, 2)) + 1j * rng.standard_normal((2 * n, 2))
+    _factor_table.cache_clear()
+    cold = _sweep(enc, table, columns)
+    warm = _sweep(enc, table.copy(), columns)
+    info = _factor_table.cache_info()
+    _factor_table.cache_clear()
+    assert (info.misses, info.hits) == (1, 1)
+    assert np.array_equal(cold, warm)
+
+
+def factors_of(phases, block_dim, dim):
+    # the memo entry _sweep reads for this table
+    return _factor_table(phases.tobytes(), phases.shape, block_dim, dim)
+
+
+def test_equal_phase_bytes_share_one_factor_table(fresh_factor_memo):
+    rng = np.random.default_rng(5)
+    phases = rng.uniform(-np.pi, np.pi, 9)
+    enc = dilation_encoding(random_with_condition(4, 2.0, 5) / 2.0)
+    columns = np.eye(8)[:, :1]
+    # an equal copy and an equal strided view sweep from one table
+    for table in (phases, phases.copy(), np.stack([phases, phases], axis=1)[:, 0]):
+        _sweep(enc, table, columns)
+    assert (_factor_table.cache_info().misses, _factor_table.cache_info().hits) == (1, 2)
+    first = factors_of(phases, 4, 8)
+    nudged = phases.copy()
+    nudged[3] = np.nextafter(nudged[3], np.inf)
+    others = [factors_of(nudged, 4, 8), factors_of(phases, 2, 8),
+              factors_of(phases, 4, 16), factors_of(phases[:, None], 4, 8)]
+    assert all(other is not first for other in others)
+    assert _factor_table.cache_info().misses == 5
+    assert not np.array_equal(others[0][0][-4], first[0][-4])
+    assert np.array_equal(others[0][0][-3], first[0][-3])
+
+
+def test_cached_factors_are_read_only(fresh_factor_memo):
+    factors, _ = factors_of(np.linspace(-1.0, 1.0, 7), 4, 8)
+    assert len(factors) == 7 and all(f.shape == (8, 1) for f in factors)
+    assert not any(f.flags.writeable for f in factors)
+    with pytest.raises(ValueError, match="read-only"):
+        factors[0][0, 0] = 0.0
+    with pytest.raises(ValueError):
+        factors[0].flags.writeable = True

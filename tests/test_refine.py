@@ -573,3 +573,19 @@ def test_qsvt_solve_checks_unitarity_at_construction_only(fresh_phase_memo, monk
     assert len(applied) >= 4
     assert checks_inside == []
     assert len(targets) == 1
+
+
+def test_refined_qsvt_solves_build_the_factor_table_once(fresh_phase_memo):
+    # every inner solve at one (kappa, eps') sweeps one memoized +-Phi
+    # factor table; the first sweep builds it, the rest reuse it
+    qsvt_core._factor_table.cache_clear()
+    kappa, eps_l = 3.0, 0.1
+    for seed in (0, 1):
+        a = random_with_condition(8, kappa, seed)
+        _, trace, _ = iterative_refine(a, unit_rhs(8, seed),
+                                       qsvt_backend(a, eps_l, kappa=kappa), 1e-11)
+        assert trace.converged
+    info = qsvt_core._factor_table.cache_info()
+    qsvt_core._factor_table.cache_clear()
+    assert info.misses == 1
+    assert info.hits >= 3
