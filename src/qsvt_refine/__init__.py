@@ -23,7 +23,6 @@ from .invpoly import (
     inverse_cheb_series,
 )
 from .numerics import (
-    StateVector,
     Svd,
     condition_number,
     random_with_condition,

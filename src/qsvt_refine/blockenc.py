@@ -169,7 +169,7 @@ def _walsh_gray_angles(theta: np.ndarray) -> np.ndarray:
     return hat[order]
 
 
-def fable_encoding(a, threshold: float = 0.0) -> tuple[BlockEncoding, Circuit, int]:
+def fable_encoding(a, threshold: float = 0.0) -> tuple[BlockEncoding, Circuit]:
     """FABLE-style block-encoding of a real matrix with |entries| <= 1.
 
     Rotation angles arccos(a_ij) are Gray-code sequenced through a
@@ -178,7 +178,7 @@ def fable_encoding(a, threshold: float = 0.0) -> tuple[BlockEncoding, Circuit, i
     they would have carried, and the dropped coefficient mass is
     reported as the block error bound. alpha = 2^n.
 
-    Returns ``(encoding, circuit, gate_count)``.
+    Returns ``(encoding, circuit)``.
     """
     a = as_matrix(a)
     if np.iscomplexobj(a) and np.any(a.imag != 0.0):
@@ -239,7 +239,7 @@ def fable_encoding(a, threshold: float = 0.0) -> tuple[BlockEncoding, Circuit, i
         alpha=float(2**n),
         tolerance=max(eps_thresh, 1e-10),
     )
-    return encoding, circuit, circuit.gate_count
+    return encoding, circuit
 
 
 def _gate_matrix(gate: Gate) -> np.ndarray:

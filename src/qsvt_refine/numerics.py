@@ -3,8 +3,8 @@
 Matrices and state vectors are plain numpy arrays, real or complex. This
 module holds the one SVD the package uses (LAPACK through
 ``numpy.linalg.svd``, wrapped in the ``Svd`` economy-form contract),
-the norms and condition numbers built on it, the ``StateVector`` carrier
-and the seeded random test matrices with a prescribed spectrum.
+the norms and condition numbers built on it and the seeded random test
+matrices with a prescribed spectrum.
 Everything here is a pure function over its inputs; arrays are never
 mutated in place.
 """
@@ -17,9 +17,9 @@ import numpy as np
 
 __all__ = [
     "Svd",
-    "StateVector",
     "svd",
     "condition_number",
+    "singular_value_ratio",
     "two_norm",
     "random_orthogonal",
     "random_with_condition",
@@ -61,37 +61,6 @@ def check_unitary(u: np.ndarray, tol_factor: float = _UNITARY_TOL_FACTOR) -> Non
 
 
 @dataclass(frozen=True)
-class StateVector:
-    """Quantum state carrier: amplitudes over a power-of-two dimension."""
-
-    amplitudes: np.ndarray
-
-    def __post_init__(self):
-        amps = np.asarray(self.amplitudes, dtype=complex)
-        if amps.ndim != 1 or amps.size == 0:
-            raise ValueError("amplitudes must be a nonempty 1-D array")
-        n = amps.size
-        if n & (n - 1) != 0:
-            raise ValueError(f"state dimension must be a power of two, got {n}")
-        object.__setattr__(self, "amplitudes", amps)
-
-    @property
-    def dim(self) -> int:
-        return self.amplitudes.size
-
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.amplitudes))
-
-    @property
-    def is_normalized(self) -> bool:
-        return abs(self.norm() - 1.0) <= 1e-12
-
-    def require_normalized(self) -> None:
-        if not self.is_normalized:
-            raise ValueError(f"state is not normalized: ||psi|| = {self.norm()!r}")
-
-
-@dataclass(frozen=True)
 class Svd:
     """Economy SVD ``a = u @ diag(singular_values) @ v.conj().T``.
 
@@ -129,8 +98,8 @@ def two_norm(vec) -> float:
     return float(np.linalg.norm(v))
 
 
-def condition_number(a) -> float:
-    """Spectral condition number sigma_max / sigma_min.
+def singular_value_ratio(singular_values) -> float:
+    """sigma_max / sigma_min of nonincreasing singular values.
 
     Raises
     ------
@@ -138,11 +107,15 @@ def condition_number(a) -> float:
         If the matrix is numerically singular
         (sigma_min <= 1e-14 * sigma_max).
     """
-    s = svd(a).singular_values
-    smax, smin = float(s[0]), float(s[-1])
+    smax, smin = float(singular_values[0]), float(singular_values[-1])
     if smin <= 1e-14 * smax:
         raise ValueError("matrix numerically singular")
     return smax / smin
+
+
+def condition_number(a) -> float:
+    """Spectral condition number; see ``singular_value_ratio``."""
+    return singular_value_ratio(svd(a).singular_values)
 
 
 def random_orthogonal(n: int, rng: np.random.Generator) -> np.ndarray:

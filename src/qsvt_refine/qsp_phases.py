@@ -25,6 +25,7 @@ from .invpoly import ChebyshevSeries, cheb_eval, max_abs_on_interval
 
 __all__ = [
     "CONVENTION_TAG",
+    "MAX_DEGREE",
     "PhaseVector",
     "PhaseFindingError",
     "realized_values",

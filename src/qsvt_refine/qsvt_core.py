@@ -31,8 +31,8 @@ For real targets the single sequence realizes P(x) plus an order-one
 imaginary completion (|M00(1)| = 1 is structural), so the state-level
 inverse application averages the sequences for phases +Phi and -Phi,
 which cancels the completion exactly; both ride through one sweep as
-the two columns of one block. The residual imaginary norm is asserted
-below 1e-6 to make any convention drift loud.
+the two columns of one block; it needs a real b. The residual imaginary
+norm is asserted below 1e-6 to make any convention drift loud.
 """
 
 from __future__ import annotations
@@ -44,7 +44,7 @@ import numpy as np
 
 from .blockenc import BlockEncoding
 from .invpoly import ChebyshevSeries, cheb_eval
-from .numerics import StateVector, check_unitary, svd
+from .numerics import check_unitary, svd
 from .qsp_phases import CONVENTION_TAG, PhaseVector
 
 __all__ = [
@@ -61,7 +61,7 @@ class PostSelectionError(RuntimeError):
     """The ancilla-zero component of the output state vanished."""
 
 
-def _check_sequence(encoding: BlockEncoding, phases: PhaseVector) -> None:
+def _check_sequence(phases: PhaseVector) -> None:
     """Checks every sequence needs before it is swept (the encoding's
     unitarity was checked when it was built and cannot have changed)."""
     if phases.convention_tag != CONVENTION_TAG:
@@ -129,7 +129,7 @@ def build_u_phi(encoding: BlockEncoding, phases: PhaseVector) -> np.ndarray:
     equals the spectral oracle; the imaginary part is the polynomial
     completion and is dealt with at the state level (see module notes).
     """
-    _check_sequence(encoding, phases)
+    _check_sequence(phases)
     u_phi = _sweep(encoding, phases.phases, np.eye(encoding.unitary.shape[0]))
     check_unitary(u_phi, 1e-10)
     return u_phi
@@ -148,32 +148,32 @@ def spectral_oracle(a, series: ChebyshevSeries) -> np.ndarray:
 
 
 def apply_inverse_state(encoding: BlockEncoding, phases: PhaseVector,
-                        series: ChebyshevSeries,
-                        b_state: StateVector) -> tuple[StateVector, float]:
-    """Apply the inverse-polynomial QSVT to a normalized state.
+                        b: np.ndarray) -> tuple[np.ndarray, float]:
+    """Apply the inverse-polynomial QSVT to the real unit vector ``b`` of
+    shape ``(block_dim,)``; a complex ``b`` is rejected.
 
-    ``encoding`` must encode A^H (callers pass the adjoint); the sequence
-    is applied to |0>_a (x) |b>, the ancilla-zero component is kept, and
-    the sequences for +Phi and -Phi, swept together as two columns, are
-    averaged so the output is the real polynomial's action. Returns the
-    renormalized data register and the squared norm of the kept
-    component (post-selection success probability).
+    ``encoding`` must encode A^H (callers pass the adjoint) and the phase
+    count must be odd; the sequence is applied to |0>_a (x) |b>, the
+    ancilla-zero component is kept, and the sequences for +Phi and -Phi,
+    swept together as two columns, are averaged so the output is the real
+    polynomial's action. Returns that action renormalized, a real unit
+    vector, and the kept component's squared norm (the success probability).
     """
-    b_state.require_normalized()
-    if series.parity != "odd":
-        raise ValueError("inverse application expects an odd series")
-    if phases.degree != series.degree:
-        raise ValueError(
-            f"phase count {phases.degree} does not match series degree {series.degree}"
-        )
+    b = np.asarray(b)
     n = encoding.block_dim
-    if b_state.dim != n:
-        raise ValueError(f"state dimension {b_state.dim} does not match block {n}")
+    if b.shape != (n,):
+        raise ValueError(f"right-hand side shape {b.shape} does not match block ({n},)")
+    if np.any(np.imag(b)):
+        raise ValueError("qsvt_full is real-only: the right-hand side is complex")
+    if abs(np.linalg.norm(b) - 1.0) > 1e-12:
+        raise ValueError(f"state is not normalized: ||b|| = {float(np.linalg.norm(b))!r}")
+    _check_sequence(phases)
+    if phases.degree % 2 == 0:
+        raise ValueError(f"inverse application expects an odd phase count, got {phases.degree}")
 
-    _check_sequence(encoding, phases)
     dim = encoding.unitary.shape[0]
     full = np.zeros((dim, 2), dtype=complex)
-    full[:n] = b_state.amplitudes[:, None]
+    full[:n] = b[:, None]
     swept = _sweep(encoding, np.stack([phases.phases, -phases.phases], axis=1), full)
     defect = float(np.max(np.abs(np.linalg.norm(swept, axis=0) ** 2 - 1.0)))
     if defect > 1e-10 * dim:
@@ -182,14 +182,11 @@ def apply_inverse_state(encoding: BlockEncoding, phases: PhaseVector,
 
     weight = float(np.linalg.norm(raw))
     if weight**2 < 1e-14:
-        raise PostSelectionError(
-            f"post-selection failure: success probability {weight**2:.3e}"
-        )
+        raise PostSelectionError(f"post-selection failure: success probability {weight**2:.3e}")
     junk = float(np.linalg.norm(raw.imag)) / weight
     if junk > _IMAG_JUNK_TOL:
         raise ValueError(
             f"imaginary component {junk:.3e} of the averaged state exceeds "
             f"{_IMAG_JUNK_TOL}; phase/operator conventions disagree"
         )
-    out = raw.real / np.linalg.norm(raw.real)
-    return StateVector(out.astype(complex)), weight**2
+    return raw.real / np.linalg.norm(raw.real), weight**2

@@ -7,10 +7,11 @@ maps a unit right-hand side to a unit direction with relative error at
 most eps_l; the loop needs nothing else from it:
 
 * ``QsvtBackend`` (``qsvt_full``) -- dilation encoding + phase sequence,
-  the honest simulated pipeline; real inputs only. The bounded inverse
-  series and its phase factors depend only on (kappa, eps' = eps_l /
-  kappa), so each is found once per process and shared, read-only, by
-  every backend with that key (the last 16 keys are kept);
+  the honest simulated pipeline; real inputs only (``apply_inverse_state``
+  rejects a complex right-hand side). The bounded inverse series and its
+  phase factors depend only on (kappa, eps' = eps_l / kappa), so each is
+  found once per process and shared, read-only, by every backend with
+  that key (the last 16 keys are kept);
 * ``SpectralOracleBackend`` (``spectral_oracle``) -- the same inverse
   polynomial applied through the SVD (ground truth for the circuit path);
 * ``NoisyOracleBackend`` (``noisy_oracle``) -- exact solve plus seeded
@@ -39,7 +40,7 @@ from scipy.optimize import minimize_scalar
 from .blockenc import BlockEncoding, dilation_encoding
 from .invpoly import ChebyshevSeries, cheb_eval, degree_params, \
     enforce_qsvt_bounds, inverse_cheb_series
-from .numerics import StateVector, as_matrix, condition_number, svd, two_norm
+from .numerics import as_matrix, singular_value_ratio, svd, two_norm
 from .qsp_phases import PhaseVector, find_phases
 from .qsvt_core import apply_inverse_state
 
@@ -52,11 +53,14 @@ __all__ = [
     "CostReport",
     "ContractionResult",
     "DivergenceError",
+    "MIN_EPS_TARGET",
     "spectral_oracle_backend",
     "noisy_oracle_backend",
     "qsvt_backend",
     "nominal_degree",
     "samples_for_accuracy",
+    "theorem_iteration_bound",
+    "direct_cost",
     "solve_once",
     "denormalize",
     "iterative_refine",
@@ -158,11 +162,7 @@ class QsvtBackend(SolverBackend):
     phases: PhaseVector
 
     def direction(self, rhs_hat: np.ndarray) -> np.ndarray:
-        if np.any(np.imag(rhs_hat)):
-            raise ValueError("qsvt_full is real-only: the right-hand side is complex")
-        out, _prob = apply_inverse_state(self.encoding, self.phases, self.series,
-                                         StateVector(rhs_hat))
-        return out.amplitudes.real
+        return apply_inverse_state(self.encoding, self.phases, rhs_hat)[0]
 
 
 def samples_for_accuracy(eps: float) -> int:
@@ -181,8 +181,8 @@ def nominal_degree(kappa: float, eps_prime: float) -> int:
 def _measured_kappa(singular_values: np.ndarray) -> float:
     """sigma_max / sigma_min rounded up to 12 significant digits, so that
     matrices of one nominal kappa share the memo keys and [1/kappa, 1]
-    still covers every singular value."""
-    ratio = float(singular_values[0] / singular_values[-1])
+    still covers every singular value; a singular matrix raises."""
+    ratio = singular_value_ratio(singular_values)
     return float(Context(prec=12, rounding=ROUND_CEILING).create_decimal(ratio))
 
 
@@ -231,7 +231,7 @@ def noisy_oracle_backend(a, eps_l: float, kappa: Optional[float] = None,
     """Exact solve perturbed by seeded noise of relative size eps_l."""
     a = as_matrix(a)
     if kappa is None:
-        kappa = condition_number(a)
+        kappa = _measured_kappa(svd(a).singular_values)
     degree = 1  # cost-model degree; no polynomial exists outside (0, 1)
     if 0.0 < eps_l / kappa < 1.0:
         degree = nominal_degree(kappa, eps_l / kappa)

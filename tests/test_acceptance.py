@@ -169,12 +169,12 @@ def test_acceptance_7_fable_fidelity():
     worst = 0.0
     for trial in range(20):
         a = rng.uniform(-1.0, 1.0, (8, 8))
-        enc, _, _ = fable_encoding(a, threshold=0.0)
+        enc, _ = fable_encoding(a, threshold=0.0)
         gap = np.linalg.norm(enc.block() - a / 8.0, 2)
         worst = max(worst, gap)
         assert gap <= 1e-10, f"trial {trial}: {gap:.3e}"
     a = rng.uniform(-1.0, 1.0, (8, 8))
-    counts = [fable_encoding(a, threshold=t)[2] for t in (0.0, 1e-4, 1e-2, math.inf)]
+    counts = [fable_encoding(a, threshold=t)[1].gate_count for t in (0.0, 1e-4, 1e-2, math.inf)]
     assert counts == sorted(counts, reverse=True)
     elapsed = time.monotonic() - start
     assert elapsed < 60.0

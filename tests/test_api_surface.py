@@ -48,6 +48,23 @@ def test_every_top_level_export_is_declared_by_its_module():
     assert undeclared == []
 
 
+def relative_imports(module):
+    path = Path(qsvt_refine.__file__).parent / f"{module}.py"
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.ImportFrom) and node.level and node.module:
+            for alias in node.names:
+                yield node.module, alias.name
+
+
+@pytest.mark.parametrize("module", MODULES + ["__init__"])
+def test_every_name_imported_across_modules_is_declared(module):
+    # a module reaching past another's __all__ uses a name that module does
+    # not promise to keep
+    undeclared = [f"{home}.{name}" for home, name in relative_imports(module)
+                  if name not in importlib.import_module(f"qsvt_refine.{home}").__all__]
+    assert undeclared == []
+
+
 def memoized_functions():
     for module in MODULES:
         home = importlib.import_module(f"qsvt_refine.{module}")

@@ -4,7 +4,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qsvt_refine.numerics import (
-    StateVector,
     check_unitary,
     condition_number,
     random_with_condition,
@@ -132,15 +131,6 @@ def test_vector_ops():
     assert two_norm(np.array([3.0, 4.0])) == pytest.approx(5.0)
     with pytest.raises(ValueError, match="1-D"):
         two_norm(np.eye(2))
-
-
-def test_state_vector_contracts():
-    psi = StateVector(np.array([1.0, 0.0]))
-    assert psi.is_normalized
-    with pytest.raises(ValueError, match="power of two"):
-        StateVector(np.ones(3))
-    with pytest.raises(ValueError, match="not normalized"):
-        StateVector(np.array([1.0, 1.0])).require_normalized()
 
 
 @pytest.mark.parametrize("spread", [0.5, 2.0])

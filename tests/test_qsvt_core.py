@@ -10,7 +10,7 @@ from qsvt_refine.invpoly import (
     inverse_cheb_series,
     max_abs_on_interval,
 )
-from qsvt_refine.numerics import StateVector, random_with_condition, svd
+from qsvt_refine.numerics import random_with_condition, svd
 from qsvt_refine.qsp_phases import PhaseVector, find_phases, realized_values
 from qsvt_refine.qsvt_core import (
     PostSelectionError,
@@ -133,9 +133,9 @@ def test_apply_inverse_identity_system():
     enc = dilation_encoding(np.eye(2))
     rng = np.random.default_rng(0)
     b = rng.standard_normal(2)
-    b = StateVector(b / np.linalg.norm(b))
-    out, prob = apply_inverse_state(enc, phases, series, b)
-    overlap = abs(np.vdot(out.amplitudes, b.amplitudes))
+    b = b / np.linalg.norm(b)
+    out, prob = apply_inverse_state(enc, phases, b)
+    overlap = abs(np.vdot(out, b))
     assert overlap == pytest.approx(1.0, abs=1e-8)
     assert 0.0 < prob <= 1.0
 
@@ -145,8 +145,8 @@ def test_apply_inverse_preserves_eigenvector():
     series = bounded_inverse(2.0, 0.05)
     phases = find_phases(series, tol=1e-10)
     enc = dilation_encoding(a.conj().T)
-    out, _ = apply_inverse_state(enc, phases, series, StateVector(np.array([0.0, 1.0])))
-    assert abs(out.amplitudes[1]) == pytest.approx(1.0, abs=1e-9)
+    out, _ = apply_inverse_state(enc, phases, np.array([0.0, 1.0]))
+    assert abs(out[1]) == pytest.approx(1.0, abs=1e-9)
 
 
 def test_apply_inverse_solves_to_polynomial_accuracy():
@@ -158,9 +158,9 @@ def test_apply_inverse_solves_to_polynomial_accuracy():
     rng = np.random.default_rng(1)
     b = rng.standard_normal(4)
     b /= np.linalg.norm(b)
-    out, prob = apply_inverse_state(enc, phases, series, StateVector(b))
+    out, prob = apply_inverse_state(enc, phases, b)
     # multiplying back by A must recover the rhs direction
-    recovered = a @ out.amplitudes.real
+    recovered = a @ out
     recovered /= np.linalg.norm(recovered)
     fidelity = abs(np.dot(recovered, b))
     assert fidelity >= 1.0 - 10.0 * eps
@@ -170,28 +170,27 @@ def test_apply_inverse_solves_to_polynomial_accuracy():
 def test_apply_inverse_post_selection_failure():
     # phase pi/2 realizes the zero polynomial; the kept component vanishes
     enc = dilation_encoding(0.5 * np.eye(2))
-    series = ChebyshevSeries(np.array([0.0, 0.9]), "odd")
     phases = PhaseVector(np.array([np.pi / 2]))
     with pytest.raises(PostSelectionError):
-        apply_inverse_state(enc, phases, series, StateVector(np.array([1.0, 0.0])))
+        apply_inverse_state(enc, phases, np.array([1.0, 0.0]))
 
 
 def test_apply_inverse_input_validation():
     enc = dilation_encoding(0.5 * np.eye(2))
     series = bounded_inverse(2.0, 0.1)
     phases = find_phases(series, tol=1e-9)
+    e0 = np.array([1.0, 0.0])
     with pytest.raises(ValueError, match="not normalized"):
-        apply_inverse_state(enc, phases, series, StateVector(np.array([1.0, 1.0])))
-    even = ChebyshevSeries(np.array([0.0, 0.0, 0.5]), "even")
+        apply_inverse_state(enc, phases, np.array([1.0, 1.0]))
+    with pytest.raises(ValueError, match="qsvt_full is real-only"):
+        apply_inverse_state(enc, phases, np.array([1.0, 1.0j]) / np.sqrt(2.0))
+    for wrong in (np.ones(1), np.ones(3) / np.sqrt(3.0), e0[:, None]):
+        with pytest.raises(ValueError, match="shape"):
+            apply_inverse_state(enc, phases, wrong)
     with pytest.raises(ValueError, match="odd"):
-        apply_inverse_state(enc, PhaseVector(np.zeros(2)), even,
-                            StateVector(np.array([1.0, 0.0])))
-    with pytest.raises(ValueError, match="match"):
-        apply_inverse_state(enc, PhaseVector(np.zeros(3)), series,
-                            StateVector(np.array([1.0, 0.0])))
+        apply_inverse_state(enc, PhaseVector(np.zeros(2)), e0)
     with pytest.raises(ValueError, match="convention"):
-        apply_inverse_state(enc, PhaseVector(phases.phases, convention_tag="other"),
-                            series, StateVector(np.array([1.0, 0.0])))
+        apply_inverse_state(enc, PhaseVector(phases.phases, convention_tag="other"), e0)
 
 
 def test_ordering_regression_odd_and_even():
@@ -228,9 +227,8 @@ def test_apply_inverse_state_matches_svd_transform(n, d, kappa, seed):
     tb = (fac.u * realized_values(phases, fac.singular_values)) @ fac.v.conj().T @ b
     weight = float(np.linalg.norm(tb)) ** 2
     assume(weight >= 1e-6)
-    t_d = ChebyshevSeries(np.eye(d + 1)[d], "odd")
-    out, prob = apply_inverse_state(dilation_encoding(m), phases, t_d, StateVector(b))
-    np.testing.assert_allclose(out.amplitudes, tb / np.sqrt(weight), rtol=0, atol=1e-9)
+    out, prob = apply_inverse_state(dilation_encoding(m), phases, b)
+    np.testing.assert_allclose(out, tb / np.sqrt(weight), rtol=0, atol=1e-9)
     assert prob == pytest.approx(weight, rel=0, abs=1e-12)
 
 

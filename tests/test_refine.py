@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -539,6 +540,24 @@ def test_measured_kappa_backends_share_one_phase_vector(fresh_phase_memo, monkey
     for a, bk in zip(mats, backends):
         sv = np.linalg.svd(a, compute_uv=False)
         assert bk.kappa >= sv[0] / sv[-1]
+
+
+FACTORIES = (spectral_oracle_backend, noisy_oracle_backend, qsvt_backend)
+
+
+@pytest.mark.parametrize("factory", FACTORIES)
+def test_factories_reject_a_singular_matrix_by_name(factory):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="matrix numerically singular"):
+            factory(np.diag([1.0, 0.0]), 1e-2)
+
+
+def test_factories_measure_one_kappa_per_matrix():
+    for seed in range(4):
+        a = random_with_condition(8, 5.0, seed)
+        kappas = {factory(a, 1e-2).kappa for factory in FACTORIES}
+        assert len(kappas) == 1, kappas
 
 
 def test_qsvt_solve_checks_unitarity_at_construction_only(fresh_phase_memo, monkeypatch):
