@@ -27,6 +27,7 @@ from .refine import (
     MIN_EPS_TARGET,
     DivergenceError,
     contraction_check,
+    direct_cost,
     iterative_refine,
     noisy_oracle_backend,
     nominal_degree,
@@ -40,10 +41,7 @@ __all__ = [
     "ExperimentConfig",
     "ConfigError",
     "gen_poisson",
-    "run_convergence",
-    "run_large_kappa",
     "run_complexity",
-    "run_poisson",
     "main",
     "cli",
 ]
@@ -90,8 +88,8 @@ class ExperimentConfig:
             raise ConfigError(f"unknown backend {self.backend!r}")
         if self.readout not in ("exact", "shot"):
             raise ConfigError(f"unknown readout mode {self.readout!r}")
-        if self.n_qubits < 1:
-            raise ConfigError("n_qubits must be >= 1")
+        if type(self.n_qubits) is not int or self.n_qubits < 1:  # type(): a bool is an int too
+            raise ConfigError(f"n_qubits = {self.n_qubits!r} must be an integer >= 1")
         if self.backend == "qsvt_full" and self.n_qubits > _QSVT_MAX_QUBITS:
             raise ConfigError(
                 f"qsvt_full simulation is guarded at n_qubits <= {_QSVT_MAX_QUBITS}"
@@ -114,7 +112,10 @@ class ExperimentConfig:
             raise ConfigError(f"eps_target must lie in [{MIN_EPS_TARGET:g}, 1)")
         if self.experiment == "poisson":
             self.kappa = [condition_number(gen_poisson(self.n_qubits)[0])]
-        for kappa, eps_l in _run_points(self):
+        points = _run_points(self)
+        if self.experiment == "complexity" and len(points) != 1:
+            raise ConfigError(f"complexity takes one kappa and one eps_l, not {len(points)} pairs")
+        for kappa, eps_l in points:
             if not kappa >= 1.0:
                 raise ConfigError(f"kappa = {kappa:g} must be >= 1")
             if not eps_l > 0.0:
@@ -164,12 +165,12 @@ def _coerced(name: str, values, kind) -> list:
 
 def _run_points(cfg: ExperimentConfig) -> list[tuple[float, float]]:
     """``(kappa, eps_l)`` of every refinement sweep the experiment runs;
-    eps_l defaults to 0.4 / kappa, and complexity uses the first pair only."""
+    eps_l defaults to 0.4 / kappa."""
     points = []
     for kappa in cfg.kappa:
         eps_l_list = cfg.eps_l if cfg.eps_l is not None else [0.4 / kappa]
         points.extend((kappa, eps_l) for eps_l in eps_l_list)
-    return points[:1] if cfg.experiment == "complexity" else points
+    return points
 
 
 def gen_poisson(n_qubits: int) -> tuple[np.ndarray, float]:
@@ -194,49 +195,43 @@ def _make_backend(cfg: ExperimentConfig, a, kappa: float, eps_l: float, seed: in
     return _BACKENDS[cfg.backend](a, eps_l, kappa=kappa, seed=seed, shots=shots)
 
 
-def _trace_rows(cfg: ExperimentConfig, experiment: str, n: int, kappa: float,
-                eps_l: float, seed: int, trace, backend) -> list[dict]:
-    run_id = f"{experiment}-n{n}-k{kappa:g}-el{eps_l:g}-s{seed}"
+def _trace_rows(cfg: ExperimentConfig, n: int, kappa: float, eps_l: float,
+                seed: int, trace, backend) -> list[dict]:
+    run_id = f"{cfg.experiment}-n{n}-k{kappa:g}-el{eps_l:g}-s{seed}"
     samples = samples_for_accuracy(eps_l)
-    rows = []
-    for i, omega in enumerate(trace.scaled_residuals):
-        rows.append({
-            "run_id": run_id,
-            "experiment": experiment,
-            "n": n,
-            "kappa": repr(kappa),
-            "eps_l": repr(eps_l),
-            "eps_target": repr(cfg.eps_target),
-            "backend": cfg.backend,
-            "readout": cfg.readout,
-            "seed": seed,
-            "iter": i,
-            "omega": repr(omega),
-            "mu": repr(trace.mu_values[i]),
-            "be_calls_cum": (i + 1) * backend.degree,
-            "samples_cum": (i + 1) * samples,
-            "converged": trace.converged,
-            "theorem_bound": trace.theorem_bound,
-        })
-    return rows
+    return [{
+        "run_id": run_id,
+        "experiment": cfg.experiment,
+        "n": n,
+        "kappa": repr(kappa),
+        "eps_l": repr(eps_l),
+        "eps_target": repr(cfg.eps_target),
+        "backend": cfg.backend,
+        "readout": cfg.readout,
+        "seed": seed,
+        "iter": i,
+        "omega": repr(omega),
+        "mu": repr(trace.mu_values[i]),
+        "be_calls_cum": (i + 1) * backend.degree,
+        "samples_cum": (i + 1) * samples,
+        "converged": trace.converged,
+        "theorem_bound": trace.theorem_bound,
+    } for i, omega in enumerate(trace.scaled_residuals)]
 
 
-def _run_refinement_sweep(cfg: ExperimentConfig, experiment: str,
-                          matrix_for=None) -> tuple[list[dict], list[str]]:
-    """Shared driver for convergence-style experiments. ``matrix_for``
-    maps (kappa, seed) -> matrix; defaults to the seeded random
-    generator with prescribed spectrum."""
-    if matrix_for is None:
-        def matrix_for(kappa, seed):
-            return random_with_condition(2**cfg.n_qubits, kappa, seed)
-
+def _run_sweep(cfg: ExperimentConfig) -> tuple[list[dict], list[str]]:
+    """One refinement per (kappa, eps_l, seed) on the seeded random matrix
+    of prescribed spectrum, or for ``poisson`` the finite-difference
+    matrix (the config holds its condition number as the only kappa)."""
+    poisson = gen_poisson(cfg.n_qubits)[0] if cfg.experiment == "poisson" else None
     rows: list[dict] = []
     failures: list[str] = []
     for kappa, eps_l in _run_points(cfg):
         cap = max(theorem_iteration_bound(cfg.eps_target, eps_l, kappa), 10) + 10
         for seed in cfg.seeds:
             where = f"kappa={kappa} eps_l={eps_l} seed={seed}"
-            a = matrix_for(kappa, seed)
+            a = (poisson if poisson is not None
+                 else random_with_condition(2**cfg.n_qubits, kappa, seed))
             b = _rhs_vector(a.shape[0], seed)
             try:
                 backend = _make_backend(cfg, a, kappa, eps_l, seed)
@@ -249,8 +244,7 @@ def _run_refinement_sweep(cfg: ExperimentConfig, experiment: str,
             except _RUN_ERRORS as exc:
                 failures.append(f"{type(exc).__name__} at {where}: {exc}")
                 continue
-            rows.extend(_trace_rows(cfg, experiment, a.shape[0], kappa,
-                                    eps_l, seed, trace, backend))
+            rows.extend(_trace_rows(cfg, a.shape[0], kappa, eps_l, seed, trace, backend))
             if trace.converged:
                 if trace.iterations > trace.theorem_bound:
                     failures.append(
@@ -266,26 +260,6 @@ def _run_refinement_sweep(cfg: ExperimentConfig, experiment: str,
             else:
                 failures.append(f"no convergence at {where}")
     return rows, failures
-
-
-def run_convergence(cfg: ExperimentConfig) -> tuple[list[dict], list[str]]:
-    """Residual-vs-iteration sweep on random matrices (typical setup:
-    kappa = 10, eps = 1e-11, several eps_l)."""
-    return _run_refinement_sweep(cfg, "convergence")
-
-
-def run_large_kappa(cfg: ExperimentConfig) -> tuple[list[dict], list[str]]:
-    """Same sweep at kappa in the hundreds. Its default kappas need
-    degrees above the phase-finding cap, so the config's degree check
-    leaves them to the oracle backends."""
-    return _run_refinement_sweep(cfg, "large_kappa")
-
-
-def run_poisson(cfg: ExperimentConfig) -> tuple[list[dict], list[str]]:
-    """Convergence experiment on the 1-D Poisson tridiagonal system (the
-    config holds its condition number as the only kappa)."""
-    a, _h = gen_poisson(cfg.n_qubits)
-    return _run_refinement_sweep(cfg, "poisson", matrix_for=lambda _k, _s: a)
 
 
 def _complexity_eps_sweep(eps_l: float, eps_floor: float) -> list[float]:
@@ -321,7 +295,7 @@ def run_complexity(cfg: ExperimentConfig) -> tuple[list[dict], list[str]]:
             except _RUN_ERRORS as exc:
                 failures.append(f"{type(exc).__name__} at eps={eps} seed={seed}: {exc}")
                 continue
-            direct = cost.comparison_direct
+            direct = direct_cost(kappa, eps)
             run_id = f"complexity-n{n}-k{kappa:g}-el{eps_l:g}-s{seed}-e{eps:g}"
             common = {
                 "run_id": run_id, "experiment": "complexity", "n": n,
@@ -353,14 +327,6 @@ def run_complexity(cfg: ExperimentConfig) -> tuple[list[dict], list[str]]:
     return rows, failures
 
 
-_RUNNERS = {
-    "convergence": run_convergence,
-    "large_kappa": run_large_kappa,
-    "complexity": run_complexity,
-    "poisson": run_poisson,
-}
-
-
 def _metadata(cfg: ExperimentConfig) -> dict:
     return {
         "config": asdict(cfg),
@@ -380,8 +346,7 @@ def _write_outputs(cfg: ExperimentConfig, rows: list[dict]) -> None:
     sort_key = ("experiment", "kappa", "eps_l", "eps_target", "backend", "seed", "iter")
     rows = sorted(rows, key=lambda r: tuple(str(r[k]) for k in sort_key))
     out = Path(cfg.out)
-    if out.parent and not out.parent.exists():
-        out.parent.mkdir(parents=True, exist_ok=True)
+    out.parent.mkdir(parents=True, exist_ok=True)
     with out.open("w", newline="") as fh:
         writer = csv.DictWriter(fh, fieldnames=CSV_COLUMNS)
         writer.writeheader()
@@ -421,7 +386,8 @@ def main(argv=None) -> int:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
 
-    rows, failures = _RUNNERS[cfg.experiment](cfg)
+    run = run_complexity if cfg.experiment == "complexity" else _run_sweep
+    rows, failures = run(cfg)
     _write_outputs(cfg, rows)
     runs = {r["run_id"] for r in rows}
     print(f"experiment : {cfg.experiment}")

@@ -21,7 +21,6 @@ __all__ = [
     "condition_number",
     "singular_value_ratio",
     "two_norm",
-    "random_orthogonal",
     "random_with_condition",
     "as_matrix",
     "check_unitary",
@@ -118,7 +117,7 @@ def condition_number(a) -> float:
     return singular_value_ratio(svd(a).singular_values)
 
 
-def random_orthogonal(n: int, rng: np.random.Generator) -> np.ndarray:
+def _random_orthogonal(n: int, rng: np.random.Generator) -> np.ndarray:
     """Random real orthogonal matrix: QR of a standard normal draw.
 
     The R diagonal signs are fixed to make the factor unique per draw.
@@ -141,6 +140,6 @@ def random_with_condition(n: int, kappa: float, seed: int) -> np.ndarray:
         raise ValueError("kappa must be >= 1")
     rng = np.random.default_rng(seed)
     sigma = np.geomspace(1.0, 1.0 / kappa, n)
-    w = random_orthogonal(n, rng)
-    v = random_orthogonal(n, rng)
+    w = _random_orthogonal(n, rng)
+    v = _random_orthogonal(n, rng)
     return (w * sigma) @ v.T

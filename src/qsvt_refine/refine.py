@@ -328,25 +328,27 @@ class RefinementTrace:
 
     scaled_residuals: list[float]
     mu_values: list[float]
-    iterations: int
     converged: bool
     theorem_bound: int
     contraction_hypothesis_ok: bool = True
 
+    @property
+    def iterations(self) -> int:
+        """Refinement steps after the first solve."""
+        return len(self.scaled_residuals) - 1
+
 
 @dataclass(frozen=True)
 class CostReport:
-    """Table-style cost accounting: total = solves x degree x samples."""
+    """Table-style cost accounting: total = solves x degree x samples, derived."""
 
     solves: int
     be_calls_per_solve: int
     samples_per_solve: int
-    total: int
-    comparison_direct: Optional["CostReport"] = None
 
-    def __post_init__(self):
-        if self.total != self.solves * self.be_calls_per_solve * self.samples_per_solve:
-            raise ValueError("cost total is not the product of its factors")
+    @property
+    def total(self) -> int:
+        return self.solves * self.be_calls_per_solve * self.samples_per_solve
 
 
 def theorem_iteration_bound(eps_target: float, eps_l: float, kappa: float) -> int:
@@ -359,13 +361,10 @@ def theorem_iteration_bound(eps_target: float, eps_l: float, kappa: float) -> in
 
 def direct_cost(kappa: float, eps_target: float) -> CostReport:
     """Closed-form cost of one high-precision solve at accuracy eps."""
-    degree = nominal_degree(kappa, eps_target / kappa)
-    samples = samples_for_accuracy(eps_target)
     return CostReport(
         solves=1,
-        be_calls_per_solve=degree,
-        samples_per_solve=samples,
-        total=degree * samples,
+        be_calls_per_solve=nominal_degree(kappa, eps_target / kappa),
+        samples_per_solve=samples_for_accuracy(eps_target),
     )
 
 
@@ -410,7 +409,6 @@ def iterative_refine(a, b, backend: SolverBackend, eps_target: float,
         return RefinementTrace(
             scaled_residuals=omegas,
             mu_values=mus,
-            iterations=len(omegas) - 1,
             converged=converged,
             theorem_bound=bound,
             contraction_hypothesis_ok=hypothesis_ok,
@@ -438,17 +436,12 @@ def iterative_refine(a, b, backend: SolverBackend, eps_target: float,
         if len(omegas) - 1 >= max_iter:
             break
 
-    trace = make_trace(omegas[-1] <= eps_target)
-    solves = len(mus)
-    samples = samples_for_accuracy(backend.eps_l)
     cost = CostReport(
-        solves=solves,
+        solves=len(mus),
         be_calls_per_solve=backend.degree,
-        samples_per_solve=samples,
-        total=solves * backend.degree * samples,
-        comparison_direct=direct_cost(backend.kappa, eps_target),
+        samples_per_solve=samples_for_accuracy(backend.eps_l),
     )
-    return x, trace, cost
+    return x, make_trace(omegas[-1] <= eps_target), cost
 
 
 @dataclass(frozen=True)

@@ -185,6 +185,15 @@ def test_complexity_rows_and_assertions(tmp_path):
     top_d = [r for r in direct if r["eps_target"] == repr(0.4)][0]
     assert top_m["be_calls_cum"] == top_d["be_calls_cum"]
     assert top_m["samples_cum"] == top_d["samples_cum"]
+    # the CSV prices both paths by the one cost model
+    for row in direct:
+        cost = refine.direct_cost(2.0, float(row["eps_target"]))
+        assert (row["be_calls_cum"], row["samples_cum"]) == (
+            cost.be_calls_per_solve, cost.samples_per_solve)
+    for row in measured:
+        assert (row["be_calls_cum"], row["samples_cum"]) == (
+            row["iter"] * refine.nominal_degree(2.0, 0.4 / 2.0),
+            row["iter"] * refine.samples_for_accuracy(0.4))
 
 
 def test_poisson_experiment(tmp_path):
@@ -207,6 +216,10 @@ def test_poisson_experiment(tmp_path):
     ({"backend": "qsvt_full", "experiment": "poisson", "eps_l": None}, "phase-finding cap"),
     ({"eps_target": math.inf}, "eps_target"),
     ({"eps_target": 2.0}, "eps_target"),
+    ({"experiment": "complexity", "kappa": [2.0, 4.0], "eps_l": [0.1, 0.05]},
+     "complexity takes one kappa and one eps_l"),
+    ({"n_qubits": 2.5}, "n_qubits = 2.5 must be an integer"),
+    ({"n_qubits": True}, "n_qubits = True must be an integer"),
 ])
 def test_bad_config_exits_2_before_any_run(tmp_path, capsys, overrides, message):
     path, _ = write_config(tmp_path, **overrides)
