@@ -157,9 +157,12 @@ def _load_config(path: Optional[str], overrides: dict) -> ExperimentConfig:
 
 
 def _coerced(name: str, values, kind) -> list:
-    try:
+    try:  # a bool, or a fractional value for an int field, is rejected, not truncated
+        for v in values:
+            if isinstance(v, bool) or (kind is int and isinstance(v, float) and v != int(v)):
+                raise ValueError(f"{v!r} is not {'an integer' if kind is int else 'a number'}")
         return [kind(v) for v in values]
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"{name} must be a list of numbers: {exc}") from exc
 
 

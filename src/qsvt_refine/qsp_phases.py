@@ -178,25 +178,25 @@ def find_phases(target: ChebyshevSeries, tol: float = 1e-10) -> PhaseVector:
     xs = np.cos((2 * np.arange(1, m + 1) - 1) * np.pi / (4 * m))
     want = cheb_eval(target, xs)
     rows = _SignalRows(xs, d)
-    j = np.arange(d)  # phases = fold @ r; grad.real.T @ fold sums tied columns
-    fold = np.zeros((d, m))
-    fold[j, np.minimum(j, d - j)] = 1.0
-    fold[0, 0] = 2.0
+    j = np.arange(d)  # phases = w * r[idx]
+    idx, w = np.minimum(j, d - j), np.where(j == 0, 2.0, 1.0)
 
     r = np.zeros(m)
     r[0] = np.pi / 4.0
     best, resid = r, np.inf
     for _ in range(_MAX_STEPS):
-        err = rows(fold @ r).real - want
+        err = rows(w * r[idx]).real - want
         size = float(np.max(np.abs(err)))
         if not size < resid:
             break
         best, resid = r, size
-        r = r - np.linalg.solve(rows.gradient().real.T @ fold, err)
+        jac_t = np.zeros((m, m))  # row k sums the gradient rows of the phases tied to r_k
+        np.add.at(jac_t, idx, w[:, None] * rows.gradient().real)
+        r = r - np.linalg.solve(jac_t.T, err)
 
     if resid > tol:
         raise PhaseFindingError(resid, tol)
-    return PhaseVector(fold @ best)
+    return PhaseVector(w * best[idx])
 
 
 def verify_phases(phases: PhaseVector, target: ChebyshevSeries, grid: int = 10_000) -> float:

@@ -7,11 +7,11 @@ maps a unit right-hand side to a unit direction with relative error at
 most eps_l; the loop needs nothing else from it:
 
 * ``QsvtBackend`` (``qsvt_full``) -- dilation encoding + phase sequence,
-  the honest simulated pipeline; real inputs only (``apply_inverse_state``
-  rejects a complex right-hand side). The bounded inverse series and its
-  phase factors depend only on (kappa, eps' = eps_l / kappa), so each is
-  found once per process and shared, read-only, by every backend with
-  that key (the last 16 keys are kept);
+  the honest simulated pipeline; real inputs only (the single sweep of
+  ``apply_inverse_state`` is exact only for a real encoding and b). The
+  bounded inverse series and its phase factors depend only on (kappa,
+  eps' = eps_l / kappa), so each is found once per process and shared,
+  read-only, by every backend with that key (the last 16 keys are kept);
 * ``SpectralOracleBackend`` (``spectral_oracle``) -- the same inverse
   polynomial applied through the SVD (ground truth for the circuit path);
 * ``NoisyOracleBackend`` (``noisy_oracle``) -- exact solve plus seeded

@@ -220,6 +220,9 @@ def test_poisson_experiment(tmp_path):
      "complexity takes one kappa and one eps_l"),
     ({"n_qubits": 2.5}, "n_qubits = 2.5 must be an integer"),
     ({"n_qubits": True}, "n_qubits = True must be an integer"),
+    ({"seeds": [2.7]}, "seeds must be a list of numbers: 2.7 is not an integer"),
+    ({"seeds": [True]}, "seeds must be a list of numbers: True is not an integer"),
+    ({"kappa": [True]}, "kappa must be a list of numbers: True is not a number"),
 ])
 def test_bad_config_exits_2_before_any_run(tmp_path, capsys, overrides, message):
     path, _ = write_config(tmp_path, **overrides)
@@ -236,7 +239,7 @@ def test_poisson_kappa_is_resolved_in_the_config():
 @pytest.mark.parametrize("target, error", [
     ("spectral_oracle_backend", PhaseFindingError(1e-3, 1e-10)),
     ("iterative_refine", PostSelectionError("post-selection failure: success probability 0")),
-    ("iterative_refine", ValueError("imaginary component 1e-3 of the averaged state exceeds 1e-06")),
+    ("iterative_refine", ValueError("swept state is not normalized: |norm^2 - 1| = 1.000e-03")),
 ])
 def test_numerical_failure_fails_only_its_run(tmp_path, monkeypatch, capsys, target, error):
     factory = target == "spectral_oracle_backend"  # reached through the name -> factory map

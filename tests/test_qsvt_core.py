@@ -232,23 +232,6 @@ def test_apply_inverse_state_matches_svd_transform(n, d, kappa, seed):
     assert prob == pytest.approx(weight, rel=0, abs=1e-12)
 
 
-@settings(max_examples=60, deadline=None)
-@given(n=st.sampled_from([2, 4, 8]), d=st.integers(0, 20).map(lambda k: 2 * k + 1),
-       seed=st.integers(0, 2**16))
-def test_two_column_sweep_matches_single_sweeps(n, d, seed):
-    # one (d, 2) phase table swept over two columns equals each column swept
-    # alone with its own (d,) sequence
-    rng = np.random.default_rng(seed)
-    m = random_with_condition(n, 4.0, seed)
-    enc = dilation_encoding(m / np.linalg.norm(m, 2))
-    table = rng.uniform(-np.pi, np.pi, (d, 2))
-    columns = rng.standard_normal((2 * n, 2)) + 1j * rng.standard_normal((2 * n, 2))
-    both = _sweep(enc, table, columns)
-    for j in (0, 1):
-        alone = _sweep(enc, table[:, j], columns[:, j:j + 1])
-        np.testing.assert_allclose(both[:, j:j + 1], alone, rtol=0, atol=1e-13)
-
-
 def reference_sweep(encoding, phases, columns):
     # the sequence in complex arithmetic throughout: each call a complex
     # product with U or U^H, each projector phase e^{+-i psi} applied to the
@@ -269,12 +252,11 @@ def reference_sweep(encoding, phases, columns):
 
 @settings(max_examples=60, deadline=None)
 @given(n=st.sampled_from([2, 4, 8]), d=st.integers(1, 41),
-       kind=st.sampled_from(["dilation", "fable", "complex"]),
-       shared=st.booleans(), seed=st.integers(0, 2**16))
-def test_sweep_matches_complex_reference(n, d, kind, shared, seed):
+       kind=st.sampled_from(["dilation", "fable", "complex"]), seed=st.integers(0, 2**16))
+def test_sweep_matches_complex_reference(n, d, kind, seed):
     # a real encoding (dilation or FABLE) is swept in real arithmetic on the
     # float view of the complex block, a complex one in complex arithmetic;
-    # both agree with the all-complex loop, for shared and per-column tables
+    # both agree with the all-complex loop
     rng = np.random.default_rng(seed)
     m = random_with_condition(n, 4.0, seed)
     if kind == "fable":
@@ -287,11 +269,46 @@ def test_sweep_matches_complex_reference(n, d, kind, shared, seed):
         enc = dilation_encoding(m / np.linalg.norm(m, 2))
     assert enc.unitary.dtype == (complex if kind == "complex" else float)
     dim = enc.unitary.shape[0]
-    table = rng.uniform(-np.pi, np.pi, d if shared else (d, 2))
-    width = int(rng.integers(1, 4)) if shared else 2
+    table = rng.uniform(-np.pi, np.pi, d)
+    width = int(rng.integers(1, 4))
     columns = rng.standard_normal((dim, width)) + 1j * rng.standard_normal((dim, width))
     np.testing.assert_allclose(_sweep(enc, table, columns),
                                reference_sweep(enc, table, columns), rtol=0, atol=1e-13)
+
+
+@settings(max_examples=100, deadline=None)
+@given(n=st.sampled_from([2, 4, 8]), d=st.integers(0, 20).map(lambda k: 2 * k + 1),
+       kind=st.sampled_from(["dilation", "fable"]), seed=st.integers(0, 2**16))
+def test_apply_inverse_state_is_the_plus_minus_phi_average(n, d, kind, seed):
+    # the real-part construction by its definition: the +Phi and -Phi
+    # sequences swept in complex arithmetic and averaged; the single real
+    # sweep must give the same direction and success probability
+    rng = np.random.default_rng(seed)
+    m = random_with_condition(n, 4.0, seed)
+    if kind == "fable":
+        enc = fable_encoding(m / np.max(np.abs(m)))[0]
+    else:
+        enc = dilation_encoding(m / np.linalg.norm(m, 2))
+    phases = rng.uniform(-np.pi, np.pi, d)
+    b = rng.standard_normal(n)
+    b /= np.linalg.norm(b)
+    column = np.zeros((enc.unitary.shape[0], 1), dtype=complex)
+    column[:n, 0] = b
+    average = 0.5 * (reference_sweep(enc, phases, column)
+                     + reference_sweep(enc, -phases, column))[:n, 0]
+    weight = float(np.linalg.norm(average))
+    assume(weight >= 1e-2)
+    out, prob = apply_inverse_state(enc, PhaseVector(phases), b)
+    assert out.dtype == np.float64
+    np.testing.assert_allclose(out, average / weight, rtol=0, atol=1e-12)
+    assert prob == pytest.approx(weight**2, rel=0, abs=1e-12)
+
+
+def test_apply_inverse_rejects_a_complex_encoding():
+    a = random_with_condition(2, 2.0, 3)
+    enc = dilation_encoding((a + 0.5j * a) / np.linalg.norm(a + 0.5j * a, 2))
+    with pytest.raises(ValueError, match="real-only"):
+        apply_inverse_state(enc, PhaseVector(np.zeros(3)), np.array([1.0, 0.0]))
 
 
 @pytest.fixture
@@ -303,8 +320,8 @@ def fresh_factor_memo():
 
 @settings(max_examples=40, deadline=None)
 @given(n=st.sampled_from([2, 4, 8]), d=st.integers(1, 41), real=st.booleans(),
-       shared=st.booleans(), seed=st.integers(0, 2**16))
-def test_cold_and_warm_factor_memo_sweep_identically(n, d, real, shared, seed):
+       seed=st.integers(0, 2**16))
+def test_cold_and_warm_factor_memo_sweep_identically(n, d, real, seed):
     # the first sweep of a table builds its factors, the second reuses them;
     # both give the same bits, in real and in complex arithmetic
     rng = np.random.default_rng(seed)
@@ -312,7 +329,7 @@ def test_cold_and_warm_factor_memo_sweep_identically(n, d, real, shared, seed):
     if not real:
         m = m + 1j * random_with_condition(n, 4.0, seed + 1)
     enc = dilation_encoding(m / np.linalg.norm(m, 2))
-    table = rng.uniform(-np.pi, np.pi, d if shared else (d, 2))
+    table = rng.uniform(-np.pi, np.pi, d)
     columns = rng.standard_normal((2 * n, 2)) + 1j * rng.standard_normal((2 * n, 2))
     _factor_table.cache_clear()
     cold = _sweep(enc, table, columns)
@@ -325,7 +342,7 @@ def test_cold_and_warm_factor_memo_sweep_identically(n, d, real, shared, seed):
 
 def factors_of(phases, block_dim, dim):
     # the memo entry _sweep reads for this table
-    return _factor_table(phases.tobytes(), phases.shape, block_dim, dim)
+    return _factor_table(phases.tobytes(), block_dim, dim)
 
 
 def test_equal_phase_bytes_share_one_factor_table(fresh_factor_memo):
@@ -340,10 +357,9 @@ def test_equal_phase_bytes_share_one_factor_table(fresh_factor_memo):
     first = factors_of(phases, 4, 8)
     nudged = phases.copy()
     nudged[3] = np.nextafter(nudged[3], np.inf)
-    others = [factors_of(nudged, 4, 8), factors_of(phases, 2, 8),
-              factors_of(phases, 4, 16), factors_of(phases[:, None], 4, 8)]
+    others = [factors_of(nudged, 4, 8), factors_of(phases, 2, 8), factors_of(phases, 4, 16)]
     assert all(other is not first for other in others)
-    assert _factor_table.cache_info().misses == 5
+    assert _factor_table.cache_info().misses == 4
     assert not np.array_equal(others[0][0][-4], first[0][-4])
     assert np.array_equal(others[0][0][-3], first[0][-3])
 

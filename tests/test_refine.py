@@ -595,8 +595,8 @@ def test_qsvt_solve_checks_unitarity_at_construction_only(fresh_phase_memo, monk
 
 
 def test_refined_qsvt_solves_build_the_factor_table_once(fresh_phase_memo):
-    # every inner solve at one (kappa, eps') sweeps one memoized +-Phi
-    # factor table; the first sweep builds it, the rest reuse it
+    # every inner solve at one (kappa, eps') sweeps one memoized factor
+    # table; the first sweep builds it, the rest reuse it
     qsvt_core._factor_table.cache_clear()
     kappa, eps_l = 3.0, 0.1
     for seed in (0, 1):
