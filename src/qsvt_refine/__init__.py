@@ -30,7 +30,7 @@ from .numerics import (
     two_norm,
 )
 from .qsp_phases import PhaseVector, find_phases, verify_phases
-from .qsvt_core import apply_inverse_state, build_u_phi, spectral_oracle
+from .qsvt_core import apply_inverse_state, build_u_phi, inverse_block, spectral_oracle
 from .refine import (
     CostReport,
     NoisyOracleBackend,

@@ -40,7 +40,8 @@ def as_matrix(a) -> np.ndarray:
 
 
 def check_unitary(u: np.ndarray, tol_factor: float = _UNITARY_TOL_FACTOR) -> None:
-    """Raise if ``u`` is not unitary to ``tol_factor * dim``.
+    """Raise if ``u`` is not unitary, or for a tall ``u`` if its columns
+    are not orthonormal, to ``tol_factor * rows``.
 
     The defect is the spectral norm of U^H U - I. Its Frobenius norm
     bounds it from above and costs no SVD, so a matrix whose Frobenius
@@ -48,15 +49,16 @@ def check_unitary(u: np.ndarray, tol_factor: float = _UNITARY_TOL_FACTOR) -> Non
     spectral norm.
     """
     u = as_matrix(u)
-    if u.shape[0] != u.shape[1]:
-        raise ValueError(f"unitary must be square, got {u.shape}")
-    dim = u.shape[0]
-    gram_defect = u.conj().T @ u - np.eye(dim)
-    if np.linalg.norm(gram_defect) <= tol_factor * dim:
+    rows, cols = u.shape
+    if rows < cols:
+        raise ValueError(f"unitary must be square or tall, got {u.shape}")
+    gram_defect = u.conj().T @ u - np.eye(cols)
+    if np.linalg.norm(gram_defect) <= tol_factor * rows:
         return
     defect = np.linalg.norm(gram_defect, 2)
-    if defect > tol_factor * dim:
-        raise ValueError(f"matrix is not unitary: ||U^H U - I|| = {defect:.3e}")
+    if defect > tol_factor * rows:
+        kind = "is not unitary" if rows == cols else "columns are not orthonormal"
+        raise ValueError(f"matrix {kind}: ||U^H U - I|| = {defect:.3e}")
 
 
 @dataclass(frozen=True)

@@ -6,17 +6,17 @@
                                                e^{i psi_2j+1 (2 Pt - I)} U ]
     even d: prod_j [ e^{i psi_2j-1 (2 Pi - I)} U^H  e^{i psi_2j (2 Pt - I)} U ]
 
-right to left to a block of columns: each block-encoding call is a
-matrix product and each projector phase an elementwise multiply by
-factors e^{+-i psi}, as Pt and Pi are both the ancilla-zero projector of
-the encodings built here. The factors depend only on the phase table and
-the encoding's two dimensions, so ``_factor_table`` builds them once per
-table (memoized on its bytes) and every later sweep reuses them
-read-only. When U is real (the encoding of a real matrix), each call is
-a real product with the float view of the complex block, whose rows hold
-the real and imaginary parts side by side, so nothing is copied.
-``build_u_phi`` sweeps the identity columns; ``apply_inverse_state``
-sweeps the state |0>|b> and forms no 2N x 2N operator.
+right to left to a block of columns. Each block-encoding call is a
+matrix product into the other of two buffers; when U is real (the
+encoding of a real matrix), a real product with the float view of the
+complex block, so nothing is copied. Pt and Pi are both the ancilla-zero
+projector of the encodings built here, so a projector phase, e^{i psi}
+on the ancilla-zero rows and e^{-i psi} on the rest, is e^{-i psi} times
+e^{2 i psi} on the ancilla-zero rows: a step scales those rows, and the
+e^{-i psi} of all steps fold into the global phase through their sum
+(``math.fsum``, reduced mod 2 pi). ``build_u_phi`` sweeps the identity
+columns; ``inverse_block`` sweeps the N ancilla-zero columns once per
+backend.
 
 The phases come in the wx-re00 signal convention. On each singular
 subspace the product reduces to a phase/reflection sequence, which
@@ -34,14 +34,18 @@ negating Phi maps psi_j to -psi_j - pi (j >= 2), a conjugated factor
 times -1, and psi_1 to -psi_1 - pi/2, a conjugated factor times -i on
 the ancilla-zero rows, and with gamma conjugated as well the constants
 multiply to gamma^2 (-1)^(d-1) (-i) = 1. The average is therefore the
-real part of one sweep, which is what ``apply_inverse_state`` keeps; it
-rejects a complex encoding or b at the boundary.
+real part of one sweep, and for a real b that of |0>|b> is B b, with B
+the real part of the kept block of the N swept columns |0>|e_j>:
+``inverse_block`` returns B and rejects a complex encoding,
+``apply_inverse_state`` applies it and rejects a complex b. The one
+sweep per backend saves simulator time only; a device applies the
+sequence to every state, so the cost model still charges ``degree``
+block-encoding calls for every inner solve.
 """
 
 from __future__ import annotations
 
-import functools
-import itertools
+import math
 
 import numpy as np
 
@@ -54,6 +58,7 @@ __all__ = [
     "PostSelectionError",
     "build_u_phi",
     "spectral_oracle",
+    "inverse_block",
     "apply_inverse_state",
 ]
 
@@ -74,51 +79,35 @@ def _check_sequence(phases: PhaseVector) -> None:
         raise ValueError("need at least one phase")
 
 
-@functools.lru_cache(maxsize=16)
-def _factor_table(data: bytes, block_dim: int, dim: int) -> tuple[tuple[np.ndarray, ...], complex]:
-    """The per-step factors of the (d,) float64 phase table whose bytes
-    are ``data``, as read-only dim x 1 views in the order the sweep
-    applies them, and the global phase gamma. Keyed on content, not
-    identity, so equal tables from any caller share one entry.
-
-    A table takes d x dim x 16 B: 245 KB for an inner solve at N=32,
-    d=239; at most 1 MB at the degree cap (500) and the CLI's qubit guard
-    (dim 128), so 16 MB for all 16 entries.
-    """
-    psi = np.frombuffer(data).reshape(-1, 1, 1).copy()
-    d = psi.shape[0]
-    psi[0] -= np.pi / 4.0
-    psi[1:] -= np.pi / 2.0
-    gamma = (1j) ** d * np.exp(-1j * np.pi / 4.0)
-    # each step's factors broadcast against the columns, so the identity
-    # sweep holds no d copies of the block
-    table = np.empty((d, dim, 1), dtype=complex)
-    table[:, :block_dim], table[:, block_dim:] = np.exp(1j * psi), np.exp(-1j * psi)
-    table.flags.writeable = False
-    return tuple(table[::-1]), gamma
-
-
 def _sweep(encoding: BlockEncoding, phases: np.ndarray,
            columns: np.ndarray) -> np.ndarray:
     """The sequence of the (d,) table ``phases`` applied to every column
     of the dim x m block ``columns``.
 
-    The rightmost call is U, the calls alternate U, U^H leftwards and
-    each is followed by its projector phase: e^{i psi} on the
-    ancilla-zero rows, e^{-i psi} on the rest. Each step is one product
-    into a preallocated buffer and one multiply by the step's memoized
-    factors.
+    The rightmost call is U and the calls alternate U, U^H leftwards.
+    Each step is one product into the other buffer and one multiply of
+    its ancilla-zero rows by e^{2 i psi}; the e^{-i psi} of every step
+    are folded into gamma.
     """
-    u = encoding.unitary
-    psi = np.ascontiguousarray(phases, dtype=float)
-    factors, gamma = _factor_table(psi.tobytes(), encoding.block_dim, u.shape[0])
-    out = np.array(columns, dtype=complex, order="C")
-    tmp = np.empty_like(out)
-    src, dst = (out, tmp) if np.iscomplexobj(u) else (out.view(float), tmp.view(float))
-    for mat, factor in zip(itertools.cycle((u, u.conj().T)), factors):
-        mat.dot(src, out=dst)
-        np.multiply(tmp, factor, out=out)
-    return gamma * out
+    u, n = encoding.unitary, encoding.block_dim
+    phi = np.asarray(phases, dtype=float)
+    d = phi.shape[0]
+    # with the shifts psi_1 = phi_1 - pi/4, psi_j = phi_j - pi/2, the row
+    # factor e^{2 i psi_j} is -e^{2 i phi_j}, times i more for j = 1, and
+    # i^d e^{-i pi/4} e^{-i sum psi} is -i (-1)^d e^{-i sum phi}
+    row_factors = -np.exp(2j * phi)
+    row_factors[0] *= 1j
+    gamma = -1j * (-1) ** d * np.exp(-1j * math.remainder(math.fsum(phi), 2.0 * math.pi))
+    bufs = (np.array(columns, dtype=complex, order="C"),
+            np.empty(np.shape(columns), dtype=complex))
+    views = bufs if np.iscomplexobj(u) else tuple(buf.view(float) for buf in bufs)
+    heads = tuple(buf[:n] for buf in bufs)
+    calls = (u, u.conj().T)
+    for k, factor in enumerate(row_factors[::-1].tolist()):
+        src, dst = k % 2, 1 - k % 2
+        calls[src].dot(views[src], out=views[dst])
+        np.multiply(heads[dst], factor, out=heads[dst])
+    return gamma * bufs[d % 2]
 
 
 def build_u_phi(encoding: BlockEncoding, phases: PhaseVector) -> np.ndarray:
@@ -127,7 +116,7 @@ def build_u_phi(encoding: BlockEncoding, phases: PhaseVector) -> np.ndarray:
 
     For a real odd target on a real matrix, the real part of that block
     equals the spectral oracle; the imaginary part is the polynomial
-    completion and is dealt with at the state level (see module notes).
+    completion, which ``inverse_block`` drops (see module notes).
     """
     _check_sequence(phases)
     u_phi = _sweep(encoding, phases.phases, np.eye(encoding.unitary.shape[0]))
@@ -147,39 +136,46 @@ def spectral_oracle(a, series: ChebyshevSeries) -> np.ndarray:
     return (fac.v * vals) @ fac.v.conj().T
 
 
-def apply_inverse_state(encoding: BlockEncoding, phases: PhaseVector,
-                        b: np.ndarray) -> tuple[np.ndarray, float]:
-    """Apply the inverse-polynomial QSVT to the real unit vector ``b`` of
-    shape ``(block_dim,)``; a complex ``b`` or encoding is rejected.
+def inverse_block(encoding: BlockEncoding, phases: PhaseVector) -> np.ndarray:
+    """The read-only real N x N block that ``apply_inverse_state`` applies:
+    the real part of the kept block of the +Phi sequence, which is the
+    average of the +Phi and -Phi sequences (see module notes).
 
-    ``encoding`` must encode A^H (callers pass the adjoint) and the phase
-    count must be odd; the +Phi sequence is applied to |0>_a (x) |b> and
-    the real part of the ancilla-zero component is kept, which is the
-    average of the +Phi and -Phi sequences, i.e. the real polynomial's
-    action (see module notes). Returns that action renormalized, a real
-    unit vector, and its squared norm (the success probability).
+    ``encoding`` must be real and encode A^H (callers pass the adjoint),
+    and the phase count must be odd. The N ancilla-zero columns are swept
+    once and checked orthonormal to 1e-10 * dim, which bounds the
+    normalization defect of the swept state of every unit b.
+    """
+    u, n = encoding.unitary, encoding.block_dim
+    if np.iscomplexobj(u) and np.any(u.imag):
+        raise ValueError("qsvt_full is real-only: the encoding is complex")
+    _check_sequence(phases)
+    if phases.degree % 2 == 0:
+        raise ValueError(f"inverse application expects an odd phase count, got {phases.degree}")
+    swept = _sweep(encoding, phases.phases, np.eye(u.shape[0], n))
+    check_unitary(swept, 1e-10)
+    block = np.ascontiguousarray(swept[:n].real)
+    block.flags.writeable = False
+    return block
+
+
+def apply_inverse_state(block: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, float]:
+    """Apply the inverse-polynomial QSVT, as the real N x N ``block`` of
+    ``inverse_block``, to the real unit vector ``b`` of shape ``(N,)``; a
+    complex ``b`` is rejected.
+
+    Returns the kept component renormalized, a real unit vector, and its
+    squared norm (the success probability).
     """
     b = np.asarray(b)
-    n, u = encoding.block_dim, encoding.unitary
+    n = block.shape[1]
     if b.shape != (n,):
         raise ValueError(f"right-hand side shape {b.shape} does not match block ({n},)")
     if np.any(np.imag(b)):
         raise ValueError("qsvt_full is real-only: the right-hand side is complex")
-    if np.iscomplexobj(u) and np.any(u.imag):
-        raise ValueError("qsvt_full is real-only: the encoding is complex")
     if abs(np.linalg.norm(b) - 1.0) > 1e-12:
         raise ValueError(f"state is not normalized: ||b|| = {float(np.linalg.norm(b))!r}")
-    _check_sequence(phases)
-    if phases.degree % 2 == 0:
-        raise ValueError(f"inverse application expects an odd phase count, got {phases.degree}")
-
-    full = np.zeros((u.shape[0], 1), dtype=complex)
-    full[:n, 0] = b
-    swept = _sweep(encoding, phases.phases, full)[:, 0]
-    defect = abs(float(np.linalg.norm(swept)) ** 2 - 1.0)
-    if defect > 1e-10 * u.shape[0]:
-        raise ValueError(f"swept state is not normalized: |norm^2 - 1| = {defect:.3e}")
-    raw = swept[:n].real
+    raw = block @ np.real(b)
 
     weight = float(np.linalg.norm(raw))
     if weight**2 < 1e-14:

@@ -7,11 +7,14 @@ maps a unit right-hand side to a unit direction with relative error at
 most eps_l; the loop needs nothing else from it:
 
 * ``QsvtBackend`` (``qsvt_full``) -- dilation encoding + phase sequence,
-  the honest simulated pipeline; real inputs only (the single sweep of
-  ``apply_inverse_state`` is exact only for a real encoding and b). The
+  the honest simulated pipeline; real inputs only (the real part of one
+  sweep is the +-Phi average only for a real encoding and b). The
   bounded inverse series and its phase factors depend only on (kappa,
   eps' = eps_l / kappa), so each is found once per process and shared,
-  read-only, by every backend with that key (the last 16 keys are kept);
+  read-only, by every backend with that key (the last 16 keys are kept).
+  The factory sweeps the N ancilla-zero columns once; each inner solve is
+  one product with their kept real N x N block, a saving of simulator
+  time only (the model still charges ``degree`` calls per inner solve);
 * ``SpectralOracleBackend`` (``spectral_oracle``) -- the same inverse
   polynomial applied through the SVD (ground truth for the circuit path);
 * ``NoisyOracleBackend`` (``noisy_oracle``) -- exact solve plus seeded
@@ -37,12 +40,12 @@ from typing import Optional
 import numpy as np
 from scipy.optimize import minimize_scalar
 
-from .blockenc import BlockEncoding, dilation_encoding
+from .blockenc import dilation_encoding
 from .invpoly import ChebyshevSeries, cheb_eval, degree_params, \
     enforce_qsvt_bounds, inverse_cheb_series
 from .numerics import as_matrix, singular_value_ratio, svd, two_norm
 from .qsp_phases import PhaseVector, find_phases
-from .qsvt_core import apply_inverse_state
+from .qsvt_core import apply_inverse_state, inverse_block
 
 __all__ = [
     "SolverBackend",
@@ -154,15 +157,15 @@ class NoisyOracleBackend(SolverBackend):
 
 @dataclass(frozen=True)
 class QsvtBackend(SolverBackend):
-    """The phase sequence simulated on ``encoding`` (a dilation of
-    A^H / ||A||); real inputs only."""
+    """The phase sequence simulated on a dilation of A^H / ||A||, kept as
+    the read-only real block of ``inverse_block``; real inputs only."""
 
     series: ChebyshevSeries
-    encoding: BlockEncoding
     phases: PhaseVector
+    block: np.ndarray
 
     def direction(self, rhs_hat: np.ndarray) -> np.ndarray:
-        return apply_inverse_state(self.encoding, self.phases, rhs_hat)[0]
+        return apply_inverse_state(self.block, rhs_hat)[0]
 
 
 def samples_for_accuracy(eps: float) -> int:
@@ -245,8 +248,8 @@ def noisy_oracle_backend(a, eps_l: float, kappa: Optional[float] = None,
 def qsvt_backend(a, eps_l: float, kappa: Optional[float] = None, seed: int = 0,
                  shots: Optional[int] = None) -> QsvtBackend:
     """Full simulated pipeline: scale to unit norm, dilation-encode A^H,
-    take the memoized phases of the bounded inverse series. Real matrices
-    only."""
+    take the memoized phases of the bounded inverse series and sweep the
+    encoding's ancilla-zero columns once. Real matrices only."""
     a = as_matrix(a)
     if np.any(np.imag(a)):
         raise ValueError("qsvt_full is real-only: the matrix has a nonzero imaginary part")
@@ -256,11 +259,11 @@ def qsvt_backend(a, eps_l: float, kappa: Optional[float] = None, seed: int = 0,
         kappa = _measured_kappa(fac.singular_values)
     eps_prime = eps_l / kappa
     series = _bounded_inverse_series(kappa, eps_prime)
+    phases = _inverse_phases(kappa, eps_prime)
     return QsvtBackend(
         eps_l=eps_l, kappa=kappa, degree=series.degree, shots=shots,
-        rng=np.random.default_rng([seed, 0x95F7]),
-        series=series, phases=_inverse_phases(kappa, eps_prime),
-        encoding=dilation_encoding((a / norm).conj().T),
+        rng=np.random.default_rng([seed, 0x95F7]), series=series, phases=phases,
+        block=inverse_block(dilation_encoding((a / norm).conj().T), phases),
     )
 
 

@@ -157,3 +157,16 @@ def test_check_unitary_passes_unitaries_and_rejects_non_square():
     check_unitary(np.diag(np.exp(1j * np.arange(4.0))))
     with pytest.raises(ValueError, match="square"):
         check_unitary(np.ones((2, 3)))
+
+
+def test_check_unitary_checks_the_columns_of_a_tall_matrix():
+    # U^H U - I = s I for 5 orthonormal columns of length 12: the spectral
+    # defect s is held to tol_factor * rows, so s = 8e-6 passes although it
+    # tops tol_factor * columns, and s = 1.6e-5 raises
+    rows, cols, tol_factor = 12, 5, 1e-6
+    q = random_with_condition(rows, 1.0, 4)[:, :cols]
+    check_unitary(q, tol_factor)
+    check_unitary(q * np.sqrt(1.0 + 8e-6), tol_factor)
+    with pytest.raises(ValueError,
+                       match=r"columns are not orthonormal: \|\|U\^H U - I\|\| = 1\.600e-05"):
+        check_unitary(q * np.sqrt(1.0 + 1.6e-5), tol_factor)

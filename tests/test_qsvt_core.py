@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+
+import qsvt_refine.qsvt_core as qsvt_core
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
@@ -14,10 +16,10 @@ from qsvt_refine.numerics import random_with_condition, svd
 from qsvt_refine.qsp_phases import PhaseVector, find_phases, realized_values
 from qsvt_refine.qsvt_core import (
     PostSelectionError,
-    _factor_table,
     _sweep,
     apply_inverse_state,
     build_u_phi,
+    inverse_block,
     spectral_oracle,
 )
 
@@ -134,7 +136,7 @@ def test_apply_inverse_identity_system():
     rng = np.random.default_rng(0)
     b = rng.standard_normal(2)
     b = b / np.linalg.norm(b)
-    out, prob = apply_inverse_state(enc, phases, b)
+    out, prob = apply_inverse_state(inverse_block(enc, phases), b)
     overlap = abs(np.vdot(out, b))
     assert overlap == pytest.approx(1.0, abs=1e-8)
     assert 0.0 < prob <= 1.0
@@ -145,7 +147,7 @@ def test_apply_inverse_preserves_eigenvector():
     series = bounded_inverse(2.0, 0.05)
     phases = find_phases(series, tol=1e-10)
     enc = dilation_encoding(a.conj().T)
-    out, _ = apply_inverse_state(enc, phases, np.array([0.0, 1.0]))
+    out, _ = apply_inverse_state(inverse_block(enc, phases), np.array([0.0, 1.0]))
     assert abs(out[1]) == pytest.approx(1.0, abs=1e-9)
 
 
@@ -158,7 +160,7 @@ def test_apply_inverse_solves_to_polynomial_accuracy():
     rng = np.random.default_rng(1)
     b = rng.standard_normal(4)
     b /= np.linalg.norm(b)
-    out, prob = apply_inverse_state(enc, phases, b)
+    out, prob = apply_inverse_state(inverse_block(enc, phases), b)
     # multiplying back by A must recover the rhs direction
     recovered = a @ out
     recovered /= np.linalg.norm(recovered)
@@ -172,25 +174,26 @@ def test_apply_inverse_post_selection_failure():
     enc = dilation_encoding(0.5 * np.eye(2))
     phases = PhaseVector(np.array([np.pi / 2]))
     with pytest.raises(PostSelectionError):
-        apply_inverse_state(enc, phases, np.array([1.0, 0.0]))
+        apply_inverse_state(inverse_block(enc, phases), np.array([1.0, 0.0]))
 
 
 def test_apply_inverse_input_validation():
     enc = dilation_encoding(0.5 * np.eye(2))
     series = bounded_inverse(2.0, 0.1)
     phases = find_phases(series, tol=1e-9)
+    block = inverse_block(enc, phases)
     e0 = np.array([1.0, 0.0])
     with pytest.raises(ValueError, match="not normalized"):
-        apply_inverse_state(enc, phases, np.array([1.0, 1.0]))
+        apply_inverse_state(block, np.array([1.0, 1.0]))
     with pytest.raises(ValueError, match="qsvt_full is real-only"):
-        apply_inverse_state(enc, phases, np.array([1.0, 1.0j]) / np.sqrt(2.0))
+        apply_inverse_state(block, np.array([1.0, 1.0j]) / np.sqrt(2.0))
     for wrong in (np.ones(1), np.ones(3) / np.sqrt(3.0), e0[:, None]):
         with pytest.raises(ValueError, match="shape"):
-            apply_inverse_state(enc, phases, wrong)
+            apply_inverse_state(block, wrong)
     with pytest.raises(ValueError, match="odd"):
-        apply_inverse_state(enc, PhaseVector(np.zeros(2)), e0)
+        inverse_block(enc, PhaseVector(np.zeros(2)))
     with pytest.raises(ValueError, match="convention"):
-        apply_inverse_state(enc, PhaseVector(phases.phases, convention_tag="other"), e0)
+        inverse_block(enc, PhaseVector(phases.phases, convention_tag="other"))
 
 
 def test_ordering_regression_odd_and_even():
@@ -227,7 +230,7 @@ def test_apply_inverse_state_matches_svd_transform(n, d, kappa, seed):
     tb = (fac.u * realized_values(phases, fac.singular_values)) @ fac.v.conj().T @ b
     weight = float(np.linalg.norm(tb)) ** 2
     assume(weight >= 1e-6)
-    out, prob = apply_inverse_state(dilation_encoding(m), phases, b)
+    out, prob = apply_inverse_state(inverse_block(dilation_encoding(m), phases), b)
     np.testing.assert_allclose(out, tb / np.sqrt(weight), rtol=0, atol=1e-9)
     assert prob == pytest.approx(weight, rel=0, abs=1e-12)
 
@@ -281,8 +284,9 @@ def test_sweep_matches_complex_reference(n, d, kind, seed):
        kind=st.sampled_from(["dilation", "fable"]), seed=st.integers(0, 2**16))
 def test_apply_inverse_state_is_the_plus_minus_phi_average(n, d, kind, seed):
     # the real-part construction by its definition: the +Phi and -Phi
-    # sequences swept in complex arithmetic and averaged; the single real
-    # sweep must give the same direction and success probability
+    # sequences swept in complex arithmetic and averaged, and the real data
+    # block of U_Phi applied to b; one product with the swept block must
+    # give the same direction and success probability
     rng = np.random.default_rng(seed)
     m = random_with_condition(n, 4.0, seed)
     if kind == "fable":
@@ -298,77 +302,39 @@ def test_apply_inverse_state_is_the_plus_minus_phi_average(n, d, kind, seed):
                      + reference_sweep(enc, -phases, column))[:n, 0]
     weight = float(np.linalg.norm(average))
     assume(weight >= 1e-2)
-    out, prob = apply_inverse_state(enc, PhaseVector(phases), b)
+    block = inverse_block(enc, PhaseVector(phases))
+    out, prob = apply_inverse_state(block, b)
     assert out.dtype == np.float64
-    np.testing.assert_allclose(out, average / weight, rtol=0, atol=1e-12)
+    data_block_b = build_u_phi(enc, PhaseVector(phases))[:n, :n].real @ b
+    for want in (average, data_block_b):
+        np.testing.assert_allclose(out, want / np.linalg.norm(want), rtol=0, atol=1e-13)
     assert prob == pytest.approx(weight**2, rel=0, abs=1e-12)
+
+    # the real-only boundary: a complex b when the solve runs, a complex
+    # encoding when the block is built
+    with pytest.raises(ValueError, match="qsvt_full is real-only"):
+        apply_inverse_state(block, b * np.exp(0.5j))
+    z = m + 1j * random_with_condition(n, 4.0, seed + 1)
+    with pytest.raises(ValueError, match="qsvt_full is real-only"):
+        inverse_block(dilation_encoding(z / np.linalg.norm(z, 2)), PhaseVector(phases))
+    # swept columns that are not orthonormal are caught when the block is built
+    real_sweep = qsvt_core._sweep
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(qsvt_core, "_sweep", lambda *args: (1.0 + 1e-6) * real_sweep(*args))
+        with pytest.raises(ValueError, match="columns are not orthonormal"):
+            inverse_block(enc, PhaseVector(phases))
 
 
 def test_apply_inverse_rejects_a_complex_encoding():
     a = random_with_condition(2, 2.0, 3)
     enc = dilation_encoding((a + 0.5j * a) / np.linalg.norm(a + 0.5j * a, 2))
     with pytest.raises(ValueError, match="real-only"):
-        apply_inverse_state(enc, PhaseVector(np.zeros(3)), np.array([1.0, 0.0]))
+        inverse_block(enc, PhaseVector(np.zeros(3)))
 
 
-@pytest.fixture
-def fresh_factor_memo():
-    _factor_table.cache_clear()
-    yield
-    _factor_table.cache_clear()
-
-
-@settings(max_examples=40, deadline=None)
-@given(n=st.sampled_from([2, 4, 8]), d=st.integers(1, 41), real=st.booleans(),
-       seed=st.integers(0, 2**16))
-def test_cold_and_warm_factor_memo_sweep_identically(n, d, real, seed):
-    # the first sweep of a table builds its factors, the second reuses them;
-    # both give the same bits, in real and in complex arithmetic
-    rng = np.random.default_rng(seed)
-    m = random_with_condition(n, 4.0, seed)
-    if not real:
-        m = m + 1j * random_with_condition(n, 4.0, seed + 1)
-    enc = dilation_encoding(m / np.linalg.norm(m, 2))
-    table = rng.uniform(-np.pi, np.pi, d)
-    columns = rng.standard_normal((2 * n, 2)) + 1j * rng.standard_normal((2 * n, 2))
-    _factor_table.cache_clear()
-    cold = _sweep(enc, table, columns)
-    warm = _sweep(enc, table.copy(), columns)
-    info = _factor_table.cache_info()
-    _factor_table.cache_clear()
-    assert (info.misses, info.hits) == (1, 1)
-    assert np.array_equal(cold, warm)
-
-
-def factors_of(phases, block_dim, dim):
-    # the memo entry _sweep reads for this table
-    return _factor_table(phases.tobytes(), block_dim, dim)
-
-
-def test_equal_phase_bytes_share_one_factor_table(fresh_factor_memo):
-    rng = np.random.default_rng(5)
-    phases = rng.uniform(-np.pi, np.pi, 9)
-    enc = dilation_encoding(random_with_condition(4, 2.0, 5) / 2.0)
-    columns = np.eye(8)[:, :1]
-    # an equal copy and an equal strided view sweep from one table
-    for table in (phases, phases.copy(), np.stack([phases, phases], axis=1)[:, 0]):
-        _sweep(enc, table, columns)
-    assert (_factor_table.cache_info().misses, _factor_table.cache_info().hits) == (1, 2)
-    first = factors_of(phases, 4, 8)
-    nudged = phases.copy()
-    nudged[3] = np.nextafter(nudged[3], np.inf)
-    others = [factors_of(nudged, 4, 8), factors_of(phases, 2, 8), factors_of(phases, 4, 16)]
-    assert all(other is not first for other in others)
-    assert _factor_table.cache_info().misses == 4
-    assert not np.array_equal(others[0][0][-4], first[0][-4])
-    assert np.array_equal(others[0][0][-3], first[0][-3])
-
-
-def test_cached_factors_are_read_only(fresh_factor_memo):
-    factors, _ = factors_of(np.linspace(-1.0, 1.0, 7), 4, 8)
-    assert len(factors) == 7 and all(f.shape == (8, 1) for f in factors)
-    assert not any(f.flags.writeable for f in factors)
+def test_inverse_block_is_read_only():
+    a = random_with_condition(4, 2.0, 5)
+    block = inverse_block(dilation_encoding(a / 2.0), PhaseVector(np.linspace(-1.0, 1.0, 7)))
+    assert block.shape == (4, 4) and block.dtype == np.float64
     with pytest.raises(ValueError, match="read-only"):
-        factors[0][0, 0] = 0.0
-    with pytest.raises(ValueError):
-        factors[0].flags.writeable = True
+        block[0, 0] = 0.0

@@ -392,7 +392,7 @@ def test_qsvt_rejects_complex_inputs_at_the_boundary():
 def test_backend_missing_a_field_fails_at_construction():
     with pytest.raises(TypeError):
         QsvtBackend(eps_l=0.1, kappa=2.0, degree=3, shots=None,
-                    rng=np.random.default_rng(0), series=None, encoding=None)
+                    rng=np.random.default_rng(0), series=None, phases=None)
     with pytest.raises(TypeError):
         SolverBackend(eps_l=0.1, kappa=2.0, degree=3, shots=None, rng=np.random.default_rng(0))
 
@@ -561,8 +561,9 @@ def test_factories_measure_one_kappa_per_matrix():
 
 
 def test_qsvt_solve_checks_unitarity_at_construction_only(fresh_phase_memo, monkeypatch):
-    # structural guard: an inner solve re-checks no 2N x 2N unitary, and a
-    # refined solve finds its phases at most once per (kappa, eps')
+    # structural guard: an inner solve runs no unitarity check (the swept
+    # columns are checked once, when the backend is built), and a refined
+    # solve finds its phases at most once per (kappa, eps')
     targets = count_find_phases(monkeypatch)
     depth, applied, checks_inside = [], [], []
     real_apply = refine_mod.apply_inverse_state
@@ -594,17 +595,27 @@ def test_qsvt_solve_checks_unitarity_at_construction_only(fresh_phase_memo, monk
     assert len(targets) == 1
 
 
-def test_refined_qsvt_solves_build_the_factor_table_once(fresh_phase_memo):
-    # every inner solve at one (kappa, eps') sweeps one memoized factor
-    # table; the first sweep builds it, the rest reuse it
-    qsvt_core._factor_table.cache_clear()
+def test_refined_qsvt_solves_sweep_once_per_backend(fresh_phase_memo, monkeypatch):
+    # the backend sweeps its ancilla-zero columns once, when it is built;
+    # every inner solve of every refined solve on it reuses that block
+    sweeps, applied = [], []
+    real_sweep, real_apply = qsvt_core._sweep, refine_mod.apply_inverse_state
+
+    def sweep(*args):
+        sweeps.append(None)
+        return real_sweep(*args)
+
+    def apply_inverse_state(*args):
+        applied.append(None)
+        return real_apply(*args)
+
+    monkeypatch.setattr(qsvt_core, "_sweep", sweep)
+    monkeypatch.setattr(refine_mod, "apply_inverse_state", apply_inverse_state)
     kappa, eps_l = 3.0, 0.1
+    a = random_with_condition(8, kappa, 0)
+    backend = qsvt_backend(a, eps_l, kappa=kappa)
     for seed in (0, 1):
-        a = random_with_condition(8, kappa, seed)
-        _, trace, _ = iterative_refine(a, unit_rhs(8, seed),
-                                       qsvt_backend(a, eps_l, kappa=kappa), 1e-11)
+        _, trace, _ = iterative_refine(a, unit_rhs(8, seed), backend, 1e-11)
         assert trace.converged
-    info = qsvt_core._factor_table.cache_info()
-    qsvt_core._factor_table.cache_clear()
-    assert info.misses == 1
-    assert info.hits >= 3
+    assert len(applied) >= 4
+    assert len(sweeps) == 1
