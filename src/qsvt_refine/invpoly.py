@@ -23,6 +23,7 @@ __all__ = [
     "degree_params",
     "inverse_cheb_series",
     "cheb_eval",
+    "cheb_evaluator",
     "enforce_qsvt_bounds",
     "approx_error_report",
     "max_abs_on_interval",
@@ -144,16 +145,22 @@ def _interpolant(vals: np.ndarray):
     weights = np.where(np.arange(m + 1) % 2, -1.0, 1.0)
     weights[[0, -1]] *= 0.5
     from_one = 2.0 * np.sin(np.pi * np.arange(m + 1) / (2 * m)) ** 2
+    # x_j = shift - nodes[j], nodes increasing: an exact node hit, where
+    # x - x_j = (x - shift) + nodes[j] is zero, is found by a sorted search
+    sides = ((1.0, from_one), (-1.0, -from_one[::-1]))
     step = max(1, _CHUNK_ELEMS // (m + 1))
 
     def evaluate(x: np.ndarray) -> np.ndarray:
         out = np.empty(x.size)
-        for side, shift, nodes in ((x >= 0.0, 1.0, -from_one), (x < 0.0, -1.0, from_one[::-1])):
+        for side, (shift, nodes) in zip((x >= 0.0, x < 0.0), sides):
             idx = np.flatnonzero(side)
             for start in range(0, idx.size, step):
                 pts = idx[start:start + step]
-                block = np.subtract.outer(x[pts] - shift, nodes)
-                rows, cols = np.nonzero(block == 0.0)
+                target = shift - x[pts]
+                block = np.add.outer(-target, nodes)
+                near = np.minimum(np.searchsorted(nodes, target), m)
+                rows = np.flatnonzero(nodes[near] == target)
+                cols = near[rows]
                 block[rows, cols] = 1.0  # exact node hits are overwritten below
                 np.divide(weights, block, out=block)
                 den = block.sum(axis=1)
@@ -165,16 +172,28 @@ def _interpolant(vals: np.ndarray):
     return evaluate
 
 
+def cheb_evaluator(series: ChebyshevSeries):
+    """``cheb_eval`` bound to ``series``, with the DCT-I and the node tables
+    built once; the callable's ``values`` attribute holds the grid values."""
+    vals = _values_on_cheb_grid(series.coefficients, series.degree)
+    interpolant = _interpolant(vals)
+
+    def evaluate(x):
+        xs = float(x) if np.isscalar(x) else np.asarray(x, dtype=float)
+        if not np.all(np.abs(xs) <= 1.0 + 1e-12):
+            raise ValueError("cheb_eval requires finite x with |x| <= 1")
+        out = interpolant(np.ravel(xs))
+        return float(out[0]) if isinstance(xs, float) else out.reshape(np.shape(xs))
+
+    evaluate.values = vals
+    return evaluate
+
+
 def cheb_eval(series: ChebyshevSeries, x):
     """Evaluate the series at ``x`` (scalar or array, |x| <= 1) from its
     values at M+1 >= degree+1 Chebyshev-Lobatto points (one DCT-I). A
     scalar returns a Python float equal to its entry in an array call."""
-    xs = float(x) if np.isscalar(x) else np.asarray(x, dtype=float)
-    if np.any(np.abs(xs) > 1.0 + 1e-12):
-        raise ValueError("cheb_eval requires |x| <= 1")
-    vals = _values_on_cheb_grid(series.coefficients, series.degree)
-    out = _interpolant(vals)(np.ravel(xs))
-    return float(out[0]) if isinstance(xs, float) else out.reshape(np.shape(xs))
+    return cheb_evaluator(series)(x)
 
 
 # Former name, still the one perfbench's tracer wraps (the same function).

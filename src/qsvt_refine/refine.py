@@ -17,6 +17,7 @@ most eps_l; the loop needs nothing else from it:
   time only (the model still charges ``degree`` calls per inner solve);
 * ``SpectralOracleBackend`` (``spectral_oracle``) -- the same inverse
   polynomial applied through the SVD (ground truth for the circuit path);
+  its evaluator on the series' Chebyshev grid is memoized per key too;
 * ``NoisyOracleBackend`` (``noisy_oracle``) -- exact solve plus seeded
   noise of relative size eps_l, for stress sweeps.
 
@@ -41,7 +42,7 @@ import numpy as np
 from scipy.optimize import minimize_scalar
 
 from .blockenc import dilation_encoding
-from .invpoly import ChebyshevSeries, cheb_eval, degree_params, \
+from .invpoly import ChebyshevSeries, cheb_evaluator, degree_params, \
     enforce_qsvt_bounds, inverse_cheb_series
 from .numerics import as_matrix, singular_value_ratio, svd, two_norm
 from .qsp_phases import PhaseVector, find_phases
@@ -214,6 +215,15 @@ def _inverse_phases(kappa: float, eps_prime: float) -> PhaseVector:
     return phases
 
 
+@functools.lru_cache(maxsize=_MEMO_SIZE)
+def _inverse_evaluator(kappa: float, eps_prime: float):
+    """``cheb_evaluator`` of ``_bounded_inverse_series(kappa, eps')``: shared,
+    with read-only grid values, by every spectral-oracle backend of that key."""
+    evaluate = cheb_evaluator(_bounded_inverse_series(kappa, eps_prime))
+    evaluate.values.flags.writeable = False
+    return evaluate
+
+
 def spectral_oracle_backend(a, eps_l: float, kappa: Optional[float] = None,
                             seed: int = 0, shots: Optional[int] = None) -> SpectralOracleBackend:
     """Inverse polynomial applied via the SVD, no circuits."""
@@ -224,8 +234,8 @@ def spectral_oracle_backend(a, eps_l: float, kappa: Optional[float] = None,
     series = _bounded_inverse_series(kappa, eps_l / kappa)
     return SpectralOracleBackend(
         eps_l=eps_l, kappa=kappa, degree=series.degree, shots=shots,
-        rng=np.random.default_rng([seed, 0x5EC7]),
-        series=series, u=fac.u, v=fac.v, diag=cheb_eval(series, sv / sv[0]),
+        rng=np.random.default_rng([seed, 0x5EC7]), series=series, u=fac.u, v=fac.v,
+        diag=_inverse_evaluator(kappa, eps_l / kappa)(sv / sv[0]),
     )
 
 

@@ -1,8 +1,13 @@
-"""Reference evaluator for Chebyshev series in the tests.
+"""Reference evaluators for Chebyshev series in the tests.
 
-The backward Clenshaw recurrence: O(degree) steps, each vectorized over
-the points. It shares no code with the library's barycentric evaluator,
-so the two check each other.
+``clenshaw_eval`` is the backward Clenshaw recurrence: O(degree) steps,
+each vectorized over the points. It shares no code with the library's
+barycentric evaluator, so the two check each other.
+
+``scan_interpolant`` is the library's barycentric evaluator as it was
+when it found exact node hits by scanning the whole points x nodes block
+for zeros; the library now searches the node table instead, and must
+give the same bits.
 """
 
 import numpy as np
@@ -18,3 +23,31 @@ def clenshaw_eval(series, x):
     for k in range(len(c) - 1, 0, -1):
         b1, b2 = c[k] + 2.0 * xs * b1 - b2, b1
     return c[0] + xs * b1 - b2
+
+
+def scan_interpolant(vals, chunk_elems=1 << 19):
+    """Barycentric evaluator through ``vals[j]`` at x_j = cos(pi j / M),
+    finding exact node hits with a full ``block == 0.0`` scan."""
+    m = vals.size - 1
+    weights = np.where(np.arange(m + 1) % 2, -1.0, 1.0)
+    weights[[0, -1]] *= 0.5
+    from_one = 2.0 * np.sin(np.pi * np.arange(m + 1) / (2 * m)) ** 2
+    step = max(1, chunk_elems // (m + 1))
+
+    def evaluate(x):
+        out = np.empty(x.size)
+        for side, shift, nodes in ((x >= 0.0, 1.0, -from_one), (x < 0.0, -1.0, from_one[::-1])):
+            idx = np.flatnonzero(side)
+            for start in range(0, idx.size, step):
+                pts = idx[start:start + step]
+                block = np.subtract.outer(x[pts] - shift, nodes)
+                rows, cols = np.nonzero(block == 0.0)
+                block[rows, cols] = 1.0
+                np.divide(weights, block, out=block)
+                den = block.sum(axis=1)
+                block *= vals
+                out[pts] = block.sum(axis=1) / den
+                out[pts[rows]] = vals[cols]
+        return out
+
+    return evaluate

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from test_api_surface import memoized_functions
 
 from qsvt_refine import bench_cli, refine
 from qsvt_refine.bench_cli import (
@@ -81,26 +82,41 @@ def test_determinism_byte_identical(tmp_path):
     assert (tmp_path / "out.csv").read_bytes() == first
 
 
-@settings(max_examples=8, deadline=None)
-@given(kappa=st.floats(2.0, 10.0), rate=st.floats(1e-3, 0.9), seed=st.integers(0, 2**16))
-def test_qsvt_full_csv_is_identical_after_clearing_the_memos(kappa, rate, seed):
-    # the second run finds its series and phases afresh, so the CSV holds
-    # only if phase finding gives the same phases every time
+def outputs_after_clearing_the_memos(backend, kappa, rate, seed):
+    """CSV bytes and ``meta.json`` of two runs of one config, every memo in
+    the package cleared before each run."""
     with tempfile.TemporaryDirectory() as tmp:
         outputs = []
         for run in ("first", "second"):
-            refine._bounded_inverse_series.cache_clear()
-            refine._inverse_phases.cache_clear()
+            for _, memo in memoized_functions():
+                memo.cache_clear()
             path, cfg = write_config(
                 Path(tmp), name=f"{run}.json", kappa=[kappa], eps_l=[rate / kappa],
-                seeds=[seed], n_qubits=2, backend="qsvt_full", eps_target=1e-10,
+                seeds=[seed], n_qubits=2, backend=backend, eps_target=1e-10,
                 out=str(Path(tmp) / f"{run}.csv"),
             )
             assert main(["--config", str(path)]) in (0, 1)  # a failed run still writes
             meta = json.loads(Path(cfg["out"] + ".meta.json").read_text())
             meta["config"].pop("out")
             outputs.append((Path(cfg["out"]).read_bytes(), meta))
-    assert outputs[0] == outputs[1]
+    return outputs
+
+
+@settings(max_examples=8, deadline=None)
+@given(kappa=st.floats(2.0, 10.0), rate=st.floats(1e-3, 0.9), seed=st.integers(0, 2**16))
+def test_qsvt_full_csv_is_identical_after_clearing_the_memos(kappa, rate, seed):
+    # the second run finds its series and phases afresh, so the CSV holds
+    # only if phase finding gives the same phases every time
+    first, second = outputs_after_clearing_the_memos("qsvt_full", kappa, rate, seed)
+    assert first == second
+
+
+@settings(max_examples=8, deadline=None)
+@given(kappa=st.floats(2.0, 10.0), rate=st.floats(1e-3, 0.9), seed=st.integers(0, 2**16))
+def test_spectral_oracle_csv_is_identical_after_clearing_the_memos(kappa, rate, seed):
+    # the second run builds its series and its grid evaluator afresh
+    first, second = outputs_after_clearing_the_memos("spectral_oracle", kappa, rate, seed)
+    assert first == second
 
 
 def test_missing_and_invalid_config(tmp_path):

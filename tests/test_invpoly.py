@@ -4,7 +4,7 @@ import tracemalloc
 import mpmath
 import numpy as np
 import pytest
-from cheb_reference import clenshaw_eval
+from cheb_reference import clenshaw_eval, scan_interpolant
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -189,6 +189,32 @@ def test_clenshaw_scalar_and_array_agree_exactly(degree, seed, points):
             assert type(got) is float and got == want
     with pytest.raises(ValueError, match="requires"):
         cheb_eval(series, 1.0 + 1e-9)
+
+
+def test_cheb_eval_rejects_nan_and_infinite_points():
+    # NaN fails both side masks, so it would return uninitialized memory
+    series = inverse_cheb_series(10.0, 1e-3)
+    for x in (float("nan"), np.float64("nan"), np.array([0.5, np.nan, -0.5]), np.inf,
+              np.array([[-np.inf]])):
+        with pytest.raises(ValueError, match="requires finite"):
+            cheb_eval(series, x)
+
+
+@settings(max_examples=80, deadline=None)
+@given(m=st.integers(1, 700), seed=st.integers(0, 2**16),
+       picks=st.lists(st.integers(0, 2**16), max_size=12),
+       points=st.lists(st.floats(-1.0, 1.0), max_size=8))
+def test_node_search_matches_the_full_scan_bit_for_bit(m, seed, picks, points):
+    # exact nodes on either side, as offsets from +-1 and as cosines, then
+    # +-1, +-0.0 and interior points; a missed hit would divide by zero
+    vals = np.random.default_rng(seed).standard_normal(m + 1)
+    from_one = 2.0 * np.sin(np.pi * np.arange(m + 1) / (2 * m)) ** 2
+    nodes = np.concatenate([1.0 - from_one, from_one - 1.0, np.cos(np.pi * np.arange(m + 1) / m)])
+    xs = np.concatenate([[1.0, -1.0, 0.0, -0.0], nodes[np.asarray(picks, dtype=int) % nodes.size],
+                         points])
+    got = invpoly._interpolant(vals)(xs)
+    want = scan_interpolant(vals)(xs)
+    assert np.all(got == want)
 
 
 def random_series(seed, degree, parity):

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import qsvt_refine.refine as refine_mod
-from qsvt_refine import blockenc, numerics, qsvt_core
+from qsvt_refine import blockenc, invpoly, numerics, qsvt_core
 from qsvt_refine.numerics import random_with_condition, two_norm
 from qsvt_refine.qsp_phases import PhaseFindingError
 from qsvt_refine.refine import (
@@ -370,6 +370,30 @@ def test_shared_series_is_read_only():
     backend = spectral_oracle_backend(random_with_condition(4, 2.0, 0), 0.1, kappa=2.0)
     with pytest.raises(ValueError, match="read-only"):
         backend.series.coefficients[1] = 0.0
+
+
+def test_spectral_backends_share_one_grid_evaluator_per_kappa_eps(monkeypatch):
+    # the series' grid values come from one DCT-I per key, not one per backend
+    kappa, eps_l = 2.0, 0.1
+    refine_mod._bounded_inverse_series(kappa, eps_l / kappa)  # its bound check has its own grid
+    refine_mod._inverse_evaluator.cache_clear()
+    grids = []
+    real = invpoly._values_on_cheb_grid
+
+    def values_on_cheb_grid(*args):
+        grids.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(invpoly, "_values_on_cheb_grid", values_on_cheb_grid)
+    spectral_oracle_backend(random_with_condition(4, kappa, 0), eps_l, kappa=kappa)
+    spectral_oracle_backend(random_with_condition(8, kappa, 1), eps_l, kappa=kappa)
+    assert len(grids) == 1
+
+
+def test_shared_grid_values_are_read_only():
+    values = refine_mod._inverse_evaluator(2.0, 0.05).values
+    with pytest.raises(ValueError, match="read-only"):
+        values[0] = 0.0
 
 
 def test_qsvt_rejects_complex_inputs_at_the_boundary():
