@@ -16,7 +16,6 @@ from .blockenc import (
 )
 from .invpoly import (
     ChebyshevSeries,
-    approx_error_report,
     cheb_eval,
     degree_params,
     enforce_qsvt_bounds,
@@ -24,7 +23,6 @@ from .invpoly import (
 )
 from .numerics import (
     Svd,
-    condition_number,
     random_with_condition,
     svd,
     two_norm,

@@ -20,7 +20,7 @@ from typing import Optional
 
 import numpy as np
 
-from .numerics import condition_number, random_with_condition
+from .numerics import random_with_condition, singular_value_ratio, svd
 from .qsp_phases import MAX_DEGREE, PhaseFindingError
 from .qsvt_core import PostSelectionError
 from .refine import (
@@ -111,7 +111,7 @@ class ExperimentConfig:
         if not MIN_EPS_TARGET <= self.eps_target < 1.0:
             raise ConfigError(f"eps_target must lie in [{MIN_EPS_TARGET:g}, 1)")
         if self.experiment == "poisson":
-            self.kappa = [condition_number(gen_poisson(self.n_qubits)[0])]
+            self.kappa = [singular_value_ratio(svd(gen_poisson(self.n_qubits)[0]).singular_values)]
         points = _run_points(self)
         if self.experiment == "complexity" and len(points) != 1:
             raise ConfigError(f"complexity takes one kappa and one eps_l, not {len(points)} pairs")
@@ -318,10 +318,14 @@ def run_complexity(cfg: ExperimentConfig) -> tuple[list[dict], list[str]]:
                          "samples_cum": direct.samples_per_solve})
             if not trace.converged:
                 failures.append(f"no convergence at eps={eps} seed={seed}")
-            if eps == eps_l and cost.total != direct.total:
-                failures.append(
-                    f"totals disagree at eps = eps_l: {cost.total} vs {direct.total}"
-                )
+            # a noisy direction or a shot readout can leave omega above eps_l
+            # after the first solve; then only one solve's cost must match
+            exact = cfg.backend != "noisy_oracle" and cfg.readout == "exact"
+            ours, theirs = (c.total if exact else c.be_calls_per_solve * c.samples_per_solve
+                            for c in (cost, direct))
+            if eps == eps_l and ours != theirs:
+                failures.append(f"{'totals' if exact else 'per-solve costs'} disagree "
+                                f"at eps = eps_l: {ours} vs {theirs}")
             if eps <= 1e-3 and not cost.total < direct.total:
                 failures.append(
                     f"refined total {cost.total} not below direct {direct.total} "

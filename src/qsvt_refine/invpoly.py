@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Optional
+from typing import Callable, Optional
 
 import numpy as np
 from scipy.fft import dct, next_fast_len
@@ -20,12 +20,13 @@ from scipy.special import betainc
 
 __all__ = [
     "ChebyshevSeries",
+    "BoundedSeries",
     "degree_params",
     "inverse_cheb_series",
     "cheb_eval",
     "cheb_evaluator",
     "enforce_qsvt_bounds",
-    "approx_error_report",
+    "bound_series",
     "max_abs_on_interval",
 ]
 
@@ -124,10 +125,17 @@ def inverse_cheb_series(kappa: float, eps: float,
 
 
 def _values_on_cheb_grid(coefs: np.ndarray, npts: int) -> np.ndarray:
-    """Series values at x_j = cos(pi j / M), j = 0..M, via a DCT-I; M is
-    the first FFT-friendly size of at least ``npts`` and the coefficients
-    (the values' length less one). The nodes themselves are not formed."""
+    """Series values at x_j = cos(pi j / M), j = 0..M; M is the first
+    FFT-friendly size of at least ``npts`` and the coefficients (the
+    values' length less one). The nodes themselves are not formed. An odd
+    series on an even M takes a DCT-II of length M/2 over its odd
+    coefficients, sum_i c_{2i+1} cos((2i+1) pi j / M) at j < M/2, and
+    parity gives P(x_{M/2}) = 0 and P(x_{M-j}) = -P(x_j) exactly; any
+    other series takes a DCT-I of length M+1."""
     m = next_fast_len(max(npts, coefs.size, 2), real=True)
+    if m % 2 == 0 and not np.any(coefs[0::2]):
+        head = dct(0.5 * coefs[1::2], type=2, n=m // 2)
+        return np.concatenate([head, [0.0], -head[::-1]])
     padded = np.zeros(m + 1)
     padded[: coefs.size] = coefs
     padded[1:] *= 0.5
@@ -140,7 +148,8 @@ def _interpolant(vals: np.ndarray):
     work per point. x - x_j is taken from the endpoint on x's side, as
     1 - x_j = 2 sin^2(pi j / 2M) keeps the nodes near +-1, where the slope
     reaches degree^2 * max|P|, exact to relative rounding. Each point is
-    its own row reduction, so its value does not depend on its block."""
+    its own row reduction, so its value does not depend on its block. The
+    callable's ``values`` attribute is ``vals`` itself, read at each call."""
     m = vals.size - 1
     weights = np.where(np.arange(m + 1) % 2, -1.0, 1.0)
     weights[[0, -1]] *= 0.5
@@ -169,14 +178,14 @@ def _interpolant(vals: np.ndarray):
                 out[pts[rows]] = vals[cols]
         return out
 
+    evaluate.values = vals
     return evaluate
 
 
 def cheb_evaluator(series: ChebyshevSeries):
-    """``cheb_eval`` bound to ``series``, with the DCT-I and the node tables
-    built once; the callable's ``values`` attribute holds the grid values."""
-    vals = _values_on_cheb_grid(series.coefficients, series.degree)
-    interpolant = _interpolant(vals)
+    """``cheb_eval`` bound to ``series``, with the grid transform and the node
+    tables built once."""
+    interpolant = _interpolant(_values_on_cheb_grid(series.coefficients, series.degree))
 
     def evaluate(x):
         xs = float(x) if np.isscalar(x) else np.asarray(x, dtype=float)
@@ -185,14 +194,13 @@ def cheb_evaluator(series: ChebyshevSeries):
         out = interpolant(np.ravel(xs))
         return float(out[0]) if isinstance(xs, float) else out.reshape(np.shape(xs))
 
-    evaluate.values = vals
     return evaluate
 
 
 def cheb_eval(series: ChebyshevSeries, x):
     """Evaluate the series at ``x`` (scalar or array, |x| <= 1) from its
-    values at M+1 >= degree+1 Chebyshev-Lobatto points (one DCT-I). A
-    scalar returns a Python float equal to its entry in an array call."""
+    values at M+1 >= degree+1 Chebyshev-Lobatto points (one transform).
+    A scalar returns a Python float equal to its entry in an array call."""
     return cheb_evaluator(series)(x)
 
 
@@ -201,9 +209,31 @@ clenshaw_eval = cheb_eval
 
 
 def max_abs_on_interval(series: ChebyshevSeries) -> float:
-    """Max of |P| over [-1, 1]: Chebyshev-spaced grid of 4M >= 4*degree
-    points plus golden-section refinement, interpolating from every fourth
-    grid value (the M-point grid), around each grid local maximum within
+    """Max of |P| over [-1, 1], as ``bound_series`` checks it."""
+    return bound_series(series).peak
+
+
+@dataclass(frozen=True, eq=False)
+class BoundedSeries:
+    """A series rescaled so |P| <= 1 on [-1, 1], with what its bound check
+    found: the applied factor ``rescale``, the checked max|P| of the series
+    before rescaling (``peak``) and ``evaluate``, the rescaled series'
+    interpolant on the check's M grid (1-D arrays of x in [-1, 1], no
+    checks; its ``values`` are the check's times ``rescale``)."""
+
+    series: ChebyshevSeries
+    rescale: float
+    peak: float
+    evaluate: Callable
+
+
+def bound_series(series: ChebyshevSeries) -> BoundedSeries:
+    """Rescale so |P(x)| <= 1 on [-1, 1], with a 1e-6 safety margin (the
+    factor is exactly 1 when the peak times 1 + 1e-6 is at most 1 + 1e-9).
+
+    The peak comes from a Chebyshev-spaced grid of 4M >= 4*degree points
+    plus golden-section refinement, interpolating from every fourth grid
+    value (the M-point grid), around each grid local maximum within
     pi^2/128 of the grid's top (Bernstein's inequality bounds how far the
     node nearest the true peak can lie below it; a definite-parity |P| is
     even, so the maximizer's mirror image is skipped)."""
@@ -229,40 +259,23 @@ def max_abs_on_interval(series: ChebyshevSeries) -> float:
     skip = {k, last - k} if series.parity != "none" else {k}
     rivals = [int(j) for j in np.flatnonzero(vals >= (1.0 - np.pi ** 2 / 128) * vals[k])
               if j not in skip and vals[j] >= max(vals[max(j - 1, 0)], vals[min(j + 1, last)])]
-    return max([refined(k)] + [refined(j) for j in rivals])
-
-
-def enforce_qsvt_bounds(series: ChebyshevSeries) -> tuple[ChebyshevSeries, float]:
-    """Rescale so |P(x)| <= 1 on [-1, 1], with a 1e-6 safety margin.
-
-    Returns the (possibly) rescaled series and the applied scale factor,
-    which the solver undoes classically at readout. Idempotent: a second
-    application reports a scale of exactly 1.
-    """
-    peak = max_abs_on_interval(series)
+    peak = max([refined(k)] + [refined(j) for j in rivals])
     target = peak * (1.0 + _BOUND_MARGIN)
     if target <= 1.0 + 1e-9:
-        return series, 1.0
+        return BoundedSeries(series, 1.0, peak, interpolant)
     applied = 1.0 / target
+    interpolant.values *= applied  # the grid now holds the rescaled series
     rescaled = replace(
         series,
         coefficients=series.coefficients * applied,
         scale=None if series.scale is None else series.scale * applied,
     )
-    return rescaled, applied
+    return BoundedSeries(rescaled, applied, peak, interpolant)
 
 
-def approx_error_report(series: ChebyshevSeries, kappa: float,
-                        grid: int = 10_000) -> tuple[float, float]:
-    """Measure the series against its target on dense uniform grids.
-
-    Returns ``(max_err_on_domain, max_abs_on_gap)``: the maximum of
-    |P(x) - scale/x| over [1/kappa, 1] and the maximum of |P| over the
-    excluded interval [0, 1/kappa].
-    """
-    scale = 1.0 if series.scale is None else series.scale
-    xs = np.linspace(1.0 / kappa, 1.0, grid)
-    err = float(np.max(np.abs(cheb_eval(series, xs) - scale / xs)))
-    gap = np.linspace(0.0, 1.0 / kappa, grid)
-    gap_max = float(np.max(np.abs(cheb_eval(series, gap))))
-    return err, gap_max
+def enforce_qsvt_bounds(series: ChebyshevSeries) -> tuple[ChebyshevSeries, float]:
+    """``bound_series`` as the (possibly) rescaled series and the applied
+    factor, which the solver undoes classically at readout. Idempotent: a
+    second application reports a factor of exactly 1."""
+    bounded = bound_series(series)
+    return bounded.series, bounded.rescale

@@ -18,7 +18,6 @@ import numpy as np
 __all__ = [
     "Svd",
     "svd",
-    "condition_number",
     "singular_value_ratio",
     "two_norm",
     "random_with_condition",
@@ -112,11 +111,6 @@ def singular_value_ratio(singular_values) -> float:
     if smin <= 1e-14 * smax:
         raise ValueError("matrix numerically singular")
     return smax / smin
-
-
-def condition_number(a) -> float:
-    """Spectral condition number; see ``singular_value_ratio``."""
-    return singular_value_ratio(svd(a).singular_values)
 
 
 def _random_orthogonal(n: int, rng: np.random.Generator) -> np.ndarray:

@@ -9,17 +9,17 @@ most eps_l; the loop needs nothing else from it:
 * ``QsvtBackend`` (``qsvt_full``) -- dilation encoding + phase sequence,
   the honest simulated pipeline; real inputs only (the real part of one
   sweep is the +-Phi average only for a real encoding and b). The
-  bounded inverse series and its phase factors depend only on (kappa,
-  eps' = eps_l / kappa), so each is found once per process and shared,
-  read-only, by every backend with that key (the last 16 keys are kept).
-  The factory sweeps the N ancilla-zero columns once; each inner solve is
+  factory sweeps the N ancilla-zero columns once; each inner solve is
   one product with their kept real N x N block, a saving of simulator
   time only (the model still charges ``degree`` calls per inner solve);
 * ``SpectralOracleBackend`` (``spectral_oracle``) -- the same inverse
   polynomial applied through the SVD (ground truth for the circuit path);
-  its evaluator on the series' Chebyshev grid is memoized per key too;
 * ``NoisyOracleBackend`` (``noisy_oracle``) -- exact solve plus seeded
   noise of relative size eps_l, for stress sweeps.
+
+The bounded inverse series (a ``BoundedSeries``, with the evaluator its
+one bound-check grid gives) and its phase factors depend only on (kappa,
+eps' = eps_l / kappa); two memos of 16 keys share each with every backend.
 
 The magnitude is recovered classically by minimizing ||A (x + mu eta) - b||
 over mu. The scaled residual omega = ||b - A x|| / ||b|| both stops the
@@ -42,8 +42,8 @@ import numpy as np
 from scipy.optimize import minimize_scalar
 
 from .blockenc import dilation_encoding
-from .invpoly import ChebyshevSeries, cheb_evaluator, degree_params, \
-    enforce_qsvt_bounds, inverse_cheb_series
+from .invpoly import BoundedSeries, ChebyshevSeries, bound_series, degree_params, \
+    inverse_cheb_series
 from .numerics import as_matrix, singular_value_ratio, svd, two_norm
 from .qsp_phases import PhaseVector, find_phases
 from .qsvt_core import apply_inverse_state, inverse_block
@@ -191,37 +191,27 @@ def _measured_kappa(singular_values: np.ndarray) -> float:
 
 
 @functools.lru_cache(maxsize=_MEMO_SIZE)
-def _bounded_inverse_series(kappa: float, eps_prime: float) -> ChebyshevSeries:
-    """Bounded inverse series at accuracy eps' (callers pass eps_l / kappa).
-
-    It depends on nothing else, so backends with the same (kappa, eps')
-    share one memoized, read-only series object."""
-    series = inverse_cheb_series(kappa, eps_prime)
-    bounded, _ = enforce_qsvt_bounds(series)
-    bounded.coefficients.flags.writeable = False
-    return bounded
+def _inverse_record(kappa: float, eps_prime: float) -> BoundedSeries:
+    """``bound_series`` of the inverse series at accuracy eps' (callers pass
+    eps_l / kappa): one read-only record per key, whose evaluator gives the
+    spectral oracle its P(sigma) without a second grid."""
+    record = bound_series(inverse_cheb_series(kappa, eps_prime))
+    record.series.coefficients.flags.writeable = False
+    record.evaluate.values.flags.writeable = False
+    return record
 
 
 @functools.lru_cache(maxsize=_MEMO_SIZE)
 def _inverse_phases(kappa: float, eps_prime: float) -> PhaseVector:
-    """Phase factors of ``_bounded_inverse_series(kappa, eps')``.
+    """Phase factors of the series in ``_inverse_record(kappa, eps')``.
 
     A classical precomputation that depends on the series alone, so QSVT
     backends with the same (kappa, eps') share one memoized, read-only
     phase vector. A ``PhaseFindingError`` is raised, not cached: the next
     call with that key tries again."""
-    phases = find_phases(_bounded_inverse_series(kappa, eps_prime))
+    phases = find_phases(_inverse_record(kappa, eps_prime).series)
     phases.phases.flags.writeable = False
     return phases
-
-
-@functools.lru_cache(maxsize=_MEMO_SIZE)
-def _inverse_evaluator(kappa: float, eps_prime: float):
-    """``cheb_evaluator`` of ``_bounded_inverse_series(kappa, eps')``: shared,
-    with read-only grid values, by every spectral-oracle backend of that key."""
-    evaluate = cheb_evaluator(_bounded_inverse_series(kappa, eps_prime))
-    evaluate.values.flags.writeable = False
-    return evaluate
 
 
 def spectral_oracle_backend(a, eps_l: float, kappa: Optional[float] = None,
@@ -231,11 +221,11 @@ def spectral_oracle_backend(a, eps_l: float, kappa: Optional[float] = None,
     sv = fac.singular_values
     if kappa is None:
         kappa = _measured_kappa(sv)
-    series = _bounded_inverse_series(kappa, eps_l / kappa)
+    record = _inverse_record(kappa, eps_l / kappa)
     return SpectralOracleBackend(
-        eps_l=eps_l, kappa=kappa, degree=series.degree, shots=shots,
-        rng=np.random.default_rng([seed, 0x5EC7]), series=series, u=fac.u, v=fac.v,
-        diag=_inverse_evaluator(kappa, eps_l / kappa)(sv / sv[0]),
+        eps_l=eps_l, kappa=kappa, degree=record.series.degree, shots=shots,
+        rng=np.random.default_rng([seed, 0x5EC7]), series=record.series, u=fac.u, v=fac.v,
+        diag=record.evaluate(sv / sv[0]),
     )
 
 
@@ -268,7 +258,7 @@ def qsvt_backend(a, eps_l: float, kappa: Optional[float] = None, seed: int = 0,
     if kappa is None:
         kappa = _measured_kappa(fac.singular_values)
     eps_prime = eps_l / kappa
-    series = _bounded_inverse_series(kappa, eps_prime)
+    series = _inverse_record(kappa, eps_prime).series
     phases = _inverse_phases(kappa, eps_prime)
     return QsvtBackend(
         eps_l=eps_l, kappa=kappa, degree=series.degree, shots=shots,

@@ -4,6 +4,13 @@
 each vectorized over the points. It shares no code with the library's
 barycentric evaluator, so the two check each other.
 
+``dct1_values`` is the library's grid transform as it was before odd
+series took their half-length DCT-II: one DCT-I of length M+1 for any
+series.
+
+``approx_error_report`` measures a series against ``scale / x`` on dense
+uniform grids, with the library's ``cheb_eval``.
+
 ``scan_interpolant`` is the library's barycentric evaluator as it was
 when it found exact node hits by scanning the whole points x nodes block
 for zeros; the library now searches the node table instead, and must
@@ -11,6 +18,9 @@ give the same bits.
 """
 
 import numpy as np
+from scipy.fft import dct, next_fast_len
+
+from qsvt_refine.invpoly import cheb_eval
 
 
 def clenshaw_eval(series, x):
@@ -23,6 +33,32 @@ def clenshaw_eval(series, x):
     for k in range(len(c) - 1, 0, -1):
         b1, b2 = c[k] + 2.0 * xs * b1 - b2, b1
     return c[0] + xs * b1 - b2
+
+
+def dct1_values(coefs, npts):
+    """Series values at x_j = cos(pi j / M), j = 0..M, by one DCT-I, with
+    M the first FFT-friendly size of at least ``npts`` and ``coefs.size``."""
+    m = next_fast_len(max(npts, coefs.size, 2), real=True)
+    padded = np.zeros(m + 1)
+    padded[: coefs.size] = coefs
+    padded[1:] *= 0.5
+    return dct(padded, type=1)
+
+
+def approx_error_report(series, kappa: float,
+                        grid: int = 10_000) -> tuple[float, float]:
+    """Measure the series against its target on dense uniform grids.
+
+    Returns ``(max_err_on_domain, max_abs_on_gap)``: the maximum of
+    |P(x) - scale/x| over [1/kappa, 1] and the maximum of |P| over the
+    excluded interval [0, 1/kappa].
+    """
+    scale = 1.0 if series.scale is None else series.scale
+    xs = np.linspace(1.0 / kappa, 1.0, grid)
+    err = float(np.max(np.abs(cheb_eval(series, xs) - scale / xs)))
+    gap = np.linspace(0.0, 1.0 / kappa, grid)
+    gap_max = float(np.max(np.abs(cheb_eval(series, gap))))
+    return err, gap_max
 
 
 def scan_interpolant(vals, chunk_elems=1 << 19):

@@ -18,7 +18,7 @@ from qsvt_refine.bench_cli import (
     main,
     run_complexity,
 )
-from qsvt_refine.numerics import condition_number
+from qsvt_refine.numerics import singular_value_ratio, svd
 from qsvt_refine.qsp_phases import PhaseFindingError
 from qsvt_refine.qsvt_core import PostSelectionError
 
@@ -49,8 +49,8 @@ def test_gen_poisson_smallest_case():
 
 
 def test_gen_poisson_condition_growth():
-    k8 = condition_number(gen_poisson(3)[0])
-    k16 = condition_number(gen_poisson(4)[0])
+    k8 = singular_value_ratio(svd(gen_poisson(3)[0]).singular_values)
+    k16 = singular_value_ratio(svd(gen_poisson(4)[0]).singular_values)
     assert k16 > k8 > 1.0
 
 
@@ -212,6 +212,32 @@ def test_complexity_rows_and_assertions(tmp_path):
             row["iter"] * refine.samples_for_accuracy(0.4))
 
 
+@pytest.mark.parametrize("flags", [["--backend", "noisy_oracle"], ["--readout", "shot"]])
+def test_complexity_with_noisy_first_solves_exits_0(tmp_path, capsys, flags):
+    # a noisy first solve can leave omega above eps_l, and a second solve
+    # doubles the total; the per-solve cost still matches the direct one
+    out = str(tmp_path / "c.csv")
+    assert main(["--experiment", "complexity", "--out", out, *flags]) == 0
+    assert "all run-level assertions passed" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("backend, code", [("spectral_oracle", 1), ("noisy_oracle", 0)])
+def test_complexity_totals_check_fails_only_the_exact_polynomial_backends(
+        tmp_path, monkeypatch, capsys, backend, code):
+    # one more solve keeps the per-solve cost and breaks the equal totals
+    real = bench_cli.iterative_refine
+
+    def one_more_solve(*args, **kwargs):
+        x, trace, cost = real(*args, **kwargs)
+        return x, trace, refine.CostReport(cost.solves + 1, cost.be_calls_per_solve,
+                                           cost.samples_per_solve)
+
+    monkeypatch.setattr(bench_cli, "iterative_refine", one_more_solve)
+    out = str(tmp_path / "c.csv")
+    assert main(["--experiment", "complexity", "--backend", backend, "--out", out]) == code
+    assert ("totals disagree at eps = eps_l" in capsys.readouterr().out) == (code == 1)
+
+
 def test_poisson_experiment(tmp_path):
     path, _ = write_config(
         tmp_path, experiment="poisson", n_qubits=3, eps_l=[1e-3],
@@ -220,7 +246,8 @@ def test_poisson_experiment(tmp_path):
     assert main(["--config", str(path)]) == 0
     rows = (tmp_path / "out.csv").read_text().splitlines()[1:]
     kappa = float(rows[0].split(",")[3])
-    assert kappa == pytest.approx(condition_number(gen_poisson(3)[0]), rel=1e-6)
+    assert kappa == pytest.approx(
+        singular_value_ratio(svd(gen_poisson(3)[0]).singular_values), rel=1e-6)
 
 
 @pytest.mark.parametrize("overrides, message", [
@@ -249,7 +276,7 @@ def test_bad_config_exits_2_before_any_run(tmp_path, capsys, overrides, message)
 
 def test_poisson_kappa_is_resolved_in_the_config():
     cfg = ExperimentConfig(experiment="poisson", n_qubits=3, kappa=[10.0])
-    assert cfg.kappa == [condition_number(gen_poisson(3)[0])]
+    assert cfg.kappa == [singular_value_ratio(svd(gen_poisson(3)[0]).singular_values)]
 
 
 @pytest.mark.parametrize("target, error", [

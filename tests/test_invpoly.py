@@ -4,14 +4,15 @@ import tracemalloc
 import mpmath
 import numpy as np
 import pytest
-from cheb_reference import clenshaw_eval, scan_interpolant
+from cheb_reference import approx_error_report, clenshaw_eval, dct1_values, scan_interpolant
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from scipy.fft import next_fast_len
 
 from qsvt_refine import invpoly
 from qsvt_refine.invpoly import (
     ChebyshevSeries,
-    approx_error_report,
+    bound_series,
     cheb_eval,
     degree_params,
     enforce_qsvt_bounds,
@@ -265,6 +266,26 @@ def test_cheb_eval_matches_clenshaw_reference(degree, parity, seed, picks, point
     assert err <= 1e-12 * np.sum(np.abs(series.coefficients))
 
 
+@settings(max_examples=80, deadline=None)
+@given(terms=st.integers(1, 200), seed=st.integers(0, 2**16), bound_check_grid=st.booleans())
+@example(terms=1, seed=0, bound_check_grid=True)
+def test_odd_grid_values_match_the_dct1(terms, seed, bound_check_grid):
+    # an odd series on an even grid takes the half-length DCT-II; parity
+    # makes P(0) = 0 and the grid antisymmetric exactly, not to rounding
+    coefs = np.zeros(2 * terms)
+    coefs[1::2] = np.random.default_rng(seed).standard_normal(terms)
+    degree = coefs.size - 1
+    npts = 4 * next_fast_len(degree, real=True) if bound_check_grid else degree
+    got = invpoly._values_on_cheb_grid(coefs, npts)
+    want = dct1_values(coefs, npts)
+    assert got.size == want.size
+    assert np.max(np.abs(got - want)) <= 4 * np.finfo(float).eps * np.sum(np.abs(coefs))
+    m = got.size - 1
+    if m % 2 == 0:
+        assert got[m // 2] == 0.0
+        assert np.array_equal(got, -got[::-1])
+
+
 def test_cheb_eval_matches_clenshaw_reference_above_degree_10k():
     series = random_series(3, 12_001, "none")
     xs = np.concatenate([special_points(series, [1, 2, 6000, 12_000]),
@@ -327,6 +348,24 @@ def test_enforce_bounds_inverse_series_and_idempotency():
     again, second = enforce_qsvt_bounds(bounded)
     assert second == 1.0
     assert again is bounded
+
+
+@pytest.mark.parametrize("kappa, eps", [(10.0, 1e-3), (10.0, 1e-2), (300.0, 0.4 / 300**2)])
+def test_bound_series_keeps_what_its_check_found(kappa, eps):
+    series = inverse_cheb_series(kappa, eps)
+    record = bound_series(series)
+    bounded, applied = enforce_qsvt_bounds(series)
+    assert record.rescale == applied
+    assert np.array_equal(record.series.coefficients, bounded.coefficients)
+    assert record.series.scale == bounded.scale
+    assert record.peak * record.rescale <= 1.0
+    assert record.peak * record.rescale == pytest.approx(max_abs_on_interval(record.series),
+                                                         rel=1e-9)
+    # the evaluator interpolates the bounded series from the check's grid
+    xs = np.concatenate([[-1.0, 1.0 / kappa, 1.0],
+                         np.random.default_rng(0).uniform(-1.0, 1.0, 64)])
+    err = np.max(np.abs(record.evaluate(xs) - clenshaw_eval(record.series, xs)))
+    assert err <= 1e-13 * np.sum(np.abs(record.series.coefficients))
 
 
 def test_error_report():

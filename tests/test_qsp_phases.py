@@ -173,7 +173,7 @@ def test_find_phases_is_identical_across_processes():
     script = (
         "import hashlib; from qsvt_refine import refine; "
         "print(hashlib.sha1(refine.find_phases("
-        "refine._bounded_inverse_series(4.0, 1e-2 / 4.0)).phases.tobytes()).hexdigest())"
+        "refine._inverse_record(4.0, 1e-2 / 4.0).series).phases.tobytes()).hexdigest())"
     )
     env = dict(os.environ, PYTHONPATH=str(Path(qsvt_refine.__file__).resolve().parents[1]))
     digests = {

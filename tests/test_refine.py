@@ -372,28 +372,34 @@ def test_shared_series_is_read_only():
         backend.series.coefficients[1] = 0.0
 
 
-def test_spectral_backends_share_one_grid_evaluator_per_kappa_eps(monkeypatch):
-    # the series' grid values come from one DCT-I per key, not one per backend
+def test_polynomial_backends_share_one_grid_per_kappa_eps(monkeypatch):
+    # a fresh key makes one grid transform and one set of node tables, in
+    # its bound check; phase finding checks its target on grids of its
+    # own, so the key's phases are found before counting
     kappa, eps_l = 2.0, 0.1
-    refine_mod._bounded_inverse_series(kappa, eps_l / kappa)  # its bound check has its own grid
-    refine_mod._inverse_evaluator.cache_clear()
-    grids = []
-    real = invpoly._values_on_cheb_grid
+    refine_mod._inverse_phases(kappa, eps_l / kappa)
+    refine_mod._inverse_record.cache_clear()
+    calls = {"_values_on_cheb_grid": 0, "_interpolant": 0}
+    for name in calls:
+        def counted(*args, _name=name, _real=getattr(invpoly, name)):
+            calls[_name] += 1
+            return _real(*args)
 
-    def values_on_cheb_grid(*args):
-        grids.append(args)
-        return real(*args)
-
-    monkeypatch.setattr(invpoly, "_values_on_cheb_grid", values_on_cheb_grid)
-    spectral_oracle_backend(random_with_condition(4, kappa, 0), eps_l, kappa=kappa)
-    spectral_oracle_backend(random_with_condition(8, kappa, 1), eps_l, kappa=kappa)
-    assert len(grids) == 1
+        monkeypatch.setattr(invpoly, name, counted)
+    first = spectral_oracle_backend(random_with_condition(4, kappa, 0), eps_l, kappa=kappa)
+    second = spectral_oracle_backend(random_with_condition(8, kappa, 1), eps_l, kappa=kappa)
+    qsvt = qsvt_backend(random_with_condition(4, kappa, 2), eps_l, kappa=kappa)
+    assert calls == {"_values_on_cheb_grid": 1, "_interpolant": 1}
+    assert first.series is second.series is qsvt.series
+    assert refine_mod._inverse_record.cache_info().currsize == 1
 
 
 def test_shared_grid_values_are_read_only():
-    values = refine_mod._inverse_evaluator(2.0, 0.05).values
+    record = refine_mod._inverse_record(2.0, 0.05)
     with pytest.raises(ValueError, match="read-only"):
-        values[0] = 0.0
+        record.evaluate.values[0] = 0.0
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        record.rescale = 1.0
 
 
 def test_qsvt_rejects_complex_inputs_at_the_boundary():

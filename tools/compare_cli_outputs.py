@@ -12,11 +12,13 @@ for example that of a checkout of the parent commit. Each config in
 Per config it prints ``identical`` (same exit code, same CSV bytes, same
 ``meta.json`` once ``config.out`` is removed) or what differs: the exit
 codes, the rows present on one side only, each non-float column that
-differs, the worst relative drift of ``omega`` and ``mu``, and
-``meta.json``. The drift is reported for the rows at ``iter`` 0 apart
+differs, the worst relative and absolute drift of ``omega`` and ``mu``,
+and ``meta.json``. The drift is reported for the rows at ``iter`` 0 apart
 from the later ones: a first-iteration ``omega`` is a direct measure of
 one inner solve, while later ones sit near ``eps_target``, where rounding
-alone moves them by far more.
+alone moves them by far more. Both measures are printed because a small
+``omega`` (say 6e-9) moves by a large relative amount for a rounding-level
+absolute one.
 
 Exit status: 1 when an exit code, the row set, a non-float column or
 ``meta.json`` differs for any config; 0 otherwise, drift of ``omega`` and
@@ -109,9 +111,11 @@ def compare(here: tuple, other: tuple) -> tuple[list[str], bool]:
             later = [k for k in differing if rows_h[k]["iter"] != "0"]
             for where, keys in (("at iter 0", first), ("at later iters", later)):
                 if keys:
-                    worst = max(relative_drift(rows_h[k][column], rows_o[k][column]) for k in keys)
+                    pairs = [(rows_h[k][column], rows_o[k][column]) for k in keys]
+                    worst = max(relative_drift(a, b) for a, b in pairs)
+                    worst_abs = max(abs(float(a) - float(b)) for a, b in pairs)
                     lines.append(f"{column} {where}: {len(keys)} rows drift, "
-                                 f"worst relative {worst:.3e}")
+                                 f"worst relative {worst:.3e}, absolute {worst_abs:.3e}")
         else:
             lines.append(f"column {column}: {len(differing)} rows differ")
             breaking = True
