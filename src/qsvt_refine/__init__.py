@@ -15,10 +15,11 @@ from .blockenc import (
     fable_encoding,
 )
 from .invpoly import (
+    BoundedSeries,
     ChebyshevSeries,
+    bound_series,
     cheb_eval,
     degree_params,
-    enforce_qsvt_bounds,
     inverse_cheb_series,
 )
 from .numerics import (

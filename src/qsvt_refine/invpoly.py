@@ -24,7 +24,6 @@ __all__ = [
     "degree_params",
     "inverse_cheb_series",
     "cheb_eval",
-    "cheb_evaluator",
     "enforce_qsvt_bounds",
     "bound_series",
     "max_abs_on_interval",
@@ -182,26 +181,15 @@ def _interpolant(vals: np.ndarray):
     return evaluate
 
 
-def cheb_evaluator(series: ChebyshevSeries):
-    """``cheb_eval`` bound to ``series``, with the grid transform and the node
-    tables built once."""
-    interpolant = _interpolant(_values_on_cheb_grid(series.coefficients, series.degree))
-
-    def evaluate(x):
-        xs = float(x) if np.isscalar(x) else np.asarray(x, dtype=float)
-        if not np.all(np.abs(xs) <= 1.0 + 1e-12):
-            raise ValueError("cheb_eval requires finite x with |x| <= 1")
-        out = interpolant(np.ravel(xs))
-        return float(out[0]) if isinstance(xs, float) else out.reshape(np.shape(xs))
-
-    return evaluate
-
-
 def cheb_eval(series: ChebyshevSeries, x):
     """Evaluate the series at ``x`` (scalar or array, |x| <= 1) from its
     values at M+1 >= degree+1 Chebyshev-Lobatto points (one transform).
     A scalar returns a Python float equal to its entry in an array call."""
-    return cheb_evaluator(series)(x)
+    xs = float(x) if np.isscalar(x) else np.asarray(x, dtype=float)
+    if not np.all(np.abs(xs) <= 1.0 + 1e-12):
+        raise ValueError("cheb_eval requires finite x with |x| <= 1")
+    out = _interpolant(_values_on_cheb_grid(series.coefficients, series.degree))(np.ravel(xs))
+    return float(out[0]) if isinstance(xs, float) else out.reshape(np.shape(xs))
 
 
 # Former name, still the one perfbench's tracer wraps (the same function).

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .invpoly import ChebyshevSeries, cheb_eval, max_abs_on_interval
+from .invpoly import BoundedSeries
 
 __all__ = [
     "CONVENTION_TAG",
@@ -138,8 +138,12 @@ def realized_values(phases: PhaseVector, xs: np.ndarray) -> np.ndarray:
     return _SignalRows(xs, phases.degree)(phases.phases).real.copy()
 
 
-def find_phases(target: ChebyshevSeries, tol: float = 1e-10) -> PhaseVector:
-    """Solve for phases realizing ``target`` in the wx-re00 convention.
+def find_phases(target: BoundedSeries, tol: float = 1e-10) -> PhaseVector:
+    """Solve for phases realizing ``target.series`` in the wx-re00 convention.
+
+    ``target`` is the series' bound-check record (``bound_series``): its
+    checked peak times its rescale factor must stay 1e-8 below 1, and its
+    evaluator gives the node targets, so no second grid is built here.
 
     Newton's method on the symmetric phases (Dong, Lin, Ni & Wang,
     arXiv:2307.12468). The unknowns are the m = ceil((d+1)/2) reduced
@@ -158,9 +162,9 @@ def find_phases(target: ChebyshevSeries, tol: float = 1e-10) -> PhaseVector:
     PhaseFindingError
         If the node residual never reaches ``tol`` (carries the residual).
     """
-    if target.parity == "none":
+    if target.series.parity == "none":
         raise ValueError("find_phases requires a definite-parity target")
-    d = target.degree
+    d = target.series.degree
     if d < 1:
         raise ValueError("target degree must be >= 1")
     if d > MAX_DEGREE:
@@ -168,15 +172,13 @@ def find_phases(target: ChebyshevSeries, tol: float = 1e-10) -> PhaseVector:
             f"degree {d} exceeds the find_phases cap ({MAX_DEGREE}); "
             "use the spectral-oracle backend for larger runs"
         )
-    peak = max_abs_on_interval(target)
+    peak = target.peak * target.rescale
     if peak > 1.0 - _INTERIOR_MARGIN:
-        raise ValueError(
-            f"max|P| = {peak} too close to 1; rescale (enforce_qsvt_bounds) first"
-        )
+        raise ValueError(f"max|P| = {peak} too close to 1; rescale (bound_series) first")
 
     m = (d + 2) // 2
     xs = np.cos((2 * np.arange(1, m + 1) - 1) * np.pi / (4 * m))
-    want = cheb_eval(target, xs)
+    want = target.evaluate(xs)
     rows = _SignalRows(xs, d)
     j = np.arange(d)  # phases = w * r[idx]
     idx, w = np.minimum(j, d - j), np.where(j == 0, 2.0, 1.0)
@@ -199,7 +201,8 @@ def find_phases(target: ChebyshevSeries, tol: float = 1e-10) -> PhaseVector:
     return PhaseVector(w * best[idx])
 
 
-def verify_phases(phases: PhaseVector, target: ChebyshevSeries, grid: int = 10_000) -> float:
-    """Max of |Re M(x)[0,0] - P(x)| over a ``grid``-point span of [-1, 1]."""
+def verify_phases(phases: PhaseVector, target: BoundedSeries, grid: int = 10_000) -> float:
+    """Max of |Re M(x)[0,0] - P(x)| over a ``grid``-point span of [-1, 1],
+    with P(x) from ``target.evaluate``, the grid ``find_phases`` matched."""
     xs = np.linspace(-1.0, 1.0, grid)
-    return float(np.max(np.abs(realized_values(phases, xs) - cheb_eval(target, xs))))
+    return float(np.max(np.abs(realized_values(phases, xs) - target.evaluate(xs))))

@@ -20,6 +20,8 @@ most eps_l; the loop needs nothing else from it:
 The bounded inverse series (a ``BoundedSeries``, with the evaluator its
 one bound-check grid gives) and its phase factors depend only on (kappa,
 eps' = eps_l / kappa); two memos of 16 keys share each with every backend.
+Phase finding takes that record as it is, so each key runs one bound check
+and one grid transform whichever backends it serves.
 
 The magnitude is recovered classically by minimizing ||A (x + mu eta) - b||
 over mu. The scaled residual omega = ||b - A x|| / ||b|| both stops the
@@ -207,9 +209,11 @@ def _inverse_phases(kappa: float, eps_prime: float) -> PhaseVector:
 
     A classical precomputation that depends on the series alone, so QSVT
     backends with the same (kappa, eps') share one memoized, read-only
-    phase vector. A ``PhaseFindingError`` is raised, not cached: the next
-    call with that key tries again."""
-    phases = find_phases(_inverse_record(kappa, eps_prime).series)
+    phase vector. ``find_phases`` takes the memoized record itself: its
+    checked peak and its evaluator, so the key's one bound check and one
+    grid serve phase finding too. A ``PhaseFindingError`` is raised, not
+    cached: the next call with that key tries again."""
+    phases = find_phases(_inverse_record(kappa, eps_prime))
     phases.phases.flags.writeable = False
     return phases
 

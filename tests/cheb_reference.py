@@ -15,12 +15,15 @@ uniform grids, with the library's ``cheb_eval``.
 when it found exact node hits by scanning the whole points x nodes block
 for zeros; the library now searches the node table instead, and must
 give the same bits.
+
+``random_odd_target`` builds a random odd phase-finding target: the
+``bound_series`` record that ``find_phases`` and ``verify_phases`` take.
 """
 
 import numpy as np
 from scipy.fft import dct, next_fast_len
 
-from qsvt_refine.invpoly import cheb_eval
+from qsvt_refine.invpoly import ChebyshevSeries, bound_series, cheb_eval
 
 
 def clenshaw_eval(series, x):
@@ -87,3 +90,12 @@ def scan_interpolant(vals, chunk_elems=1 << 19):
         return out
 
     return evaluate
+
+
+def random_odd_target(rng, degree, peak):
+    """``bound_series`` record of an odd series of ``degree`` with standard
+    normal coefficients, scaled so that its checked max|P| is ``peak``."""
+    coefs = np.zeros(degree + 1)
+    coefs[1::2] = rng.standard_normal((degree + 1) // 2)
+    unscaled = bound_series(ChebyshevSeries(coefs, "odd"))
+    return bound_series(ChebyshevSeries(coefs * (peak / unscaled.peak), "odd"))

@@ -13,12 +13,8 @@ import pytest
 
 from qsvt_refine.bench_cli import ExperimentConfig, main, run_complexity
 from qsvt_refine.blockenc import dilation_encoding, fable_encoding
-from qsvt_refine.invpoly import (
-    ChebyshevSeries,
-    cheb_eval,
-    inverse_cheb_series,
-    max_abs_on_interval,
-)
+from cheb_reference import random_odd_target
+from qsvt_refine.invpoly import cheb_eval, inverse_cheb_series
 from qsvt_refine.numerics import random_with_condition
 from qsvt_refine.qsp_phases import find_phases
 from qsvt_refine.qsvt_core import build_u_phi, spectral_oracle
@@ -36,13 +32,6 @@ def report(number: int, text: str) -> None:
     print(f"\nACCEPTANCE {number}: PASS - {text}")
 
 
-def random_odd_series(rng, degree, peak):
-    coefs = np.zeros(degree + 1)
-    coefs[1::2] = rng.standard_normal((degree + 1) // 2)
-    series = ChebyshevSeries(coefs, "odd")
-    return ChebyshevSeries(coefs * (peak / max_abs_on_interval(series)), "odd")
-
-
 def unit_rhs(n, seed):
     rng = np.random.default_rng([seed, 0xB])
     b = rng.standard_normal(n)
@@ -58,10 +47,10 @@ def test_acceptance_1_qsvt_block_identity():
         degree = int(rng.choice([3, 7, 11, 15, 23, 31]))
         kappa = float(rng.uniform(1.5, 10.0))
         a = random_with_condition(n, kappa, 1000 + trial)
-        target = random_odd_series(rng, degree, 0.8)
+        target = random_odd_target(rng, degree, 0.8)
         phases = find_phases(target, tol=1e-9)
         u_phi = build_u_phi(dilation_encoding(a), phases)
-        gap = np.linalg.norm(u_phi[:n, :n].real - spectral_oracle(a, target), 2)
+        gap = np.linalg.norm(u_phi[:n, :n].real - spectral_oracle(a, target.series), 2)
         worst = max(worst, gap)
         assert gap <= 1e-7, f"trial {trial}: {gap:.3e}"
     elapsed = time.monotonic() - start

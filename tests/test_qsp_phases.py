@@ -9,17 +9,20 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import qsvt_refine
+from cheb_reference import clenshaw_eval, random_odd_target
 from qsvt_refine.invpoly import (
+    BoundedSeries,
     ChebyshevSeries,
-    enforce_qsvt_bounds,
+    bound_series,
+    cheb_eval,
     inverse_cheb_series,
-    max_abs_on_interval,
 )
 from qsvt_refine.qsp_phases import (
     PhaseFindingError,
     PhaseVector,
     _SignalRows,
     find_phases,
+    realized_values,
     verify_phases,
 )
 
@@ -41,13 +44,6 @@ def signal_unitary(x: float, phases: PhaseVector) -> np.ndarray:
         e = np.exp(1j * phi)
         m = m @ np.array([[e, 0.0], [0.0, np.conj(e)]]) @ w
     return m
-
-
-def random_odd_series(rng, degree, peak):
-    coefs = np.zeros(degree + 1)
-    coefs[1::2] = rng.standard_normal((degree + 1) // 2)
-    series = ChebyshevSeries(coefs, "odd")
-    return ChebyshevSeries(coefs * (peak / max_abs_on_interval(series)), "odd")
 
 
 def test_signal_unitary_single_w():
@@ -76,23 +72,22 @@ def test_signal_unitary_domain_check():
 
 
 def test_find_phases_t1():
-    phases = find_phases(ChebyshevSeries(np.array([0.0, 0.999]), "odd"), tol=1e-12)
+    phases = find_phases(bound_series(ChebyshevSeries(np.array([0.0, 0.999]), "odd")), tol=1e-12)
     xs = np.random.default_rng(1).uniform(-1, 1, 100)
     for x in xs:
         assert signal_unitary(x, phases)[0, 0].real == pytest.approx(0.999 * x, abs=1e-10)
 
 
 def test_find_phases_scaled_t3():
-    target = ChebyshevSeries(np.array([0.0, 0.0, 0.0, 0.9]), "odd")
+    target = bound_series(ChebyshevSeries(np.array([0.0, 0.0, 0.0, 0.9]), "odd"))
     phases = find_phases(target, tol=1e-10)
     assert verify_phases(phases, target) <= 1e-9
 
 
 def test_find_phases_inverse_polynomial():
-    series = inverse_cheb_series(2.0, 0.1)
-    bounded, _ = enforce_qsvt_bounds(series)
+    bounded = bound_series(inverse_cheb_series(2.0, 0.1))
     phases = find_phases(bounded, tol=1e-10)
-    assert phases.degree == bounded.degree
+    assert phases.degree == bounded.series.degree
     assert verify_phases(phases, bounded) <= 1e-8
 
 
@@ -101,42 +96,44 @@ def test_find_phases_random_odd_targets():
     rng = np.random.default_rng(42)
     for trial in range(50):
         degree = int(rng.choice([3, 7, 11, 15, 23, 31]))
-        target = random_odd_series(rng, degree, 0.8)
+        target = random_odd_target(rng, degree, 0.8)
         phases = find_phases(target, tol=1e-9)
         assert verify_phases(phases, target) <= 1e-8, f"trial {trial}"
 
 
 def test_odd_phases_respect_parity_at_zero():
     rng = np.random.default_rng(3)
-    target = random_odd_series(rng, 7, 0.7)
+    target = random_odd_target(rng, 7, 0.7)
     phases = find_phases(target, tol=1e-10)
     assert abs(signal_unitary(0.0, phases)[0, 0].real) <= 1e-10
 
 
 def test_find_phases_even_target():
     # 0.8 T_2: even degrees fold d phases into d/2 + 1 unknowns
-    target = ChebyshevSeries(np.array([0.0, 0.0, 0.8]), "even")
+    target = bound_series(ChebyshevSeries(np.array([0.0, 0.0, 0.8]), "even"))
     phases = find_phases(target, tol=1e-10)
     assert verify_phases(phases, target) <= 1e-9
 
 
 def test_find_phases_preconditions():
     with pytest.raises(ValueError, match="parity"):
-        find_phases(ChebyshevSeries(np.array([0.5, 0.5]), "none"))
+        find_phases(bound_series(ChebyshevSeries(np.array([0.5, 0.5]), "none")))
     with pytest.raises(ValueError, match="degree"):
-        find_phases(ChebyshevSeries(np.array([0.9]), "even"))
+        find_phases(bound_series(ChebyshevSeries(np.array([0.9]), "even")))
+    # a hand-built record whose unrescaled peak sits within 1e-8 of 1
+    near_one = ChebyshevSeries(np.array([0.0, 1.0 - 1e-9]), "odd")
     with pytest.raises(ValueError, match="rescale"):
-        find_phases(ChebyshevSeries(np.array([0.0, 1.0 - 1e-9]), "odd"))
+        find_phases(BoundedSeries(near_one, 1.0, 1.0 - 1e-9, lambda x: cheb_eval(near_one, x)))
     big = ChebyshevSeries(np.concatenate([np.zeros(503), [0.5]]), "odd")
     with pytest.raises(ValueError, match="cap"):
-        find_phases(big)
+        find_phases(bound_series(big))
 
 
 def test_find_phases_iteration_cap_error():
     # no iterate reaches a zero node residual, so the iteration stops
     # when the residual no longer falls and reports the best one
     rng = np.random.default_rng(9)
-    target = random_odd_series(rng, 15, 0.8)
+    target = random_odd_target(rng, 15, 0.8)
     with pytest.raises(PhaseFindingError) as excinfo:
         find_phases(target, tol=0.0)
     assert excinfo.value.residual > 0.0
@@ -150,18 +147,25 @@ def definite_parity_targets(draw):
     coefs[degree % 2::2] = draw(st.lists(st.floats(-1.0, 1.0), min_size=degree // 2 + 1,
                                          max_size=degree // 2 + 1))
     coefs[degree] = draw(st.floats(0.05, 1.0)) * draw(st.sampled_from([-1.0, 1.0]))
-    series = ChebyshevSeries(coefs, parity)
     peak = draw(st.floats(0.5, 1.0 - 1e-7))
-    return ChebyshevSeries(coefs * (peak / max_abs_on_interval(series)), parity)
+    # a peak this near 1 is above bound_series' margin, so the record is
+    # built by hand, unrescaled
+    series = ChebyshevSeries(coefs * (peak / bound_series(ChebyshevSeries(coefs, parity)).peak),
+                             parity)
+    return BoundedSeries(series, 1.0, peak, lambda x: cheb_eval(series, x))
 
 
 @settings(max_examples=80, deadline=None)
 @given(target=definite_parity_targets())
 def test_find_phases_realizes_definite_parity_targets(target):
     phases = find_phases(target)
-    d = target.degree
+    d = target.series.degree
     assert phases.degree == d
     assert verify_phases(phases, target) <= 1e-10
+    # verify_phases reads the grid the node targets came from; Clenshaw's
+    # recurrence shares no code with it
+    xs = np.linspace(-1.0, 1.0, 10_000)
+    assert np.max(np.abs(realized_values(phases, xs) - clenshaw_eval(target.series, xs))) <= 1e-10
     # phi_j == phi_{d+2-j} for j = 2..d, exactly: the phases are unfolded
     # from the symmetric reduced ones
     assert np.array_equal(phases.phases[1:], phases.phases[1:][::-1])
@@ -173,7 +177,7 @@ def test_find_phases_is_identical_across_processes():
     script = (
         "import hashlib; from qsvt_refine import refine; "
         "print(hashlib.sha1(refine.find_phases("
-        "refine._inverse_record(4.0, 1e-2 / 4.0).series).phases.tobytes()).hexdigest())"
+        "refine._inverse_record(4.0, 1e-2 / 4.0)).phases.tobytes()).hexdigest())"
     )
     env = dict(os.environ, PYTHONPATH=str(Path(qsvt_refine.__file__).resolve().parents[1]))
     digests = {
@@ -186,14 +190,15 @@ def test_find_phases_is_identical_across_processes():
 
 def test_verify_phases_exact_and_perturbed():
     phases = PhaseVector(np.array([0.0]))
-    assert verify_phases(phases, T1) <= 1e-12
+    target = BoundedSeries(T1, 1.0, 1.0, lambda x: cheb_eval(T1, x))
+    assert verify_phases(phases, target) <= 1e-12
     bumped = PhaseVector(phases.phases + np.array([0.1]))
-    assert verify_phases(bumped, T1) > 1e-3
+    assert verify_phases(bumped, target) > 1e-3
 
 
 def test_verify_phases_grid_monotonicity():
     rng = np.random.default_rng(12)
-    target = random_odd_series(rng, 5, 0.6)
+    target = random_odd_target(rng, 5, 0.6)
     phases = PhaseVector(rng.uniform(-1, 1, 5))
     assert verify_phases(phases, target, grid=10_000) >= verify_phases(
         phases, target, grid=1
@@ -263,7 +268,7 @@ def test_find_phases_takes_one_gradient_per_step(monkeypatch, kappa, eps_l):
     monkeypatch.setattr(_SignalRows, "__call__", counted("forward", _SignalRows.__call__))
     monkeypatch.setattr(_SignalRows, "gradient", counted("gradient", _SignalRows.gradient))
     monkeypatch.setattr(np.linalg, "solve", counted("step", np.linalg.solve))
-    target, _ = enforce_qsvt_bounds(inverse_cheb_series(kappa, eps_l / kappa))
+    target = bound_series(inverse_cheb_series(kappa, eps_l / kappa))
     find_phases(target)
     assert counts["step"] >= 1
     assert counts["gradient"] == counts["step"] == counts["forward"] - 1

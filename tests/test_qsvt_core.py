@@ -6,12 +6,8 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from qsvt_refine.blockenc import dilation_encoding, fable_encoding
-from qsvt_refine.invpoly import (
-    ChebyshevSeries,
-    enforce_qsvt_bounds,
-    inverse_cheb_series,
-    max_abs_on_interval,
-)
+from cheb_reference import random_odd_target
+from qsvt_refine.invpoly import ChebyshevSeries, bound_series, inverse_cheb_series
 from qsvt_refine.numerics import random_with_condition, svd
 from qsvt_refine.qsp_phases import PhaseVector, find_phases, realized_values
 from qsvt_refine.qsvt_core import (
@@ -24,19 +20,6 @@ from qsvt_refine.qsvt_core import (
 )
 
 T1 = ChebyshevSeries(np.array([0.0, 1.0]), "odd")
-
-
-def bounded_inverse(kappa, eps):
-    series = inverse_cheb_series(kappa, eps)
-    bounded, _ = enforce_qsvt_bounds(series)
-    return bounded
-
-
-def random_odd_series(rng, degree, peak):
-    coefs = np.zeros(degree + 1)
-    coefs[1::2] = rng.standard_normal((degree + 1) // 2)
-    series = ChebyshevSeries(coefs, "odd")
-    return ChebyshevSeries(coefs * (peak / max_abs_on_interval(series)), "odd")
 
 
 def test_single_phase_zero_reproduces_matrix():
@@ -93,10 +76,10 @@ def test_qsvt_identity_property():
         n = int(rng.choice([2, 4]))
         degree = int(rng.choice([3, 7, 11, 15]))
         a = random_with_condition(n, float(rng.uniform(1.5, 8.0)), 100 + trial)
-        target = random_odd_series(rng, degree, 0.8)
+        target = random_odd_target(rng, degree, 0.8)
         phases = find_phases(target, tol=1e-10)
         u_phi = build_u_phi(dilation_encoding(a), phases)
-        diff = u_phi[:n, :n].real - spectral_oracle(a, target)
+        diff = u_phi[:n, :n].real - spectral_oracle(a, target.series)
         assert np.linalg.norm(diff, 2) <= 1e-7, f"trial {trial}"
 
 
@@ -120,8 +103,9 @@ def test_extract_block_inverse_polynomial_on_diagonal():
     # dilation of diag(0.5, 1.0) with the bounded inverse series: the real
     # block must sit within 2 eps scale of scale * diag(2, 1)
     kappa, eps = 2.0, 0.1
-    series = bounded_inverse(kappa, eps)
-    phases = find_phases(series, tol=1e-10)
+    bounded = bound_series(inverse_cheb_series(kappa, eps))
+    phases = find_phases(bounded, tol=1e-10)
+    series = bounded.series
     a = np.diag([0.5, 1.0])
     u_phi = build_u_phi(dilation_encoding(a), phases)
     block = u_phi[:2, :2].real
@@ -130,8 +114,7 @@ def test_extract_block_inverse_polynomial_on_diagonal():
 
 
 def test_apply_inverse_identity_system():
-    series = bounded_inverse(1.0, 0.1)
-    phases = find_phases(series, tol=1e-10)
+    phases = find_phases(bound_series(inverse_cheb_series(1.0, 0.1)), tol=1e-10)
     enc = dilation_encoding(np.eye(2))
     rng = np.random.default_rng(0)
     b = rng.standard_normal(2)
@@ -144,8 +127,7 @@ def test_apply_inverse_identity_system():
 
 def test_apply_inverse_preserves_eigenvector():
     a = np.diag([1.0, 0.5])
-    series = bounded_inverse(2.0, 0.05)
-    phases = find_phases(series, tol=1e-10)
+    phases = find_phases(bound_series(inverse_cheb_series(2.0, 0.05)), tol=1e-10)
     enc = dilation_encoding(a.conj().T)
     out, _ = apply_inverse_state(inverse_block(enc, phases), np.array([0.0, 1.0]))
     assert abs(out[1]) == pytest.approx(1.0, abs=1e-9)
@@ -154,8 +136,7 @@ def test_apply_inverse_preserves_eigenvector():
 def test_apply_inverse_solves_to_polynomial_accuracy():
     kappa, eps = 4.0, 0.05
     a = random_with_condition(4, kappa, 21)
-    series = bounded_inverse(kappa, eps)
-    phases = find_phases(series, tol=1e-10)
+    phases = find_phases(bound_series(inverse_cheb_series(kappa, eps)), tol=1e-10)
     enc = dilation_encoding(a.conj().T)
     rng = np.random.default_rng(1)
     b = rng.standard_normal(4)
@@ -179,8 +160,7 @@ def test_apply_inverse_post_selection_failure():
 
 def test_apply_inverse_input_validation():
     enc = dilation_encoding(0.5 * np.eye(2))
-    series = bounded_inverse(2.0, 0.1)
-    phases = find_phases(series, tol=1e-9)
+    phases = find_phases(bound_series(inverse_cheb_series(2.0, 0.1)), tol=1e-9)
     block = inverse_block(enc, phases)
     e0 = np.array([1.0, 0.0])
     with pytest.raises(ValueError, match="not normalized"):

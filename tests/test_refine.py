@@ -372,12 +372,11 @@ def test_shared_series_is_read_only():
         backend.series.coefficients[1] = 0.0
 
 
-def test_polynomial_backends_share_one_grid_per_kappa_eps(monkeypatch):
+def test_polynomial_backends_share_one_grid_per_kappa_eps(fresh_phase_memo, monkeypatch):
     # a fresh key makes one grid transform and one set of node tables, in
-    # its bound check; phase finding checks its target on grids of its
-    # own, so the key's phases are found before counting
+    # its bound check, phase finding included: find_phases reads the
+    # record's checked peak and its evaluator
     kappa, eps_l = 2.0, 0.1
-    refine_mod._inverse_phases(kappa, eps_l / kappa)
     refine_mod._inverse_record.cache_clear()
     calls = {"_values_on_cheb_grid": 0, "_interpolant": 0}
     for name in calls:
@@ -538,7 +537,9 @@ def test_qsvt_backends_share_one_phase_vector_per_kappa_eps(fresh_phase_memo, mo
     assert first.phases is second.phases
     assert other.phases is third.phases is not first.phases
     assert len(targets) == 2
-    assert targets[0] is first.series and targets[1] is other.series
+    assert targets[0] is refine_mod._inverse_record(kappa, 0.1 / kappa)
+    assert targets[1] is refine_mod._inverse_record(kappa, 0.2 / kappa)
+    assert targets[0].series is first.series and targets[1].series is other.series
 
 
 def test_shared_phases_are_read_only(fresh_phase_memo):

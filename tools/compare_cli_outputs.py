@@ -47,6 +47,7 @@ CONFIGS = [
     "convergence --backend noisy_oracle",
     "convergence --readout shot",
     "convergence --backend qsvt_full --seeds 0,1",
+    "complexity --backend qsvt_full",
 ]
 KEY_COLUMNS = ("run_id", "backend", "iter")  # one row per key on either side
 DRIFT_COLUMNS = ("omega", "mu")  # float columns compared by relative drift
