@@ -14,9 +14,6 @@ from dataclasses import dataclass, replace
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.fft import dct, next_fast_len
-from scipy.optimize import minimize_scalar
-from scipy.special import betainc
 
 __all__ = [
     "ChebyshevSeries",
@@ -32,6 +29,9 @@ __all__ = [
 _BOUND_MARGIN = 1e-6  # headroom applied when rescaling to |P| <= 1
 _REFINE_XTOL = 1e-9   # locates the grid maximum to ~1e-8 in |P|
 _CHUNK_ELEMS = 1 << 19  # points x nodes per evaluation block (4 MiB of float64)
+_EXACT_CENTRAL = 64  # C(2b, b) / 4^b from exact integers below this b
+_GOLDEN = 0.5 * (3.0 - math.sqrt(5.0))
+_SQRT_EPS = math.sqrt(2.2e-16)  # relative part of the peak search's tolerance
 
 
 @dataclass(frozen=True)
@@ -97,68 +97,147 @@ def inverse_cheb_series(kappa: float, eps: float,
 
     The coefficient of T_{2j+1} is
     ``4 (-1)^j [2^{-2b} sum_{i=j+1}^{b} C(2b, b+i)] * scale``. The
-    bracket is the tail P(X >= b+j+1) of X ~ Bin(2b, 1/2), that is
-    I_{1/2}(b+j+1, b-j). ``betainc`` gives it at the two ends j = 0 and
-    j = jmax; between them tail_j - tail_jmax is the sum of the terms
-    C(2b, b+i) 4^{-b}, i = j+1..jmax, which are the central term times the
-    ratios r_i = prod_{l<=i} (b-l+1)/(b+l). So with S_j = sum_{i=j}^{jmax}
-    r_i, tail_j = tail_jmax + (tail_0 - tail_jmax) S_{j+1} / S_1: O(D)
-    flops, every sum of positive terms, no array of length b.
-    Coefficients with j >= b vanish and are trimmed.
+    bracket is the tail P(X >= b+j+1) of X ~ Bin(2b, 1/2): the central
+    term C(2b, b) 4^{-b} (``_central_binomial``) times S_{j+1}, where
+    S_j = sum_{i>=j} r_i over the ratios r_i = prod_{l<=i} (b-l+1)/(b+l).
+    The ratios run past jmax = min(D, b-1) until the rest of the sum is
+    below the last ulp of S_{jmax+1}: beyond jmax each step shrinks them by
+    at least q = (b-jmax)/(b+jmax+1), about exp(-2 jmax / b), so n more
+    steps leave at most q^n / (1-q) of r_{jmax+1}. O(D + b/D) flops, every
+    sum of positive terms, no array of length b. Coefficients with j >= b
+    vanish and are trimmed.
     """
     b, cap = degree_params(kappa, eps)
     if scale is None:
         scale = 1.0 / (2.0 * kappa)
     if not 0.0 < scale <= 1.0:
         raise ValueError("scale must lie in (0, 1]")
-    j = np.arange(min(cap, b - 1) + 1)
-    first, last = betainc(b + 1.0 + j[[0, -1]], b - j[[0, -1]] + 0.0, 0.5)
-    ratios = np.cumprod((b - j[1:] + 1.0) / (b + j[1:]))
-    above = np.cumsum(np.append(ratios, 0.0)[::-1])[::-1]  # S_{j+1}, zero at jmax
-    tail = last + (first - last) * (above / (above[0] or 1.0))
+    jmax = min(cap, b - 1)
+    q = (b - jmax) / (b + jmax + 1.0)
+    past = math.ceil(math.log(2.0 ** -53 * (1.0 - q)) / math.log(q))
+    i = np.arange(1.0, min(b, jmax + 1 + past) + 1)
+    ratios = np.cumprod((b - i + 1.0) / (b + i))  # r_1, r_2, ...
+    above = np.cumsum(ratios[::-1])[::-1][: jmax + 1]  # S_{j+1}, j = 0..jmax
+    tail = _central_binomial(b) * above
     if not np.all(np.isfinite(tail)):
         raise OverflowError("binomial tail is not finite")
+    j = np.arange(jmax + 1)
     coefs = np.zeros(2 * j.size)
     coefs[1::2] = np.where(j % 2 == 0, 4.0, -4.0) * tail * scale
     return ChebyshevSeries(coefficients=_trimmed(coefs), parity="odd", scale=scale)
 
 
-def _values_on_cheb_grid(coefs: np.ndarray, npts: int) -> np.ndarray:
+def _central_binomial(b: int) -> float:
+    """C(2b, b) / 4^b: the correctly rounded quotient of exact integers
+    below b = 64, and above that exp(-1/(8b) + 1/(192 b^3) - 1/(640 b^5) +
+    17/(14336 b^7)) / sqrt(pi b), the Stirling series of its logarithm,
+    whose first omitted term is below 1e-19 at b = 64."""
+    if b < _EXACT_CENTRAL:
+        return math.comb(2 * b, b) / 4**b
+    s = 1.0 / b
+    s2 = s * s
+    series = s * (-1.0 / 8 + s2 * (1.0 / 192 + s2 * (-1.0 / 640 + s2 * (17.0 / 14336))))
+    return math.exp(series) / math.sqrt(math.pi * b)
+
+
+def _next_fast_len(n: int) -> int:
+    """Smallest 2^a 3^b 5^c >= n: the real-FFT-friendly size that
+    ``scipy.fft.next_fast_len(n, real=True)`` also gives."""
+    best = 1 << max(n - 1, 0).bit_length()
+    fives = 1
+    while fives < best:
+        odd = fives
+        while odd < best:
+            best = min(best, odd << (-(-n // odd) - 1).bit_length())
+            odd *= 3
+        fives *= 5
+    return best
+
+
+def _quarter_sines(n: int) -> np.ndarray:
+    """sin(pi j / 2n), j = 0..n: a quarter turn in n steps. Entry n - j
+    is cos(pi j / 2n)."""
+    return np.sin(np.pi * np.arange(n + 1) / (2 * n))
+
+
+def _halved(sines: np.ndarray) -> np.ndarray:
+    """The quarter-turn table ``sines`` in twice as many steps: its own
+    entries at the even steps and, at the odd ones, each entry rotated by
+    the half step h, sin(t + h) = sin t cos h + cos t sin h."""
+    n = sines.size - 1
+    half = math.pi / (4 * n)
+    out = np.empty(2 * n + 1)
+    out[0::2] = sines
+    out[1::2] = sines[:-1] * math.cos(half) + sines[:0:-1] * math.sin(half)
+    return out
+
+
+def _values_on_cheb_grid(coefs: np.ndarray, npts: int,
+                         sines: Optional[np.ndarray] = None) -> np.ndarray:
     """Series values at x_j = cos(pi j / M), j = 0..M; M is the first
     FFT-friendly size of at least ``npts`` and the coefficients (the
     values' length less one). The nodes themselves are not formed. An odd
-    series on an even M takes a DCT-II of length M/2 over its odd
+    series on an even M takes a DCT-II of length n = M/2 over its odd
     coefficients, sum_i c_{2i+1} cos((2i+1) pi j / M) at j < M/2, and
     parity gives P(x_{M/2}) = 0 and P(x_{M-j}) = -P(x_j) exactly; any
-    other series takes a DCT-I of length M+1."""
-    m = next_fast_len(max(npts, coefs.size, 2), real=True)
+    other series takes a DCT-I of length M+1, the real part of the real
+    FFT of its even extension. The DCT-II is Makhoul's: one real FFT of
+    the coefficients in the order c_1, c_5, c_9, ..., c_7, c_3, whose
+    entry k turned by e^{-i pi k / M} has the value at j = k as its real
+    part and the one at j = n - k as minus its imaginary part. Its
+    twiddles come from ``sines`` = ``_quarter_sines(n)``, computed here
+    unless the caller passes them."""
+    m = _next_fast_len(max(npts, coefs.size, 2))
     if m % 2 == 0 and not np.any(coefs[0::2]):
-        head = dct(0.5 * coefs[1::2], type=2, n=m // 2)
+        n = m // 2
+        odd = np.zeros(n)
+        odd[: coefs.size // 2] = coefs[1::2]
+        spectrum = np.fft.rfft(np.concatenate([odd[0::2], odd[1::2][::-1]]))
+        if sines is None:
+            sines = _quarter_sines(n)
+        k = spectrum.size  # n // 2 + 1
+        turned = spectrum * (sines[n:n - k:-1] - 1j * sines[:k])
+        head = np.empty(n)
+        head[:k] = turned.real
+        head[k:] = -turned.imag[(n - 1) // 2:0:-1]
         return np.concatenate([head, [0.0], -head[::-1]])
-    padded = np.zeros(m + 1)
-    padded[: coefs.size] = coefs
-    padded[1:] *= 0.5
-    return dct(padded, type=1)
+    extended = np.zeros(2 * m)
+    extended[: coefs.size] = coefs
+    extended[1:] *= 0.5
+    extended[m + 1:] = extended[m - 1:0:-1]
+    return np.fft.rfft(extended).real
 
 
-def _interpolant(vals: np.ndarray):
+def _interpolant(vals: np.ndarray, sines: Optional[np.ndarray] = None):
     """Evaluator of the polynomial through ``vals[j]`` at x_j = cos(pi j / M):
     the second-kind barycentric formula (Berrut & Trefethen 2004), O(M)
     work per point. x - x_j is taken from the endpoint on x's side, as
     1 - x_j = 2 sin^2(pi j / 2M) keeps the nodes near +-1, where the slope
-    reaches degree^2 * max|P|, exact to relative rounding. Each point is
-    its own row reduction, so its value does not depend on its block. The
+    reaches degree^2 * max|P|, exact to relative rounding; the sines are
+    ``_quarter_sines(M)``, computed here unless the caller passes them. On
+    an even M the middle node is x_{M/2} = 0 exactly. Each point is its own
+    row reduction, so its value does not depend on its block. The
     callable's ``values`` attribute is ``vals`` itself, read at each call."""
     m = vals.size - 1
     weights = np.where(np.arange(m + 1) % 2, -1.0, 1.0)
     weights[[0, -1]] *= 0.5
-    from_one = 2.0 * np.sin(np.pi * np.arange(m + 1) / (2 * m)) ** 2
+    from_one = _node_offsets(m, sines)
     # x_j = shift - nodes[j], nodes increasing: an exact node hit, where
     # x - x_j = (x - shift) + nodes[j] is zero, is found by a sorted search
     sides = ((1.0, from_one), (-1.0, -from_one[::-1]))
     step = max(1, _CHUNK_ELEMS // (m + 1))
 
     def evaluate(x: np.ndarray) -> np.ndarray:
+        if x.size == 1:  # the peak search's calls: a block's row reduction in fewer steps
+            shift, nodes = sides[int(x[0] < 0.0)]
+            target = shift - x[0]
+            near = min(int(np.searchsorted(nodes, target)), m)
+            if nodes[near] == target:
+                return vals[near:near + 1].copy()
+            terms = np.divide(weights, nodes - target)
+            den = terms.sum()
+            terms *= vals
+            return np.array([terms.sum() / den])
         out = np.empty(x.size)
         for side, (shift, nodes) in zip((x >= 0.0, x < 0.0), sides):
             idx = np.flatnonzero(side)
@@ -179,6 +258,18 @@ def _interpolant(vals: np.ndarray):
 
     evaluate.values = vals
     return evaluate
+
+
+def _node_offsets(m: int, sines: Optional[np.ndarray] = None) -> np.ndarray:
+    """1 - x_j = 2 sin^2(pi j / 2M), j = 0..M, from ``_quarter_sines(M)``,
+    with 1 at j = M/2 on an even M, where 2 sin^2(pi / 4) rounds to
+    1 - 2^-52 and would move the node x = 0."""
+    if sines is None:
+        sines = _quarter_sines(m)
+    from_one = 2.0 * sines ** 2
+    if m % 2 == 0:
+        from_one[m // 2] = 1.0
+    return from_one
 
 
 def cheb_eval(series: ChebyshevSeries, x):
@@ -220,14 +311,16 @@ def bound_series(series: ChebyshevSeries) -> BoundedSeries:
     factor is exactly 1 when the peak times 1 + 1e-6 is at most 1 + 1e-9).
 
     The peak comes from a Chebyshev-spaced grid of 4M >= 4*degree points
-    plus golden-section refinement, interpolating from every fourth grid
-    value (the M-point grid), around each grid local maximum within
-    pi^2/128 of the grid's top (Bernstein's inequality bounds how far the
-    node nearest the true peak can lie below it; a definite-parity |P| is
-    even, so the maximizer's mirror image is skipped)."""
-    m = next_fast_len(max(series.degree, 1), real=True)
-    vals = _values_on_cheb_grid(series.coefficients, 4 * m)
-    interpolant = _interpolant(vals[::4].copy())
+    plus a bounded Brent search (``_brent_min``), interpolating from every
+    fourth grid value (the M-point grid), around each grid local maximum
+    within pi^2/128 of the grid's top (Bernstein's inequality bounds how far
+    the node nearest the true peak can lie below it; a definite-parity |P|
+    is even, so the maximizer's mirror image is skipped). One sine table
+    serves the M grid's nodes and, halved, the 4M grid's transform."""
+    m = _next_fast_len(max(series.degree, 1))
+    sines = _quarter_sines(m)
+    vals = _values_on_cheb_grid(series.coefficients, 4 * m, _halved(sines))
+    interpolant = _interpolant(vals[::4].copy(), sines)
     vals = np.abs(vals)
     k, last = int(np.argmax(vals)), vals.size - 1
 
@@ -236,13 +329,8 @@ def bound_series(series: ChebyshevSeries) -> BoundedSeries:
         lo, hi = np.cos(np.pi * np.array([min(k + 1, last), max(k - 1, 0)]) / last)
         if lo >= hi:
             return float(vals[k])
-        res = minimize_scalar(
-            lambda t: -abs(interpolant(np.array([t]))[0]),
-            bounds=(lo, hi),
-            method="bounded",
-            options={"xatol": _REFINE_XTOL},
-        )
-        return float(max(vals[k], -res.fun))
+        least = _brent_min(lambda t: -abs(interpolant(np.array([t]))[0]), lo, hi)
+        return float(max(vals[k], -least))
 
     skip = {k, last - k} if series.parity != "none" else {k}
     rivals = [int(j) for j in np.flatnonzero(vals >= (1.0 - np.pi ** 2 / 128) * vals[k])
@@ -259,6 +347,58 @@ def bound_series(series: ChebyshevSeries) -> BoundedSeries:
         scale=None if series.scale is None else series.scale * applied,
     )
     return BoundedSeries(rescaled, applied, peak, interpolant)
+
+
+def _brent_min(f: Callable[[float], float], a: float, b: float) -> float:
+    """Least value of f found on [a, b] by Brent's method (Brent 1973,
+    ch. 5): a golden-section step, or a parabolic one through the three
+    best points where it falls inside the bracket and shrinks faster,
+    until the bracket's midpoint is within 2 tol - (b - a)/2 of the best
+    point x, tol = sqrt(2.2e-16) |x| + _REFINE_XTOL / 3 (the steps, and so
+    the points evaluated, of scipy's bounded ``minimize_scalar``)."""
+    x = w = v = a + _GOLDEN * (b - a)  # best, second best, previous second best
+    fx = fw = fv = f(x)
+    step = prev = 0.0  # the last step and the one before it
+    while True:
+        mid = 0.5 * (a + b)
+        tol = _SQRT_EPS * abs(x) + _REFINE_XTOL / 3.0
+        if abs(x - mid) <= 2.0 * tol - 0.5 * (b - a):
+            return fx
+        golden = True
+        if abs(prev) > tol:
+            r = (x - w) * (fx - fv)
+            q = (x - v) * (fx - fw)
+            p = (x - v) * q - (x - w) * r
+            q = 2.0 * (q - r)
+            if q > 0.0:
+                p = -p
+            q = abs(q)
+            r, prev = prev, step
+            if abs(p) < abs(0.5 * q * r) and q * (a - x) < p < q * (b - x):
+                golden = False
+                step = p / q
+                if x + step - a < 2.0 * tol or b - (x + step) < 2.0 * tol:
+                    step = tol if mid >= x else -tol
+        if golden:
+            prev = (a - x) if x >= mid else (b - x)
+            step = _GOLDEN * prev
+        u = x + (step if abs(step) >= tol else (tol if step >= 0.0 else -tol))
+        fu = f(u)
+        if fu <= fx:
+            if u >= x:
+                a = x
+            else:
+                b = x
+            v, fv, w, fw, x, fx = w, fw, x, fx, u, fu
+        else:
+            if u < x:
+                a = u
+            else:
+                b = u
+            if fu <= fw or w == x:
+                v, fv, w, fw = w, fw, u, fu
+            elif fu <= fv or v == x or v == w:
+                v, fv = u, fu
 
 
 def enforce_qsvt_bounds(series: ChebyshevSeries) -> tuple[ChebyshevSeries, float]:

@@ -41,7 +41,6 @@ from decimal import ROUND_CEILING, Context
 from typing import Optional
 
 import numpy as np
-from scipy.optimize import minimize_scalar
 
 from .blockenc import dilation_encoding
 from .invpoly import BoundedSeries, ChebyshevSeries, bound_series, degree_params, \
@@ -296,8 +295,9 @@ def denormalize(a_eta, residual, method: str = "closed_form") -> float:
 
     The objective is an exact quadratic, so the default path is the
     closed form mu = <A eta, b - A x> / ||A eta||^2; ``method="brent"``
-    runs a bracketed scalar minimization instead, kept as an independent
-    cross-check of the closed form. Function-value minimization alone
+    runs scipy's bracketed scalar minimization instead, kept as an
+    independent cross-check of the closed form (no solve path takes it, so
+    scipy is imported only here). Function-value minimization alone
     localizes a quadratic minimum only to ~sqrt(machine eps), so the
     Brent result is refined by one parabolic-vertex fit on a
     well-separated stencil (still pure function evaluations).
@@ -309,6 +309,8 @@ def denormalize(a_eta, residual, method: str = "closed_form") -> float:
     if method == "closed_form":
         return float(np.vdot(a_eta, residual).real / gram)
     if method == "brent":
+        from scipy.optimize import minimize_scalar  # the one scipy use: this cross-check
+
         def objective(mu: float) -> float:
             diff = residual - mu * a_eta
             return float(np.vdot(diff, diff).real)

@@ -5,16 +5,16 @@ each vectorized over the points. It shares no code with the library's
 barycentric evaluator, so the two check each other.
 
 ``dct1_values`` is the library's grid transform as it was before odd
-series took their half-length DCT-II: one DCT-I of length M+1 for any
-series.
+series took their half-length DCT-II and before it moved from scipy to
+numpy: one scipy DCT-I of length M+1 for any series.
 
 ``approx_error_report`` measures a series against ``scale / x`` on dense
 uniform grids, with the library's ``cheb_eval``.
 
 ``scan_interpolant`` is the library's barycentric evaluator as it was
 when it found exact node hits by scanning the whole points x nodes block
-for zeros; the library now searches the node table instead, and must
-give the same bits.
+for zeros; the library now searches the node table instead, and on the
+same node table must give the same bits.
 
 ``random_odd_target`` builds a random odd phase-finding target: the
 ``bound_series`` record that ``find_phases`` and ``verify_phases`` take.
@@ -23,7 +23,7 @@ give the same bits.
 import numpy as np
 from scipy.fft import dct, next_fast_len
 
-from qsvt_refine.invpoly import ChebyshevSeries, bound_series, cheb_eval
+from qsvt_refine.invpoly import ChebyshevSeries, _node_offsets, bound_series, cheb_eval
 
 
 def clenshaw_eval(series, x):
@@ -66,11 +66,12 @@ def approx_error_report(series, kappa: float,
 
 def scan_interpolant(vals, chunk_elems=1 << 19):
     """Barycentric evaluator through ``vals[j]`` at x_j = cos(pi j / M),
-    finding exact node hits with a full ``block == 0.0`` scan."""
+    finding exact node hits with a full ``block == 0.0`` scan; the node
+    offsets from +-1 are the library's."""
     m = vals.size - 1
     weights = np.where(np.arange(m + 1) % 2, -1.0, 1.0)
     weights[[0, -1]] *= 0.5
-    from_one = 2.0 * np.sin(np.pi * np.arange(m + 1) / (2 * m)) ** 2
+    from_one = _node_offsets(m)
     step = max(1, chunk_elems // (m + 1))
 
     def evaluate(x):

@@ -1,12 +1,16 @@
 """The package's public surface: what the benchmark's tracer wraps and what
-the modules declare must exist, so removing a name shows up here; and its
-memos, each of which must stay bounded."""
+the modules declare must exist, so removing a name shows up here; its
+memos, each of which must stay bounded; and its one numerical dependency
+on the import and solve paths, numpy."""
 
 import ast
 import importlib
 import importlib.util
 import inspect
+import os
 import pkgutil
+import subprocess
+import sys
 import types
 from pathlib import Path
 
@@ -87,3 +91,26 @@ def test_every_memo_is_bounded():
     unbounded = [name for name, memo in memos.items()
                  if memo.cache_parameters()["maxsize"] is None]
     assert unbounded == []
+
+
+def test_import_and_refined_solves_load_no_scipy():
+    # scipy serves denormalize(method="brent") and the tests; importing the
+    # package and CLI and refining with every backend factory load none of it
+    script = """
+import sys
+import numpy as np
+import qsvt_refine
+import qsvt_refine.bench_cli
+from qsvt_refine import (iterative_refine, noisy_oracle_backend, qsvt_backend,
+                         random_with_condition, spectral_oracle_backend)
+a = random_with_condition(4, 4.0, 0)
+b = np.arange(1.0, 5.0) / np.sqrt(30.0)
+for factory in (spectral_oracle_backend, noisy_oracle_backend, qsvt_backend):
+    _, trace, _ = iterative_refine(a, b, factory(a, 1e-2, kappa=4.0), 1e-10)
+    assert trace.converged, factory.__name__
+print(sorted(name for name in sys.modules if name.split(".")[0] == "scipy"))
+"""
+    env = dict(os.environ, PYTHONPATH=str(Path(qsvt_refine.__file__).resolve().parents[1]))
+    run = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.strip() == "[]"

@@ -2,6 +2,7 @@
 CLI's outputs of this checkout against another source tree."""
 
 import importlib.util
+import re
 from pathlib import Path
 
 TOOL = Path(__file__).resolve().parents[1] / "tools" / "compare_cli_outputs.py"
@@ -18,7 +19,11 @@ def test_this_checkout_is_identical_to_itself(capsys):
     tool = load_tool()
     tool.CONFIGS = ["complexity"]
     assert tool.main([str(tool.HERE_SRC)]) == 0
-    assert capsys.readouterr().out == "complexity: identical (exit 0)\n"
+    # the verdict, then each tree's process wall time
+    line = re.fullmatch(r"complexity: identical \(exit 0; wall (\d+\.\d\d) s here, "
+                        r"(\d+\.\d\d) s in OTHER_SRC\)\n", capsys.readouterr().out)
+    assert line is not None
+    assert all(float(seconds) > 0.0 for seconds in line.groups())
 
 
 def test_a_directory_without_the_package_exits_2(tmp_path, capsys):

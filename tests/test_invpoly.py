@@ -8,6 +8,7 @@ from cheb_reference import approx_error_report, clenshaw_eval, dct1_values, scan
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.fft import next_fast_len
+from scipy.optimize import minimize_scalar
 
 from qsvt_refine import invpoly
 from qsvt_refine.invpoly import (
@@ -113,20 +114,29 @@ def mpmath_binomial_tails(b: int, js) -> dict:
         return {j: tails[j] for j in js}
 
 
-@pytest.mark.parametrize("kappa", [10.0, 100.0, 300.0])
+@pytest.mark.parametrize("kappa", [1.5, 2.0, 4.0, 10.0, 100.0, 300.0])
 def test_inverse_series_matches_mpmath_tail(kappa):
     # eight j across [0, jmax] and eight in the top decile, next to the
-    # j = jmax end where the tails are anchored
+    # j = jmax end the ratio sums run past; b = 5, 12 and 82 take the
+    # central term from exact integers and from its Stirling series on
+    # either side of the switch at b = 64
     b, cap = degree_params(kappa, 0.4 / kappa**2)
     coefs = inverse_cheb_series(kappa, 0.4 / kappa**2, scale=1.0).coefficients
     jmax = min(cap, b - 1)
     js = np.unique(np.round(np.concatenate([np.linspace(0, jmax, 8),
                                             np.linspace(0.9 * jmax, jmax, 8)])))
     wants = mpmath_binomial_tails(b, [int(j) for j in js])
-    assert len(wants) >= 8 and max(wants) == jmax
+    assert len(wants) >= min(8, jmax + 1) and max(wants) == jmax
     for j, want in wants.items():
         got = (-1) ** j * coefs[2 * j + 1] / 4.0
-        assert abs(got - want) <= 1e-12 * want, (kappa, j, float(got / want - 1))
+        assert abs(got - want) <= 1e-14 * want, (kappa, j, float(got / want - 1))
+
+
+@pytest.mark.parametrize("b", [1, 2, 5, 12, 63, 64, 65, 82, 200, 783])
+def test_central_binomial_matches_exact_integers(b):
+    # the Stirling branch from b = 64 on, the exact quotient below it
+    want = mpmath.mpf(math.comb(2 * b, b)) / mpmath.mpf(4) ** b
+    assert abs(invpoly._central_binomial(b) / want - 1) <= 4e-16
 
 
 def traced_peak_bytes(fn, *args):
@@ -209,7 +219,7 @@ def test_node_search_matches_the_full_scan_bit_for_bit(m, seed, picks, points):
     # exact nodes on either side, as offsets from +-1 and as cosines, then
     # +-1, +-0.0 and interior points; a missed hit would divide by zero
     vals = np.random.default_rng(seed).standard_normal(m + 1)
-    from_one = 2.0 * np.sin(np.pi * np.arange(m + 1) / (2 * m)) ** 2
+    from_one = invpoly._node_offsets(m)
     nodes = np.concatenate([1.0 - from_one, from_one - 1.0, np.cos(np.pi * np.arange(m + 1) / m)])
     xs = np.concatenate([[1.0, -1.0, 0.0, -0.0], nodes[np.asarray(picks, dtype=int) % nodes.size],
                          points])
@@ -286,6 +296,51 @@ def test_odd_grid_values_match_the_dct1(terms, seed, bound_check_grid):
         assert np.array_equal(got, -got[::-1])
 
 
+def test_next_fast_len_matches_scipy():
+    # every grid size M stays what the scipy-based transform chose
+    got = [invpoly._next_fast_len(n) for n in range(1, 2**16 + 1)]
+    assert got == [next_fast_len(n, real=True) for n in range(1, 2**16 + 1)]
+
+
+ODD_SIZES = [m for m in range(1, 2000, 2) if next_fast_len(m, real=True) == m]
+
+
+@settings(max_examples=80, deadline=None)
+@given(degree=st.integers(0, 600), seed=st.integers(0, 2**16),
+       parity=st.sampled_from(["odd", "even", "none"]), odd_grid=st.booleans(),
+       pick=st.integers(0, 2**16))
+@example(degree=1, seed=0, parity="odd", odd_grid=True, pick=0)
+def test_dct1_path_matches_the_scipy_reference(degree, seed, parity, odd_grid, pick):
+    # the real FFT of the even extension: any series on an odd grid, and
+    # even and no-parity series on any grid
+    if parity == "odd":
+        degree += 1 - degree % 2
+        odd_grid = True
+    elif parity == "even":
+        degree -= degree % 2
+    coefs = random_series(seed, degree, parity).coefficients
+    sizes = [m for m in ODD_SIZES if m >= max(coefs.size, 2)] if odd_grid else range(1, 3000)
+    npts = sizes[pick % len(sizes)]
+    got = invpoly._values_on_cheb_grid(coefs, npts)
+    want = dct1_values(coefs, npts)
+    assert got.size == want.size and (got.size % 2 == 0 or not odd_grid)
+    assert np.max(np.abs(got - want)) <= 4 * np.finfo(float).eps * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("kappa, eps", [(10.0, 1e-3), (300.0, 0.4 / 300**2), (2.0, 0.05)])
+def test_odd_series_is_exactly_zero_at_zero_on_an_even_grid(kappa, eps):
+    # x = 0 is the node x_{M/2}, where parity gives exactly 0; its offset
+    # from 1 taken as 2 sin^2(pi/4) rounds to 1 - 2^-52, a node off 0 that
+    # reads -1e-14 at kappa 10 and -4.4e-13 at kappa 300
+    series = inverse_cheb_series(kappa, eps)
+    record = bound_series(series)
+    assert invpoly._values_on_cheb_grid(series.coefficients, series.degree).size % 2 == 1
+    assert record.evaluate.values.size % 2 == 1
+    assert np.array_equal(record.evaluate(np.array([0.0, -0.0, 0.5]))[:2], [0.0, 0.0])
+    assert record.evaluate(np.array([-0.0]))[0] == 0.0
+    assert cheb_eval(series, 0.0) == 0.0
+
+
 def test_cheb_eval_matches_clenshaw_reference_above_degree_10k():
     series = random_series(3, 12_001, "none")
     xs = np.concatenate([special_points(series, [1, 2, 6000, 12_000]),
@@ -327,6 +382,27 @@ def test_max_abs_matches_critical_points(degree, parity, seed):
         degree += degree % 2
     series = random_series(seed, degree, parity)
     assert max_abs_on_interval(series) == pytest.approx(critical_point_peak(series), rel=1e-9)
+
+
+@settings(max_examples=60, deadline=None)
+@given(degree=st.integers(1, 40), seed=st.integers(0, 2**16), lo=st.floats(-1.0, 0.9),
+       width=st.floats(1e-6, 1.0))
+@example(degree=5, seed=0, lo=0.2, width=0.5)
+def test_brent_search_takes_scipys_bounded_steps(degree, seed, lo, width):
+    # the same points in the same order as scipy's bounded minimize_scalar
+    # at the same tolerance, so the same least value and evaluation count
+    series = random_series(seed, degree, "none")
+    hi = min(lo + width, 1.0)
+    seen = {"here": [], "scipy": []}
+
+    def objective(where):
+        return lambda t: seen[where].append(float(t)) or -abs(clenshaw_eval(series, float(t)))
+
+    got = invpoly._brent_min(objective("here"), lo, hi)
+    want = minimize_scalar(objective("scipy"), bounds=(lo, hi), method="bounded",
+                           options={"xatol": invpoly._REFINE_XTOL})
+    assert seen["here"] == seen["scipy"]
+    assert got == want.fun
 
 
 def test_enforce_bounds_trivial_cases():

@@ -10,7 +10,10 @@ for example that of a checkout of the parent commit. Each config in
 ``OTHER_SRC``, each run a fresh process with ``OPENBLAS_NUM_THREADS=1``.
 
 Per config it prints ``identical`` (same exit code, same CSV bytes, same
-``meta.json`` once ``config.out`` is removed) or what differs: the exit
+``meta.json`` once ``config.out`` is removed) or what differs, next to the
+wall time of each tree's process (interpreter start and imports included,
+so a faster import shows in the same run that checks the bytes). What
+differs is listed below the verdict: the exit
 codes, the rows present on one side only, each non-float column that
 differs, the worst relative and absolute drift of ``omega`` and ``mu``,
 and ``meta.json``. The drift is reported for the rows at ``iter`` 0 apart
@@ -34,6 +37,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import time
 from pathlib import Path
 
 HERE_SRC = Path(__file__).resolve().parents[1] / "src"
@@ -140,12 +144,16 @@ def main(argv=None) -> int:
             here_dir, other_dir = Path(tmp, "here"), Path(tmp, "other")
             here_dir.mkdir()
             other_dir.mkdir()
+            start = time.perf_counter()
             here = run_cli(HERE_SRC, config, here_dir)
+            middle = time.perf_counter()
             other = run_cli(args.other_src.resolve(), config, other_dir)
+            end = time.perf_counter()
         lines, breaking = compare(here, other)
         failed |= breaking
         print(f"{config}: {'identical' if not lines else 'DIFFERS' if breaking else 'drift only'}"
-              f" (exit {here[0]})")
+              f" (exit {here[0]}; wall {middle - start:.2f} s here,"
+              f" {end - middle:.2f} s in OTHER_SRC)")
         for line in lines:
             print(f"  {line}")
     return 1 if failed else 0
