@@ -28,8 +28,8 @@ from .numerics import (
     svd,
     two_norm,
 )
-from .qsp_phases import PhaseVector, find_phases, verify_phases
-from .qsvt_core import apply_inverse_state, build_u_phi, inverse_block, spectral_oracle
+from .qsp_phases import find_phases, verify_phases
+from .qsvt_core import apply_inverse_state, build_u_phi, inverse_block
 from .refine import (
     CostReport,
     NoisyOracleBackend,

@@ -199,9 +199,11 @@ def fable_encoding(a, threshold: float = 0.0) -> tuple[BlockEncoding, Circuit]:
     num_qubits = 2 * n + 1
     gates: list[Gate] = [Gate("h", (q,)) for q in range(1, n + 1)]
 
-    def control_qubit(bit: int) -> int:
-        # control value bit b (0 = least significant) lives on qubit 2n - b
-        return 2 * n - bit
+    def cnots(pending: int) -> list[Gate]:
+        # the CNOTs of the set bits, least significant first; control value
+        # bit b (0 = least significant) lives on qubit 2n - b
+        return [Gate("cnot", (2 * n - bit, 0)) for bit in range(pending.bit_length())
+                if pending >> bit & 1]
 
     pending = 0
     dropped_mass = 0.0
@@ -209,21 +211,11 @@ def fable_encoding(a, threshold: float = 0.0) -> tuple[BlockEncoding, Circuit]:
         if abs(hat[k]) < threshold:
             dropped_mass += abs(hat[k])
         else:
-            bit = 0
-            while pending:
-                if pending & 1:
-                    gates.append(Gate("cnot", (control_qubit(bit), 0)))
-                pending >>= 1
-                bit += 1
+            gates += cnots(pending)
+            pending = 0
             gates.append(Gate("ry", (0,), float(hat[k])))
-        flip = _gray(k) ^ _gray((k + 1) % 2**m)
-        pending ^= flip
-    bit = 0
-    while pending:
-        if pending & 1:
-            gates.append(Gate("cnot", (control_qubit(bit), 0)))
-        pending >>= 1
-        bit += 1
+        pending ^= _gray(k) ^ _gray((k + 1) % 2**m)
+    gates += cnots(pending)
 
     for t in range(n):
         gates.append(Gate("swap", (1 + t, n + 1 + t)))

@@ -10,7 +10,7 @@ for singular value transformation (global magnitude <= 1 on [-1, 1]).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from typing import Callable, Optional
 
 import numpy as np
@@ -36,34 +36,38 @@ _SQRT_EPS = math.sqrt(2.2e-16)  # relative part of the peak search's tolerance
 
 @dataclass(frozen=True)
 class ChebyshevSeries:
-    """Definite-parity polynomial in the Chebyshev basis.
+    """Polynomial in the Chebyshev basis.
 
     ``coefficients[k]`` multiplies T_k; the trailing coefficient is
     nonzero so ``degree == len(coefficients) - 1``. An inverse
-    approximation records its ``scale`` (``P(x) ~ scale / x``).
+    approximation records its ``scale`` (``P(x) ~ scale / x``), passed by
+    keyword only, so a stray second positional argument is refused rather
+    than taken as a scale. ``parity`` is read off the coefficients.
     """
 
     coefficients: np.ndarray
-    parity: str  # "even" | "odd" | "none"
-    scale: Optional[float] = None
+    scale: Optional[float] = field(default=None, kw_only=True)
 
     def __post_init__(self):
         coefs = np.asarray(self.coefficients, dtype=float)
         if coefs.ndim != 1 or coefs.size == 0:
             raise ValueError("coefficients must be a nonempty 1-D array")
-        if self.parity not in ("even", "odd", "none"):
-            raise ValueError(f"unknown parity {self.parity!r}")
         if coefs.size > 1 and coefs[-1] == 0.0:
             raise ValueError("trailing coefficient must be nonzero (trim first)")
-        if self.parity == "odd" and np.any(coefs[0::2] != 0.0):
-            raise ValueError("odd series has a nonzero even-index coefficient")
-        if self.parity == "even" and np.any(coefs[1::2] != 0.0):
-            raise ValueError("even series has a nonzero odd-index coefficient")
         object.__setattr__(self, "coefficients", coefs)
 
     @property
     def degree(self) -> int:
         return self.coefficients.size - 1
+
+    @property
+    def parity(self) -> str:
+        """``"odd"`` when the degree is odd and every even-index coefficient
+        is zero, ``"even"`` when every odd-index one is (the zero series
+        included), ``"none"`` otherwise."""
+        if self.degree % 2 and not np.any(self.coefficients[0::2]):
+            return "odd"
+        return "none" if np.any(self.coefficients[1::2]) else "even"
 
 
 def _trimmed(coefs: np.ndarray) -> np.ndarray:
@@ -76,8 +80,8 @@ def _trimmed(coefs: np.ndarray) -> np.ndarray:
 def degree_params(kappa: float, eps: float) -> tuple[int, int]:
     """Degree parameters b = ceil(kappa^2 ln(kappa/eps)) and
     D = ceil(sqrt(b ln(4b/eps))), with natural logarithms."""
-    if kappa < 1.0:
-        raise ValueError("kappa must be >= 1")
+    if not 1.0 <= kappa < math.inf:
+        raise ValueError(f"kappa must be finite and >= 1, got {kappa!r}")
     if not eps > 0.0:
         raise ValueError("eps must be positive")
     if eps >= 1.0 or eps >= kappa:
@@ -124,7 +128,7 @@ def inverse_cheb_series(kappa: float, eps: float,
     j = np.arange(jmax + 1)
     coefs = np.zeros(2 * j.size)
     coefs[1::2] = np.where(j % 2 == 0, 4.0, -4.0) * tail * scale
-    return ChebyshevSeries(coefficients=_trimmed(coefs), parity="odd", scale=scale)
+    return ChebyshevSeries(_trimmed(coefs), scale=scale)
 
 
 def _central_binomial(b: int) -> float:

@@ -132,8 +132,8 @@ def random_with_condition(n: int, kappa: float, seed: int) -> np.ndarray:
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    if kappa < 1.0:
-        raise ValueError("kappa must be >= 1")
+    if not 1.0 <= kappa < np.inf:
+        raise ValueError(f"kappa must be finite and >= 1, got {kappa!r}")
     rng = np.random.default_rng(seed)
     sigma = np.geomspace(1.0, 1.0 / kappa, n)
     w = _random_orthogonal(n, rng)

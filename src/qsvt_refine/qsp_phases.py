@@ -1,14 +1,14 @@
 """Phase factors for quantum signal processing.
 
-Convention (tag ``wx-re00``): the 2x2 signal sequence is
+A phase table is a plain float array phi_1..phi_d in the package's one
+convention, ``wx-re00``: the 2x2 signal sequence is
 
     M(x) = prod_{j=1..d} [ e^{i phi_j Z} W(x) ],
     W(x) = [[x, i sqrt(1-x^2)], [i sqrt(1-x^2), x]],
 
 with the real part of M(x)[0, 0] carrying the target polynomial. The
 full-space operators of qsvt_core reduce to exactly this product on each
-singular-value subspace, so one tag guards both layers against silent
-convention drift.
+singular-value subspace, so a table found here drives them as it is.
 
 ``find_phases`` runs Newton's method on the symmetric phases (Dong, Lin,
 Ni & Wang, arXiv:2307.12468; start of Dong, Meng, Whaley & Lin,
@@ -17,23 +17,17 @@ arXiv:2002.11649), one square linear solve a step.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .invpoly import BoundedSeries
 
 __all__ = [
-    "CONVENTION_TAG",
     "MAX_DEGREE",
-    "PhaseVector",
     "PhaseFindingError",
     "realized_values",
     "find_phases",
     "verify_phases",
 ]
-
-CONVENTION_TAG = "wx-re00"
 
 MAX_DEGREE = 500  # largest target degree find_phases accepts
 _MAX_STEPS = 50  # Newton steps find_phases takes at most
@@ -50,21 +44,6 @@ class PhaseFindingError(RuntimeError):
             f"phase finding stalled at node residual {residual:.3e} "
             f"(requested {tol:.1e}); consider shrinking the polynomial norm"
         )
-
-
-@dataclass(frozen=True)
-class PhaseVector:
-    """QSVT phase factors phi_1..phi_d plus the convention they assume."""
-
-    phases: np.ndarray
-    convention_tag: str = CONVENTION_TAG
-
-    def __post_init__(self):
-        object.__setattr__(self, "phases", np.asarray(self.phases, dtype=float))
-
-    @property
-    def degree(self) -> int:
-        return self.phases.size
 
 
 class _SignalRows:
@@ -132,14 +111,15 @@ class _SignalRows:
         return mul(1j, grad, out=grad)
 
 
-def realized_values(phases: PhaseVector, xs: np.ndarray) -> np.ndarray:
-    """Re M(x)[0,0] on an array of points."""
-    xs = np.asarray(xs, dtype=float)
-    return _SignalRows(xs, phases.degree)(phases.phases).real.copy()
+def realized_values(phases: np.ndarray, xs: np.ndarray) -> np.ndarray:
+    """Re M(x)[0,0] of the phase table ``phases`` on an array of points."""
+    phases = np.asarray(phases, dtype=float)
+    return _SignalRows(np.asarray(xs, dtype=float), phases.size)(phases).real.copy()
 
 
-def find_phases(target: BoundedSeries, tol: float = 1e-10) -> PhaseVector:
-    """Solve for phases realizing ``target.series`` in the wx-re00 convention.
+def find_phases(target: BoundedSeries, tol: float = 1e-10) -> np.ndarray:
+    """The phase table, a (d,) float array, realizing ``target.series`` in
+    the wx-re00 convention.
 
     ``target`` is the series' bound-check record (``bound_series``): its
     checked peak times its rescale factor must stay 1e-8 below 1, and its
@@ -198,10 +178,10 @@ def find_phases(target: BoundedSeries, tol: float = 1e-10) -> PhaseVector:
 
     if resid > tol:
         raise PhaseFindingError(resid, tol)
-    return PhaseVector(w * best[idx])
+    return w * best[idx]
 
 
-def verify_phases(phases: PhaseVector, target: BoundedSeries, grid: int = 10_000) -> float:
+def verify_phases(phases: np.ndarray, target: BoundedSeries, grid: int = 10_000) -> float:
     """Max of |Re M(x)[0,0] - P(x)| over a ``grid``-point span of [-1, 1],
     with P(x) from ``target.evaluate``, the grid ``find_phases`` matched."""
     xs = np.linspace(-1.0, 1.0, grid)

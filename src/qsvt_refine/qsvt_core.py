@@ -18,7 +18,8 @@ e^{-i psi} of all steps fold into the global phase through their sum
 columns; ``inverse_block`` sweeps the N ancilla-zero columns once per
 backend.
 
-The phases come in the wx-re00 signal convention. On each singular
+The phases are a (d,) float table in the wx-re00 signal convention of
+``qsp_phases``, the package's one convention. On each singular
 subspace the product reduces to a phase/reflection sequence, which
 matches the signal product after shifting psi_1 = phi_1 - pi/4,
 psi_j = phi_j - pi/2 (j >= 2) and multiplying by the global phase
@@ -50,14 +51,11 @@ import math
 import numpy as np
 
 from .blockenc import BlockEncoding
-from .invpoly import ChebyshevSeries, cheb_eval
-from .numerics import check_unitary, svd
-from .qsp_phases import CONVENTION_TAG, PhaseVector
+from .numerics import check_unitary
 
 __all__ = [
     "PostSelectionError",
     "build_u_phi",
-    "spectral_oracle",
     "inverse_block",
     "apply_inverse_state",
 ]
@@ -65,18 +63,6 @@ __all__ = [
 
 class PostSelectionError(RuntimeError):
     """The ancilla-zero component of the output state vanished."""
-
-
-def _check_sequence(phases: PhaseVector) -> None:
-    """Checks every sequence needs before it is swept (the encoding's
-    unitarity was checked when it was built and cannot have changed)."""
-    if phases.convention_tag != CONVENTION_TAG:
-        raise ValueError(
-            f"phase convention {phases.convention_tag!r} does not match "
-            f"{CONVENTION_TAG!r}"
-        )
-    if phases.degree < 1:
-        raise ValueError("need at least one phase")
 
 
 def _sweep(encoding: BlockEncoding, phases: np.ndarray,
@@ -87,10 +73,13 @@ def _sweep(encoding: BlockEncoding, phases: np.ndarray,
     The rightmost call is U and the calls alternate U, U^H leftwards.
     Each step is one product into the other buffer and one multiply of
     its ancilla-zero rows by e^{2 i psi}; the e^{-i psi} of every step
-    are folded into gamma.
+    are folded into gamma. An empty table is rejected (the encoding's
+    unitarity was checked when it was built and cannot have changed).
     """
     u, n = encoding.unitary, encoding.block_dim
     phi = np.asarray(phases, dtype=float)
+    if phi.ndim != 1 or phi.size == 0:
+        raise ValueError(f"need a nonempty 1-D phase table, got shape {phi.shape}")
     d = phi.shape[0]
     # with the shifts psi_1 = phi_1 - pi/4, psi_j = phi_j - pi/2, the row
     # factor e^{2 i psi_j} is -e^{2 i phi_j}, times i more for j = 1, and
@@ -110,33 +99,22 @@ def _sweep(encoding: BlockEncoding, phases: np.ndarray,
     return gamma * bufs[d % 2]
 
 
-def build_u_phi(encoding: BlockEncoding, phases: PhaseVector) -> np.ndarray:
-    """The full sequence operator U_Phi, checked unitary; its data block
-    (ancilla-zero rows and columns) is ``u_phi[:n, :n]``.
+def build_u_phi(encoding: BlockEncoding, phases: np.ndarray) -> np.ndarray:
+    """The full sequence operator U_Phi of the phase table ``phases``,
+    checked unitary; its data block (ancilla-zero rows and columns) is
+    ``u_phi[:n, :n]``.
 
-    For a real odd target on a real matrix, the real part of that block
-    equals the spectral oracle; the imaginary part is the polynomial
-    completion, which ``inverse_block`` drops (see module notes).
+    For a real odd target on a real matrix A = W Sigma V^H, the real part
+    of that block is the singular value transform W P(Sigma) V^H (V P(Sigma)
+    V^H for an even one); the imaginary part is the polynomial completion,
+    which ``inverse_block`` drops (see module notes).
     """
-    _check_sequence(phases)
-    u_phi = _sweep(encoding, phases.phases, np.eye(encoding.unitary.shape[0]))
+    u_phi = _sweep(encoding, phases, np.eye(encoding.unitary.shape[0]))
     check_unitary(u_phi, 1e-10)
     return u_phi
 
 
-def spectral_oracle(a, series: ChebyshevSeries) -> np.ndarray:
-    """Ground-truth singular value transform: W P(Sigma) V^H for odd
-    series, V P(Sigma) V^H for even. No circuits involved."""
-    if series.parity == "none":
-        raise ValueError("spectral_oracle requires a definite-parity series")
-    fac = svd(a)
-    vals = cheb_eval(series, fac.singular_values)
-    if series.parity == "odd":
-        return (fac.u * vals) @ fac.v.conj().T
-    return (fac.v * vals) @ fac.v.conj().T
-
-
-def inverse_block(encoding: BlockEncoding, phases: PhaseVector) -> np.ndarray:
+def inverse_block(encoding: BlockEncoding, phases: np.ndarray) -> np.ndarray:
     """The read-only real N x N block that ``apply_inverse_state`` applies:
     the real part of the kept block of the +Phi sequence, which is the
     average of the +Phi and -Phi sequences (see module notes).
@@ -149,10 +127,9 @@ def inverse_block(encoding: BlockEncoding, phases: PhaseVector) -> np.ndarray:
     u, n = encoding.unitary, encoding.block_dim
     if np.iscomplexobj(u) and np.any(u.imag):
         raise ValueError("qsvt_full is real-only: the encoding is complex")
-    _check_sequence(phases)
-    if phases.degree % 2 == 0:
-        raise ValueError(f"inverse application expects an odd phase count, got {phases.degree}")
-    swept = _sweep(encoding, phases.phases, np.eye(u.shape[0], n))
+    if np.size(phases) % 2 == 0:
+        raise ValueError(f"inverse application expects an odd phase count, got {np.size(phases)}")
+    swept = _sweep(encoding, phases, np.eye(u.shape[0], n))
     check_unitary(swept, 1e-10)
     block = np.ascontiguousarray(swept[:n].real)
     block.flags.writeable = False

@@ -34,6 +34,7 @@ from __future__ import annotations
 
 import functools
 import math
+import numbers
 import warnings
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
@@ -46,7 +47,7 @@ from .blockenc import dilation_encoding
 from .invpoly import BoundedSeries, ChebyshevSeries, bound_series, degree_params, \
     inverse_cheb_series
 from .numerics import as_matrix, singular_value_ratio, svd, two_norm
-from .qsp_phases import PhaseVector, find_phases
+from .qsp_phases import find_phases
 from .qsvt_core import apply_inverse_state, inverse_block
 
 __all__ = [
@@ -93,11 +94,12 @@ class SolverBackend(ABC):
     """One low-accuracy solver bound to a specific matrix.
 
     A subtype holds what its solve needs and implements ``direction``.
-    ``shots=None`` means exact readout; an integer turns on the
+    ``shots=None`` means exact readout; a positive integer turns on the
     shot-noise surrogate (seeded Gaussian direction of norm
-    1/sqrt(shots), then renormalization). The surrogate stands in for
-    physical sampling, whose sign recovery the source material leaves
-    unspecified; outputs are flagged accordingly in bench metadata.
+    1/sqrt(shots), then renormalization), and any other value raises
+    ``ValueError``. The surrogate stands in for physical sampling, whose
+    sign recovery the source material leaves unspecified; outputs are
+    flagged accordingly in bench metadata.
     """
 
     eps_l: float
@@ -105,6 +107,12 @@ class SolverBackend(ABC):
     degree: int
     shots: Optional[int]
     rng: np.random.Generator
+
+    def __post_init__(self):
+        shots = self.shots
+        if shots is not None and (isinstance(shots, bool) or not isinstance(shots, numbers.Integral)
+                                  or shots < 1):
+            raise ValueError(f"shots must be None or a positive integer, got {shots!r}")
 
     @abstractmethod
     def direction(self, rhs_hat: np.ndarray) -> np.ndarray:
@@ -128,7 +136,9 @@ class SpectralOracleBackend(SolverBackend):
 
 @dataclass(frozen=True)
 class NoisyOracleBackend(SolverBackend):
-    """Exact solve with ``matrix`` plus seeded noise of relative size eps_l."""
+    """Exact solve with ``matrix`` plus seeded noise of relative size eps_l;
+    the factory stores A over a power of two (``_unit_scaled``), which
+    leaves every direction unchanged and keeps the squared norms in range."""
 
     matrix: np.ndarray
 
@@ -163,11 +173,34 @@ class QsvtBackend(SolverBackend):
     the read-only real block of ``inverse_block``; real inputs only."""
 
     series: ChebyshevSeries
-    phases: PhaseVector
+    phases: np.ndarray
     block: np.ndarray
 
     def direction(self, rhs_hat: np.ndarray) -> np.ndarray:
         return apply_inverse_state(self.block, rhs_hat)[0]
+
+
+def _unit_scaled(v, name: str = "matrix") -> tuple[np.ndarray, int]:
+    """``(v / 2^k, k)`` with 2^k just above the largest |entry| of ``v``, so
+    the scaled entries peak in [0.5, 1): exact, and no multiply at k = 0.
+    k stops at -1023, where 2^-k is still a float. The scan that finds the
+    peak also rejects a non-finite ``v``, named ``name``."""
+    peak = float(np.abs(v).max(initial=0.0))
+    if not math.isfinite(peak):
+        raise ValueError(f"{name} has non-finite entries")
+    k = max(math.frexp(peak)[1], -1023)
+    return (v * math.ldexp(1.0, -k) if k else v), k
+
+
+def _times_power_of_two(v, k: int):
+    """``v * 2^k``, exact while the result is a normal float: no multiply at
+    k = 0, one while 2^k is a float and two beyond (up to |k| = 2046, the
+    widest gap between two ``_unit_scaled`` exponents)."""
+    if k == 0:
+        return v
+    if -1074 <= k <= 1023:
+        return v * math.ldexp(1.0, k)
+    return v * math.ldexp(1.0, k // 2) * math.ldexp(1.0, k - k // 2)
 
 
 def samples_for_accuracy(eps: float) -> int:
@@ -203,17 +236,17 @@ def _inverse_record(kappa: float, eps_prime: float) -> BoundedSeries:
 
 
 @functools.lru_cache(maxsize=_MEMO_SIZE)
-def _inverse_phases(kappa: float, eps_prime: float) -> PhaseVector:
-    """Phase factors of the series in ``_inverse_record(kappa, eps')``.
+def _inverse_phases(kappa: float, eps_prime: float) -> np.ndarray:
+    """Phase table of the series in ``_inverse_record(kappa, eps')``.
 
     A classical precomputation that depends on the series alone, so QSVT
     backends with the same (kappa, eps') share one memoized, read-only
-    phase vector. ``find_phases`` takes the memoized record itself: its
+    phase array. ``find_phases`` takes the memoized record itself: its
     checked peak and its evaluator, so the key's one bound check and one
     grid serve phase finding too. A ``PhaseFindingError`` is raised, not
     cached: the next call with that key tries again."""
     phases = find_phases(_inverse_record(kappa, eps_prime))
-    phases.phases.flags.writeable = False
+    phases.flags.writeable = False
     return phases
 
 
@@ -244,7 +277,7 @@ def noisy_oracle_backend(a, eps_l: float, kappa: Optional[float] = None,
     return NoisyOracleBackend(
         eps_l=eps_l, kappa=kappa, degree=degree, shots=shots,
         rng=np.random.default_rng([seed, 0x0153]),
-        matrix=a.astype(float) if not np.iscomplexobj(a) else a,
+        matrix=_unit_scaled(a.astype(float) if not np.iscomplexobj(a) else a)[0],
     )
 
 
@@ -389,11 +422,15 @@ def iterative_refine(a, b, backend: SolverBackend, eps_target: float,
     residuals raise ``DivergenceError`` carrying the partial trace. A
     non-finite ``b`` or an eps_target outside [MIN_EPS_TARGET, 1) raises
     ``ValueError``.
+
+    The loop runs on A / 2^ka and b / 2^kb, each scaled apart to peak near
+    1 (``_unit_scaled``), so its squared norms neither overflow nor
+    underflow whatever the scale of the system. It solves for
+    y = 2^(ka - kb) x; x and every recorded mu are mapped back by that
+    power of two, exactly, and omega is the same for both systems.
     """
-    a = as_matrix(a)
-    b = np.asarray(b, dtype=float if not np.iscomplexobj(b) else complex)
-    if not np.all(np.isfinite(b)):
-        raise ValueError("b has non-finite entries")
+    a, ka = _unit_scaled(as_matrix(a))
+    b, kb = _unit_scaled(np.asarray(b, dtype=float if not np.iscomplexobj(b) else complex), "b")
     if not MIN_EPS_TARGET <= eps_target < 1.0:
         raise ValueError(
             f"eps_target = {eps_target!r} must lie in [{MIN_EPS_TARGET:g}, 1): "
@@ -430,7 +467,7 @@ def iterative_refine(a, b, backend: SolverBackend, eps_target: float,
         _eta, readout = solve_once(backend, residual)
         mu = denormalize(a @ readout, residual)
         x = x + mu * readout
-        mus.append(mu)
+        mus.append(_times_power_of_two(mu, kb - ka))
         residual = b - a @ x
         omega = two_norm(residual) / b_norm
         omegas.append(omega)
@@ -450,7 +487,7 @@ def iterative_refine(a, b, backend: SolverBackend, eps_target: float,
         be_calls_per_solve=backend.degree,
         samples_per_solve=samples_for_accuracy(backend.eps_l),
     )
-    return x, make_trace(omegas[-1] <= eps_target), cost
+    return _times_power_of_two(x, kb - ka), make_trace(omegas[-1] <= eps_target), cost
 
 
 @dataclass(frozen=True)

@@ -18,6 +18,10 @@ same node table must give the same bits.
 
 ``random_odd_target`` builds a random odd phase-finding target: the
 ``bound_series`` record that ``find_phases`` and ``verify_phases`` take.
+
+``svt_reference`` is the singular value transform of a series with no
+circuit: numpy's SVD and the Clenshaw recurrence, the ground truth the
+QSVT block is checked against.
 """
 
 import numpy as np
@@ -98,5 +102,17 @@ def random_odd_target(rng, degree, peak):
     normal coefficients, scaled so that its checked max|P| is ``peak``."""
     coefs = np.zeros(degree + 1)
     coefs[1::2] = rng.standard_normal((degree + 1) // 2)
-    unscaled = bound_series(ChebyshevSeries(coefs, "odd"))
-    return bound_series(ChebyshevSeries(coefs * (peak / unscaled.peak), "odd"))
+    unscaled = bound_series(ChebyshevSeries(coefs))
+    return bound_series(ChebyshevSeries(coefs * (peak / unscaled.peak)))
+
+
+def svt_reference(a, series):
+    """W P(Sigma) V^H of a = W Sigma V^H for an odd ``series``, V P(Sigma)
+    V^H for an even one."""
+    w, sigma, vh = np.linalg.svd(a)
+    vals = clenshaw_eval(series, sigma)
+    if series.parity == "odd":
+        return (w * vals) @ vh
+    if series.parity == "even":
+        return (vh.conj().T * vals) @ vh
+    raise ValueError("svt_reference requires a definite-parity series")

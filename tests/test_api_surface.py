@@ -69,6 +69,27 @@ def test_every_name_imported_across_modules_is_declared(module):
     assert undeclared == []
 
 
+# the in-package modules each module may import from: the circuit layer
+# (qsvt_core) sees the encoding and the numerics, not the series or the
+# phase finder that make its phase table
+ALLOWED_IMPORTS = {
+    "numerics": set(),
+    "invpoly": set(),
+    "blockenc": {"numerics"},
+    "qsp_phases": {"invpoly"},
+    "qsvt_core": {"blockenc", "numerics"},
+    "refine": {"blockenc", "invpoly", "numerics", "qsp_phases", "qsvt_core"},
+    "bench_cli": {"numerics", "qsp_phases", "qsvt_core", "refine"},
+}
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_each_module_imports_only_its_allowed_layers(module):
+    assert module in ALLOWED_IMPORTS, "a new module needs its allowance"
+    reached = {home for home, _ in relative_imports(module)}
+    assert reached - ALLOWED_IMPORTS[module] == set()
+
+
 def memoized_functions():
     for module in MODULES:
         home = importlib.import_module(f"qsvt_refine.{module}")

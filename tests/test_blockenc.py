@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -121,6 +122,19 @@ def test_fable_infinite_threshold_drops_rotation_layer():
     a = np.full((2, 2), 0.3)
     _, circuit = fable_encoding(a, threshold=math.inf)
     assert not any(g.kind == "ry" for g in circuit.gates)
+
+
+def test_fable_gate_order_is_pinned():
+    # the gate sequence, CNOT flushes included, of one matrix per size at
+    # four thresholds, hashed in order
+    rng = np.random.default_rng(3)
+    digest = hashlib.sha1()
+    for n in (2, 4, 8):
+        a = rng.uniform(-1.0, 1.0, (n, n))
+        for threshold in (0.0, 1e-4, 1e-2, np.inf):
+            gates = fable_encoding(a, threshold)[1].gates
+            digest.update(repr([(g.kind, g.qubits, g.angle) for g in gates]).encode())
+    assert digest.hexdigest() == "3390e09ebdd61b5b6c97f40a5a24aa911396b49d"
 
 
 def test_fable_input_validation():

@@ -19,11 +19,15 @@ def test_this_checkout_is_identical_to_itself(capsys):
     tool = load_tool()
     tool.CONFIGS = ["complexity"]
     assert tool.main([str(tool.HERE_SRC)]) == 0
-    # the verdict, then each tree's process wall time
-    line = re.fullmatch(r"complexity: identical \(exit 0; wall (\d+\.\d\d) s here, "
-                        r"(\d+\.\d\d) s in OTHER_SRC\)\n", capsys.readouterr().out)
-    assert line is not None
-    assert all(float(seconds) > 0.0 for seconds in line.groups())
+    # each tree's source line count, then the verdict and each tree's
+    # process wall time
+    out = re.fullmatch(r"src lines: (\d+) here, (\d+) in OTHER_SRC\n"
+                       r"complexity: identical \(exit 0; wall (\d+\.\d\d) s here, "
+                       r"(\d+\.\d\d) s in OTHER_SRC\)\n", capsys.readouterr().out)
+    assert out is not None
+    here_lines, other_lines, *seconds = out.groups()
+    assert int(here_lines) == int(other_lines) > 0
+    assert all(float(wall) > 0.0 for wall in seconds)
 
 
 def test_a_directory_without_the_package_exits_2(tmp_path, capsys):

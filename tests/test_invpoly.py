@@ -40,6 +40,11 @@ def test_degree_params_error_paths():
         degree_params(0.9, 0.1)
     with pytest.raises(ValueError):
         degree_params(2.0, 0.0)
+    # NaN fails every comparison and inf reached math.ceil; a factory given
+    # kappa=inf reported eps' = eps_l / kappa = 0 instead
+    for kappa in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="kappa must be finite and >= 1"):
+            degree_params(kappa, 1e-3)
 
 
 def test_inverse_series_matches_exact_binomials():
@@ -157,9 +162,9 @@ def test_inverse_series_builds_in_small_memory():
 def test_clenshaw_examples():
     # the library evaluator and the Clenshaw reference alike
     for evaluate in (cheb_eval, clenshaw_eval):
-        t3 = ChebyshevSeries(np.array([0.0, 0.0, 0.0, 1.0]), "odd")
+        t3 = ChebyshevSeries(np.array([0.0, 0.0, 0.0, 1.0]))
         assert evaluate(t3, 0.5) == pytest.approx(-1.0)
-        t0 = ChebyshevSeries(np.array([1.0]), "even")
+        t0 = ChebyshevSeries(np.array([1.0]))
         assert evaluate(t0, 0.123) == pytest.approx(1.0)
         with pytest.raises(ValueError):
             evaluate(t0, 1.5)
@@ -170,14 +175,14 @@ def test_clenshaw_against_trigonometric_oracle():
     for evaluate in (cheb_eval, clenshaw_eval):
         rng = np.random.default_rng(8)
         coefs = rng.standard_normal(10)
-        series = ChebyshevSeries(coefs, "none")
+        series = ChebyshevSeries(coefs)
         x = 0.3
         direct = sum(c * math.cos(k * math.acos(x)) for k, c in enumerate(coefs))
         assert evaluate(series, x) == pytest.approx(direct, abs=1e-13)
 
         coefs = rng.standard_normal(501)
         coefs[-1] = coefs[-1] or 1.0
-        series = ChebyshevSeries(coefs, "none")
+        series = ChebyshevSeries(coefs)
         xs = rng.uniform(-1.0, 1.0, 1000)
         theta = np.arccos(xs)
         direct = sum(c * np.cos(k * theta) for k, c in enumerate(coefs))
@@ -192,7 +197,7 @@ def test_clenshaw_scalar_and_array_agree_exactly(degree, seed, points):
     # as the same points evaluated together as an array
     coefs = np.random.default_rng(seed).standard_normal(degree + 1)
     coefs[-1] = 1.0
-    series = ChebyshevSeries(coefs, "none")
+    series = ChebyshevSeries(coefs)
     along_array = cheb_eval(series, np.array(points))
     for x, want in zip(points, along_array):
         for scalar in (x, np.float64(x)):
@@ -235,7 +240,9 @@ def random_series(seed, degree, parity):
     elif parity == "even":
         coefs[1::2] = 0.0
     coefs[-1] = 1.0
-    return ChebyshevSeries(coefs, parity)
+    series = ChebyshevSeries(coefs)
+    assert parity == "none" or series.parity == parity
+    return series
 
 
 def special_points(series, picks):
@@ -368,7 +375,7 @@ def critical_point_peak(series):
 def test_max_abs_finds_a_peak_away_from_the_grid_maximizer():
     # |P| peaks at 1.0107 near x = +-0.83, between grid nodes; the grid's
     # largest value (0.9990 at x = 0.31) sits next to a lower local maximum
-    series = ChebyshevSeries(np.array([0.0, -0.257, 0.0, -0.264, 0.0, 0.865]), "odd")
+    series = ChebyshevSeries(np.array([0.0, -0.257, 0.0, -0.264, 0.0, 0.865]))
     assert max_abs_on_interval(series) == pytest.approx(1.0107002835399, rel=1e-10)
 
 
@@ -406,11 +413,11 @@ def test_brent_search_takes_scipys_bounded_steps(degree, seed, lo, width):
 
 
 def test_enforce_bounds_trivial_cases():
-    bounded = ChebyshevSeries(np.array([0.0, 0.5]), "odd")
+    bounded = ChebyshevSeries(np.array([0.0, 0.5]))
     same, scale = enforce_qsvt_bounds(bounded)
     assert scale == 1.0 and same is bounded
 
-    two_t1 = ChebyshevSeries(np.array([0.0, 2.0]), "odd")
+    two_t1 = ChebyshevSeries(np.array([0.0, 2.0]))
     scaled, scale = enforce_qsvt_bounds(two_t1)
     assert scale == pytest.approx(0.5, rel=1e-5)
     assert max_abs_on_interval(scaled) <= 1.0
@@ -455,7 +462,21 @@ def test_error_report():
 
 
 def test_series_validation():
-    with pytest.raises(ValueError, match="even-index"):
-        ChebyshevSeries(np.array([1.0, 1.0]), "odd")
     with pytest.raises(ValueError, match="trailing"):
-        ChebyshevSeries(np.array([1.0, 0.0]), "even")
+        ChebyshevSeries(np.array([1.0, 0.0]))
+    # the parity argument is gone and the scale is keyword-only, so a call
+    # that still passes a parity fails instead of setting the scale
+    with pytest.raises(TypeError):
+        ChebyshevSeries(np.array([0.0, 1.0]), "odd")
+
+
+@pytest.mark.parametrize("coefs, parity", [
+    ([0.0], "even"), ([2.0], "even"), ([1.0, 0.0, -1.0], "even"), ([0.0, 1.0], "odd"),
+    ([0.0, 0.0, 0.0, -1.0], "odd"), ([1.0, 1.0], "none"), ([0.0, 1.0, 1.0], "none"),
+    ([1.0, 0.0, 0.0, 1.0], "none"),
+])
+def test_parity_is_read_off_the_coefficients(coefs, parity):
+    series = ChebyshevSeries(np.array(coefs))
+    assert series.parity == parity
+    with pytest.raises(AttributeError):
+        series.parity = "odd"

@@ -128,8 +128,11 @@ def test_random_with_condition_basics():
 
 
 def test_random_with_condition_rejects_bad_kappa():
-    with pytest.raises(ValueError):
-        random_with_condition(4, 0.5, 0)
+    # NaN fails every comparison, so a kappa < 1 test alone let it through
+    # to a NaN matrix; inf reached numpy's geomspace
+    for kappa in (0.5, -1.0, float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="kappa must be finite and >= 1"):
+            random_with_condition(4, kappa, 0)
 
 
 def test_vector_ops():

@@ -6,25 +6,24 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from qsvt_refine.blockenc import dilation_encoding, fable_encoding
-from cheb_reference import random_odd_target
+from cheb_reference import random_odd_target, svt_reference
 from qsvt_refine.invpoly import ChebyshevSeries, bound_series, inverse_cheb_series
 from qsvt_refine.numerics import random_with_condition, svd
-from qsvt_refine.qsp_phases import PhaseVector, find_phases, realized_values
+from qsvt_refine.qsp_phases import find_phases, realized_values
 from qsvt_refine.qsvt_core import (
     PostSelectionError,
     _sweep,
     apply_inverse_state,
     build_u_phi,
     inverse_block,
-    spectral_oracle,
 )
 
-T1 = ChebyshevSeries(np.array([0.0, 1.0]), "odd")
+T1 = ChebyshevSeries(np.array([0.0, 1.0]))
 
 
 def test_single_phase_zero_reproduces_matrix():
     a = random_with_condition(4, 4.0, 0)
-    u_phi = build_u_phi(dilation_encoding(a), PhaseVector(np.array([0.0])))
+    u_phi = build_u_phi(dilation_encoding(a), np.array([0.0]))
     np.testing.assert_allclose(u_phi[:4, :4], a, atol=1e-10)
 
 
@@ -33,37 +32,41 @@ def test_u_phi_is_unitary():
     a = random_with_condition(4, 3.0, 1)
     enc = dilation_encoding(a)
     for d in (1, 2, 3, 6, 9):
-        u_phi = build_u_phi(enc, PhaseVector(rng.uniform(-np.pi, np.pi, d)))
+        u_phi = build_u_phi(enc, rng.uniform(-np.pi, np.pi, d))
         defect = np.linalg.norm(u_phi.conj().T @ u_phi - np.eye(8), 2)
         assert defect <= 1e-10
 
 
-def test_convention_tag_mismatch_rejected():
-    a = random_with_condition(2, 2.0, 3)
-    phases = PhaseVector(np.array([0.0]), convention_tag="other")
-    with pytest.raises(ValueError, match="convention"):
-        build_u_phi(dilation_encoding(a), phases)
+def test_an_empty_phase_table_is_rejected():
+    enc = dilation_encoding(random_with_condition(2, 2.0, 3))
+    with pytest.raises(ValueError, match="nonempty"):
+        build_u_phi(enc, np.zeros(0))
+    with pytest.raises(ValueError, match="odd phase count, got 0"):
+        inverse_block(enc, np.zeros(0))
 
 
 def test_block_norm_bounded():
     rng = np.random.default_rng(2)
     a = random_with_condition(4, 5.0, 2)
-    u_phi = build_u_phi(dilation_encoding(a), PhaseVector(rng.uniform(-1, 1, 5)))
+    u_phi = build_u_phi(dilation_encoding(a), rng.uniform(-1, 1, 5))
     assert np.linalg.norm(u_phi[:4, :4], 2) <= 1.0 + 1e-9
 
 
-def test_spectral_oracle_t1_and_t0():
+def test_svt_reference_t1_and_t0():
+    # the circuit-free reference the QSVT blocks are checked against
     a = random_with_condition(4, 6.0, 4)
-    np.testing.assert_allclose(spectral_oracle(a, T1), a, atol=1e-11)
-    t0 = ChebyshevSeries(np.array([1.0]), "even")
-    np.testing.assert_allclose(spectral_oracle(a, t0), np.eye(4), atol=1e-11)
+    np.testing.assert_allclose(svt_reference(a, T1), a, atol=1e-11)
+    t0 = ChebyshevSeries(np.array([1.0]))
+    np.testing.assert_allclose(svt_reference(a, t0), np.eye(4), atol=1e-11)
+    with pytest.raises(ValueError, match="definite-parity"):
+        svt_reference(a, ChebyshevSeries(np.array([0.5, 0.5])))
 
 
-def test_spectral_oracle_inverse_on_diagonal():
+def test_svt_reference_inverse_on_diagonal():
     kappa, eps = 5.0, 0.1
     series = inverse_cheb_series(kappa, eps)
     a = np.diag([0.2, 0.4])
-    got = spectral_oracle(a, series)
+    got = svt_reference(a, series)
     want = np.diag([series.scale / 0.2, series.scale / 0.4])
     assert np.max(np.abs(np.diag(got - want))) <= 2 * eps * series.scale
     assert np.max(np.abs(got - np.diag(np.diag(got)))) <= 1e-12
@@ -79,23 +82,23 @@ def test_qsvt_identity_property():
         target = random_odd_target(rng, degree, 0.8)
         phases = find_phases(target, tol=1e-10)
         u_phi = build_u_phi(dilation_encoding(a), phases)
-        diff = u_phi[:n, :n].real - spectral_oracle(a, target.series)
+        diff = u_phi[:n, :n].real - svt_reference(a, target.series)
         assert np.linalg.norm(diff, 2) <= 1e-7, f"trial {trial}"
 
 
 def test_even_case_block_structure():
     # d=2 with phases (0, 0) realizes T_2 exactly: block = V T2(S) V^H
     a = np.diag([0.3, 0.7])
-    u_phi = build_u_phi(dilation_encoding(a), PhaseVector(np.zeros(2)))
+    u_phi = build_u_phi(dilation_encoding(a), np.zeros(2))
     want = np.diag([2 * 0.3**2 - 1.0, 2 * 0.7**2 - 1.0])
     np.testing.assert_allclose(u_phi[:2, :2].real, want, atol=1e-10)
 
     # non-diagonal check against the oracle route
-    t2 = ChebyshevSeries(np.array([0.0, 0.0, 1.0]), "even")
+    t2 = ChebyshevSeries(np.array([0.0, 0.0, 1.0]))
     a = random_with_condition(4, 3.0, 11)
-    u_phi = build_u_phi(dilation_encoding(a), PhaseVector(np.zeros(2)))
+    u_phi = build_u_phi(dilation_encoding(a), np.zeros(2))
     np.testing.assert_allclose(
-        u_phi[:4, :4].real, spectral_oracle(a, t2), atol=1e-10
+        u_phi[:4, :4].real, svt_reference(a, t2), atol=1e-10
     )
 
 
@@ -153,7 +156,7 @@ def test_apply_inverse_solves_to_polynomial_accuracy():
 def test_apply_inverse_post_selection_failure():
     # phase pi/2 realizes the zero polynomial; the kept component vanishes
     enc = dilation_encoding(0.5 * np.eye(2))
-    phases = PhaseVector(np.array([np.pi / 2]))
+    phases = np.array([np.pi / 2])
     with pytest.raises(PostSelectionError):
         apply_inverse_state(inverse_block(enc, phases), np.array([1.0, 0.0]))
 
@@ -171,9 +174,7 @@ def test_apply_inverse_input_validation():
         with pytest.raises(ValueError, match="shape"):
             apply_inverse_state(block, wrong)
     with pytest.raises(ValueError, match="odd"):
-        inverse_block(enc, PhaseVector(np.zeros(2)))
-    with pytest.raises(ValueError, match="convention"):
-        inverse_block(enc, PhaseVector(phases.phases, convention_tag="other"))
+        inverse_block(enc, np.zeros(2))
 
 
 def test_ordering_regression_odd_and_even():
@@ -184,7 +185,7 @@ def test_ordering_regression_odd_and_even():
     enc = dilation_encoding(a)
     fac = svd(a)
     for d in (3, 4):
-        phases = PhaseVector(rng.uniform(-0.8, 0.8, d))
+        phases = rng.uniform(-0.8, 0.8, d)
         u_phi = build_u_phi(enc, phases)
         vals = realized_values(phases, fac.singular_values)
         if d % 2:
@@ -203,7 +204,7 @@ def test_apply_inverse_state_matches_svd_transform(n, d, kappa, seed):
     rng = np.random.default_rng(seed)
     m = random_with_condition(n, kappa, seed)
     m /= np.linalg.norm(m, 2)
-    phases = PhaseVector(rng.uniform(-np.pi, np.pi, d))
+    phases = rng.uniform(-np.pi, np.pi, d)
     b = rng.standard_normal(n)
     b /= np.linalg.norm(b)
     fac = svd(m)
@@ -282,10 +283,10 @@ def test_apply_inverse_state_is_the_plus_minus_phi_average(n, d, kind, seed):
                      + reference_sweep(enc, -phases, column))[:n, 0]
     weight = float(np.linalg.norm(average))
     assume(weight >= 1e-2)
-    block = inverse_block(enc, PhaseVector(phases))
+    block = inverse_block(enc, phases)
     out, prob = apply_inverse_state(block, b)
     assert out.dtype == np.float64
-    data_block_b = build_u_phi(enc, PhaseVector(phases))[:n, :n].real @ b
+    data_block_b = build_u_phi(enc, phases)[:n, :n].real @ b
     for want in (average, data_block_b):
         np.testing.assert_allclose(out, want / np.linalg.norm(want), rtol=0, atol=1e-13)
     assert prob == pytest.approx(weight**2, rel=0, abs=1e-12)
@@ -296,25 +297,25 @@ def test_apply_inverse_state_is_the_plus_minus_phi_average(n, d, kind, seed):
         apply_inverse_state(block, b * np.exp(0.5j))
     z = m + 1j * random_with_condition(n, 4.0, seed + 1)
     with pytest.raises(ValueError, match="qsvt_full is real-only"):
-        inverse_block(dilation_encoding(z / np.linalg.norm(z, 2)), PhaseVector(phases))
+        inverse_block(dilation_encoding(z / np.linalg.norm(z, 2)), phases)
     # swept columns that are not orthonormal are caught when the block is built
     real_sweep = qsvt_core._sweep
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(qsvt_core, "_sweep", lambda *args: (1.0 + 1e-6) * real_sweep(*args))
         with pytest.raises(ValueError, match="columns are not orthonormal"):
-            inverse_block(enc, PhaseVector(phases))
+            inverse_block(enc, phases)
 
 
 def test_apply_inverse_rejects_a_complex_encoding():
     a = random_with_condition(2, 2.0, 3)
     enc = dilation_encoding((a + 0.5j * a) / np.linalg.norm(a + 0.5j * a, 2))
     with pytest.raises(ValueError, match="real-only"):
-        inverse_block(enc, PhaseVector(np.zeros(3)))
+        inverse_block(enc, np.zeros(3))
 
 
 def test_inverse_block_is_read_only():
     a = random_with_condition(4, 2.0, 5)
-    block = inverse_block(dilation_encoding(a / 2.0), PhaseVector(np.linspace(-1.0, 1.0, 7)))
+    block = inverse_block(dilation_encoding(a / 2.0), np.linspace(-1.0, 1.0, 7))
     assert block.shape == (4, 4) and block.dtype == np.float64
     with pytest.raises(ValueError, match="read-only"):
         block[0, 0] = 0.0

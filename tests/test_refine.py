@@ -545,7 +545,7 @@ def test_qsvt_backends_share_one_phase_vector_per_kappa_eps(fresh_phase_memo, mo
 def test_shared_phases_are_read_only(fresh_phase_memo):
     backend = qsvt_backend(random_with_condition(4, 2.0, 0), 0.1, kappa=2.0)
     with pytest.raises(ValueError, match="read-only"):
-        backend.phases.phases[0] = 0.0
+        backend.phases[0] = 0.0
 
 
 def test_phase_finding_error_is_not_cached(fresh_phase_memo, monkeypatch):
@@ -574,6 +574,50 @@ def test_measured_kappa_backends_share_one_phase_vector(fresh_phase_memo, monkey
 
 
 FACTORIES = (spectral_oracle_backend, noisy_oracle_backend, qsvt_backend)
+
+
+@pytest.mark.parametrize("factory", FACTORIES)
+@pytest.mark.parametrize("shots", [0, -3, True, False, 2.0, 1.5, "10"])
+def test_factories_reject_shots_that_are_not_a_positive_integer(factory, shots):
+    # shots=0 used to run max_iter iterations of NaN residuals silently
+    with pytest.raises(ValueError, match="shots"):
+        factory(np.eye(2), 0.1, shots=shots)
+
+
+@pytest.mark.parametrize("factory", FACTORIES)
+def test_factories_take_a_positive_integer_shot_count(factory):
+    for shots in (None, 1, np.int64(100)):
+        assert factory(np.eye(2), 0.1, shots=shots).shots == shots
+
+
+@pytest.mark.parametrize("factory", FACTORIES)
+@pytest.mark.parametrize("scale_a, scale_b", [(1e150, 1.0), (1e-150, 1.0), (1.0, 1e150),
+                                              (1.0, 1e-150), (1e150, 1e-150), (1e-150, 1e150)])
+def test_refinement_converges_far_from_unit_scale(factory, scale_a, scale_b):
+    # A and b are scaled apart inside the loop, so no squared norm over- or
+    # underflows; the unscaled system's own residual meets eps_target
+    eps_target = 1e-12
+    a = random_with_condition(8, 4.0, 0) * scale_a
+    b = unit_rhs(8, 0) * scale_b
+    x, trace, _ = iterative_refine(a, b, factory(a, 1e-2), eps_target)
+    assert trace.converged and trace.iterations <= trace.theorem_bound
+    true_residual = np.linalg.norm((b - a @ x) / scale_b) / np.linalg.norm(b / scale_b)
+    assert true_residual <= eps_target
+
+
+@settings(max_examples=40, deadline=None)
+@given(kappa=st.floats(1.5, 20.0), seed=st.integers(0, 2**16), power=st.integers(-900, 900))
+def test_refinement_is_exactly_invariant_under_power_of_two_scaling_of_a(kappa, seed, power):
+    # A times 2^p runs the same loop: the same omegas, and x and every mu
+    # divided by 2^p exactly
+    a = random_with_condition(8, kappa, seed)
+    b = unit_rhs(8, seed)
+    backend = spectral_oracle_backend(a, 0.2 / kappa, kappa=kappa)
+    x, trace, _ = iterative_refine(a, b, backend, 1e-11)
+    x_p, trace_p, _ = iterative_refine(math.ldexp(1.0, power) * a, b, backend, 1e-11)
+    assert trace_p.scaled_residuals == trace.scaled_residuals
+    assert np.array_equal(np.ldexp(x_p, power), x)
+    assert [math.ldexp(mu, power) for mu in trace_p.mu_values] == trace.mu_values
 
 
 @pytest.mark.parametrize("factory", FACTORIES)

@@ -9,8 +9,11 @@ for example that of a checkout of the parent commit. Each config in
 ``CONFIGS`` runs once against this checkout's ``src/`` and once against
 ``OTHER_SRC``, each run a fresh process with ``OPENBLAS_NUM_THREADS=1``.
 
-Per config it prints ``identical`` (same exit code, same CSV bytes, same
-``meta.json`` once ``config.out`` is removed) or what differs, next to the
+It first prints ``src lines: N here, M in OTHER_SRC``, the lines of every
+``*.py`` under each tree's ``qsvt_refine``, so a change's size shows in the
+same run that checks its bytes. Per config it then prints ``identical``
+(same exit code, same CSV bytes, same ``meta.json`` once ``config.out`` is
+removed) or what differs, next to the
 wall time of each tree's process (interpreter start and imports included,
 so a faster import shows in the same run that checks the bytes). What
 differs is listed below the verdict: the exit
@@ -55,6 +58,11 @@ CONFIGS = [
 ]
 KEY_COLUMNS = ("run_id", "backend", "iter")  # one row per key on either side
 DRIFT_COLUMNS = ("omega", "mu")  # float columns compared by relative drift
+
+
+def source_lines(src: Path) -> int:
+    """Lines of every ``*.py`` under ``src/qsvt_refine``, as ``wc -l`` counts them."""
+    return sum(path.read_bytes().count(b"\n") for path in (src / "qsvt_refine").rglob("*.py"))
 
 
 def run_cli(src: Path, config: str, workdir: Path) -> tuple[int, bytes, dict]:
@@ -138,6 +146,7 @@ def main(argv=None) -> int:
     if not (args.other_src / "qsvt_refine" / "__init__.py").is_file():
         print(f"{args.other_src} holds no qsvt_refine package", file=sys.stderr)
         return 2
+    print(f"src lines: {source_lines(HERE_SRC)} here, {source_lines(args.other_src)} in OTHER_SRC")
     failed = False
     for config in CONFIGS:
         with tempfile.TemporaryDirectory() as tmp:
