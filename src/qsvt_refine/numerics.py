@@ -11,6 +11,7 @@ mutated in place.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -91,11 +92,16 @@ def svd(a) -> Svd:
 
 
 def two_norm(vec) -> float:
-    """Euclidean norm of a vector."""
+    """Euclidean norm of a vector, bit for bit ``np.linalg.norm``: a float64
+    vector takes numpy's own steps without its dispatch (a ravel in memory
+    order, which copies a strided view as numpy does, then dot and sqrt)."""
     v = np.asarray(vec)
     if v.ndim != 1:
         raise ValueError(f"expected a 1-D vector, got shape {v.shape}")
-    return float(np.linalg.norm(v))
+    if v.dtype != np.float64:
+        return float(np.linalg.norm(v))
+    v = v.ravel(order="K")
+    return math.sqrt(v.dot(v))
 
 
 def singular_value_ratio(singular_values) -> float:

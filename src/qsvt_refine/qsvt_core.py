@@ -51,7 +51,7 @@ import math
 import numpy as np
 
 from .blockenc import BlockEncoding
-from .numerics import check_unitary
+from .numerics import check_unitary, two_norm
 
 __all__ = [
     "PostSelectionError",
@@ -139,7 +139,8 @@ def inverse_block(encoding: BlockEncoding, phases: np.ndarray) -> np.ndarray:
 def apply_inverse_state(block: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, float]:
     """Apply the inverse-polynomial QSVT, as the real N x N ``block`` of
     ``inverse_block``, to the real unit vector ``b`` of shape ``(N,)``; a
-    complex ``b`` is rejected.
+    complex ``b`` is read as its real part, and rejected if its imaginary
+    part is nonzero.
 
     Returns the kept component renormalized, a real unit vector, and its
     squared norm (the success probability).
@@ -148,13 +149,14 @@ def apply_inverse_state(block: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, f
     n = block.shape[1]
     if b.shape != (n,):
         raise ValueError(f"right-hand side shape {b.shape} does not match block ({n},)")
-    if np.any(np.imag(b)):
+    if np.iscomplexobj(b) and np.any(b.imag):
         raise ValueError("qsvt_full is real-only: the right-hand side is complex")
-    if abs(np.linalg.norm(b) - 1.0) > 1e-12:
-        raise ValueError(f"state is not normalized: ||b|| = {float(np.linalg.norm(b))!r}")
-    raw = block @ np.real(b)
+    norm = two_norm(b)
+    if abs(norm - 1.0) > 1e-12:
+        raise ValueError(f"state is not normalized: ||b|| = {norm!r}")
+    raw = block @ b.real
 
-    weight = float(np.linalg.norm(raw))
+    weight = two_norm(raw)
     if weight**2 < 1e-14:
         raise PostSelectionError(f"post-selection failure: success probability {weight**2:.3e}")
     return raw / weight, weight**2

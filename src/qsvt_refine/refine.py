@@ -94,12 +94,13 @@ class SolverBackend(ABC):
     """One low-accuracy solver bound to a specific matrix.
 
     A subtype holds what its solve needs and implements ``direction``.
-    ``shots=None`` means exact readout; a positive integer turns on the
-    shot-noise surrogate (seeded Gaussian direction of norm
-    1/sqrt(shots), then renormalization), and any other value raises
-    ``ValueError``. The surrogate stands in for physical sampling, whose
-    sign recovery the source material leaves unspecified; outputs are
-    flagged accordingly in bench metadata.
+    ``kappa`` must be finite and >= 1, and ``eps_l`` finite and >= 0 (0 is
+    the noisy oracle's exact solve). ``shots=None`` means exact readout; a
+    positive integer turns on the shot-noise surrogate (seeded Gaussian
+    direction of norm 1/sqrt(shots), then renormalization). Any other
+    value of these three raises ``ValueError``. The surrogate stands in
+    for physical sampling, whose sign recovery the source material leaves
+    unspecified; outputs are flagged accordingly in bench metadata.
     """
 
     eps_l: float
@@ -109,6 +110,10 @@ class SolverBackend(ABC):
     rng: np.random.Generator
 
     def __post_init__(self):
+        if not 1.0 <= self.kappa < math.inf:
+            raise ValueError(f"kappa must be finite and >= 1, got {self.kappa!r}")
+        if not 0.0 <= self.eps_l < math.inf:
+            raise ValueError(f"eps_l must be finite and >= 0, got {self.eps_l!r}")
         shots = self.shots
         if shots is not None and (isinstance(shots, bool) or not isinstance(shots, numbers.Integral)
                                   or shots < 1):
@@ -131,7 +136,7 @@ class SpectralOracleBackend(SolverBackend):
 
     def direction(self, rhs_hat: np.ndarray) -> np.ndarray:
         raw = (self.v * self.diag) @ (self.u.conj().T @ rhs_hat)
-        return raw / np.linalg.norm(raw)
+        return raw / two_norm(raw)
 
 
 @dataclass(frozen=True)
@@ -149,19 +154,19 @@ class NoisyOracleBackend(SolverBackend):
         can amplify a raw direction error)."""
         a = self.matrix
         x = np.linalg.solve(a, rhs_hat)
-        nx = np.linalg.norm(x)
+        nx = two_norm(x)
         eta = x / nx
         if self.eps_l <= 0.0:
             return eta
         g = self.rng.standard_normal(eta.size)
-        g /= np.linalg.norm(g)
+        g /= two_norm(g)
         magnitude = _NOISE_SAFETY * self.eps_l
         for _ in range(60):
             cand = eta + magnitude * g
-            cand /= np.linalg.norm(cand)
+            cand /= two_norm(cand)
             a_cand = a @ cand
             mu = float(np.vdot(a_cand, rhs_hat).real / np.vdot(a_cand, a_cand).real)
-            if np.linalg.norm(mu * cand - x) <= _NOISE_SAFETY * self.eps_l * nx:
+            if two_norm(mu * cand - x) <= _NOISE_SAFETY * self.eps_l * nx:
                 return cand
             magnitude *= 0.5
         return eta
@@ -318,8 +323,8 @@ def solve_once(backend: SolverBackend, rhs) -> tuple[np.ndarray, np.ndarray]:
     if backend.shots is None:
         return eta, eta
     g = backend.rng.standard_normal(eta.size)
-    readout = eta + g / (np.linalg.norm(g) * math.sqrt(backend.shots))
-    return eta, readout / np.linalg.norm(readout)
+    readout = eta + g / (two_norm(g) * math.sqrt(backend.shots))
+    return eta, readout / two_norm(readout)
 
 
 def denormalize(a_eta, residual, method: str = "closed_form") -> float:
@@ -419,9 +424,10 @@ def iterative_refine(a, b, backend: SolverBackend, eps_target: float,
     update. Each step costs two products with A: A eta for the magnitude
     and A x for the next residual, which also gives omega. Stops at
     omega <= eps_target or ``max_iter``; three consecutive non-decreasing
-    residuals raise ``DivergenceError`` carrying the partial trace. A
-    non-finite ``b`` or an eps_target outside [MIN_EPS_TARGET, 1) raises
-    ``ValueError``.
+    residuals raise ``DivergenceError`` carrying the partial trace. An A
+    that is not square, a ``b`` not of shape (n,), a non-finite entry in
+    either or an eps_target outside [MIN_EPS_TARGET, 1) raises
+    ``ValueError`` before any solve.
 
     The loop runs on A / 2^ka and b / 2^kb, each scaled apart to peak near
     1 (``_unit_scaled``), so its squared norms neither overflow nor
@@ -429,8 +435,15 @@ def iterative_refine(a, b, backend: SolverBackend, eps_target: float,
     y = 2^(ka - kb) x; x and every recorded mu are mapped back by that
     power of two, exactly, and omega is the same for both systems.
     """
-    a, ka = _unit_scaled(as_matrix(a))
-    b, kb = _unit_scaled(np.asarray(b, dtype=float if not np.iscomplexobj(b) else complex), "b")
+    a = np.asarray(a)
+    if a.ndim != 2:
+        raise ValueError(f"expected a 2-D matrix, got shape {a.shape}")
+    b = np.asarray(b, dtype=float if not np.iscomplexobj(b) else complex)
+    n = a.shape[0]
+    if a.shape != (n, n) or b.shape != (n,):
+        raise ValueError(f"need a square A and b of shape (n,): got A {a.shape}, b {b.shape}")
+    a, ka = _unit_scaled(a)
+    b, kb = _unit_scaled(b, "b")
     if not MIN_EPS_TARGET <= eps_target < 1.0:
         raise ValueError(
             f"eps_target = {eps_target!r} must lie in [{MIN_EPS_TARGET:g}, 1): "

@@ -141,6 +141,26 @@ def test_vector_ops():
         two_norm(np.eye(2))
 
 
+FLOATS = st.floats(allow_nan=False, width=64)
+
+
+@settings(max_examples=200, deadline=None)
+@given(values=st.lists(FLOATS, max_size=200), imag=st.lists(FLOATS, max_size=200),
+       ints=st.lists(st.integers(-2**31, 2**31), max_size=200))
+def test_two_norm_is_numpys_norm_bit_for_bit(values, imag, ints):
+    # contiguous, strided and reversed float64 views, complex128 and int64:
+    # every one is summed in the order np.linalg.norm sums it
+    v = np.array(values, dtype=np.float64)
+    z = np.zeros(min(len(values), len(imag)), dtype=np.complex128)
+    z.real, z.imag = values[: z.size], imag[: z.size]
+    for vec in (v, v[::2], v[1::3], v[::-1], z, z.real, np.array(ints, dtype=np.int64)):
+        with np.errstate(over="ignore"):
+            expected = np.float64(np.linalg.norm(vec))
+            got = two_norm(vec)
+        assert type(got) is float
+        assert np.float64(got).tobytes() == expected.tobytes(), vec.dtype
+
+
 @pytest.mark.parametrize("spread", [0.5, 2.0])
 def test_check_unitary_falls_back_to_the_spectral_norm(spread):
     # U^H U - I = s I: its Frobenius norm s * sqrt(16) = 4 s tops the

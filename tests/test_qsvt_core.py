@@ -177,6 +177,22 @@ def test_apply_inverse_input_validation():
         inverse_block(enc, np.zeros(2))
 
 
+@pytest.mark.parametrize("seed", range(4))
+def test_apply_inverse_state_reads_a_real_valued_complex_b_as_its_real_part(seed):
+    # the same bits, direction and probability alike, for b and b + 0j;
+    # a nonzero imaginary part is still rejected
+    a = random_with_condition(8, 2.0, seed)
+    phases = find_phases(bound_series(inverse_cheb_series(2.0, 0.05)), tol=1e-9)
+    block = inverse_block(dilation_encoding(a.T), phases)
+    b = np.random.default_rng(seed).standard_normal(8)
+    b /= np.linalg.norm(b)
+    x, prob = apply_inverse_state(block, b)
+    x_c, prob_c = apply_inverse_state(block, b + 0j)
+    assert x.tobytes() == x_c.tobytes() and prob == prob_c
+    with pytest.raises(ValueError, match="qsvt_full is real-only"):
+        apply_inverse_state(block, b + 1e-300j)
+
+
 def test_ordering_regression_odd_and_even():
     # pins the left-to-right expansion of the alternating product: any
     # off-by-one in the factor order breaks agreement with the oracle

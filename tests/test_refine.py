@@ -277,6 +277,20 @@ def test_refine_rejects_non_finite_b(bad):
         iterative_refine(a, b, backend, 1e-10)
 
 
+@pytest.mark.parametrize("factory", [spectral_oracle_backend, noisy_oracle_backend])
+def test_refine_names_a_non_finite_or_one_dimensional_a(factory):
+    a = random_with_condition(4, 3.0, 0)
+    backend = factory(a, 1e-2)
+    b = unit_rhs(4, 0)
+    for bad in (math.nan, math.inf):
+        a_bad = a.copy()
+        a_bad[1, 2] = bad
+        with pytest.raises(ValueError, match="^matrix has non-finite entries$"):
+            iterative_refine(a_bad, b, backend, 1e-10)
+    with pytest.raises(ValueError, match=r"^expected a 2-D matrix, got shape \(4,\)$"):
+        iterative_refine(a[0], b, backend, 1e-10)
+
+
 def test_contraction_check_noisy_seed_sweep():
     kappa, eps_l = 6.0, 5e-3
     bound = theorem_iteration_bound(1e-10, eps_l, kappa)
@@ -694,3 +708,66 @@ def test_refined_qsvt_solves_sweep_once_per_backend(fresh_phase_memo, monkeypatc
         assert trace.converged
     assert len(applied) >= 4
     assert len(sweeps) == 1
+
+
+@pytest.mark.parametrize("factory", FACTORIES)
+def test_refine_calls_denormalize_through_its_module_binding(factory, monkeypatch):
+    # perfbench's tracer times magnitude recovery by rebinding
+    # `refine.denormalize`: the loop must look it up there once per inner solve
+    calls = []
+    real_denormalize = refine_mod.denormalize
+
+    def denormalize(*args, **kwargs):
+        calls.append(None)
+        return real_denormalize(*args, **kwargs)
+
+    monkeypatch.setattr(refine_mod, "denormalize", denormalize)
+    kappa = 3.0
+    a = random_with_condition(8, kappa, 0)
+    backend = factory(a, 0.1 / kappa, kappa=kappa)
+    solves = 0
+    for seed in (0, 1):
+        _, trace, cost = iterative_refine(a, unit_rhs(8, seed), backend, 1e-11)
+        assert trace.converged
+        solves += cost.solves
+    assert solves >= 4
+    assert len(calls) == solves
+
+
+@pytest.mark.parametrize("factory", FACTORIES)
+@pytest.mark.parametrize("kappa", [math.nan, math.inf, -math.inf, -1.0, 0.5])
+def test_factories_reject_a_kappa_that_is_not_finite_and_at_least_one(factory, kappa):
+    # the noisy oracle used to build a backend, and report "converged", for
+    # each of these
+    with pytest.raises(ValueError, match="kappa must be finite and >= 1"):
+        factory(random_with_condition(8, 4.0, 0), 1e-2, kappa=kappa)
+
+
+@pytest.mark.parametrize("eps_l", [math.nan, math.inf, -math.inf, -1e-3])
+def test_noisy_oracle_rejects_an_eps_l_that_is_not_finite_and_non_negative(eps_l):
+    # NaN used to fail after the whole refinement, inf to report a total
+    # cost of 0 and a negative eps_l to run the exact solve
+    with pytest.raises(ValueError, match="eps_l must be finite and >= 0"):
+        noisy_oracle_backend(random_with_condition(8, 4.0, 0), eps_l)
+
+
+@pytest.mark.parametrize("factory", FACTORIES)
+def test_refine_names_both_shapes_before_any_solve(factory, monkeypatch):
+    solves = []
+    real_solve_once = refine_mod.solve_once
+
+    def solve_once(*args):
+        solves.append(None)
+        return real_solve_once(*args)
+
+    monkeypatch.setattr(refine_mod, "solve_once", solve_once)
+    a = random_with_condition(4, 3.0, 0)
+    backend = factory(a, 1e-2)
+    b = unit_rhs(4, 0)
+    cases = [(a[:, :3], b, r"A \(4, 3\), b \(4,\)"), (a[:3], b, r"A \(3, 4\), b \(4,\)"),
+             (a, b[:3], r"A \(4, 4\), b \(3,\)"), (a, b[:, None], r"A \(4, 4\), b \(4, 1\)"),
+             (a, np.ones(5), r"A \(4, 4\), b \(5,\)")]
+    for a_in, b_in, shapes in cases:
+        with pytest.raises(ValueError, match=shapes):
+            iterative_refine(a_in, b_in, backend, 1e-10)
+    assert solves == []
