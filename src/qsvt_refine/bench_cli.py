@@ -90,6 +90,8 @@ class ExperimentConfig:
             raise ConfigError(f"unknown readout mode {self.readout!r}")
         if type(self.n_qubits) is not int or self.n_qubits < 1:  # type(): a bool is an int too
             raise ConfigError(f"n_qubits = {self.n_qubits!r} must be an integer >= 1")
+        if not isinstance(self.out, str) or not self.out:
+            raise ConfigError(f"out = {self.out!r} must be a nonempty path string")
         if self.backend == "qsvt_full" and self.n_qubits > _QSVT_MAX_QUBITS:
             raise ConfigError(
                 f"qsvt_full simulation is guarded at n_qubits <= {_QSVT_MAX_QUBITS}"
@@ -108,6 +110,8 @@ class ExperimentConfig:
         self.seeds = _coerced("seeds", self.seeds, int)
         if not self.seeds:
             raise ConfigError("seeds list must be nonempty")
+        if min(self.seeds) < 0:
+            raise ConfigError(f"seeds must be non-negative, got {min(self.seeds)}")
         if not MIN_EPS_TARGET <= self.eps_target < 1.0:
             raise ConfigError(f"eps_target must lie in [{MIN_EPS_TARGET:g}, 1)")
         if self.experiment == "poisson":
@@ -157,6 +161,8 @@ def _load_config(path: Optional[str], overrides: dict) -> ExperimentConfig:
 
 
 def _coerced(name: str, values, kind) -> list:
+    if isinstance(values, (str, bytes)):  # iterating would read it digit by digit
+        raise ConfigError(f"{name} must be a list of numbers, not the string {values!r}")
     try:  # a bool, or a fractional value for an int field, is rejected, not truncated
         for v in values:
             if isinstance(v, bool) or (kind is int and isinstance(v, float) and v != int(v)):

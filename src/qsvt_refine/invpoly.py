@@ -145,8 +145,8 @@ def _central_binomial(b: int) -> float:
 
 
 def _next_fast_len(n: int) -> int:
-    """Smallest 2^a 3^b 5^c >= n: the real-FFT-friendly size that
-    ``scipy.fft.next_fast_len(n, real=True)`` also gives."""
+    """Smallest 2^a 3^b 5^c >= n: the real-FFT-friendly size, which the
+    tests check against a reference ``next_fast_len(n, real=True)``."""
     best = 1 << max(n - 1, 0).bit_length()
     fives = 1
     while fives < best:
@@ -359,7 +359,7 @@ def _brent_min(f: Callable[[float], float], a: float, b: float) -> float:
     best points where it falls inside the bracket and shrinks faster,
     until the bracket's midpoint is within 2 tol - (b - a)/2 of the best
     point x, tol = sqrt(2.2e-16) |x| + _REFINE_XTOL / 3 (the steps, and so
-    the points evaluated, of scipy's bounded ``minimize_scalar``)."""
+    the points evaluated, of the tests' reference bounded ``minimize_scalar``)."""
     x = w = v = a + _GOLDEN * (b - a)  # best, second best, previous second best
     fx = fw = fv = f(x)
     step = prev = 0.0  # the last step and the one before it

@@ -148,10 +148,11 @@ class NoisyOracleBackend(SolverBackend):
     matrix: np.ndarray
 
     def direction(self, rhs_hat: np.ndarray) -> np.ndarray:
-        """Exact solve plus noise, shrunk until the de-normalized solution is
-        guaranteed within eps_l relative error (the backend contract is "by
-        construction", and magnitude recovery optimizes the residual, which
-        can amplify a raw direction error)."""
+        """Exact solve plus noise, shrunk until the solution de-normalized by
+        ``denormalize``, the loop's own magnitude recovery, is within eps_l
+        relative error (the backend contract is "by construction", and
+        magnitude recovery optimizes the residual, which can amplify a raw
+        direction error)."""
         a = self.matrix
         x = np.linalg.solve(a, rhs_hat)
         nx = two_norm(x)
@@ -164,8 +165,7 @@ class NoisyOracleBackend(SolverBackend):
         for _ in range(60):
             cand = eta + magnitude * g
             cand /= two_norm(cand)
-            a_cand = a @ cand
-            mu = float(np.vdot(a_cand, rhs_hat).real / np.vdot(a_cand, a_cand).real)
+            mu = denormalize(a @ cand, rhs_hat)
             if two_norm(mu * cand - x) <= _NOISE_SAFETY * self.eps_l * nx:
                 return cand
             magnitude *= 0.5
@@ -327,46 +327,20 @@ def solve_once(backend: SolverBackend, rhs) -> tuple[np.ndarray, np.ndarray]:
     return eta, readout / two_norm(readout)
 
 
-def denormalize(a_eta, residual, method: str = "closed_form") -> float:
+def denormalize(a_eta, residual) -> float:
     """Magnitude recovery: minimize ||A (x + mu eta) - b|| over real mu,
     given ``a_eta`` = A eta and ``residual`` = b - A x.
 
-    The objective is an exact quadratic, so the default path is the
-    closed form mu = <A eta, b - A x> / ||A eta||^2; ``method="brent"``
-    runs scipy's bracketed scalar minimization instead, kept as an
-    independent cross-check of the closed form (no solve path takes it, so
-    scipy is imported only here). Function-value minimization alone
-    localizes a quadratic minimum only to ~sqrt(machine eps), so the
-    Brent result is refined by one parabolic-vertex fit on a
-    well-separated stencil (still pure function evaluations).
+    The objective is an exact quadratic, so mu is its closed-form minimizer
+    <A eta, b - A x> / ||A eta||^2; an A eta with ||A eta||^2 <= 1e-28
+    raises ``ValueError``. The tests check it against a bracketed Brent
+    search on the objective's values alone.
     """
     a_eta, residual = np.asarray(a_eta), np.asarray(residual)
     gram = float(np.vdot(a_eta, a_eta).real)
     if gram <= 1e-28:
         raise ValueError("degenerate direction: ||A eta|| ~ 0")
-    if method == "closed_form":
-        return float(np.vdot(a_eta, residual).real / gram)
-    if method == "brent":
-        from scipy.optimize import minimize_scalar  # the one scipy use: this cross-check
-
-        def objective(mu: float) -> float:
-            diff = residual - mu * a_eta
-            return float(np.vdot(diff, diff).real)
-
-        located = float(
-            minimize_scalar(objective, method="brent", options={"xtol": 1e-10}).x
-        )
-        mid = objective(located)
-        # the three values carry rounding ~eps * objective, which moves the
-        # vertex by that over gram * h: widen the stencil until its rise
-        # gram * h^2 reaches the floor value, where that shift is smallest
-        h = max(max(1.0, abs(located)) * 1e-3, math.sqrt(mid / gram))
-        below, mid, above = objective(located - h), objective(located), objective(located + h)
-        curvature = below - 2.0 * mid + above
-        if curvature <= 0.0:
-            return located
-        return located + 0.5 * h * (below - above) / curvature
-    raise ValueError(f"unknown method {method!r}")
+    return float(np.vdot(a_eta, residual).real / gram)
 
 
 @dataclass(frozen=True)

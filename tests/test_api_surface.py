@@ -1,7 +1,7 @@
 """The package's public surface: what the benchmark's tracer wraps and what
 the modules declare must exist, so removing a name shows up here; its
-memos, each of which must stay bounded; and its one numerical dependency
-on the import and solve paths, numpy."""
+memos, each of which must stay bounded; and its one runtime dependency,
+numpy, both as declared and as loaded by importing and solving."""
 
 import ast
 import importlib
@@ -9,6 +9,7 @@ import importlib.util
 import inspect
 import os
 import pkgutil
+import re
 import subprocess
 import sys
 import types
@@ -114,9 +115,33 @@ def test_every_memo_is_bounded():
     assert unbounded == []
 
 
+def imported_top_level_modules(path):
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Import):
+            yield from (alias.name.partition(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            yield "qsvt_refine" if node.level else node.module.partition(".")[0]
+
+
+def test_every_imported_module_is_stdlib_the_package_or_a_declared_dependency():
+    # every import statement, a function-local one included, whether or not
+    # a test reaches it: a module that only the tests install must not be
+    # imported by the library
+    tomllib = pytest.importorskip("tomllib")
+    pyproject = Path(qsvt_refine.__file__).resolve().parents[2] / "pyproject.toml"
+    declared = {re.match(r"[A-Za-z0-9_.-]+", requirement).group().lower()
+                for requirement in tomllib.loads(pyproject.read_text())["project"]["dependencies"]}
+    assert declared == {"numpy"}
+    allowed = set(sys.stdlib_module_names) | {"qsvt_refine"} | declared
+    undeclared = {f"{path.name}: {name}"
+                  for path in sorted(Path(qsvt_refine.__file__).parent.glob("*.py"))
+                  for name in imported_top_level_modules(path) if name not in allowed}
+    assert undeclared == set()
+
+
 def test_import_and_refined_solves_load_no_scipy():
-    # scipy serves denormalize(method="brent") and the tests; importing the
-    # package and CLI and refining with every backend factory load none of it
+    # scipy serves the tests as a reference; importing the package and CLI
+    # and refining with every backend factory load none of it
     script = """
 import sys
 import numpy as np

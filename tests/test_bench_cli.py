@@ -266,12 +266,27 @@ def test_poisson_experiment(tmp_path):
     ({"seeds": [2.7]}, "seeds must be a list of numbers: 2.7 is not an integer"),
     ({"seeds": [True]}, "seeds must be a list of numbers: True is not an integer"),
     ({"kappa": [True]}, "kappa must be a list of numbers: True is not a number"),
+    ({"seeds": "12"}, "seeds must be a list of numbers, not the string '12'"),
+    ({"kappa": "10"}, "kappa must be a list of numbers, not the string '10'"),
+    ({"eps_l": "0.01"}, "eps_l must be a list of numbers, not the string '0.01'"),
+    ({"seeds": [0, -1]}, "seeds must be non-negative, got -1"),
+    ({"experiment": "complexity", "eps_l": None, "seeds": [-1]},
+     "seeds must be non-negative, got -1"),
+    ({"out": 5}, "out = 5 must be a nonempty path string"),
+    ({"out": None}, "out = None must be a nonempty path string"),
+    ({"out": ""}, "out = '' must be a nonempty path string"),
 ])
 def test_bad_config_exits_2_before_any_run(tmp_path, capsys, overrides, message):
     path, _ = write_config(tmp_path, **overrides)
     assert main(["--config", str(path)]) == 2
     assert message in capsys.readouterr().err
     assert not (tmp_path / "out.csv").exists()
+
+
+@pytest.mark.parametrize("field", ["kappa", "eps_l", "seeds"])
+def test_a_bytes_value_for_a_list_field_is_a_config_error(field):
+    with pytest.raises(ConfigError, match=f"{field} must be a list of numbers, not the string"):
+        ExperimentConfig(experiment="convergence", **{field: b"10"})
 
 
 def test_poisson_kappa_is_resolved_in_the_config():

@@ -1,11 +1,13 @@
 import dataclasses
 import math
+import sys
 import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from magnitude_reference import brent_magnitude
 
 import qsvt_refine.refine as refine_mod
 from qsvt_refine import blockenc, invpoly, numerics, qsvt_core
@@ -73,6 +75,20 @@ def test_noisy_backend_noise_scale_and_determinism():
     assert 0.0 < np.linalg.norm(eta1 - exact) <= 2.0 * eps_l
 
 
+@settings(max_examples=100, deadline=None)
+@given(n=st.integers(2, 16), kappa=st.floats(1.0, 100.0), rate=st.floats(1e-6, 0.99),
+       seed=st.integers(0, 2**32 - 1))
+def test_noisy_oracle_direction_denormalizes_within_eps_l(n, kappa, rate, seed):
+    # the backend contract: the magnitude recovery the loop applies puts the
+    # noisy direction within eps_l of the exact solution, relative to it
+    eps_l = rate / kappa
+    a = random_with_condition(n, kappa, seed)
+    b = unit_rhs(n, seed)
+    d = noisy_oracle_backend(a, eps_l, kappa=kappa, seed=seed).direction(b)
+    x = np.linalg.solve(a, b)
+    assert np.linalg.norm(denormalize(a @ d, b) * d - x) <= eps_l * np.linalg.norm(x)
+
+
 def test_qsvt_direction_accuracy():
     kappa, eps_l = 2.0, 0.1
     a = random_with_condition(4, kappa, 9)
@@ -113,8 +129,8 @@ def test_denormalize_cross_check_brent():
         eta = rng.standard_normal(n)
         eta /= np.linalg.norm(eta)
         b = rng.standard_normal(n)
-        closed = denormalize(a @ eta, b - a @ x, method="closed_form")
-        brent = denormalize(a @ eta, b - a @ x, method="brent")
+        closed = denormalize(a @ eta, b - a @ x)
+        brent = brent_magnitude(a @ eta, b - a @ x)
         assert abs(closed - brent) <= 1e-10 * max(1.0, abs(closed)), f"trial {trial}"
 
 
@@ -127,7 +143,7 @@ def test_denormalize_brent_matches_closed_form(n, seed, eta_scale, residual_scal
     a_eta = rng.standard_normal(n) * 10.0**eta_scale
     residual = rng.standard_normal(n) * 10.0**residual_scale
     closed = denormalize(a_eta, residual)
-    brent = denormalize(a_eta, residual, method="brent")
+    brent = brent_magnitude(a_eta, residual)
     assert abs(closed - brent) <= 1e-10 * max(1.0, abs(closed))
 
 
@@ -135,8 +151,6 @@ def test_denormalize_degenerate_direction():
     a = np.diag([1.0, 1e-20])
     with pytest.raises(ValueError, match="degenerate"):
         denormalize(a @ np.array([0.0, 1.0]), np.ones(2))
-    with pytest.raises(ValueError, match="method"):
-        denormalize(np.array([1.0, 0.0]), np.ones(2), method="x")
 
 
 def test_refine_identity_converges_immediately():
@@ -713,12 +727,13 @@ def test_refined_qsvt_solves_sweep_once_per_backend(fresh_phase_memo, monkeypatc
 @pytest.mark.parametrize("factory", FACTORIES)
 def test_refine_calls_denormalize_through_its_module_binding(factory, monkeypatch):
     # perfbench's tracer times magnitude recovery by rebinding
-    # `refine.denormalize`: the loop must look it up there once per inner solve
+    # `refine.denormalize`: the loop must look it up there once per inner
+    # solve; the noisy oracle's direction checks its candidates with it too
     calls = []
     real_denormalize = refine_mod.denormalize
 
     def denormalize(*args, **kwargs):
-        calls.append(None)
+        calls.append(sys._getframe(1).f_code.co_name)
         return real_denormalize(*args, **kwargs)
 
     monkeypatch.setattr(refine_mod, "denormalize", denormalize)
@@ -731,7 +746,9 @@ def test_refine_calls_denormalize_through_its_module_binding(factory, monkeypatc
         assert trace.converged
         solves += cost.solves
     assert solves >= 4
-    assert len(calls) == solves
+    assert calls.count("iterative_refine") == solves
+    backend_calls = {"direction"} if factory is noisy_oracle_backend else set()
+    assert set(calls) - {"iterative_refine"} == backend_calls
 
 
 @pytest.mark.parametrize("factory", FACTORIES)
