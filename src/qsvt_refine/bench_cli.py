@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import numbers
 import sys
 from dataclasses import asdict, dataclass
 from pathlib import Path
@@ -82,16 +83,18 @@ class ExperimentConfig:
     readout: str = "exact"
 
     def __post_init__(self):
-        if self.experiment not in _EXPERIMENTS:
+        if not isinstance(self.experiment, str) or self.experiment not in _EXPERIMENTS:
             raise ConfigError(f"unknown experiment {self.experiment!r}")
-        if self.backend not in _BACKENDS:
+        if not isinstance(self.backend, str) or self.backend not in _BACKENDS:
             raise ConfigError(f"unknown backend {self.backend!r}")
-        if self.readout not in ("exact", "shot"):
+        if not isinstance(self.readout, str) or self.readout not in ("exact", "shot"):
             raise ConfigError(f"unknown readout mode {self.readout!r}")
         if type(self.n_qubits) is not int or self.n_qubits < 1:  # type(): a bool is an int too
             raise ConfigError(f"n_qubits = {self.n_qubits!r} must be an integer >= 1")
         if not isinstance(self.out, str) or not self.out:
             raise ConfigError(f"out = {self.out!r} must be a nonempty path string")
+        if Path(self.out).is_dir():
+            raise ConfigError(f"out = {self.out!r} names a directory, not a CSV path")
         if self.backend == "qsvt_full" and self.n_qubits > _QSVT_MAX_QUBITS:
             raise ConfigError(
                 f"qsvt_full simulation is guarded at n_qubits <= {_QSVT_MAX_QUBITS}"
@@ -112,25 +115,27 @@ class ExperimentConfig:
             raise ConfigError("seeds list must be nonempty")
         if min(self.seeds) < 0:
             raise ConfigError(f"seeds must be non-negative, got {min(self.seeds)}")
-        if not MIN_EPS_TARGET <= self.eps_target < 1.0:
-            raise ConfigError(f"eps_target must lie in [{MIN_EPS_TARGET:g}, 1)")
+        if (isinstance(self.eps_target, bool) or not isinstance(self.eps_target, numbers.Real)
+                or not MIN_EPS_TARGET <= self.eps_target < 1.0):
+            raise ConfigError(f"eps_target = {self.eps_target!r} must be a number in "
+                              f"[{MIN_EPS_TARGET:g}, 1)")
         if self.experiment == "poisson":
             self.kappa = [singular_value_ratio(svd(gen_poisson(self.n_qubits)[0]).singular_values)]
         points = _run_points(self)
         if self.experiment == "complexity" and len(points) != 1:
             raise ConfigError(f"complexity takes one kappa and one eps_l, not {len(points)} pairs")
         for kappa, eps_l in points:
-            if not kappa >= 1.0:
-                raise ConfigError(f"kappa = {kappa:g} must be >= 1")
-            if not eps_l > 0.0:
-                raise ConfigError(f"eps_l = {eps_l:g} must be positive")
             if eps_l * kappa >= 1.0:
                 raise ConfigError(
                     f"eps_l * kappa = {eps_l * kappa:g} >= 1 breaks the contraction "
                     "hypothesis; pick eps_l < 1/kappa"
                 )
-            if (self.backend == "qsvt_full"
-                    and (degree := nominal_degree(kappa, eps_l / kappa)) > MAX_DEGREE):
+            try:  # the library's own checks: kappa >= 1, eps_l > 0, a finite sampling cost
+                degree = nominal_degree(kappa, eps_l / kappa)
+                samples_for_accuracy(eps_l)
+            except ValueError as exc:
+                raise ConfigError(f"kappa = {kappa:g}, eps_l = {eps_l:g}: {exc}") from exc
+            if self.backend == "qsvt_full" and degree > MAX_DEGREE:
                 raise ConfigError(
                     f"qsvt_full needs degree {degree} at kappa={kappa:g} "
                     f"eps_l={eps_l:g}, above the phase-finding cap ({MAX_DEGREE})"
@@ -372,8 +377,8 @@ def main(argv=None) -> int:
     """Parse flags, run the experiment, write CSV/JSON, print a summary.
 
     Exit codes: 0 success; 1 a run failed, by a run-level assertion or a
-    numerical error inside it (the rows of the other runs are written);
-    2 bad config, found before any run starts.
+    numerical error inside it (the other runs' rows are written), or the
+    outputs could not be written; 2 bad config, found before any run.
     """
     parser = argparse.ArgumentParser(
         prog="qsvt-refine-bench",
@@ -401,7 +406,11 @@ def main(argv=None) -> int:
 
     run = run_complexity if cfg.experiment == "complexity" else _run_sweep
     rows, failures = run(cfg)
-    _write_outputs(cfg, rows)
+    try:
+        _write_outputs(cfg, rows)
+    except OSError as exc:
+        print(f"output error: {exc}", file=sys.stderr)
+        return 1
     runs = {r["run_id"] for r in rows}
     print(f"experiment : {cfg.experiment}")
     print(f"rows       : {len(rows)} across {len(runs)} runs -> {cfg.out}")

@@ -1,6 +1,6 @@
 """Odd Chebyshev approximation of the inverse function.
 
-Builds the polynomial that tracks ``scale / x`` on [-1, -1/kappa] u
+Builds the polynomial that tracks ``1 / (2 kappa x)`` on [-1, -1/kappa] u
 [1/kappa, 1] from the binomial partial-sum expansion of
 ``(1 - (1 - x^2)^b) / x``, with the degree parameters b(eps, kappa) and
 D(eps, kappa), plus the machinery needed to make the series admissible
@@ -93,11 +93,10 @@ def degree_params(kappa: float, eps: float) -> tuple[int, int]:
     return b, cap
 
 
-def inverse_cheb_series(kappa: float, eps: float,
-                        scale: Optional[float] = None) -> ChebyshevSeries:
+def inverse_cheb_series(kappa: float, eps: float) -> ChebyshevSeries:
     """Odd Chebyshev series approximating ``scale / x`` on [1/kappa, 1] to
-    accuracy eps, with (b, D) from ``degree_params``; scale defaults to
-    the 1/(2 kappa) normalization that makes it a candidate for QSVT.
+    accuracy eps * scale, with (b, D) from ``degree_params``; the recorded
+    scale is the 1/(2 kappa) normalization that makes it a QSVT candidate.
 
     The coefficient of T_{2j+1} is
     ``4 (-1)^j [2^{-2b} sum_{i=j+1}^{b} C(2b, b+i)] * scale``. The
@@ -112,10 +111,7 @@ def inverse_cheb_series(kappa: float, eps: float,
     vanish and are trimmed.
     """
     b, cap = degree_params(kappa, eps)
-    if scale is None:
-        scale = 1.0 / (2.0 * kappa)
-    if not 0.0 < scale <= 1.0:
-        raise ValueError("scale must lie in (0, 1]")
+    scale = 1.0 / (2.0 * kappa)
     jmax = min(cap, b - 1)
     q = (b - jmax) / (b + jmax + 1.0)
     past = math.ceil(math.log(2.0 ** -53 * (1.0 - q)) / math.log(q))

@@ -32,6 +32,8 @@ __all__ = [
 MAX_DEGREE = 500  # largest target degree find_phases accepts
 _MAX_STEPS = 50  # Newton steps find_phases takes at most
 _INTERIOR_MARGIN = 1e-8  # targets must satisfy max|P| <= 1 - this
+_NODE_TOL = 1e-10  # node residual find_phases must reach
+_VERIFY_POINTS = 10_000  # equispaced points of [-1, 1] verify_phases checks
 
 
 class PhaseFindingError(RuntimeError):
@@ -117,7 +119,7 @@ def realized_values(phases: np.ndarray, xs: np.ndarray) -> np.ndarray:
     return _SignalRows(np.asarray(xs, dtype=float), phases.size)(phases).real.copy()
 
 
-def find_phases(target: BoundedSeries, tol: float = 1e-10) -> np.ndarray:
+def find_phases(target: BoundedSeries) -> np.ndarray:
     """The phase table, a (d,) float array, realizing ``target.series`` in
     the wx-re00 convention.
 
@@ -140,7 +142,7 @@ def find_phases(target: BoundedSeries, tol: float = 1e-10) -> np.ndarray:
     Raises
     ------
     PhaseFindingError
-        If the node residual never reaches ``tol`` (carries the residual).
+        If the node residual never reaches ``_NODE_TOL`` (carries the residual).
     """
     if target.series.parity == "none":
         raise ValueError("find_phases requires a definite-parity target")
@@ -176,13 +178,13 @@ def find_phases(target: BoundedSeries, tol: float = 1e-10) -> np.ndarray:
         np.add.at(jac_t, idx, w[:, None] * rows.gradient().real)
         r = r - np.linalg.solve(jac_t.T, err)
 
-    if resid > tol:
-        raise PhaseFindingError(resid, tol)
+    if resid > _NODE_TOL:
+        raise PhaseFindingError(resid, _NODE_TOL)
     return w * best[idx]
 
 
-def verify_phases(phases: np.ndarray, target: BoundedSeries, grid: int = 10_000) -> float:
-    """Max of |Re M(x)[0,0] - P(x)| over a ``grid``-point span of [-1, 1],
+def verify_phases(phases: np.ndarray, target: BoundedSeries) -> float:
+    """Max of |Re M(x)[0,0] - P(x)| over ``_VERIFY_POINTS`` points spanning [-1, 1],
     with P(x) from ``target.evaluate``, the grid ``find_phases`` matched."""
-    xs = np.linspace(-1.0, 1.0, grid)
+    xs = np.linspace(-1.0, 1.0, _VERIFY_POINTS)
     return float(np.max(np.abs(realized_values(phases, xs) - target.evaluate(xs))))

@@ -76,6 +76,7 @@ __all__ = [
 _NOISE_SAFETY = 0.95  # noisy-oracle perturbation stays strictly inside eps_l
 MIN_EPS_TARGET = 1e-14  # double-precision residuals leave no headroom below this
 _MEMO_SIZE = 16  # distinct (kappa, eps') kept by each per-key memo
+_CONTRACTION_SLACK = 0.10  # absorbs readout noise and finite-sample wiggle
 
 
 class DivergenceError(RuntimeError):
@@ -95,12 +96,13 @@ class SolverBackend(ABC):
 
     A subtype holds what its solve needs and implements ``direction``.
     ``kappa`` must be finite and >= 1, and ``eps_l`` finite and >= 0 (0 is
-    the noisy oracle's exact solve). ``shots=None`` means exact readout; a
-    positive integer turns on the shot-noise surrogate (seeded Gaussian
-    direction of norm 1/sqrt(shots), then renormalization). Any other
-    value of these three raises ``ValueError``. The surrogate stands in
-    for physical sampling, whose sign recovery the source material leaves
-    unspecified; outputs are flagged accordingly in bench metadata.
+    the noisy oracle's exact solve) with a finite ``samples_for_accuracy``
+    cost. ``shots=None`` means exact readout; a positive integer turns on
+    the shot-noise surrogate (seeded Gaussian direction of norm
+    1/sqrt(shots), then renormalization). Any other value of these three
+    raises ``ValueError``. The surrogate stands in for physical sampling,
+    whose sign recovery the source material leaves unspecified; outputs
+    are flagged accordingly in bench metadata.
     """
 
     eps_l: float
@@ -114,6 +116,7 @@ class SolverBackend(ABC):
             raise ValueError(f"kappa must be finite and >= 1, got {self.kappa!r}")
         if not 0.0 <= self.eps_l < math.inf:
             raise ValueError(f"eps_l must be finite and >= 0, got {self.eps_l!r}")
+        samples_for_accuracy(self.eps_l)
         shots = self.shots
         if shots is not None and (isinstance(shots, bool) or not isinstance(shots, numbers.Integral)
                                   or shots < 1):
@@ -209,10 +212,14 @@ def _times_power_of_two(v, k: int):
 
 
 def samples_for_accuracy(eps: float) -> int:
-    """Sampling cost model: ceil(1 / eps^2) runs per solve."""
-    if eps <= 0.0:
+    """Sampling cost model: ceil(1 / eps^2) runs per solve, 1 outside
+    (0, 1); an eps whose 1 / eps^2 is not a finite float raises ``ValueError``."""
+    if eps <= 0.0 or eps >= 1.0:  # eps^2 overflows past 1.3e154
         return 1
-    return math.ceil(1.0 / eps**2)
+    runs = 1.0 / eps**2 if eps**2 > 0.0 else math.inf
+    if not runs < math.inf:
+        raise ValueError(f"eps = {eps!r} is too small for the sampling cost model")
+    return math.ceil(runs)
 
 
 def nominal_degree(kappa: float, eps_prime: float) -> int:
@@ -483,13 +490,9 @@ class ContractionResult:
     worst_ratio: float
 
 
-def contraction_check(trace: RefinementTrace, kappa: float, eps_l: float,
-                      slack: float = 0.10) -> ContractionResult:
-    """Verify omega_i <= (eps_l kappa)^(i+1) (1 + slack) for the trace.
-
-    The 10% default slack absorbs readout noise and finite-sample
-    wiggle. Returns the pass flag and the worst observed ratio.
-    """
+def contraction_check(trace: RefinementTrace, kappa: float, eps_l: float) -> ContractionResult:
+    """Verify omega_i <= (eps_l kappa)^(i+1) (1 + ``_CONTRACTION_SLACK``) for
+    the trace; returns the pass flag and the worst observed ratio."""
     rate = eps_l * kappa
     worst = 0.0
     for i, omega in enumerate(trace.scaled_residuals):
@@ -499,4 +502,4 @@ def contraction_check(trace: RefinementTrace, kappa: float, eps_l: float,
                 worst = math.inf
             continue
         worst = max(worst, omega / bound)
-    return ContractionResult(passed=worst <= 1.0 + slack, worst_ratio=worst)
+    return ContractionResult(passed=worst <= 1.0 + _CONTRACTION_SLACK, worst_ratio=worst)

@@ -275,12 +275,43 @@ def test_poisson_experiment(tmp_path):
     ({"out": 5}, "out = 5 must be a nonempty path string"),
     ({"out": None}, "out = None must be a nonempty path string"),
     ({"out": ""}, "out = '' must be a nonempty path string"),
+    # a type is checked before its value: these failed on a comparison or
+    # a hash, in a message that named no field
+    ({"eps_target": "1e-11"}, "eps_target = '1e-11' must be a number in [1e-14, 1)"),
+    ({"eps_target": None}, "eps_target = None must be a number in [1e-14, 1)"),
+    ({"eps_target": True}, "eps_target = True must be a number in [1e-14, 1)"),
+    ({"backend": ["x"]}, "unknown backend ['x']"),
+    ({"experiment": ["convergence"]}, "unknown experiment ['convergence']"),
+    ({"readout": 0}, "unknown readout mode 0"),
+    # 1/eps_l^2 is not a finite float: the runs used to fail with a traceback
+    ({"eps_l": [1e-160]}, "eps_l = 1e-160: eps = 1e-160 is too small for the sampling cost model"),
+    ({"eps_l": [1e-200], "backend": "qsvt_full"},
+     "eps_l = 1e-200: eps = 1e-200 is too small for the sampling cost model"),
 ])
-def test_bad_config_exits_2_before_any_run(tmp_path, capsys, overrides, message):
+def test_bad_config_exits_2_before_any_run(tmp_path, capsys, monkeypatch, overrides, message):
+    monkeypatch.setattr(bench_cli, "iterative_refine", lambda *args, **kwargs: pytest.fail("ran"))
     path, _ = write_config(tmp_path, **overrides)
     assert main(["--config", str(path)]) == 2
     assert message in capsys.readouterr().err
     assert not (tmp_path / "out.csv").exists()
+
+
+def test_an_out_that_names_a_directory_exits_2_before_any_run(tmp_path, capsys, monkeypatch):
+    # the runs used to finish and the write to die on IsADirectoryError
+    monkeypatch.setattr(bench_cli, "iterative_refine", lambda *args, **kwargs: pytest.fail("ran"))
+    path, _ = write_config(tmp_path)
+    assert main(["--config", str(path), "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err == f"config error: out = {str(tmp_path)!r} names a directory, not a CSV path\n"
+
+
+def test_an_output_that_cannot_be_written_exits_1_with_one_line(tmp_path, capsys):
+    (tmp_path / "file").write_text("")
+    path, _ = write_config(tmp_path, out=str(tmp_path / "file" / "out.csv"), seeds=[0])
+    assert main(["--config", str(path)]) == 1
+    out, err = capsys.readouterr()
+    assert err.startswith("output error: ") and err.count("\n") == 1
+    assert out == ""
 
 
 @pytest.mark.parametrize("field", ["kappa", "eps_l", "seeds"])

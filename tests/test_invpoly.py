@@ -49,10 +49,11 @@ def test_degree_params_error_paths():
 
 def test_inverse_series_matches_exact_binomials():
     b, cap = degree_params(2.0, 0.1)
-    series = inverse_cheb_series(2.0, 0.1, scale=1.0)
+    series = inverse_cheb_series(2.0, 0.1)
+    assert series.scale == 1.0 / (2.0 * 2.0)
     for j in range(min(cap, b - 1) + 1):
         exact = brute_inverse_coefficient(b, j)
-        assert series.coefficients[2 * j + 1] == pytest.approx(exact, rel=1e-12)
+        assert series.coefficients[2 * j + 1] / series.scale == pytest.approx(exact, rel=1e-12)
 
 
 def test_inverse_series_parity_and_antisymmetry():
@@ -68,10 +69,10 @@ def test_inverse_series_parity_and_antisymmetry():
 def test_inverse_series_tracks_target_function():
     eps = 0.1
     b, _ = degree_params(2.0, eps)
-    series = inverse_cheb_series(2.0, eps, scale=1.0)
+    series = inverse_cheb_series(2.0, eps)
     xs = np.linspace(0.5, 1.0, 10_000)
     f = (1.0 - (1.0 - xs**2) ** b) / xs
-    assert np.max(np.abs(cheb_eval(series, xs) - f)) <= 2.0 * eps
+    assert np.max(np.abs(cheb_eval(series, xs) / series.scale - f)) <= 2.0 * eps
 
 
 def test_inverse_series_coefficient_decay():
@@ -80,12 +81,6 @@ def test_inverse_series_coefficient_decay():
         mags = np.abs(series.coefficients[1::2])
         tail = mags[2:]
         assert np.all(np.diff(tail) <= 1e-15), (kappa, eps)
-
-
-@pytest.mark.parametrize("scale", [0.0, -0.25, 1.5])
-def test_inverse_series_rejects_scale_outside_unit_interval(scale):
-    with pytest.raises(ValueError, match="scale"):
-        inverse_cheb_series(2.0, 0.1, scale=scale)
 
 
 def test_inverse_series_cap_beyond_b():
@@ -126,7 +121,8 @@ def test_inverse_series_matches_mpmath_tail(kappa):
     # central term from exact integers and from its Stirling series on
     # either side of the switch at b = 64
     b, cap = degree_params(kappa, 0.4 / kappa**2)
-    coefs = inverse_cheb_series(kappa, 0.4 / kappa**2, scale=1.0).coefficients
+    series = inverse_cheb_series(kappa, 0.4 / kappa**2)
+    coefs = series.coefficients / series.scale
     jmax = min(cap, b - 1)
     js = np.unique(np.round(np.concatenate([np.linspace(0, jmax, 8),
                                             np.linspace(0.9 * jmax, jmax, 8)])))
@@ -431,6 +427,22 @@ def test_enforce_bounds_inverse_series_and_idempotency():
     again, second = enforce_qsvt_bounds(bounded)
     assert second == 1.0
     assert again is bounded
+
+
+@settings(max_examples=100, deadline=None)
+@given(degree=st.integers(1, 200), parity=st.sampled_from(["odd", "even", "none"]),
+       seed=st.integers(0, 2**16))
+def test_bound_series_bounds_its_peak_and_is_idempotent(degree, parity, seed):
+    if parity == "odd":
+        degree -= 1 - degree % 2
+    elif parity == "even":
+        degree += degree % 2
+    record = bound_series(random_series(seed, degree, parity))
+    assert record.peak * record.rescale <= 1.0
+    # the factor is 1 exactly when the peak with its margin is within 1e-9 of 1
+    assert (record.rescale == 1.0) == (record.peak * (1.0 + 1e-6) <= 1.0 + 1e-9)
+    again = bound_series(record.series)
+    assert again.rescale == 1.0 and again.series is record.series
 
 
 @pytest.mark.parametrize("kappa, eps", [(10.0, 1e-3), (10.0, 1e-2), (300.0, 0.4 / 300**2)])

@@ -80,7 +80,7 @@ def test_qsvt_identity_property():
         degree = int(rng.choice([3, 7, 11, 15]))
         a = random_with_condition(n, float(rng.uniform(1.5, 8.0)), 100 + trial)
         target = random_odd_target(rng, degree, 0.8)
-        phases = find_phases(target, tol=1e-10)
+        phases = find_phases(target)
         u_phi = build_u_phi(dilation_encoding(a), phases)
         diff = u_phi[:n, :n].real - svt_reference(a, target.series)
         assert np.linalg.norm(diff, 2) <= 1e-7, f"trial {trial}"
@@ -107,7 +107,7 @@ def test_extract_block_inverse_polynomial_on_diagonal():
     # block must sit within 2 eps scale of scale * diag(2, 1)
     kappa, eps = 2.0, 0.1
     bounded = bound_series(inverse_cheb_series(kappa, eps))
-    phases = find_phases(bounded, tol=1e-10)
+    phases = find_phases(bounded)
     series = bounded.series
     a = np.diag([0.5, 1.0])
     u_phi = build_u_phi(dilation_encoding(a), phases)
@@ -117,7 +117,7 @@ def test_extract_block_inverse_polynomial_on_diagonal():
 
 
 def test_apply_inverse_identity_system():
-    phases = find_phases(bound_series(inverse_cheb_series(1.0, 0.1)), tol=1e-10)
+    phases = find_phases(bound_series(inverse_cheb_series(1.0, 0.1)))
     enc = dilation_encoding(np.eye(2))
     rng = np.random.default_rng(0)
     b = rng.standard_normal(2)
@@ -130,7 +130,7 @@ def test_apply_inverse_identity_system():
 
 def test_apply_inverse_preserves_eigenvector():
     a = np.diag([1.0, 0.5])
-    phases = find_phases(bound_series(inverse_cheb_series(2.0, 0.05)), tol=1e-10)
+    phases = find_phases(bound_series(inverse_cheb_series(2.0, 0.05)))
     enc = dilation_encoding(a.conj().T)
     out, _ = apply_inverse_state(inverse_block(enc, phases), np.array([0.0, 1.0]))
     assert abs(out[1]) == pytest.approx(1.0, abs=1e-9)
@@ -139,7 +139,7 @@ def test_apply_inverse_preserves_eigenvector():
 def test_apply_inverse_solves_to_polynomial_accuracy():
     kappa, eps = 4.0, 0.05
     a = random_with_condition(4, kappa, 21)
-    phases = find_phases(bound_series(inverse_cheb_series(kappa, eps)), tol=1e-10)
+    phases = find_phases(bound_series(inverse_cheb_series(kappa, eps)))
     enc = dilation_encoding(a.conj().T)
     rng = np.random.default_rng(1)
     b = rng.standard_normal(4)
@@ -163,7 +163,7 @@ def test_apply_inverse_post_selection_failure():
 
 def test_apply_inverse_input_validation():
     enc = dilation_encoding(0.5 * np.eye(2))
-    phases = find_phases(bound_series(inverse_cheb_series(2.0, 0.1)), tol=1e-9)
+    phases = find_phases(bound_series(inverse_cheb_series(2.0, 0.1)))
     block = inverse_block(enc, phases)
     e0 = np.array([1.0, 0.0])
     with pytest.raises(ValueError, match="not normalized"):
@@ -182,7 +182,7 @@ def test_apply_inverse_state_reads_a_real_valued_complex_b_as_its_real_part(seed
     # the same bits, direction and probability alike, for b and b + 0j;
     # a nonzero imaginary part is still rejected
     a = random_with_condition(8, 2.0, seed)
-    phases = find_phases(bound_series(inverse_cheb_series(2.0, 0.05)), tol=1e-9)
+    phases = find_phases(bound_series(inverse_cheb_series(2.0, 0.05)))
     block = inverse_block(dilation_encoding(a.T), phases)
     b = np.random.default_rng(seed).standard_normal(8)
     b /= np.linalg.norm(b)

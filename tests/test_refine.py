@@ -768,6 +768,29 @@ def test_noisy_oracle_rejects_an_eps_l_that_is_not_finite_and_non_negative(eps_l
         noisy_oracle_backend(random_with_condition(8, 4.0, 0), eps_l)
 
 
+@pytest.mark.parametrize("eps", [7e-155, 1e-160, 1e-170, 1e-200])
+def test_sampling_cost_names_an_eps_whose_inverse_square_is_not_a_finite_float(eps):
+    # 1/eps^2 overflowed to inf (OverflowError from math.ceil) down to
+    # 1e-162 and eps^2 underflowed to 0 (ZeroDivisionError) below
+    with pytest.raises(ValueError, match=f"eps = {eps!r} is too small for the sampling cost"):
+        samples_for_accuracy(eps)
+    assert samples_for_accuracy(1e-154) == math.ceil(1.0 / 1e-154**2)
+    # past 1.3e154 eps^2 itself overflowed (OverflowError); 1/eps^2 < 1 there
+    assert samples_for_accuracy(1.0) == samples_for_accuracy(1e200) == 1
+
+
+@pytest.mark.parametrize("factory", FACTORIES)
+@pytest.mark.parametrize("eps_l", [1e-160, 1e-200])
+def test_factories_reject_an_eps_l_too_small_for_the_cost_model(factory, eps_l):
+    # the oracles used to build a backend with which iterative_refine ran
+    # the whole refined solve and then failed on the cost; qsvt_full meets
+    # its degree cap first
+    message = ("find_phases cap" if factory is qsvt_backend
+               else f"eps = {eps_l!r} is too small for the sampling cost model")
+    with pytest.raises(ValueError, match=message):
+        factory(random_with_condition(8, 4.0, 0), eps_l)
+
+
 @pytest.mark.parametrize("factory", FACTORIES)
 def test_refine_names_both_shapes_before_any_solve(factory, monkeypatch):
     solves = []

@@ -54,6 +54,7 @@ CONFIGS = [
     "convergence --backend noisy_oracle",
     "convergence --readout shot",
     "convergence --backend qsvt_full --seeds 0,1",
+    "convergence --backend qsvt_full --readout shot --seeds 0,1",
     "complexity --backend qsvt_full",
 ]
 KEY_COLUMNS = ("run_id", "backend", "iter")  # one row per key on either side
