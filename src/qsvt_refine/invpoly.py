@@ -160,18 +160,6 @@ def _quarter_sines(n: int) -> np.ndarray:
     return np.sin(np.pi * np.arange(n + 1) / (2 * n))
 
 
-def _halved(sines: np.ndarray) -> np.ndarray:
-    """The quarter-turn table ``sines`` in twice as many steps: its own
-    entries at the even steps and, at the odd ones, each entry rotated by
-    the half step h, sin(t + h) = sin t cos h + cos t sin h."""
-    n = sines.size - 1
-    half = math.pi / (4 * n)
-    out = np.empty(2 * n + 1)
-    out[0::2] = sines
-    out[1::2] = sines[:-1] * math.cos(half) + sines[:0:-1] * math.sin(half)
-    return out
-
-
 def _values_on_cheb_grid(coefs: np.ndarray, npts: int,
                          sines: Optional[np.ndarray] = None) -> np.ndarray:
     """Series values at x_j = cos(pi j / M), j = 0..M; M is the first
@@ -216,8 +204,8 @@ def _interpolant(vals: np.ndarray, sines: Optional[np.ndarray] = None):
     reaches degree^2 * max|P|, exact to relative rounding; the sines are
     ``_quarter_sines(M)``, computed here unless the caller passes them. On
     an even M the middle node is x_{M/2} = 0 exactly. Each point is its own
-    row reduction, so its value does not depend on its block. The
-    callable's ``values`` attribute is ``vals`` itself, read at each call."""
+    row reduction, so its value does not depend on its block; ``at`` takes one
+    point to a float in those steps. ``values`` is ``vals``, read at each call."""
     m = vals.size - 1
     weights = np.where(np.arange(m + 1) % 2, -1.0, 1.0)
     weights[[0, -1]] *= 0.5
@@ -227,17 +215,18 @@ def _interpolant(vals: np.ndarray, sines: Optional[np.ndarray] = None):
     sides = ((1.0, from_one), (-1.0, -from_one[::-1]))
     step = max(1, _CHUNK_ELEMS // (m + 1))
 
+    def at(t: float) -> float:  # the peak search's and a scalar cheb_eval's calls
+        shift, nodes = sides[int(t < 0.0)]
+        target = shift - t
+        near = min(int(np.searchsorted(nodes, target)), m)
+        if nodes[near] == target:
+            return float(vals[near])
+        terms = np.divide(weights, nodes - target)
+        den = terms.sum()
+        terms *= vals
+        return float(terms.sum() / den)
+
     def evaluate(x: np.ndarray) -> np.ndarray:
-        if x.size == 1:  # the peak search's calls: a block's row reduction in fewer steps
-            shift, nodes = sides[int(x[0] < 0.0)]
-            target = shift - x[0]
-            near = min(int(np.searchsorted(nodes, target)), m)
-            if nodes[near] == target:
-                return vals[near:near + 1].copy()
-            terms = np.divide(weights, nodes - target)
-            den = terms.sum()
-            terms *= vals
-            return np.array([terms.sum() / den])
         out = np.empty(x.size)
         for side, (shift, nodes) in zip((x >= 0.0, x < 0.0), sides):
             idx = np.flatnonzero(side)
@@ -256,7 +245,7 @@ def _interpolant(vals: np.ndarray, sines: Optional[np.ndarray] = None):
                 out[pts[rows]] = vals[cols]
         return out
 
-    evaluate.values = vals
+    evaluate.values, evaluate.at = vals, at
     return evaluate
 
 
@@ -279,8 +268,8 @@ def cheb_eval(series: ChebyshevSeries, x):
     xs = float(x) if np.isscalar(x) else np.asarray(x, dtype=float)
     if not np.all(np.abs(xs) <= 1.0 + 1e-12):
         raise ValueError("cheb_eval requires finite x with |x| <= 1")
-    out = _interpolant(_values_on_cheb_grid(series.coefficients, series.degree))(np.ravel(xs))
-    return float(out[0]) if isinstance(xs, float) else out.reshape(np.shape(xs))
+    evaluate = _interpolant(_values_on_cheb_grid(series.coefficients, series.degree))
+    return evaluate.at(xs) if isinstance(xs, float) else evaluate(xs.ravel()).reshape(xs.shape)
 
 
 # Former name, still the one perfbench's tracer wraps (the same function).
@@ -310,30 +299,32 @@ def bound_series(series: ChebyshevSeries) -> BoundedSeries:
     """Rescale so |P(x)| <= 1 on [-1, 1], with a 1e-6 safety margin (the
     factor is exactly 1 when the peak times 1 + 1e-6 is at most 1 + 1e-9).
 
-    The peak comes from a Chebyshev-spaced grid of 4M >= 4*degree points
+    The peak comes from a Chebyshev-spaced grid of 2M >= 2*degree points
     plus a bounded Brent search (``_brent_min``), interpolating from every
-    fourth grid value (the M-point grid), around each grid local maximum
-    within pi^2/128 of the grid's top (Bernstein's inequality bounds how far
-    the node nearest the true peak can lie below it; a definite-parity |P|
-    is even, so the maximizer's mirror image is skipped). One sine table
-    serves the M grid's nodes and, halved, the 4M grid's transform."""
+    second grid value (the M-point grid), around each grid local maximum
+    within pi^2/32 of the grid's top: P(cos theta) has degree d <= M, so the
+    node nearest the maximizer lies within pi/(4M) of it in angle, and
+    Bernstein's |P''| <= d^2 max|P| bounds that node's deficit by
+    (1/2)(pi/4)^2 = pi^2/32 of the peak. A definite-parity |P| is even, so
+    the maximizer's mirror image is skipped. The M grid's sine table gives
+    its nodes and the twiddles of the odd series' DCT-II of length M."""
     m = _next_fast_len(max(series.degree, 1))
     sines = _quarter_sines(m)
-    vals = _values_on_cheb_grid(series.coefficients, 4 * m, _halved(sines))
-    interpolant = _interpolant(vals[::4].copy(), sines)
+    vals = _values_on_cheb_grid(series.coefficients, 2 * m, sines)
+    interpolant = _interpolant(vals[::2].copy(), sines)
     vals = np.abs(vals)
     k, last = int(np.argmax(vals)), vals.size - 1
 
     def refined(k: int) -> float:
-        # bracket nodes x_{k+1} < x_{k-1}, x_j = cos(pi j / (4M)) decreasing in j
+        # bracket nodes x_{k+1} < x_{k-1}, x_j = cos(pi j / (2M)) decreasing in j
         lo, hi = np.cos(np.pi * np.array([min(k + 1, last), max(k - 1, 0)]) / last)
         if lo >= hi:
             return float(vals[k])
-        least = _brent_min(lambda t: -abs(interpolant(np.array([t]))[0]), lo, hi)
+        least = _brent_min(lambda t: -abs(interpolant.at(t)), lo, hi)
         return float(max(vals[k], -least))
 
     skip = {k, last - k} if series.parity != "none" else {k}
-    rivals = [int(j) for j in np.flatnonzero(vals >= (1.0 - np.pi ** 2 / 128) * vals[k])
+    rivals = [int(j) for j in np.flatnonzero(vals >= (1.0 - np.pi ** 2 / 32) * vals[k])
               if j not in skip and vals[j] >= max(vals[max(j - 1, 0)], vals[min(j + 1, last)])]
     peak = max([refined(k)] + [refined(j) for j in rivals])
     target = peak * (1.0 + _BOUND_MARGIN)

@@ -26,8 +26,6 @@ __all__ = [
     "check_unitary",
 ]
 
-_UNITARY_TOL_FACTOR = 1e-12
-
 
 def as_matrix(a) -> np.ndarray:
     """Coerce to a 2-D ndarray without copying when possible."""
@@ -39,7 +37,7 @@ def as_matrix(a) -> np.ndarray:
     return m
 
 
-def check_unitary(u: np.ndarray, tol_factor: float = _UNITARY_TOL_FACTOR) -> None:
+def check_unitary(u: np.ndarray, tol_factor: float) -> None:
     """Raise if ``u`` is not unitary, or for a tall ``u`` if its columns
     are not orthonormal, to ``tol_factor * rows``.
 

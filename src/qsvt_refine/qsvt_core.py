@@ -154,7 +154,7 @@ def apply_inverse_state(block: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, f
     norm = two_norm(b)
     if abs(norm - 1.0) > 1e-12:
         raise ValueError(f"state is not normalized: ||b|| = {norm!r}")
-    raw = block @ b.real
+    raw = block.dot(b.real)
 
     weight = two_norm(raw)
     if weight**2 < 1e-14:

@@ -102,25 +102,18 @@ class SolverBackend(ABC):
     1/sqrt(shots), then renormalization). Any other value of these three
     raises ``ValueError``. The surrogate stands in for physical sampling,
     whose sign recovery the source material leaves unspecified; outputs
-    are flagged accordingly in bench metadata.
+    are flagged accordingly in bench metadata. ``rng`` draws that noise and
+    the noisy oracle's; the other factories leave it ``None`` without shots.
     """
 
     eps_l: float
     kappa: float
     degree: int
     shots: Optional[int]
-    rng: np.random.Generator
+    rng: Optional[np.random.Generator]
 
     def __post_init__(self):
-        if not 1.0 <= self.kappa < math.inf:
-            raise ValueError(f"kappa must be finite and >= 1, got {self.kappa!r}")
-        if not 0.0 <= self.eps_l < math.inf:
-            raise ValueError(f"eps_l must be finite and >= 0, got {self.eps_l!r}")
-        samples_for_accuracy(self.eps_l)
-        shots = self.shots
-        if shots is not None and (isinstance(shots, bool) or not isinstance(shots, numbers.Integral)
-                                  or shots < 1):
-            raise ValueError(f"shots must be None or a positive integer, got {shots!r}")
+        _check_backend_inputs(self.kappa, self.eps_l, self.shots)
 
     @abstractmethod
     def direction(self, rhs_hat: np.ndarray) -> np.ndarray:
@@ -186,6 +179,18 @@ class QsvtBackend(SolverBackend):
 
     def direction(self, rhs_hat: np.ndarray) -> np.ndarray:
         return apply_inverse_state(self.block, rhs_hat)[0]
+
+
+def _check_backend_inputs(kappa: float, eps_l: float, shots: Optional[int]) -> None:
+    """``SolverBackend``'s checks, run first by the factories that memoize a series."""
+    if not 1.0 <= kappa < math.inf:
+        raise ValueError(f"kappa must be finite and >= 1, got {kappa!r}")
+    if not 0.0 <= eps_l < math.inf:
+        raise ValueError(f"eps_l must be finite and >= 0, got {eps_l!r}")
+    samples_for_accuracy(eps_l)
+    if shots is not None and (isinstance(shots, bool) or not isinstance(shots, numbers.Integral)
+                              or shots < 1):
+        raise ValueError(f"shots must be None or a positive integer, got {shots!r}")
 
 
 def _unit_scaled(v, name: str = "matrix") -> tuple[np.ndarray, int]:
@@ -269,11 +274,12 @@ def spectral_oracle_backend(a, eps_l: float, kappa: Optional[float] = None,
     sv = fac.singular_values
     if kappa is None:
         kappa = _measured_kappa(sv)
+    _check_backend_inputs(kappa, eps_l, shots)
     record = _inverse_record(kappa, eps_l / kappa)
     return SpectralOracleBackend(
         eps_l=eps_l, kappa=kappa, degree=record.series.degree, shots=shots,
-        rng=np.random.default_rng([seed, 0x5EC7]), series=record.series, u=fac.u, v=fac.v,
-        diag=record.evaluate(sv / sv[0]),
+        rng=None if shots is None else np.random.default_rng([seed, 0x5EC7]),
+        series=record.series, u=fac.u, v=fac.v, diag=record.evaluate(sv / sv[0]),
     )
 
 
@@ -305,13 +311,14 @@ def qsvt_backend(a, eps_l: float, kappa: Optional[float] = None, seed: int = 0,
     norm = float(fac.singular_values[0])
     if kappa is None:
         kappa = _measured_kappa(fac.singular_values)
+    _check_backend_inputs(kappa, eps_l, shots)
     eps_prime = eps_l / kappa
     series = _inverse_record(kappa, eps_prime).series
     phases = _inverse_phases(kappa, eps_prime)
     return QsvtBackend(
         eps_l=eps_l, kappa=kappa, degree=series.degree, shots=shots,
-        rng=np.random.default_rng([seed, 0x95F7]), series=series, phases=phases,
-        block=inverse_block(dilation_encoding((a / norm).conj().T), phases),
+        rng=None if shots is None else np.random.default_rng([seed, 0x95F7]), series=series,
+        phases=phases, block=inverse_block(dilation_encoding((a / norm).conj().T), phases),
     )
 
 
@@ -459,10 +466,10 @@ def iterative_refine(a, b, backend: SolverBackend, eps_target: float,
     stall = 0
     while True:
         _eta, readout = solve_once(backend, residual)
-        mu = denormalize(a @ readout, residual)
+        mu = denormalize(a.dot(readout), residual)
         x = x + mu * readout
         mus.append(_times_power_of_two(mu, kb - ka))
-        residual = b - a @ x
+        residual = b - a.dot(x)
         omega = two_norm(residual) / b_norm
         omegas.append(omega)
         if omega <= eps_target:

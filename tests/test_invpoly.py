@@ -288,7 +288,7 @@ def test_odd_grid_values_match_the_dct1(terms, seed, bound_check_grid):
     coefs = np.zeros(2 * terms)
     coefs[1::2] = np.random.default_rng(seed).standard_normal(terms)
     degree = coefs.size - 1
-    npts = 4 * next_fast_len(degree, real=True) if bound_check_grid else degree
+    npts = 2 * next_fast_len(degree, real=True) if bound_check_grid else degree
     got = invpoly._values_on_cheb_grid(coefs, npts)
     want = dct1_values(coefs, npts)
     assert got.size == want.size
@@ -385,6 +385,46 @@ def test_max_abs_matches_critical_points(degree, parity, seed):
         degree += degree % 2
     series = random_series(seed, degree, parity)
     assert max_abs_on_interval(series) == pytest.approx(critical_point_peak(series), rel=1e-9)
+
+
+@settings(max_examples=60, deadline=None)
+@given(degree=st.integers(1, 200), parity=st.sampled_from(["odd", "even", "none"]),
+       seed=st.integers(0, 2**16))
+@example(degree=198, parity="even", seed=21108)
+@example(degree=26, parity="none", seed=24657)
+def test_checked_peak_never_undershoots_a_dense_sample(degree, parity, seed):
+    # the candidate band and Brent's brackets must reach the global
+    # maximizer: no point of a Chebyshev sample 64 times denser than the
+    # degree may top the checked peak by more than the search's tolerance.
+    # The examples read 0.6% low with a band of pi^2/128 on the 2M grid and
+    # 4% low with brackets three nodes wide on either side
+    if parity == "odd":
+        degree -= 1 - degree % 2
+    elif parity == "even":
+        degree += degree % 2
+    series = random_series(seed, degree, parity)
+    dense = np.cos(np.pi * np.arange(64 * degree + 1) / (64 * degree))
+    top = float(np.max(np.abs(clenshaw_eval(series, dense))))
+    assert bound_series(series).peak >= top * (1.0 - 1e-9)
+
+
+@pytest.mark.parametrize("series", [inverse_cheb_series(10.0, 1e-3),
+                                    inverse_cheb_series(268.0, 0.4 / 268.0**2),
+                                    random_series(1, 240, "none")], ids=["odd", "large", "none"])
+def test_bound_check_transforms_one_grid_of_2m_points(series, monkeypatch):
+    # one transform per series, on the 2M grid; its every second value is
+    # the M grid that the interpolant, and so a memoized evaluator, reads
+    calls = []
+
+    def counted(coefs, npts, *rest, _real=invpoly._values_on_cheb_grid):
+        calls.append(npts)
+        return _real(coefs, npts, *rest)
+
+    monkeypatch.setattr(invpoly, "_values_on_cheb_grid", counted)
+    record = bound_series(series)
+    m = next_fast_len(series.degree, real=True)
+    assert calls == [2 * m]
+    assert record.evaluate.values.size == m + 1
 
 
 @settings(max_examples=60, deadline=None)

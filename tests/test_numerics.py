@@ -181,10 +181,10 @@ def test_check_unitary_falls_back_to_the_spectral_norm(spread):
 
 
 def test_check_unitary_passes_unitaries_and_rejects_non_square():
-    check_unitary(random_with_condition(8, 1.0, 0))
-    check_unitary(np.diag(np.exp(1j * np.arange(4.0))))
+    check_unitary(random_with_condition(8, 1.0, 0), 1e-12)
+    check_unitary(np.diag(np.exp(1j * np.arange(4.0))), 1e-12)
     with pytest.raises(ValueError, match="square"):
-        check_unitary(np.ones((2, 3)))
+        check_unitary(np.ones((2, 3)), 1e-12)
 
 
 def test_check_unitary_checks_the_columns_of_a_tall_matrix():

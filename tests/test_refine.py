@@ -619,6 +619,15 @@ def test_factories_take_a_positive_integer_shot_count(factory):
 
 
 @pytest.mark.parametrize("factory", FACTORIES)
+def test_only_a_backend_that_draws_seeds_a_generator(factory):
+    # exact readout draws nothing on the polynomial backends; the noisy
+    # oracle draws its perturbation at any shots
+    exact = factory(np.eye(2), 0.1, shots=None).rng
+    assert (exact is None) == (factory is not noisy_oracle_backend)
+    assert isinstance(factory(np.eye(2), 0.1, shots=4).rng, np.random.Generator)
+
+
+@pytest.mark.parametrize("factory", FACTORIES)
 @pytest.mark.parametrize("scale_a, scale_b", [(1e150, 1.0), (1e-150, 1.0), (1.0, 1e150),
                                               (1.0, 1e-150), (1e150, 1e-150), (1e-150, 1e150)])
 def test_refinement_converges_far_from_unit_scale(factory, scale_a, scale_b):
@@ -783,12 +792,13 @@ def test_sampling_cost_names_an_eps_whose_inverse_square_is_not_a_finite_float(e
 @pytest.mark.parametrize("eps_l", [1e-160, 1e-200])
 def test_factories_reject_an_eps_l_too_small_for_the_cost_model(factory, eps_l):
     # the oracles used to build a backend with which iterative_refine ran
-    # the whole refined solve and then failed on the cost; qsvt_full meets
-    # its degree cap first
-    message = ("find_phases cap" if factory is qsvt_backend
-               else f"eps = {eps_l!r} is too small for the sampling cost model")
-    with pytest.raises(ValueError, match=message):
+    # the whole refined solve and then failed on the cost; the polynomial
+    # backends used to build, bound-check and memoize the series first
+    # (qsvt_full then met its find_phases cap), so no record may be touched
+    before = refine_mod._inverse_record.cache_info()
+    with pytest.raises(ValueError, match=f"eps = {eps_l!r} is too small for the sampling cost"):
         factory(random_with_condition(8, 4.0, 0), eps_l)
+    assert refine_mod._inverse_record.cache_info() == before
 
 
 @pytest.mark.parametrize("factory", FACTORIES)
