@@ -306,14 +306,16 @@ def bound_series(series: ChebyshevSeries) -> BoundedSeries:
     node nearest the maximizer lies within pi/(4M) of it in angle, and
     Bernstein's |P''| <= d^2 max|P| bounds that node's deficit by
     (1/2)(pi/4)^2 = pi^2/32 of the peak. A definite-parity |P| is even, so
-    the maximizer's mirror image is skipped. The M grid's sine table gives
-    its nodes and the twiddles of the odd series' DCT-II of length M."""
+    its top and rival lobes come from the grid's x >= 0 half alone. The M
+    grid's sine table gives its nodes and the odd series' DCT-II twiddles."""
     m = _next_fast_len(max(series.degree, 1))
     sines = _quarter_sines(m)
     vals = _values_on_cheb_grid(series.coefficients, 2 * m, sines)
     interpolant = _interpolant(vals[::2].copy(), sines)
     vals = np.abs(vals)
-    k, last = int(np.argmax(vals)), vals.size - 1
+    last = vals.size - 1
+    scan = vals[:m + 1] if series.parity != "none" else vals  # x_j >= 0 at j <= M
+    k = int(np.argmax(scan))
 
     def refined(k: int) -> float:
         # bracket nodes x_{k+1} < x_{k-1}, x_j = cos(pi j / (2M)) decreasing in j
@@ -323,9 +325,8 @@ def bound_series(series: ChebyshevSeries) -> BoundedSeries:
         least = _brent_min(lambda t: -abs(interpolant.at(t)), lo, hi)
         return float(max(vals[k], -least))
 
-    skip = {k, last - k} if series.parity != "none" else {k}
-    rivals = [int(j) for j in np.flatnonzero(vals >= (1.0 - np.pi ** 2 / 32) * vals[k])
-              if j not in skip and vals[j] >= max(vals[max(j - 1, 0)], vals[min(j + 1, last)])]
+    rivals = [int(j) for j in np.flatnonzero(scan >= (1.0 - np.pi ** 2 / 32) * vals[k])
+              if j != k and vals[j] >= max(vals[max(j - 1, 0)], vals[min(j + 1, last)])]
     peak = max([refined(k)] + [refined(j) for j in rivals])
     target = peak * (1.0 + _BOUND_MARGIN)
     if target <= 1.0 + 1e-9:

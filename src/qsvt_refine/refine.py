@@ -10,18 +10,20 @@ most eps_l; the loop needs nothing else from it:
   the honest simulated pipeline; real inputs only (the real part of one
   sweep is the +-Phi average only for a real encoding and b). The
   factory sweeps the N ancilla-zero columns once; each inner solve is
-  one product with their kept real N x N block, a saving of simulator
+  one product with their kept real N x N ``block``, a saving of simulator
   time only (the model still charges ``degree`` calls per inner solve);
 * ``SpectralOracleBackend`` (``spectral_oracle``) -- the same inverse
-  polynomial applied through the SVD (ground truth for the circuit path);
+  polynomial P applied through the SVD (ground truth for the circuit
+  path), kept as the one N x N ``operator`` V P(S / sigma_max) U^H;
 * ``NoisyOracleBackend`` (``noisy_oracle``) -- exact solve plus seeded
   noise of relative size eps_l, for stress sweeps.
 
 The bounded inverse series (a ``BoundedSeries``, with the evaluator its
 one bound-check grid gives) and its phase factors depend only on (kappa,
-eps' = eps_l / kappa); two memos of 16 keys share each with every backend.
-Phase finding takes that record as it is, so each key runs one bound check
-and one grid transform whichever backends it serves.
+eps' = eps_l / kappa); two memos of 16 keys own them, and no backend keeps
+either. Phase finding takes that record as it is, so each key runs one bound
+check and one grid transform whichever backends it serves. Every factory
+rejects a numerically singular matrix, with or without ``kappa``.
 
 The magnitude is recovered classically by minimizing ||A (x + mu eta) - b||
 over mu. The scaled residual omega = ||b - A x|| / ||b|| both stops the
@@ -44,8 +46,7 @@ from typing import Optional
 import numpy as np
 
 from .blockenc import dilation_encoding
-from .invpoly import BoundedSeries, ChebyshevSeries, bound_series, degree_params, \
-    inverse_cheb_series
+from .invpoly import BoundedSeries, bound_series, degree_params, inverse_cheb_series
 from .numerics import as_matrix, singular_value_ratio, svd, two_norm
 from .qsp_phases import find_phases
 from .qsvt_core import apply_inverse_state, inverse_block
@@ -122,16 +123,13 @@ class SolverBackend(ABC):
 
 @dataclass(frozen=True)
 class SpectralOracleBackend(SolverBackend):
-    """The bounded inverse series applied through the SVD A = U S V^H;
-    ``diag`` holds P(sigma_i / sigma_max)."""
+    """The bounded inverse series P applied through the SVD A = U S V^H,
+    kept as the read-only N x N ``operator`` V P(S / sigma_max) U^H."""
 
-    series: ChebyshevSeries
-    u: np.ndarray
-    v: np.ndarray
-    diag: np.ndarray
+    operator: np.ndarray
 
     def direction(self, rhs_hat: np.ndarray) -> np.ndarray:
-        raw = (self.v * self.diag) @ (self.u.conj().T @ rhs_hat)
+        raw = self.operator @ rhs_hat
         return raw / two_norm(raw)
 
 
@@ -173,8 +171,6 @@ class QsvtBackend(SolverBackend):
     """The phase sequence simulated on a dilation of A^H / ||A||, kept as
     the read-only real block of ``inverse_block``; real inputs only."""
 
-    series: ChebyshevSeries
-    phases: np.ndarray
     block: np.ndarray
 
     def direction(self, rhs_hat: np.ndarray) -> np.ndarray:
@@ -233,11 +229,14 @@ def nominal_degree(kappa: float, eps_prime: float) -> int:
     return 2 * min(cap, b - 1) + 1
 
 
-def _measured_kappa(singular_values: np.ndarray) -> float:
-    """sigma_max / sigma_min rounded up to 12 significant digits, so that
+def _key_kappa(singular_values: np.ndarray, kappa: Optional[float]) -> float:
+    """The kappa a factory keys its memos on: ``kappa`` as passed, else
+    sigma_max / sigma_min rounded up to 12 significant digits, so that
     matrices of one nominal kappa share the memo keys and [1/kappa, 1]
-    still covers every singular value; a singular matrix raises."""
+    still covers every singular value. A singular matrix raises either way."""
     ratio = singular_value_ratio(singular_values)
+    if kappa is not None:
+        return kappa
     return float(Context(prec=12, rounding=ROUND_CEILING).create_decimal(ratio))
 
 
@@ -269,17 +268,17 @@ def _inverse_phases(kappa: float, eps_prime: float) -> np.ndarray:
 
 def spectral_oracle_backend(a, eps_l: float, kappa: Optional[float] = None,
                             seed: int = 0, shots: Optional[int] = None) -> SpectralOracleBackend:
-    """Inverse polynomial applied via the SVD, no circuits."""
+    """Inverse polynomial applied via the SVD, no circuits, as one operator."""
     fac = svd(as_matrix(a))
     sv = fac.singular_values
-    if kappa is None:
-        kappa = _measured_kappa(sv)
+    kappa = _key_kappa(sv, kappa)
     _check_backend_inputs(kappa, eps_l, shots)
     record = _inverse_record(kappa, eps_l / kappa)
+    operator = (fac.v * record.evaluate(sv / sv[0])) @ fac.u.conj().T
+    operator.flags.writeable = False
     return SpectralOracleBackend(
         eps_l=eps_l, kappa=kappa, degree=record.series.degree, shots=shots,
-        rng=None if shots is None else np.random.default_rng([seed, 0x5EC7]),
-        series=record.series, u=fac.u, v=fac.v, diag=record.evaluate(sv / sv[0]),
+        rng=None if shots is None else np.random.default_rng([seed, 0x5EC7]), operator=operator,
     )
 
 
@@ -287,8 +286,7 @@ def noisy_oracle_backend(a, eps_l: float, kappa: Optional[float] = None,
                          seed: int = 0, shots: Optional[int] = None) -> NoisyOracleBackend:
     """Exact solve perturbed by seeded noise of relative size eps_l."""
     a = as_matrix(a)
-    if kappa is None:
-        kappa = _measured_kappa(svd(a).singular_values)
+    kappa = _key_kappa(svd(a).singular_values, kappa)
     degree = 1  # cost-model degree; no polynomial exists outside (0, 1)
     if 0.0 < eps_l / kappa < 1.0:
         degree = nominal_degree(kappa, eps_l / kappa)
@@ -308,17 +306,14 @@ def qsvt_backend(a, eps_l: float, kappa: Optional[float] = None, seed: int = 0,
     if np.any(np.imag(a)):
         raise ValueError("qsvt_full is real-only: the matrix has a nonzero imaginary part")
     fac = svd(a)
-    norm = float(fac.singular_values[0])
-    if kappa is None:
-        kappa = _measured_kappa(fac.singular_values)
+    kappa = _key_kappa(fac.singular_values, kappa)
     _check_backend_inputs(kappa, eps_l, shots)
-    eps_prime = eps_l / kappa
-    series = _inverse_record(kappa, eps_prime).series
-    phases = _inverse_phases(kappa, eps_prime)
+    phases = _inverse_phases(kappa, eps_l / kappa)  # one per degree of the series
+    encoding = dilation_encoding((a / float(fac.singular_values[0])).conj().T)
     return QsvtBackend(
-        eps_l=eps_l, kappa=kappa, degree=series.degree, shots=shots,
-        rng=None if shots is None else np.random.default_rng([seed, 0x95F7]), series=series,
-        phases=phases, block=inverse_block(dilation_encoding((a / norm).conj().T), phases),
+        eps_l=eps_l, kappa=kappa, degree=phases.size, shots=shots,
+        rng=None if shots is None else np.random.default_rng([seed, 0x95F7]),
+        block=inverse_block(encoding, phases),
     )
 
 
@@ -346,14 +341,14 @@ def denormalize(a_eta, residual) -> float:
     given ``a_eta`` = A eta and ``residual`` = b - A x.
 
     The objective is an exact quadratic, so mu is its closed-form minimizer
-    <A eta, b - A x> / ||A eta||^2; an A eta with ||A eta||^2 <= 1e-28
-    raises ``ValueError``. The tests check it against a bracketed Brent
-    search on the objective's values alone.
+    <A eta, b - A x> / ||A eta||^2; an A eta whose ||A eta||^2 is not
+    finite and above 1e-28 (NaN included) raises ``ValueError``. The tests
+    check it against a bracketed Brent search on the objective's values alone.
     """
     a_eta, residual = np.asarray(a_eta), np.asarray(residual)
     gram = float(np.vdot(a_eta, a_eta).real)
-    if gram <= 1e-28:
-        raise ValueError("degenerate direction: ||A eta|| ~ 0")
+    if not 1e-28 < gram < math.inf:
+        raise ValueError(f"degenerate direction: ||A eta||^2 = {gram:.3g}")
     return float(np.vdot(a_eta, residual).real / gram)
 
 
@@ -411,9 +406,9 @@ def iterative_refine(a, b, backend: SolverBackend, eps_target: float,
     correction direction from the backend, magnitude from ``denormalize``,
     update. Each step costs two products with A: A eta for the magnitude
     and A x for the next residual, which also gives omega. Stops at
-    omega <= eps_target or ``max_iter``; three consecutive non-decreasing
-    residuals raise ``DivergenceError`` carrying the partial trace. An A
-    that is not square, a ``b`` not of shape (n,), a non-finite entry in
+    omega <= eps_target or ``max_iter``; three consecutive residuals that
+    fail to decrease (NaN included) raise ``DivergenceError`` carrying the
+    partial trace. An A that is not square, a ``b`` not of shape (n,), a non-finite entry in
     either or an eps_target outside [MIN_EPS_TARGET, 1) raises
     ``ValueError`` before any solve.
 
@@ -474,7 +469,7 @@ def iterative_refine(a, b, backend: SolverBackend, eps_target: float,
         omegas.append(omega)
         if omega <= eps_target:
             break
-        if len(omegas) >= 2 and omega >= omegas[-2]:
+        if len(omegas) >= 2 and not omega < omegas[-2]:  # a NaN omega stalls too
             stall += 1
             if stall >= 3:
                 raise DivergenceError(make_trace(False))

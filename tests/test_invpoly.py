@@ -408,6 +408,24 @@ def test_checked_peak_never_undershoots_a_dense_sample(degree, parity, seed):
     assert bound_series(series).peak >= top * (1.0 - 1e-9)
 
 
+@pytest.mark.parametrize("parity, degree", [("odd", 199), ("even", 200)])
+def test_bound_check_of_a_definite_parity_series_searches_x_at_least_0(parity, degree,
+                                                                        monkeypatch):
+    # |P| is even, so each lobe in x < 0 mirrors one in x >= 0: no Brent
+    # bracket lies in x < 0, and the rival lobes are still searched
+    brackets = []
+
+    def counted(f, lo, hi, _real=invpoly._brent_min):
+        brackets.append((lo, hi))
+        return _real(f, lo, hi)
+
+    monkeypatch.setattr(invpoly, "_brent_min", counted)
+    for seed in range(20):
+        bound_series(random_series(seed, degree, parity))
+    assert len(brackets) > 20
+    assert all(hi > 0.0 for _, hi in brackets)
+
+
 @pytest.mark.parametrize("series", [inverse_cheb_series(10.0, 1e-3),
                                     inverse_cheb_series(268.0, 0.4 / 268.0**2),
                                     random_series(1, 240, "none")], ids=["odd", "large", "none"])

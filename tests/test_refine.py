@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from cheb_reference import svt_reference
 from magnitude_reference import brent_magnitude
 
 import qsvt_refine.refine as refine_mod
@@ -257,6 +258,41 @@ def test_refine_divergence_detection(monkeypatch):
     assert len(trace.scaled_residuals) >= 3
 
 
+@dataclasses.dataclass(frozen=True)
+class ConstantBackend(SolverBackend):
+    """A backend whose every direction is ``value`` in each entry; it
+    records the right-hand sides it is given in ``solves``."""
+
+    value: float
+    solves: list
+
+    def direction(self, rhs_hat):
+        self.solves.append(rhs_hat)
+        return np.full(rhs_hat.size, self.value)
+
+
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")  # inf times 0 in A eta
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_refine_rejects_a_non_finite_direction_by_name(value):
+    # NaN compares false with every bound, so such a direction used to run
+    # max_iter solves and return a NaN x
+    backend = ConstantBackend(eps_l=0.1, kappa=2.0, degree=1, shots=None, rng=None,
+                              value=value, solves=[])
+    with pytest.raises(ValueError, match="degenerate direction"):
+        iterative_refine(random_with_condition(4, 2.0, 0), unit_rhs(4, 0), backend, 1e-12)
+    assert len(backend.solves) == 1
+
+
+def test_refine_counts_a_nan_residual_as_a_stall(monkeypatch):
+    # three NaN omegas in a row after the first are three stalls
+    a = random_with_condition(4, 2.0, 0)
+    monkeypatch.setattr(refine_mod, "denormalize", lambda a_eta, residual: math.nan)
+    with pytest.raises(DivergenceError) as excinfo:
+        iterative_refine(a, unit_rhs(4, 0), spectral_oracle_backend(a, 0.1), 1e-12)
+    omegas = excinfo.value.trace.scaled_residuals
+    assert len(omegas) == 4 and all(math.isnan(omega) for omega in omegas)
+
+
 def test_refine_stagnates_outside_contraction_regime():
     a = random_with_condition(8, 4.0, 3)
     b = unit_rhs(8, 3)
@@ -387,17 +423,42 @@ def test_backend_equivalence_qsvt_vs_spectral():
 @settings(max_examples=6, deadline=None)
 @given(kappa=st.floats(1.5, 3.0), rate=st.floats(0.1, 0.5), seed=st.integers(0, 99))
 def test_backends_share_one_series_per_kappa_eps(kappa, rate, seed):
+    # the record memo builds one series for the key: the spectral operator
+    # and the QSVT phase finding both read it
     eps_l = rate / kappa
+    refine_mod._inverse_record.cache_clear()
+    refine_mod._inverse_phases.cache_clear()
     spectral = spectral_oracle_backend(random_with_condition(4, kappa, seed), eps_l, kappa=kappa)
     qsvt = qsvt_backend(random_with_condition(4, kappa, seed + 1), eps_l, kappa=kappa)
-    assert spectral.series is qsvt.series
-    assert spectral.degree == qsvt.degree == spectral.series.degree
+    info = refine_mod._inverse_record.cache_info()
+    assert info.misses == 1 and info.currsize == 1
+    record = refine_mod._inverse_record(kappa, eps_l / kappa)
+    assert spectral.degree == qsvt.degree == record.series.degree
 
 
 def test_shared_series_is_read_only():
-    backend = spectral_oracle_backend(random_with_condition(4, 2.0, 0), 0.1, kappa=2.0)
+    spectral_oracle_backend(random_with_condition(4, 2.0, 0), 0.1, kappa=2.0)
     with pytest.raises(ValueError, match="read-only"):
-        backend.series.coefficients[1] = 0.0
+        refine_mod._inverse_record(2.0, 0.05).series.coefficients[1] = 0.0
+
+
+@settings(max_examples=12, deadline=None)
+@given(n=st.sampled_from([2, 4, 8, 16]), kappa=st.floats(1.5, 10.0), rate=st.floats(0.1, 0.9),
+       seed=st.integers(0, 2**16))
+def test_polynomial_backends_hold_one_operator(n, kappa, rate, seed):
+    # both backends realize V P(S / sigma_max) U^H of A = U S V^H, P the
+    # key's bounded series: the QSVT block matches the spectral operator,
+    # and that operator the circuit-free transform of A^H / ||A||
+    eps_l = rate / kappa
+    a = random_with_condition(n, kappa, seed)
+    operator = spectral_oracle_backend(a, eps_l, kappa=kappa).operator
+    block = qsvt_backend(a, eps_l, kappa=kappa).block
+    series = refine_mod._inverse_record(kappa, eps_l / kappa).series
+    assert np.linalg.norm(block - operator, 2) <= 1e-11
+    reference = svt_reference(a.conj().T / np.linalg.norm(a, 2), series)
+    assert np.linalg.norm(operator - reference, 2) <= 1e-13
+    with pytest.raises(ValueError, match="read-only"):
+        operator[0, 0] = 0.0
 
 
 def test_polynomial_backends_share_one_grid_per_kappa_eps(fresh_phase_memo, monkeypatch):
@@ -417,8 +478,9 @@ def test_polynomial_backends_share_one_grid_per_kappa_eps(fresh_phase_memo, monk
     second = spectral_oracle_backend(random_with_condition(8, kappa, 1), eps_l, kappa=kappa)
     qsvt = qsvt_backend(random_with_condition(4, kappa, 2), eps_l, kappa=kappa)
     assert calls == {"_values_on_cheb_grid": 1, "_interpolant": 1}
-    assert first.series is second.series is qsvt.series
-    assert refine_mod._inverse_record.cache_info().currsize == 1
+    assert first.degree == second.degree == qsvt.degree
+    info = refine_mod._inverse_record.cache_info()
+    assert info.misses == 1 and info.currsize == 1
 
 
 def test_shared_grid_values_are_read_only():
@@ -448,8 +510,7 @@ def test_qsvt_rejects_complex_inputs_at_the_boundary():
 
 def test_backend_missing_a_field_fails_at_construction():
     with pytest.raises(TypeError):
-        QsvtBackend(eps_l=0.1, kappa=2.0, degree=3, shots=None,
-                    rng=np.random.default_rng(0), series=None, phases=None)
+        QsvtBackend(eps_l=0.1, kappa=2.0, degree=3, shots=None, rng=np.random.default_rng(0))
     with pytest.raises(TypeError):
         SolverBackend(eps_l=0.1, kappa=2.0, degree=3, shots=None, rng=np.random.default_rng(0))
 
@@ -540,6 +601,19 @@ def fresh_phase_memo():
     refine_mod._inverse_phases.cache_clear()
 
 
+def record_swept_phases(monkeypatch):
+    """Wrap ``refine.inverse_block``; returns the list of phase tables it swept."""
+    swept = []
+    real = refine_mod.inverse_block
+
+    def inverse_block(encoding, phases):
+        swept.append(phases)
+        return real(encoding, phases)
+
+    monkeypatch.setattr(refine_mod, "inverse_block", inverse_block)
+    return swept
+
+
 def count_find_phases(monkeypatch, fail_first=False):
     """Wrap ``refine.find_phases``; returns the list of targets it saw."""
     targets = []
@@ -557,33 +631,50 @@ def count_find_phases(monkeypatch, fail_first=False):
 
 def test_qsvt_backends_share_one_phase_vector_per_kappa_eps(fresh_phase_memo, monkeypatch):
     targets = count_find_phases(monkeypatch)
+    swept = record_swept_phases(monkeypatch)
     kappa = 2.0
-    first = qsvt_backend(random_with_condition(4, kappa, 0), 0.1, kappa=kappa)
-    second = qsvt_backend(random_with_condition(8, kappa, 1), 0.1, kappa=kappa, seed=1)
-    other = qsvt_backend(random_with_condition(4, kappa, 2), 0.2, kappa=kappa)
-    third = qsvt_backend(random_with_condition(2, kappa, 3), 0.2, kappa=kappa)
-    assert first.phases is second.phases
-    assert other.phases is third.phases is not first.phases
-    assert len(targets) == 2
+    qsvt_backend(random_with_condition(4, kappa, 0), 0.1, kappa=kappa)
+    qsvt_backend(random_with_condition(8, kappa, 1), 0.1, kappa=kappa, seed=1)
+    qsvt_backend(random_with_condition(4, kappa, 2), 0.2, kappa=kappa)
+    qsvt_backend(random_with_condition(2, kappa, 3), 0.2, kappa=kappa)
+    first, other = (refine_mod._inverse_phases(kappa, eps_l / kappa) for eps_l in (0.1, 0.2))
+    assert swept[0] is swept[1] is first
+    assert swept[2] is swept[3] is other is not first
+    assert len(targets) == 2 and refine_mod._inverse_phases.cache_info().currsize == 2
     assert targets[0] is refine_mod._inverse_record(kappa, 0.1 / kappa)
     assert targets[1] is refine_mod._inverse_record(kappa, 0.2 / kappa)
-    assert targets[0].series is first.series and targets[1].series is other.series
 
 
 def test_shared_phases_are_read_only(fresh_phase_memo):
-    backend = qsvt_backend(random_with_condition(4, 2.0, 0), 0.1, kappa=2.0)
+    qsvt_backend(random_with_condition(4, 2.0, 0), 0.1, kappa=2.0)
     with pytest.raises(ValueError, match="read-only"):
-        backend.phases[0] = 0.0
+        refine_mod._inverse_phases(2.0, 0.05)[0] = 0.0
 
 
 def test_phase_finding_error_is_not_cached(fresh_phase_memo, monkeypatch):
     targets = count_find_phases(monkeypatch, fail_first=True)
+    swept = record_swept_phases(monkeypatch)
     a = random_with_condition(4, 2.0, 0)
     with pytest.raises(PhaseFindingError):
         qsvt_backend(a, 0.1, kappa=2.0)
-    backend = qsvt_backend(a, 0.1, kappa=2.0)
+    qsvt_backend(a, 0.1, kappa=2.0)
+    phases = refine_mod._inverse_phases(2.0, 0.05)  # a memo hit: no third find_phases
     assert len(targets) == 2
-    assert refine_mod._inverse_phases(2.0, 0.05) is backend.phases
+    assert len(swept) == 1 and swept[0] is phases
+
+
+def test_qsvt_backend_on_memoized_phases_runs_no_bound_check(fresh_phase_memo, monkeypatch):
+    # its degree is the phase count, so a key whose record the record memo
+    # evicted is not bound-checked again while its phases are memoized
+    qsvt_backend(random_with_condition(4, 2.0, 0), 0.1, kappa=2.0)
+    refine_mod._inverse_record.cache_clear()
+    checks = []
+    real = refine_mod.bound_series
+    monkeypatch.setattr(refine_mod, "bound_series", lambda series: checks.append(series) or
+                        real(series))
+    backend = qsvt_backend(random_with_condition(4, 2.0, 1), 0.1, kappa=2.0)
+    assert checks == []
+    assert backend.degree == refine_mod._inverse_phases(2.0, 0.05).size
 
 
 def test_measured_kappa_backends_share_one_phase_vector(fresh_phase_memo, monkeypatch):
@@ -591,11 +682,15 @@ def test_measured_kappa_backends_share_one_phase_vector(fresh_phase_memo, monkey
     # (10.000000000000005, ...02, ...09); the memo key rounds it up to 12
     # significant digits, so one phase finding serves all three
     targets = count_find_phases(monkeypatch)
+    swept = record_swept_phases(monkeypatch)
     mats = [random_with_condition(16, 10.0, seed) for seed in (0, 1, 2)]
     backends = [qsvt_backend(a, 1e-2) for a in mats]
     assert len(targets) == 1
-    assert all(bk.phases is backends[0].phases for bk in backends)
-    assert spectral_oracle_backend(mats[0], 1e-2).series is backends[0].series
+    assert len(swept) == 3 and all(phases is swept[0] for phases in swept)
+    misses = refine_mod._inverse_record.cache_info().misses
+    spectral = spectral_oracle_backend(mats[0], 1e-2)
+    assert spectral.kappa == backends[0].kappa
+    assert refine_mod._inverse_record.cache_info().misses == misses
     for a, bk in zip(mats, backends):
         sv = np.linalg.svd(a, compute_uv=False)
         assert bk.kappa >= sv[0] / sv[-1]
@@ -659,10 +754,16 @@ def test_refinement_is_exactly_invariant_under_power_of_two_scaling_of_a(kappa, 
 
 @pytest.mark.parametrize("factory", FACTORIES)
 def test_factories_reject_a_singular_matrix_by_name(factory):
+    # with kappa passed, the spectral factory used to build from 0/0 (the
+    # zero matrix) or refine through NaN iterations (rank 2), and the others
+    # failed later under another name
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(ValueError, match="matrix numerically singular"):
             factory(np.diag([1.0, 0.0]), 1e-2)
+        for a in (np.zeros((4, 4)), np.diag([1.0, 0.5, 0.0, 0.0])):
+            with pytest.raises(ValueError, match="matrix numerically singular"):
+                factory(a, 1e-2, kappa=10.0)
 
 
 def test_factories_measure_one_kappa_per_matrix():
