@@ -23,7 +23,6 @@ from .invpoly import (
     inverse_cheb_series,
 )
 from .numerics import (
-    Svd,
     random_with_condition,
     svd,
     two_norm,

@@ -120,7 +120,7 @@ class ExperimentConfig:
             raise ConfigError(f"eps_target = {self.eps_target!r} must be a number in "
                               f"[{MIN_EPS_TARGET:g}, 1)")
         if self.experiment == "poisson":
-            self.kappa = [singular_value_ratio(svd(gen_poisson(self.n_qubits)[0]).singular_values)]
+            self.kappa = [singular_value_ratio(svd(gen_poisson(self.n_qubits)[0])[1])]
         points = _run_points(self)
         if self.experiment == "complexity" and len(points) != 1:
             raise ConfigError(f"complexity takes one kappa and one eps_l, not {len(points)} pairs")

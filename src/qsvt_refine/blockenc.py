@@ -95,7 +95,7 @@ class BlockEncoding:
         dim = 2 ** (self.data_qubits + self.ancilla_qubits)
         if u.shape != (dim, dim):
             raise ValueError(f"unitary shape {u.shape} inconsistent with qubit counts")
-        if self.alpha < 1.0 - 1e-12:
+        if not self.alpha >= 1.0 - 1e-12:
             raise ValueError("alpha must be >= 1")
         # a read-only view of a private copy: numpy refuses to make a view of
         # a locked base writeable again, so the array checked here is the one
@@ -134,17 +134,15 @@ def dilation_encoding(a) -> BlockEncoding:
     if a.shape[0] != a.shape[1]:
         raise ValueError("dilation_encoding requires a square matrix")
     n_qubits = _require_power_of_two(a.shape[0], "matrix dimension")
-    fac = svd(a)
-    if fac.singular_values[0] > 1.0 + 1e-9:
-        raise ValueError(
-            f"pre-scale required: spectral norm {fac.singular_values[0]} exceeds 1"
-        )
-    gap = 1.0 - fac.singular_values**2
+    u, s, vh = svd(a)
+    if s[0] > 1.0 + 1e-9:
+        raise ValueError(f"pre-scale required: spectral norm {s[0]} exceeds 1")
+    gap = 1.0 - s**2
     if np.any(gap < -1e-14):
         raise ValueError("singular values exceed 1 beyond the clamping guard")
     root = np.sqrt(np.maximum(gap, 0.0))
-    top_right = (fac.u * root) @ fac.u.conj().T
-    bottom_left = (fac.v * root) @ fac.v.conj().T
+    top_right = (u * root) @ u.conj().T
+    bottom_left = (vh.conj().T * root) @ vh
     u = np.block([[a, top_right], [bottom_left, -a.conj().T]])
     return BlockEncoding(unitary=u, data_qubits=n_qubits, ancilla_qubits=1, alpha=1.0)
 
@@ -189,7 +187,7 @@ def fable_encoding(a, threshold: float = 0.0) -> tuple[BlockEncoding, Circuit]:
     n = _require_power_of_two(a.shape[0], "matrix dimension")
     if np.any(np.abs(a) > 1.0 + 1e-12):
         raise ValueError("entries must lie in [-1, 1]")
-    if threshold < 0.0:
+    if not threshold >= 0.0:
         raise ValueError("threshold must be >= 0")
 
     m = 2 * n  # control bits: data index j (low), row index i (high)

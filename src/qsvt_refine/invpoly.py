@@ -38,8 +38,8 @@ _SQRT_EPS = math.sqrt(2.2e-16)  # relative part of the peak search's tolerance
 class ChebyshevSeries:
     """Polynomial in the Chebyshev basis.
 
-    ``coefficients[k]`` multiplies T_k; the trailing coefficient is
-    nonzero so ``degree == len(coefficients) - 1``. An inverse
+    ``coefficients[k]`` multiplies T_k; every coefficient is finite and
+    the trailing one nonzero, so ``degree == len(coefficients) - 1``. An inverse
     approximation records its ``scale`` (``P(x) ~ scale / x``), passed by
     keyword only, so a stray second positional argument is refused rather
     than taken as a scale. ``parity`` is read off the coefficients.
@@ -52,6 +52,8 @@ class ChebyshevSeries:
         coefs = np.asarray(self.coefficients, dtype=float)
         if coefs.ndim != 1 or coefs.size == 0:
             raise ValueError("coefficients must be a nonempty 1-D array")
+        if not np.all(np.isfinite(coefs)):
+            raise ValueError("coefficients must be finite")
         if coefs.size > 1 and coefs[-1] == 0.0:
             raise ValueError("trailing coefficient must be nonzero (trim first)")
         object.__setattr__(self, "coefficients", coefs)

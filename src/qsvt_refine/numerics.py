@@ -2,7 +2,7 @@
 
 Matrices and state vectors are plain numpy arrays, real or complex. This
 module holds the one SVD the package uses (LAPACK through
-``numpy.linalg.svd``, wrapped in the ``Svd`` economy-form contract),
+``numpy.linalg.svd``, returned as numpy's own economy ``(u, s, vh)``),
 the norms and condition numbers built on it and the seeded random test
 matrices with a prescribed spectrum.
 Everything here is a pure function over its inputs; arrays are never
@@ -12,12 +12,10 @@ mutated in place.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 __all__ = [
-    "Svd",
     "svd",
     "singular_value_ratio",
     "two_norm",
@@ -59,34 +57,20 @@ def check_unitary(u: np.ndarray, tol_factor: float) -> None:
         raise ValueError(f"matrix {kind}: ||U^H U - I|| = {defect:.3e}")
 
 
-@dataclass(frozen=True)
-class Svd:
-    """Economy SVD ``a = u @ diag(singular_values) @ v.conj().T``.
+def svd(a) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Economy singular value decomposition ``(u, s, vh)`` with
+    ``a = (u * s) @ vh`` (LAPACK ``gesdd`` via numpy).
 
-    For an m x n input ``u`` is m x k and ``v`` is n x k with
-    k = min(m, n), both with orthonormal columns; ``singular_values`` is
-    nonincreasing.
-    """
-
-    u: np.ndarray
-    singular_values: np.ndarray
-    v: np.ndarray
-
-
-def svd(a) -> Svd:
-    """Economy singular value decomposition (LAPACK ``gesdd`` via numpy).
-
-    ``u`` and ``v`` have ``min(m, n)`` orthonormal columns and the
-    singular values are sorted nonincreasing. Real input gives real
-    factors.
+    For an m x n input ``u`` is m x k and ``vh`` is k x n with
+    k = min(m, n); ``u`` and ``vh.conj().T`` have orthonormal columns and
+    ``s`` is nonincreasing. Real input gives real factors.
 
     Raises
     ------
     numpy.linalg.LinAlgError
         If LAPACK fails to converge.
     """
-    u, s, vh = np.linalg.svd(as_matrix(a), full_matrices=False)
-    return Svd(u=u, singular_values=s, v=vh.conj().T)
+    return np.linalg.svd(as_matrix(a), full_matrices=False)
 
 
 def two_norm(vec) -> float:

@@ -23,7 +23,10 @@ one bound-check grid gives) and its phase factors depend only on (kappa,
 eps' = eps_l / kappa); two memos of 16 keys own them, and no backend keeps
 either. Phase finding takes that record as it is, so each key runs one bound
 check and one grid transform whichever backends it serves. Every factory
-rejects a numerically singular matrix, with or without ``kappa``.
+enters through one step, ``_factorize``, which takes the matrix's one SVD
+and rejects a matrix that is not square, is empty or is numerically
+singular, and a ``kappa`` below its sigma_max / sigma_min, before any memo
+is touched.
 
 The magnitude is recovered classically by minimizing ||A (x + mu eta) - b||
 over mu. The scaled residual omega = ||b - A x|| / ||b|| both stops the
@@ -78,6 +81,7 @@ _NOISE_SAFETY = 0.95  # noisy-oracle perturbation stays strictly inside eps_l
 MIN_EPS_TARGET = 1e-14  # double-precision residuals leave no headroom below this
 _MEMO_SIZE = 16  # distinct (kappa, eps') kept by each per-key memo
 _CONTRACTION_SLACK = 0.10  # absorbs readout noise and finite-sample wiggle
+_KAPPA_SLACK = 1e-9  # relative; a nominal kappa is within ~3e-14 of the measured ratio
 
 
 class DivergenceError(RuntimeError):
@@ -178,7 +182,7 @@ class QsvtBackend(SolverBackend):
 
 
 def _check_backend_inputs(kappa: float, eps_l: float, shots: Optional[int]) -> None:
-    """``SolverBackend``'s checks, run first by the factories that memoize a series."""
+    """``SolverBackend``'s checks, run by ``_factorize`` for every factory too."""
     if not 1.0 <= kappa < math.inf:
         raise ValueError(f"kappa must be finite and >= 1, got {kappa!r}")
     if not 0.0 <= eps_l < math.inf:
@@ -229,15 +233,25 @@ def nominal_degree(kappa: float, eps_prime: float) -> int:
     return 2 * min(cap, b - 1) + 1
 
 
-def _key_kappa(singular_values: np.ndarray, kappa: Optional[float]) -> float:
-    """The kappa a factory keys its memos on: ``kappa`` as passed, else
+def _factorize(a, eps_l: float, kappa: Optional[float], shots: Optional[int]):
+    """Every factory's first step: ``(A, svd(A), kappa)`` for a nonempty
+    square, numerically nonsingular A. ``kappa`` is as passed, else
     sigma_max / sigma_min rounded up to 12 significant digits, so that
-    matrices of one nominal kappa share the memo keys and [1/kappa, 1]
-    still covers every singular value. A singular matrix raises either way."""
-    ratio = singular_value_ratio(singular_values)
-    if kappa is not None:
-        return kappa
-    return float(Context(prec=12, rounding=ROUND_CEILING).create_decimal(ratio))
+    matrices of one nominal kappa share the memo keys; either way
+    [1/kappa, 1] must cover every singular value over sigma_max, so a
+    passed kappa below that ratio (beyond ``_KAPPA_SLACK``) raises."""
+    a = as_matrix(a)
+    if a.shape[0] != a.shape[1] or a.size == 0:
+        raise ValueError(f"a backend needs a nonempty square matrix, got shape {a.shape}")
+    factors = svd(a)
+    ratio = singular_value_ratio(factors[1])
+    if kappa is None:
+        kappa = float(Context(prec=12, rounding=ROUND_CEILING).create_decimal(ratio))
+    _check_backend_inputs(kappa, eps_l, shots)
+    if kappa < ratio * (1.0 - _KAPPA_SLACK):
+        raise ValueError(f"kappa = {kappa!r} is below the matrix's sigma_max / sigma_min "
+                         f"= {ratio!r}")
+    return a, factors, kappa
 
 
 @functools.lru_cache(maxsize=_MEMO_SIZE)
@@ -269,12 +283,9 @@ def _inverse_phases(kappa: float, eps_prime: float) -> np.ndarray:
 def spectral_oracle_backend(a, eps_l: float, kappa: Optional[float] = None,
                             seed: int = 0, shots: Optional[int] = None) -> SpectralOracleBackend:
     """Inverse polynomial applied via the SVD, no circuits, as one operator."""
-    fac = svd(as_matrix(a))
-    sv = fac.singular_values
-    kappa = _key_kappa(sv, kappa)
-    _check_backend_inputs(kappa, eps_l, shots)
+    _, (u, s, vh), kappa = _factorize(a, eps_l, kappa, shots)
     record = _inverse_record(kappa, eps_l / kappa)
-    operator = (fac.v * record.evaluate(sv / sv[0])) @ fac.u.conj().T
+    operator = (vh.conj().T * record.evaluate(s / s[0])) @ u.conj().T
     operator.flags.writeable = False
     return SpectralOracleBackend(
         eps_l=eps_l, kappa=kappa, degree=record.series.degree, shots=shots,
@@ -285,8 +296,7 @@ def spectral_oracle_backend(a, eps_l: float, kappa: Optional[float] = None,
 def noisy_oracle_backend(a, eps_l: float, kappa: Optional[float] = None,
                          seed: int = 0, shots: Optional[int] = None) -> NoisyOracleBackend:
     """Exact solve perturbed by seeded noise of relative size eps_l."""
-    a = as_matrix(a)
-    kappa = _key_kappa(svd(a).singular_values, kappa)
+    a, _, kappa = _factorize(a, eps_l, kappa, shots)
     degree = 1  # cost-model degree; no polynomial exists outside (0, 1)
     if 0.0 < eps_l / kappa < 1.0:
         degree = nominal_degree(kappa, eps_l / kappa)
@@ -302,14 +312,11 @@ def qsvt_backend(a, eps_l: float, kappa: Optional[float] = None, seed: int = 0,
     """Full simulated pipeline: scale to unit norm, dilation-encode A^H,
     take the memoized phases of the bounded inverse series and sweep the
     encoding's ancilla-zero columns once. Real matrices only."""
-    a = as_matrix(a)
+    a, (_, s, _), kappa = _factorize(a, eps_l, kappa, shots)
     if np.any(np.imag(a)):
         raise ValueError("qsvt_full is real-only: the matrix has a nonzero imaginary part")
-    fac = svd(a)
-    kappa = _key_kappa(fac.singular_values, kappa)
-    _check_backend_inputs(kappa, eps_l, shots)
     phases = _inverse_phases(kappa, eps_l / kappa)  # one per degree of the series
-    encoding = dilation_encoding((a / float(fac.singular_values[0])).conj().T)
+    encoding = dilation_encoding((a / float(s[0])).conj().T)
     return QsvtBackend(
         eps_l=eps_l, kappa=kappa, degree=phases.size, shots=shots,
         rng=None if shots is None else np.random.default_rng([seed, 0x95F7]),

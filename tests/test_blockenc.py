@@ -144,6 +144,17 @@ def test_fable_input_validation():
         fable_encoding(np.full((2, 2), 1.5))
     with pytest.raises(ValueError, match="real"):
         fable_encoding(np.eye(2) * 1j)
+    # NaN fails every comparison: `threshold < 0` let it through to drop nothing
+    for threshold in (-1e-3, math.nan):
+        with pytest.raises(ValueError, match="threshold must be >= 0"):
+            fable_encoding(0.5 * np.eye(2), threshold=threshold)
+
+
+def test_block_encoding_rejects_an_alpha_below_one_or_nan():
+    # `alpha < 1` let a NaN alpha build
+    for alpha in (0.5, math.nan):
+        with pytest.raises(ValueError, match="alpha must be >= 1"):
+            BlockEncoding(np.eye(4), 1, 1, alpha)
 
 
 def test_compile_empty_circuit():

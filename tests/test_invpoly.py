@@ -538,6 +538,11 @@ def test_series_validation():
     # that still passes a parity fails instead of setting the scale
     with pytest.raises(TypeError):
         ChebyshevSeries(np.array([0.0, 1.0]), "odd")
+    # an inf coefficient was bound-checked to rescale 0.0 (a series silently
+    # scaled to zero), a NaN one to rescale NaN
+    for coefs in ([0.0, math.inf], [0.0, math.nan], [math.nan], [-math.inf, 0.0, 1.0]):
+        with pytest.raises(ValueError, match="coefficients must be finite"):
+            ChebyshevSeries(np.array(coefs))
 
 
 @pytest.mark.parametrize("coefs, parity", [

@@ -870,6 +870,48 @@ def test_factories_reject_a_kappa_that_is_not_finite_and_at_least_one(factory, k
         factory(random_with_condition(8, 4.0, 0), 1e-2, kappa=kappa)
 
 
+@pytest.mark.parametrize("factory", FACTORIES)
+def test_factories_reject_a_kappa_below_the_matrix_ratio(factory):
+    # [1/kappa, 1] must cover every singular value over sigma_max: the
+    # spectral oracle used to build at kappa=10 on this kappa-100 matrix and
+    # refine to "converged" in 97 iterations against a theorem bound of 8
+    a = random_with_condition(16, 100.0, 0)
+    records = refine_mod._inverse_record.cache_info().misses
+    phases = refine_mod._inverse_phases.cache_info().misses
+    with pytest.raises(ValueError, match=r"kappa = 10.0 is below the matrix's sigma_max"):
+        factory(a, 4e-3, kappa=10.0)
+    assert refine_mod._inverse_record.cache_info().misses == records
+    assert refine_mod._inverse_phases.cache_info().misses == phases
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.sampled_from([1, 2, 4, 16, 32, 64]), kappa=st.floats(1.0, 300.0),
+       seed=st.integers(0, 2**32 - 1))
+def test_factories_take_the_nominal_kappa_of_a_prescribed_spectrum(n, kappa, seed):
+    # the measured ratio of random_with_condition sits within rounding of
+    # its nominal kappa, so passing that kappa never trips the check
+    backend = noisy_oracle_backend(random_with_condition(n, kappa, seed), 0.5 / kappa,
+                                   kappa=kappa)
+    assert backend.kappa == kappa
+
+
+@pytest.mark.parametrize("factory", FACTORIES)
+@pytest.mark.parametrize("shape", [(3, 2), (2, 3), (0, 0)])
+def test_factories_reject_a_matrix_that_is_not_square_or_is_empty_by_shape(factory, shape):
+    # a 3 x 2 matrix used to build a spectral backend with (2,) directions
+    # for (3,) right-hand sides, the noisy oracle failed at its first solve,
+    # qsvt_backend found and memoized phases first, and 0 x 0 hit IndexError
+    a = np.ones(shape)
+    if shape[0]:
+        a[:2, :2] = np.eye(2)
+    records = refine_mod._inverse_record.cache_info().misses
+    phases = refine_mod._inverse_phases.cache_info().misses
+    with pytest.raises(ValueError, match=rf"square matrix, got shape \({shape[0]}, {shape[1]}\)"):
+        factory(a, 1e-2, kappa=2.0)
+    assert refine_mod._inverse_record.cache_info().misses == records
+    assert refine_mod._inverse_phases.cache_info().misses == phases
+
+
 @pytest.mark.parametrize("eps_l", [math.nan, math.inf, -math.inf, -1e-3])
 def test_noisy_oracle_rejects_an_eps_l_that_is_not_finite_and_non_negative(eps_l):
     # NaN used to fail after the whole refinement, inf to report a total
