@@ -4,7 +4,10 @@ Two constructions behind one interface: an exact one-ancilla unitary
 dilation for accuracy experiments, and a FABLE-style compressed
 uniformly-controlled-rotation circuit for gate-count reporting. Both
 satisfy the contract that the top-left (all ancillas |0>) block of the
-unitary equals ``A / alpha``. A real matrix gets a real (float64)
+unitary equals ``A / alpha``. The dilation is assembled in one step,
+``dilation_from_svd``, from a matrix and an SVD of it: ``dilation_encoding``
+takes that SVD itself, and a caller that already holds one (the
+``qsvt_full`` factory) passes it in, so no matrix is factored twice. A real matrix gets a real (float64)
 dilation and FABLE's gates are all real, so both unitaries stay real
 for real input; the sequence sweep then runs in real arithmetic.
 
@@ -28,6 +31,7 @@ __all__ = [
     "Circuit",
     "Gate",
     "dilation_encoding",
+    "dilation_from_svd",
     "fable_encoding",
     "compile_circuit",
 ]
@@ -122,29 +126,42 @@ def _require_power_of_two(n: int, what: str) -> int:
 
 
 def dilation_encoding(a) -> BlockEncoding:
-    """Exact one-ancilla dilation of a square matrix with norm <= 1.
-
-    U = [[A, sqrt(I - A A^H)], [sqrt(I - A^H A), -A^H]], with the matrix
-    square roots taken through the SVD of A and 1 - sigma^2 clamped at
-    zero when it dips within 1e-14 below. A real matrix gets a real
+    """Exact one-ancilla dilation of a square matrix with norm <= 1, from
+    its own SVD (``dilation_from_svd``). A real matrix gets a real
     (float64) dilation, a complex one a complex dilation; alpha = 1.
     Callers holding a matrix with norm > 1 pre-scale it.
+    """
+    a = as_matrix(a)
+    return dilation_from_svd(a, svd(a))
+
+
+def dilation_from_svd(a, factors) -> BlockEncoding:
+    """The dilation of ``dilation_encoding`` built from ``factors``, an SVD
+    ``(u, s, vh)`` of ``a`` that the caller already holds.
+
+    U = [[A, sqrt(I - A A^H)], [sqrt(I - A^H A), -A^H]], with the matrix
+    square roots taken through the factors and 1 - sigma^2 clamped at zero
+    when it dips within 1e-14 below; the four blocks are written into one
+    2N x 2N array.
     """
     a = as_matrix(a).astype(complex if np.iscomplexobj(a) else float)
     if a.shape[0] != a.shape[1]:
         raise ValueError("dilation_encoding requires a square matrix")
     n_qubits = _require_power_of_two(a.shape[0], "matrix dimension")
-    u, s, vh = svd(a)
+    u, s, vh = factors
     if s[0] > 1.0 + 1e-9:
         raise ValueError(f"pre-scale required: spectral norm {s[0]} exceeds 1")
     gap = 1.0 - s**2
     if np.any(gap < -1e-14):
         raise ValueError("singular values exceed 1 beyond the clamping guard")
     root = np.sqrt(np.maximum(gap, 0.0))
-    top_right = (u * root) @ u.conj().T
-    bottom_left = (vh.conj().T * root) @ vh
-    u = np.block([[a, top_right], [bottom_left, -a.conj().T]])
-    return BlockEncoding(unitary=u, data_qubits=n_qubits, ancilla_qubits=1, alpha=1.0)
+    n = a.shape[0]
+    unitary = np.empty((2 * n, 2 * n), dtype=a.dtype)
+    unitary[:n, :n] = a
+    unitary[:n, n:] = (u * root) @ u.conj().T
+    unitary[n:, :n] = (vh.conj().T * root) @ vh
+    unitary[n:, n:] = -a.conj().T
+    return BlockEncoding(unitary=unitary, data_qubits=n_qubits, ancilla_qubits=1, alpha=1.0)
 
 
 def _gray(k: int) -> int:

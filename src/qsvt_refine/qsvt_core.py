@@ -6,7 +6,8 @@
                                                e^{i psi_2j+1 (2 Pt - I)} U ]
     even d: prod_j [ e^{i psi_2j-1 (2 Pi - I)} U^H  e^{i psi_2j (2 Pt - I)} U ]
 
-right to left to a block of columns. Each block-encoding call is a
+right to left to a block of columns, walking the calls in (U, U^H)
+pairs with one last U when d is odd. Each block-encoding call is a
 matrix product into the other of two buffers; when U is real (the
 encoding of a real matrix), a real product with the float view of the
 complex block, so nothing is copied. Pt and Pi are both the ancilla-zero
@@ -70,9 +71,10 @@ def _sweep(encoding: BlockEncoding, phases: np.ndarray,
     """The sequence of the (d,) table ``phases`` applied to every column
     of the dim x m block ``columns``.
 
-    The rightmost call is U and the calls alternate U, U^H leftwards.
-    Each step is one product into the other buffer and one multiply of
-    its ancilla-zero rows by e^{2 i psi}; the e^{-i psi} of every step
+    The rightmost call is U and the calls alternate U, U^H leftwards, so
+    the loop walks them in (U, U^H) pairs, with one last U step when d is
+    odd. Each step is one product into the other buffer and one multiply
+    of its ancilla-zero rows by e^{2 i psi}; the e^{-i psi} of every step
     are folded into gamma. An empty table is rejected (the encoding's
     unitarity was checked when it was built and cannot have changed).
     """
@@ -89,13 +91,18 @@ def _sweep(encoding: BlockEncoding, phases: np.ndarray,
     gamma = -1j * (-1) ** d * np.exp(-1j * math.remainder(math.fsum(phi), 2.0 * math.pi))
     bufs = (np.array(columns, dtype=complex, order="C"),
             np.empty(np.shape(columns), dtype=complex))
-    views = bufs if np.iscomplexobj(u) else tuple(buf.view(float) for buf in bufs)
-    heads = tuple(buf[:n] for buf in bufs)
-    calls = (u, u.conj().T)
-    for k, factor in enumerate(row_factors[::-1].tolist()):
-        src, dst = k % 2, 1 - k % 2
-        calls[src].dot(views[src], out=views[dst])
-        np.multiply(heads[dst], factor, out=heads[dst])
+    first, second = bufs if np.iscomplexobj(u) else (buf.view(float) for buf in bufs)
+    first_head, second_head = (buf[:n] for buf in bufs)
+    u_h = u.conj().T
+    pairs = iter(row_factors[::-1].tolist())
+    for u_factor, u_h_factor in zip(pairs, pairs):  # a U step, then a U^H step
+        u.dot(first, out=second)
+        np.multiply(second_head, u_factor, out=second_head)
+        u_h.dot(second, out=first)
+        np.multiply(first_head, u_h_factor, out=first_head)
+    if d % 2:  # zip dropped the last factor, row_factors[0], a U step's
+        u.dot(first, out=second)
+        np.multiply(second_head, row_factors[0], out=second_head)
     return gamma * bufs[d % 2]
 
 

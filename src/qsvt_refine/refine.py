@@ -9,7 +9,9 @@ most eps_l; the loop needs nothing else from it:
 * ``QsvtBackend`` (``qsvt_full``) -- dilation encoding + phase sequence,
   the honest simulated pipeline; real inputs only (the real part of one
   sweep is the +-Phi average only for a real encoding and b). The
-  factory sweeps the N ancilla-zero columns once; each inner solve is
+  factory builds the dilation of A^H / sigma_max from the SVD of A that
+  ``_factorize`` took, so a build takes one SVD, and sweeps the N
+  ancilla-zero columns once; each inner solve is
   one product with their kept real N x N ``block``, a saving of simulator
   time only (the model still charges ``degree`` calls per inner solve);
 * ``SpectralOracleBackend`` (``spectral_oracle``) -- the same inverse
@@ -17,6 +19,9 @@ most eps_l; the loop needs nothing else from it:
   path), kept as the one N x N ``operator`` V P(S / sigma_max) U^H;
 * ``NoisyOracleBackend`` (``noisy_oracle``) -- exact solve plus seeded
   noise of relative size eps_l, for stress sweeps.
+
+Each backend reports the ``size`` N it was built for, read off that one
+array, and ``iterative_refine`` rejects a system of another size.
 
 The bounded inverse series (a ``BoundedSeries``, with the evaluator its
 one bound-check grid gives) and its phase factors depend only on (kappa,
@@ -48,7 +53,7 @@ from typing import Optional
 
 import numpy as np
 
-from .blockenc import dilation_encoding
+from .blockenc import BlockEncoding, dilation_from_svd
 from .invpoly import BoundedSeries, bound_series, degree_params, inverse_cheb_series
 from .numerics import as_matrix, singular_value_ratio, svd, two_norm
 from .qsp_phases import find_phases
@@ -120,6 +125,11 @@ class SolverBackend(ABC):
     def __post_init__(self):
         _check_backend_inputs(self.kappa, self.eps_l, self.shots)
 
+    @property
+    @abstractmethod
+    def size(self) -> int:
+        """The N of the N x N matrix the backend was built for."""
+
     @abstractmethod
     def direction(self, rhs_hat: np.ndarray) -> np.ndarray:
         """Unit solution direction for the unit right-hand side ``rhs_hat``."""
@@ -131,6 +141,10 @@ class SpectralOracleBackend(SolverBackend):
     kept as the read-only N x N ``operator`` V P(S / sigma_max) U^H."""
 
     operator: np.ndarray
+
+    @property
+    def size(self) -> int:
+        return self.operator.shape[1]
 
     def direction(self, rhs_hat: np.ndarray) -> np.ndarray:
         raw = self.operator @ rhs_hat
@@ -144,6 +158,10 @@ class NoisyOracleBackend(SolverBackend):
     leaves every direction unchanged and keeps the squared norms in range."""
 
     matrix: np.ndarray
+
+    @property
+    def size(self) -> int:
+        return self.matrix.shape[1]
 
     def direction(self, rhs_hat: np.ndarray) -> np.ndarray:
         """Exact solve plus noise, shrunk until the solution de-normalized by
@@ -176,6 +194,10 @@ class QsvtBackend(SolverBackend):
     the read-only real block of ``inverse_block``; real inputs only."""
 
     block: np.ndarray
+
+    @property
+    def size(self) -> int:
+        return self.block.shape[1]
 
     def direction(self, rhs_hat: np.ndarray) -> np.ndarray:
         return apply_inverse_state(self.block, rhs_hat)[0]
@@ -312,16 +334,23 @@ def qsvt_backend(a, eps_l: float, kappa: Optional[float] = None, seed: int = 0,
     """Full simulated pipeline: scale to unit norm, dilation-encode A^H,
     take the memoized phases of the bounded inverse series and sweep the
     encoding's ancilla-zero columns once. Real matrices only."""
-    a, (_, s, _), kappa = _factorize(a, eps_l, kappa, shots)
+    a, factors, kappa = _factorize(a, eps_l, kappa, shots)
     if np.any(np.imag(a)):
         raise ValueError("qsvt_full is real-only: the matrix has a nonzero imaginary part")
     phases = _inverse_phases(kappa, eps_l / kappa)  # one per degree of the series
-    encoding = dilation_encoding((a / float(s[0])).conj().T)
     return QsvtBackend(
         eps_l=eps_l, kappa=kappa, degree=phases.size, shots=shots,
         rng=None if shots is None else np.random.default_rng([seed, 0x95F7]),
-        block=inverse_block(encoding, phases),
+        block=inverse_block(_adjoint_encoding(a, factors), phases),
     )
+
+
+def _adjoint_encoding(a: np.ndarray, factors) -> BlockEncoding:
+    """The dilation of A^H / sigma_max from the SVD ``(u, s, vh)`` of A:
+    A^H / sigma_max = V (S / sigma_max) U^H, so its SVD is A's reordered,
+    and no second SVD is taken."""
+    u, s, vh = factors
+    return dilation_from_svd((a / float(s[0])).conj().T, (vh.conj().T, s / s[0], u.conj().T))
 
 
 def solve_once(backend: SolverBackend, rhs) -> tuple[np.ndarray, np.ndarray]:
@@ -367,7 +396,6 @@ class RefinementTrace:
     mu_values: list[float]
     converged: bool
     theorem_bound: int
-    contraction_hypothesis_ok: bool = True
 
     @property
     def iterations(self) -> int:
@@ -415,9 +443,10 @@ def iterative_refine(a, b, backend: SolverBackend, eps_target: float,
     and A x for the next residual, which also gives omega. Stops at
     omega <= eps_target or ``max_iter``; three consecutive residuals that
     fail to decrease (NaN included) raise ``DivergenceError`` carrying the
-    partial trace. An A that is not square, a ``b`` not of shape (n,), a non-finite entry in
-    either or an eps_target outside [MIN_EPS_TARGET, 1) raises
-    ``ValueError`` before any solve.
+    partial trace. An A that is not square, a ``b`` not of shape (n,), a
+    backend built for another size, a non-finite entry in A or b or an
+    eps_target outside [MIN_EPS_TARGET, 1) raises ``ValueError`` before any
+    solve.
 
     The loop runs on A / 2^ka and b / 2^kb, each scaled apart to peak near
     1 (``_unit_scaled``), so its squared norms neither overflow nor
@@ -432,6 +461,9 @@ def iterative_refine(a, b, backend: SolverBackend, eps_target: float,
     n = a.shape[0]
     if a.shape != (n, n) or b.shape != (n,):
         raise ValueError(f"need a square A and b of shape (n,): got A {a.shape}, b {b.shape}")
+    if backend.size != n:
+        raise ValueError(f"the backend was built for a {backend.size} x {backend.size} matrix, "
+                         f"A is {n} x {n}")
     a, ka = _unit_scaled(a)
     b, kb = _unit_scaled(b, "b")
     if not MIN_EPS_TARGET <= eps_target < 1.0:
@@ -439,8 +471,7 @@ def iterative_refine(a, b, backend: SolverBackend, eps_target: float,
             f"eps_target = {eps_target!r} must lie in [{MIN_EPS_TARGET:g}, 1): "
             "double-precision residuals leave no headroom below it"
         )
-    hypothesis_ok = backend.eps_l * backend.kappa < 1.0
-    if not hypothesis_ok:
+    if not backend.eps_l * backend.kappa < 1.0:
         warnings.warn(
             f"eps_l * kappa = {backend.eps_l * backend.kappa:.3g} >= 1: convergence "
             "is not guaranteed; proceeding",
@@ -460,7 +491,6 @@ def iterative_refine(a, b, backend: SolverBackend, eps_target: float,
             mu_values=mus,
             converged=converged,
             theorem_bound=bound,
-            contraction_hypothesis_ok=hypothesis_ok,
         )
 
     x = np.zeros_like(b)

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from qsvt_refine.blockenc import dilation_encoding, fable_encoding
 from cheb_reference import random_odd_target, svt_reference
+from sweep_reference import stepwise_sweep
 from qsvt_refine.invpoly import ChebyshevSeries, bound_series, inverse_cheb_series
 from qsvt_refine.numerics import random_with_condition, svd
 from qsvt_refine.qsp_phases import find_phases, realized_values
@@ -274,6 +275,24 @@ def test_sweep_matches_complex_reference(n, d, kind, seed):
     columns = rng.standard_normal((dim, width)) + 1j * rng.standard_normal((dim, width))
     np.testing.assert_allclose(_sweep(enc, table, columns),
                                reference_sweep(enc, table, columns), rtol=0, atol=1e-13)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 8, 9, 40, 41])
+@pytest.mark.parametrize("n", [1, 2, 4, 8, 16])
+@pytest.mark.parametrize("kind", ["real", "complex"])
+def test_paired_sweep_changes_no_bit(d, n, kind):
+    # the (U, U^H) pairs and the trailing U step of an odd d do the
+    # one-step-at-a-time loop's arithmetic in its order, for the identity
+    # columns of build_u_phi and the ancilla-zero ones of inverse_block
+    rng = np.random.default_rng([d, n])
+    m = random_with_condition(n, 4.0, d)
+    if kind == "complex":
+        m = m + 1j * random_with_condition(n, 4.0, d + 1)
+    enc = dilation_encoding(m / np.linalg.norm(m, 2))
+    assert enc.unitary.dtype == (complex if kind == "complex" else float)
+    table = rng.uniform(-np.pi, np.pi, d)
+    for columns in (np.eye(2 * n), np.eye(2 * n, n)):
+        assert np.array_equal(_sweep(enc, table, columns), stepwise_sweep(enc, table, columns))
 
 
 @settings(max_examples=100, deadline=None)

@@ -12,6 +12,7 @@ from magnitude_reference import brent_magnitude
 
 import qsvt_refine.refine as refine_mod
 from qsvt_refine import blockenc, invpoly, numerics, qsvt_core
+from qsvt_refine.blockenc import dilation_encoding
 from qsvt_refine.numerics import random_with_condition, two_norm
 from qsvt_refine.qsp_phases import PhaseFindingError
 from qsvt_refine.refine import (
@@ -260,11 +261,12 @@ def test_refine_divergence_detection(monkeypatch):
 
 @dataclasses.dataclass(frozen=True)
 class ConstantBackend(SolverBackend):
-    """A backend whose every direction is ``value`` in each entry; it
-    records the right-hand sides it is given in ``solves``."""
+    """A backend for 4 x 4 systems whose every direction is ``value`` in
+    each entry; it records the right-hand sides it is given in ``solves``."""
 
     value: float
     solves: list
+    size = 4
 
     def direction(self, rhs_hat):
         self.solves.append(rhs_hat)
@@ -299,7 +301,7 @@ def test_refine_stagnates_outside_contraction_regime():
     backend = noisy_oracle_backend(a, 2.0, kappa=4.0, seed=1)  # eps_l*kappa > 1
     with pytest.warns(UserWarning, match="not guaranteed"):
         _, trace, _ = iterative_refine(a, b, backend, 1e-13, max_iter=15)
-    assert not trace.contraction_hypothesis_ok
+    assert trace.theorem_bound == 0  # no bound outside the contraction regime
 
 
 def test_refine_rejects_tiny_eps_target():
@@ -481,6 +483,71 @@ def test_polynomial_backends_share_one_grid_per_kappa_eps(fresh_phase_memo, monk
     assert first.degree == second.degree == qsvt.degree
     info = refine_mod._inverse_record.cache_info()
     assert info.misses == 1 and info.currsize == 1
+
+
+@pytest.mark.parametrize("factory", [spectral_oracle_backend, noisy_oracle_backend,
+                                     qsvt_backend])
+def test_every_backend_build_takes_one_svd(factory, monkeypatch):
+    # _factorize's SVD is the only one: qsvt_full builds its dilation of
+    # A^H / sigma_max from those factors, with no second SVD
+    calls = []
+
+    def counted(a, _real=numerics.svd):
+        calls.append(np.shape(a))
+        return _real(a)
+
+    for module in (numerics, refine_mod, blockenc):
+        monkeypatch.setattr(module, "svd", counted)
+    factory(random_with_condition(4, 2.0, 0), 0.1, kappa=2.0)
+    assert calls == [(4, 4)]
+
+
+def assert_adjoint_encoding_matches_dilation(a):
+    # the factor-built dilation of A^H / sigma_max against dilation_encoding's
+    # own SVD of that matrix: the diagonal blocks are the same bits and the
+    # square-root blocks square to the same matrices within 1e-13. The roots
+    # themselves differ by up to sqrt(eps) where a singular value of A^H /
+    # sigma_max is 1: sqrt(1 - s^2) has an infinite slope there, so one ulp
+    # in a re-computed s moves it by about 1.5e-8 (the factor path holds
+    # s / s[0] = 1 exactly)
+    factors = numerics.svd(a)
+    enc = refine_mod._adjoint_encoding(a, factors)
+    ref = dilation_encoding((a / factors[1][0]).conj().T).unitary
+    numerics.check_unitary(enc.unitary, 1e-11)
+    assert enc.unitary.dtype == ref.dtype == np.float64
+    n = a.shape[0]
+    for rows, cols in ((slice(None, n), slice(None, n)), (slice(n, None), slice(n, None))):
+        assert np.array_equal(enc.unitary[rows, cols], ref[rows, cols])
+    for rows, cols in ((slice(None, n), slice(n, None)), (slice(n, None), slice(None, n))):
+        mine, theirs = enc.unitary[rows, cols], ref[rows, cols]
+        np.testing.assert_allclose(mine @ mine, theirs @ theirs, rtol=0, atol=1e-13)
+        np.testing.assert_allclose(mine, theirs, rtol=0, atol=1e-7)
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.sampled_from([1, 2, 4, 8, 16]), kappa=st.floats(1.0, 1e3),
+       scale=st.floats(1e-3, 1e3), seed=st.integers(0, 2**16))
+def test_adjoint_encoding_from_factors_matches_dilation(n, kappa, scale, seed):
+    assert_adjoint_encoding_matches_dilation(scale * random_with_condition(n, kappa, seed))
+
+
+def test_adjoint_encoding_with_repeated_singular_values_at_one():
+    # sigma = 1, 1, 0.5, 0.5 between two exactly orthogonal Hadamard factors,
+    # so every entry is exact and sigma_max is 1
+    h = np.array([[1, 1, 1, 1], [1, -1, 1, -1], [1, 1, -1, -1], [1, -1, -1, 1]]) / 2.0
+    a = h @ np.diag([1.0, 1.0, 0.5, 0.5]) @ h[::-1]
+    assert_adjoint_encoding_matches_dilation(a)
+    enc = refine_mod._adjoint_encoding(a, numerics.svd(a))
+    np.testing.assert_allclose(enc.block(), a.T, rtol=0, atol=1e-15)
+
+
+@pytest.mark.parametrize("factory", [spectral_oracle_backend, noisy_oracle_backend,
+                                     qsvt_backend])
+def test_refine_names_a_backend_built_for_another_size(factory):
+    backend = factory(random_with_condition(4, 2.0, 0), 0.1, kappa=2.0)
+    assert backend.size == 4
+    with pytest.raises(ValueError, match="built for a 4 x 4 matrix, A is 8 x 8"):
+        iterative_refine(random_with_condition(8, 2.0, 1), unit_rhs(8, 0), backend, 1e-10)
 
 
 def test_shared_grid_values_are_read_only():
