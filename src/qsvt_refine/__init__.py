@@ -6,14 +6,7 @@ classical high-precision iterative refinement, with a benchmark CLI for
 the convergence and cost experiments.
 """
 
-from .blockenc import (
-    BlockEncoding,
-    Circuit,
-    Gate,
-    compile_circuit,
-    dilation_encoding,
-    fable_encoding,
-)
+from .blockenc import BlockEncoding, dilation_encoding
 from .invpoly import (
     BoundedSeries,
     ChebyshevSeries,

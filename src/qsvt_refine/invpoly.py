@@ -278,6 +278,7 @@ def cheb_eval(series: ChebyshevSeries, x):
 clenshaw_eval = cheb_eval
 
 
+# A view of ``bound_series`` no library code calls; kept while perfbench's tracer wraps it.
 def max_abs_on_interval(series: ChebyshevSeries) -> float:
     """Max of |P| over [-1, 1], as ``bound_series`` checks it."""
     return bound_series(series).peak
@@ -395,6 +396,7 @@ def _brent_min(f: Callable[[float], float], a: float, b: float) -> float:
                 v, fv = u, fu
 
 
+# A view of ``bound_series`` no library code calls; kept while perfbench's tracer wraps it.
 def enforce_qsvt_bounds(series: ChebyshevSeries) -> tuple[ChebyshevSeries, float]:
     """``bound_series`` as the (possibly) rescaled series and the applied
     factor, which the solver undoes classically at readout. Idempotent: a

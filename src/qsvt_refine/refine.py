@@ -259,9 +259,12 @@ def _factorize(a, eps_l: float, kappa: Optional[float], shots: Optional[int]):
     """Every factory's first step: ``(A, svd(A), kappa)`` for a nonempty
     square, numerically nonsingular A. ``kappa`` is as passed, else
     sigma_max / sigma_min rounded up to 12 significant digits, so that
-    matrices of one nominal kappa share the memo keys; either way
-    [1/kappa, 1] must cover every singular value over sigma_max, so a
-    passed kappa below that ratio (beyond ``_KAPPA_SLACK``) raises."""
+    matrices whose ratios round up alike share the memo keys; a ratio
+    just below a 12-digit value keys on that value, and one just above it
+    on the next, so matrices of one nominal kappa need not share them, and
+    a caller that knows kappa passes it. Either way [1/kappa, 1] must
+    cover every singular value over sigma_max, so a passed kappa below
+    that ratio (beyond ``_KAPPA_SLACK``) raises."""
     a = as_matrix(a)
     if a.shape[0] != a.shape[1] or a.size == 0:
         raise ValueError(f"a backend needs a nonempty square matrix, got shape {a.shape}")
@@ -444,9 +447,10 @@ def iterative_refine(a, b, backend: SolverBackend, eps_target: float,
     omega <= eps_target or ``max_iter``; three consecutive residuals that
     fail to decrease (NaN included) raise ``DivergenceError`` carrying the
     partial trace. An A that is not square, a ``b`` not of shape (n,), a
-    backend built for another size, a non-finite entry in A or b or an
-    eps_target outside [MIN_EPS_TARGET, 1) raises ``ValueError`` before any
-    solve.
+    backend built for another size, a non-finite entry in A or b, an
+    eps_target outside [MIN_EPS_TARGET, 1) or a ``max_iter`` that is not an
+    integer >= 0 (0 stops after the first solve) raises ``ValueError``
+    before any solve.
 
     The loop runs on A / 2^ka and b / 2^kb, each scaled apart to peak near
     1 (``_unit_scaled``), so its squared norms neither overflow nor
@@ -471,6 +475,8 @@ def iterative_refine(a, b, backend: SolverBackend, eps_target: float,
             f"eps_target = {eps_target!r} must lie in [{MIN_EPS_TARGET:g}, 1): "
             "double-precision residuals leave no headroom below it"
         )
+    if isinstance(max_iter, bool) or not isinstance(max_iter, numbers.Integral) or max_iter < 0:
+        raise ValueError(f"max_iter must be an integer >= 0, got {max_iter!r}")
     if not backend.eps_l * backend.kappa < 1.0:
         warnings.warn(
             f"eps_l * kappa = {backend.eps_l * backend.kappa:.3g} >= 1: convergence "

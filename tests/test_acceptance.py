@@ -12,8 +12,9 @@ import numpy as np
 import pytest
 
 from qsvt_refine.bench_cli import ExperimentConfig, main, run_complexity
-from qsvt_refine.blockenc import dilation_encoding, fable_encoding
+from qsvt_refine.blockenc import dilation_encoding
 from cheb_reference import random_odd_target, svt_reference
+from circuit_reference import fable_encoding
 from magnitude_reference import brent_magnitude
 from qsvt_refine.invpoly import cheb_eval, inverse_cheb_series
 from qsvt_refine.numerics import random_with_condition

@@ -1,5 +1,8 @@
 import json
 import math
+import os
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -80,6 +83,30 @@ def test_determinism_byte_identical(tmp_path):
     first = (tmp_path / "out.csv").read_bytes()
     assert main(["--config", str(path)]) == 0
     assert (tmp_path / "out.csv").read_bytes() == first
+
+
+def cli_csv_under_blas_threads(tmp_path, flags, threads):
+    """CSV bytes of one fresh CLI process run with ``threads`` OpenBLAS threads."""
+    out = tmp_path / f"threads-{threads}.csv"
+    env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+               PYTHONPATH=str(Path(bench_cli.__file__).resolve().parents[1]))
+    run = subprocess.run([sys.executable, "-m", "qsvt_refine.bench_cli", "--experiment",
+                          *flags.split(), "--out", str(out)],
+                         cwd=tmp_path, env=env, capture_output=True, text=True)
+    assert run.returncode == 0, run.stderr
+    return out.read_bytes()
+
+
+@pytest.mark.parametrize("flags", [
+    "convergence",
+    "convergence --backend noisy_oracle",
+    pytest.param("convergence --backend qsvt_full --seeds 0,1", marks=pytest.mark.xfail(
+        strict=False, reason="ROADMAP item 2: find_phases' dense LAPACK solve rounds its "
+                             "Newton step differently with 1 and 2 BLAS threads")),
+])
+def test_cli_csv_does_not_depend_on_the_blas_thread_count(tmp_path, flags):
+    one, two = (cli_csv_under_blas_threads(tmp_path, flags, threads) for threads in ("1", "2"))
+    assert one == two
 
 
 def outputs_after_clearing_the_memos(backend, kappa, rate, seed):

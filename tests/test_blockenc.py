@@ -6,14 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qsvt_refine.blockenc import (
-    BlockEncoding,
-    Circuit,
-    Gate,
-    compile_circuit,
-    dilation_encoding,
-    fable_encoding,
-)
+from qsvt_refine.blockenc import BlockEncoding, dilation_encoding
+from circuit_reference import Circuit, Gate, compile_circuit, fable_encoding
 from qsvt_refine.numerics import random_with_condition
 
 

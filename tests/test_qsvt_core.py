@@ -5,8 +5,9 @@ import qsvt_refine.qsvt_core as qsvt_core
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from qsvt_refine.blockenc import dilation_encoding, fable_encoding
+from qsvt_refine.blockenc import dilation_encoding
 from cheb_reference import random_odd_target, svt_reference
+from circuit_reference import fable_encoding
 from sweep_reference import stepwise_sweep
 from qsvt_refine.invpoly import ChebyshevSeries, bound_series, inverse_cheb_series
 from qsvt_refine.numerics import random_with_condition, svd

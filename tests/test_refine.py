@@ -319,6 +319,26 @@ def test_refine_rejects_eps_target_outside_unit_range(eps_target):
         iterative_refine(a, np.ones(2), backend, eps_target)
 
 
+@pytest.mark.parametrize("max_iter", [-1, 2.5, True, math.nan])
+def test_refine_rejects_a_max_iter_that_is_not_an_integer_at_least_zero(max_iter):
+    # -1 used to run one solve, and NaN removed the cap
+    backend = ConstantBackend(eps_l=0.1, kappa=2.0, degree=1, shots=None, rng=None,
+                              value=0.5, solves=[])
+    with pytest.raises(ValueError, match="max_iter must be an integer >= 0"):
+        iterative_refine(random_with_condition(4, 2.0, 0), unit_rhs(4, 0), backend, 1e-12,
+                         max_iter=max_iter)
+    assert backend.solves == []
+
+
+@pytest.mark.parametrize("max_iter", [0, np.int64(1)])
+def test_refine_caps_the_refinement_steps_at_max_iter(max_iter):
+    # 0 stops after the first solve
+    a = random_with_condition(4, 2.0, 0)
+    _, trace, _ = iterative_refine(a, unit_rhs(4, 0), spectral_oracle_backend(a, 0.1), 1e-13,
+                                   max_iter=max_iter)
+    assert len(trace.scaled_residuals) == max_iter + 1 and not trace.converged
+
+
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
 def test_refine_rejects_non_finite_b(bad):
     a = random_with_condition(4, 3.0, 0)
