@@ -1,13 +1,13 @@
 """Block-encodings of arbitrary matrices.
 
 A ``BlockEncoding`` is a unitary whose top-left (all ancillas |0>) block
-equals ``A / alpha``; the QSVT sweep takes any such encoding. The package
-builds one: the exact one-ancilla unitary dilation, alpha = 1. It is
-assembled in one step, ``dilation_from_svd``, from a matrix and an SVD of
-it: ``dilation_encoding`` takes that SVD itself, and a caller that already
-holds one (the ``qsvt_full`` factory) passes it in, so no matrix is
-factored twice. A real matrix gets a real (float64) dilation, so the
-sequence sweep then runs in real arithmetic.
+equals ``A / alpha``; the QSVT sequence applies to any such encoding. The
+package builds one: the exact one-ancilla unitary dilation, alpha = 1,
+from the matrix's own SVD (``dilation_encoding``). A real matrix gets a
+real (float64) dilation. The ``qsvt_full`` backend forms no dilation: its
+sequence acts on each singular pair of this one as a 2x2 product
+(``qsvt_core``), and the dense sweep of the encoding that it reproduces
+is a test reference.
 
 Qubit convention: qubit 0 is the most significant tensor factor, ancilla
 qubits come first, so basis index = ancilla_bits * 2^n + data_bits and
@@ -25,7 +25,6 @@ from .numerics import as_matrix, check_unitary, svd
 __all__ = [
     "BlockEncoding",
     "dilation_encoding",
-    "dilation_from_svd",
 ]
 
 
@@ -78,29 +77,20 @@ def _require_power_of_two(n: int, what: str) -> int:
 
 
 def dilation_encoding(a) -> BlockEncoding:
-    """Exact one-ancilla dilation of a square matrix with norm <= 1, from
-    its own SVD (``dilation_from_svd``). A real matrix gets a real
-    (float64) dilation, a complex one a complex dilation; alpha = 1.
-    Callers holding a matrix with norm > 1 pre-scale it.
-    """
-    a = as_matrix(a)
-    return dilation_from_svd(a, svd(a))
-
-
-def dilation_from_svd(a, factors) -> BlockEncoding:
-    """The dilation of ``dilation_encoding`` built from ``factors``, an SVD
-    ``(u, s, vh)`` of ``a`` that the caller already holds.
+    """Exact one-ancilla dilation of a square matrix with norm <= 1. A real
+    matrix gets a real (float64) dilation, a complex one a complex
+    dilation; alpha = 1. Callers holding a matrix with norm > 1 pre-scale it.
 
     U = [[A, sqrt(I - A A^H)], [sqrt(I - A^H A), -A^H]], with the matrix
-    square roots taken through the factors and 1 - sigma^2 clamped at zero
-    when it dips within 1e-14 below; the four blocks are written into one
-    2N x 2N array.
+    square roots taken through the SVD of A and 1 - sigma^2 clamped at
+    zero when it dips within 1e-14 below; the four blocks are written into
+    one 2N x 2N array.
     """
     a = as_matrix(a).astype(complex if np.iscomplexobj(a) else float)
     if a.shape[0] != a.shape[1]:
         raise ValueError("dilation_encoding requires a square matrix")
     n_qubits = _require_power_of_two(a.shape[0], "matrix dimension")
-    u, s, vh = factors
+    u, s, vh = svd(a)
     if s[0] > 1.0 + 1e-9:
         raise ValueError(f"pre-scale required: spectral norm {s[0]} exceeds 1")
     gap = 1.0 - s**2

@@ -7,8 +7,11 @@ convention, ``wx-re00``: the 2x2 signal sequence is
     W(x) = [[x, i sqrt(1-x^2)], [i sqrt(1-x^2), x]],
 
 with the real part of M(x)[0, 0] carrying the target polynomial. The
-full-space operators of qsvt_core reduce to exactly this product on each
-singular-value subspace, so a table found here drives them as it is.
+sequence of qsvt_core reduces to exactly this product on each singular
+pair of its encoding, so a table found here drives it as it is, and
+``signal_row``, the first row of M(x) at an array of points, is what
+qsvt_core evaluates at the singular values and ``verify_phases`` on its
+check grid.
 
 ``find_phases`` runs Newton's method on the symmetric phases (Dong, Lin,
 Ni & Wang, arXiv:2307.12468; start of Dong, Meng, Whaley & Lin,
@@ -24,6 +27,7 @@ from .invpoly import BoundedSeries
 __all__ = [
     "MAX_DEGREE",
     "PhaseFindingError",
+    "signal_row",
     "realized_values",
     "find_phases",
     "verify_phases",
@@ -113,10 +117,40 @@ class _SignalRows:
         return mul(1j, grad, out=grad)
 
 
+def signal_row(phases: np.ndarray, xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The first row (p, q) of M(x) for the phase table ``phases`` at an
+    array of points ``xs`` in [-1, 1]: p = M(x)[0,0], q = M(x)[0,1].
+
+    Each factor e^{i phi Z} W(x) is the SU(2) element [[a, b], [-b*, a*]]
+    with a = e^{i phi} x, b = i e^{i phi} s, s = sqrt(1-x^2), and so is a
+    product of two, with first row (a1 a2 - b1 b2*, a1 b2 + b1 a2*). The
+    factors (f, g) of each neighbouring pair multiply to the first row
+    (e^{i(f+g)} x^2 - e^{i(f-g)} s^2, (e^{i(f+g)} + e^{i(f-g)}) i x s),
+    and a last unpaired factor joins as it is; then the rows are
+    multiplied pairwise, neighbours in order, a round's odd one out
+    carried to the next: ceil(log2 d) rounds of whole-array products in
+    all, with no loop over d.
+    """
+    phases = np.asarray(phases, dtype=float)
+    xs = np.asarray(xs, dtype=float)
+    s2 = np.maximum(0.0, 1.0 - xs * xs)
+    ixs = 1j * xs * np.sqrt(s2)
+    f, g = phases[:-1:2, None], phases[1::2, None]
+    plus, minus = np.exp(1j * (f + g)), np.exp(1j * (f - g))
+    a, b = plus * (xs * xs) - minus * s2, (plus + minus) * ixs
+    if phases.size % 2:
+        e = np.exp(1j * phases[-1])
+        a, b = np.vstack((a, e * xs)), np.vstack((b, 1j * e * np.sqrt(s2)))
+    while len(a) > 1:
+        pa, pb, qa, qb = a[:-1:2], b[:-1:2], a[1::2], b[1::2]
+        ra, rb = pa * qa - pb * np.conj(qb), pa * qb + pb * np.conj(qa)
+        a, b = (ra, rb) if len(a) % 2 == 0 else (np.vstack((ra, a[-1])), np.vstack((rb, b[-1])))
+    return a[0], b[0]
+
+
 def realized_values(phases: np.ndarray, xs: np.ndarray) -> np.ndarray:
     """Re M(x)[0,0] of the phase table ``phases`` on an array of points."""
-    phases = np.asarray(phases, dtype=float)
-    return _SignalRows(np.asarray(xs, dtype=float), phases.size)(phases).real.copy()
+    return signal_row(phases, xs)[0].real
 
 
 def find_phases(target: BoundedSeries) -> np.ndarray:

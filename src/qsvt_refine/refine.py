@@ -6,14 +6,15 @@ subtype bound to one matrix, whose one method ``direction(rhs_hat)``
 maps a unit right-hand side to a unit direction with relative error at
 most eps_l; the loop needs nothing else from it:
 
-* ``QsvtBackend`` (``qsvt_full``) -- dilation encoding + phase sequence,
-  the honest simulated pipeline; real inputs only (the real part of one
-  sweep is the +-Phi average only for a real encoding and b). The
-  factory builds the dilation of A^H / sigma_max from the SVD of A that
-  ``_factorize`` took, so a build takes one SVD, and sweeps the N
-  ancilla-zero columns once; each inner solve is
-  one product with their kept real N x N ``block``, a saving of simulator
-  time only (the model still charges ``degree`` calls per inner solve);
+* ``QsvtBackend`` (``qsvt_full``) -- the phase sequence on the dilation
+  encoding of A^H / sigma_max, the honest simulated pipeline; real inputs
+  only (the real part of one sequence is the +-Phi average only for a
+  real encoding and b). The sequence acts on each singular pair of that
+  dilation as the 2x2 signal product, so the factory applies it to the
+  SVD of A that ``_factorize`` took (``inverse_block``): one SVD and no
+  2N x 2N matrix per build. Each inner solve is one product with the kept
+  real N x N ``block``, a saving of simulator time only (the model still
+  charges ``degree`` calls per inner solve);
 * ``SpectralOracleBackend`` (``spectral_oracle``) -- the same inverse
   polynomial P applied through the SVD (ground truth for the circuit
   path), kept as the one N x N ``operator`` V P(S / sigma_max) U^H;
@@ -53,7 +54,6 @@ from typing import Optional
 
 import numpy as np
 
-from .blockenc import BlockEncoding, dilation_from_svd
 from .invpoly import BoundedSeries, bound_series, degree_params, inverse_cheb_series
 from .numerics import as_matrix, singular_value_ratio, svd, two_norm
 from .qsp_phases import find_phases
@@ -190,7 +190,7 @@ class NoisyOracleBackend(SolverBackend):
 
 @dataclass(frozen=True)
 class QsvtBackend(SolverBackend):
-    """The phase sequence simulated on a dilation of A^H / ||A||, kept as
+    """The phase sequence simulated on the dilation of A^H / ||A||, kept as
     the read-only real block of ``inverse_block``; real inputs only."""
 
     block: np.ndarray
@@ -334,26 +334,22 @@ def noisy_oracle_backend(a, eps_l: float, kappa: Optional[float] = None,
 
 def qsvt_backend(a, eps_l: float, kappa: Optional[float] = None, seed: int = 0,
                  shots: Optional[int] = None) -> QsvtBackend:
-    """Full simulated pipeline: scale to unit norm, dilation-encode A^H,
-    take the memoized phases of the bounded inverse series and sweep the
-    encoding's ancilla-zero columns once. Real matrices only."""
+    """Full simulated pipeline: take the memoized phases of the bounded
+    inverse series and apply their sequence on the dilation of
+    A^H / sigma_max once, through the singular pairs of A. Real matrices
+    of a power-of-two size (a qubit register) only."""
     a, factors, kappa = _factorize(a, eps_l, kappa, shots)
     if np.any(np.imag(a)):
         raise ValueError("qsvt_full is real-only: the matrix has a nonzero imaginary part")
+    n = a.shape[0]
+    if n & (n - 1):
+        raise ValueError(f"matrix dimension must be a power of two, got {n}")
     phases = _inverse_phases(kappa, eps_l / kappa)  # one per degree of the series
     return QsvtBackend(
         eps_l=eps_l, kappa=kappa, degree=phases.size, shots=shots,
         rng=None if shots is None else np.random.default_rng([seed, 0x95F7]),
-        block=inverse_block(_adjoint_encoding(a, factors), phases),
+        block=inverse_block(factors, phases),
     )
-
-
-def _adjoint_encoding(a: np.ndarray, factors) -> BlockEncoding:
-    """The dilation of A^H / sigma_max from the SVD ``(u, s, vh)`` of A:
-    A^H / sigma_max = V (S / sigma_max) U^H, so its SVD is A's reordered,
-    and no second SVD is taken."""
-    u, s, vh = factors
-    return dilation_from_svd((a / float(s[0])).conj().T, (vh.conj().T, s / s[0], u.conj().T))
 
 
 def solve_once(backend: SolverBackend, rhs) -> tuple[np.ndarray, np.ndarray]:

@@ -16,10 +16,10 @@ from qsvt_refine.blockenc import dilation_encoding
 from cheb_reference import random_odd_target, svt_reference
 from circuit_reference import fable_encoding
 from magnitude_reference import brent_magnitude
+from sweep_reference import build_u_phi
 from qsvt_refine.invpoly import cheb_eval, inverse_cheb_series
 from qsvt_refine.numerics import random_with_condition
 from qsvt_refine.qsp_phases import find_phases
-from qsvt_refine.qsvt_core import build_u_phi
 from qsvt_refine.refine import (
     contraction_check,
     denormalize,

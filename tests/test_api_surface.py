@@ -31,10 +31,26 @@ def traced_layers():
     return tracer.LAYERS
 
 
-@pytest.mark.parametrize("module, function", traced_layers())
+# layers the tracer names whose function left the library on purpose; the
+# tracer reports a layer it cannot find as 0 calls. The dense sweep that
+# build_u_phi ran is the test reference tests/sweep_reference.py.
+RETIRED_LAYERS = {("qsvt_core", "build_u_phi")}
+
+
+@pytest.mark.parametrize("module, function",
+                         [layer for layer in traced_layers() if layer not in RETIRED_LAYERS])
 def test_every_traced_layer_is_a_library_callable(module, function):
     home = importlib.import_module(f"qsvt_refine.{module}")
     assert callable(getattr(home, function, None)), f"{module}.{function}"
+
+
+@pytest.mark.parametrize("module, function", sorted(RETIRED_LAYERS))
+def test_a_retired_traced_layer_is_gone_from_the_library(module, function):
+    # the exemption above lapses when the tracer stops naming the layer or
+    # the library brings the function back
+    assert (module, function) in traced_layers()
+    home = importlib.import_module(f"qsvt_refine.{module}")
+    assert not hasattr(home, function)
 
 
 @pytest.mark.parametrize("module", MODULES)
@@ -71,15 +87,16 @@ def test_every_name_imported_across_modules_is_declared(module):
 
 
 # the in-package modules each module may import from: the circuit layer
-# (qsvt_core) sees the encoding and the numerics, not the series or the
-# phase finder that make its phase table
+# (qsvt_core) sees the numerics and the signal product of qsp_phases, which
+# it evaluates on the singular values, not the series that makes its phase
+# table; no solver layer builds a block-encoding
 ALLOWED_IMPORTS = {
     "numerics": set(),
     "invpoly": set(),
     "blockenc": {"numerics"},
     "qsp_phases": {"invpoly"},
-    "qsvt_core": {"blockenc", "numerics"},
-    "refine": {"blockenc", "invpoly", "numerics", "qsp_phases", "qsvt_core"},
+    "qsvt_core": {"numerics", "qsp_phases"},
+    "refine": {"invpoly", "numerics", "qsp_phases", "qsvt_core"},
     "bench_cli": {"numerics", "qsp_phases", "qsvt_core", "refine"},
 }
 

@@ -22,6 +22,7 @@ from qsvt_refine.qsp_phases import (
     _SignalRows,
     find_phases,
     realized_values,
+    signal_row,
     verify_phases,
 )
 
@@ -231,6 +232,24 @@ def test_signal_rows_match_plain_recurrence_bitwise(d):
         assert np.array_equal(m00, ref_m00)
         if need_grad:
             assert np.array_equal(rows.gradient(), ref_grad)
+
+
+@settings(max_examples=60, deadline=None)
+@given(d=st.integers(1, 401), nx=st.integers(1, 64), seed=st.integers(0, 2**16))
+def test_signal_row_matches_the_signal_rows_forward_pass(d, nx, seed):
+    # the pairwise product tree against the left-to-right recurrence Newton
+    # uses: the whole first row, its real part as realized_values, and a
+    # unit row at every point, the end points included
+    rng = np.random.default_rng(seed)
+    phases = rng.uniform(-np.pi, np.pi, d)
+    xs = np.concatenate((rng.uniform(-1.0, 1.0, nx), [-1.0, 0.0, 1.0]))
+    rows = _SignalRows(xs, d)
+    rows(phases)
+    p, q = signal_row(phases, xs)
+    np.testing.assert_allclose(p, rows.f0[-1], rtol=0, atol=1e-13)
+    np.testing.assert_allclose(q, rows.f1[-1], rtol=0, atol=1e-13)
+    np.testing.assert_allclose(realized_values(phases, xs), rows.f0[-1].real, rtol=0, atol=1e-13)
+    assert np.max(np.abs(np.abs(p) ** 2 + np.abs(q) ** 2 - 1.0)) <= 1e-13
 
 
 def test_signal_rows_reuse_their_arrays():

@@ -1,24 +1,24 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 import qsvt_refine.qsvt_core as qsvt_core
+import sweep_reference
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from qsvt_refine.blockenc import dilation_encoding
 from cheb_reference import random_odd_target, svt_reference
 from circuit_reference import fable_encoding
-from sweep_reference import stepwise_sweep
+from sweep_reference import build_u_phi, stepwise_sweep, sweep, swept_block
 from qsvt_refine.invpoly import ChebyshevSeries, bound_series, inverse_cheb_series
 from qsvt_refine.numerics import random_with_condition, svd
 from qsvt_refine.qsp_phases import find_phases, realized_values
-from qsvt_refine.qsvt_core import (
-    PostSelectionError,
-    _sweep,
-    apply_inverse_state,
-    build_u_phi,
-    inverse_block,
-)
+from qsvt_refine.qsvt_core import PostSelectionError, apply_inverse_state, inverse_block
 
 T1 = ChebyshevSeries(np.array([0.0, 1.0]))
 
@@ -40,11 +40,11 @@ def test_u_phi_is_unitary():
 
 
 def test_an_empty_phase_table_is_rejected():
-    enc = dilation_encoding(random_with_condition(2, 2.0, 3))
+    a = random_with_condition(2, 2.0, 3)
     with pytest.raises(ValueError, match="nonempty"):
-        build_u_phi(enc, np.zeros(0))
+        build_u_phi(dilation_encoding(a), np.zeros(0))
     with pytest.raises(ValueError, match="odd phase count, got 0"):
-        inverse_block(enc, np.zeros(0))
+        inverse_block(svd(a), np.zeros(0))
 
 
 def test_block_norm_bounded():
@@ -120,11 +120,10 @@ def test_extract_block_inverse_polynomial_on_diagonal():
 
 def test_apply_inverse_identity_system():
     phases = find_phases(bound_series(inverse_cheb_series(1.0, 0.1)))
-    enc = dilation_encoding(np.eye(2))
     rng = np.random.default_rng(0)
     b = rng.standard_normal(2)
     b = b / np.linalg.norm(b)
-    out, prob = apply_inverse_state(inverse_block(enc, phases), b)
+    out, prob = apply_inverse_state(inverse_block(svd(np.eye(2)), phases), b)
     overlap = abs(np.vdot(out, b))
     assert overlap == pytest.approx(1.0, abs=1e-8)
     assert 0.0 < prob <= 1.0
@@ -133,8 +132,7 @@ def test_apply_inverse_identity_system():
 def test_apply_inverse_preserves_eigenvector():
     a = np.diag([1.0, 0.5])
     phases = find_phases(bound_series(inverse_cheb_series(2.0, 0.05)))
-    enc = dilation_encoding(a.conj().T)
-    out, _ = apply_inverse_state(inverse_block(enc, phases), np.array([0.0, 1.0]))
+    out, _ = apply_inverse_state(inverse_block(svd(a), phases), np.array([0.0, 1.0]))
     assert abs(out[1]) == pytest.approx(1.0, abs=1e-9)
 
 
@@ -142,11 +140,10 @@ def test_apply_inverse_solves_to_polynomial_accuracy():
     kappa, eps = 4.0, 0.05
     a = random_with_condition(4, kappa, 21)
     phases = find_phases(bound_series(inverse_cheb_series(kappa, eps)))
-    enc = dilation_encoding(a.conj().T)
     rng = np.random.default_rng(1)
     b = rng.standard_normal(4)
     b /= np.linalg.norm(b)
-    out, prob = apply_inverse_state(inverse_block(enc, phases), b)
+    out, prob = apply_inverse_state(inverse_block(svd(a), phases), b)
     # multiplying back by A must recover the rhs direction
     recovered = a @ out
     recovered /= np.linalg.norm(recovered)
@@ -157,16 +154,15 @@ def test_apply_inverse_solves_to_polynomial_accuracy():
 
 def test_apply_inverse_post_selection_failure():
     # phase pi/2 realizes the zero polynomial; the kept component vanishes
-    enc = dilation_encoding(0.5 * np.eye(2))
     phases = np.array([np.pi / 2])
     with pytest.raises(PostSelectionError):
-        apply_inverse_state(inverse_block(enc, phases), np.array([1.0, 0.0]))
+        apply_inverse_state(inverse_block(svd(0.5 * np.eye(2)), phases), np.array([1.0, 0.0]))
 
 
 def test_apply_inverse_input_validation():
-    enc = dilation_encoding(0.5 * np.eye(2))
+    factors = svd(0.5 * np.eye(2))
     phases = find_phases(bound_series(inverse_cheb_series(2.0, 0.1)))
-    block = inverse_block(enc, phases)
+    block = inverse_block(factors, phases)
     e0 = np.array([1.0, 0.0])
     with pytest.raises(ValueError, match="not normalized"):
         apply_inverse_state(block, np.array([1.0, 1.0]))
@@ -176,7 +172,7 @@ def test_apply_inverse_input_validation():
         with pytest.raises(ValueError, match="shape"):
             apply_inverse_state(block, wrong)
     with pytest.raises(ValueError, match="odd"):
-        inverse_block(enc, np.zeros(2))
+        inverse_block(factors, np.zeros(2))
 
 
 @pytest.mark.parametrize("seed", range(4))
@@ -185,7 +181,7 @@ def test_apply_inverse_state_reads_a_real_valued_complex_b_as_its_real_part(seed
     # a nonzero imaginary part is still rejected
     a = random_with_condition(8, 2.0, seed)
     phases = find_phases(bound_series(inverse_cheb_series(2.0, 0.05)))
-    block = inverse_block(dilation_encoding(a.T), phases)
+    block = inverse_block(svd(a), phases)
     b = np.random.default_rng(seed).standard_normal(8)
     b /= np.linalg.norm(b)
     x, prob = apply_inverse_state(block, b)
@@ -218,7 +214,8 @@ def test_ordering_regression_odd_and_even():
        kappa=st.floats(1.0, 20.0), seed=st.integers(0, 2**16))
 def test_apply_inverse_state_matches_svd_transform(n, d, kappa, seed):
     # the swept state equals the singular value transform of the realized
-    # signal polynomial, for random phases and sizes
+    # signal polynomial, for random phases and sizes: the block formed from
+    # the singular pairs of m^T, and the dense sweep of the dilation of m
     rng = np.random.default_rng(seed)
     m = random_with_condition(n, kappa, seed)
     m /= np.linalg.norm(m, 2)
@@ -229,9 +226,10 @@ def test_apply_inverse_state_matches_svd_transform(n, d, kappa, seed):
     tb = (u * realized_values(phases, s)) @ vh @ b
     weight = float(np.linalg.norm(tb)) ** 2
     assume(weight >= 1e-6)
-    out, prob = apply_inverse_state(inverse_block(dilation_encoding(m), phases), b)
-    np.testing.assert_allclose(out, tb / np.sqrt(weight), rtol=0, atol=1e-9)
-    assert prob == pytest.approx(weight, rel=0, abs=1e-12)
+    for block in (inverse_block(svd(m.T), phases), swept_block(dilation_encoding(m), phases)):
+        out, prob = apply_inverse_state(block, b)
+        np.testing.assert_allclose(out, tb / np.sqrt(weight), rtol=0, atol=1e-9)
+        assert prob == pytest.approx(weight, rel=0, abs=1e-12)
 
 
 def reference_sweep(encoding, phases, columns):
@@ -274,7 +272,7 @@ def test_sweep_matches_complex_reference(n, d, kind, seed):
     table = rng.uniform(-np.pi, np.pi, d)
     width = int(rng.integers(1, 4))
     columns = rng.standard_normal((dim, width)) + 1j * rng.standard_normal((dim, width))
-    np.testing.assert_allclose(_sweep(enc, table, columns),
+    np.testing.assert_allclose(sweep(enc, table, columns),
                                reference_sweep(enc, table, columns), rtol=0, atol=1e-13)
 
 
@@ -284,7 +282,7 @@ def test_sweep_matches_complex_reference(n, d, kind, seed):
 def test_paired_sweep_changes_no_bit(d, n, kind):
     # the (U, U^H) pairs and the trailing U step of an odd d do the
     # one-step-at-a-time loop's arithmetic in its order, for the identity
-    # columns of build_u_phi and the ancilla-zero ones of inverse_block
+    # columns of build_u_phi and the ancilla-zero ones of swept_block
     rng = np.random.default_rng([d, n])
     m = random_with_condition(n, 4.0, d)
     if kind == "complex":
@@ -293,7 +291,7 @@ def test_paired_sweep_changes_no_bit(d, n, kind):
     assert enc.unitary.dtype == (complex if kind == "complex" else float)
     table = rng.uniform(-np.pi, np.pi, d)
     for columns in (np.eye(2 * n), np.eye(2 * n, n)):
-        assert np.array_equal(_sweep(enc, table, columns), stepwise_sweep(enc, table, columns))
+        assert np.array_equal(sweep(enc, table, columns), stepwise_sweep(enc, table, columns))
 
 
 @settings(max_examples=100, deadline=None)
@@ -302,7 +300,8 @@ def test_paired_sweep_changes_no_bit(d, n, kind):
 def test_apply_inverse_state_is_the_plus_minus_phi_average(n, d, kind, seed):
     # the real-part construction by its definition: the +Phi and -Phi
     # sequences swept in complex arithmetic and averaged, and the real data
-    # block of U_Phi applied to b; one product with the swept block must
+    # block of U_Phi applied to b; one product with the block (of the
+    # singular pairs for the dilation, of the dense sweep for FABLE) must
     # give the same direction and success probability
     rng = np.random.default_rng(seed)
     m = random_with_condition(n, 4.0, seed)
@@ -319,7 +318,8 @@ def test_apply_inverse_state_is_the_plus_minus_phi_average(n, d, kind, seed):
                      + reference_sweep(enc, -phases, column))[:n, 0]
     weight = float(np.linalg.norm(average))
     assume(weight >= 1e-2)
-    block = inverse_block(enc, phases)
+    block = (swept_block(enc, phases) if kind == "fable"
+             else inverse_block(svd(m.T), phases))
     out, prob = apply_inverse_state(block, b)
     assert out.dtype == np.float64
     data_block_b = build_u_phi(enc, phases)[:n, :n].real @ b
@@ -327,31 +327,119 @@ def test_apply_inverse_state_is_the_plus_minus_phi_average(n, d, kind, seed):
         np.testing.assert_allclose(out, want / np.linalg.norm(want), rtol=0, atol=1e-13)
     assert prob == pytest.approx(weight**2, rel=0, abs=1e-12)
 
-    # the real-only boundary: a complex b when the solve runs, a complex
-    # encoding when the block is built
+    # the real-only boundary: a complex b when the solve runs, complex
+    # factors when the block is built
     with pytest.raises(ValueError, match="qsvt_full is real-only"):
         apply_inverse_state(block, b * np.exp(0.5j))
     z = m + 1j * random_with_condition(n, 4.0, seed + 1)
     with pytest.raises(ValueError, match="qsvt_full is real-only"):
-        inverse_block(dilation_encoding(z / np.linalg.norm(z, 2)), phases)
-    # swept columns that are not orthonormal are caught when the block is built
-    real_sweep = qsvt_core._sweep
+        inverse_block(svd(z), phases)
+    with pytest.raises(ValueError, match="qsvt_full is real-only"):
+        swept_block(dilation_encoding(z / np.linalg.norm(z, 2)), phases)
+    # swept columns that are not orthonormal are caught when the block is
+    # built: a pair product scaled by 1 + 1e-6, and a dense sweep scaled so
+    real_row = qsvt_core.signal_row
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(qsvt_core, "_sweep", lambda *args: (1.0 + 1e-6) * real_sweep(*args))
+        patch.setattr(qsvt_core, "signal_row",
+                      lambda *args: tuple((1.0 + 1e-6) * v for v in real_row(*args)))
         with pytest.raises(ValueError, match="columns are not orthonormal"):
-            inverse_block(enc, phases)
+            inverse_block(svd(m.T), phases)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(sweep_reference, "sweep", lambda *args: (1.0 + 1e-6) * sweep(*args))
+        with pytest.raises(ValueError, match="columns are not orthonormal"):
+            swept_block(enc, phases)
 
 
 def test_apply_inverse_rejects_a_complex_encoding():
     a = random_with_condition(2, 2.0, 3)
-    enc = dilation_encoding((a + 0.5j * a) / np.linalg.norm(a + 0.5j * a, 2))
     with pytest.raises(ValueError, match="real-only"):
-        inverse_block(enc, np.zeros(3))
+        inverse_block(svd(a + 0.5j * a), np.zeros(3))
 
 
 def test_inverse_block_is_read_only():
     a = random_with_condition(4, 2.0, 5)
-    block = inverse_block(dilation_encoding(a / 2.0), np.linspace(-1.0, 1.0, 7))
+    block = inverse_block(svd(a / 2.0), np.linspace(-1.0, 1.0, 7))
     assert block.shape == (4, 4) and block.dtype == np.float64
     with pytest.raises(ValueError, match="read-only"):
         block[0, 0] = 0.0
+
+
+# memoized inverse phases at the benchmark's keys (kappa = 10, eps' = 1e-3
+# and 1e-4, d = 239 and 287) and one more of another degree
+MEMO_KEYS = [(10.0, 1e-3), (10.0, 1e-4), (4.0, 1e-3)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.sampled_from([1, 2, 4, 8, 16, 32]), kappa=st.floats(1.0, 1e3),
+       scale=st.floats(1e-3, 1e3), seed=st.integers(0, 2**16),
+       table=st.one_of(st.integers(0, 200).map(lambda k: 2 * k + 1),
+                       st.sampled_from(MEMO_KEYS)))
+def test_inverse_block_matches_the_dense_sweep(n, kappa, scale, seed, table):
+    # the singular-pair block of A against the real kept block of the dense
+    # sweep of the dilation of A^H / sigma_max, which takes its own SVD of
+    # that matrix: random phases of odd count up to 401, or memoized phases
+    from qsvt_refine.refine import _inverse_phases
+
+    a = scale * random_with_condition(n, kappa, seed)
+    if isinstance(table, int):
+        phases = np.random.default_rng(seed).uniform(-np.pi, np.pi, table)
+    else:
+        phases = _inverse_phases(table[0], table[1])
+    factors = svd(a)
+    want = swept_block(dilation_encoding((a / factors[1][0]).T), phases)
+    np.testing.assert_allclose(inverse_block(factors, phases), want, rtol=0, atol=1e-12)
+
+
+def test_inverse_block_with_repeated_singular_values_at_one():
+    # sigma = 1, 1, 0.5, 0.5 between two exactly orthogonal Hadamard factors,
+    # so every entry is exact and sigma_max is 1; the one phase 0 realizes
+    # p(x) = x, so the block is A^T itself
+    h = np.array([[1, 1, 1, 1], [1, -1, 1, -1], [1, 1, -1, -1], [1, -1, -1, 1]]) / 2.0
+    a = h @ np.diag([1.0, 1.0, 0.5, 0.5]) @ h[::-1]
+    phases = np.random.default_rng(0).uniform(-np.pi, np.pi, 41)
+    np.testing.assert_allclose(inverse_block(svd(a), phases),
+                               swept_block(dilation_encoding(a.T), phases), rtol=0, atol=1e-13)
+    np.testing.assert_allclose(inverse_block(svd(a), np.zeros(1)), a.T, rtol=0, atol=1e-15)
+
+
+def test_inverse_block_checks_its_factors_and_phases():
+    a = random_with_condition(8, 4.0, 0)
+    u, s, vh = svd(a)
+    phases = np.random.default_rng(0).uniform(-np.pi, np.pi, 9)
+    inverse_block((u, s, vh), phases)
+    for bad in ((u * (1.0 + 1e-6), s, vh), (u, s, vh * (1.0 + 1e-6))):
+        with pytest.raises(ValueError, match="not unitary"):
+            inverse_block(bad, phases)
+    with pytest.raises(ValueError, match="odd phase count, got 8"):
+        inverse_block((u, s, vh), phases[:-1])
+    for bad in ((u * 1j, s, vh), (u, s, vh * np.exp(0.1j))):
+        with pytest.raises(ValueError, match="qsvt_full is real-only: the factors are complex"):
+            inverse_block(bad, phases)
+    # a complex dtype with a zero imaginary part is a real factor
+    assert np.array_equal(inverse_block((u + 0j, s, vh + 0j), phases),
+                          inverse_block((u, s, vh), phases))
+
+
+def test_inverse_block_does_not_depend_on_the_blas_thread_count():
+    # the block of one fixed phase table, SVD included, gives the same
+    # bytes under one and two OpenBLAS threads
+    script = """
+import hashlib
+import numpy as np
+from qsvt_refine.numerics import random_with_condition, svd
+from qsvt_refine.qsvt_core import inverse_block
+phases = np.random.default_rng(0).uniform(-np.pi, np.pi, 239)
+for n in (16, 32, 64):
+    block = inverse_block(svd(random_with_condition(n, 10.0, n)), phases)
+    print(n, hashlib.sha1(block.tobytes()).hexdigest())
+"""
+    src = str(Path(qsvt_core.__file__).resolve().parents[1])
+    digests = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=src)
+        run = subprocess.run([sys.executable, "-c", script], env=env,
+                             capture_output=True, text=True)
+        assert run.returncode == 0, run.stderr
+        digests.append(run.stdout)
+    assert digests[0] == digests[1]
+    assert len(digests[0].split()) == 6

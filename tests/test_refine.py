@@ -12,7 +12,6 @@ from magnitude_reference import brent_magnitude
 
 import qsvt_refine.refine as refine_mod
 from qsvt_refine import blockenc, invpoly, numerics, qsvt_core
-from qsvt_refine.blockenc import dilation_encoding
 from qsvt_refine.numerics import random_with_condition, two_norm
 from qsvt_refine.qsp_phases import PhaseFindingError
 from qsvt_refine.refine import (
@@ -508,8 +507,8 @@ def test_polynomial_backends_share_one_grid_per_kappa_eps(fresh_phase_memo, monk
 @pytest.mark.parametrize("factory", [spectral_oracle_backend, noisy_oracle_backend,
                                      qsvt_backend])
 def test_every_backend_build_takes_one_svd(factory, monkeypatch):
-    # _factorize's SVD is the only one: qsvt_full builds its dilation of
-    # A^H / sigma_max from those factors, with no second SVD
+    # _factorize's SVD is the only one: qsvt_full applies its sequence to the
+    # singular pairs of those factors, with no second SVD
     calls = []
 
     def counted(a, _real=numerics.svd):
@@ -520,45 +519,6 @@ def test_every_backend_build_takes_one_svd(factory, monkeypatch):
         monkeypatch.setattr(module, "svd", counted)
     factory(random_with_condition(4, 2.0, 0), 0.1, kappa=2.0)
     assert calls == [(4, 4)]
-
-
-def assert_adjoint_encoding_matches_dilation(a):
-    # the factor-built dilation of A^H / sigma_max against dilation_encoding's
-    # own SVD of that matrix: the diagonal blocks are the same bits and the
-    # square-root blocks square to the same matrices within 1e-13. The roots
-    # themselves differ by up to sqrt(eps) where a singular value of A^H /
-    # sigma_max is 1: sqrt(1 - s^2) has an infinite slope there, so one ulp
-    # in a re-computed s moves it by about 1.5e-8 (the factor path holds
-    # s / s[0] = 1 exactly)
-    factors = numerics.svd(a)
-    enc = refine_mod._adjoint_encoding(a, factors)
-    ref = dilation_encoding((a / factors[1][0]).conj().T).unitary
-    numerics.check_unitary(enc.unitary, 1e-11)
-    assert enc.unitary.dtype == ref.dtype == np.float64
-    n = a.shape[0]
-    for rows, cols in ((slice(None, n), slice(None, n)), (slice(n, None), slice(n, None))):
-        assert np.array_equal(enc.unitary[rows, cols], ref[rows, cols])
-    for rows, cols in ((slice(None, n), slice(n, None)), (slice(n, None), slice(None, n))):
-        mine, theirs = enc.unitary[rows, cols], ref[rows, cols]
-        np.testing.assert_allclose(mine @ mine, theirs @ theirs, rtol=0, atol=1e-13)
-        np.testing.assert_allclose(mine, theirs, rtol=0, atol=1e-7)
-
-
-@settings(max_examples=60, deadline=None)
-@given(n=st.sampled_from([1, 2, 4, 8, 16]), kappa=st.floats(1.0, 1e3),
-       scale=st.floats(1e-3, 1e3), seed=st.integers(0, 2**16))
-def test_adjoint_encoding_from_factors_matches_dilation(n, kappa, scale, seed):
-    assert_adjoint_encoding_matches_dilation(scale * random_with_condition(n, kappa, seed))
-
-
-def test_adjoint_encoding_with_repeated_singular_values_at_one():
-    # sigma = 1, 1, 0.5, 0.5 between two exactly orthogonal Hadamard factors,
-    # so every entry is exact and sigma_max is 1
-    h = np.array([[1, 1, 1, 1], [1, -1, 1, -1], [1, 1, -1, -1], [1, -1, -1, 1]]) / 2.0
-    a = h @ np.diag([1.0, 1.0, 0.5, 0.5]) @ h[::-1]
-    assert_adjoint_encoding_matches_dilation(a)
-    enc = refine_mod._adjoint_encoding(a, numerics.svd(a))
-    np.testing.assert_allclose(enc.block(), a.T, rtol=0, atol=1e-15)
 
 
 @pytest.mark.parametrize("factory", [spectral_oracle_backend, noisy_oracle_backend,
@@ -593,6 +553,14 @@ def test_qsvt_rejects_complex_inputs_at_the_boundary():
             x, trace, _ = iterative_refine(a_in, b_in, factory(a_in, eps_l, kappa=kappa), 1e-11)
             assert trace.converged, factory.__name__
             assert np.linalg.norm(b_in - a_in @ x) <= 1e-11 * np.linalg.norm(b_in)
+
+
+def test_qsvt_rejects_a_dimension_that_is_not_a_power_of_two():
+    # the sequence acts on a register of qubits; the oracle backends take any size
+    a = random_with_condition(3, 2.0, 0)
+    with pytest.raises(ValueError, match="matrix dimension must be a power of two, got 3"):
+        qsvt_backend(a, 0.1, kappa=2.0)
+    spectral_oracle_backend(a, 0.1, kappa=2.0)
 
 
 def test_backend_missing_a_field_fails_at_construction():
@@ -693,9 +661,9 @@ def record_swept_phases(monkeypatch):
     swept = []
     real = refine_mod.inverse_block
 
-    def inverse_block(encoding, phases):
+    def inverse_block(factors, phases):
         swept.append(phases)
-        return real(encoding, phases)
+        return real(factors, phases)
 
     monkeypatch.setattr(refine_mod, "inverse_block", inverse_block)
     return swept
@@ -861,8 +829,8 @@ def test_factories_measure_one_kappa_per_matrix():
 
 
 def test_qsvt_solve_checks_unitarity_at_construction_only(fresh_phase_memo, monkeypatch):
-    # structural guard: an inner solve runs no unitarity check (the swept
-    # columns are checked once, when the backend is built), and a refined
+    # structural guard: an inner solve runs no unitarity check (the factors
+    # and the pair products are checked once, when the backend is built), and a refined
     # solve finds its phases at most once per (kappa, eps')
     targets = count_find_phases(monkeypatch)
     depth, applied, checks_inside = [], [], []
@@ -896,10 +864,10 @@ def test_qsvt_solve_checks_unitarity_at_construction_only(fresh_phase_memo, monk
 
 
 def test_refined_qsvt_solves_sweep_once_per_backend(fresh_phase_memo, monkeypatch):
-    # the backend sweeps its ancilla-zero columns once, when it is built;
-    # every inner solve of every refined solve on it reuses that block
+    # the backend applies the sequence to its singular pairs once, when it is
+    # built; every inner solve of every refined solve on it reuses that block
     sweeps, applied = [], []
-    real_sweep, real_apply = qsvt_core._sweep, refine_mod.apply_inverse_state
+    real_sweep, real_apply = qsvt_core.signal_row, refine_mod.apply_inverse_state
 
     def sweep(*args):
         sweeps.append(None)
@@ -909,7 +877,7 @@ def test_refined_qsvt_solves_sweep_once_per_backend(fresh_phase_memo, monkeypatc
         applied.append(None)
         return real_apply(*args)
 
-    monkeypatch.setattr(qsvt_core, "_sweep", sweep)
+    monkeypatch.setattr(qsvt_core, "signal_row", sweep)
     monkeypatch.setattr(refine_mod, "apply_inverse_state", apply_inverse_state)
     kappa, eps_l = 3.0, 0.1
     a = random_with_condition(8, kappa, 0)
