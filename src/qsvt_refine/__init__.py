@@ -21,7 +21,7 @@ from .numerics import (
     two_norm,
 )
 from .qsp_phases import find_phases, verify_phases
-from .qsvt_core import apply_inverse_state, inverse_block
+from .qsvt_core import apply_inverse_state, build_u_phi, inverse_block
 from .refine import (
     CostReport,
     NoisyOracleBackend,

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import as_matrix, check_unitary, svd
+from .numerics import as_matrix, check_unitary, require_power_of_two, svd
 
 __all__ = [
     "BlockEncoding",
@@ -70,12 +70,6 @@ class BlockEncoding:
         return self.unitary[:n, :n]
 
 
-def _require_power_of_two(n: int, what: str) -> int:
-    if n < 1 or n & (n - 1) != 0:
-        raise ValueError(f"{what} must be a power of two, got {n}")
-    return n.bit_length() - 1
-
-
 def dilation_encoding(a) -> BlockEncoding:
     """Exact one-ancilla dilation of a square matrix with norm <= 1. A real
     matrix gets a real (float64) dilation, a complex one a complex
@@ -89,7 +83,7 @@ def dilation_encoding(a) -> BlockEncoding:
     a = as_matrix(a).astype(complex if np.iscomplexobj(a) else float)
     if a.shape[0] != a.shape[1]:
         raise ValueError("dilation_encoding requires a square matrix")
-    n_qubits = _require_power_of_two(a.shape[0], "matrix dimension")
+    n_qubits = require_power_of_two(a.shape[0], "matrix dimension")
     u, s, vh = svd(a)
     if s[0] > 1.0 + 1e-9:
         raise ValueError(f"pre-scale required: spectral norm {s[0]} exceeds 1")

@@ -22,6 +22,7 @@ __all__ = [
     "random_with_condition",
     "as_matrix",
     "check_unitary",
+    "require_power_of_two",
 ]
 
 
@@ -33,6 +34,13 @@ def as_matrix(a) -> np.ndarray:
     if not np.all(np.isfinite(m)):
         raise ValueError("matrix has non-finite entries")
     return m
+
+
+def require_power_of_two(n: int, what: str) -> int:
+    """The qubit count log2(n); raise unless ``n`` is a power of two."""
+    if n < 1 or n & (n - 1) != 0:
+        raise ValueError(f"{what} must be a power of two, got {n}")
+    return n.bit_length() - 1
 
 
 def check_unitary(u: np.ndarray, tol_factor: float) -> None:

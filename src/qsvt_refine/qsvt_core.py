@@ -4,6 +4,7 @@ The circuit applies the sequence
 
     odd d:  e^{i psi_1 (2 Pt - I)} U  prod_j [ e^{i psi_2j (2 Pi - I)} U^H
                                                e^{i psi_2j+1 (2 Pt - I)} U ]
+    even d: prod_j [ e^{i psi_2j-1 (2 Pi - I)} U^H  e^{i psi_2j (2 Pt - I)} U ]
 
 of d calls to a block-encoding U of a matrix M, with Pt and Pi its
 ancilla-zero projector. For the exact dilation of M = W S V^H (the one
@@ -17,9 +18,11 @@ phase i^d e^{-i pi/4}, each is the wx-re00 signal product M(x) of
 ``qsp_phases`` for the phase table phi, so the kept block of the N
 ancilla-zero columns is W p(S) V^H, with p(x) = M(x)[0,0], and each
 swept column k has squared norm |p(s_k)|^2 + |q(s_k)|^2, q = M(x)[0,1].
-``qsp_phases.signal_row`` gives both at the N singular values at once;
-no 2N x 2N operator is formed. The tests compare this against the dense
-sweep of the encoding (``tests/sweep_reference.py``).
+``qsp_phases.signal_row`` gives both at the N singular values at once,
+and a backend forms no 2N x 2N operator. In the same bases the whole
+sequence is, pair by pair, the 2x2 M(x) diag(1, -i); ``build_u_phi``
+assembles the full U_Phi from it. The tests compare both against the
+dense sweep of the encoding (``tests/sweep_reference.py``).
 
 For real targets the single sequence realizes P(x) plus an order-one
 imaginary completion (|M00(1)| = 1 is structural). The real-part
@@ -47,6 +50,7 @@ from .qsp_phases import signal_row
 
 __all__ = [
     "PostSelectionError",
+    "build_u_phi",
     "inverse_block",
     "apply_inverse_state",
 ]
@@ -56,6 +60,42 @@ class PostSelectionError(RuntimeError):
     """The ancilla-zero component of the output state vanished."""
 
 
+def _pair_rows(u, vh, xs, phases) -> tuple[np.ndarray, np.ndarray]:
+    """(p, q) of ``signal_row`` at the singular values ``xs``, with u and vh
+    checked orthonormal to 1e-10 * N and every pair's product unitary,
+    | |p|^2 + |q|^2 - 1 | <= 1e-10 * 2N: together these bound the unitarity
+    defect of the sequence as the dense check of the swept columns did."""
+    if np.size(phases) == 0:
+        raise ValueError("need a nonempty phase table")
+    check_unitary(u, 1e-10)
+    check_unitary(vh, 1e-10)
+    p, q = signal_row(phases, xs)
+    defect = float(np.max(np.abs(p.real**2 + p.imag**2 + q.real**2 + q.imag**2 - 1.0)))
+    if defect > 1e-10 * 2 * len(xs):
+        raise ValueError(f"swept columns are not orthonormal: max | |p|^2 + |q|^2 - 1 | "
+                         f"= {defect:.3e}")
+    return p, q
+
+
+def build_u_phi(factors, phases: np.ndarray) -> np.ndarray:
+    """The full 2N x 2N sequence operator U_Phi of the (d,) table ``phases``
+    on the dilation of M = W S V^H, ``factors = (w, s, vh)``, ||M|| <= 1;
+    its data block is ``u_phi[:n, :n]``, W p(S) V^H.
+
+    For odd d, U_Phi maps (|0>|v_k>, |1>|w_k>) to (|0>|w_k>, |1>|v_k>),
+    for even d to themselves, by M(s_k) diag(1, -i) (module notes). No
+    solver path calls it: it is the whole operator the tests check, and
+    a layer perfbench's tracer names.
+    """
+    w, s, vh = factors
+    v = vh.conj().T
+    p, q = _pair_rows(w, vh, s, phases)
+    outs = (w, v) if np.size(phases) % 2 else (v, w)
+    pairs = ((p, -1j * q), (-np.conj(q), -1j * np.conj(p)))
+    return np.block([[(out * g) @ inp.conj().T for g, inp in zip(row, (v, w))]
+                     for out, row in zip(outs, pairs)])
+
+
 def inverse_block(factors, phases: np.ndarray) -> np.ndarray:
     """The read-only real N x N block that ``apply_inverse_state`` applies,
     for the SVD ``factors = (u, s, vh)`` of a real A = U S V^H.
@@ -63,11 +103,9 @@ def inverse_block(factors, phases: np.ndarray) -> np.ndarray:
     It is the real part of the kept block of the +Phi sequence on the
     dilation of A^H / sigma_max = V (S / sigma_max) U^H, the average of
     the +Phi and -Phi sequences (see module notes): V Re p(S / sigma_max)
-    U^H. The phase count must be odd and the factors real; u and vh are
-    checked orthonormal to 1e-10 * N, and every singular pair's product
-    checked unitary, | |p|^2 + |q|^2 - 1 | <= 1e-10 * 2N, which together
-    bound the normalization defect of the swept state of every unit b
-    as the check of the 2N x N swept columns did.
+    U^H, the real part of ``build_u_phi((vh^T, s / s[0], u^T),
+    phases)[:n, :n]``. The phase count must be odd and the factors real;
+    they and the pair products get ``build_u_phi``'s checks.
     """
     u, s, vh = factors
     if np.size(phases) % 2 == 0:
@@ -75,13 +113,7 @@ def inverse_block(factors, phases: np.ndarray) -> np.ndarray:
     if any(np.iscomplexobj(f) and np.any(f.imag) for f in (u, vh)):
         raise ValueError("qsvt_full is real-only: the factors are complex")
     u, vh = np.real(u), np.real(vh)
-    check_unitary(u, 1e-10)
-    check_unitary(vh, 1e-10)
-    p, q = signal_row(phases, s / s[0])
-    defect = float(np.max(np.abs(p.real**2 + p.imag**2 + q.real**2 + q.imag**2 - 1.0)))
-    if defect > 1e-10 * 2 * len(s):
-        raise ValueError(f"swept columns are not orthonormal: max | |p|^2 + |q|^2 - 1 | "
-                         f"= {defect:.3e}")
+    p, _ = _pair_rows(u, vh, s / s[0], phases)
     block = (vh.T * p.real) @ u.T
     block.flags.writeable = False
     return block

@@ -55,7 +55,7 @@ from typing import Optional
 import numpy as np
 
 from .invpoly import BoundedSeries, bound_series, degree_params, inverse_cheb_series
-from .numerics import as_matrix, singular_value_ratio, svd, two_norm
+from .numerics import as_matrix, require_power_of_two, singular_value_ratio, svd, two_norm
 from .qsp_phases import find_phases
 from .qsvt_core import apply_inverse_state, inverse_block
 
@@ -341,9 +341,7 @@ def qsvt_backend(a, eps_l: float, kappa: Optional[float] = None, seed: int = 0,
     a, factors, kappa = _factorize(a, eps_l, kappa, shots)
     if np.any(np.imag(a)):
         raise ValueError("qsvt_full is real-only: the matrix has a nonzero imaginary part")
-    n = a.shape[0]
-    if n & (n - 1):
-        raise ValueError(f"matrix dimension must be a power of two, got {n}")
+    require_power_of_two(a.shape[0], "matrix dimension")
     phases = _inverse_phases(kappa, eps_l / kappa)  # one per degree of the series
     return QsvtBackend(
         eps_l=eps_l, kappa=kappa, degree=phases.size, shots=shots,

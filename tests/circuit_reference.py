@@ -23,8 +23,8 @@ from typing import Optional
 
 import numpy as np
 
-from qsvt_refine.blockenc import BlockEncoding, _require_power_of_two
-from qsvt_refine.numerics import as_matrix, check_unitary
+from qsvt_refine.blockenc import BlockEncoding
+from qsvt_refine.numerics import as_matrix, check_unitary, require_power_of_two
 
 _GATE_ARITY = {"ry": 1, "h": 1, "cnot": 2, "swap": 2}
 
@@ -104,7 +104,7 @@ def fable_encoding(a, threshold: float = 0.0) -> tuple[BlockEncoding, Circuit]:
     a = a.real.astype(float)
     if a.shape[0] != a.shape[1]:
         raise ValueError("fable_encoding requires a square matrix")
-    n = _require_power_of_two(a.shape[0], "matrix dimension")
+    n = require_power_of_two(a.shape[0], "matrix dimension")
     if np.any(np.abs(a) > 1.0 + 1e-12):
         raise ValueError("entries must lie in [-1, 1]")
     if not threshold >= 0.0:

@@ -12,14 +12,13 @@ import numpy as np
 import pytest
 
 from qsvt_refine.bench_cli import ExperimentConfig, main, run_complexity
-from qsvt_refine.blockenc import dilation_encoding
 from cheb_reference import random_odd_target, svt_reference
 from circuit_reference import fable_encoding
 from magnitude_reference import brent_magnitude
-from sweep_reference import build_u_phi
 from qsvt_refine.invpoly import cheb_eval, inverse_cheb_series
-from qsvt_refine.numerics import random_with_condition
+from qsvt_refine.numerics import random_with_condition, svd
 from qsvt_refine.qsp_phases import find_phases
+from qsvt_refine.qsvt_core import build_u_phi
 from qsvt_refine.refine import (
     contraction_check,
     denormalize,
@@ -51,7 +50,7 @@ def test_acceptance_1_qsvt_block_identity():
         a = random_with_condition(n, kappa, 1000 + trial)
         target = random_odd_target(rng, degree, 0.8)
         phases = find_phases(target)
-        u_phi = build_u_phi(dilation_encoding(a), phases)
+        u_phi = build_u_phi(svd(a), phases)
         gap = np.linalg.norm(u_phi[:n, :n].real - svt_reference(a, target.series), 2)
         worst = max(worst, gap)
         assert gap <= 1e-7, f"trial {trial}: {gap:.3e}"

@@ -31,26 +31,10 @@ def traced_layers():
     return tracer.LAYERS
 
 
-# layers the tracer names whose function left the library on purpose; the
-# tracer reports a layer it cannot find as 0 calls. The dense sweep that
-# build_u_phi ran is the test reference tests/sweep_reference.py.
-RETIRED_LAYERS = {("qsvt_core", "build_u_phi")}
-
-
-@pytest.mark.parametrize("module, function",
-                         [layer for layer in traced_layers() if layer not in RETIRED_LAYERS])
+@pytest.mark.parametrize("module, function", traced_layers())
 def test_every_traced_layer_is_a_library_callable(module, function):
     home = importlib.import_module(f"qsvt_refine.{module}")
     assert callable(getattr(home, function, None)), f"{module}.{function}"
-
-
-@pytest.mark.parametrize("module, function", sorted(RETIRED_LAYERS))
-def test_a_retired_traced_layer_is_gone_from_the_library(module, function):
-    # the exemption above lapses when the tracer stops naming the layer or
-    # the library brings the function back
-    assert (module, function) in traced_layers()
-    home = importlib.import_module(f"qsvt_refine.{module}")
-    assert not hasattr(home, function)
 
 
 @pytest.mark.parametrize("module", MODULES)

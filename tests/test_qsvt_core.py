@@ -390,6 +390,44 @@ def test_inverse_block_matches_the_dense_sweep(n, kappa, scale, seed, table):
     np.testing.assert_allclose(inverse_block(factors, phases), want, rtol=0, atol=1e-12)
 
 
+@settings(max_examples=60, deadline=None)
+@given(n=st.sampled_from([1, 2, 4, 8, 16, 32]), d=st.integers(1, 201),
+       kind=st.sampled_from(["real", "complex"]), seed=st.integers(0, 2**16))
+def test_library_build_u_phi_matches_the_dense_sweep(n, d, kind, seed):
+    # the full operator from the singular pairs of a contraction M against
+    # the dense sweep of its dilation, odd and even d, real and complex M
+    rng = np.random.default_rng(seed)
+    m = random_with_condition(n, float(rng.uniform(1.0, 100.0)), seed)
+    if kind == "complex":
+        m = m + 1j * random_with_condition(n, 3.0, seed + 1)
+    m = m * (rng.uniform(0.1, 1.0) / np.linalg.norm(m, 2))
+    phases = rng.uniform(-np.pi, np.pi, d)
+    want = build_u_phi(dilation_encoding(m), phases)
+    np.testing.assert_allclose(qsvt_core.build_u_phi(svd(m), phases), want, rtol=0, atol=1e-12)
+
+
+def test_library_build_u_phi_holds_the_inverse_block():
+    a = random_with_condition(8, 4.0, 6)
+    u, s, vh = svd(3.0 * a)
+    phases = np.random.default_rng(6).uniform(-np.pi, np.pi, 9)
+    u_phi = qsvt_core.build_u_phi((vh.T, s / s[0], u.T), phases)
+    np.testing.assert_allclose(u_phi[:8, :8].real, inverse_block((u, s, vh), phases),
+                               rtol=0, atol=1e-14)
+    defect = np.linalg.norm(u_phi.conj().T @ u_phi - np.eye(16), 2)
+    assert defect <= 1e-12
+
+
+def test_library_build_u_phi_checks_its_factors_and_phases():
+    a = random_with_condition(4, 2.0, 3)
+    u, s, vh = svd(a)
+    with pytest.raises(ValueError, match="nonempty"):
+        qsvt_core.build_u_phi((u, s, vh), np.zeros(0))
+    with pytest.raises(ValueError, match="not unitary"):
+        qsvt_core.build_u_phi((u, s, 1.001 * vh), np.zeros(3))
+    with pytest.raises(ValueError, match="not orthonormal"):
+        qsvt_core.build_u_phi((u, 1.001 * s, vh), np.zeros(3))
+
+
 def test_inverse_block_with_repeated_singular_values_at_one():
     # sigma = 1, 1, 0.5, 0.5 between two exactly orthogonal Hadamard factors,
     # so every entry is exact and sigma_max is 1; the one phase 0 realizes
