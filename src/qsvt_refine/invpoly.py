@@ -22,6 +22,9 @@ __all__ = [
     "inverse_cheb_series",
     "cheb_eval",
     "enforce_qsvt_bounds",
+    "SeriesRecord",
+    "series_record",
+    "check_bound",
     "bound_series",
     "max_abs_on_interval",
 ]
@@ -162,11 +165,11 @@ def _quarter_sines(n: int) -> np.ndarray:
     return np.sin(np.pi * np.arange(n + 1) / (2 * n))
 
 
-def _values_on_cheb_grid(coefs: np.ndarray, npts: int,
+def _values_on_cheb_grid(coefs: np.ndarray, m: int,
                          sines: Optional[np.ndarray] = None) -> np.ndarray:
-    """Series values at x_j = cos(pi j / M), j = 0..M; M is the first
-    FFT-friendly size of at least ``npts`` and the coefficients (the
-    values' length less one). The nodes themselves are not formed. An odd
+    """Series values at x_j = cos(pi j / M), j = 0..M; M is ``m``, an
+    FFT-friendly size (``_next_fast_len``, which the caller runs) of at least
+    2 and the coefficients' count. The nodes themselves are not formed. An odd
     series on an even M takes a DCT-II of length n = M/2 over its odd
     coefficients, sum_i c_{2i+1} cos((2i+1) pi j / M) at j < M/2, and
     parity gives P(x_{M/2}) = 0 and P(x_{M-j}) = -P(x_j) exactly; any
@@ -177,7 +180,6 @@ def _values_on_cheb_grid(coefs: np.ndarray, npts: int,
     part and the one at j = n - k as minus its imaginary part. Its
     twiddles come from ``sines`` = ``_quarter_sines(n)``, computed here
     unless the caller passes them."""
-    m = _next_fast_len(max(npts, coefs.size, 2))
     if m % 2 == 0 and not np.any(coefs[0::2]):
         n = m // 2
         odd = np.zeros(n)
@@ -270,7 +272,8 @@ def cheb_eval(series: ChebyshevSeries, x):
     xs = float(x) if np.isscalar(x) else np.asarray(x, dtype=float)
     if not np.all(np.abs(xs) <= 1.0 + 1e-12):
         raise ValueError("cheb_eval requires finite x with |x| <= 1")
-    evaluate = _interpolant(_values_on_cheb_grid(series.coefficients, series.degree))
+    coefs = series.coefficients
+    evaluate = _interpolant(_values_on_cheb_grid(coefs, _next_fast_len(max(coefs.size, 2))))
     return evaluate.at(xs) if isinstance(xs, float) else evaluate(xs.ravel()).reshape(xs.shape)
 
 
@@ -285,12 +288,25 @@ def max_abs_on_interval(series: ChebyshevSeries) -> float:
 
 
 @dataclass(frozen=True, eq=False)
+class SeriesRecord:
+    """A series with its one grid transform (``series_record``): ``evaluate``,
+    its interpolant on the M grid (1-D arrays of x in [-1, 1], no checks),
+    and ``magnitudes``, the |P| that the bound check scans on the 2M grid
+    x_j = cos(pi j / 2M): j = 0..M, the x >= 0 half, for a definite-parity
+    series, whose |P| is even, and j = 0..2M otherwise."""
+
+    series: ChebyshevSeries
+    evaluate: Callable
+    magnitudes: np.ndarray
+
+
+@dataclass(frozen=True, eq=False)
 class BoundedSeries:
     """A series rescaled so |P| <= 1 on [-1, 1], with what its bound check
     found: the applied factor ``rescale``, the checked max|P| of the series
     before rescaling (``peak``) and ``evaluate``, the rescaled series'
     interpolant on the check's M grid (1-D arrays of x in [-1, 1], no
-    checks; its ``values`` are the check's times ``rescale``)."""
+    checks; its ``values`` are the record's times ``rescale``)."""
 
     series: ChebyshevSeries
     rescale: float
@@ -298,50 +314,67 @@ class BoundedSeries:
     evaluate: Callable
 
 
-def bound_series(series: ChebyshevSeries) -> BoundedSeries:
-    """Rescale so |P(x)| <= 1 on [-1, 1], with a 1e-6 safety margin (the
-    factor is exactly 1 when the peak times 1 + 1e-6 is at most 1 + 1e-9).
-
-    The peak comes from a Chebyshev-spaced grid of 2M >= 2*degree points
-    plus a bounded Brent search (``_brent_min``), interpolating from every
-    second grid value (the M-point grid), around each grid local maximum
-    within pi^2/32 of the grid's top: P(cos theta) has degree d <= M, so the
-    node nearest the maximizer lies within pi/(4M) of it in angle, and
-    Bernstein's |P''| <= d^2 max|P| bounds that node's deficit by
-    (1/2)(pi/4)^2 = pi^2/32 of the peak. A definite-parity |P| is even, so
-    its top and rival lobes come from the grid's x >= 0 half alone. The M
-    grid's sine table gives its nodes and the odd series' DCT-II twiddles."""
+def series_record(series: ChebyshevSeries) -> SeriesRecord:
+    """The series' values on a Chebyshev-spaced grid of 2M + 1 points, M the
+    first FFT-friendly size of at least its degree, from one transform:
+    every second value is the M grid its interpolant reads, and the check's
+    half (all of it for a series of no parity) is kept as |P|. The M grid's
+    sine table gives its nodes and the odd series' DCT-II twiddles."""
     m = _next_fast_len(max(series.degree, 1))
     sines = _quarter_sines(m)
     vals = _values_on_cheb_grid(series.coefficients, 2 * m, sines)
-    interpolant = _interpolant(vals[::2].copy(), sines)
-    vals = np.abs(vals)
-    last = vals.size - 1
-    scan = vals[:m + 1] if series.parity != "none" else vals  # x_j >= 0 at j <= M
+    scanned = vals[:m + 1] if series.parity != "none" else vals  # x_j >= 0 at j <= M
+    return SeriesRecord(series, _interpolant(vals[::2].copy(), sines), np.abs(scanned))
+
+
+def check_bound(record: SeriesRecord) -> BoundedSeries:
+    """The bound check of ``bound_series`` on a record: its grid values and
+    interpolant are read, never written, so the record stays the unscaled
+    series'.
+
+    The peak comes from the record's 2M grid plus a bounded Brent search
+    (``_brent_min``) on the record's interpolant around each grid local
+    maximum within pi^2/32 of the grid's top: P(cos theta) has degree
+    d <= M, so the node nearest the maximizer lies within pi/(4M) of it in
+    angle, and Bernstein's |P''| <= d^2 max|P| bounds that node's deficit by
+    (1/2)(pi/4)^2 = pi^2/32 of the peak. A definite-parity |P| is even, so
+    its top and rival lobes come from the grid's x >= 0 half alone."""
+    series, interpolant, scan = record.series, record.evaluate, record.magnitudes
+    last = 2 * (interpolant.values.size - 1)  # the 2M grid's last index
     k = int(np.argmax(scan))
 
     def refined(k: int) -> float:
         # bracket nodes x_{k+1} < x_{k-1}, x_j = cos(pi j / (2M)) decreasing in j
         lo, hi = np.cos(np.pi * np.array([min(k + 1, last), max(k - 1, 0)]) / last)
         if lo >= hi:
-            return float(vals[k])
+            return float(scan[k])
         least = _brent_min(lambda t: -abs(interpolant.at(t)), lo, hi)
-        return float(max(vals[k], -least))
+        return float(max(scan[k], -least))
 
-    rivals = [int(j) for j in np.flatnonzero(scan >= (1.0 - np.pi ** 2 / 32) * vals[k])
-              if j != k and vals[j] >= max(vals[max(j - 1, 0)], vals[min(j + 1, last)])]
+    # a half grid ends at x_M = 0, whose right neighbour |P(x_{M+1})| mirrors
+    # |P(x_{M-1})|, so clamping there leaves each comparison as it was
+    end = scan.size - 1
+    rivals = [int(j) for j in np.flatnonzero(scan >= (1.0 - np.pi ** 2 / 32) * scan[k])
+              if j != k and scan[j] >= max(scan[max(j - 1, 0)], scan[min(j + 1, end)])]
     peak = max([refined(k)] + [refined(j) for j in rivals])
     target = peak * (1.0 + _BOUND_MARGIN)
     if target <= 1.0 + 1e-9:
         return BoundedSeries(series, 1.0, peak, interpolant)
     applied = 1.0 / target
-    interpolant.values *= applied  # the grid now holds the rescaled series
     rescaled = replace(
         series,
         coefficients=series.coefficients * applied,
         scale=None if series.scale is None else series.scale * applied,
     )
-    return BoundedSeries(rescaled, applied, peak, interpolant)
+    return BoundedSeries(rescaled, applied, peak, _interpolant(interpolant.values * applied))
+
+
+def bound_series(series: ChebyshevSeries) -> BoundedSeries:
+    """Rescale so |P(x)| <= 1 on [-1, 1], with a 1e-6 safety margin (the
+    factor is exactly 1 when the peak times 1 + 1e-6 is at most 1 + 1e-9):
+    ``check_bound`` of ``series_record``, one grid transform and one peak
+    search."""
+    return check_bound(series_record(series))
 
 
 def _brent_min(f: Callable[[float], float], a: float, b: float) -> float:

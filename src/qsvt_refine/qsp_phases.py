@@ -157,8 +157,8 @@ def find_phases(target: BoundedSeries) -> np.ndarray:
     """The phase table, a (d,) float array, realizing ``target.series`` in
     the wx-re00 convention.
 
-    ``target`` is the series' bound-check record (``bound_series``): its
-    checked peak times its rescale factor must stay 1e-8 below 1, and its
+    ``target`` is the series' bound check (``check_bound``): its checked
+    peak times its rescale factor must stay 1e-8 below 1, and its
     evaluator gives the node targets, so no second grid is built here.
 
     Newton's method on the symmetric phases (Dong, Lin, Ni & Wang,

@@ -17,18 +17,22 @@ most eps_l; the loop needs nothing else from it:
   charges ``degree`` calls per inner solve);
 * ``SpectralOracleBackend`` (``spectral_oracle``) -- the same inverse
   polynomial P applied through the SVD (ground truth for the circuit
-  path), kept as the one N x N ``operator`` V P(S / sigma_max) U^H;
+  path), kept as the one N x N ``operator`` V P(S / sigma_max) U^H of the
+  unscaled series;
 * ``NoisyOracleBackend`` (``noisy_oracle``) -- exact solve plus seeded
   noise of relative size eps_l, for stress sweeps.
 
 Each backend reports the ``size`` N it was built for, read off that one
 array, and ``iterative_refine`` rejects a system of another size.
 
-The bounded inverse series (a ``BoundedSeries``, with the evaluator its
-one bound-check grid gives) and its phase factors depend only on (kappa,
-eps' = eps_l / kappa); two memos of 16 keys own them, and no backend keeps
-either. Phase finding takes that record as it is, so each key runs one bound
-check and one grid transform whichever backends it serves. Every factory
+The inverse series with its one grid transform (a ``SeriesRecord``) and
+its phase factors depend only on (kappa, eps' = eps_l / kappa); two memos
+of 16 keys own them, and no backend keeps either. A QSVT circuit needs
+|P| <= 1, so phase finding runs the bound check (peak search and rescale)
+on the memoized record, once per key. The spectral operator carries the
+unscaled series: its direction is raw / ||raw||, which a positive factor
+on P does not change, so a spectral build runs no peak search. Either way a
+key makes one grid transform whichever backends it serves. Every factory
 enters through one step, ``_factorize``, which takes the matrix's one SVD
 and rejects a matrix that is not square, is empty or is numerically
 singular, and a ``kappa`` below its sigma_max / sigma_min, before any memo
@@ -54,7 +58,7 @@ from typing import Optional
 
 import numpy as np
 
-from .invpoly import BoundedSeries, bound_series, degree_params, inverse_cheb_series
+from .invpoly import SeriesRecord, check_bound, degree_params, inverse_cheb_series, series_record
 from .numerics import as_matrix, require_power_of_two, singular_value_ratio, svd, two_norm
 from .qsp_phases import find_phases
 from .qsvt_core import apply_inverse_state, inverse_block
@@ -137,8 +141,11 @@ class SolverBackend(ABC):
 
 @dataclass(frozen=True)
 class SpectralOracleBackend(SolverBackend):
-    """The bounded inverse series P applied through the SVD A = U S V^H,
-    kept as the read-only N x N ``operator`` V P(S / sigma_max) U^H."""
+    """The inverse series P applied through the SVD A = U S V^H, kept as
+    the read-only N x N ``operator`` V P(S / sigma_max) U^H. P is the key's
+    unscaled series, not the bounded one a QSVT circuit needs: ``direction``
+    returns raw / ||raw||, which a positive factor on P does not change, so
+    the bound check's rescale factor would cancel."""
 
     operator: np.ndarray
 
@@ -280,34 +287,41 @@ def _factorize(a, eps_l: float, kappa: Optional[float], shots: Optional[int]):
 
 
 @functools.lru_cache(maxsize=_MEMO_SIZE)
-def _inverse_record(kappa: float, eps_prime: float) -> BoundedSeries:
-    """``bound_series`` of the inverse series at accuracy eps' (callers pass
-    eps_l / kappa): one read-only record per key, whose evaluator gives the
-    spectral oracle its P(sigma) without a second grid."""
-    record = bound_series(inverse_cheb_series(kappa, eps_prime))
+def _inverse_record(kappa: float, eps_prime: float) -> SeriesRecord:
+    """``series_record`` of the inverse series at accuracy eps' (callers pass
+    eps_l / kappa): one read-only record per key, unscaled, with no peak
+    search. Its evaluator gives the spectral oracle its P(sigma), and its
+    grid serves the bound check that only phase finding runs."""
+    record = series_record(inverse_cheb_series(kappa, eps_prime))
     record.series.coefficients.flags.writeable = False
     record.evaluate.values.flags.writeable = False
+    record.magnitudes.flags.writeable = False
     return record
 
 
 @functools.lru_cache(maxsize=_MEMO_SIZE)
 def _inverse_phases(kappa: float, eps_prime: float) -> np.ndarray:
-    """Phase table of the series in ``_inverse_record(kappa, eps')``.
+    """Phase table of the bounded series of ``_inverse_record(kappa, eps')``.
 
     A classical precomputation that depends on the series alone, so QSVT
     backends with the same (kappa, eps') share one memoized, read-only
-    phase array. ``find_phases`` takes the memoized record itself: its
-    checked peak and its evaluator, so the key's one bound check and one
-    grid serve phase finding too. A ``PhaseFindingError`` is raised, not
-    cached: the next call with that key tries again."""
-    phases = find_phases(_inverse_record(kappa, eps_prime))
+    phase array. The key's one bound check runs here, on the memoized
+    record, so it takes no second grid transform; ``find_phases`` takes its
+    result, whose read-only evaluator reads the record's grid values times
+    the rescale factor. A ``PhaseFindingError`` is raised, not cached: the
+    next call with that key tries again."""
+    target = check_bound(_inverse_record(kappa, eps_prime))
+    target.series.coefficients.flags.writeable = False
+    target.evaluate.values.flags.writeable = False
+    phases = find_phases(target)
     phases.flags.writeable = False
     return phases
 
 
 def spectral_oracle_backend(a, eps_l: float, kappa: Optional[float] = None,
                             seed: int = 0, shots: Optional[int] = None) -> SpectralOracleBackend:
-    """Inverse polynomial applied via the SVD, no circuits, as one operator."""
+    """Inverse polynomial applied via the SVD, no circuits, as one operator,
+    from the key's unscaled record: no bound check runs."""
     _, (u, s, vh), kappa = _factorize(a, eps_l, kappa, shots)
     record = _inverse_record(kappa, eps_l / kappa)
     operator = (vh.conj().T * record.evaluate(s / s[0])) @ u.conj().T

@@ -241,9 +241,15 @@ def random_series(seed, degree, parity):
     return series
 
 
+def grid_values(coefs, npts):
+    # the transform on the grid dct1_values takes: M the first FFT-friendly
+    # size of at least npts and coefs.size, which the caller searches for
+    return invpoly._values_on_cheb_grid(coefs, next_fast_len(max(npts, coefs.size, 2), real=True))
+
+
 def special_points(series, picks):
     # +-1, 0 and exact nodes of the grid the evaluator interpolates on
-    size = invpoly._values_on_cheb_grid(series.coefficients, series.degree).size
+    size = grid_values(series.coefficients, series.degree).size
     nodes = np.cos(np.pi * np.arange(size) / (size - 1))
     return np.concatenate([[-1.0, 0.0, 1.0], nodes[np.asarray(picks, dtype=int) % nodes.size]])
 
@@ -289,7 +295,7 @@ def test_odd_grid_values_match_the_dct1(terms, seed, bound_check_grid):
     coefs[1::2] = np.random.default_rng(seed).standard_normal(terms)
     degree = coefs.size - 1
     npts = 2 * next_fast_len(degree, real=True) if bound_check_grid else degree
-    got = invpoly._values_on_cheb_grid(coefs, npts)
+    got = grid_values(coefs, npts)
     want = dct1_values(coefs, npts)
     assert got.size == want.size
     assert np.max(np.abs(got - want)) <= 4 * np.finfo(float).eps * np.sum(np.abs(coefs))
@@ -324,7 +330,7 @@ def test_dct1_path_matches_the_scipy_reference(degree, seed, parity, odd_grid, p
     coefs = random_series(seed, degree, parity).coefficients
     sizes = [m for m in ODD_SIZES if m >= max(coefs.size, 2)] if odd_grid else range(1, 3000)
     npts = sizes[pick % len(sizes)]
-    got = invpoly._values_on_cheb_grid(coefs, npts)
+    got = grid_values(coefs, npts)
     want = dct1_values(coefs, npts)
     assert got.size == want.size and (got.size % 2 == 0 or not odd_grid)
     assert np.max(np.abs(got - want)) <= 4 * np.finfo(float).eps * np.max(np.abs(want))
@@ -337,7 +343,7 @@ def test_odd_series_is_exactly_zero_at_zero_on_an_even_grid(kappa, eps):
     # reads -1e-14 at kappa 10 and -4.4e-13 at kappa 300
     series = inverse_cheb_series(kappa, eps)
     record = bound_series(series)
-    assert invpoly._values_on_cheb_grid(series.coefficients, series.degree).size % 2 == 1
+    assert grid_values(series.coefficients, series.degree).size % 2 == 1
     assert record.evaluate.values.size % 2 == 1
     assert np.array_equal(record.evaluate(np.array([0.0, -0.0, 0.5]))[:2], [0.0, 0.0])
     assert record.evaluate(np.array([-0.0]))[0] == 0.0

@@ -178,8 +178,7 @@ def test_find_phases_is_identical_across_processes():
     # has returned different phases in different processes
     script = (
         "import hashlib; from qsvt_refine import refine; "
-        "print(hashlib.sha1(refine.find_phases("
-        "refine._inverse_record(4.0, 1e-2 / 4.0)).tobytes()).hexdigest())"
+        "print(hashlib.sha1(refine._inverse_phases(4.0, 1e-2 / 4.0).tobytes()).hexdigest())"
     )
     env = dict(os.environ, PYTHONPATH=str(Path(qsvt_refine.__file__).resolve().parents[1]))
     digests = {

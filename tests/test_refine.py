@@ -470,16 +470,85 @@ def test_polynomial_backends_hold_one_operator(n, kappa, rate, seed):
     # both backends realize V P(S / sigma_max) U^H of A = U S V^H, P the
     # key's bounded series: the QSVT block matches the spectral operator,
     # and that operator the circuit-free transform of A^H / ||A||
+    # the operator carries the record's unscaled series and the block the
+    # bounded one, so the block is the operator times the key's rescale factor
     eps_l = rate / kappa
     a = random_with_condition(n, kappa, seed)
     operator = spectral_oracle_backend(a, eps_l, kappa=kappa).operator
     block = qsvt_backend(a, eps_l, kappa=kappa).block
-    series = refine_mod._inverse_record(kappa, eps_l / kappa).series
-    assert np.linalg.norm(block - operator, 2) <= 1e-11
-    reference = svt_reference(a.conj().T / np.linalg.norm(a, 2), series)
+    record = refine_mod._inverse_record(kappa, eps_l / kappa)
+    rescale = invpoly.check_bound(record).rescale
+    assert np.linalg.norm(block - rescale * operator, 2) <= 1e-11
+    reference = svt_reference(a.conj().T / np.linalg.norm(a, 2), record.series)
     assert np.linalg.norm(operator - reference, 2) <= 1e-13
     with pytest.raises(ValueError, match="read-only"):
         operator[0, 0] = 0.0
+
+
+@settings(max_examples=12, deadline=None)
+@given(n=st.sampled_from([4, 16]), kappa=st.floats(1.5, 300.0), rate=st.floats(0.1, 0.9),
+       seed=st.integers(0, 2**16))
+def test_spectral_direction_does_not_see_the_rescale_factor(n, kappa, rate, seed):
+    # a unit direction is unchanged when P is multiplied by a positive
+    # constant, so the unscaled operator gives the bounded series' direction;
+    # kappa up to 300 takes in keys whose factor is below 1
+    eps_l = rate / kappa
+    a = random_with_condition(n, kappa, seed)
+    b = unit_rhs(n, seed)
+    backend = spectral_oracle_backend(a, eps_l, kappa=kappa)
+    rescale = invpoly.check_bound(refine_mod._inverse_record(kappa, eps_l / kappa)).rescale
+    raw = (rescale * backend.operator) @ b
+    assert np.max(np.abs(backend.direction(b) - raw / np.linalg.norm(raw))) <= 1e-14
+
+
+def test_a_spectral_build_runs_no_peak_search(monkeypatch):
+    # a fresh key whose series the bound check rescales: the spectral build
+    # makes its one grid transform and one fast-length search, and no Brent
+    # search; the check later runs on that grid without a second transform
+    kappa = 100.0
+    eps_prime = 0.4 / kappa / kappa
+    refine_mod._inverse_record.cache_clear()
+    calls = {"_values_on_cheb_grid": 0, "_next_fast_len": 0, "_brent_min": 0}
+    for name in calls:
+        def counted(*args, _name=name, _real=getattr(invpoly, name)):
+            calls[_name] += 1
+            return _real(*args)
+
+        monkeypatch.setattr(invpoly, name, counted)
+    spectral_oracle_backend(random_with_condition(4, kappa, 0), 0.4 / kappa, kappa=kappa)
+    assert calls == {"_values_on_cheb_grid": 1, "_next_fast_len": 1, "_brent_min": 0}
+    record = refine_mod._inverse_record(kappa, eps_prime)
+    bounded = invpoly.check_bound(record)
+    assert bounded.rescale < 1.0
+    assert calls["_values_on_cheb_grid"] == 1 and calls["_brent_min"] > 0
+    # the bound check's evaluator reads the record's grid values times the
+    # factor, and the record keeps its own, unscaled
+    assert np.array_equal(bounded.evaluate.values, record.evaluate.values * bounded.rescale)
+    assert bounded.evaluate.values is not record.evaluate.values
+    assert bounded.series.degree == record.series.degree
+
+
+def test_qsvt_builds_run_one_bound_check_per_key(fresh_phase_memo, monkeypatch):
+    # kappa 2, eps_l 1e-4 (degree 53) is rescaled by 0.949; the spectral
+    # build runs no bound check, a key's first qsvt_full build runs one on
+    # the memoized record, and its second build none
+    kappa, eps_l = 2.0, 1e-4
+    refine_mod._inverse_record.cache_clear()
+    checks = []
+    real = refine_mod.check_bound
+    monkeypatch.setattr(refine_mod, "check_bound", lambda record: checks.append(record) or
+                        real(record))
+    targets = count_find_phases(monkeypatch)
+    spectral_oracle_backend(random_with_condition(4, kappa, 0), eps_l, kappa=kappa)
+    assert checks == []
+    first = qsvt_backend(random_with_condition(4, kappa, 1), eps_l, kappa=kappa)
+    record = refine_mod._inverse_record(kappa, eps_l / kappa)
+    assert len(checks) == 1 and checks[0] is record
+    second = qsvt_backend(random_with_condition(8, kappa, 2), eps_l, kappa=kappa)
+    assert len(checks) == 1 and len(targets) == 1
+    assert first.degree == second.degree == record.series.degree
+    assert targets[0].rescale < 1.0
+    assert refine_mod._inverse_record.cache_info().misses == 1
 
 
 def test_polynomial_backends_share_one_grid_per_kappa_eps(fresh_phase_memo, monkeypatch):
@@ -530,12 +599,22 @@ def test_refine_names_a_backend_built_for_another_size(factory):
         iterative_refine(random_with_condition(8, 2.0, 1), unit_rhs(8, 0), backend, 1e-10)
 
 
-def test_shared_grid_values_are_read_only():
-    record = refine_mod._inverse_record(2.0, 0.05)
-    with pytest.raises(ValueError, match="read-only"):
-        record.evaluate.values[0] = 0.0
+def test_shared_grid_values_are_read_only(fresh_phase_memo, monkeypatch):
+    # the record's unscaled grid and the bounded target that phase finding
+    # reads (kappa 2, eps_l 1e-4: a factor of 0.949, so its own values)
+    targets = count_find_phases(monkeypatch)
+    qsvt_backend(random_with_condition(4, 2.0, 0), 1e-4, kappa=2.0)
+    record = refine_mod._inverse_record(2.0, 0.5e-4)
+    (target,) = targets
+    assert target.rescale < 1.0
+    for values in (record.evaluate.values, record.magnitudes, target.evaluate.values,
+                   target.series.coefficients):
+        with pytest.raises(ValueError, match="read-only"):
+            values[0] = 0.0
     with pytest.raises(dataclasses.FrozenInstanceError):
-        record.rescale = 1.0
+        record.evaluate = None
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        target.rescale = 1.0
 
 
 def test_qsvt_rejects_complex_inputs_at_the_boundary():
@@ -696,8 +775,12 @@ def test_qsvt_backends_share_one_phase_vector_per_kappa_eps(fresh_phase_memo, mo
     assert swept[0] is swept[1] is first
     assert swept[2] is swept[3] is other is not first
     assert len(targets) == 2 and refine_mod._inverse_phases.cache_info().currsize == 2
-    assert targets[0] is refine_mod._inverse_record(kappa, 0.1 / kappa)
-    assert targets[1] is refine_mod._inverse_record(kappa, 0.2 / kappa)
+    # each key's bound check reads its memoized record; at a factor of 1 it
+    # hands phase finding the record's own series and evaluator
+    for target, eps_l in zip(targets, (0.1, 0.2)):
+        record = refine_mod._inverse_record(kappa, eps_l / kappa)
+        assert target.rescale == 1.0
+        assert target.series is record.series and target.evaluate is record.evaluate
 
 
 def test_shared_phases_are_read_only(fresh_phase_memo):
@@ -724,9 +807,9 @@ def test_qsvt_backend_on_memoized_phases_runs_no_bound_check(fresh_phase_memo, m
     qsvt_backend(random_with_condition(4, 2.0, 0), 0.1, kappa=2.0)
     refine_mod._inverse_record.cache_clear()
     checks = []
-    real = refine_mod.bound_series
-    monkeypatch.setattr(refine_mod, "bound_series", lambda series: checks.append(series) or
-                        real(series))
+    real = refine_mod.check_bound
+    monkeypatch.setattr(refine_mod, "check_bound", lambda record: checks.append(record) or
+                        real(record))
     backend = qsvt_backend(random_with_condition(4, 2.0, 1), 0.1, kappa=2.0)
     assert checks == []
     assert backend.degree == refine_mod._inverse_phases(2.0, 0.05).size
