@@ -43,7 +43,6 @@ class BlockEncoding:
     data_qubits: int
     ancilla_qubits: int
     alpha: float
-    tolerance: float = 1e-11  # bound on ||block - A/alpha||
 
     def __post_init__(self):
         u = as_matrix(self.unitary)

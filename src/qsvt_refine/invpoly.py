@@ -168,8 +168,8 @@ def _quarter_sines(n: int) -> np.ndarray:
 def _values_on_cheb_grid(coefs: np.ndarray, m: int,
                          sines: Optional[np.ndarray] = None) -> np.ndarray:
     """Series values at x_j = cos(pi j / M), j = 0..M; M is ``m``, an
-    FFT-friendly size (``_next_fast_len``, which the caller runs) of at least
-    2 and the coefficients' count. The nodes themselves are not formed. An odd
+    FFT-friendly size (the caller picks it) of at least 2 and the
+    coefficients' count. The nodes themselves are not formed. An odd
     series on an even M takes a DCT-II of length n = M/2 over its odd
     coefficients, sum_i c_{2i+1} cos((2i+1) pi j / M) at j < M/2, and
     parity gives P(x_{M/2}) = 0 and P(x_{M-j}) = -P(x_j) exactly; any
@@ -179,7 +179,8 @@ def _values_on_cheb_grid(coefs: np.ndarray, m: int,
     entry k turned by e^{-i pi k / M} has the value at j = k as its real
     part and the one at j = n - k as minus its imaginary part. Its
     twiddles come from ``sines`` = ``_quarter_sines(n)``, computed here
-    unless the caller passes them."""
+    unless the caller passes them: the M grid's own table, read at every
+    second entry, is that table bit for bit."""
     if m % 2 == 0 and not np.any(coefs[0::2]):
         n = m // 2
         odd = np.zeros(n)
@@ -201,15 +202,16 @@ def _values_on_cheb_grid(coefs: np.ndarray, m: int,
 
 
 def _interpolant(vals: np.ndarray, sines: Optional[np.ndarray] = None):
-    """Evaluator of the polynomial through ``vals[j]`` at x_j = cos(pi j / M):
-    the second-kind barycentric formula (Berrut & Trefethen 2004), O(M)
-    work per point. x - x_j is taken from the endpoint on x's side, as
-    1 - x_j = 2 sin^2(pi j / 2M) keeps the nodes near +-1, where the slope
-    reaches degree^2 * max|P|, exact to relative rounding; the sines are
-    ``_quarter_sines(M)``, computed here unless the caller passes them. On
-    an even M the middle node is x_{M/2} = 0 exactly. Each point is its own
-    row reduction, so its value does not depend on its block; ``at`` takes one
-    point to a float in those steps. ``values`` is ``vals``, read at each call."""
+    """Evaluator of the polynomial through ``vals[j]`` at x_j = cos(pi j / M),
+    for a 1-D array of points: the second-kind barycentric formula (Berrut &
+    Trefethen 2004), O(M) work per point. x - x_j is taken from the endpoint
+    on x's side, as 1 - x_j = 2 sin^2(pi j / 2M) keeps the nodes near +-1,
+    where the slope reaches degree^2 * max|P|, exact to relative rounding;
+    the sines are ``_quarter_sines(M)``, computed here unless the caller
+    passes them. On an even M the middle node is x_{M/2} = 0 exactly. Each
+    point is its own row reduction, so its value does not depend on its
+    block, and a one-point array rounds as that point does among others.
+    ``values`` is ``vals``, read at each call."""
     m = vals.size - 1
     weights = np.where(np.arange(m + 1) % 2, -1.0, 1.0)
     weights[[0, -1]] *= 0.5
@@ -218,17 +220,6 @@ def _interpolant(vals: np.ndarray, sines: Optional[np.ndarray] = None):
     # x - x_j = (x - shift) + nodes[j] is zero, is found by a sorted search
     sides = ((1.0, from_one), (-1.0, -from_one[::-1]))
     step = max(1, _CHUNK_ELEMS // (m + 1))
-
-    def at(t: float) -> float:  # the peak search's and a scalar cheb_eval's calls
-        shift, nodes = sides[int(t < 0.0)]
-        target = shift - t
-        near = min(int(np.searchsorted(nodes, target)), m)
-        if nodes[near] == target:
-            return float(vals[near])
-        terms = np.divide(weights, nodes - target)
-        den = terms.sum()
-        terms *= vals
-        return float(terms.sum() / den)
 
     def evaluate(x: np.ndarray) -> np.ndarray:
         out = np.empty(x.size)
@@ -249,7 +240,7 @@ def _interpolant(vals: np.ndarray, sines: Optional[np.ndarray] = None):
                 out[pts[rows]] = vals[cols]
         return out
 
-    evaluate.values, evaluate.at = vals, at
+    evaluate.values = vals
     return evaluate
 
 
@@ -266,15 +257,14 @@ def _node_offsets(m: int, sines: Optional[np.ndarray] = None) -> np.ndarray:
 
 
 def cheb_eval(series: ChebyshevSeries, x):
-    """Evaluate the series at ``x`` (scalar or array, |x| <= 1) from its
-    values at M+1 >= degree+1 Chebyshev-Lobatto points (one transform).
-    A scalar returns a Python float equal to its entry in an array call."""
-    xs = float(x) if np.isscalar(x) else np.asarray(x, dtype=float)
+    """Evaluate the series at ``x`` (scalar or array, |x| <= 1) with its
+    record's evaluator (``series_record``, one transform). A scalar returns
+    the Python float of a one-point array call."""
+    xs = np.asarray(x, dtype=float)
     if not np.all(np.abs(xs) <= 1.0 + 1e-12):
         raise ValueError("cheb_eval requires finite x with |x| <= 1")
-    coefs = series.coefficients
-    evaluate = _interpolant(_values_on_cheb_grid(coefs, _next_fast_len(max(coefs.size, 2))))
-    return evaluate.at(xs) if isinstance(xs, float) else evaluate(xs.ravel()).reshape(xs.shape)
+    values = series_record(series).evaluate(xs.ravel())
+    return float(values[0]) if np.isscalar(x) else values.reshape(xs.shape)
 
 
 # Former name, still the one perfbench's tracer wraps (the same function).
@@ -289,15 +279,12 @@ def max_abs_on_interval(series: ChebyshevSeries) -> float:
 
 @dataclass(frozen=True, eq=False)
 class SeriesRecord:
-    """A series with its one grid transform (``series_record``): ``evaluate``,
-    its interpolant on the M grid (1-D arrays of x in [-1, 1], no checks),
-    and ``magnitudes``, the |P| that the bound check scans on the 2M grid
-    x_j = cos(pi j / 2M): j = 0..M, the x >= 0 half, for a definite-parity
-    series, whose |P| is even, and j = 0..2M otherwise."""
+    """A series with ``evaluate``, its interpolant on the M grid x_j =
+    cos(pi j / M) (1-D arrays of x in [-1, 1], no checks), from one
+    transform (``series_record``)."""
 
     series: ChebyshevSeries
     evaluate: Callable
-    magnitudes: np.ndarray
 
 
 @dataclass(frozen=True, eq=False)
@@ -305,7 +292,7 @@ class BoundedSeries:
     """A series rescaled so |P| <= 1 on [-1, 1], with what its bound check
     found: the applied factor ``rescale``, the checked max|P| of the series
     before rescaling (``peak``) and ``evaluate``, the rescaled series'
-    interpolant on the check's M grid (1-D arrays of x in [-1, 1], no
+    interpolant on the record's M grid (1-D arrays of x in [-1, 1], no
     checks; its ``values`` are the record's times ``rescale``)."""
 
     series: ChebyshevSeries
@@ -315,32 +302,35 @@ class BoundedSeries:
 
 
 def series_record(series: ChebyshevSeries) -> SeriesRecord:
-    """The series' values on a Chebyshev-spaced grid of 2M + 1 points, M the
-    first FFT-friendly size of at least its degree, from one transform:
-    every second value is the M grid its interpolant reads, and the check's
-    half (all of it for a series of no parity) is kept as |P|. The M grid's
-    sine table gives its nodes and the odd series' DCT-II twiddles."""
-    m = _next_fast_len(max(series.degree, 1))
+    """The series' values on the M grid, M = 2 * (the first FFT-friendly
+    size of at least half its coefficient count), from one transform: M is
+    even and at least the coefficient count, so x = 0 is a node, where an
+    odd series reads exactly 0. The grid's sine table gives its nodes and,
+    at every second entry, the odd series' DCT-II twiddles."""
+    m = 2 * _next_fast_len(series.degree // 2 + 1)
     sines = _quarter_sines(m)
-    vals = _values_on_cheb_grid(series.coefficients, 2 * m, sines)
-    scanned = vals[:m + 1] if series.parity != "none" else vals  # x_j >= 0 at j <= M
-    return SeriesRecord(series, _interpolant(vals[::2].copy(), sines), np.abs(scanned))
+    vals = _values_on_cheb_grid(series.coefficients, m, sines[::2])
+    return SeriesRecord(series, _interpolant(vals, sines))
 
 
 def check_bound(record: SeriesRecord) -> BoundedSeries:
-    """The bound check of ``bound_series`` on a record: its grid values and
-    interpolant are read, never written, so the record stays the unscaled
-    series'.
+    """The bound check of ``bound_series`` on a record: its interpolant is
+    read, never written, so the record stays the unscaled series'.
 
-    The peak comes from the record's 2M grid plus a bounded Brent search
+    The peak comes from a scan of |P| on the 2M grid x_j = cos(pi j / 2M),
+    which the check transforms itself, plus a bounded Brent search
     (``_brent_min``) on the record's interpolant around each grid local
     maximum within pi^2/32 of the grid's top: P(cos theta) has degree
     d <= M, so the node nearest the maximizer lies within pi/(4M) of it in
     angle, and Bernstein's |P''| <= d^2 max|P| bounds that node's deficit by
     (1/2)(pi/4)^2 = pi^2/32 of the peak. A definite-parity |P| is even, so
-    its top and rival lobes come from the grid's x >= 0 half alone."""
-    series, interpolant, scan = record.series, record.evaluate, record.magnitudes
-    last = 2 * (interpolant.values.size - 1)  # the 2M grid's last index
+    its top and rival lobes come from the grid's x >= 0 half, j = 0..M,
+    alone."""
+    series, interpolant = record.series, record.evaluate
+    m = interpolant.values.size - 1
+    last = 2 * m  # the 2M grid's last index
+    vals = _values_on_cheb_grid(series.coefficients, last)
+    scan = np.abs(vals[:m + 1] if series.parity != "none" else vals)  # x_j >= 0 at j <= M
     k = int(np.argmax(scan))
 
     def refined(k: int) -> float:
@@ -348,7 +338,7 @@ def check_bound(record: SeriesRecord) -> BoundedSeries:
         lo, hi = np.cos(np.pi * np.array([min(k + 1, last), max(k - 1, 0)]) / last)
         if lo >= hi:
             return float(scan[k])
-        least = _brent_min(lambda t: -abs(interpolant.at(t)), lo, hi)
+        least = _brent_min(lambda t: -abs(interpolant(np.array([t]))[0]), lo, hi)
         return float(max(scan[k], -least))
 
     # a half grid ends at x_M = 0, whose right neighbour |P(x_{M+1})| mirrors
@@ -372,8 +362,8 @@ def check_bound(record: SeriesRecord) -> BoundedSeries:
 def bound_series(series: ChebyshevSeries) -> BoundedSeries:
     """Rescale so |P(x)| <= 1 on [-1, 1], with a 1e-6 safety margin (the
     factor is exactly 1 when the peak times 1 + 1e-6 is at most 1 + 1e-9):
-    ``check_bound`` of ``series_record``, one grid transform and one peak
-    search."""
+    ``check_bound`` of ``series_record``, an M-grid transform for the
+    evaluator, a 2M-grid one for the scan and one peak search."""
     return check_bound(series_record(series))
 
 

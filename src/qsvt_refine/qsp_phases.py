@@ -28,7 +28,6 @@ __all__ = [
     "MAX_DEGREE",
     "PhaseFindingError",
     "signal_row",
-    "realized_values",
     "find_phases",
     "verify_phases",
 ]
@@ -132,6 +131,8 @@ def signal_row(phases: np.ndarray, xs: np.ndarray) -> tuple[np.ndarray, np.ndarr
     all, with no loop over d.
     """
     phases = np.asarray(phases, dtype=float)
+    if phases.size == 0:
+        raise ValueError("need a nonempty phase table")
     xs = np.asarray(xs, dtype=float)
     s2 = np.maximum(0.0, 1.0 - xs * xs)
     ixs = 1j * xs * np.sqrt(s2)
@@ -146,11 +147,6 @@ def signal_row(phases: np.ndarray, xs: np.ndarray) -> tuple[np.ndarray, np.ndarr
         ra, rb = pa * qa - pb * np.conj(qb), pa * qb + pb * np.conj(qa)
         a, b = (ra, rb) if len(a) % 2 == 0 else (np.vstack((ra, a[-1])), np.vstack((rb, b[-1])))
     return a[0], b[0]
-
-
-def realized_values(phases: np.ndarray, xs: np.ndarray) -> np.ndarray:
-    """Re M(x)[0,0] of the phase table ``phases`` on an array of points."""
-    return signal_row(phases, xs)[0].real
 
 
 def find_phases(target: BoundedSeries) -> np.ndarray:
@@ -221,4 +217,4 @@ def verify_phases(phases: np.ndarray, target: BoundedSeries) -> float:
     """Max of |Re M(x)[0,0] - P(x)| over ``_VERIFY_POINTS`` points spanning [-1, 1],
     with P(x) from ``target.evaluate``, the grid ``find_phases`` matched."""
     xs = np.linspace(-1.0, 1.0, _VERIFY_POINTS)
-    return float(np.max(np.abs(realized_values(phases, xs) - target.evaluate(xs))))
+    return float(np.max(np.abs(signal_row(phases, xs)[0].real - target.evaluate(xs))))

@@ -65,8 +65,6 @@ def _pair_rows(u, vh, xs, phases) -> tuple[np.ndarray, np.ndarray]:
     checked orthonormal to 1e-10 * N and every pair's product unitary,
     | |p|^2 + |q|^2 - 1 | <= 1e-10 * 2N: together these bound the unitarity
     defect of the sequence as the dense check of the swept columns did."""
-    if np.size(phases) == 0:
-        raise ValueError("need a nonempty phase table")
     check_unitary(u, 1e-10)
     check_unitary(vh, 1e-10)
     p, q = signal_row(phases, xs)

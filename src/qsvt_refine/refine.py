@@ -25,14 +25,14 @@ most eps_l; the loop needs nothing else from it:
 Each backend reports the ``size`` N it was built for, read off that one
 array, and ``iterative_refine`` rejects a system of another size.
 
-The inverse series with its one grid transform (a ``SeriesRecord``) and
+The inverse series with its M-grid evaluator (a ``SeriesRecord``) and
 its phase factors depend only on (kappa, eps' = eps_l / kappa); two memos
 of 16 keys own them, and no backend keeps either. A QSVT circuit needs
-|P| <= 1, so phase finding runs the bound check (peak search and rescale)
-on the memoized record, once per key. The spectral operator carries the
-unscaled series: its direction is raw / ||raw||, which a positive factor
-on P does not change, so a spectral build runs no peak search. Either way a
-key makes one grid transform whichever backends it serves. Every factory
+|P| <= 1, so phase finding runs the bound check (a 2M-grid scan, peak
+search and rescale) on the memoized record, once per key. The spectral
+operator carries the unscaled series: its direction is raw / ||raw||, which
+a positive factor on P does not change, so a spectral build makes the
+record's one M-grid transform and no scan or peak search. Every factory
 enters through one step, ``_factorize``, which takes the matrix's one SVD
 and rejects a matrix that is not square, is empty or is numerically
 singular, and a ``kappa`` below its sigma_max / sigma_min, before any memo
@@ -290,12 +290,11 @@ def _factorize(a, eps_l: float, kappa: Optional[float], shots: Optional[int]):
 def _inverse_record(kappa: float, eps_prime: float) -> SeriesRecord:
     """``series_record`` of the inverse series at accuracy eps' (callers pass
     eps_l / kappa): one read-only record per key, unscaled, with no peak
-    search. Its evaluator gives the spectral oracle its P(sigma), and its
-    grid serves the bound check that only phase finding runs."""
+    search. Its evaluator gives the spectral oracle its P(sigma), and the
+    bound check that only phase finding runs reads it too."""
     record = series_record(inverse_cheb_series(kappa, eps_prime))
     record.series.coefficients.flags.writeable = False
     record.evaluate.values.flags.writeable = False
-    record.magnitudes.flags.writeable = False
     return record
 
 
@@ -306,10 +305,10 @@ def _inverse_phases(kappa: float, eps_prime: float) -> np.ndarray:
     A classical precomputation that depends on the series alone, so QSVT
     backends with the same (kappa, eps') share one memoized, read-only
     phase array. The key's one bound check runs here, on the memoized
-    record, so it takes no second grid transform; ``find_phases`` takes its
-    result, whose read-only evaluator reads the record's grid values times
-    the rescale factor. A ``PhaseFindingError`` is raised, not cached: the
-    next call with that key tries again."""
+    record, and adds the one 2M-grid transform of its scan; ``find_phases``
+    takes its result, whose read-only evaluator reads the record's grid
+    values times the rescale factor. A ``PhaseFindingError`` is raised, not
+    cached: the next call with that key tries again."""
     target = check_bound(_inverse_record(kappa, eps_prime))
     target.series.coefficients.flags.writeable = False
     target.evaluate.values.flags.writeable = False

@@ -87,7 +87,7 @@ def _walsh_gray_angles(theta: np.ndarray) -> np.ndarray:
     return hat[order]
 
 
-def fable_encoding(a, threshold: float = 0.0) -> tuple[BlockEncoding, Circuit]:
+def fable_encoding(a, threshold: float = 0.0) -> tuple[BlockEncoding, Circuit, float]:
     """FABLE-style block-encoding of a real matrix with |entries| <= 1.
 
     Rotation angles arccos(a_ij) are Gray-code sequenced through a
@@ -96,7 +96,8 @@ def fable_encoding(a, threshold: float = 0.0) -> tuple[BlockEncoding, Circuit]:
     they would have carried, and the dropped coefficient mass is
     reported as the block error bound. alpha = 2^n.
 
-    Returns ``(encoding, circuit)``.
+    Returns ``(encoding, circuit, bound)``, ``bound`` on
+    ||block - A / alpha||: half the dropped mass, at least 1e-10.
     """
     a = as_matrix(a)
     if np.iscomplexobj(a) and np.any(a.imag != 0.0):
@@ -141,15 +142,13 @@ def fable_encoding(a, threshold: float = 0.0) -> tuple[BlockEncoding, Circuit]:
 
     circuit = Circuit(num_qubits, tuple(gates))
     unitary = compile_circuit(circuit)
-    eps_thresh = dropped_mass / 2.0
     encoding = BlockEncoding(
         unitary=unitary,
         data_qubits=n,
         ancilla_qubits=n + 1,
         alpha=float(2**n),
-        tolerance=max(eps_thresh, 1e-10),
     )
-    return encoding, circuit
+    return encoding, circuit, max(dropped_mass / 2.0, 1e-10)
 
 
 def _gate_matrix(gate: Gate) -> np.ndarray:

@@ -159,7 +159,7 @@ def test_acceptance_7_fable_fidelity():
     worst = 0.0
     for trial in range(20):
         a = rng.uniform(-1.0, 1.0, (8, 8))
-        enc, _ = fable_encoding(a, threshold=0.0)
+        enc, _, _ = fable_encoding(a, threshold=0.0)
         gap = np.linalg.norm(enc.block() - a / 8.0, 2)
         worst = max(worst, gap)
         assert gap <= 1e-10, f"trial {trial}: {gap:.3e}"

@@ -79,19 +79,19 @@ def test_dilation_requires_prescaling():
 def test_fable_uncompressed_block():
     rng = np.random.default_rng(7)
     a = rng.uniform(-1.0, 1.0, (4, 4))
-    enc, _ = fable_encoding(a, threshold=0.0)
+    enc, _, _ = fable_encoding(a, threshold=0.0)
     assert enc.alpha == 4.0 and enc.ancilla_qubits == 3
     np.testing.assert_allclose(enc.block(), a / 4.0, atol=1e-10)
 
 
 def test_fable_zero_matrix():
-    enc, _ = fable_encoding(np.zeros((2, 2)), threshold=0.0)
+    enc, _, _ = fable_encoding(np.zeros((2, 2)), threshold=0.0)
     np.testing.assert_allclose(enc.block(), np.zeros((2, 2)), atol=1e-12)
 
 
 def test_fable_matches_dilation_route():
     a = 0.8 * random_with_condition(4, 3.0, 5)
-    fab, _ = fable_encoding(a, threshold=0.0)
+    fab, _, _ = fable_encoding(a, threshold=0.0)
     dil = dilation_encoding(a)
     ratio = fab.alpha / dil.alpha
     np.testing.assert_allclose(fab.block() * ratio, dil.block(), atol=1e-10)
@@ -103,10 +103,10 @@ def test_fable_compression_monotonicity():
     thresholds = [0.0, 1e-4, 1e-2, math.inf]
     counts, tolerances = [], []
     for t in thresholds:
-        enc, circuit = fable_encoding(a, threshold=t)
+        enc, circuit, tolerance = fable_encoding(a, threshold=t)
         counts.append(circuit.gate_count)
-        tolerances.append(enc.tolerance)
-        assert np.linalg.norm(enc.block() - a / 4.0, 2) <= enc.tolerance + 1e-10
+        tolerances.append(tolerance)
+        assert np.linalg.norm(enc.block() - a / 4.0, 2) <= tolerance + 1e-10
     assert counts == sorted(counts, reverse=True)
     assert counts[-1] < counts[0]
     assert tolerances == sorted(tolerances)
@@ -114,7 +114,7 @@ def test_fable_compression_monotonicity():
 
 def test_fable_infinite_threshold_drops_rotation_layer():
     a = np.full((2, 2), 0.3)
-    _, circuit = fable_encoding(a, threshold=math.inf)
+    _, circuit, _ = fable_encoding(a, threshold=math.inf)
     assert not any(g.kind == "ry" for g in circuit.gates)
 
 

@@ -5,6 +5,8 @@ import importlib.util
 import re
 from pathlib import Path
 
+from qsvt_refine.invpoly import bound_series, inverse_cheb_series
+
 TOOL = Path(__file__).resolve().parents[1] / "tools" / "compare_cli_outputs.py"
 
 
@@ -17,7 +19,7 @@ def load_tool():
 
 def test_this_checkout_is_identical_to_itself(capsys):
     tool = load_tool()
-    tool.CONFIGS = ["complexity"]
+    tool.CONFIGS = [("complexity", {})]
     assert tool.main([str(tool.HERE_SRC)]) == 0
     # each tree's source line count, then the verdict and each tree's
     # process wall time
@@ -28,6 +30,24 @@ def test_this_checkout_is_identical_to_itself(capsys):
     here_lines, other_lines, *seconds = out.groups()
     assert int(here_lines) == int(other_lines) > 0
     assert all(float(wall) > 0.0 for wall in seconds)
+
+
+def test_a_config_file_reaches_a_rescaled_qsvt_full_key(capsys):
+    # the one config whose qsvt_full key the bound check rescales gets its
+    # eps_l from a JSON file, so the byte compare covers that path
+    tool = load_tool()
+    rescaled = [(config, fields) for config, fields in tool.CONFIGS if fields]
+    assert rescaled == [("convergence --backend qsvt_full", {"eps_l": [1e-3]})]
+    kappa, eps_l = 10.0, 1e-3  # kappa: the convergence experiment's default
+    assert bound_series(inverse_cheb_series(kappa, eps_l / kappa)).rescale < 1.0
+    tool.CONFIGS = rescaled
+    runs, real_run = [], tool.run_cli
+    tool.run_cli = lambda *args: runs.append(real_run(*args)) or runs[-1]
+    assert tool.main([str(tool.HERE_SRC)]) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert out[1].startswith('convergence --backend qsvt_full --config {"eps_l": [0.001]}: '
+                             'identical (exit 0; ')
+    assert [meta["config"]["eps_l"] for _, _, meta in runs] == [[1e-3], [1e-3]]
 
 
 def test_a_directory_without_the_package_exits_2(tmp_path, capsys):

@@ -249,7 +249,7 @@ def grid_values(coefs, npts):
 
 def special_points(series, picks):
     # +-1, 0 and exact nodes of the grid the evaluator interpolates on
-    size = grid_values(series.coefficients, series.degree).size
+    size = invpoly.series_record(series).evaluate.values.size
     nodes = np.cos(np.pi * np.arange(size) / (size - 1))
     return np.concatenate([[-1.0, 0.0, 1.0], nodes[np.asarray(picks, dtype=int) % nodes.size]])
 
@@ -294,7 +294,7 @@ def test_odd_grid_values_match_the_dct1(terms, seed, bound_check_grid):
     coefs = np.zeros(2 * terms)
     coefs[1::2] = np.random.default_rng(seed).standard_normal(terms)
     degree = coefs.size - 1
-    npts = 2 * next_fast_len(degree, real=True) if bound_check_grid else degree
+    npts = 4 * next_fast_len(degree // 2 + 1, real=True) if bound_check_grid else degree
     got = grid_values(coefs, npts)
     want = dct1_values(coefs, npts)
     assert got.size == want.size
@@ -336,6 +336,39 @@ def test_dct1_path_matches_the_scipy_reference(degree, seed, parity, odd_grid, p
     assert np.max(np.abs(got - want)) <= 4 * np.finfo(float).eps * np.max(np.abs(want))
 
 
+@settings(max_examples=60, deadline=None)
+@given(degree=st.integers(0, 20_000), parity=st.sampled_from(["odd", "even", "none"]),
+       seed=st.integers(0, 2**16))
+@example(degree=0, parity="even", seed=0)
+@example(degree=13, parity="odd", seed=0)
+def test_record_grid_is_even_and_holds_every_coefficient(degree, parity, seed):
+    # M = 2 * next_fast_len(degree // 2 + 1): even, so x = 0 is a node, and
+    # at least the coefficient count; the odd series' DCT-II twiddles, read
+    # off the M grid's own sine table, give the transform's values exactly
+    if parity == "odd":
+        degree += 1 - degree % 2
+    elif parity == "even":
+        degree -= degree % 2
+    series = random_series(seed, degree, parity)
+    values = invpoly.series_record(series).evaluate.values
+    m = values.size - 1
+    assert m % 2 == 0 and m >= series.coefficients.size
+    assert m == 2 * next_fast_len(degree // 2 + 1, real=True)
+    assert np.array_equal(values, invpoly._values_on_cheb_grid(series.coefficients, m))
+
+
+@settings(max_examples=60, deadline=None)
+@given(degree=st.integers(1, 3999), seed=st.integers(0, 2**16))
+@example(degree=13, seed=0)
+def test_odd_series_reads_exactly_zero_at_zero(degree, seed):
+    # degree 13 once took an odd grid of 15 points, with no node at 0
+    series = random_series(seed, degree + 1 - degree % 2, "odd")
+    zeros = np.array([0.0, -0.0])
+    assert np.array_equal(invpoly.series_record(series).evaluate(zeros), [0.0, 0.0])
+    assert np.array_equal(cheb_eval(series, zeros), [0.0, 0.0])
+    assert cheb_eval(series, 0.0) == 0.0 and cheb_eval(series, -0.0) == 0.0
+
+
 @pytest.mark.parametrize("kappa, eps", [(10.0, 1e-3), (300.0, 0.4 / 300**2), (2.0, 0.05)])
 def test_odd_series_is_exactly_zero_at_zero_on_an_even_grid(kappa, eps):
     # x = 0 is the node x_{M/2}, where parity gives exactly 0; its offset
@@ -343,7 +376,6 @@ def test_odd_series_is_exactly_zero_at_zero_on_an_even_grid(kappa, eps):
     # reads -1e-14 at kappa 10 and -4.4e-13 at kappa 300
     series = inverse_cheb_series(kappa, eps)
     record = bound_series(series)
-    assert grid_values(series.coefficients, series.degree).size % 2 == 1
     assert record.evaluate.values.size % 2 == 1
     assert np.array_equal(record.evaluate(np.array([0.0, -0.0, 0.5]))[:2], [0.0, 0.0])
     assert record.evaluate(np.array([-0.0]))[0] == 0.0
@@ -436,8 +468,9 @@ def test_bound_check_of_a_definite_parity_series_searches_x_at_least_0(parity, d
                                     inverse_cheb_series(268.0, 0.4 / 268.0**2),
                                     random_series(1, 240, "none")], ids=["odd", "large", "none"])
 def test_bound_check_transforms_one_grid_of_2m_points(series, monkeypatch):
-    # one transform per series, on the 2M grid; its every second value is
-    # the M grid that the interpolant, and so a memoized evaluator, reads
+    # the record makes one transform, on the M grid its interpolant, and so
+    # a memoized evaluator, reads; the bound check makes one more, its own
+    # 2M-point scan, and reads the record's interpolant between its nodes
     calls = []
 
     def counted(coefs, npts, *rest, _real=invpoly._values_on_cheb_grid):
@@ -445,10 +478,13 @@ def test_bound_check_transforms_one_grid_of_2m_points(series, monkeypatch):
         return _real(coefs, npts, *rest)
 
     monkeypatch.setattr(invpoly, "_values_on_cheb_grid", counted)
-    record = bound_series(series)
-    m = next_fast_len(series.degree, real=True)
-    assert calls == [2 * m]
+    record = invpoly.series_record(series)
+    m = 2 * next_fast_len(series.degree // 2 + 1, real=True)
+    assert calls == [m]
     assert record.evaluate.values.size == m + 1
+    bounded = invpoly.check_bound(record)
+    assert calls == [m, 2 * m]
+    assert bounded.evaluate.values.size == m + 1
 
 
 @settings(max_examples=60, deadline=None)

@@ -21,7 +21,6 @@ from qsvt_refine.qsp_phases import (
     PhaseFindingError,
     _SignalRows,
     find_phases,
-    realized_values,
     signal_row,
     verify_phases,
 )
@@ -167,7 +166,8 @@ def test_find_phases_realizes_definite_parity_targets(target):
     # verify_phases reads the grid the node targets came from; Clenshaw's
     # recurrence shares no code with it
     xs = np.linspace(-1.0, 1.0, 10_000)
-    assert np.max(np.abs(realized_values(phases, xs) - clenshaw_eval(target.series, xs))) <= 1e-10
+    realized = signal_row(phases, xs)[0].real
+    assert np.max(np.abs(realized - clenshaw_eval(target.series, xs))) <= 1e-10
     # phi_j == phi_{d+2-j} for j = 2..d, exactly: the phases are unfolded
     # from the symmetric reduced ones
     assert np.array_equal(phases[1:], phases[1:][::-1])
@@ -187,6 +187,17 @@ def test_find_phases_is_identical_across_processes():
         for _ in range(3)
     }
     assert len(digests) == 1 and len(digests.pop()) == 40
+
+
+def test_an_empty_phase_table_is_named():
+    # the one check lives in signal_row: an empty table has no product
+    # to take, and verify_phases reads signal_row
+    xs = np.linspace(-1.0, 1.0, 5)
+    with pytest.raises(ValueError, match="need a nonempty phase table"):
+        signal_row(np.zeros(0), xs)
+    target = BoundedSeries(T1, 1.0, 1.0, lambda x: cheb_eval(T1, x))
+    with pytest.raises(ValueError, match="need a nonempty phase table"):
+        verify_phases(np.zeros(0), target)
 
 
 def test_verify_phases_exact_and_perturbed():
@@ -237,7 +248,7 @@ def test_signal_rows_match_plain_recurrence_bitwise(d):
 @given(d=st.integers(1, 401), nx=st.integers(1, 64), seed=st.integers(0, 2**16))
 def test_signal_row_matches_the_signal_rows_forward_pass(d, nx, seed):
     # the pairwise product tree against the left-to-right recurrence Newton
-    # uses: the whole first row, its real part as realized_values, and a
+    # uses: the whole first row, its real part as verify_phases reads it, and a
     # unit row at every point, the end points included
     rng = np.random.default_rng(seed)
     phases = rng.uniform(-np.pi, np.pi, d)
@@ -247,7 +258,7 @@ def test_signal_row_matches_the_signal_rows_forward_pass(d, nx, seed):
     p, q = signal_row(phases, xs)
     np.testing.assert_allclose(p, rows.f0[-1], rtol=0, atol=1e-13)
     np.testing.assert_allclose(q, rows.f1[-1], rtol=0, atol=1e-13)
-    np.testing.assert_allclose(realized_values(phases, xs), rows.f0[-1].real, rtol=0, atol=1e-13)
+    np.testing.assert_allclose(p.real, rows.f0[-1].real, rtol=0, atol=1e-13)
     assert np.max(np.abs(np.abs(p) ** 2 + np.abs(q) ** 2 - 1.0)) <= 1e-13
 
 

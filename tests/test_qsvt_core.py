@@ -17,7 +17,7 @@ from circuit_reference import fable_encoding
 from sweep_reference import build_u_phi, stepwise_sweep, sweep, swept_block
 from qsvt_refine.invpoly import ChebyshevSeries, bound_series, inverse_cheb_series
 from qsvt_refine.numerics import random_with_condition, svd
-from qsvt_refine.qsp_phases import find_phases, realized_values
+from qsvt_refine.qsp_phases import find_phases, signal_row
 from qsvt_refine.qsvt_core import PostSelectionError, apply_inverse_state, inverse_block
 
 T1 = ChebyshevSeries(np.array([0.0, 1.0]))
@@ -201,7 +201,7 @@ def test_ordering_regression_odd_and_even():
     for d in (3, 4):
         phases = rng.uniform(-0.8, 0.8, d)
         u_phi = build_u_phi(enc, phases)
-        vals = realized_values(phases, s)
+        vals = signal_row(phases, s)[0].real
         if d % 2:
             want = (u * vals) @ vh
         else:
@@ -223,7 +223,7 @@ def test_apply_inverse_state_matches_svd_transform(n, d, kappa, seed):
     b = rng.standard_normal(n)
     b /= np.linalg.norm(b)
     u, s, vh = svd(m)
-    tb = (u * realized_values(phases, s)) @ vh @ b
+    tb = (u * signal_row(phases, s)[0].real) @ vh @ b
     weight = float(np.linalg.norm(tb)) ** 2
     assume(weight >= 1e-6)
     for block in (inverse_block(svd(m.T), phases), swept_block(dilation_encoding(m), phases)):

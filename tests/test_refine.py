@@ -503,24 +503,32 @@ def test_spectral_direction_does_not_see_the_rescale_factor(n, kappa, rate, seed
 
 def test_a_spectral_build_runs_no_peak_search(monkeypatch):
     # a fresh key whose series the bound check rescales: the spectral build
-    # makes its one grid transform and one fast-length search, and no Brent
-    # search; the check later runs on that grid without a second transform
+    # makes the record's one M-point transform and one fast-length search,
+    # and no Brent search; the check later adds its own 2M-point scan
     kappa = 100.0
     eps_prime = 0.4 / kappa / kappa
     refine_mod._inverse_record.cache_clear()
-    calls = {"_values_on_cheb_grid": 0, "_next_fast_len": 0, "_brent_min": 0}
+    calls = {"_next_fast_len": 0, "_brent_min": 0}
     for name in calls:
         def counted(*args, _name=name, _real=getattr(invpoly, name)):
             calls[_name] += 1
             return _real(*args)
 
         monkeypatch.setattr(invpoly, name, counted)
+    sizes = []
+
+    def transform(coefs, m, *rest, _real=invpoly._values_on_cheb_grid):
+        sizes.append(m)
+        return _real(coefs, m, *rest)
+
+    monkeypatch.setattr(invpoly, "_values_on_cheb_grid", transform)
     spectral_oracle_backend(random_with_condition(4, kappa, 0), 0.4 / kappa, kappa=kappa)
-    assert calls == {"_values_on_cheb_grid": 1, "_next_fast_len": 1, "_brent_min": 0}
     record = refine_mod._inverse_record(kappa, eps_prime)
+    m = record.evaluate.values.size - 1
+    assert sizes == [m] and calls == {"_next_fast_len": 1, "_brent_min": 0}
     bounded = invpoly.check_bound(record)
     assert bounded.rescale < 1.0
-    assert calls["_values_on_cheb_grid"] == 1 and calls["_brent_min"] > 0
+    assert sizes == [m, 2 * m] and calls["_brent_min"] > 0
     # the bound check's evaluator reads the record's grid values times the
     # factor, and the record keeps its own, unscaled
     assert np.array_equal(bounded.evaluate.values, record.evaluate.values * bounded.rescale)
@@ -552,23 +560,27 @@ def test_qsvt_builds_run_one_bound_check_per_key(fresh_phase_memo, monkeypatch):
 
 
 def test_polynomial_backends_share_one_grid_per_kappa_eps(fresh_phase_memo, monkeypatch):
-    # a fresh key makes one grid transform and one set of node tables, in
-    # its bound check, phase finding included: find_phases reads the
-    # record's checked peak and its evaluator
+    # a fresh key makes one M-point transform and one set of node tables,
+    # whichever backends it serves; its first qsvt_full build adds the bound
+    # check's 2M-point scan, and its second build nothing: find_phases reads
+    # the check's peak and the record's evaluator (unscaled at this key)
     kappa, eps_l = 2.0, 0.1
     refine_mod._inverse_record.cache_clear()
-    calls = {"_values_on_cheb_grid": 0, "_interpolant": 0}
-    for name in calls:
-        def counted(*args, _name=name, _real=getattr(invpoly, name)):
-            calls[_name] += 1
-            return _real(*args)
-
-        monkeypatch.setattr(invpoly, name, counted)
+    sizes, interpolants = [], []
+    real_transform, real_interpolant = invpoly._values_on_cheb_grid, invpoly._interpolant
+    monkeypatch.setattr(invpoly, "_values_on_cheb_grid", lambda coefs, m, *rest:
+                        sizes.append(m) or real_transform(coefs, m, *rest))
+    monkeypatch.setattr(invpoly, "_interpolant", lambda *args:
+                        interpolants.append(args) or real_interpolant(*args))
     first = spectral_oracle_backend(random_with_condition(4, kappa, 0), eps_l, kappa=kappa)
     second = spectral_oracle_backend(random_with_condition(8, kappa, 1), eps_l, kappa=kappa)
+    m = refine_mod._inverse_record(kappa, eps_l / kappa).evaluate.values.size - 1
+    assert sizes == [m] and len(interpolants) == 1
     qsvt = qsvt_backend(random_with_condition(4, kappa, 2), eps_l, kappa=kappa)
-    assert calls == {"_values_on_cheb_grid": 1, "_interpolant": 1}
-    assert first.degree == second.degree == qsvt.degree
+    assert sizes == [m, 2 * m] and len(interpolants) == 1
+    again = qsvt_backend(random_with_condition(8, kappa, 3), eps_l, kappa=kappa)
+    assert sizes == [m, 2 * m] and len(interpolants) == 1
+    assert first.degree == second.degree == qsvt.degree == again.degree
     info = refine_mod._inverse_record.cache_info()
     assert info.misses == 1 and info.currsize == 1
 
@@ -607,7 +619,7 @@ def test_shared_grid_values_are_read_only(fresh_phase_memo, monkeypatch):
     record = refine_mod._inverse_record(2.0, 0.5e-4)
     (target,) = targets
     assert target.rescale < 1.0
-    for values in (record.evaluate.values, record.magnitudes, target.evaluate.values,
+    for values in (record.evaluate.values, record.series.coefficients, target.evaluate.values,
                    target.series.coefficients):
         with pytest.raises(ValueError, match="read-only"):
             values[0] = 0.0

@@ -8,6 +8,8 @@ Usage::
 for example that of a checkout of the parent commit. Each config in
 ``CONFIGS`` runs once against this checkout's ``src/`` and once against
 ``OTHER_SRC``, each run a fresh process with ``OPENBLAS_NUM_THREADS=1``.
+A config whose fields reach no CLI flag gets them from a JSON config file
+that the tool writes to its temporary directory, the same file for both.
 
 It first prints ``src lines: N here, M in OTHER_SRC``, the lines of every
 ``*.py`` under each tree's ``qsvt_refine``, so a change's size shows in the
@@ -45,17 +47,21 @@ from pathlib import Path
 
 HERE_SRC = Path(__file__).resolve().parents[1] / "src"
 
-# each config is the --experiment value followed by extra CLI flags
+# each config is the --experiment value followed by extra CLI flags, and
+# the fields of its JSON config file ({} for none)
 CONFIGS = [
-    "convergence",
-    "poisson",
-    "complexity",
-    "large_kappa",
-    "convergence --backend noisy_oracle",
-    "convergence --readout shot",
-    "convergence --backend qsvt_full --seeds 0,1",
-    "convergence --backend qsvt_full --readout shot --seeds 0,1",
-    "complexity --backend qsvt_full",
+    ("convergence", {}),
+    ("poisson", {}),
+    ("complexity", {}),
+    ("large_kappa", {}),
+    ("convergence --backend noisy_oracle", {}),
+    ("convergence --readout shot", {}),
+    ("convergence --backend qsvt_full --seeds 0,1", {}),
+    ("convergence --backend qsvt_full --readout shot --seeds 0,1", {}),
+    ("complexity --backend qsvt_full", {}),
+    # kappa 10, eps_l 1e-3: degree 287, whose series the bound check
+    # rescales (by 0.923), unlike the qsvt_full keys above
+    ("convergence --backend qsvt_full", {"eps_l": [1e-3]}),
 ]
 KEY_COLUMNS = ("run_id", "backend", "iter")  # one row per key on either side
 DRIFT_COLUMNS = ("omega", "mu")  # float columns compared by relative drift
@@ -66,13 +72,13 @@ def source_lines(src: Path) -> int:
     return sum(path.read_bytes().count(b"\n") for path in (src / "qsvt_refine").rglob("*.py"))
 
 
-def run_cli(src: Path, config: str, workdir: Path) -> tuple[int, bytes, dict]:
+def run_cli(src: Path, flags: list[str], workdir: Path) -> tuple[int, bytes, dict]:
     """Exit code, CSV bytes and ``meta.json`` (without ``config.out``) of one
     fresh CLI process importing ``qsvt_refine`` from ``src``."""
     out = workdir / "out.csv"
     env = {**os.environ, "PYTHONPATH": str(src), "OPENBLAS_NUM_THREADS": "1"}
     proc = subprocess.run(
-        [sys.executable, "-m", "qsvt_refine.bench_cli", "--experiment", *config.split(),
+        [sys.executable, "-m", "qsvt_refine.bench_cli", "--experiment", *flags,
          "--out", str(out)],
         cwd=workdir, env=env, capture_output=True, text=True,
     )
@@ -149,15 +155,21 @@ def main(argv=None) -> int:
         return 2
     print(f"src lines: {source_lines(HERE_SRC)} here, {source_lines(args.other_src)} in OTHER_SRC")
     failed = False
-    for config in CONFIGS:
+    for config, fields in CONFIGS:
         with tempfile.TemporaryDirectory() as tmp:
             here_dir, other_dir = Path(tmp, "here"), Path(tmp, "other")
             here_dir.mkdir()
             other_dir.mkdir()
+            flags = config.split()
+            if fields:
+                config_file = Path(tmp, "config.json")
+                config_file.write_text(json.dumps(fields))
+                flags += ["--config", str(config_file)]
+                config = f"{config} --config {json.dumps(fields)}"
             start = time.perf_counter()
-            here = run_cli(HERE_SRC, config, here_dir)
+            here = run_cli(HERE_SRC, flags, here_dir)
             middle = time.perf_counter()
-            other = run_cli(args.other_src.resolve(), config, other_dir)
+            other = run_cli(args.other_src.resolve(), flags, other_dir)
             end = time.perf_counter()
         lines, breaking = compare(here, other)
         failed |= breaking
