@@ -59,7 +59,6 @@ _BACKENDS = {
     "noisy_oracle": noisy_oracle_backend,
     "qsvt_full": qsvt_backend,
 }
-_QSVT_MAX_QUBITS = 6
 
 # Numerical failures that fail one run (exit code 1) while the others go
 # on; a ValueError here is numerical, as the config is checked up front.
@@ -95,10 +94,6 @@ class ExperimentConfig:
             raise ConfigError(f"out = {self.out!r} must be a nonempty path string")
         if Path(self.out).is_dir():
             raise ConfigError(f"out = {self.out!r} names a directory, not a CSV path")
-        if self.backend == "qsvt_full" and self.n_qubits > _QSVT_MAX_QUBITS:
-            raise ConfigError(
-                f"qsvt_full simulation is guarded at n_qubits <= {_QSVT_MAX_QUBITS}"
-            )
         if self.kappa is None:
             self.kappa = {"large_kappa": [100.0, 200.0, 300.0]}.get(self.experiment, [10.0])
         self.kappa = _coerced("kappa", self.kappa, float)

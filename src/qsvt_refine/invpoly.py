@@ -4,7 +4,9 @@ Builds the polynomial that tracks ``1 / (2 kappa x)`` on [-1, -1/kappa] u
 [1/kappa, 1] from the binomial partial-sum expansion of
 ``(1 - (1 - x^2)^b) / x``, with the degree parameters b(eps, kappa) and
 D(eps, kappa), plus the machinery needed to make the series admissible
-for singular value transformation (global magnitude <= 1 on [-1, 1]).
+for singular value transformation (global magnitude <= 1 on [-1, 1]; the
+bound check scales it to ``QSVT_PEAK`` = 0.9, where phase finding
+converges).
 """
 
 from __future__ import annotations
@@ -27,9 +29,10 @@ __all__ = [
     "check_bound",
     "bound_series",
     "max_abs_on_interval",
+    "QSVT_PEAK",
 ]
 
-_BOUND_MARGIN = 1e-6  # headroom applied when rescaling to |P| <= 1
+QSVT_PEAK = 0.9  # the max|P| check_bound scales a series down to
 _REFINE_XTOL = 1e-9   # locates the grid maximum to ~1e-8 in |P|
 _CHUNK_ELEMS = 1 << 19  # points x nodes per evaluation block (4 MiB of float64)
 _EXACT_CENTRAL = 64  # C(2b, b) / 4^b from exact integers below this b
@@ -289,7 +292,7 @@ class SeriesRecord:
 
 @dataclass(frozen=True, eq=False)
 class BoundedSeries:
-    """A series rescaled so |P| <= 1 on [-1, 1], with what its bound check
+    """A series rescaled so |P| <= ``QSVT_PEAK`` on [-1, 1], with what its bound check
     found: the applied factor ``rescale``, the checked max|P| of the series
     before rescaling (``peak``) and ``evaluate``, the rescaled series'
     interpolant on the record's M grid (1-D arrays of x in [-1, 1], no
@@ -347,10 +350,9 @@ def check_bound(record: SeriesRecord) -> BoundedSeries:
     rivals = [int(j) for j in np.flatnonzero(scan >= (1.0 - np.pi ** 2 / 32) * scan[k])
               if j != k and scan[j] >= max(scan[max(j - 1, 0)], scan[min(j + 1, end)])]
     peak = max([refined(k)] + [refined(j) for j in rivals])
-    target = peak * (1.0 + _BOUND_MARGIN)
-    if target <= 1.0 + 1e-9:
+    if peak <= QSVT_PEAK * (1.0 + 1e-9):
         return BoundedSeries(series, 1.0, peak, interpolant)
-    applied = 1.0 / target
+    applied = QSVT_PEAK / peak
     rescaled = replace(
         series,
         coefficients=series.coefficients * applied,
@@ -360,8 +362,9 @@ def check_bound(record: SeriesRecord) -> BoundedSeries:
 
 
 def bound_series(series: ChebyshevSeries) -> BoundedSeries:
-    """Rescale so |P(x)| <= 1 on [-1, 1], with a 1e-6 safety margin (the
-    factor is exactly 1 when the peak times 1 + 1e-6 is at most 1 + 1e-9):
+    """Rescale so |P(x)| <= ``QSVT_PEAK`` on [-1, 1] by the factor
+    min(1, QSVT_PEAK / peak) (exactly 1 when the peak is at most
+    QSVT_PEAK * (1 + 1e-9), so a second application keeps the series):
     ``check_bound`` of ``series_record``, an M-grid transform for the
     evaluator, a 2M-grid one for the scan and one peak search."""
     return check_bound(series_record(series))

@@ -13,16 +13,18 @@ pair of its encoding, so a table found here drives it as it is, and
 qsvt_core evaluates at the singular values and ``verify_phases`` on its
 check grid.
 
-``find_phases`` runs Newton's method on the symmetric phases (Dong, Lin,
-Ni & Wang, arXiv:2307.12468; start of Dong, Meng, Whaley & Lin,
-arXiv:2002.11649), one square linear solve a step.
+``find_phases`` runs the fixed-point iteration on the symmetric phases
+(Dong, Lin, Ni & Wang, "Infinite quantum signal processing",
+arXiv:2209.10162; start of Dong, Meng, Whaley & Lin, arXiv:2002.11649):
+one ``signal_row`` pass and one closed-form step a step, with no Jacobian
+and no linear solve.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .invpoly import BoundedSeries
+from .invpoly import QSVT_PEAK, BoundedSeries
 
 __all__ = [
     "MAX_DEGREE",
@@ -33,14 +35,13 @@ __all__ = [
 ]
 
 MAX_DEGREE = 500  # largest target degree find_phases accepts
-_MAX_STEPS = 50  # Newton steps find_phases takes at most
-_INTERIOR_MARGIN = 1e-8  # targets must satisfy max|P| <= 1 - this
+_MAX_STEPS = 200  # fixed-point steps find_phases takes at most
 _NODE_TOL = 1e-10  # node residual find_phases must reach
 _VERIFY_POINTS = 10_000  # equispaced points of [-1, 1] verify_phases checks
 
 
 class PhaseFindingError(RuntimeError):
-    """The Newton iteration failed to reach the requested node residual."""
+    """The fixed-point iteration failed to reach the requested node residual."""
 
     def __init__(self, residual: float, tol: float):
         self.residual = residual
@@ -49,71 +50,6 @@ class PhaseFindingError(RuntimeError):
             f"phase finding stalled at node residual {residual:.3e} "
             f"(requested {tol:.1e}); consider shrinking the polynomial norm"
         )
-
-
-class _SignalRows:
-    """M(x)[0,0] on fixed nodes ``xs`` for d phases (a call), and
-    d(M00)/d(phi_j) at the phases of the last call (``gradient``).
-
-    Tracks only the first row (f_0, f_1) of the running prefix product and
-    the first column (b_0, b_1) of the suffix products; the gradient of the
-    (0,0) entry is i * (f_{j-1,0} b_{j,0} - f_{j-1,1} b_{j,1}). A call
-    runs the forward pass and keeps its arrays; ``gradient`` runs the
-    backward pass from them, so an iterate whose gradient is never used
-    costs the forward pass alone.
-
-    The arrays are allocated once and every pass writes them in place, six
-    ufunc calls a recurrence step and no temporaries: phase finding calls
-    this once per Newton step, and arrays allocated afresh on each call
-    are page-faulted in again each time, a cost that grows with the
-    host's load. Complex products round differently with their operands
-    swapped, so the operand order of each product is part of the result.
-    The returned arrays are overwritten by the next pass; the gradient's
-    arrays are allocated by the first ``gradient`` call.
-    """
-
-    def __init__(self, xs: np.ndarray, d: int):
-        nx = xs.size
-        self.xs = xs
-        self.s = np.sqrt(np.maximum(0.0, 1.0 - xs * xs))
-        self.a00, self.a01, self.a10, self.a11 = (
-            np.empty((d, nx), dtype=complex) for _ in range(4))
-        self.f0, self.f1 = (np.empty((d + 1, nx), dtype=complex) for _ in range(2))
-        self.t0, self.t1 = np.empty(nx, dtype=complex), np.empty(nx, dtype=complex)
-        self.b0 = self.b1 = self.grad = self.tmp = None
-
-    def __call__(self, phases: np.ndarray) -> np.ndarray:
-        mul, add = np.multiply, np.add
-        a00, a01, a10, a11 = self.a00, self.a01, self.a10, self.a11
-        f0, f1, t0, t1 = self.f0, self.f1, self.t0, self.t1
-        e = np.exp(1j * phases)
-        np.outer(e, self.xs, out=a00)
-        mul(1j, np.outer(e, self.s, out=a01), out=a01)
-        mul(1j, np.outer(np.conj(e), self.s, out=a10), out=a10)
-        np.outer(np.conj(e), self.xs, out=a11)
-
-        f0[0], f1[0] = 1.0, 0.0
-        for p0, p1, n0, n1, c00, c01, c10, c11 in zip(f0, f1, f0[1:], f1[1:], a00, a01, a10, a11):
-            add(mul(p0, c00, t0), mul(p1, c10, t1), n0)
-            add(mul(p0, c01, t0), mul(p1, c11, t1), n1)
-        return f0[-1]
-
-    def gradient(self) -> np.ndarray:
-        mul, add = np.multiply, np.add
-        a00, a01, a10, a11 = self.a00, self.a01, self.a10, self.a11
-        f0, f1, t0, t1 = self.f0, self.f1, self.t0, self.t1
-        if self.grad is None:
-            self.b0, self.b1 = np.empty_like(f0), np.empty_like(f0)
-            self.grad, self.tmp = np.empty_like(a00), np.empty_like(a00)
-        b0, b1 = self.b0, self.b1
-        b0[-1], b1[-1] = 1.0, 0.0
-        for q0, q1, n0, n1, c00, c01, c10, c11 in zip(b0[:0:-1], b1[:0:-1], b0[-2::-1], b1[-2::-1],
-                                                       a00[::-1], a01[::-1], a10[::-1], a11[::-1]):
-            add(mul(c00, q0, t0), mul(c01, q1, t1), n0)
-            add(mul(c10, q0, t0), mul(c11, q1, t1), n1)
-        grad = mul(f0[:-1], b0[:-1], out=self.grad)
-        np.subtract(grad, mul(f1[:-1], b1[:-1], out=self.tmp), out=grad)
-        return mul(1j, grad, out=grad)
 
 
 def signal_row(phases: np.ndarray, xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -154,20 +90,27 @@ def find_phases(target: BoundedSeries) -> np.ndarray:
     the wx-re00 convention.
 
     ``target`` is the series' bound check (``check_bound``): its checked
-    peak times its rescale factor must stay 1e-8 below 1, and its
-    evaluator gives the node targets, so no second grid is built here.
+    peak times its rescale factor must not exceed ``QSVT_PEAK`` (0.9),
+    where the iteration converges, and its evaluator gives the node
+    targets, so no second grid is built here.
 
-    Newton's method on the symmetric phases (Dong, Lin, Ni & Wang,
-    arXiv:2307.12468). The unknowns are the m = ceil((d+1)/2) reduced
-    phases r, unfolded as phi_1 = 2 r_0 and phi_{j+1} = r_{min(j, d-j)}
-    for j = 1..d-1: the symmetric sequence (r_0, r_1, ..., r_1, r_0) of
-    d+1 phases with its trailing e^{i r_0 Z} moved to the front, which
-    leaves M(x)[0,0] unchanged. Re M(x)[0,0] is matched to the target at
-    the m positive Chebyshev nodes cos((2k-1) pi / (4m)), so the folded
-    Jacobian is square and each step is one linear solve. The iteration
-    starts from r = (pi/4, 0, ..., 0), the symmetric start of Dong, Meng,
-    Whaley & Lin (arXiv:2002.11649), steps while the max node residual
-    falls (at most ``_MAX_STEPS`` times) and keeps the best iterate.
+    The fixed-point iteration on the symmetric phases (Dong, Lin, Ni &
+    Wang, arXiv:2209.10162). The unknowns are the m = ceil((d+1)/2)
+    reduced phases r, unfolded as phi_1 = 2 r_0 and phi_{j+1} =
+    r_{min(j, d-j)} for j = 1..d-1: the symmetric sequence (r_0, r_1, ...,
+    r_1, r_0) of d+1 phases with its trailing e^{i r_0 Z} moved to the
+    front, which leaves M(x)[0,0] unchanged. Re M(x)[0,0] is matched to the
+    target at the m positive Chebyshev nodes x_k = cos((2k-1) pi / (4m)).
+    Each step is r <- r - J0^{-1} err, with J0 = -T R D the folded
+    Jacobian at the start r = (pi/4, 0, ..., 0) of Dong, Meng, Whaley & Lin
+    (arXiv:2002.11649): T = T_{2i+par}(x_k), R reverses the reduced phases
+    and D = diag(2, ..., 2, 2 or 1) counts them (the middle one of an even
+    d appears once). On these nodes T^T T is diagonal, so J0^{-1} err =
+    -(1/m) R T^T err for either parity: a product and a sum, with no BLAS
+    or LAPACK call, so the phases do not depend on the BLAS thread count.
+    It steps while the max node residual falls (at most ``_MAX_STEPS`` =
+    200 times; the inverse series at kappa 4-10 take 57-70) and keeps the
+    best iterate.
 
     Raises
     ------
@@ -185,28 +128,27 @@ def find_phases(target: BoundedSeries) -> np.ndarray:
             "use the spectral-oracle backend for larger runs"
         )
     peak = target.peak * target.rescale
-    if peak > 1.0 - _INTERIOR_MARGIN:
-        raise ValueError(f"max|P| = {peak} too close to 1; rescale (bound_series) first")
+    if peak > QSVT_PEAK * (1.0 + 1e-9):
+        raise ValueError(f"max|P| = {peak} above {QSVT_PEAK}; rescale (bound_series) first")
 
     m = (d + 2) // 2
-    xs = np.cos((2 * np.arange(1, m + 1) - 1) * np.pi / (4 * m))
+    angles = (2 * np.arange(1, m + 1) - 1) * np.pi / (4 * m)
+    xs = np.cos(angles)
     want = target.evaluate(xs)
-    rows = _SignalRows(xs, d)
     j = np.arange(d)  # phases = w * r[idx]
     idx, w = np.minimum(j, d - j), np.where(j == 0, 2.0, 1.0)
+    cheb_r = np.cos(np.outer(angles, 2 * np.arange(m)[::-1] + d % 2))  # T R
 
     r = np.zeros(m)
     r[0] = np.pi / 4.0
     best, resid = r, np.inf
     for _ in range(_MAX_STEPS):
-        err = rows(w * r[idx]).real - want
+        err = signal_row(w * r[idx], xs)[0].real - want
         size = float(np.max(np.abs(err)))
         if not size < resid:
             break
         best, resid = r, size
-        jac_t = np.zeros((m, m))  # row k sums the gradient rows of the phases tied to r_k
-        np.add.at(jac_t, idx, w[:, None] * rows.gradient().real)
-        r = r - np.linalg.solve(jac_t.T, err)
+        r = r + (cheb_r * err[:, None]).sum(axis=0) / m
 
     if resid > _NODE_TOL:
         raise PhaseFindingError(resid, _NODE_TOL)

@@ -29,7 +29,7 @@ The inverse series with its M-grid evaluator (a ``SeriesRecord``) and
 its phase factors depend only on (kappa, eps' = eps_l / kappa); two memos
 of 16 keys own them, and no backend keeps either. A QSVT circuit needs
 |P| <= 1, so phase finding runs the bound check (a 2M-grid scan, peak
-search and rescale) on the memoized record, once per key. The spectral
+search and rescale to a peak of at most 0.9) on the memoized record, once per key. The spectral
 operator carries the unscaled series: its direction is raw / ||raw||, which
 a positive factor on P does not change, so a spectral build makes the
 record's one M-grid transform and no scan or peak search. Every factory

@@ -100,9 +100,7 @@ def cli_csv_under_blas_threads(tmp_path, flags, threads):
 @pytest.mark.parametrize("flags", [
     "convergence",
     "convergence --backend noisy_oracle",
-    pytest.param("convergence --backend qsvt_full --seeds 0,1", marks=pytest.mark.xfail(
-        strict=False, reason="ROADMAP item 2: find_phases' dense LAPACK solve rounds its "
-                             "Newton step differently with 1 and 2 BLAS threads")),
+    "convergence --backend qsvt_full --seeds 0,1",
 ])
 def test_cli_csv_does_not_depend_on_the_blas_thread_count(tmp_path, flags):
     one, two = (cli_csv_under_blas_threads(tmp_path, flags, threads) for threads in ("1", "2"))
@@ -208,8 +206,15 @@ def test_large_kappa_defaults_and_rejection(tmp_path):
 
 
 def test_qsvt_backend_qubit_guard(tmp_path):
-    with pytest.raises(ConfigError, match="guarded"):
-        ExperimentConfig(experiment="convergence", backend="qsvt_full", n_qubits=7)
+    # qsvt_full has no qubit guard beyond the spectral oracle's: it applies
+    # the sequence on the singular pairs, with no 2N x 2N sweep to guard
+    cfg = ExperimentConfig(experiment="convergence", backend="qsvt_full", n_qubits=7)
+    assert cfg.n_qubits == 7 and cfg.backend == "qsvt_full"
+    path, _ = write_config(tmp_path, backend="qsvt_full", n_qubits=7, eps_l=[1e-2], seeds=[0])
+    assert main(["--config", str(path)]) == 0
+    rows = (tmp_path / "out.csv").read_text().splitlines()[1:]
+    assert rows and all(dict(zip(CSV_COLUMNS, row.split(",")))["converged"] == "True"
+                        for row in rows)
 
 
 def test_complexity_rows_and_assertions(tmp_path):

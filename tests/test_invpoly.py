@@ -12,6 +12,7 @@ from scipy.optimize import minimize_scalar
 
 from qsvt_refine import invpoly
 from qsvt_refine.invpoly import (
+    QSVT_PEAK,
     ChebyshevSeries,
     bound_series,
     cheb_eval,
@@ -515,8 +516,8 @@ def test_enforce_bounds_trivial_cases():
 
     two_t1 = ChebyshevSeries(np.array([0.0, 2.0]))
     scaled, scale = enforce_qsvt_bounds(two_t1)
-    assert scale == pytest.approx(0.5, rel=1e-5)
-    assert max_abs_on_interval(scaled) <= 1.0
+    assert scale == pytest.approx(0.45, rel=1e-5)  # QSVT_PEAK / 2
+    assert max_abs_on_interval(scaled) <= QSVT_PEAK * (1.0 + 1e-9)
 
 
 def test_enforce_bounds_inverse_series_and_idempotency():
@@ -538,9 +539,9 @@ def test_bound_series_bounds_its_peak_and_is_idempotent(degree, parity, seed):
     elif parity == "even":
         degree += degree % 2
     record = bound_series(random_series(seed, degree, parity))
-    assert record.peak * record.rescale <= 1.0
-    # the factor is 1 exactly when the peak with its margin is within 1e-9 of 1
-    assert (record.rescale == 1.0) == (record.peak * (1.0 + 1e-6) <= 1.0 + 1e-9)
+    assert record.peak * record.rescale <= QSVT_PEAK * (1.0 + 1e-9)
+    # the factor is 1 exactly when the peak is within a relative 1e-9 of QSVT_PEAK
+    assert (record.rescale == 1.0) == (record.peak <= QSVT_PEAK * (1.0 + 1e-9))
     again = bound_series(record.series)
     assert again.rescale == 1.0 and again.series is record.series
 

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 import qsvt_refine
 from cheb_reference import clenshaw_eval, random_odd_target
 from qsvt_refine.invpoly import (
+    QSVT_PEAK,
     BoundedSeries,
     ChebyshevSeries,
     bound_series,
@@ -19,7 +20,6 @@ from qsvt_refine.invpoly import (
 )
 from qsvt_refine.qsp_phases import (
     PhaseFindingError,
-    _SignalRows,
     find_phases,
     signal_row,
     verify_phases,
@@ -71,10 +71,10 @@ def test_signal_unitary_domain_check():
 
 
 def test_find_phases_t1():
-    phases = find_phases(bound_series(ChebyshevSeries(np.array([0.0, 0.999]))))
+    phases = find_phases(bound_series(ChebyshevSeries(np.array([0.0, 0.9]))))
     xs = np.random.default_rng(1).uniform(-1, 1, 100)
     for x in xs:
-        assert signal_unitary(x, phases)[0, 0].real == pytest.approx(0.999 * x, abs=1e-10)
+        assert signal_unitary(x, phases)[0, 0].real == pytest.approx(0.9 * x, abs=1e-10)
 
 
 def test_find_phases_scaled_t3():
@@ -120,10 +120,10 @@ def test_find_phases_preconditions():
         find_phases(bound_series(ChebyshevSeries(np.array([0.5, 0.5]))))
     with pytest.raises(ValueError, match="degree"):
         find_phases(bound_series(ChebyshevSeries(np.array([0.9]))))
-    # a hand-built record whose unrescaled peak sits within 1e-8 of 1
-    near_one = ChebyshevSeries(np.array([0.0, 1.0 - 1e-9]))
-    with pytest.raises(ValueError, match="rescale"):
-        find_phases(BoundedSeries(near_one, 1.0, 1.0 - 1e-9, lambda x: cheb_eval(near_one, x)))
+    # a hand-built record whose unrescaled peak sits 1e-6 above QSVT_PEAK
+    over = ChebyshevSeries(np.array([0.0, QSVT_PEAK + 1e-6]))
+    with pytest.raises(ValueError, match=r"above 0\.9; rescale"):
+        find_phases(BoundedSeries(over, 1.0, QSVT_PEAK + 1e-6, lambda x: cheb_eval(over, x)))
     big = ChebyshevSeries(np.concatenate([np.zeros(503), [0.5]]))
     with pytest.raises(ValueError, match="cap"):
         find_phases(bound_series(big))
@@ -148,9 +148,9 @@ def definite_parity_targets(draw):
     coefs[degree % 2::2] = draw(st.lists(st.floats(-1.0, 1.0), min_size=degree // 2 + 1,
                                          max_size=degree // 2 + 1))
     coefs[degree] = draw(st.floats(0.05, 1.0)) * draw(st.sampled_from([-1.0, 1.0]))
-    peak = draw(st.floats(0.5, 1.0 - 1e-7))
-    # a peak this near 1 is above bound_series' margin, so the record is
-    # built by hand, unrescaled
+    # find_phases' domain: a checked peak of at most QSVT_PEAK; the record is
+    # built by hand, unrescaled, so the drawn peak is the one it carries
+    peak = draw(st.floats(0.5, QSVT_PEAK))
     series = ChebyshevSeries(coefs * (peak / bound_series(ChebyshevSeries(coefs)).peak))
     assert series.parity == parity
     return BoundedSeries(series, 1.0, peak, lambda x: cheb_eval(series, x))
@@ -175,18 +175,21 @@ def test_find_phases_realizes_definite_parity_targets(target):
 
 def test_find_phases_is_identical_across_processes():
     # kappa = 4, eps_l = 1e-2 (degree 79): a key where an iterative finder
-    # has returned different phases in different processes
+    # has returned different phases in different processes; kappa = 10,
+    # eps_l = 1e-3 (degree 287, m = 144 nodes): a key where a dense solve
+    # in the step rounded differently under 1 and 2 BLAS threads
     script = (
         "import hashlib; from qsvt_refine import refine; "
-        "print(hashlib.sha1(refine._inverse_phases(4.0, 1e-2 / 4.0).tobytes()).hexdigest())"
+        "print(*(hashlib.sha1(refine._inverse_phases(k, e).tobytes()).hexdigest() "
+        "for k, e in ((4.0, 1e-2 / 4.0), (10.0, 1e-3 / 10.0))))"
     )
     env = dict(os.environ, PYTHONPATH=str(Path(qsvt_refine.__file__).resolve().parents[1]))
     digests = {
-        subprocess.run([sys.executable, "-c", script], env=env, check=True,
-                       capture_output=True, text=True).stdout.strip()
-        for _ in range(3)
+        subprocess.run([sys.executable, "-c", script], env=dict(env, OPENBLAS_NUM_THREADS=threads),
+                       check=True, capture_output=True, text=True).stdout.strip()
+        for threads in ("1", "2", "1")
     }
-    assert len(digests) == 1 and len(digests.pop()) == 40
+    assert len(digests) == 1 and [len(h) for h in digests.pop().split()] == [40, 40]
 
 
 def test_an_empty_phase_table_is_named():
@@ -209,8 +212,8 @@ def test_verify_phases_exact_and_perturbed():
 
 
 def _plain_signal_rows(phases, xs, need_grad):
-    """The textbook recurrence, a fresh array per step: the reference the
-    in-place workspace must reproduce bit for bit."""
+    """The textbook recurrence, a fresh array per step: the first row (p, q)
+    of M(x) and, with ``need_grad``, d(M00)/d(phi_j), (d, len(xs))."""
     s = np.sqrt(np.maximum(0.0, 1.0 - xs * xs))
     e = np.exp(1j * phases)
     a00, a01 = np.outer(e, xs), 1j * np.outer(e, s)
@@ -220,76 +223,64 @@ def _plain_signal_rows(phases, xs, need_grad):
         f0, f1 = f[-1]
         f.append((f0 * a00[j] + f1 * a10[j], f0 * a01[j] + f1 * a11[j]))
     if not need_grad:
-        return f[-1][0], None
+        return f[-1], None
     b = [(np.ones_like(xs, dtype=complex), np.zeros_like(xs, dtype=complex))]
     for j in range(phases.size - 1, -1, -1):
         b0, b1 = b[-1]
         b.append((a00[j] * b0 + a01[j] * b1, a10[j] * b0 + a11[j] * b1))
     b = b[::-1]
     grad = [1j * (f[j][0] * b[j][0] - f[j][1] * b[j][1]) for j in range(phases.size)]
-    return f[-1][0], np.array(grad).reshape(phases.size, xs.size)
-
-
-@pytest.mark.parametrize("d", [1, 2, 7, 40])
-def test_signal_rows_match_plain_recurrence_bitwise(d):
-    rng = np.random.default_rng(d)
-    xs = np.cos((2 * np.arange(d + 1) + 1) * np.pi / (4 * d))
-    rows = _SignalRows(xs, d)
-    for need_grad in (False, True, True):
-        phases = rng.uniform(-np.pi, np.pi, d)
-        m00 = rows(phases)
-        ref_m00, ref_grad = _plain_signal_rows(phases, xs, need_grad)
-        assert np.array_equal(m00, ref_m00)
-        if need_grad:
-            assert np.array_equal(rows.gradient(), ref_grad)
+    return f[-1], np.array(grad).reshape(phases.size, xs.size)
 
 
 @settings(max_examples=60, deadline=None)
 @given(d=st.integers(1, 401), nx=st.integers(1, 64), seed=st.integers(0, 2**16))
 def test_signal_row_matches_the_signal_rows_forward_pass(d, nx, seed):
-    # the pairwise product tree against the left-to-right recurrence Newton
-    # uses: the whole first row, its real part as verify_phases reads it, and a
-    # unit row at every point, the end points included
+    # the pairwise product tree against the left-to-right recurrence: the
+    # whole first row, its real part as verify_phases reads it, and a unit
+    # row at every point, the end points included
     rng = np.random.default_rng(seed)
     phases = rng.uniform(-np.pi, np.pi, d)
     xs = np.concatenate((rng.uniform(-1.0, 1.0, nx), [-1.0, 0.0, 1.0]))
-    rows = _SignalRows(xs, d)
-    rows(phases)
+    (ref_p, ref_q), _ = _plain_signal_rows(phases, xs, need_grad=False)
     p, q = signal_row(phases, xs)
-    np.testing.assert_allclose(p, rows.f0[-1], rtol=0, atol=1e-13)
-    np.testing.assert_allclose(q, rows.f1[-1], rtol=0, atol=1e-13)
-    np.testing.assert_allclose(p.real, rows.f0[-1].real, rtol=0, atol=1e-13)
+    np.testing.assert_allclose(p, ref_p, rtol=0, atol=1e-13)
+    np.testing.assert_allclose(q, ref_q, rtol=0, atol=1e-13)
+    np.testing.assert_allclose(p.real, ref_p.real, rtol=0, atol=1e-13)
     assert np.max(np.abs(np.abs(p) ** 2 + np.abs(q) ** 2 - 1.0)) <= 1e-13
 
 
-def test_signal_rows_reuse_their_arrays():
-    # phase finding evaluates the recurrence once per Newton step; the
-    # workspace must hand back the same memory each time, not fresh arrays
-    d = 9
-    xs = np.cos((2 * np.arange(d + 1) + 1) * np.pi / (4 * d))
-    rows = _SignalRows(xs, d)
-    first = rows(np.full(d, 0.3)), rows.gradient()
-    second = rows(np.full(d, -0.2)), rows.gradient()
-    assert np.shares_memory(first[0], second[0])
-    assert np.shares_memory(first[1], second[1])
+@pytest.mark.parametrize("d", [1, 2, 21, 22])
+def test_closed_form_step_is_the_jacobian_at_the_symmetric_start(d):
+    # find_phases' step r <- r + (1/m) R T^T err is -J0^{-1} err for
+    # J0 = -T R D, T = T_{2i+par}(x_k) on its nodes, R the reversal and
+    # D = diag(2, ..., 2, 2 or 1) the multiplicities of the reduced phases
+    m = (d + 2) // 2
+    angles = (2 * np.arange(1, m + 1) - 1) * np.pi / (4 * m)
+    xs = np.cos(angles)
+    j = np.arange(d)
+    idx, w = np.minimum(j, d - j), np.where(j == 0, 2.0, 1.0)
+    start = np.zeros(m)
+    start[0] = np.pi / 4.0
+    _, grad = _plain_signal_rows(w * start[idx], xs, need_grad=True)
+    jacobian = np.zeros((m, m))  # node k, reduced phase i
+    np.add.at(jacobian.T, idx, w[:, None] * grad.real)
+    t_r = np.cos(np.outer(angles, 2 * np.arange(m)[::-1] + d % 2))
+    mult = np.full(m, 2.0)
+    if d % 2 == 0:
+        mult[-1] = 1.0  # the middle phase of an even d appears once
+    np.testing.assert_allclose(jacobian, -t_r * mult, rtol=0, atol=1e-13)
+    np.testing.assert_allclose(t_r.T @ jacobian / m, -np.eye(m), rtol=0, atol=1e-13)
 
 
 @pytest.mark.parametrize("kappa, eps_l", [(10.0, 1e-2), (4.0, 1e-2)])
-def test_find_phases_takes_one_gradient_per_step(monkeypatch, kappa, eps_l):
-    # the iterate that ends the loop (its residual no longer falls) pays the
-    # forward pass alone: gradients == Newton steps == forward passes - 1
-    counts = {"forward": 0, "gradient": 0, "step": 0}
+def test_find_phases_calls_no_linear_solve(monkeypatch, kappa, eps_l):
+    # the step is closed-form; a LAPACK solve (whose rounding depends on the
+    # BLAS thread count) would raise here
+    def refused(*args, **kwargs):
+        raise AssertionError("find_phases called a linear solve")
 
-    def counted(name, real):
-        def wrapper(*args, **kwargs):
-            counts[name] += 1
-            return real(*args, **kwargs)
-        return wrapper
-
-    monkeypatch.setattr(_SignalRows, "__call__", counted("forward", _SignalRows.__call__))
-    monkeypatch.setattr(_SignalRows, "gradient", counted("gradient", _SignalRows.gradient))
-    monkeypatch.setattr(np.linalg, "solve", counted("step", np.linalg.solve))
+    for name in ("solve", "lstsq", "inv"):
+        monkeypatch.setattr(np.linalg, name, refused)
     target = bound_series(inverse_cheb_series(kappa, eps_l / kappa))
-    find_phases(target)
-    assert counts["step"] >= 1
-    assert counts["gradient"] == counts["step"] == counts["forward"] - 1
+    assert verify_phases(find_phases(target), target) <= 1e-10
