@@ -26,6 +26,7 @@ __all__ = [
     "enforce_qsvt_bounds",
     "SeriesRecord",
     "series_record",
+    "grid_interpolant",
     "check_bound",
     "bound_series",
     "max_abs_on_interval",
@@ -204,21 +205,22 @@ def _values_on_cheb_grid(coefs: np.ndarray, m: int,
     return np.fft.rfft(extended).real
 
 
-def _interpolant(vals: np.ndarray, sines: Optional[np.ndarray] = None):
+def _interpolant(vals: np.ndarray, from_one: Optional[np.ndarray] = None):
     """Evaluator of the polynomial through ``vals[j]`` at x_j = cos(pi j / M),
     for a 1-D array of points: the second-kind barycentric formula (Berrut &
     Trefethen 2004), O(M) work per point. x - x_j is taken from the endpoint
-    on x's side, as 1 - x_j = 2 sin^2(pi j / 2M) keeps the nodes near +-1,
-    where the slope reaches degree^2 * max|P|, exact to relative rounding;
-    the sines are ``_quarter_sines(M)``, computed here unless the caller
-    passes them. On an even M the middle node is x_{M/2} = 0 exactly. Each
-    point is its own row reduction, so its value does not depend on its
-    block, and a one-point array rounds as that point does among others.
-    ``values`` is ``vals``, read at each call."""
+    on x's side, as the offsets ``from_one`` = 1 - x_j (``_node_offsets(M)``
+    unless the caller passes them) keep the nodes near +-1, where the slope
+    reaches degree^2 * max|P|, exact to relative rounding; the nodes are
+    symmetric, x_{M-j} = -x_j. On an even M the middle node is x_{M/2} = 0
+    exactly. Each point is its own row reduction, so its value does not
+    depend on its block, and a one-point array rounds as that point does
+    among others. ``values`` is ``vals``, read at each call."""
     m = vals.size - 1
     weights = np.where(np.arange(m + 1) % 2, -1.0, 1.0)
     weights[[0, -1]] *= 0.5
-    from_one = _node_offsets(m, sines)
+    if from_one is None:
+        from_one = _node_offsets(m)
     # x_j = shift - nodes[j], nodes increasing: an exact node hit, where
     # x - x_j = (x - shift) + nodes[j] is zero, is found by a sorted search
     sides = ((1.0, from_one), (-1.0, -from_one[::-1]))
@@ -304,16 +306,34 @@ class BoundedSeries:
     evaluate: Callable
 
 
+def _grid_size(degree: int) -> int:
+    """The M of a degree's M grid: even and above the degree, so x = 0 is a node."""
+    return 2 * _next_fast_len(degree // 2 + 1)
+
+
 def series_record(series: ChebyshevSeries) -> SeriesRecord:
-    """The series' values on the M grid, M = 2 * (the first FFT-friendly
-    size of at least half its coefficient count), from one transform: M is
-    even and at least the coefficient count, so x = 0 is a node, where an
-    odd series reads exactly 0. The grid's sine table gives its nodes and,
-    at every second entry, the odd series' DCT-II twiddles."""
-    m = 2 * _next_fast_len(series.degree // 2 + 1)
+    """The series' values on its degree's M grid, from one transform: an odd
+    series reads exactly 0 at the node x = 0. The grid's sine table gives
+    its nodes and, at every second entry, the odd series' DCT-II twiddles."""
+    m = _grid_size(series.degree)
     sines = _quarter_sines(m)
     vals = _values_on_cheb_grid(series.coefficients, m, sines[::2])
-    return SeriesRecord(series, _interpolant(vals, sines))
+    return SeriesRecord(series, _interpolant(vals, _node_offsets(m, sines)))
+
+
+def grid_interpolant(f: Callable, degree: int) -> Callable:
+    """A ``SeriesRecord``'s evaluator for the polynomial of degree at most
+    ``degree`` that ``f`` computes on a 1-D array: f read once, at the M + 1
+    nodes of that degree's M grid, exact to rounding as M > degree. The
+    nodes are the doubles x_j = 1 - 2 sin^2(pi j / 2M), j <= M/2, and
+    x_{M-j} = -x_j, and the offsets 1 - x_j are taken from them, so each
+    value sits at its node. ``values`` is read-only."""
+    m = _grid_size(degree)
+    half = 1.0 - _node_offsets(m)[: m // 2 + 1]
+    nodes = np.concatenate([half, -half[-2::-1]])
+    vals = np.asarray(f(nodes), dtype=float)
+    vals.flags.writeable = False
+    return _interpolant(vals, 1.0 - nodes)
 
 
 def check_bound(record: SeriesRecord) -> BoundedSeries:

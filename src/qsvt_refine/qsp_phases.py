@@ -57,8 +57,10 @@ def signal_row(phases: np.ndarray, xs: np.ndarray) -> tuple[np.ndarray, np.ndarr
     array of points ``xs`` in [-1, 1]: p = M(x)[0,0], q = M(x)[0,1].
 
     Each factor e^{i phi Z} W(x) is the SU(2) element [[a, b], [-b*, a*]]
-    with a = e^{i phi} x, b = i e^{i phi} s, s = sqrt(1-x^2), and so is a
-    product of two, with first row (a1 a2 - b1 b2*, a1 b2 + b1 a2*). The
+    with a = e^{i phi} x, b = i e^{i phi} s, s = sqrt(1-x^2) (taken as
+    sqrt((1-|x|)(1+|x|)) for |x| >= 1/2, where 1-|x| is exact, so s keeps
+    its relative accuracy near x = +-1), and so is a product of two, with
+    first row (a1 a2 - b1 b2*, a1 b2 + b1 a2*). The
     factors (f, g) of each neighbouring pair multiply to the first row
     (e^{i(f+g)} x^2 - e^{i(f-g)} s^2, (e^{i(f+g)} + e^{i(f-g)}) i x s),
     and a last unpaired factor joins as it is; then the rows are
@@ -70,7 +72,8 @@ def signal_row(phases: np.ndarray, xs: np.ndarray) -> tuple[np.ndarray, np.ndarr
     if phases.size == 0:
         raise ValueError("need a nonempty phase table")
     xs = np.asarray(xs, dtype=float)
-    s2 = np.maximum(0.0, 1.0 - xs * xs)
+    ax = np.abs(xs)
+    s2 = np.maximum(0.0, np.where(ax < 0.5, 1.0 - xs * xs, (1.0 - ax) * (1.0 + ax)))
     ixs = 1j * xs * np.sqrt(s2)
     f, g = phases[:-1:2, None], phases[1::2, None]
     plus, minus = np.exp(1j * (f + g)), np.exp(1j * (f - g))

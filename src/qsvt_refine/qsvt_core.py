@@ -18,11 +18,13 @@ phase i^d e^{-i pi/4}, each is the wx-re00 signal product M(x) of
 ``qsp_phases`` for the phase table phi, so the kept block of the N
 ancilla-zero columns is W p(S) V^H, with p(x) = M(x)[0,0], and each
 swept column k has squared norm |p(s_k)|^2 + |q(s_k)|^2, q = M(x)[0,1].
-``qsp_phases.signal_row`` gives both at the N singular values at once,
-and a backend forms no 2N x 2N operator. In the same bases the whole
-sequence is, pair by pair, the 2x2 M(x) diag(1, -i); ``build_u_phi``
-assembles the full U_Phi from it. The tests compare both against the
-dense sweep of the encoding (``tests/sweep_reference.py``).
+``build_u_phi`` assembles the full U_Phi from ``qsp_phases.signal_row``
+at the singular values: pair by pair, the sequence is the 2x2
+M(x) diag(1, -i). p has degree d, so ``sequence_evaluator`` reads it once
+per table, one ``signal_row`` pass on an M grid, M > d, and a block reads
+Re p at its singular values from that, with no signal product and no
+2N x 2N operator. The tests compare both against the dense sweep of the
+encoding (``tests/sweep_reference.py``).
 
 For real targets the single sequence realizes P(x) plus an order-one
 imaginary completion (|M00(1)| = 1 is structural). The real-part
@@ -45,12 +47,15 @@ from __future__ import annotations
 
 import numpy as np
 
+from .invpoly import grid_interpolant
 from .numerics import check_unitary, two_norm
 from .qsp_phases import signal_row
 
 __all__ = [
     "PostSelectionError",
     "build_u_phi",
+    "sequence_evaluator",
+    "singular_value_operator",
     "inverse_block",
     "apply_inverse_state",
 ]
@@ -60,16 +65,13 @@ class PostSelectionError(RuntimeError):
     """The ancilla-zero component of the output state vanished."""
 
 
-def _pair_rows(u, vh, xs, phases) -> tuple[np.ndarray, np.ndarray]:
-    """(p, q) of ``signal_row`` at the singular values ``xs``, with u and vh
-    checked orthonormal to 1e-10 * N and every pair's product unitary,
-    | |p|^2 + |q|^2 - 1 | <= 1e-10 * 2N: together these bound the unitarity
+def _unitary_rows(phases, xs) -> tuple[np.ndarray, np.ndarray]:
+    """(p, q) of ``signal_row`` at ``xs``, each pair's product checked
+    unitary to 2e-10: with orthonormal factors this bounds the unitarity
     defect of the sequence as the dense check of the swept columns did."""
-    check_unitary(u, 1e-10)
-    check_unitary(vh, 1e-10)
     p, q = signal_row(phases, xs)
     defect = float(np.max(np.abs(p.real**2 + p.imag**2 + q.real**2 + q.imag**2 - 1.0)))
-    if defect > 1e-10 * 2 * len(xs):
+    if defect > 2e-10:
         raise ValueError(f"swept columns are not orthonormal: max | |p|^2 + |q|^2 - 1 | "
                          f"= {defect:.3e}")
     return p, q
@@ -86,35 +88,52 @@ def build_u_phi(factors, phases: np.ndarray) -> np.ndarray:
     a layer perfbench's tracer names.
     """
     w, s, vh = factors
+    check_unitary(w, 1e-10)
+    check_unitary(vh, 1e-10)
     v = vh.conj().T
-    p, q = _pair_rows(w, vh, s, phases)
+    p, q = _unitary_rows(phases, s)
     outs = (w, v) if np.size(phases) % 2 else (v, w)
     pairs = ((p, -1j * q), (-np.conj(q), -1j * np.conj(p)))
     return np.block([[(out * g) @ inp.conj().T for g, inp in zip(row, (v, w))]
                      for out, row in zip(outs, pairs)])
 
 
-def inverse_block(factors, phases: np.ndarray) -> np.ndarray:
+def sequence_evaluator(phases: np.ndarray):
+    """The evaluator of Re p(x) for the odd (d,) table ``phases``, on 1-D
+    arrays of x in [-1, 1]: ``grid_interpolant`` of one ``signal_row`` pass
+    at its M + 1 nodes, where each pair product is checked unitary."""
+    if np.size(phases) % 2 == 0:
+        raise ValueError(f"inverse application expects an odd phase count, got {np.size(phases)}")
+    return grid_interpolant(lambda xs: _unitary_rows(phases, xs)[0].real, np.size(phases))
+
+
+def singular_value_operator(factors, evaluate) -> np.ndarray:
+    """The read-only V f(S / sigma_max) U^H of the SVD ``factors = (u, s,
+    vh)`` of A, f read at the singular values by the evaluator ``evaluate``."""
+    u, s, vh = factors
+    operator = (vh.conj().T * evaluate(s / s[0])) @ u.conj().T
+    operator.flags.writeable = False
+    return operator
+
+
+def inverse_block(factors, evaluate) -> np.ndarray:
     """The read-only real N x N block that ``apply_inverse_state`` applies,
-    for the SVD ``factors = (u, s, vh)`` of a real A = U S V^H.
+    for the SVD ``factors = (u, s, vh)`` of a real A = U S V^H and the
+    ``sequence_evaluator`` of a phase table.
 
     It is the real part of the kept block of the +Phi sequence on the
     dilation of A^H / sigma_max = V (S / sigma_max) U^H, the average of
     the +Phi and -Phi sequences (see module notes): V Re p(S / sigma_max)
     U^H, the real part of ``build_u_phi((vh^T, s / s[0], u^T),
-    phases)[:n, :n]``. The phase count must be odd and the factors real;
-    they and the pair products get ``build_u_phi``'s checks.
+    phases)[:n, :n]``, from real factors orthonormal to 1e-10 * N.
     """
     u, s, vh = factors
-    if np.size(phases) % 2 == 0:
-        raise ValueError(f"inverse application expects an odd phase count, got {np.size(phases)}")
     if any(np.iscomplexobj(f) and np.any(f.imag) for f in (u, vh)):
         raise ValueError("qsvt_full is real-only: the factors are complex")
     u, vh = np.real(u), np.real(vh)
-    p, _ = _pair_rows(u, vh, s / s[0], phases)
-    block = (vh.T * p.real) @ u.T
-    block.flags.writeable = False
-    return block
+    check_unitary(u, 1e-10)
+    check_unitary(vh, 1e-10)
+    return singular_value_operator((u, s, vh), evaluate)
 
 
 def apply_inverse_state(block: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, float]:

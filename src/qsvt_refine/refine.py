@@ -10,24 +10,26 @@ most eps_l; the loop needs nothing else from it:
   encoding of A^H / sigma_max, the honest simulated pipeline; real inputs
   only (the real part of one sequence is the +-Phi average only for a
   real encoding and b). The sequence acts on each singular pair of that
-  dilation as the 2x2 signal product, so the factory applies it to the
-  SVD of A that ``_factorize`` took (``inverse_block``): one SVD and no
-  2N x 2N matrix per build. Each inner solve is one product with the kept
-  real N x N ``block``, a saving of simulator time only (the model still
-  charges ``degree`` calls per inner solve);
+  dilation as the 2x2 signal product, so the factory reads the key's Re p
+  at the singular values of the SVD that ``_factorize`` took
+  (``inverse_block``): one SVD and no 2N x 2N matrix per build. Each inner
+  solve is one product with the kept real N x N ``block``, a saving of
+  simulator time only (the model still charges ``degree`` calls per
+  inner solve);
 * ``SpectralOracleBackend`` (``spectral_oracle``) -- the same inverse
   polynomial P applied through the SVD (ground truth for the circuit
   path), kept as the one N x N ``operator`` V P(S / sigma_max) U^H of the
-  unscaled series;
+  unscaled series, formed as the block is (``singular_value_operator``);
 * ``NoisyOracleBackend`` (``noisy_oracle``) -- exact solve plus seeded
   noise of relative size eps_l, for stress sweeps.
 
 Each backend reports the ``size`` N it was built for, read off that one
 array, and ``iterative_refine`` rejects a system of another size.
 
-The inverse series with its M-grid evaluator (a ``SeriesRecord``) and
-its phase factors depend only on (kappa, eps' = eps_l / kappa); two memos
-of 16 keys own them, and no backend keeps either. A QSVT circuit needs
+The inverse series and its phase factors, each with an M-grid evaluator
+of the polynomial (a ``SeriesRecord``; the Re p the sequence realizes),
+depend only on (kappa, eps' = eps_l / kappa); two memos of 16 keys own
+them, and no backend keeps either. A QSVT circuit needs
 |P| <= 1, so phase finding runs the bound check (a 2M-grid scan, peak
 search and rescale to a peak of at most 0.9) on the memoized record, once per key. The spectral
 operator carries the unscaled series: its direction is raw / ||raw||, which
@@ -54,14 +56,15 @@ import warnings
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from decimal import ROUND_CEILING, Context
-from typing import Optional
+from typing import Callable, Optional
 
 import numpy as np
 
 from .invpoly import SeriesRecord, check_bound, degree_params, inverse_cheb_series, series_record
 from .numerics import as_matrix, require_power_of_two, singular_value_ratio, svd, two_norm
 from .qsp_phases import find_phases
-from .qsvt_core import apply_inverse_state, inverse_block
+from .qsvt_core import (apply_inverse_state, inverse_block, sequence_evaluator,
+                        singular_value_operator)
 
 __all__ = [
     "SolverBackend",
@@ -299,22 +302,25 @@ def _inverse_record(kappa: float, eps_prime: float) -> SeriesRecord:
 
 
 @functools.lru_cache(maxsize=_MEMO_SIZE)
-def _inverse_phases(kappa: float, eps_prime: float) -> np.ndarray:
-    """Phase table of the bounded series of ``_inverse_record(kappa, eps')``.
+def _inverse_phases(kappa: float, eps_prime: float) -> tuple[np.ndarray, Callable]:
+    """``(phases, evaluate)``: the phase table of the bounded series of
+    ``_inverse_record(kappa, eps')`` and its ``sequence_evaluator``.
 
     A classical precomputation that depends on the series alone, so QSVT
     backends with the same (kappa, eps') share one memoized, read-only
-    phase array. The key's one bound check runs here, on the memoized
-    record, and adds the one 2M-grid transform of its scan; ``find_phases``
-    takes its result, whose read-only evaluator reads the record's grid
-    values times the rescale factor. A ``PhaseFindingError`` is raised, not
-    cached: the next call with that key tries again."""
+    phase array, and its Re p on read-only M-grid values: the key's one
+    ``signal_row`` pass and pair-unitarity check. The key's one bound check
+    runs here, on the memoized record, and adds the one 2M-grid transform
+    of its scan; ``find_phases`` takes its result, whose read-only
+    evaluator reads the record's grid values times the rescale factor. A
+    ``PhaseFindingError`` is raised, not cached: the next call with that
+    key tries again."""
     target = check_bound(_inverse_record(kappa, eps_prime))
     target.series.coefficients.flags.writeable = False
     target.evaluate.values.flags.writeable = False
     phases = find_phases(target)
     phases.flags.writeable = False
-    return phases
+    return phases, sequence_evaluator(phases)
 
 
 def spectral_oracle_backend(a, eps_l: float, kappa: Optional[float] = None,
@@ -323,11 +329,10 @@ def spectral_oracle_backend(a, eps_l: float, kappa: Optional[float] = None,
     from the key's unscaled record: no bound check runs."""
     _, (u, s, vh), kappa = _factorize(a, eps_l, kappa, shots)
     record = _inverse_record(kappa, eps_l / kappa)
-    operator = (vh.conj().T * record.evaluate(s / s[0])) @ u.conj().T
-    operator.flags.writeable = False
     return SpectralOracleBackend(
         eps_l=eps_l, kappa=kappa, degree=record.series.degree, shots=shots,
-        rng=None if shots is None else np.random.default_rng([seed, 0x5EC7]), operator=operator,
+        rng=None if shots is None else np.random.default_rng([seed, 0x5EC7]),
+        operator=singular_value_operator((u, s, vh), record.evaluate),
     )
 
 
@@ -355,11 +360,11 @@ def qsvt_backend(a, eps_l: float, kappa: Optional[float] = None, seed: int = 0,
     if np.any(np.imag(a)):
         raise ValueError("qsvt_full is real-only: the matrix has a nonzero imaginary part")
     require_power_of_two(a.shape[0], "matrix dimension")
-    phases = _inverse_phases(kappa, eps_l / kappa)  # one per degree of the series
+    phases, evaluate = _inverse_phases(kappa, eps_l / kappa)  # one per degree of the series
     return QsvtBackend(
         eps_l=eps_l, kappa=kappa, degree=phases.size, shots=shots,
         rng=None if shots is None else np.random.default_rng([seed, 0x95F7]),
-        block=inverse_block(factors, phases),
+        block=inverse_block(factors, evaluate),
     )
 
 

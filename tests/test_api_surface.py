@@ -79,7 +79,7 @@ ALLOWED_IMPORTS = {
     "invpoly": set(),
     "blockenc": {"numerics"},
     "qsp_phases": {"invpoly"},
-    "qsvt_core": {"numerics", "qsp_phases"},
+    "qsvt_core": {"invpoly", "numerics", "qsp_phases"},
     "refine": {"invpoly", "numerics", "qsp_phases", "qsvt_core"},
     "bench_cli": {"numerics", "qsp_phases", "qsvt_core", "refine"},
 }

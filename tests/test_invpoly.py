@@ -230,6 +230,33 @@ def test_node_search_matches_the_full_scan_bit_for_bit(m, seed, picks, points):
     assert np.all(got == want)
 
 
+@settings(max_examples=40, deadline=None)
+@given(degree=st.integers(0, 400), seed=st.integers(0, 2**16),
+       points=st.lists(st.floats(-1.0, 1.0), max_size=16))
+def test_grid_interpolant_reads_its_function_once_on_the_degrees_grid(degree, seed, points):
+    # f is read once, at the M + 1 nodes of series_record's M grid for the
+    # degree, as symmetric doubles; the evaluator returns those values
+    # exactly at the nodes and the polynomial to rounding elsewhere, here
+    # against the record's evaluator of random series of norm sum |c_k|
+    coefs = np.random.default_rng(seed).standard_normal(degree + 1)
+    coefs[-1] = 1.0
+    series = ChebyshevSeries(coefs)
+    calls = []
+    evaluate = invpoly.grid_interpolant(lambda xs: calls.append(xs) or cheb_eval(series, xs),
+                                        degree)
+    (nodes,) = calls
+    m = invpoly.series_record(series).evaluate.values.size - 1
+    assert nodes.size == m + 1 and m > degree
+    assert nodes[0] == 1.0 and nodes[m // 2] == 0.0 and np.array_equal(nodes, -nodes[::-1])
+    np.testing.assert_allclose(nodes, np.cos(np.pi * np.arange(m + 1) / m), rtol=0, atol=1e-15)
+    assert np.array_equal(evaluate(nodes), evaluate.values)
+    with pytest.raises(ValueError, match="read-only"):
+        evaluate.values[0] = 0.0
+    xs = np.array(points + [1.0 - 1e-9, -1.0 + 1e-9])
+    np.testing.assert_allclose(evaluate(xs), cheb_eval(series, xs), rtol=0,
+                               atol=2e-13 * np.abs(coefs).sum())
+
+
 def random_series(seed, degree, parity):
     coefs = np.random.default_rng(seed).standard_normal(degree + 1)
     if parity == "odd":

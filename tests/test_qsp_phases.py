@@ -177,11 +177,13 @@ def test_find_phases_is_identical_across_processes():
     # kappa = 4, eps_l = 1e-2 (degree 79): a key where an iterative finder
     # has returned different phases in different processes; kappa = 10,
     # eps_l = 1e-3 (degree 287, m = 144 nodes): a key where a dense solve
-    # in the step rounded differently under 1 and 2 BLAS threads
+    # in the step rounded differently under 1 and 2 BLAS threads; each
+    # key's hash covers its phases and the grid values of their evaluator
     script = (
         "import hashlib; from qsvt_refine import refine; "
-        "print(*(hashlib.sha1(refine._inverse_phases(k, e).tobytes()).hexdigest() "
-        "for k, e in ((4.0, 1e-2 / 4.0), (10.0, 1e-3 / 10.0))))"
+        "print(*(hashlib.sha1(p.tobytes() + f.values.tobytes()).hexdigest() "
+        "for p, f in (refine._inverse_phases(k, e) "
+        "for k, e in ((4.0, 1e-2 / 4.0), (10.0, 1e-3 / 10.0)))))"
     )
     env = dict(os.environ, PYTHONPATH=str(Path(qsvt_refine.__file__).resolve().parents[1]))
     digests = {

@@ -18,7 +18,8 @@ from sweep_reference import build_u_phi, stepwise_sweep, sweep, swept_block
 from qsvt_refine.invpoly import ChebyshevSeries, bound_series, inverse_cheb_series
 from qsvt_refine.numerics import random_with_condition, svd
 from qsvt_refine.qsp_phases import find_phases, signal_row
-from qsvt_refine.qsvt_core import PostSelectionError, apply_inverse_state, inverse_block
+from qsvt_refine.qsvt_core import (PostSelectionError, apply_inverse_state, inverse_block,
+                                   sequence_evaluator)
 
 T1 = ChebyshevSeries(np.array([0.0, 1.0]))
 
@@ -44,7 +45,7 @@ def test_an_empty_phase_table_is_rejected():
     with pytest.raises(ValueError, match="nonempty"):
         build_u_phi(dilation_encoding(a), np.zeros(0))
     with pytest.raises(ValueError, match="odd phase count, got 0"):
-        inverse_block(svd(a), np.zeros(0))
+        sequence_evaluator(np.zeros(0))
 
 
 def test_block_norm_bounded():
@@ -123,7 +124,7 @@ def test_apply_inverse_identity_system():
     rng = np.random.default_rng(0)
     b = rng.standard_normal(2)
     b = b / np.linalg.norm(b)
-    out, prob = apply_inverse_state(inverse_block(svd(np.eye(2)), phases), b)
+    out, prob = apply_inverse_state(inverse_block(svd(np.eye(2)), sequence_evaluator(phases)), b)
     overlap = abs(np.vdot(out, b))
     assert overlap == pytest.approx(1.0, abs=1e-8)
     assert 0.0 < prob <= 1.0
@@ -132,7 +133,8 @@ def test_apply_inverse_identity_system():
 def test_apply_inverse_preserves_eigenvector():
     a = np.diag([1.0, 0.5])
     phases = find_phases(bound_series(inverse_cheb_series(2.0, 0.05)))
-    out, _ = apply_inverse_state(inverse_block(svd(a), phases), np.array([0.0, 1.0]))
+    block = inverse_block(svd(a), sequence_evaluator(phases))
+    out, _ = apply_inverse_state(block, np.array([0.0, 1.0]))
     assert abs(out[1]) == pytest.approx(1.0, abs=1e-9)
 
 
@@ -143,7 +145,7 @@ def test_apply_inverse_solves_to_polynomial_accuracy():
     rng = np.random.default_rng(1)
     b = rng.standard_normal(4)
     b /= np.linalg.norm(b)
-    out, prob = apply_inverse_state(inverse_block(svd(a), phases), b)
+    out, prob = apply_inverse_state(inverse_block(svd(a), sequence_evaluator(phases)), b)
     # multiplying back by A must recover the rhs direction
     recovered = a @ out
     recovered /= np.linalg.norm(recovered)
@@ -155,14 +157,15 @@ def test_apply_inverse_solves_to_polynomial_accuracy():
 def test_apply_inverse_post_selection_failure():
     # phase pi/2 realizes the zero polynomial; the kept component vanishes
     phases = np.array([np.pi / 2])
+    block = inverse_block(svd(0.5 * np.eye(2)), sequence_evaluator(phases))
     with pytest.raises(PostSelectionError):
-        apply_inverse_state(inverse_block(svd(0.5 * np.eye(2)), phases), np.array([1.0, 0.0]))
+        apply_inverse_state(block, np.array([1.0, 0.0]))
 
 
 def test_apply_inverse_input_validation():
     factors = svd(0.5 * np.eye(2))
     phases = find_phases(bound_series(inverse_cheb_series(2.0, 0.1)))
-    block = inverse_block(factors, phases)
+    block = inverse_block(factors, sequence_evaluator(phases))
     e0 = np.array([1.0, 0.0])
     with pytest.raises(ValueError, match="not normalized"):
         apply_inverse_state(block, np.array([1.0, 1.0]))
@@ -172,7 +175,7 @@ def test_apply_inverse_input_validation():
         with pytest.raises(ValueError, match="shape"):
             apply_inverse_state(block, wrong)
     with pytest.raises(ValueError, match="odd"):
-        inverse_block(factors, np.zeros(2))
+        sequence_evaluator(np.zeros(2))
 
 
 @pytest.mark.parametrize("seed", range(4))
@@ -181,7 +184,7 @@ def test_apply_inverse_state_reads_a_real_valued_complex_b_as_its_real_part(seed
     # a nonzero imaginary part is still rejected
     a = random_with_condition(8, 2.0, seed)
     phases = find_phases(bound_series(inverse_cheb_series(2.0, 0.05)))
-    block = inverse_block(svd(a), phases)
+    block = inverse_block(svd(a), sequence_evaluator(phases))
     b = np.random.default_rng(seed).standard_normal(8)
     b /= np.linalg.norm(b)
     x, prob = apply_inverse_state(block, b)
@@ -226,7 +229,8 @@ def test_apply_inverse_state_matches_svd_transform(n, d, kappa, seed):
     tb = (u * signal_row(phases, s)[0].real) @ vh @ b
     weight = float(np.linalg.norm(tb)) ** 2
     assume(weight >= 1e-6)
-    for block in (inverse_block(svd(m.T), phases), swept_block(dilation_encoding(m), phases)):
+    for block in (inverse_block(svd(m.T), sequence_evaluator(phases)),
+                  swept_block(dilation_encoding(m), phases)):
         out, prob = apply_inverse_state(block, b)
         np.testing.assert_allclose(out, tb / np.sqrt(weight), rtol=0, atol=1e-9)
         assert prob == pytest.approx(weight, rel=0, abs=1e-12)
@@ -319,7 +323,7 @@ def test_apply_inverse_state_is_the_plus_minus_phi_average(n, d, kind, seed):
     weight = float(np.linalg.norm(average))
     assume(weight >= 1e-2)
     block = (swept_block(enc, phases) if kind == "fable"
-             else inverse_block(svd(m.T), phases))
+             else inverse_block(svd(m.T), sequence_evaluator(phases)))
     out, prob = apply_inverse_state(block, b)
     assert out.dtype == np.float64
     data_block_b = build_u_phi(enc, phases)[:n, :n].real @ b
@@ -333,17 +337,18 @@ def test_apply_inverse_state_is_the_plus_minus_phi_average(n, d, kind, seed):
         apply_inverse_state(block, b * np.exp(0.5j))
     z = m + 1j * random_with_condition(n, 4.0, seed + 1)
     with pytest.raises(ValueError, match="qsvt_full is real-only"):
-        inverse_block(svd(z), phases)
+        inverse_block(svd(z), sequence_evaluator(phases))
     with pytest.raises(ValueError, match="qsvt_full is real-only"):
         swept_block(dilation_encoding(z / np.linalg.norm(z, 2)), phases)
-    # swept columns that are not orthonormal are caught when the block is
-    # built: a pair product scaled by 1 + 1e-6, and a dense sweep scaled so
+    # swept columns that are not orthonormal are caught: a pair product
+    # scaled by 1 + 1e-6 by the table's one check on its grid nodes, before
+    # any block is built, and a dense sweep scaled so when its block is
     real_row = qsvt_core.signal_row
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(qsvt_core, "signal_row",
                       lambda *args: tuple((1.0 + 1e-6) * v for v in real_row(*args)))
         with pytest.raises(ValueError, match="columns are not orthonormal"):
-            inverse_block(svd(m.T), phases)
+            sequence_evaluator(phases)
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(sweep_reference, "sweep", lambda *args: (1.0 + 1e-6) * sweep(*args))
         with pytest.raises(ValueError, match="columns are not orthonormal"):
@@ -353,12 +358,12 @@ def test_apply_inverse_state_is_the_plus_minus_phi_average(n, d, kind, seed):
 def test_apply_inverse_rejects_a_complex_encoding():
     a = random_with_condition(2, 2.0, 3)
     with pytest.raises(ValueError, match="real-only"):
-        inverse_block(svd(a + 0.5j * a), np.zeros(3))
+        inverse_block(svd(a + 0.5j * a), sequence_evaluator(np.zeros(3)))
 
 
 def test_inverse_block_is_read_only():
     a = random_with_condition(4, 2.0, 5)
-    block = inverse_block(svd(a / 2.0), np.linspace(-1.0, 1.0, 7))
+    block = inverse_block(svd(a / 2.0), sequence_evaluator(np.linspace(-1.0, 1.0, 7)))
     assert block.shape == (4, 4) and block.dtype == np.float64
     with pytest.raises(ValueError, match="read-only"):
         block[0, 0] = 0.0
@@ -375,19 +380,43 @@ MEMO_KEYS = [(10.0, 1e-3), (10.0, 1e-4), (4.0, 1e-3)]
        table=st.one_of(st.integers(0, 200).map(lambda k: 2 * k + 1),
                        st.sampled_from(MEMO_KEYS)))
 def test_inverse_block_matches_the_dense_sweep(n, kappa, scale, seed, table):
-    # the singular-pair block of A against the real kept block of the dense
-    # sweep of the dilation of A^H / sigma_max, which takes its own SVD of
-    # that matrix: random phases of odd count up to 401, or memoized phases
+    # the singular-pair block of A, read from the table's grid evaluator,
+    # against the real kept block of the dense sweep of the dilation of
+    # A^H / sigma_max, which takes its own SVD of that matrix: random phases
+    # of odd count up to 401, or memoized phases with their memoized evaluator
     from qsvt_refine.refine import _inverse_phases
 
     a = scale * random_with_condition(n, kappa, seed)
     if isinstance(table, int):
         phases = np.random.default_rng(seed).uniform(-np.pi, np.pi, table)
+        evaluate = sequence_evaluator(phases)
     else:
-        phases = _inverse_phases(table[0], table[1])
+        phases, evaluate = _inverse_phases(table[0], table[1])
     factors = svd(a)
     want = swept_block(dilation_encoding((a / factors[1][0]).T), phases)
-    np.testing.assert_allclose(inverse_block(factors, phases), want, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(inverse_block(factors, evaluate), want, rtol=0, atol=1e-12)
+
+
+@settings(max_examples=60, deadline=None)
+@given(table=st.one_of(st.integers(0, 200).map(lambda k: 2 * k + 1),
+                       st.sampled_from([(10.0, 1e-3), (10.0, 1e-4), (4.0, 1e-2)])),
+       points=st.lists(st.floats(-1.0, 1.0), min_size=1, max_size=64),
+       n=st.sampled_from([2, 16, 64]), kappa=st.floats(1.0, 1e3), seed=st.integers(0, 2**16))
+def test_sequence_evaluator_matches_signal_row(table, points, n, kappa, seed):
+    # the table's grid evaluator against the sequence itself, at random
+    # points of [-1, 1] and at the singular values over sigma_max of a
+    # matrix of condition number kappa: random phases of odd count up to
+    # 401, or memoized phases with their memoized evaluator
+    from qsvt_refine.refine import _inverse_phases
+
+    if isinstance(table, int):
+        phases = np.random.default_rng(seed).uniform(-np.pi, np.pi, table)
+        evaluate = sequence_evaluator(phases)
+    else:
+        phases, evaluate = _inverse_phases(*table)
+    s = svd(random_with_condition(n, kappa, seed))[1]
+    xs = np.concatenate([points, s / s[0]])
+    np.testing.assert_allclose(evaluate(xs), signal_row(phases, xs)[0].real, rtol=0, atol=1e-13)
 
 
 @settings(max_examples=60, deadline=None)
@@ -411,7 +440,8 @@ def test_library_build_u_phi_holds_the_inverse_block():
     u, s, vh = svd(3.0 * a)
     phases = np.random.default_rng(6).uniform(-np.pi, np.pi, 9)
     u_phi = qsvt_core.build_u_phi((vh.T, s / s[0], u.T), phases)
-    np.testing.assert_allclose(u_phi[:8, :8].real, inverse_block((u, s, vh), phases),
+    np.testing.assert_allclose(u_phi[:8, :8].real,
+                               inverse_block((u, s, vh), sequence_evaluator(phases)),
                                rtol=0, atol=1e-14)
     defect = np.linalg.norm(u_phi.conj().T @ u_phi - np.eye(16), 2)
     assert defect <= 1e-12
@@ -435,27 +465,29 @@ def test_inverse_block_with_repeated_singular_values_at_one():
     h = np.array([[1, 1, 1, 1], [1, -1, 1, -1], [1, 1, -1, -1], [1, -1, -1, 1]]) / 2.0
     a = h @ np.diag([1.0, 1.0, 0.5, 0.5]) @ h[::-1]
     phases = np.random.default_rng(0).uniform(-np.pi, np.pi, 41)
-    np.testing.assert_allclose(inverse_block(svd(a), phases),
+    np.testing.assert_allclose(inverse_block(svd(a), sequence_evaluator(phases)),
                                swept_block(dilation_encoding(a.T), phases), rtol=0, atol=1e-13)
-    np.testing.assert_allclose(inverse_block(svd(a), np.zeros(1)), a.T, rtol=0, atol=1e-15)
+    np.testing.assert_allclose(inverse_block(svd(a), sequence_evaluator(np.zeros(1))), a.T,
+                               rtol=0, atol=1e-15)
 
 
 def test_inverse_block_checks_its_factors_and_phases():
     a = random_with_condition(8, 4.0, 0)
     u, s, vh = svd(a)
     phases = np.random.default_rng(0).uniform(-np.pi, np.pi, 9)
-    inverse_block((u, s, vh), phases)
+    evaluate = sequence_evaluator(phases)
+    inverse_block((u, s, vh), evaluate)
     for bad in ((u * (1.0 + 1e-6), s, vh), (u, s, vh * (1.0 + 1e-6))):
         with pytest.raises(ValueError, match="not unitary"):
-            inverse_block(bad, phases)
+            inverse_block(bad, evaluate)
     with pytest.raises(ValueError, match="odd phase count, got 8"):
-        inverse_block((u, s, vh), phases[:-1])
+        sequence_evaluator(phases[:-1])
     for bad in ((u * 1j, s, vh), (u, s, vh * np.exp(0.1j))):
         with pytest.raises(ValueError, match="qsvt_full is real-only: the factors are complex"):
-            inverse_block(bad, phases)
+            inverse_block(bad, evaluate)
     # a complex dtype with a zero imaginary part is a real factor
-    assert np.array_equal(inverse_block((u + 0j, s, vh + 0j), phases),
-                          inverse_block((u, s, vh), phases))
+    assert np.array_equal(inverse_block((u + 0j, s, vh + 0j), evaluate),
+                          inverse_block((u, s, vh), evaluate))
 
 
 def test_inverse_block_does_not_depend_on_the_blas_thread_count():
@@ -465,10 +497,10 @@ def test_inverse_block_does_not_depend_on_the_blas_thread_count():
 import hashlib
 import numpy as np
 from qsvt_refine.numerics import random_with_condition, svd
-from qsvt_refine.qsvt_core import inverse_block
-phases = np.random.default_rng(0).uniform(-np.pi, np.pi, 239)
+from qsvt_refine.qsvt_core import inverse_block, sequence_evaluator
+evaluate = sequence_evaluator(np.random.default_rng(0).uniform(-np.pi, np.pi, 239))
 for n in (16, 32, 64):
-    block = inverse_block(svd(random_with_condition(n, 10.0, n)), phases)
+    block = inverse_block(svd(random_with_condition(n, 10.0, n)), evaluate)
     print(n, hashlib.sha1(block.tobytes()).hexdigest())
 """
     src = str(Path(qsvt_core.__file__).resolve().parents[1])

@@ -562,8 +562,10 @@ def test_qsvt_builds_run_one_bound_check_per_key(fresh_phase_memo, monkeypatch):
 def test_polynomial_backends_share_one_grid_per_kappa_eps(fresh_phase_memo, monkeypatch):
     # a fresh key makes one M-point transform and one set of node tables,
     # whichever backends it serves; its first qsvt_full build adds the bound
-    # check's 2M-point scan, and its second build nothing: find_phases reads
-    # the check's peak and the record's evaluator (unscaled at this key)
+    # check's 2M-point scan and the phase table's one interpolant (its
+    # sequence read at the grid nodes, no transform), and its second build
+    # nothing: find_phases reads the check's peak and the record's evaluator
+    # (unscaled at this key)
     kappa, eps_l = 2.0, 0.1
     refine_mod._inverse_record.cache_clear()
     sizes, interpolants = [], []
@@ -577,9 +579,10 @@ def test_polynomial_backends_share_one_grid_per_kappa_eps(fresh_phase_memo, monk
     m = refine_mod._inverse_record(kappa, eps_l / kappa).evaluate.values.size - 1
     assert sizes == [m] and len(interpolants) == 1
     qsvt = qsvt_backend(random_with_condition(4, kappa, 2), eps_l, kappa=kappa)
-    assert sizes == [m, 2 * m] and len(interpolants) == 1
+    assert sizes == [m, 2 * m] and len(interpolants) == 2
+    assert refine_mod._inverse_phases(kappa, eps_l / kappa)[1].values.size == m + 1
     again = qsvt_backend(random_with_condition(8, kappa, 3), eps_l, kappa=kappa)
-    assert sizes == [m, 2 * m] and len(interpolants) == 1
+    assert sizes == [m, 2 * m] and len(interpolants) == 2
     assert first.degree == second.degree == qsvt.degree == again.degree
     info = refine_mod._inverse_record.cache_info()
     assert info.misses == 1 and info.currsize == 1
@@ -747,17 +750,30 @@ def fresh_phase_memo():
     refine_mod._inverse_phases.cache_clear()
 
 
-def record_swept_phases(monkeypatch):
-    """Wrap ``refine.inverse_block``; returns the list of phase tables it swept."""
-    swept = []
+def record_block_evaluators(monkeypatch):
+    """Wrap ``refine.inverse_block``; returns the list of evaluators it read."""
+    read = []
     real = refine_mod.inverse_block
 
-    def inverse_block(factors, phases):
-        swept.append(phases)
-        return real(factors, phases)
+    def inverse_block(factors, evaluate):
+        read.append(evaluate)
+        return real(factors, evaluate)
 
     monkeypatch.setattr(refine_mod, "inverse_block", inverse_block)
-    return swept
+    return read
+
+
+def count_sweeps(monkeypatch):
+    """Wrap ``qsvt_core.signal_row``; returns the list of point counts it swept."""
+    sweeps = []
+    real = qsvt_core.signal_row
+
+    def signal_row(phases, xs):
+        sweeps.append(np.size(xs))
+        return real(phases, xs)
+
+    monkeypatch.setattr(qsvt_core, "signal_row", signal_row)
+    return sweeps
 
 
 def count_find_phases(monkeypatch, fail_first=False):
@@ -777,15 +793,15 @@ def count_find_phases(monkeypatch, fail_first=False):
 
 def test_qsvt_backends_share_one_phase_vector_per_kappa_eps(fresh_phase_memo, monkeypatch):
     targets = count_find_phases(monkeypatch)
-    swept = record_swept_phases(monkeypatch)
+    read = record_block_evaluators(monkeypatch)
     kappa = 2.0
     qsvt_backend(random_with_condition(4, kappa, 0), 0.1, kappa=kappa)
     qsvt_backend(random_with_condition(8, kappa, 1), 0.1, kappa=kappa, seed=1)
     qsvt_backend(random_with_condition(4, kappa, 2), 0.2, kappa=kappa)
     qsvt_backend(random_with_condition(2, kappa, 3), 0.2, kappa=kappa)
-    first, other = (refine_mod._inverse_phases(kappa, eps_l / kappa) for eps_l in (0.1, 0.2))
-    assert swept[0] is swept[1] is first
-    assert swept[2] is swept[3] is other is not first
+    first, other = (refine_mod._inverse_phases(kappa, eps_l / kappa)[1] for eps_l in (0.1, 0.2))
+    assert read[0] is read[1] is first
+    assert read[2] is read[3] is other is not first
     assert len(targets) == 2 and refine_mod._inverse_phases.cache_info().currsize == 2
     # each key's bound check reads its memoized record; at a factor of 1 it
     # hands phase finding the record's own series and evaluator
@@ -797,20 +813,26 @@ def test_qsvt_backends_share_one_phase_vector_per_kappa_eps(fresh_phase_memo, mo
 
 def test_shared_phases_are_read_only(fresh_phase_memo):
     qsvt_backend(random_with_condition(4, 2.0, 0), 0.1, kappa=2.0)
-    with pytest.raises(ValueError, match="read-only"):
-        refine_mod._inverse_phases(2.0, 0.05)[0] = 0.0
+    phases, evaluate = refine_mod._inverse_phases(2.0, 0.05)
+    for shared in (phases, evaluate.values):
+        with pytest.raises(ValueError, match="read-only"):
+            shared[0] = 0.0
 
 
 def test_phase_finding_error_is_not_cached(fresh_phase_memo, monkeypatch):
+    # the failed key sweeps no sequence; the retry finds the phases and
+    # sweeps them once, and a memo hit does neither
     targets = count_find_phases(monkeypatch, fail_first=True)
-    swept = record_swept_phases(monkeypatch)
+    read = record_block_evaluators(monkeypatch)
+    sweeps = count_sweeps(monkeypatch)
     a = random_with_condition(4, 2.0, 0)
     with pytest.raises(PhaseFindingError):
         qsvt_backend(a, 0.1, kappa=2.0)
+    assert sweeps == []
     qsvt_backend(a, 0.1, kappa=2.0)
-    phases = refine_mod._inverse_phases(2.0, 0.05)  # a memo hit: no third find_phases
-    assert len(targets) == 2
-    assert len(swept) == 1 and swept[0] is phases
+    _, evaluate = refine_mod._inverse_phases(2.0, 0.05)  # a memo hit: no third find_phases
+    assert len(targets) == 2 and len(sweeps) == 1
+    assert len(read) == 1 and read[0] is evaluate
 
 
 def test_qsvt_backend_on_memoized_phases_runs_no_bound_check(fresh_phase_memo, monkeypatch):
@@ -824,7 +846,7 @@ def test_qsvt_backend_on_memoized_phases_runs_no_bound_check(fresh_phase_memo, m
                         real(record))
     backend = qsvt_backend(random_with_condition(4, 2.0, 1), 0.1, kappa=2.0)
     assert checks == []
-    assert backend.degree == refine_mod._inverse_phases(2.0, 0.05).size
+    assert backend.degree == refine_mod._inverse_phases(2.0, 0.05)[0].size
 
 
 def test_measured_kappa_backends_share_one_phase_vector(fresh_phase_memo, monkeypatch):
@@ -832,11 +854,11 @@ def test_measured_kappa_backends_share_one_phase_vector(fresh_phase_memo, monkey
     # (10.000000000000005, ...02, ...09); the memo key rounds it up to 12
     # significant digits, so one phase finding serves all three
     targets = count_find_phases(monkeypatch)
-    swept = record_swept_phases(monkeypatch)
+    read = record_block_evaluators(monkeypatch)
     mats = [random_with_condition(16, 10.0, seed) for seed in (0, 1, 2)]
     backends = [qsvt_backend(a, 1e-2) for a in mats]
     assert len(targets) == 1
-    assert len(swept) == 3 and all(phases is swept[0] for phases in swept)
+    assert len(read) == 3 and all(evaluate is read[0] for evaluate in read)
     misses = refine_mod._inverse_record.cache_info().misses
     spectral = spectral_oracle_backend(mats[0], 1e-2)
     assert spectral.kappa == backends[0].kappa
@@ -925,8 +947,8 @@ def test_factories_measure_one_kappa_per_matrix():
 
 def test_qsvt_solve_checks_unitarity_at_construction_only(fresh_phase_memo, monkeypatch):
     # structural guard: an inner solve runs no unitarity check (the factors
-    # and the pair products are checked once, when the backend is built), and a refined
-    # solve finds its phases at most once per (kappa, eps')
+    # are checked when the backend is built, the pair products once per
+    # (kappa, eps')), and a refined solve finds its phases at most once per key
     targets = count_find_phases(monkeypatch)
     depth, applied, checks_inside = [], [], []
     real_apply = refine_mod.apply_inverse_state
@@ -958,30 +980,32 @@ def test_qsvt_solve_checks_unitarity_at_construction_only(fresh_phase_memo, monk
     assert len(targets) == 1
 
 
-def test_refined_qsvt_solves_sweep_once_per_backend(fresh_phase_memo, monkeypatch):
-    # the backend applies the sequence to its singular pairs once, when it is
-    # built; every inner solve of every refined solve on it reuses that block
-    sweeps, applied = [], []
-    real_sweep, real_apply = qsvt_core.signal_row, refine_mod.apply_inverse_state
-
-    def sweep(*args):
-        sweeps.append(None)
-        return real_sweep(*args)
+def test_qsvt_builds_sweep_the_sequence_once_per_key(fresh_phase_memo, monkeypatch):
+    # the key's phase memo sweeps the sequence once, at its M + 1 grid
+    # nodes: two backends of one key built from different matrices make one
+    # signal_row call between them, a second key one more, and no inner
+    # solve of a refined solve on any of them makes one
+    sweeps, applied = count_sweeps(monkeypatch), []
+    real_apply = refine_mod.apply_inverse_state
 
     def apply_inverse_state(*args):
         applied.append(None)
         return real_apply(*args)
 
-    monkeypatch.setattr(qsvt_core, "signal_row", sweep)
     monkeypatch.setattr(refine_mod, "apply_inverse_state", apply_inverse_state)
-    kappa, eps_l = 3.0, 0.1
-    a = random_with_condition(8, kappa, 0)
-    backend = qsvt_backend(a, eps_l, kappa=kappa)
-    for seed in (0, 1):
-        _, trace, _ = iterative_refine(a, unit_rhs(8, seed), backend, 1e-11)
-        assert trace.converged
-    assert len(applied) >= 4
-    assert len(sweeps) == 1
+    kappa = 3.0
+    mats = [random_with_condition(8, kappa, seed) for seed in (0, 1)]
+    backends = [qsvt_backend(a, 0.1, kappa=kappa) for a in mats]
+    m = refine_mod._inverse_phases(kappa, 0.1 / kappa)[1].values.size
+    assert sweeps == [m]
+    backends.append(qsvt_backend(mats[0], 0.05, kappa=kappa))
+    assert len(sweeps) == 2
+    for a, backend in zip(mats + mats[:1], backends):
+        for seed in (0, 1):
+            _, trace, _ = iterative_refine(a, unit_rhs(8, seed), backend, 1e-11)
+            assert trace.converged
+    assert len(applied) >= 12
+    assert len(sweeps) == 2
 
 
 @pytest.mark.parametrize("factory", FACTORIES)
