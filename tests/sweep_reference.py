@@ -92,8 +92,8 @@ def build_u_phi(encoding, phases):
 def swept_block(encoding, phases):
     """The real N x N part of the kept block of the N ancilla-zero columns
     swept once, those columns checked orthonormal to 1e-10 * dim: for the
-    dilation of A^H / sigma_max, what ``inverse_block(svd(A), phases)``
-    forms from the singular pairs. The encoding must be real and the phase
+    dilation of A^H / sigma_max, what ``inverse_block(svd(A),
+    sequence_evaluator(phases))`` forms from the singular pairs. The encoding must be real and the phase
     count odd."""
     u, n = encoding.unitary, encoding.block_dim
     if np.iscomplexobj(u) and np.any(u.imag):
