@@ -130,9 +130,10 @@ def inverse_cheb_series(kappa: float, eps: float) -> ChebyshevSeries:
     tail = _central_binomial(b) * above
     if not np.all(np.isfinite(tail)):
         raise OverflowError("binomial tail is not finite")
-    j = np.arange(jmax + 1)
-    coefs = np.zeros(2 * j.size)
-    coefs[1::2] = np.where(j % 2 == 0, 4.0, -4.0) * tail * scale
+    signs = np.full(jmax + 1, 4.0)
+    signs[1::2] = -4.0
+    coefs = np.zeros(2 * signs.size)
+    coefs[1::2] = signs * tail * scale
     return ChebyshevSeries(_trimmed(coefs), scale=scale)
 
 
@@ -217,7 +218,8 @@ def _interpolant(vals: np.ndarray, from_one: Optional[np.ndarray] = None):
     depend on its block, and a one-point array rounds as that point does
     among others. ``values`` is ``vals``, read at each call."""
     m = vals.size - 1
-    weights = np.where(np.arange(m + 1) % 2, -1.0, 1.0)
+    weights = np.ones(m + 1)
+    weights[1::2] = -1.0
     weights[[0, -1]] *= 0.5
     if from_one is None:
         from_one = _node_offsets(m)

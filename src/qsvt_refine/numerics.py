@@ -5,8 +5,8 @@ module holds the one SVD the package uses (LAPACK through
 ``numpy.linalg.svd``, returned as numpy's own economy ``(u, s, vh)``),
 the norms and condition numbers built on it and the seeded random test
 matrices with a prescribed spectrum.
-Everything here is a pure function over its inputs; arrays are never
-mutated in place.
+Everything here is a pure function over its inputs; input arrays are
+never mutated in place.
 """
 
 from __future__ import annotations
@@ -49,16 +49,20 @@ def check_unitary(u: np.ndarray, tol_factor: float) -> None:
 
     The defect is the spectral norm of U^H U - I. Its Frobenius norm
     bounds it from above and costs no SVD, so a matrix whose Frobenius
-    defect is within the tolerance passes at once; any other gets the
-    spectral norm.
+    defect is within the tolerance passes at once; any other, non-finite
+    ones included, gets ``as_matrix``'s checks and then the spectral norm.
     """
-    u = as_matrix(u)
-    rows, cols = u.shape
+    u = np.asarray(u)
+    if u.ndim == 2 and u.shape[0] >= u.shape[1]:
+        gram_defect = u.conj().T @ u
+        if gram_defect.dtype not in (np.float64, np.complex128):  # as minus a float64 I
+            gram_defect = gram_defect.astype(np.result_type(gram_defect, float))
+        gram_defect.flat[:: u.shape[1] + 1] -= 1.0
+        if math.sqrt(np.vdot(gram_defect, gram_defect).real) <= tol_factor * u.shape[0]:
+            return
+    rows, cols = as_matrix(u).shape
     if rows < cols:
         raise ValueError(f"unitary must be square or tall, got {u.shape}")
-    gram_defect = u.conj().T @ u - np.eye(cols)
-    if np.linalg.norm(gram_defect) <= tol_factor * rows:
-        return
     defect = np.linalg.norm(gram_defect, 2)
     if defect > tol_factor * rows:
         kind = "is not unitary" if rows == cols else "columns are not orthonormal"
@@ -71,7 +75,8 @@ def svd(a) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
     For an m x n input ``u`` is m x k and ``vh`` is k x n with
     k = min(m, n); ``u`` and ``vh.conj().T`` have orthonormal columns and
-    ``s`` is nonincreasing. Real input gives real factors.
+    ``s`` is nonincreasing. Real input gives real factors. Its
+    ``as_matrix`` is a backend factory's one finiteness scan of A.
 
     Raises
     ------

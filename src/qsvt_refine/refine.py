@@ -61,7 +61,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .invpoly import SeriesRecord, check_bound, degree_params, inverse_cheb_series, series_record
-from .numerics import as_matrix, require_power_of_two, singular_value_ratio, svd, two_norm
+from .numerics import require_power_of_two, singular_value_ratio, svd, two_norm
 from .qsp_phases import find_phases
 from .qsvt_core import (apply_inverse_state, inverse_block, sequence_evaluator,
                         singular_value_operator)
@@ -274,11 +274,12 @@ def _factorize(a, eps_l: float, kappa: Optional[float], shots: Optional[int]):
     on the next, so matrices of one nominal kappa need not share them, and
     a caller that knows kappa passes it. Either way [1/kappa, 1] must
     cover every singular value over sigma_max, so a passed kappa below
-    that ratio (beyond ``_KAPPA_SLACK``) raises."""
-    a = as_matrix(a)
+    that ratio (beyond ``_KAPPA_SLACK``) raises. A's one 2-D and finiteness
+    check is the ``as_matrix`` inside ``svd``; the square check follows it."""
+    factors = svd(a)
+    a = np.asarray(a)
     if a.shape[0] != a.shape[1] or a.size == 0:
         raise ValueError(f"a backend needs a nonempty square matrix, got shape {a.shape}")
-    factors = svd(a)
     ratio = singular_value_ratio(factors[1])
     if kappa is None:
         kappa = float(Context(prec=12, rounding=ROUND_CEILING).create_decimal(ratio))
@@ -357,7 +358,7 @@ def qsvt_backend(a, eps_l: float, kappa: Optional[float] = None, seed: int = 0,
     A^H / sigma_max once, through the singular pairs of A. Real matrices
     of a power-of-two size (a qubit register) only."""
     a, factors, kappa = _factorize(a, eps_l, kappa, shots)
-    if np.any(np.imag(a)):
+    if np.iscomplexobj(a) and np.any(a.imag):
         raise ValueError("qsvt_full is real-only: the matrix has a nonzero imaginary part")
     require_power_of_two(a.shape[0], "matrix dimension")
     phases, evaluate = _inverse_phases(kappa, eps_l / kappa)  # one per degree of the series
@@ -511,7 +512,7 @@ def iterative_refine(a, b, backend: SolverBackend, eps_target: float,
             theorem_bound=bound,
         )
 
-    x = np.zeros_like(b)
+    x = np.zeros(n, dtype=b.dtype)
     residual = b  # b - A x at x = 0
     stall = 0
     while True:

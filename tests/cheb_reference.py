@@ -16,6 +16,11 @@ when it found exact node hits by scanning the whole points x nodes block
 for zeros; the library now searches the node table instead, and on the
 same node table must give the same bits.
 
+``where_inverse_coefficients`` is the library's inverse-series coefficient
+construction as it was when its +-4 sign pattern came from
+``np.where(j % 2 == 0, 4.0, -4.0)``; the library now fills it by strided
+assignment, and must give the same bits.
+
 ``random_odd_target`` builds a random odd phase-finding target: the
 ``bound_series`` record that ``find_phases`` and ``verify_phases`` take.
 
@@ -24,10 +29,20 @@ circuit: numpy's SVD and the Clenshaw recurrence, the ground truth the
 QSVT block is checked against.
 """
 
+import math
+
 import numpy as np
 from scipy.fft import dct, next_fast_len
 
-from qsvt_refine.invpoly import ChebyshevSeries, _node_offsets, bound_series, cheb_eval
+from qsvt_refine.invpoly import (
+    ChebyshevSeries,
+    _central_binomial,
+    _node_offsets,
+    _trimmed,
+    bound_series,
+    cheb_eval,
+    degree_params,
+)
 
 
 def clenshaw_eval(series, x):
@@ -95,6 +110,24 @@ def scan_interpolant(vals, chunk_elems=1 << 19):
         return out
 
     return evaluate
+
+
+def where_inverse_coefficients(kappa, eps):
+    """The coefficients of ``inverse_cheb_series(kappa, eps)``, its signs
+    taken from ``np.where`` over an integer index."""
+    b, cap = degree_params(kappa, eps)
+    scale = 1.0 / (2.0 * kappa)
+    jmax = min(cap, b - 1)
+    q = (b - jmax) / (b + jmax + 1.0)
+    past = math.ceil(math.log(2.0 ** -53 * (1.0 - q)) / math.log(q))
+    i = np.arange(1.0, min(b, jmax + 1 + past) + 1)
+    ratios = np.cumprod((b - i + 1.0) / (b + i))
+    above = np.cumsum(ratios[::-1])[::-1][: jmax + 1]
+    tail = _central_binomial(b) * above
+    j = np.arange(jmax + 1)
+    coefs = np.zeros(2 * j.size)
+    coefs[1::2] = np.where(j % 2 == 0, 4.0, -4.0) * tail * scale
+    return _trimmed(coefs)
 
 
 def random_odd_target(rng, degree, peak):

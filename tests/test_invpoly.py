@@ -4,7 +4,13 @@ import tracemalloc
 import mpmath
 import numpy as np
 import pytest
-from cheb_reference import approx_error_report, clenshaw_eval, dct1_values, scan_interpolant
+from cheb_reference import (
+    approx_error_report,
+    clenshaw_eval,
+    dct1_values,
+    scan_interpolant,
+    where_inverse_coefficients,
+)
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.fft import next_fast_len
@@ -625,3 +631,27 @@ def test_parity_is_read_off_the_coefficients(coefs, parity):
     assert series.parity == parity
     with pytest.raises(AttributeError):
         series.parity = "odd"
+
+
+@settings(max_examples=60, deadline=None)
+@given(kappa=st.floats(1.0, 300.0, exclude_min=True), eps_l=st.floats(1e-4, 0.9))
+@example(kappa=10.0, eps_l=1e-2)
+@example(kappa=300.0, eps_l=0.4 / 300.0)
+def test_inverse_series_signs_are_the_where_constructions_bits(kappa, eps_l):
+    got = inverse_cheb_series(kappa, eps_l / kappa).coefficients
+    assert got.tobytes() == where_inverse_coefficients(kappa, eps_l / kappa).tobytes()
+
+
+@settings(max_examples=80, deadline=None)
+@given(m=st.integers(1, 20_000))
+@example(m=1)
+@example(m=2)
+def test_interpolant_weights_are_the_where_constructions_bits(m):
+    # the barycentric weights (-1)^j, halved at both ends, read from the
+    # evaluator's closure
+    evaluate = invpoly._interpolant(np.zeros(m + 1))
+    cells = dict(zip(evaluate.__code__.co_freevars,
+                     (cell.cell_contents for cell in evaluate.__closure__)))
+    want = np.where(np.arange(m + 1) % 2, -1.0, 1.0)
+    want[[0, -1]] *= 0.5
+    assert cells["weights"].tobytes() == want.tobytes()

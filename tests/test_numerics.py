@@ -1,7 +1,10 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from unitary_reference import check_unitary as reference_check_unitary
 
 from qsvt_refine.numerics import (
     check_unitary,
@@ -202,3 +205,92 @@ def test_check_unitary_checks_the_columns_of_a_tall_matrix():
     with pytest.raises(ValueError,
                        match=r"columns are not orthonormal: \|\|U\^H U - I\|\| = 1\.600e-05"):
         check_unitary(q * np.sqrt(1.0 + 1.6e-5), tol_factor)
+
+
+def verdict(check, u, tol_factor):
+    """``None`` for a pass, else the exception's type and message."""
+    try:
+        check(u, tol_factor)
+    except Exception as exc:  # the type is part of the verdict
+        return type(exc), str(exc)
+    return None
+
+
+@settings(max_examples=300, deadline=None)
+@given(rows=st.integers(1, 24), cols=st.integers(1, 24), complex_=st.booleans(),
+       tol_factor=st.sampled_from([1e-12, 1e-10, 1e-8, 1e-6]),
+       threshold=st.sampled_from(["frobenius", "spectral"]),
+       side=st.sampled_from([0.0, 0.5, 0.9, 0.99, 1.01, 1.1, 2.0, 10.0]),
+       one_column=st.booleans(), seed=st.integers(0, 2**16))
+def test_check_unitary_gives_the_reference_verdict_and_message(
+        rows, cols, complex_, tol_factor, threshold, side, one_column, seed):
+    # orthonormal columns scaled by sqrt(1 + s) give U^H U - I = s I (or
+    # s e_1 e_1^T when only the first column is scaled): Frobenius defect
+    # s sqrt(cols) (or s), spectral defect s. s is drawn on both sides of
+    # the tolerance tol_factor * rows of either norm, away from the
+    # threshold itself, where rounding decides; a wide draw checks the
+    # shape message
+    rng = np.random.default_rng(seed)
+    z = rng.standard_normal((max(rows, cols), max(rows, cols)))
+    if complex_:
+        z = z + 1j * rng.standard_normal(z.shape)
+    q = np.linalg.qr(z)[0][:rows, :cols]
+    tol = tol_factor * rows
+    s = side * (tol if threshold == "spectral" or one_column else tol / math.sqrt(cols))
+    scale = np.full(cols, math.sqrt(1.0 + s))
+    if one_column:
+        scale[1:] = 1.0
+    u = q * scale
+    assert verdict(check_unitary, u, tol_factor) == verdict(reference_check_unitary, u,
+                                                            tol_factor)
+
+
+@settings(max_examples=150, deadline=None)
+@given(rows=st.integers(1, 12), cols=st.integers(1, 12), complex_=st.booleans(),
+       bad=st.sampled_from([math.nan, math.inf, -math.inf]), count=st.integers(1, 3),
+       seed=st.integers(0, 2**16))
+def test_check_unitary_names_non_finite_entries_as_the_reference_does(
+        rows, cols, complex_, bad, count, seed):
+    # an orthonormal, tall or wide matrix with a NaN or +-inf entry (in
+    # the imaginary part too) raises "matrix has non-finite entries", as
+    # before; no such input reaches the spectral norm
+    rng = np.random.default_rng(seed)
+    z = rng.standard_normal((max(rows, cols), max(rows, cols))) + (1j if complex_ else 0)
+    u = np.linalg.qr(z)[0][:rows, :cols].copy()
+    for _ in range(count):
+        i, j = rng.integers(rows), rng.integers(cols)
+        if complex_ and rng.integers(2):
+            u[i, j] = u[i, j].real + 1j * bad
+        else:
+            u[i, j] = bad
+    with np.errstate(invalid="ignore", over="ignore"):
+        got = verdict(check_unitary, u, 1e-10)
+        assert got == verdict(reference_check_unitary, u, 1e-10)
+    assert got == (ValueError, "matrix has non-finite entries")
+
+
+@pytest.mark.parametrize("shape", [(), (4,), (2, 2, 2)])
+def test_check_unitary_names_a_matrix_that_is_not_2d(shape):
+    u = np.ones(shape)
+    want = (ValueError, f"expected a 2-D matrix, got shape {shape}")
+    assert verdict(check_unitary, u, 1e-10) == want == verdict(reference_check_unitary, u, 1e-10)
+
+
+@pytest.mark.parametrize("dtype", [bool, np.int64, np.float32, np.complex64])
+def test_check_unitary_promotes_other_dtypes_as_the_reference_does(dtype):
+    # U^H U - I is taken against a float64 identity: an integer, boolean or
+    # single-precision identity passes, and a non-unitary matrix of that
+    # dtype gets the reference's message
+    assert verdict(check_unitary, np.eye(3, dtype=dtype), 1e-10) is None
+    u = np.array([[1, 1], [0, 1]], dtype=dtype)
+    assert verdict(check_unitary, u, 1e-10) == verdict(reference_check_unitary, u, 1e-10)
+    assert verdict(check_unitary, u, 1e-10)[0] is ValueError
+
+
+def test_check_unitary_leaves_its_input_unchanged():
+    u = 1.001 * random_with_condition(6, 1.0, 7)
+    before = u.tobytes()
+    with pytest.raises(ValueError, match="not unitary"):
+        check_unitary(u, 1e-10)
+    check_unitary(u[:, :0], 1e-10)
+    assert u.tobytes() == before

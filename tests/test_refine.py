@@ -362,6 +362,65 @@ def test_refine_names_a_non_finite_or_one_dimensional_a(factory):
         iterative_refine(a[0], b, backend, 1e-10)
 
 
+FACTORIES = [spectral_oracle_backend, noisy_oracle_backend, qsvt_backend]
+
+
+@pytest.mark.parametrize("factory", FACTORIES)
+def test_factories_name_a_non_finite_one_dimensional_or_non_square_a(factory):
+    # each factory's one check of A names what is wrong with it; a
+    # non-finite entry is named before the shape, as before
+    a = random_with_condition(4, 3.0, 0)
+    for bad in (math.nan, math.inf, -math.inf):
+        a_bad = a.copy()
+        a_bad[1, 2] = bad
+        for matrix in (a_bad, a_bad[:, :3]):
+            with pytest.raises(ValueError, match="^matrix has non-finite entries$"):
+                factory(matrix, 1e-2, kappa=3.0)
+    with pytest.raises(ValueError, match=r"^expected a 2-D matrix, got shape \(4,\)$"):
+        factory(a[0], 1e-2, kappa=3.0)
+    for matrix in (a[:, :3], a[:3], np.zeros((0, 0))):
+        with pytest.raises(ValueError, match=r"^a backend needs a nonempty square matrix, "
+                                             rf"got shape \({matrix.shape[0]}, "
+                                             rf"{matrix.shape[1]}\)$"):
+            factory(matrix, 1e-2, kappa=3.0)
+
+
+@pytest.mark.parametrize("factory", FACTORIES)
+def test_one_factory_call_checks_a_once(factory, monkeypatch):
+    # A's one 2-D and finiteness scan is the as_matrix inside numerics.svd;
+    # the factors LAPACK returns pass check_unitary without a second one.
+    # Every module's own as_matrix name is counted too
+    calls = []
+    real = numerics.as_matrix
+
+    def as_matrix(m):
+        calls.append(np.shape(m))
+        return real(m)
+
+    for module in (numerics, blockenc, qsvt_core, refine_mod):
+        if hasattr(module, "as_matrix"):
+            monkeypatch.setattr(module, "as_matrix", as_matrix)
+    for seed in (0, 1):
+        calls.clear()
+        factory(random_with_condition(8, 3.0, seed), 1e-2, kappa=3.0)
+        assert calls == [(8, 8)]
+
+
+def test_qsvt_accepts_a_real_valued_complex_a_and_rejects_any_imaginary_part():
+    # the real-only check reads a.imag of a complex A alone; a + 0j builds
+    # the real block, equal to the real build's to rounding (LAPACK's
+    # complex SVD rounds apart from its real one), and a + 1e-300j raises
+    for seed in range(3):
+        a = random_with_condition(8, 3.0, seed)
+        block = qsvt_backend(a, 1e-2, kappa=3.0).block
+        block_c = qsvt_backend(a + 0j, 1e-2, kappa=3.0).block
+        assert block_c.dtype == np.float64 and not block_c.flags.writeable
+        np.testing.assert_allclose(block_c, block, rtol=0, atol=1e-14)
+        with pytest.raises(ValueError, match="^qsvt_full is real-only: the matrix has a "
+                                             "nonzero imaginary part$"):
+            qsvt_backend(a + 1e-300j, 1e-2, kappa=3.0)
+
+
 def test_contraction_check_noisy_seed_sweep():
     kappa, eps_l = 6.0, 5e-3
     bound = theorem_iteration_bound(1e-10, eps_l, kappa)
