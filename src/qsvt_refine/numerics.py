@@ -25,6 +25,8 @@ __all__ = [
     "require_power_of_two",
 ]
 
+_FLOAT64 = np.dtype(np.float64)
+
 
 def as_matrix(a) -> np.ndarray:
     """Coerce to a 2-D ndarray without copying when possible."""
@@ -87,15 +89,16 @@ def svd(a) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 
 def two_norm(vec) -> float:
-    """Euclidean norm of a vector, bit for bit ``np.linalg.norm``: a float64
-    vector takes numpy's own steps without its dispatch (a ravel in memory
-    order, which copies a strided view as numpy does, then dot and sqrt)."""
+    """Euclidean norm of a vector, bit for bit ``np.linalg.norm``: a native
+    float64 vector takes numpy's own steps without its dispatch (a ravel in
+    memory order, taken only by a strided vector, which it copies; then dot and sqrt)."""
     v = np.asarray(vec)
     if v.ndim != 1:
         raise ValueError(f"expected a 1-D vector, got shape {v.shape}")
-    if v.dtype != np.float64:
+    if v.dtype != _FLOAT64:
         return float(np.linalg.norm(v))
-    v = v.ravel(order="K")
+    if v.strides[0] != 8:
+        v = v.ravel(order="K")
     return math.sqrt(v.dot(v))
 
 

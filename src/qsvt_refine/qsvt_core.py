@@ -149,7 +149,7 @@ def apply_inverse_state(block: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, f
     n = block.shape[1]
     if b.shape != (n,):
         raise ValueError(f"right-hand side shape {b.shape} does not match block ({n},)")
-    if np.iscomplexobj(b) and np.any(b.imag):
+    if b.dtype.kind == "c" and np.any(b.imag):
         raise ValueError("qsvt_full is real-only: the right-hand side is complex")
     norm = two_norm(b)
     if abs(norm - 1.0) > 1e-12:

@@ -357,8 +357,11 @@ def qsvt_backend(a, eps_l: float, kappa: Optional[float] = None, seed: int = 0,
     inverse series and apply their sequence on the dilation of
     A^H / sigma_max once, through the singular pairs of A. Real matrices
     of a power-of-two size (a qubit register) only."""
+    a = np.asarray(a)
+    if a.dtype.kind == "c" and not np.any(a.imag):
+        a = a.real  # the real SVD, so a + 0j builds the bytes of a real A
     a, factors, kappa = _factorize(a, eps_l, kappa, shots)
-    if np.iscomplexobj(a) and np.any(a.imag):
+    if np.iscomplexobj(a):  # a complex A left here has a nonzero imaginary part
         raise ValueError("qsvt_full is real-only: the matrix has a nonzero imaginary part")
     require_power_of_two(a.shape[0], "matrix dimension")
     phases, evaluate = _inverse_phases(kappa, eps_l / kappa)  # one per degree of the series
@@ -374,13 +377,17 @@ def solve_once(backend: SolverBackend, rhs) -> tuple[np.ndarray, np.ndarray]:
 
     Returns ``(eta, readout)``: the backend's unit direction and the
     direction the classical side actually receives (identical for exact
-    readout, shot-perturbed otherwise).
+    readout, shot-perturbed otherwise). A zero ``rhs`` raises ``ValueError``.
     """
     rhs = np.asarray(rhs)
-    nrm = two_norm(rhs)
-    if nrm == 0.0:
+    return _normalized_solve(backend, rhs, two_norm(rhs))
+
+
+def _normalized_solve(backend: SolverBackend, rhs: np.ndarray, norm: float):
+    """``solve_once`` given ``norm`` = ``two_norm(rhs)``, which the loop took for omega."""
+    if norm == 0.0:
         raise ValueError("rhs must be nonzero")
-    eta = backend.direction(rhs / nrm)
+    eta = backend.direction(rhs / norm)
     if backend.shots is None:
         return eta, eta
     g = backend.rng.standard_normal(eta.size)
@@ -396,12 +403,16 @@ def denormalize(a_eta, residual) -> float:
     <A eta, b - A x> / ||A eta||^2; an A eta whose ||A eta||^2 is not
     finite and above 1e-28 (NaN included) raises ``ValueError``. The tests
     check it against a bracketed Brent search on the objective's values alone.
+    Contiguous float64 vectors of two or more entries take ``dot``, ``np.vdot``'s
+    bits without its dispatch (``dot`` of a reversed view or of one entry differs).
     """
     a_eta, residual = np.asarray(a_eta), np.asarray(residual)
-    gram = float(np.vdot(a_eta, a_eta).real)
+    real = (a_eta.strides == residual.strides == (8,) and a_eta.size == residual.size > 1
+            and a_eta.dtype == residual.dtype == np.float64)
+    gram = float(a_eta.dot(a_eta) if real else np.vdot(a_eta, a_eta).real)
     if not 1e-28 < gram < math.inf:
         raise ValueError(f"degenerate direction: ||A eta||^2 = {gram:.3g}")
-    return float(np.vdot(a_eta, residual).real / gram)
+    return float((a_eta.dot(residual) if real else np.vdot(a_eta, residual).real) / gram)
 
 
 @dataclass(frozen=True)
@@ -455,15 +466,15 @@ def iterative_refine(a, b, backend: SolverBackend, eps_target: float,
 
     First solve produces x0; then repeat: residual in working precision,
     correction direction from the backend, magnitude from ``denormalize``,
-    update. Each step costs two products with A: A eta for the magnitude
-    and A x for the next residual, which also gives omega. Stops at
-    omega <= eps_target or ``max_iter``; three consecutive residuals that
-    fail to decrease (NaN included) raise ``DivergenceError`` carrying the
-    partial trace. An A that is not square, a ``b`` not of shape (n,), a
-    backend built for another size, a non-finite entry in A or b, an
-    eps_target outside [MIN_EPS_TARGET, 1) or a ``max_iter`` that is not an
-    integer >= 0 (0 stops after the first solve) raises ``ValueError``
-    before any solve.
+    update. Each step costs two products with A, A eta for the magnitude
+    and A x for the next residual, and one norm of that residual, which gives
+    omega and the next solve's unit right-hand side. Stops at omega <=
+    eps_target or ``max_iter``; three consecutive residuals that fail to
+    decrease (NaN included) raise ``DivergenceError`` carrying the partial
+    trace. An A that is not square, a ``b`` not of shape (n,), a backend
+    built for another size, a non-finite entry in A or b, an eps_target
+    outside [MIN_EPS_TARGET, 1) or a ``max_iter`` that is not an integer
+    >= 0 (0 stops after the first solve) raises ``ValueError`` before any solve.
 
     The loop runs on A / 2^ka and b / 2^kb, each scaled apart to peak near
     1 (``_unit_scaled``), so its squared norms neither overflow nor
@@ -513,15 +524,16 @@ def iterative_refine(a, b, backend: SolverBackend, eps_target: float,
         )
 
     x = np.zeros(n, dtype=b.dtype)
-    residual = b  # b - A x at x = 0
+    residual, norm = b, b_norm  # b - A x and its norm at x = 0
     stall = 0
     while True:
-        _eta, readout = solve_once(backend, residual)
+        readout = _normalized_solve(backend, residual, norm)[1]
         mu = denormalize(a.dot(readout), residual)
         x = x + mu * readout
         mus.append(_times_power_of_two(mu, kb - ka))
         residual = b - a.dot(x)
-        omega = two_norm(residual) / b_norm
+        norm = two_norm(residual)
+        omega = norm / b_norm
         omegas.append(omega)
         if omega <= eps_target:
             break

@@ -155,17 +155,24 @@ FLOATS = st.floats(allow_nan=False, width=64)
 @given(values=st.lists(FLOATS, max_size=200), imag=st.lists(FLOATS, max_size=200),
        ints=st.lists(st.integers(-2**31, 2**31), max_size=200))
 def test_two_norm_is_numpys_norm_bit_for_bit(values, imag, ints):
-    # contiguous, strided and reversed float64 views, complex128 and int64:
-    # every one is summed in the order np.linalg.norm sums it
+    # the contiguous float64 vector that skips the ravel, and the strided and
+    # reversed views, size 0 and 1 (contiguous or strided), unaligned,
+    # complex128, int64, float32 and big-endian vectors that keep it or take
+    # np.linalg.norm: every one is summed in the order np.linalg.norm sums it
     v = np.array(values, dtype=np.float64)
     z = np.zeros(min(len(values), len(imag)), dtype=np.complex128)
     z.real, z.imag = values[: z.size], imag[: z.size]
-    for vec in (v, v[::2], v[1::3], v[::-1], z, z.real, np.array(ints, dtype=np.int64)):
+    unaligned = np.frombuffer(b"\0" + v.tobytes(), dtype=np.float64, offset=1)
+    with np.errstate(over="ignore"):
+        single = v.astype(np.float32)
+    big = v.astype(">f8")
+    for vec in (v, v[::2], v[1::3], v[::-1], v[:0], v[:1], v[::7][:1], v[::-1][:1], unaligned,
+                z, z.real, np.array(ints, dtype=np.int64), single, single[::2], big, big[::-1]):
         with np.errstate(over="ignore"):
             expected = np.float64(np.linalg.norm(vec))
             got = two_norm(vec)
         assert type(got) is float
-        assert np.float64(got).tobytes() == expected.tobytes(), vec.dtype
+        assert np.float64(got).tobytes() == expected.tobytes(), (vec.dtype, vec.strides)
 
 
 @pytest.mark.parametrize("spread", [0.5, 2.0])

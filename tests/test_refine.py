@@ -9,11 +9,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from cheb_reference import svt_reference
 from magnitude_reference import brent_magnitude
+import refine_reference
 
 import qsvt_refine.refine as refine_mod
 from qsvt_refine import blockenc, invpoly, numerics, qsvt_core
 from qsvt_refine.numerics import random_with_condition, two_norm
 from qsvt_refine.qsp_phases import PhaseFindingError
+from qsvt_refine.qsvt_core import PostSelectionError
 from qsvt_refine.refine import (
     CostReport,
     DivergenceError,
@@ -242,7 +244,7 @@ def test_refine_divergence_detection(monkeypatch):
     b = unit_rhs(4, 3)
     backend = noisy_oracle_backend(a, 1e-2, kappa=4.0, seed=1)
 
-    def stalled_solve(_backend, rhs):
+    def stalled_solve(_backend, rhs, _norm):
         rng = np.random.default_rng(0)
         w = rng.standard_normal(rhs.size)
         w -= (w @ rhs) / (rhs @ rhs) * rhs  # w orthogonal to the residual
@@ -250,7 +252,7 @@ def test_refine_divergence_detection(monkeypatch):
         eta /= np.linalg.norm(eta)  # then <A eta, rhs> = 0, so mu = 0
         return eta, eta
 
-    monkeypatch.setattr(refine_mod, "solve_once", stalled_solve)
+    monkeypatch.setattr(refine_mod, "_normalized_solve", stalled_solve)
     with pytest.raises(DivergenceError) as excinfo:
         iterative_refine(a, b, backend, 1e-13)
     trace = excinfo.value.trace
@@ -407,15 +409,14 @@ def test_one_factory_call_checks_a_once(factory, monkeypatch):
 
 
 def test_qsvt_accepts_a_real_valued_complex_a_and_rejects_any_imaginary_part():
-    # the real-only check reads a.imag of a complex A alone; a + 0j builds
-    # the real block, equal to the real build's to rounding (LAPACK's
-    # complex SVD rounds apart from its real one), and a + 1e-300j raises
+    # a complex A with a zero imaginary part takes the real SVD, so a + 0j
+    # builds the real block's bytes; a + 1e-300j raises
     for seed in range(3):
         a = random_with_condition(8, 3.0, seed)
         block = qsvt_backend(a, 1e-2, kappa=3.0).block
         block_c = qsvt_backend(a + 0j, 1e-2, kappa=3.0).block
         assert block_c.dtype == np.float64 and not block_c.flags.writeable
-        np.testing.assert_allclose(block_c, block, rtol=0, atol=1e-14)
+        assert block_c.tobytes() == block.tobytes()
         with pytest.raises(ValueError, match="^qsvt_full is real-only: the matrix has a "
                                              "nonzero imaginary part$"):
             qsvt_backend(a + 1e-300j, 1e-2, kappa=3.0)
@@ -1180,13 +1181,13 @@ def test_factories_reject_an_eps_l_too_small_for_the_cost_model(factory, eps_l):
 @pytest.mark.parametrize("factory", FACTORIES)
 def test_refine_names_both_shapes_before_any_solve(factory, monkeypatch):
     solves = []
-    real_solve_once = refine_mod.solve_once
+    real_solve = refine_mod._normalized_solve
 
-    def solve_once(*args):
+    def normalized_solve(*args):
         solves.append(None)
-        return real_solve_once(*args)
+        return real_solve(*args)
 
-    monkeypatch.setattr(refine_mod, "solve_once", solve_once)
+    monkeypatch.setattr(refine_mod, "_normalized_solve", normalized_solve)
     a = random_with_condition(4, 3.0, 0)
     backend = factory(a, 1e-2)
     b = unit_rhs(4, 0)
@@ -1197,3 +1198,147 @@ def test_refine_names_both_shapes_before_any_solve(factory, monkeypatch):
         with pytest.raises(ValueError, match=shapes):
             iterative_refine(a_in, b_in, backend, 1e-10)
     assert solves == []
+
+
+@dataclasses.dataclass(frozen=True)
+class StalledBackend(SolverBackend):
+    """Directions A-orthogonal to the right-hand side: <A eta, rhs> = 0 to
+    rounding, so mu is about 0 and omega stalls."""
+
+    matrix: np.ndarray
+
+    @property
+    def size(self):
+        return self.matrix.shape[1]
+
+    def direction(self, rhs_hat):
+        w = np.random.default_rng(0).standard_normal(rhs_hat.size)
+        w -= (w @ rhs_hat) / (rhs_hat @ rhs_hat) * rhs_hat
+        eta = np.linalg.solve(self.matrix, w)
+        return eta / np.linalg.norm(eta)
+
+
+def refine_outcome(refine, a, b, backend, eps_target, max_iter):
+    """Everything ``refine`` returns, as bytes, or the exception it raises
+    with its message and, for a divergence, its trace."""
+
+    def trace_bytes(trace):
+        return (np.array(trace.scaled_residuals, dtype=float).tobytes(),
+                np.array(trace.mu_values, dtype=float).tobytes(),
+                trace.converged, trace.theorem_bound)
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)  # overflow in a diverging run
+        try:
+            x, trace, cost = refine(a, b, backend, eps_target, max_iter=max_iter)
+        except DivergenceError as exc:
+            return type(exc), str(exc), trace_bytes(exc.trace)
+        except (ValueError, PostSelectionError) as exc:
+            return type(exc), str(exc)
+    return x.dtype, x.tobytes(), trace_bytes(trace), cost
+
+
+REFINE_KEYS = [(2.0, 0.1), (2.0, 0.5), (4.0, 0.3)]  # (kappa, eps_l * kappa): few phase keys
+
+
+@settings(max_examples=150, deadline=None)
+@given(factory=st.sampled_from(FACTORIES), n=st.sampled_from([2, 4, 8, 16]),
+       key=st.sampled_from(REFINE_KEYS), seed=st.integers(0, 2**16),
+       shots=st.sampled_from([None, 100, 10**6]), complex_b=st.booleans(),
+       a_exp=st.sampled_from([-600, 0, 600]), b_exp=st.sampled_from([-600, 0, 600]),
+       max_iter=st.sampled_from([0, 1, 100]), eps_target=st.sampled_from([1e-14, 1e-11, 1e-6]))
+def test_refine_matches_the_reference_loop_bit_for_bit(factory, n, key, seed, shots, complex_b,
+                                                        a_exp, b_exp, max_iter, eps_target):
+    # the loop that takes each residual's norm once, and denormalize's dot,
+    # return the reference's bytes of x, trace and cost, or its exception
+    kappa, rate = key
+    a = random_with_condition(n, kappa, seed) * 2.0**a_exp
+    b = unit_rhs(n, seed) * 2.0**b_exp
+    if complex_b:
+        b = b + 1j * np.roll(b, 1)
+    outcomes = [refine_outcome(refine, a, b, factory(a, rate / kappa, kappa=kappa, seed=seed,
+                                                     shots=shots), eps_target, max_iter)
+                for refine in (iterative_refine, refine_reference.iterative_refine)]
+    assert outcomes[0] == outcomes[1]
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_a_stalled_run_matches_the_reference_loop(seed):
+    a = random_with_condition(4, 4.0, seed)
+    b = unit_rhs(4, seed)
+    backend = StalledBackend(eps_l=1e-2, kappa=4.0, degree=1, shots=None, rng=None, matrix=a)
+    outcomes = [refine_outcome(refine, a, b, backend, 1e-13, 100)
+                for refine in (iterative_refine, refine_reference.iterative_refine)]
+    assert outcomes[0][0] is DivergenceError
+    assert outcomes[0] == outcomes[1]
+
+
+def test_a_three_solve_request_takes_ten_norms_and_no_vdot(monkeypatch):
+    # one norm per residual: b's, then per solve the residual's and
+    # apply_inverse_state's two (its input's check and its output's);
+    # magnitude recovery of two real vectors takes dot, not np.vdot
+    a = random_with_condition(32, 3.0, 0)
+    backend = qsvt_backend(a, 0.1 / 3.0, kappa=3.0)
+    b = np.random.default_rng(0).standard_normal(32)
+    calls = []
+
+    def counted(name, real):
+        def call(*args, **kwargs):
+            calls.append(name)
+            return real(*args, **kwargs)
+        return call
+
+    norm = counted("two_norm", numerics.two_norm)
+    for module in (numerics, blockenc, qsvt_core, refine_mod, invpoly):
+        if hasattr(module, "two_norm"):
+            monkeypatch.setattr(module, "two_norm", norm)
+    monkeypatch.setattr(np, "vdot", counted("vdot", np.vdot))
+    _, trace, cost = iterative_refine(a, b, backend, 1e-8)
+    assert trace.converged and cost.solves == 3
+    assert calls.count("two_norm") == 10
+    assert calls.count("vdot") == 0
+
+
+FLOATS64 = st.floats(-1e150, 1e150, allow_nan=False)
+
+
+@settings(max_examples=300, deadline=None)
+@given(x=st.lists(FLOATS64, min_size=1, max_size=64), y=st.lists(FLOATS64, min_size=1,
+                                                                  max_size=64))
+def test_denormalize_is_the_vdot_forms_bits(x, y):
+    # contiguous float64 pairs take dot; strided, reversed, broadcast,
+    # one-entry, unequal-length, single-precision and complex pairs keep
+    # np.vdot: each gives the vdot form's bits (a -0.0 inner product
+    # included) or its error and message
+    size = min(len(x), len(y))
+    a_eta, residual = np.array(x[:size]), np.array(y[:size])
+    single = a_eta.astype(np.float32)
+    with np.errstate(over="ignore"):
+        c64 = (a_eta + 1j * a_eta[::-1]).astype(np.complex64)  # 8-byte strides, conjugated
+    pairs = [(a_eta, residual), (a_eta[::2], residual[::2]), (a_eta[::-1], residual),
+             (a_eta[::-1], residual[::-1]), (a_eta, np.broadcast_to(residual[:1], size)),
+             (a_eta[:1], -0.0 * a_eta[:1]), (a_eta[:2], np.array([-0.0, 0.0])[:size] * a_eta[:2]),
+             (a_eta, np.append(residual, 1.0)), (single, residual),
+             (single, residual.astype(np.float32)), (single[::2], single[1::2]),
+             (a_eta + 1j * a_eta[::-1], residual), (a_eta, residual - 1j * residual[::-1]),
+             (a_eta + 1j * a_eta[::-1], residual - 1j * residual[::-1]), (c64, c64[::-1].copy())]
+    for pair in pairs:
+        outcomes = []
+        for denorm in (denormalize, refine_reference.denormalize):
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", RuntimeWarning)
+                try:
+                    outcomes.append(np.float64(denorm(*pair)).tobytes())
+                except ValueError as exc:
+                    outcomes.append(str(exc))
+        assert outcomes[0] == outcomes[1], [(p.dtype, p.strides, p.size) for p in pair]
+
+
+@pytest.mark.parametrize("a_eta", [np.zeros(3), np.full(3, 1e-15), np.array([1.0, math.inf, 0.0]),
+                                   np.array([math.nan, 1.0, 0.0]), np.full(3, 1e-15) + 0j])
+def test_denormalize_names_a_degenerate_direction_as_the_vdot_form_does(a_eta):
+    with pytest.raises(ValueError) as expected:
+        refine_reference.denormalize(a_eta, np.ones(3))
+    with pytest.raises(ValueError, match="^degenerate direction") as got:
+        denormalize(a_eta, np.ones(3))
+    assert str(got.value) == str(expected.value)
