@@ -20,6 +20,7 @@ and the claim verdict: a claim holds when the change is better on at least
 nine in ten pairs (rounded up) and its median is better than the parent's
 by more than the parent's interquartile range. It also prints each side's
 failed solves. ``--out`` writes every value and verdict as JSON to ``FILE``.
+A line on stderr marks each finished pair.
 
 Exit codes: 0 when every run is correct and, with ``--claim``, that
 metric's claim holds; 1 when a run reports a failed solve or the claim
@@ -153,6 +154,7 @@ def main(argv=None) -> int:
             for side in order:
                 runs[side].append(run_once(getattr(args, side), args.workload, seed,
                                            args.seconds))
+            print(f"pair {i + 1}/{len(seeds)} (seed {seed}) done", file=sys.stderr)
         lines = [f"{args.workload}: {len(seeds)} pairs of --seconds {args.seconds:g}, "
                  f"parent {args.parent}, change {args.change}"]
         verdicts = {}
