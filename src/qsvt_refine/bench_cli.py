@@ -242,19 +242,21 @@ def _run_sweep(cfg: ExperimentConfig) -> tuple[list[dict], list[str]]:
             a = (poisson if poisson is not None
                  else random_with_condition(2**cfg.n_qubits, kappa, seed))
             b = _rhs_vector(a.shape[0], seed)
+            diverged = False
             try:
                 backend = _make_backend(cfg, a, kappa, eps_l, seed)
                 _x, trace, _cost = iterative_refine(
                     a, b, backend, cfg.eps_target, max_iter=cap,
                 )
             except DivergenceError as exc:
-                trace = exc.trace
-                failures.append(f"divergence at {where}")
+                trace, diverged = exc.trace, True
             except _RUN_ERRORS as exc:
                 failures.append(f"{type(exc).__name__} at {where}: {exc}")
                 continue
             rows.extend(_trace_rows(cfg, a.shape[0], kappa, eps_l, seed, trace, backend))
-            if trace.converged:
+            if diverged:  # one failure per run: its trace is not converged either
+                failures.append(f"divergence at {where}")
+            elif trace.converged:
                 if trace.iterations > trace.theorem_bound:
                     failures.append(
                         f"iteration bound exceeded at {where}: "

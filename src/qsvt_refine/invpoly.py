@@ -5,8 +5,8 @@ Builds the polynomial that tracks ``1 / (2 kappa x)`` on [-1, -1/kappa] u
 ``(1 - (1 - x^2)^b) / x``, with the degree parameters b(eps, kappa) and
 D(eps, kappa), plus the machinery needed to make the series admissible
 for singular value transformation (global magnitude <= 1 on [-1, 1]; the
-bound check scales it to ``QSVT_PEAK`` = 0.9, where phase finding
-converges).
+bound check certifies a peak from one oversampled grid scan and scales
+the series to at most ``QSVT_PEAK`` = 0.9, where phase finding converges).
 """
 
 from __future__ import annotations
@@ -34,11 +34,9 @@ __all__ = [
 ]
 
 QSVT_PEAK = 0.9  # the max|P| check_bound scales a series down to
-_REFINE_XTOL = 1e-9   # locates the grid maximum to ~1e-8 in |P|
+_OVERSAMPLE = 16  # the bound check's scan grid has this many times the record's M points
 _CHUNK_ELEMS = 1 << 19  # points x nodes per evaluation block (4 MiB of float64)
 _EXACT_CENTRAL = 64  # C(2b, b) / 4^b from exact integers below this b
-_GOLDEN = 0.5 * (3.0 - math.sqrt(5.0))
-_SQRT_EPS = math.sqrt(2.2e-16)  # relative part of the peak search's tolerance
 
 
 @dataclass(frozen=True)
@@ -280,7 +278,8 @@ clenshaw_eval = cheb_eval
 
 # A view of ``bound_series`` no library code calls; kept while perfbench's tracer wraps it.
 def max_abs_on_interval(series: ChebyshevSeries) -> float:
-    """Max of |P| over [-1, 1], as ``bound_series`` checks it."""
+    """The certified bound on max|P| over [-1, 1] that ``bound_series``
+    checks: never below the max, at most sec(pi / 32) above it."""
     return bound_series(series).peak
 
 
@@ -297,8 +296,9 @@ class SeriesRecord:
 @dataclass(frozen=True, eq=False)
 class BoundedSeries:
     """A series rescaled so |P| <= ``QSVT_PEAK`` on [-1, 1], with what its bound check
-    found: the applied factor ``rescale``, the checked max|P| of the series
-    before rescaling (``peak``) and ``evaluate``, the rescaled series'
+    found: the applied factor ``rescale``, the certified bound on max|P| of
+    the series before rescaling (``peak``, never below the max and at most
+    sec(pi / 32) above it) and ``evaluate``, the rescaled series'
     interpolant on the record's M grid (1-D arrays of x in [-1, 1], no
     checks; its ``values`` are the record's times ``rescale``)."""
 
@@ -339,109 +339,40 @@ def grid_interpolant(f: Callable, degree: int) -> Callable:
 
 
 def check_bound(record: SeriesRecord) -> BoundedSeries:
-    """The bound check of ``bound_series`` on a record: its interpolant is
+    """The bound check of ``bound_series`` on a record: its grid values are
     read, never written, so the record stays the unscaled series'.
 
-    The peak comes from a scan of |P| on the 2M grid x_j = cos(pi j / 2M),
-    which the check transforms itself, plus a bounded Brent search
-    (``_brent_min``) on the record's interpolant around each grid local
-    maximum within pi^2/32 of the grid's top: P(cos theta) has degree
-    d <= M, so the node nearest the maximizer lies within pi/(4M) of it in
-    angle, and Bernstein's |P''| <= d^2 max|P| bounds that node's deficit by
-    (1/2)(pi/4)^2 = pi^2/32 of the peak. A definite-parity |P| is even, so
-    its top and rival lobes come from the grid's x >= 0 half, j = 0..M,
-    alone."""
-    series, interpolant = record.series, record.evaluate
-    m = interpolant.values.size - 1
-    last = 2 * m  # the 2M grid's last index
-    vals = _values_on_cheb_grid(series.coefficients, last)
-    scan = np.abs(vals[:m + 1] if series.parity != "none" else vals)  # x_j >= 0 at j <= M
-    k = int(np.argmax(scan))
-
-    def refined(k: int) -> float:
-        # bracket nodes x_{k+1} < x_{k-1}, x_j = cos(pi j / (2M)) decreasing in j
-        lo, hi = np.cos(np.pi * np.array([min(k + 1, last), max(k - 1, 0)]) / last)
-        if lo >= hi:
-            return float(scan[k])
-        least = _brent_min(lambda t: -abs(interpolant(np.array([t]))[0]), lo, hi)
-        return float(max(scan[k], -least))
-
-    # a half grid ends at x_M = 0, whose right neighbour |P(x_{M+1})| mirrors
-    # |P(x_{M-1})|, so clamping there leaves each comparison as it was
-    end = scan.size - 1
-    rivals = [int(j) for j in np.flatnonzero(scan >= (1.0 - np.pi ** 2 / 32) * scan[k])
-              if j != k and scan[j] >= max(scan[max(j - 1, 0)], scan[min(j + 1, end)])]
-    peak = max([refined(k)] + [refined(j) for j in rivals])
+    The peak is the Ehlich-Zeller certificate (Math. Z. 86, 1964): P of
+    degree d < K has max|P| <= max_j |P(x_j)| / cos(pi d / 2K) over the
+    K + 1 points x_j = cos(pi j / K). The check transforms its own grid of
+    K = ``_OVERSAMPLE`` M points, so d < M gives a peak never below the max
+    of |P| on [-1, 1] and at most sec(pi / 32), 0.48%, above it. A
+    definite-parity |P| is even, so only the grid's x >= 0 half, j = 0..K/2,
+    is scanned."""
+    series, values = record.series, record.evaluate.values
+    k = _OVERSAMPLE * (values.size - 1)
+    vals = _values_on_cheb_grid(series.coefficients, k)
+    scan = vals[:k // 2 + 1] if series.parity != "none" else vals  # x_j >= 0 at j <= K/2
+    peak = float(np.max(np.abs(scan))) / math.cos(math.pi * series.degree / (2 * k))
     if peak <= QSVT_PEAK * (1.0 + 1e-9):
-        return BoundedSeries(series, 1.0, peak, interpolant)
+        return BoundedSeries(series, 1.0, peak, record.evaluate)
     applied = QSVT_PEAK / peak
     rescaled = replace(
         series,
         coefficients=series.coefficients * applied,
         scale=None if series.scale is None else series.scale * applied,
     )
-    return BoundedSeries(rescaled, applied, peak, _interpolant(interpolant.values * applied))
+    return BoundedSeries(rescaled, applied, peak, _interpolant(values * applied))
 
 
 def bound_series(series: ChebyshevSeries) -> BoundedSeries:
     """Rescale so |P(x)| <= ``QSVT_PEAK`` on [-1, 1] by the factor
     min(1, QSVT_PEAK / peak) (exactly 1 when the peak is at most
-    QSVT_PEAK * (1 + 1e-9), so a second application keeps the series):
-    ``check_bound`` of ``series_record``, an M-grid transform for the
-    evaluator, a 2M-grid one for the scan and one peak search."""
+    QSVT_PEAK * (1 + 1e-9), so a second application keeps the series),
+    with ``peak`` the certified bound on max|P|: ``check_bound`` of
+    ``series_record``, an M-grid transform for the evaluator and a 16M-grid
+    one for the scan."""
     return check_bound(series_record(series))
-
-
-def _brent_min(f: Callable[[float], float], a: float, b: float) -> float:
-    """Least value of f found on [a, b] by Brent's method (Brent 1973,
-    ch. 5): a golden-section step, or a parabolic one through the three
-    best points where it falls inside the bracket and shrinks faster,
-    until the bracket's midpoint is within 2 tol - (b - a)/2 of the best
-    point x, tol = sqrt(2.2e-16) |x| + _REFINE_XTOL / 3 (the steps, and so
-    the points evaluated, of the tests' reference bounded ``minimize_scalar``)."""
-    x = w = v = a + _GOLDEN * (b - a)  # best, second best, previous second best
-    fx = fw = fv = f(x)
-    step = prev = 0.0  # the last step and the one before it
-    while True:
-        mid = 0.5 * (a + b)
-        tol = _SQRT_EPS * abs(x) + _REFINE_XTOL / 3.0
-        if abs(x - mid) <= 2.0 * tol - 0.5 * (b - a):
-            return fx
-        golden = True
-        if abs(prev) > tol:
-            r = (x - w) * (fx - fv)
-            q = (x - v) * (fx - fw)
-            p = (x - v) * q - (x - w) * r
-            q = 2.0 * (q - r)
-            if q > 0.0:
-                p = -p
-            q = abs(q)
-            r, prev = prev, step
-            if abs(p) < abs(0.5 * q * r) and q * (a - x) < p < q * (b - x):
-                golden = False
-                step = p / q
-                if x + step - a < 2.0 * tol or b - (x + step) < 2.0 * tol:
-                    step = tol if mid >= x else -tol
-        if golden:
-            prev = (a - x) if x >= mid else (b - x)
-            step = _GOLDEN * prev
-        u = x + (step if abs(step) >= tol else (tol if step >= 0.0 else -tol))
-        fu = f(u)
-        if fu <= fx:
-            if u >= x:
-                a = x
-            else:
-                b = x
-            v, fv, w, fw, x, fx = w, fw, x, fx, u, fu
-        else:
-            if u < x:
-                a = u
-            else:
-                b = u
-            if fu <= fw or w == x:
-                v, fv, w, fw = w, fw, u, fu
-            elif fu <= fv or v == x or v == w:
-                v, fv = u, fu
 
 
 # A view of ``bound_series`` no library code calls; kept while perfbench's tracer wraps it.

@@ -93,9 +93,10 @@ def find_phases(target: BoundedSeries) -> np.ndarray:
     the wx-re00 convention.
 
     ``target`` is the series' bound check (``check_bound``): its checked
-    peak times its rescale factor must not exceed ``QSVT_PEAK`` (0.9),
-    where the iteration converges, and its evaluator gives the node
-    targets, so no second grid is built here.
+    peak (the certified bound on max|P|, never below it) times its rescale
+    factor must not exceed ``QSVT_PEAK`` (0.9), where the iteration
+    converges, and its evaluator gives the node targets, so no second grid
+    is built here.
 
     The fixed-point iteration on the symmetric phases (Dong, Lin, Ni &
     Wang, arXiv:2209.10162). The unknowns are the m = ceil((d+1)/2)

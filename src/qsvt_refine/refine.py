@@ -30,11 +30,12 @@ The inverse series and its phase factors, each with an M-grid evaluator
 of the polynomial (a ``SeriesRecord``; the Re p the sequence realizes),
 depend only on (kappa, eps' = eps_l / kappa); two memos of 16 keys own
 them, and no backend keeps either. A QSVT circuit needs
-|P| <= 1, so phase finding runs the bound check (a 2M-grid scan, peak
-search and rescale to a peak of at most 0.9) on the memoized record, once per key. The spectral
-operator carries the unscaled series: its direction is raw / ||raw||, which
-a positive factor on P does not change, so a spectral build makes the
-record's one M-grid transform and no scan or peak search. Every factory
+|P| <= 1, so phase finding runs the bound check (one 16M-grid scan that
+certifies a bound on max|P|, and a rescale of that bound to at most 0.9)
+on the memoized record, once per key. The spectral operator carries the
+unscaled series: its direction is raw / ||raw||, which a positive factor
+on P does not change, so a spectral build makes the record's one M-grid
+transform and no bound check. Every factory
 enters through one step, ``_factorize``, which takes the matrix's one SVD
 and rejects a matrix that is not square, is empty or is numerically
 singular, and a ``kappa`` below its sigma_max / sigma_min, before any memo
@@ -293,9 +294,9 @@ def _factorize(a, eps_l: float, kappa: Optional[float], shots: Optional[int]):
 @functools.lru_cache(maxsize=_MEMO_SIZE)
 def _inverse_record(kappa: float, eps_prime: float) -> SeriesRecord:
     """``series_record`` of the inverse series at accuracy eps' (callers pass
-    eps_l / kappa): one read-only record per key, unscaled, with no peak
-    search. Its evaluator gives the spectral oracle its P(sigma), and the
-    bound check that only phase finding runs reads it too."""
+    eps_l / kappa): one read-only record per key, unscaled, with no bound
+    check. Its evaluator gives the spectral oracle its P(sigma), and the
+    bound check that only phase finding runs reads its grid values."""
     record = series_record(inverse_cheb_series(kappa, eps_prime))
     record.series.coefficients.flags.writeable = False
     record.evaluate.values.flags.writeable = False
@@ -311,9 +312,10 @@ def _inverse_phases(kappa: float, eps_prime: float) -> tuple[np.ndarray, Callabl
     backends with the same (kappa, eps') share one memoized, read-only
     phase array, and its Re p on read-only M-grid values: the key's one
     ``signal_row`` pass and pair-unitarity check. The key's one bound check
-    runs here, on the memoized record, and adds the one 2M-grid transform
-    of its scan; ``find_phases`` takes its result, whose read-only
-    evaluator reads the record's grid values times the rescale factor. A
+    runs here, on the memoized record, and adds the one 16M-grid transform
+    of its scan, whose certified peak sets the rescale factor;
+    ``find_phases`` takes its result, whose read-only evaluator reads the
+    record's grid values times that factor. A
     ``PhaseFindingError`` is raised, not cached: the next call with that
     key tries again."""
     target = check_bound(_inverse_record(kappa, eps_prime))
@@ -327,7 +329,7 @@ def _inverse_phases(kappa: float, eps_prime: float) -> tuple[np.ndarray, Callabl
 def spectral_oracle_backend(a, eps_l: float, kappa: Optional[float] = None,
                             seed: int = 0, shots: Optional[int] = None) -> SpectralOracleBackend:
     """Inverse polynomial applied via the SVD, no circuits, as one operator,
-    from the key's unscaled record: no bound check runs."""
+    from the key's unscaled record: no bound check (no 16M-grid scan) runs."""
     _, (u, s, vh), kappa = _factorize(a, eps_l, kappa, shots)
     record = _inverse_record(kappa, eps_l / kappa)
     return SpectralOracleBackend(

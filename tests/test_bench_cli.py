@@ -383,3 +383,20 @@ def test_numerical_failure_fails_only_its_run(tmp_path, monkeypatch, capsys, tar
     rows = (tmp_path / "out.csv").read_text().splitlines()[1:]
     runs = {r.split(",")[0] for r in rows}
     assert len(calls) == 4 and len(runs) == 3
+
+
+def test_a_diverged_run_is_one_failure_and_keeps_its_rows(tmp_path, capsys):
+    # eps_target 1e-14 sits below the residual floor at kappa 1e4, so both
+    # runs raise DivergenceError: each is listed once, as a divergence and
+    # not also as a non-convergence, and its trace still reaches the CSV
+    path, _ = write_config(tmp_path, n_qubits=4, kappa=[1e4], eps_l=[4e-5],
+                           eps_target=1e-14, backend="noisy_oracle")
+    assert main(["--config", str(path)]) == 1
+    out = capsys.readouterr().out
+    assert "FAILURES (2):" in out and "no convergence" not in out
+    for seed in (0, 1):
+        assert out.count(f"divergence at kappa=10000.0 eps_l=4e-05 seed={seed}") == 1
+    rows = [dict(zip(CSV_COLUMNS, line.split(",")))
+            for line in (tmp_path / "out.csv").read_text().splitlines()[1:]]
+    assert len({r["run_id"] for r in rows}) == 2
+    assert all(r["converged"] == "False" for r in rows)

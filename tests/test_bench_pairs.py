@@ -8,8 +8,10 @@ from pathlib import Path
 import pytest
 
 TOOL = Path(__file__).resolve().parents[1] / "tools" / "bench_pairs.py"
-BENCHMARK = {"end_to_end": [{"name": "solve_ms_p50", "unit": "ms", "better": "lower"},
-                            {"name": "solves_per_s", "unit": "1/s", "better": "higher"}]}
+BENCHMARK = {"end_to_end": [
+    {"name": "solve_ms_p50", "unit": "ms", "better": "lower", "bound": 0.25},
+    {"name": "solves_per_s", "unit": "1/s", "better": "higher", "bound": 0.25},
+]}
 STUB_RUN = '''
 import argparse, json, sys
 from pathlib import Path
@@ -82,6 +84,7 @@ def test_a_clear_gain_holds_and_the_sides_alternate(tmp_path, capsys):
     assert p50["parent"]["median"] == pytest.approx(1.0)
     assert p50["parent_iqr"] == pytest.approx(1.0175 - 0.9825)
     assert record["metrics"]["solves_per_s"]["claim_holds"] is False
+    assert p50["regression"] == record["metrics"]["solves_per_s"]["regression"] == "held"
     assert record["first"] == ["parent", "change"] * 5
     for tree in (parent, change):  # run.py's own output only
         assert sorted(p.name for p in (tree / "perfbench").iterdir()) == ["out", "run.py"]
@@ -136,3 +139,59 @@ def test_a_tree_without_run_py_exits_two(tmp_path, capsys):
     assert load_tool().main([str(tmp_path / "empty"), str(change), "--workload", "w",
                              "--seeds", "101"]) == 2
     assert "has no perfbench/run.py" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("p50_factor, per_s, verdicts, code", [
+    # 20% slower and flat throughput, both under the 25% bound
+    (1.2, 100.0, ("held", "held"), 0),
+    # 30% slower: beyond the bound even though throughput holds
+    (1.3, 100.0, ("regressed", "held"), 1),
+    # throughput, higher is better, down 30%
+    (1.0, 70.0, ("held", "regressed"), 1),
+    # 10% faster and 10% more throughput
+    (0.9, 110.0, ("held", "held"), 0),
+])
+def test_no_regression_compares_the_medians_against_the_bound(tmp_path, capsys, p50_factor,
+                                                              per_s, verdicts, code):
+    parent = make_tree(tmp_path, "parent", PARENT_P50, [100.0] * 10)
+    change = make_tree(tmp_path, "change", [v * p50_factor for v in PARENT_P50], [per_s] * 10)
+    out = tmp_path / "pairs.json"
+    assert load_tool().main([str(parent), str(change), "--workload", "w", "--seeds", "101-110",
+                             "--out", str(out)]) == code
+    text = capsys.readouterr().out
+    for verdict in verdicts:
+        assert f"no regression {verdict}: median" in text
+    metrics = json.loads(out.read_text())["metrics"]
+    assert (metrics["solve_ms_p50"]["regression"], metrics["solves_per_s"]["regression"]) == verdicts
+    assert metrics["solve_ms_p50"]["bound"] == 0.25
+    assert metrics["solve_ms_p50"]["worse"] == pytest.approx(p50_factor - 1.0)
+
+
+WIDE_P50 = [0.6, 1.4] * 5  # IQR / median 0.8, beyond the 0.25 bound
+
+
+@pytest.mark.parametrize("change_p50, verdict", [
+    # overlapping runs under a parent too wide to tell: even an equal median is unresolved
+    (WIDE_P50[::-1], "unresolved"),
+    ([v * 1.5 for v in WIDE_P50], "unresolved"),  # worse, but not told apart from the spread
+    ([0.5] * 10, "held"),  # every change run beats every parent run
+])
+def test_a_parent_spread_beyond_the_bound_is_unresolved(tmp_path, capsys, change_p50, verdict):
+    parent = make_tree(tmp_path, "parent", WIDE_P50, [100.0] * 10)
+    change = make_tree(tmp_path, "change", change_p50, [100.0] * 10)
+    assert load_tool().main([str(parent), str(change), "--workload", "w",
+                             "--seeds", "101-110"]) == 0
+    text = capsys.readouterr().out
+    assert f"no regression {verdict}: median" in text
+    assert "parent IQR / median 80.00%, bound 25%" in text
+
+
+def test_a_missing_bound_is_bad_input(tmp_path, capsys):
+    parent = make_tree(tmp_path, "parent", [1.0], [1.0])
+    change = make_tree(tmp_path, "change", [1.0], [1.0])
+    benchmark = json.loads((change / "BENCHMARK.json").read_text())
+    del benchmark["end_to_end"][1]["bound"]
+    (change / "BENCHMARK.json").write_text(json.dumps(benchmark))
+    assert load_tool().main([str(parent), str(change), "--workload", "w",
+                             "--seeds", "101"]) == 2
+    assert "declares no end-to-end metrics" in capsys.readouterr().err

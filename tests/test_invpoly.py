@@ -14,7 +14,6 @@ from cheb_reference import (
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.fft import next_fast_len
-from scipy.optimize import minimize_scalar
 
 from qsvt_refine import invpoly
 from qsvt_refine.invpoly import (
@@ -440,11 +439,28 @@ def critical_point_peak(series):
     return float(np.max(np.abs(np.polynomial.chebyshev.chebval(np.array([-1.0, 1.0] + xs), c))))
 
 
+def certificate_slack(degree):
+    # sec(pi d / 2K) of the Ehlich-Zeller bound on the check's grid of
+    # K = 16 M points, M = 2 * next_fast_len(d // 2 + 1) the record's grid
+    scan = 16 * 2 * next_fast_len(degree // 2 + 1, real=True)
+    return 1.0 / math.cos(math.pi * degree / (2 * scan))
+
+
+def assert_certifies(series, true_max, spread=1.0):
+    # the certificate's contract: true max <= peak <= true max * sec(pi d / 2K),
+    # with the true max known to within a factor ``spread`` above ``true_max``
+    peak = max_abs_on_interval(series)
+    assert true_max * (1.0 - 1e-9) <= peak
+    assert peak <= true_max * spread * certificate_slack(series.degree) * (1.0 + 1e-9)
+    assert certificate_slack(series.degree) <= 1.0 / math.cos(math.pi / 32)
+
+
 def test_max_abs_finds_a_peak_away_from_the_grid_maximizer():
-    # |P| peaks at 1.0107 near x = +-0.83, between grid nodes; the grid's
-    # largest value (0.9990 at x = 0.31) sits next to a lower local maximum
+    # |P| peaks at 1.0107 near x = +-0.83, between the record's grid nodes;
+    # that grid's largest value (0.9990 at x = 0.31) sits next to a lower
+    # local maximum, and the certificate still covers the peak
     series = ChebyshevSeries(np.array([0.0, -0.257, 0.0, -0.264, 0.0, 0.865]))
-    assert max_abs_on_interval(series) == pytest.approx(1.0107002835399, rel=1e-10)
+    assert_certifies(series, 1.0107002835399)
 
 
 @settings(max_examples=60, deadline=None)
@@ -456,7 +472,7 @@ def test_max_abs_matches_critical_points(degree, parity, seed):
     elif parity == "even":
         degree += degree % 2
     series = random_series(seed, degree, parity)
-    assert max_abs_on_interval(series) == pytest.approx(critical_point_peak(series), rel=1e-9)
+    assert_certifies(series, critical_point_peak(series))
 
 
 @settings(max_examples=60, deadline=None)
@@ -464,38 +480,23 @@ def test_max_abs_matches_critical_points(degree, parity, seed):
        seed=st.integers(0, 2**16))
 @example(degree=198, parity="even", seed=21108)
 @example(degree=26, parity="none", seed=24657)
+@example(degree=199, parity="odd", seed=0)
 def test_checked_peak_never_undershoots_a_dense_sample(degree, parity, seed):
-    # the candidate band and Brent's brackets must reach the global
-    # maximizer: no point of a Chebyshev sample 64 times denser than the
-    # degree may top the checked peak by more than the search's tolerance.
-    # The examples read 0.6% low with a band of pi^2/128 on the 2M grid and
-    # 4% low with brackets three nodes wide on either side
+    # the certified peak is never below the true max and at most
+    # sec(pi d / 2K) above it: the true max from the critical points up to
+    # degree 60, and beyond that bracketed by a Chebyshev sample 64 times
+    # denser than the degree, whose own Ehlich-Zeller slack is sec(pi/128)
     if parity == "odd":
         degree -= 1 - degree % 2
     elif parity == "even":
         degree += degree % 2
     series = random_series(seed, degree, parity)
+    if degree <= 60:
+        assert_certifies(series, critical_point_peak(series))
+        return
     dense = np.cos(np.pi * np.arange(64 * degree + 1) / (64 * degree))
     top = float(np.max(np.abs(clenshaw_eval(series, dense))))
-    assert bound_series(series).peak >= top * (1.0 - 1e-9)
-
-
-@pytest.mark.parametrize("parity, degree", [("odd", 199), ("even", 200)])
-def test_bound_check_of_a_definite_parity_series_searches_x_at_least_0(parity, degree,
-                                                                        monkeypatch):
-    # |P| is even, so each lobe in x < 0 mirrors one in x >= 0: no Brent
-    # bracket lies in x < 0, and the rival lobes are still searched
-    brackets = []
-
-    def counted(f, lo, hi, _real=invpoly._brent_min):
-        brackets.append((lo, hi))
-        return _real(f, lo, hi)
-
-    monkeypatch.setattr(invpoly, "_brent_min", counted)
-    for seed in range(20):
-        bound_series(random_series(seed, degree, parity))
-    assert len(brackets) > 20
-    assert all(hi > 0.0 for _, hi in brackets)
+    assert_certifies(series, top, spread=1.0 / math.cos(math.pi / 128))
 
 
 @pytest.mark.parametrize("series", [inverse_cheb_series(10.0, 1e-3),
@@ -504,7 +505,8 @@ def test_bound_check_of_a_definite_parity_series_searches_x_at_least_0(parity, d
 def test_bound_check_transforms_one_grid_of_2m_points(series, monkeypatch):
     # the record makes one transform, on the M grid its interpolant, and so
     # a memoized evaluator, reads; the bound check makes one more, its own
-    # 2M-point scan, and reads the record's interpolant between its nodes
+    # 16M-point scan (the test is named for the 2M scan that preceded it),
+    # and never evaluates the record's interpolant
     calls = []
 
     def counted(coefs, npts, *rest, _real=invpoly._values_on_cheb_grid):
@@ -516,30 +518,33 @@ def test_bound_check_transforms_one_grid_of_2m_points(series, monkeypatch):
     m = 2 * next_fast_len(series.degree // 2 + 1, real=True)
     assert calls == [m]
     assert record.evaluate.values.size == m + 1
-    bounded = invpoly.check_bound(record)
-    assert calls == [m, 2 * m]
+    read = []
+
+    def watched(x):
+        read.append(x)
+        return record.evaluate(x)
+
+    watched.values = record.evaluate.values
+    bounded = invpoly.check_bound(invpoly.SeriesRecord(record.series, watched))
+    assert calls == [m, 16 * m] and read == []
     assert bounded.evaluate.values.size == m + 1
 
 
-@settings(max_examples=60, deadline=None)
-@given(degree=st.integers(1, 40), seed=st.integers(0, 2**16), lo=st.floats(-1.0, 0.9),
-       width=st.floats(1e-6, 1.0))
-@example(degree=5, seed=0, lo=0.2, width=0.5)
-def test_brent_search_takes_scipys_bounded_steps(degree, seed, lo, width):
-    # the same points in the same order as scipy's bounded minimize_scalar
-    # at the same tolerance, so the same least value and evaluation count
-    series = random_series(seed, degree, "none")
-    hi = min(lo + width, 1.0)
-    seen = {"here": [], "scipy": []}
-
-    def objective(where):
-        return lambda t: seen[where].append(float(t)) or -abs(clenshaw_eval(series, float(t)))
-
-    got = invpoly._brent_min(objective("here"), lo, hi)
-    want = minimize_scalar(objective("scipy"), bounds=(lo, hi), method="bounded",
-                           options={"xatol": invpoly._REFINE_XTOL})
-    assert seen["here"] == seen["scipy"]
-    assert got == want.fun
+@pytest.mark.parametrize("eps_l", [1e-2, 1e-3, 1e-4])
+def test_certified_rescale_keeps_the_exact_peaks_success_probability(eps_l):
+    # p goes with the square of the rescale factor. Against the exact-peak
+    # factor 0.9 / max|P| the certified one loses at most cos(pi d / 2K),
+    # so p keeps at least cos^2(pi / 32) > 0.990 of it; with the true max
+    # bracketed by ``top``, a 64d-point Chebyshev sample, within sec(pi/128)
+    series = inverse_cheb_series(10.0, eps_l / 10.0)
+    d = series.degree
+    dense = np.cos(np.pi * np.arange(64 * d + 1) / (64 * d))
+    top = float(np.max(np.abs(clenshaw_eval(series, dense))))
+    factor = bound_series(series).rescale
+    assert factor < 1.0
+    low = QSVT_PEAK * math.cos(math.pi / 128) / (certificate_slack(d) * top)
+    assert low <= factor <= QSVT_PEAK / top
+    assert certificate_slack(d) ** -2 > 0.990
 
 
 def test_enforce_bounds_trivial_cases():
@@ -547,9 +552,11 @@ def test_enforce_bounds_trivial_cases():
     same, scale = enforce_qsvt_bounds(bounded)
     assert scale == 1.0 and same is bounded
 
+    # max|2 T1| = 2 sits at the node x = 1, so the certified peak is
+    # 2 sec(pi d / 2K) with d = 1, K = 16 M = 32, and the scale QSVT_PEAK / peak
     two_t1 = ChebyshevSeries(np.array([0.0, 2.0]))
     scaled, scale = enforce_qsvt_bounds(two_t1)
-    assert scale == pytest.approx(0.45, rel=1e-5)  # QSVT_PEAK / 2
+    assert scale == pytest.approx(0.45 * math.cos(math.pi / 64), rel=1e-12)
     assert max_abs_on_interval(scaled) <= QSVT_PEAK * (1.0 + 1e-9)
 
 

@@ -71,7 +71,11 @@ def test_signal_unitary_domain_check():
 
 
 def test_find_phases_t1():
-    phases = find_phases(bound_series(ChebyshevSeries(np.array([0.0, 0.9]))))
+    # 0.9 T1 at the edge of find_phases' domain, a checked peak of exactly
+    # QSVT_PEAK, built by hand: bound_series certifies 0.9 sec(pi / 64) and
+    # would rescale it
+    series = ChebyshevSeries(np.array([0.0, 0.9]))
+    phases = find_phases(BoundedSeries(series, 1.0, QSVT_PEAK, lambda x: cheb_eval(series, x)))
     xs = np.random.default_rng(1).uniform(-1, 1, 100)
     for x in xs:
         assert signal_unitary(x, phases)[0, 0].real == pytest.approx(0.9 * x, abs=1e-10)

@@ -564,17 +564,13 @@ def test_spectral_direction_does_not_see_the_rescale_factor(n, kappa, rate, seed
 def test_a_spectral_build_runs_no_peak_search(monkeypatch):
     # a fresh key whose series the bound check rescales: the spectral build
     # makes the record's one M-point transform and one fast-length search,
-    # and no Brent search; the check later adds its own 2M-point scan
+    # and no bound check; the check later adds its own 16M-point scan
     kappa = 100.0
     eps_prime = 0.4 / kappa / kappa
     refine_mod._inverse_record.cache_clear()
-    calls = {"_next_fast_len": 0, "_brent_min": 0}
-    for name in calls:
-        def counted(*args, _name=name, _real=getattr(invpoly, name)):
-            calls[_name] += 1
-            return _real(*args)
-
-        monkeypatch.setattr(invpoly, name, counted)
+    searches = []
+    monkeypatch.setattr(invpoly, "_next_fast_len", lambda n, _real=invpoly._next_fast_len:
+                        searches.append(n) or _real(n))
     sizes = []
 
     def transform(coefs, m, *rest, _real=invpoly._values_on_cheb_grid):
@@ -585,10 +581,10 @@ def test_a_spectral_build_runs_no_peak_search(monkeypatch):
     spectral_oracle_backend(random_with_condition(4, kappa, 0), 0.4 / kappa, kappa=kappa)
     record = refine_mod._inverse_record(kappa, eps_prime)
     m = record.evaluate.values.size - 1
-    assert sizes == [m] and calls == {"_next_fast_len": 1, "_brent_min": 0}
+    assert sizes == [m] and len(searches) == 1
     bounded = invpoly.check_bound(record)
     assert bounded.rescale < 1.0
-    assert sizes == [m, 2 * m] and calls["_brent_min"] > 0
+    assert sizes == [m, 16 * m] and len(searches) == 1
     # the bound check's evaluator reads the record's grid values times the
     # factor, and the record keeps its own, unscaled
     assert np.array_equal(bounded.evaluate.values, record.evaluate.values * bounded.rescale)
@@ -622,7 +618,7 @@ def test_qsvt_builds_run_one_bound_check_per_key(fresh_phase_memo, monkeypatch):
 def test_polynomial_backends_share_one_grid_per_kappa_eps(fresh_phase_memo, monkeypatch):
     # a fresh key makes one M-point transform and one set of node tables,
     # whichever backends it serves; its first qsvt_full build adds the bound
-    # check's 2M-point scan and the phase table's one interpolant (its
+    # check's 16M-point scan and the phase table's one interpolant (its
     # sequence read at the grid nodes, no transform), and its second build
     # nothing: find_phases reads the check's peak and the record's evaluator
     # (unscaled at this key)
@@ -639,10 +635,10 @@ def test_polynomial_backends_share_one_grid_per_kappa_eps(fresh_phase_memo, monk
     m = refine_mod._inverse_record(kappa, eps_l / kappa).evaluate.values.size - 1
     assert sizes == [m] and len(interpolants) == 1
     qsvt = qsvt_backend(random_with_condition(4, kappa, 2), eps_l, kappa=kappa)
-    assert sizes == [m, 2 * m] and len(interpolants) == 2
+    assert sizes == [m, 16 * m] and len(interpolants) == 2
     assert refine_mod._inverse_phases(kappa, eps_l / kappa)[1].values.size == m + 1
     again = qsvt_backend(random_with_condition(8, kappa, 3), eps_l, kappa=kappa)
-    assert sizes == [m, 2 * m] and len(interpolants) == 2
+    assert sizes == [m, 16 * m] and len(interpolants) == 2
     assert first.degree == second.degree == qsvt.degree == again.degree
     info = refine_mod._inverse_record.cache_info()
     assert info.misses == 1 and info.currsize == 1

@@ -1,4 +1,4 @@
-"""Run alternating parent/change perfbench pairs of one workload and judge a claim.
+"""Run alternating parent/change perfbench pairs of one workload and judge them.
 
 Usage::
 
@@ -16,16 +16,26 @@ list, ranges ``A-B`` included.
 For every end-to-end metric that ``CHANGE/BENCHMARK.json`` declares it
 prints each pair's two values, the change's wins, ties and losses, each
 side's median and quartiles (``statistics.quantiles``, inclusive method)
-and the claim verdict: a claim holds when the change is better on at least
-nine in ten pairs (rounded up) and its median is better than the parent's
-by more than the parent's interquartile range. It also prints each side's
-failed solves. ``--out`` writes every value and verdict as JSON to ``FILE``.
-A line on stderr marks each finished pair.
+and two verdicts:
 
-Exit codes: 0 when every run is correct and, with ``--claim``, that
-metric's claim holds; 1 when a run reports a failed solve or the claim
-fails; 2 on bad input or a run that gives no result. Standard library only;
-nothing is written under ``perfbench/`` beyond what ``run.py`` writes.
+* the claim: it holds when the change is better on at least nine in ten
+  pairs (rounded up) and its median is better than the parent's by more
+  than the parent's interquartile range;
+* no regression, against the metric's relative ``bound``: ``held`` when
+  the change's median is worse than the parent's by at most ``bound``
+  times the parent's median, ``regressed`` when by more, and
+  ``unresolved`` when the parent's IQR over its median exceeds ``bound``
+  (too wide to tell) and not every change run beats every parent run
+  (when every one does, the verdict is ``held``).
+
+It also prints each side's failed solves. ``--out`` writes every value and
+verdict as JSON to ``FILE``. A line on stderr marks each finished pair.
+
+Exit codes: 0 when every run is correct, no metric has ``regressed`` and,
+with ``--claim``, that metric's claim holds; 1 when a run reports a failed
+solve, a metric has regressed or the claim fails; 2 on bad input or a run
+that gives no result. Standard library only; nothing is written under
+``perfbench/`` beyond what ``run.py`` writes.
 """
 
 from __future__ import annotations
@@ -61,10 +71,11 @@ def parse_seeds(text: str) -> list[int]:
 
 
 def end_to_end_metrics(tree: Path) -> list[dict]:
-    """The ``end_to_end`` entries (name, unit, better) of ``tree/BENCHMARK.json``."""
+    """The ``end_to_end`` entries (name, unit, better, bound) of ``tree/BENCHMARK.json``."""
     try:
         metrics = json.loads((tree / "BENCHMARK.json").read_text())["end_to_end"]
-        return [{"name": m["name"], "unit": m["unit"], "better": m["better"]} for m in metrics]
+        return [{"name": m["name"], "unit": m["unit"], "better": m["better"],
+                 "bound": float(m["bound"])} for m in metrics]
     except (OSError, ValueError, KeyError, TypeError) as exc:
         raise PairsError(f"{tree / 'BENCHMARK.json'} declares no end-to-end metrics: "
                          f"{exc!r}") from exc
@@ -96,18 +107,27 @@ def quartiles(values: list[float]) -> tuple[float, float, float]:
     return q1, median, q3
 
 
-def judge(parent: list[float], change: list[float], better: str) -> dict:
-    """Wins, ties, quartiles and the claim verdict of one metric over the pairs."""
+def judge(parent: list[float], change: list[float], better: str, bound: float) -> dict:
+    """Wins, ties, quartiles, the claim verdict and the no-regression verdict
+    of one metric over the pairs."""
     sign = 1.0 if better == "lower" else -1.0  # sign * (parent - change) > 0: change better
     wins = sum(sign * (p - c) > 0 for p, c in zip(parent, change))
     ties = sum(p == c for p, c in zip(parent, change))
     (pq1, pmed, pq3), (cq1, cmed, cq3) = quartiles(parent), quartiles(change)
     need = math.ceil(WIN_SHARE * len(parent))
     gain, iqr = sign * (pmed - cmed), pq3 - pq1
+    spread, worse = iqr / abs(pmed), -gain / abs(pmed)  # every metric's median is positive
+    if spread > bound:
+        apart = all(sign * (p - c) > 0 for p in parent for c in change)
+        regression = "held" if apart else "unresolved"
+    else:
+        regression = "regressed" if worse > bound else "held"
     return {"wins": wins, "ties": ties, "losses": len(parent) - wins - ties, "need": need,
             "parent": {"q1": pq1, "median": pmed, "q3": pq3},
             "change": {"q1": cq1, "median": cmed, "q3": cq3},
-            "gain": gain, "parent_iqr": iqr, "claim_holds": wins >= need and gain > iqr}
+            "gain": gain, "parent_iqr": iqr, "claim_holds": wins >= need and gain > iqr,
+            "bound": bound, "worse": worse, "parent_spread": spread,
+            "regression": regression}
 
 
 def report(name: str, unit: str, better: str, seeds: list[int], firsts: list[str],
@@ -125,6 +145,10 @@ def report(name: str, unit: str, better: str, seeds: list[int], firsts: list[str
     lines.append(f"  claim {'holds' if verdict['claim_holds'] else 'fails'}: "
                  f"{verdict['wins']} wins, {verdict['need']} needed; median better by "
                  f"{verdict['gain']:.6g}, parent IQR {verdict['parent_iqr']:.6g}")
+    lines.append(f"  no regression {verdict['regression']}: median "
+                 f"{'worse' if verdict['worse'] > 0 else 'better'} by {abs(verdict['worse']):.2%}"
+                 f", parent IQR / median {verdict['parent_spread']:.2%}, "
+                 f"bound {verdict['bound']:.0%}")
     return lines
 
 
@@ -163,8 +187,8 @@ def main(argv=None) -> int:
                 values = {side: [r["metrics"][m["name"]] for r in runs[side]] for side in runs}
             except KeyError:
                 raise PairsError(f"a run reports no {m['name']}") from None
-            verdicts[m["name"]] = dict(judge(values["parent"], values["change"], m["better"]),
-                                       values=values)
+            verdicts[m["name"]] = dict(judge(values["parent"], values["change"], m["better"],
+                                             m["bound"]), values=values)
             lines += report(m["name"], m["unit"], m["better"], seeds, firsts, values["parent"],
                             values["change"], verdicts[m["name"]])
     except PairsError as exc:
@@ -179,7 +203,8 @@ def main(argv=None) -> int:
                                         "seeds": seeds, "first": firsts, "failed": failed,
                                         "metrics": verdicts}, indent=2) + "\n")
     holds = args.claim is None or verdicts[args.claim]["claim_holds"]
-    return 0 if correct and holds else 1
+    regressed = any(v["regression"] == "regressed" for v in verdicts.values())
+    return 0 if correct and holds and not regressed else 1
 
 
 if __name__ == "__main__":

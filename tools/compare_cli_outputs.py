@@ -60,8 +60,8 @@ CONFIGS = [
     ("convergence --backend qsvt_full --readout shot --seeds 0,1", {}),
     ("complexity --backend qsvt_full", {}),
     # kappa 10, eps_l 1e-3: degree 287, whose series the bound check
-    # rescales (by 0.831), unlike the qsvt_full keys above (eps_l 0.04,
-    # degree 209, peak 0.893, under the 0.9 the check scales to)
+    # rescales (by 0.827), unlike the qsvt_full keys above (eps_l 0.04,
+    # degree 209, certified peak 0.897, under the 0.9 the check scales to)
     ("convergence --backend qsvt_full", {"eps_l": [1e-3]}),
 ]
 KEY_COLUMNS = ("run_id", "backend", "iter")  # one row per key on either side
