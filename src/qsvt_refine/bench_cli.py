@@ -334,7 +334,8 @@ def run_complexity(cfg: ExperimentConfig) -> tuple[list[dict], list[str]]:
             if eps == eps_l and ours != theirs:
                 failures.append(f"{'totals' if exact else 'per-solve costs'} disagree "
                                 f"at eps = eps_l: {ours} vs {theirs}")
-            if eps <= 1e-3 and not cost.total < direct.total:
+            # the crossover, checked below eps_l: at eps_l one refined solve is the direct one
+            if eps < eps_l and eps <= 1e-3 and not cost.total < direct.total:
                 failures.append(
                     f"refined total {cost.total} not below direct {direct.total} "
                     f"at eps={eps}"

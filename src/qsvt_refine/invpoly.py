@@ -7,6 +7,7 @@ D(eps, kappa), plus the machinery needed to make the series admissible
 for singular value transformation (global magnitude <= 1 on [-1, 1]; the
 bound check certifies a peak from one oversampled grid scan and scales
 the series to at most ``QSVT_PEAK`` = 0.9, where phase finding converges).
+A series carries its own M-grid evaluator, made from one transform when it is built.
 """
 
 from __future__ import annotations
@@ -24,17 +25,14 @@ __all__ = [
     "inverse_cheb_series",
     "cheb_eval",
     "enforce_qsvt_bounds",
-    "SeriesRecord",
-    "series_record",
     "grid_interpolant",
-    "check_bound",
     "bound_series",
     "max_abs_on_interval",
     "QSVT_PEAK",
 ]
 
-QSVT_PEAK = 0.9  # the max|P| check_bound scales a series down to
-_OVERSAMPLE = 16  # the bound check's scan grid has this many times the record's M points
+QSVT_PEAK = 0.9  # the max|P| bound_series scales a series down to
+_OVERSAMPLE = 16  # the bound check's scan grid has this many times the series' M points
 _CHUNK_ELEMS = 1 << 19  # points x nodes per evaluation block (4 MiB of float64)
 _EXACT_CENTRAL = 64  # C(2b, b) / 4^b from exact integers below this b
 
@@ -47,21 +45,35 @@ class ChebyshevSeries:
     the trailing one nonzero, so ``degree == len(coefficients) - 1``. An inverse
     approximation records its ``scale`` (``P(x) ~ scale / x``), passed by
     keyword only, so a stray second positional argument is refused rather
-    than taken as a scale. ``parity`` is read off the coefficients.
+    than taken as a scale. ``parity`` is read off the coefficients, which
+    the series keeps as its own read-only copy.
+
+    ``evaluate`` is the series' interpolant on its degree's M grid x_j =
+    cos(pi j / M) (1-D arrays of x in [-1, 1], no checks), whose read-only
+    ``values`` come from one transform when the series is built: an odd
+    series reads exactly 0 at the node x = 0. The grid's sine table gives
+    its nodes and, at every second entry, the odd series' DCT-II twiddles.
     """
 
     coefficients: np.ndarray
     scale: Optional[float] = field(default=None, kw_only=True)
+    evaluate: Callable = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        coefs = np.asarray(self.coefficients, dtype=float)
+        coefs = np.array(self.coefficients, dtype=float)
         if coefs.ndim != 1 or coefs.size == 0:
             raise ValueError("coefficients must be a nonempty 1-D array")
         if not np.all(np.isfinite(coefs)):
             raise ValueError("coefficients must be finite")
         if coefs.size > 1 and coefs[-1] == 0.0:
             raise ValueError("trailing coefficient must be nonzero (trim first)")
+        coefs.flags.writeable = False
         object.__setattr__(self, "coefficients", coefs)
+        m = _grid_size(self.degree)
+        sines = _quarter_sines(m)
+        vals = _values_on_cheb_grid(coefs, m, sines[::2])
+        vals.flags.writeable = False
+        object.__setattr__(self, "evaluate", _interpolant(vals, _node_offsets(m, sines)))
 
     @property
     def degree(self) -> int:
@@ -263,12 +275,12 @@ def _node_offsets(m: int, sines: Optional[np.ndarray] = None) -> np.ndarray:
 
 def cheb_eval(series: ChebyshevSeries, x):
     """Evaluate the series at ``x`` (scalar or array, |x| <= 1) with its
-    record's evaluator (``series_record``, one transform). A scalar returns
-    the Python float of a one-point array call."""
+    ``evaluate``. A scalar returns the Python float of a one-point array
+    call."""
     xs = np.asarray(x, dtype=float)
     if not np.all(np.abs(xs) <= 1.0 + 1e-12):
         raise ValueError("cheb_eval requires finite x with |x| <= 1")
-    values = series_record(series).evaluate(xs.ravel())
+    values = series.evaluate(xs.ravel())
     return float(values[0]) if np.isscalar(x) else values.reshape(xs.shape)
 
 
@@ -284,28 +296,16 @@ def max_abs_on_interval(series: ChebyshevSeries) -> float:
 
 
 @dataclass(frozen=True, eq=False)
-class SeriesRecord:
-    """A series with ``evaluate``, its interpolant on the M grid x_j =
-    cos(pi j / M) (1-D arrays of x in [-1, 1], no checks), from one
-    transform (``series_record``)."""
-
-    series: ChebyshevSeries
-    evaluate: Callable
-
-
-@dataclass(frozen=True, eq=False)
 class BoundedSeries:
     """A series rescaled so |P| <= ``QSVT_PEAK`` on [-1, 1], with what its bound check
-    found: the applied factor ``rescale``, the certified bound on max|P| of
-    the series before rescaling (``peak``, never below the max and at most
-    sec(pi / 32) above it) and ``evaluate``, the rescaled series'
-    interpolant on the record's M grid (1-D arrays of x in [-1, 1], no
-    checks; its ``values`` are the record's times ``rescale``)."""
+    found: the applied factor ``rescale`` and the certified bound on max|P|
+    of the series before rescaling (``peak``, never below the max and at
+    most sec(pi / 32) above it). A rescaled ``series`` carries the
+    evaluator of its own, rescaled coefficients."""
 
     series: ChebyshevSeries
     rescale: float
     peak: float
-    evaluate: Callable
 
 
 def _grid_size(degree: int) -> int:
@@ -313,20 +313,10 @@ def _grid_size(degree: int) -> int:
     return 2 * _next_fast_len(degree // 2 + 1)
 
 
-def series_record(series: ChebyshevSeries) -> SeriesRecord:
-    """The series' values on its degree's M grid, from one transform: an odd
-    series reads exactly 0 at the node x = 0. The grid's sine table gives
-    its nodes and, at every second entry, the odd series' DCT-II twiddles."""
-    m = _grid_size(series.degree)
-    sines = _quarter_sines(m)
-    vals = _values_on_cheb_grid(series.coefficients, m, sines[::2])
-    return SeriesRecord(series, _interpolant(vals, _node_offsets(m, sines)))
-
-
 def grid_interpolant(f: Callable, degree: int) -> Callable:
-    """A ``SeriesRecord``'s evaluator for the polynomial of degree at most
-    ``degree`` that ``f`` computes on a 1-D array: f read once, at the M + 1
-    nodes of that degree's M grid, exact to rounding as M > degree. The
+    """An evaluator like a series' ``evaluate``, for the polynomial of degree
+    at most ``degree`` that ``f`` computes on a 1-D array: f read once, at
+    the M + 1 nodes of that degree's M grid, exact to rounding as M > degree. The
     nodes are the doubles x_j = 1 - 2 sin^2(pi j / 2M), j <= M/2, and
     x_{M-j} = -x_j, and the offsets 1 - x_j are taken from them, so each
     value sits at its node. ``values`` is read-only."""
@@ -338,9 +328,12 @@ def grid_interpolant(f: Callable, degree: int) -> Callable:
     return _interpolant(vals, 1.0 - nodes)
 
 
-def check_bound(record: SeriesRecord) -> BoundedSeries:
-    """The bound check of ``bound_series`` on a record: its grid values are
-    read, never written, so the record stays the unscaled series'.
+def bound_series(series: ChebyshevSeries) -> BoundedSeries:
+    """Rescale so |P(x)| <= ``QSVT_PEAK`` on [-1, 1] by the factor
+    min(1, QSVT_PEAK / peak) (exactly 1 when the peak is at most
+    QSVT_PEAK * (1 + 1e-9), so a second application keeps the series),
+    with ``peak`` the certified bound on max|P|. A rescaled series is a new
+    one, whose evaluator is one more M-grid transform; ``series`` is kept.
 
     The peak is the Ehlich-Zeller certificate (Math. Z. 86, 1964): P of
     degree d < K has max|P| <= max_j |P(x_j)| / cos(pi d / 2K) over the
@@ -349,30 +342,19 @@ def check_bound(record: SeriesRecord) -> BoundedSeries:
     of |P| on [-1, 1] and at most sec(pi / 32), 0.48%, above it. A
     definite-parity |P| is even, so only the grid's x >= 0 half, j = 0..K/2,
     is scanned."""
-    series, values = record.series, record.evaluate.values
-    k = _OVERSAMPLE * (values.size - 1)
+    k = _OVERSAMPLE * (series.evaluate.values.size - 1)
     vals = _values_on_cheb_grid(series.coefficients, k)
     scan = vals[:k // 2 + 1] if series.parity != "none" else vals  # x_j >= 0 at j <= K/2
     peak = float(np.max(np.abs(scan))) / math.cos(math.pi * series.degree / (2 * k))
     if peak <= QSVT_PEAK * (1.0 + 1e-9):
-        return BoundedSeries(series, 1.0, peak, record.evaluate)
+        return BoundedSeries(series, 1.0, peak)
     applied = QSVT_PEAK / peak
     rescaled = replace(
         series,
         coefficients=series.coefficients * applied,
         scale=None if series.scale is None else series.scale * applied,
     )
-    return BoundedSeries(rescaled, applied, peak, _interpolant(values * applied))
-
-
-def bound_series(series: ChebyshevSeries) -> BoundedSeries:
-    """Rescale so |P(x)| <= ``QSVT_PEAK`` on [-1, 1] by the factor
-    min(1, QSVT_PEAK / peak) (exactly 1 when the peak is at most
-    QSVT_PEAK * (1 + 1e-9), so a second application keeps the series),
-    with ``peak`` the certified bound on max|P|: ``check_bound`` of
-    ``series_record``, an M-grid transform for the evaluator and a 16M-grid
-    one for the scan."""
-    return check_bound(series_record(series))
+    return BoundedSeries(rescaled, applied, peak)
 
 
 # A view of ``bound_series`` no library code calls; kept while perfbench's tracer wraps it.

@@ -92,11 +92,11 @@ def find_phases(target: BoundedSeries) -> np.ndarray:
     """The phase table, a (d,) float array, realizing ``target.series`` in
     the wx-re00 convention.
 
-    ``target`` is the series' bound check (``check_bound``): its checked
+    ``target`` is the series' bound check (``bound_series``): its checked
     peak (the certified bound on max|P|, never below it) times its rescale
     factor must not exceed ``QSVT_PEAK`` (0.9), where the iteration
-    converges, and its evaluator gives the node targets, so no second grid
-    is built here.
+    converges, and its series' evaluator gives the node targets, so no
+    second grid is built here.
 
     The fixed-point iteration on the symmetric phases (Dong, Lin, Ni &
     Wang, arXiv:2209.10162). The unknowns are the m = ceil((d+1)/2)
@@ -138,7 +138,7 @@ def find_phases(target: BoundedSeries) -> np.ndarray:
     m = (d + 2) // 2
     angles = (2 * np.arange(1, m + 1) - 1) * np.pi / (4 * m)
     xs = np.cos(angles)
-    want = target.evaluate(xs)
+    want = target.series.evaluate(xs)
     j = np.arange(d)  # phases = w * r[idx]
     idx, w = np.minimum(j, d - j), np.where(j == 0, 2.0, 1.0)
     cheb_r = np.cos(np.outer(angles, 2 * np.arange(m)[::-1] + d % 2))  # T R
@@ -161,6 +161,6 @@ def find_phases(target: BoundedSeries) -> np.ndarray:
 
 def verify_phases(phases: np.ndarray, target: BoundedSeries) -> float:
     """Max of |Re M(x)[0,0] - P(x)| over ``_VERIFY_POINTS`` points spanning [-1, 1],
-    with P(x) from ``target.evaluate``, the grid ``find_phases`` matched."""
+    with P(x) from ``target.series.evaluate``, the grid ``find_phases`` matched."""
     xs = np.linspace(-1.0, 1.0, _VERIFY_POINTS)
-    return float(np.max(np.abs(signal_row(phases, xs)[0].real - target.evaluate(xs))))
+    return float(np.max(np.abs(signal_row(phases, xs)[0].real - target.series.evaluate(xs))))

@@ -27,14 +27,14 @@ Each backend reports the ``size`` N it was built for, read off that one
 array, and ``iterative_refine`` rejects a system of another size.
 
 The inverse series and its phase factors, each with an M-grid evaluator
-of the polynomial (a ``SeriesRecord``; the Re p the sequence realizes),
-depend only on (kappa, eps' = eps_l / kappa); two memos of 16 keys own
-them, and no backend keeps either. A QSVT circuit needs
+of the polynomial (the series' own ``evaluate``; the Re p the sequence
+realizes), depend only on (kappa, eps' = eps_l / kappa); two memos of 16
+keys own them, and no backend keeps either. A QSVT circuit needs
 |P| <= 1, so phase finding runs the bound check (one 16M-grid scan that
 certifies a bound on max|P|, and a rescale of that bound to at most 0.9)
-on the memoized record, once per key. The spectral operator carries the
+on the memoized series, once per key. The spectral operator carries the
 unscaled series: its direction is raw / ||raw||, which a positive factor
-on P does not change, so a spectral build makes the record's one M-grid
+on P does not change, so a spectral build makes the series' one M-grid
 transform and no bound check. Every factory
 enters through one step, ``_factorize``, which takes the matrix's one SVD
 and rejects a matrix that is not square, is empty or is numerically
@@ -61,7 +61,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .invpoly import SeriesRecord, check_bound, degree_params, inverse_cheb_series, series_record
+from .invpoly import ChebyshevSeries, bound_series, degree_params, inverse_cheb_series
 from .numerics import require_power_of_two, singular_value_ratio, svd, two_norm
 from .qsp_phases import find_phases
 from .qsvt_core import (apply_inverse_state, inverse_block, sequence_evaluator,
@@ -94,7 +94,10 @@ _NOISE_SAFETY = 0.95  # noisy-oracle perturbation stays strictly inside eps_l
 MIN_EPS_TARGET = 1e-14  # double-precision residuals leave no headroom below this
 _MEMO_SIZE = 16  # distinct (kappa, eps') kept by each per-key memo
 _CONTRACTION_SLACK = 0.10  # absorbs readout noise and finite-sample wiggle
-_KAPPA_SLACK = 1e-9  # relative; a nominal kappa is within ~3e-14 of the measured ratio
+# A passed kappa may sit below the measured ratio by max(1e-9, 8 u ratio), u = 2^-53:
+# an SVD gives sigma_min to about u sigma_max, which put random_with_condition's
+# ratio up to 1.25 u kappa above its kappa (N = 2-128, kappa 1e4-1e13).
+_KAPPA_SLACK = 1e-9
 
 
 class DivergenceError(RuntimeError):
@@ -275,8 +278,9 @@ def _factorize(a, eps_l: float, kappa: Optional[float], shots: Optional[int]):
     on the next, so matrices of one nominal kappa need not share them, and
     a caller that knows kappa passes it. Either way [1/kappa, 1] must
     cover every singular value over sigma_max, so a passed kappa below
-    that ratio (beyond ``_KAPPA_SLACK``) raises. A's one 2-D and finiteness
-    check is the ``as_matrix`` inside ``svd``; the square check follows it."""
+    that ratio by more than its slack (``_KAPPA_SLACK``) raises. A's one
+    2-D and finiteness check is the ``as_matrix`` inside ``svd``; the
+    square check follows it."""
     factors = svd(a)
     a = np.asarray(a)
     if a.shape[0] != a.shape[1] or a.size == 0:
@@ -285,42 +289,36 @@ def _factorize(a, eps_l: float, kappa: Optional[float], shots: Optional[int]):
     if kappa is None:
         kappa = float(Context(prec=12, rounding=ROUND_CEILING).create_decimal(ratio))
     _check_backend_inputs(kappa, eps_l, shots)
-    if kappa < ratio * (1.0 - _KAPPA_SLACK):
+    if kappa < ratio * (1.0 - max(_KAPPA_SLACK, 8 * 2.0**-53 * ratio)):
         raise ValueError(f"kappa = {kappa!r} is below the matrix's sigma_max / sigma_min "
                          f"= {ratio!r}")
     return a, factors, kappa
 
 
 @functools.lru_cache(maxsize=_MEMO_SIZE)
-def _inverse_record(kappa: float, eps_prime: float) -> SeriesRecord:
-    """``series_record`` of the inverse series at accuracy eps' (callers pass
-    eps_l / kappa): one read-only record per key, unscaled, with no bound
-    check. Its evaluator gives the spectral oracle its P(sigma), and the
-    bound check that only phase finding runs reads its grid values."""
-    record = series_record(inverse_cheb_series(kappa, eps_prime))
-    record.series.coefficients.flags.writeable = False
-    record.evaluate.values.flags.writeable = False
-    return record
+def _inverse_series(kappa: float, eps_prime: float) -> ChebyshevSeries:
+    """The inverse series at accuracy eps' (callers pass eps_l / kappa):
+    one read-only series per key, unscaled, with no bound check. Its
+    evaluator gives the spectral oracle its P(sigma), and the bound check
+    that only phase finding runs scans it."""
+    return inverse_cheb_series(kappa, eps_prime)
 
 
 @functools.lru_cache(maxsize=_MEMO_SIZE)
 def _inverse_phases(kappa: float, eps_prime: float) -> tuple[np.ndarray, Callable]:
     """``(phases, evaluate)``: the phase table of the bounded series of
-    ``_inverse_record(kappa, eps')`` and its ``sequence_evaluator``.
+    ``_inverse_series(kappa, eps')`` and its ``sequence_evaluator``.
 
     A classical precomputation that depends on the series alone, so QSVT
     backends with the same (kappa, eps') share one memoized, read-only
     phase array, and its Re p on read-only M-grid values: the key's one
     ``signal_row`` pass and pair-unitarity check. The key's one bound check
-    runs here, on the memoized record, and adds the one 16M-grid transform
-    of its scan, whose certified peak sets the rescale factor;
-    ``find_phases`` takes its result, whose read-only evaluator reads the
-    record's grid values times that factor. A
-    ``PhaseFindingError`` is raised, not cached: the next call with that
-    key tries again."""
-    target = check_bound(_inverse_record(kappa, eps_prime))
-    target.series.coefficients.flags.writeable = False
-    target.evaluate.values.flags.writeable = False
+    (``bound_series``) runs here, on the memoized series, and adds the one
+    16M-grid transform of its scan, whose certified peak sets the rescale
+    factor, and, when that factor is below 1, the rescaled series' M-grid
+    transform; ``find_phases`` takes its result. A ``PhaseFindingError``
+    is raised, not cached: the next call with that key tries again."""
+    target = bound_series(_inverse_series(kappa, eps_prime))
     phases = find_phases(target)
     phases.flags.writeable = False
     return phases, sequence_evaluator(phases)
@@ -329,13 +327,13 @@ def _inverse_phases(kappa: float, eps_prime: float) -> tuple[np.ndarray, Callabl
 def spectral_oracle_backend(a, eps_l: float, kappa: Optional[float] = None,
                             seed: int = 0, shots: Optional[int] = None) -> SpectralOracleBackend:
     """Inverse polynomial applied via the SVD, no circuits, as one operator,
-    from the key's unscaled record: no bound check (no 16M-grid scan) runs."""
+    from the key's unscaled series: no bound check (no 16M-grid scan) runs."""
     _, (u, s, vh), kappa = _factorize(a, eps_l, kappa, shots)
-    record = _inverse_record(kappa, eps_l / kappa)
+    series = _inverse_series(kappa, eps_l / kappa)
     return SpectralOracleBackend(
-        eps_l=eps_l, kappa=kappa, degree=record.series.degree, shots=shots,
+        eps_l=eps_l, kappa=kappa, degree=series.degree, shots=shots,
         rng=None if shots is None else np.random.default_rng([seed, 0x5EC7]),
-        operator=singular_value_operator((u, s, vh), record.evaluate),
+        operator=singular_value_operator((u, s, vh), series.evaluate),
     )
 
 

@@ -21,6 +21,11 @@ construction as it was when its +-4 sign pattern came from
 ``np.where(j % 2 == 0, 4.0, -4.0)``; the library now fills it by strided
 assignment, and must give the same bits.
 
+``series_record`` and ``check_bound`` are the library's evaluator and
+bound check as they were when a ``(series, evaluate)`` record paired a
+series with its M-grid evaluator: the series now carries that evaluator
+itself, and must give the same bits.
+
 ``random_odd_target`` builds a random odd phase-finding target: the
 ``bound_series`` record that ``find_phases`` and ``verify_phases`` take.
 
@@ -37,8 +42,12 @@ from scipy.fft import dct, next_fast_len
 from qsvt_refine.invpoly import (
     ChebyshevSeries,
     _central_binomial,
+    _grid_size,
+    _interpolant,
     _node_offsets,
+    _quarter_sines,
     _trimmed,
+    _values_on_cheb_grid,
     bound_series,
     cheb_eval,
     degree_params,
@@ -130,8 +139,38 @@ def where_inverse_coefficients(kappa, eps):
     return _trimmed(coefs)
 
 
+def series_record(series):
+    """``(series, evaluate)``: the barycentric evaluator on the series'
+    values at its degree's M grid, from one transform whose DCT-II twiddles
+    are every second entry of the grid's sine table."""
+    m = _grid_size(series.degree)
+    sines = _quarter_sines(m)
+    vals = _values_on_cheb_grid(series.coefficients, m, sines[::2])
+    return series, _interpolant(vals, _node_offsets(m, sines))
+
+
+def check_bound(record):
+    """``(series, rescale, peak, evaluate)`` of a record: the Ehlich-Zeller
+    peak over a grid of K = 16 M points (its x >= 0 half for a
+    definite-parity series), the factor min(1, 0.9 / peak) with a 1 + 1e-9
+    slack, the rescaled series, and an evaluator on the record's grid
+    values times that factor."""
+    series, evaluate = record
+    values = evaluate.values
+    k = 16 * (values.size - 1)
+    vals = _values_on_cheb_grid(series.coefficients, k)
+    scan = vals[:k // 2 + 1] if series.parity != "none" else vals
+    peak = float(np.max(np.abs(scan))) / math.cos(math.pi * series.degree / (2 * k))
+    if peak <= 0.9 * (1.0 + 1e-9):
+        return series, 1.0, peak, evaluate
+    applied = 0.9 / peak
+    scale = None if series.scale is None else series.scale * applied
+    rescaled = ChebyshevSeries(series.coefficients * applied, scale=scale)
+    return rescaled, applied, peak, _interpolant(values * applied)
+
+
 def random_odd_target(rng, degree, peak):
-    """``bound_series`` record of an odd series of ``degree`` with standard
+    """``bound_series`` target of an odd series of ``degree`` with standard
     normal coefficients, scaled so that its checked max|P| is ``peak``."""
     coefs = np.zeros(degree + 1)
     coefs[1::2] = rng.standard_normal((degree + 1) // 2)

@@ -146,11 +146,11 @@ def test_acceptance_6_complexity_crossover(tmp_path):
         out=str(tmp_path / "complexity.csv"),
     )
     rows, failures = run_complexity(cfg)
-    assert failures == []  # includes: equal totals at eps=eps_l, refined < direct
+    assert failures == []  # includes: equal totals at eps=eps_l, refined < direct below it
     elapsed = time.monotonic() - start
     assert elapsed < 10.0
     report(6, f"refined path beats the direct closed form for all eps <= 1e-3 "
-              f"and matches it at eps = eps_l ({elapsed:.1f}s)")
+              f"below eps_l and matches it at eps = eps_l ({elapsed:.1f}s)")
 
 
 def test_acceptance_7_fable_fidelity():

@@ -253,6 +253,17 @@ def test_complexity_with_noisy_first_solves_exits_0(tmp_path, capsys, flags):
     assert "all run-level assertions passed" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("backend", ["spectral_oracle", "noisy_oracle", "qsvt_full"])
+def test_complexity_at_an_eps_l_of_1e_3_exits_0(tmp_path, capsys, backend):
+    # eps = eps_l = 1e-3 is where one refined solve costs what the direct
+    # one does, so the crossover is checked only below it; every backend
+    # used to fail this config with "refined total ... not below direct"
+    path, _ = write_config(tmp_path, experiment="complexity", kappa=[10.0], eps_l=[1e-3],
+                           seeds=[0], backend=backend)
+    assert main(["--config", str(path)]) == 0
+    assert "all run-level assertions passed" in capsys.readouterr().out
+
+
 @pytest.mark.parametrize("backend, code", [("spectral_oracle", 1), ("noisy_oracle", 0)])
 def test_complexity_totals_check_fails_only_the_exact_polynomial_backends(
         tmp_path, monkeypatch, capsys, backend, code):

@@ -6,9 +6,11 @@ import numpy as np
 import pytest
 from cheb_reference import (
     approx_error_report,
+    check_bound,
     clenshaw_eval,
     dct1_values,
     scan_interpolant,
+    series_record,
     where_inverse_coefficients,
 )
 from hypothesis import example, given, settings
@@ -239,10 +241,10 @@ def test_node_search_matches_the_full_scan_bit_for_bit(m, seed, picks, points):
 @given(degree=st.integers(0, 400), seed=st.integers(0, 2**16),
        points=st.lists(st.floats(-1.0, 1.0), max_size=16))
 def test_grid_interpolant_reads_its_function_once_on_the_degrees_grid(degree, seed, points):
-    # f is read once, at the M + 1 nodes of series_record's M grid for the
-    # degree, as symmetric doubles; the evaluator returns those values
-    # exactly at the nodes and the polynomial to rounding elsewhere, here
-    # against the record's evaluator of random series of norm sum |c_k|
+    # f is read once, at the M + 1 nodes of the M grid a series of the
+    # degree evaluates on, as symmetric doubles; the evaluator returns those
+    # values exactly at the nodes and the polynomial to rounding elsewhere,
+    # here against the series' own evaluator, of norm sum |c_k|
     coefs = np.random.default_rng(seed).standard_normal(degree + 1)
     coefs[-1] = 1.0
     series = ChebyshevSeries(coefs)
@@ -250,7 +252,7 @@ def test_grid_interpolant_reads_its_function_once_on_the_degrees_grid(degree, se
     evaluate = invpoly.grid_interpolant(lambda xs: calls.append(xs) or cheb_eval(series, xs),
                                         degree)
     (nodes,) = calls
-    m = invpoly.series_record(series).evaluate.values.size - 1
+    m = series.evaluate.values.size - 1
     assert nodes.size == m + 1 and m > degree
     assert nodes[0] == 1.0 and nodes[m // 2] == 0.0 and np.array_equal(nodes, -nodes[::-1])
     np.testing.assert_allclose(nodes, np.cos(np.pi * np.arange(m + 1) / m), rtol=0, atol=1e-15)
@@ -282,7 +284,7 @@ def grid_values(coefs, npts):
 
 def special_points(series, picks):
     # +-1, 0 and exact nodes of the grid the evaluator interpolates on
-    size = invpoly.series_record(series).evaluate.values.size
+    size = series.evaluate.values.size
     nodes = np.cos(np.pi * np.arange(size) / (size - 1))
     return np.concatenate([[-1.0, 0.0, 1.0], nodes[np.asarray(picks, dtype=int) % nodes.size]])
 
@@ -383,7 +385,7 @@ def test_record_grid_is_even_and_holds_every_coefficient(degree, parity, seed):
     elif parity == "even":
         degree -= degree % 2
     series = random_series(seed, degree, parity)
-    values = invpoly.series_record(series).evaluate.values
+    values = series.evaluate.values
     m = values.size - 1
     assert m % 2 == 0 and m >= series.coefficients.size
     assert m == 2 * next_fast_len(degree // 2 + 1, real=True)
@@ -397,7 +399,7 @@ def test_odd_series_reads_exactly_zero_at_zero(degree, seed):
     # degree 13 once took an odd grid of 15 points, with no node at 0
     series = random_series(seed, degree + 1 - degree % 2, "odd")
     zeros = np.array([0.0, -0.0])
-    assert np.array_equal(invpoly.series_record(series).evaluate(zeros), [0.0, 0.0])
+    assert np.array_equal(series.evaluate(zeros), [0.0, 0.0])
     assert np.array_equal(cheb_eval(series, zeros), [0.0, 0.0])
     assert cheb_eval(series, 0.0) == 0.0 and cheb_eval(series, -0.0) == 0.0
 
@@ -408,10 +410,10 @@ def test_odd_series_is_exactly_zero_at_zero_on_an_even_grid(kappa, eps):
     # from 1 taken as 2 sin^2(pi/4) rounds to 1 - 2^-52, a node off 0 that
     # reads -1e-14 at kappa 10 and -4.4e-13 at kappa 300
     series = inverse_cheb_series(kappa, eps)
-    record = bound_series(series)
-    assert record.evaluate.values.size % 2 == 1
-    assert np.array_equal(record.evaluate(np.array([0.0, -0.0, 0.5]))[:2], [0.0, 0.0])
-    assert record.evaluate(np.array([-0.0]))[0] == 0.0
+    evaluate = bound_series(series).series.evaluate
+    assert evaluate.values.size % 2 == 1
+    assert np.array_equal(evaluate(np.array([0.0, -0.0, 0.5]))[:2], [0.0, 0.0])
+    assert evaluate(np.array([-0.0]))[0] == 0.0
     assert cheb_eval(series, 0.0) == 0.0
 
 
@@ -441,7 +443,7 @@ def critical_point_peak(series):
 
 def certificate_slack(degree):
     # sec(pi d / 2K) of the Ehlich-Zeller bound on the check's grid of
-    # K = 16 M points, M = 2 * next_fast_len(d // 2 + 1) the record's grid
+    # K = 16 M points, M = 2 * next_fast_len(d // 2 + 1) the series' grid
     scan = 16 * 2 * next_fast_len(degree // 2 + 1, real=True)
     return 1.0 / math.cos(math.pi * degree / (2 * scan))
 
@@ -456,7 +458,7 @@ def assert_certifies(series, true_max, spread=1.0):
 
 
 def test_max_abs_finds_a_peak_away_from_the_grid_maximizer():
-    # |P| peaks at 1.0107 near x = +-0.83, between the record's grid nodes;
+    # |P| peaks at 1.0107 near x = +-0.83, between the series' grid nodes;
     # that grid's largest value (0.9990 at x = 0.31) sits next to a lower
     # local maximum, and the certificate still covers the peak
     series = ChebyshevSeries(np.array([0.0, -0.257, 0.0, -0.264, 0.0, 0.865]))
@@ -503,10 +505,11 @@ def test_checked_peak_never_undershoots_a_dense_sample(degree, parity, seed):
                                     inverse_cheb_series(268.0, 0.4 / 268.0**2),
                                     random_series(1, 240, "none")], ids=["odd", "large", "none"])
 def test_bound_check_transforms_one_grid_of_2m_points(series, monkeypatch):
-    # the record makes one transform, on the M grid its interpolant, and so
+    # a series makes one transform, on the M grid its interpolant, and so
     # a memoized evaluator, reads; the bound check makes one more, its own
     # 16M-point scan (the test is named for the 2M scan that preceded it),
-    # and never evaluates the record's interpolant
+    # and never evaluates the series' interpolant; a rescaled series is a
+    # new one, with its own M-grid transform (all three keys are rescaled)
     calls = []
 
     def counted(coefs, npts, *rest, _real=invpoly._values_on_cheb_grid):
@@ -514,20 +517,22 @@ def test_bound_check_transforms_one_grid_of_2m_points(series, monkeypatch):
         return _real(coefs, npts, *rest)
 
     monkeypatch.setattr(invpoly, "_values_on_cheb_grid", counted)
-    record = invpoly.series_record(series)
+    series = ChebyshevSeries(series.coefficients, scale=series.scale)
     m = 2 * next_fast_len(series.degree // 2 + 1, real=True)
     assert calls == [m]
-    assert record.evaluate.values.size == m + 1
+    assert series.evaluate.values.size == m + 1
     read = []
 
-    def watched(x):
+    def watched(x, _real=series.evaluate):
         read.append(x)
-        return record.evaluate(x)
+        return _real(x)
 
-    watched.values = record.evaluate.values
-    bounded = invpoly.check_bound(invpoly.SeriesRecord(record.series, watched))
-    assert calls == [m, 16 * m] and read == []
-    assert bounded.evaluate.values.size == m + 1
+    watched.values = series.evaluate.values
+    object.__setattr__(series, "evaluate", watched)
+    bounded = bound_series(series)
+    assert bounded.rescale < 1.0
+    assert calls == [m, 16 * m, m] and read == []
+    assert bounded.series.evaluate.values.size == m + 1
 
 
 @pytest.mark.parametrize("eps_l", [1e-2, 1e-3, 1e-4])
@@ -578,30 +583,88 @@ def test_bound_series_bounds_its_peak_and_is_idempotent(degree, parity, seed):
         degree -= 1 - degree % 2
     elif parity == "even":
         degree += degree % 2
-    record = bound_series(random_series(seed, degree, parity))
-    assert record.peak * record.rescale <= QSVT_PEAK * (1.0 + 1e-9)
+    checked = bound_series(random_series(seed, degree, parity))
+    assert checked.peak * checked.rescale <= QSVT_PEAK * (1.0 + 1e-9)
     # the factor is 1 exactly when the peak is within a relative 1e-9 of QSVT_PEAK
-    assert (record.rescale == 1.0) == (record.peak <= QSVT_PEAK * (1.0 + 1e-9))
-    again = bound_series(record.series)
-    assert again.rescale == 1.0 and again.series is record.series
+    assert (checked.rescale == 1.0) == (checked.peak <= QSVT_PEAK * (1.0 + 1e-9))
+    again = bound_series(checked.series)
+    assert again.rescale == 1.0 and again.series is checked.series
 
 
 @pytest.mark.parametrize("kappa, eps", [(10.0, 1e-3), (10.0, 1e-2), (300.0, 0.4 / 300**2)])
 def test_bound_series_keeps_what_its_check_found(kappa, eps):
     series = inverse_cheb_series(kappa, eps)
-    record = bound_series(series)
+    checked = bound_series(series)
     bounded, applied = enforce_qsvt_bounds(series)
-    assert record.rescale == applied
-    assert np.array_equal(record.series.coefficients, bounded.coefficients)
-    assert record.series.scale == bounded.scale
-    assert record.peak * record.rescale <= 1.0
-    assert record.peak * record.rescale == pytest.approx(max_abs_on_interval(record.series),
-                                                         rel=1e-9)
-    # the evaluator interpolates the bounded series from the check's grid
+    assert checked.rescale == applied
+    assert np.array_equal(checked.series.coefficients, bounded.coefficients)
+    assert checked.series.scale == bounded.scale
+    assert checked.peak * checked.rescale <= 1.0
+    assert checked.peak * checked.rescale == pytest.approx(max_abs_on_interval(checked.series),
+                                                           rel=1e-9)
+    # the bounded series' evaluator interpolates it
     xs = np.concatenate([[-1.0, 1.0 / kappa, 1.0],
                          np.random.default_rng(0).uniform(-1.0, 1.0, 64)])
-    err = np.max(np.abs(record.evaluate(xs) - clenshaw_eval(record.series, xs)))
-    assert err <= 1e-13 * np.sum(np.abs(record.series.coefficients))
+    err = np.max(np.abs(checked.series.evaluate(xs) - clenshaw_eval(checked.series, xs)))
+    assert err <= 1e-13 * np.sum(np.abs(checked.series.coefficients))
+
+
+def parity_degree(degree, parity):
+    # the nearest degree at most ``degree`` (or 1 for odd) of that parity
+    if parity == "odd":
+        return max(1, degree - 1 + degree % 2)
+    return degree - degree % 2 if parity == "even" else degree
+
+
+@settings(max_examples=40, deadline=None)
+@given(degree=st.integers(0, 20_000), parity=st.sampled_from(["odd", "even", "none"]),
+       seed=st.integers(0, 2**16), picks=st.lists(st.integers(0, 40_000), max_size=4),
+       points=st.lists(st.floats(-1.0, 1.0), max_size=8))
+@example(degree=20_000, parity="odd", seed=0, picks=[], points=[])
+@example(degree=0, parity="even", seed=0, picks=[], points=[])
+def test_series_evaluator_is_the_reference_records_bit_for_bit(degree, parity, seed, picks,
+                                                               points):
+    # the evaluator a series builds for itself is the one a record paired
+    # with it: the same grid values and the same value at every point
+    series = random_series(seed, parity_degree(degree, parity), parity)
+    _, evaluate = series_record(series)
+    assert np.array_equal(series.evaluate.values, evaluate.values)
+    xs = np.concatenate([special_points(series, picks), points])
+    assert np.array_equal(series.evaluate(xs), evaluate(xs))
+
+
+@settings(max_examples=40, deadline=None)
+@given(degree=st.integers(0, 20_000), parity=st.sampled_from(["odd", "even", "none"]),
+       seed=st.integers(0, 2**16), norm=st.floats(0.05, 3.0),
+       points=st.lists(st.floats(-1.0, 1.0), max_size=8))
+@example(degree=20_000, parity="none", seed=0, norm=3.0, points=[])
+@example(degree=1, parity="odd", seed=0, norm=0.5, points=[])
+def test_bound_series_is_the_reference_check_bit_for_bit(degree, parity, seed, norm, points):
+    # the peak and the factor are the reference check's bits, from the same
+    # 16M-grid scan; sum |c_k| = ``norm`` bounds the peak, so a norm below
+    # 0.9 leaves the series as it is. A rescaled series' evaluator comes
+    # from its own transform, not from the grid values times the factor:
+    # the two differ by the transform's rounding, at most 4 u log2(2M)
+    # sum |f c_k| on the grid (u = 2^-53; the FFT's error on values of
+    # magnitude at most sum |f c_k|), and at a point by at most the
+    # Lebesgue constant 1 + (2 / pi) ln(M + 1) of the M grid times that
+    coefs = random_series(seed, parity_degree(degree, parity), parity).coefficients
+    series = ChebyshevSeries(coefs * (norm / np.sum(np.abs(coefs))))
+    bounded = bound_series(series)
+    reference, rescale, peak, evaluate = check_bound(series_record(series))
+    assert bounded.peak == peak and bounded.rescale == rescale
+    assert np.array_equal(bounded.series.coefficients, reference.coefficients)
+    if rescale == 1.0:
+        assert bounded.series is series
+        assert np.array_equal(bounded.series.evaluate.values, evaluate.values)
+        return
+    assert norm > QSVT_PEAK
+    m = series.evaluate.values.size - 1
+    grid = 4 * 2.0**-53 * math.log2(2 * m) * np.sum(np.abs(bounded.series.coefficients))
+    assert np.max(np.abs(bounded.series.evaluate.values - evaluate.values)) <= grid
+    xs = np.concatenate([special_points(series, []), points])
+    lebesgue = 1.0 + 2.0 / math.pi * math.log(m + 1)
+    assert np.max(np.abs(bounded.series.evaluate(xs) - evaluate(xs))) <= lebesgue * grid
 
 
 def test_error_report():

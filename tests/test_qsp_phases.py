@@ -15,7 +15,6 @@ from qsvt_refine.invpoly import (
     BoundedSeries,
     ChebyshevSeries,
     bound_series,
-    cheb_eval,
     inverse_cheb_series,
 )
 from qsvt_refine.qsp_phases import (
@@ -75,7 +74,7 @@ def test_find_phases_t1():
     # QSVT_PEAK, built by hand: bound_series certifies 0.9 sec(pi / 64) and
     # would rescale it
     series = ChebyshevSeries(np.array([0.0, 0.9]))
-    phases = find_phases(BoundedSeries(series, 1.0, QSVT_PEAK, lambda x: cheb_eval(series, x)))
+    phases = find_phases(BoundedSeries(series, 1.0, QSVT_PEAK))
     xs = np.random.default_rng(1).uniform(-1, 1, 100)
     for x in xs:
         assert signal_unitary(x, phases)[0, 0].real == pytest.approx(0.9 * x, abs=1e-10)
@@ -124,10 +123,10 @@ def test_find_phases_preconditions():
         find_phases(bound_series(ChebyshevSeries(np.array([0.5, 0.5]))))
     with pytest.raises(ValueError, match="degree"):
         find_phases(bound_series(ChebyshevSeries(np.array([0.9]))))
-    # a hand-built record whose unrescaled peak sits 1e-6 above QSVT_PEAK
+    # a hand-built target whose unrescaled peak sits 1e-6 above QSVT_PEAK
     over = ChebyshevSeries(np.array([0.0, QSVT_PEAK + 1e-6]))
     with pytest.raises(ValueError, match=r"above 0\.9; rescale"):
-        find_phases(BoundedSeries(over, 1.0, QSVT_PEAK + 1e-6, lambda x: cheb_eval(over, x)))
+        find_phases(BoundedSeries(over, 1.0, QSVT_PEAK + 1e-6))
     big = ChebyshevSeries(np.concatenate([np.zeros(503), [0.5]]))
     with pytest.raises(ValueError, match="cap"):
         find_phases(bound_series(big))
@@ -152,12 +151,12 @@ def definite_parity_targets(draw):
     coefs[degree % 2::2] = draw(st.lists(st.floats(-1.0, 1.0), min_size=degree // 2 + 1,
                                          max_size=degree // 2 + 1))
     coefs[degree] = draw(st.floats(0.05, 1.0)) * draw(st.sampled_from([-1.0, 1.0]))
-    # find_phases' domain: a checked peak of at most QSVT_PEAK; the record is
+    # find_phases' domain: a checked peak of at most QSVT_PEAK; the target is
     # built by hand, unrescaled, so the drawn peak is the one it carries
     peak = draw(st.floats(0.5, QSVT_PEAK))
     series = ChebyshevSeries(coefs * (peak / bound_series(ChebyshevSeries(coefs)).peak))
     assert series.parity == parity
-    return BoundedSeries(series, 1.0, peak, lambda x: cheb_eval(series, x))
+    return BoundedSeries(series, 1.0, peak)
 
 
 @settings(max_examples=80, deadline=None)
@@ -204,14 +203,14 @@ def test_an_empty_phase_table_is_named():
     xs = np.linspace(-1.0, 1.0, 5)
     with pytest.raises(ValueError, match="need a nonempty phase table"):
         signal_row(np.zeros(0), xs)
-    target = BoundedSeries(T1, 1.0, 1.0, lambda x: cheb_eval(T1, x))
+    target = BoundedSeries(T1, 1.0, 1.0)
     with pytest.raises(ValueError, match="need a nonempty phase table"):
         verify_phases(np.zeros(0), target)
 
 
 def test_verify_phases_exact_and_perturbed():
     phases = np.array([0.0])
-    target = BoundedSeries(T1, 1.0, 1.0, lambda x: cheb_eval(T1, x))
+    target = BoundedSeries(T1, 1.0, 1.0)
     assert verify_phases(phases, target) <= 1e-12
     bumped = phases + np.array([0.1])
     assert verify_phases(bumped, target) > 1e-3

@@ -5,7 +5,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from cheb_reference import svt_reference
 from magnitude_reference import brent_magnitude
@@ -504,23 +504,23 @@ def test_backend_equivalence_qsvt_vs_spectral():
 @settings(max_examples=6, deadline=None)
 @given(kappa=st.floats(1.5, 3.0), rate=st.floats(0.1, 0.5), seed=st.integers(0, 99))
 def test_backends_share_one_series_per_kappa_eps(kappa, rate, seed):
-    # the record memo builds one series for the key: the spectral operator
+    # the series memo builds one series for the key: the spectral operator
     # and the QSVT phase finding both read it
     eps_l = rate / kappa
-    refine_mod._inverse_record.cache_clear()
+    refine_mod._inverse_series.cache_clear()
     refine_mod._inverse_phases.cache_clear()
     spectral = spectral_oracle_backend(random_with_condition(4, kappa, seed), eps_l, kappa=kappa)
     qsvt = qsvt_backend(random_with_condition(4, kappa, seed + 1), eps_l, kappa=kappa)
-    info = refine_mod._inverse_record.cache_info()
+    info = refine_mod._inverse_series.cache_info()
     assert info.misses == 1 and info.currsize == 1
-    record = refine_mod._inverse_record(kappa, eps_l / kappa)
-    assert spectral.degree == qsvt.degree == record.series.degree
+    series = refine_mod._inverse_series(kappa, eps_l / kappa)
+    assert spectral.degree == qsvt.degree == series.degree
 
 
 def test_shared_series_is_read_only():
     spectral_oracle_backend(random_with_condition(4, 2.0, 0), 0.1, kappa=2.0)
     with pytest.raises(ValueError, match="read-only"):
-        refine_mod._inverse_record(2.0, 0.05).series.coefficients[1] = 0.0
+        refine_mod._inverse_series(2.0, 0.05).coefficients[1] = 0.0
 
 
 @settings(max_examples=12, deadline=None)
@@ -530,16 +530,16 @@ def test_polynomial_backends_hold_one_operator(n, kappa, rate, seed):
     # both backends realize V P(S / sigma_max) U^H of A = U S V^H, P the
     # key's bounded series: the QSVT block matches the spectral operator,
     # and that operator the circuit-free transform of A^H / ||A||
-    # the operator carries the record's unscaled series and the block the
+    # the operator carries the key's unscaled series and the block the
     # bounded one, so the block is the operator times the key's rescale factor
     eps_l = rate / kappa
     a = random_with_condition(n, kappa, seed)
     operator = spectral_oracle_backend(a, eps_l, kappa=kappa).operator
     block = qsvt_backend(a, eps_l, kappa=kappa).block
-    record = refine_mod._inverse_record(kappa, eps_l / kappa)
-    rescale = invpoly.check_bound(record).rescale
+    series = refine_mod._inverse_series(kappa, eps_l / kappa)
+    rescale = invpoly.bound_series(series).rescale
     assert np.linalg.norm(block - rescale * operator, 2) <= 1e-11
-    reference = svt_reference(a.conj().T / np.linalg.norm(a, 2), record.series)
+    reference = svt_reference(a.conj().T / np.linalg.norm(a, 2), series)
     assert np.linalg.norm(operator - reference, 2) <= 1e-13
     with pytest.raises(ValueError, match="read-only"):
         operator[0, 0] = 0.0
@@ -556,18 +556,19 @@ def test_spectral_direction_does_not_see_the_rescale_factor(n, kappa, rate, seed
     a = random_with_condition(n, kappa, seed)
     b = unit_rhs(n, seed)
     backend = spectral_oracle_backend(a, eps_l, kappa=kappa)
-    rescale = invpoly.check_bound(refine_mod._inverse_record(kappa, eps_l / kappa)).rescale
+    rescale = invpoly.bound_series(refine_mod._inverse_series(kappa, eps_l / kappa)).rescale
     raw = (rescale * backend.operator) @ b
     assert np.max(np.abs(backend.direction(b) - raw / np.linalg.norm(raw))) <= 1e-14
 
 
 def test_a_spectral_build_runs_no_peak_search(monkeypatch):
     # a fresh key whose series the bound check rescales: the spectral build
-    # makes the record's one M-point transform and one fast-length search,
-    # and no bound check; the check later adds its own 16M-point scan
+    # makes the series' one M-point transform and one fast-length search,
+    # and no bound check; the check later adds its own 16M-point scan, and
+    # the rescaled series its own M-point transform and search
     kappa = 100.0
     eps_prime = 0.4 / kappa / kappa
-    refine_mod._inverse_record.cache_clear()
+    refine_mod._inverse_series.cache_clear()
     searches = []
     monkeypatch.setattr(invpoly, "_next_fast_len", lambda n, _real=invpoly._next_fast_len:
                         searches.append(n) or _real(n))
@@ -579,40 +580,42 @@ def test_a_spectral_build_runs_no_peak_search(monkeypatch):
 
     monkeypatch.setattr(invpoly, "_values_on_cheb_grid", transform)
     spectral_oracle_backend(random_with_condition(4, kappa, 0), 0.4 / kappa, kappa=kappa)
-    record = refine_mod._inverse_record(kappa, eps_prime)
-    m = record.evaluate.values.size - 1
+    series = refine_mod._inverse_series(kappa, eps_prime)
+    m = series.evaluate.values.size - 1
     assert sizes == [m] and len(searches) == 1
-    bounded = invpoly.check_bound(record)
+    unscaled = series.evaluate.values.copy()
+    bounded = invpoly.bound_series(series)
     assert bounded.rescale < 1.0
-    assert sizes == [m, 16 * m] and len(searches) == 1
-    # the bound check's evaluator reads the record's grid values times the
-    # factor, and the record keeps its own, unscaled
-    assert np.array_equal(bounded.evaluate.values, record.evaluate.values * bounded.rescale)
-    assert bounded.evaluate.values is not record.evaluate.values
-    assert bounded.series.degree == record.series.degree
+    assert sizes == [m, 16 * m, m] and len(searches) == 2
+    # the rescaled series' grid values are the key's times the factor, to
+    # the rounding of its own transform, and the key's series keeps its own
+    assert np.array_equal(series.evaluate.values, unscaled)
+    np.testing.assert_allclose(bounded.series.evaluate.values, unscaled * bounded.rescale,
+                               rtol=0, atol=1e-14 * bounded.rescale * np.abs(unscaled).max())
+    assert bounded.series.degree == series.degree
 
 
 def test_qsvt_builds_run_one_bound_check_per_key(fresh_phase_memo, monkeypatch):
     # kappa 2, eps_l 1e-4 (degree 53) is rescaled by 0.949; the spectral
     # build runs no bound check, a key's first qsvt_full build runs one on
-    # the memoized record, and its second build none
+    # the memoized series, and its second build none
     kappa, eps_l = 2.0, 1e-4
-    refine_mod._inverse_record.cache_clear()
+    refine_mod._inverse_series.cache_clear()
     checks = []
-    real = refine_mod.check_bound
-    monkeypatch.setattr(refine_mod, "check_bound", lambda record: checks.append(record) or
-                        real(record))
+    real = refine_mod.bound_series
+    monkeypatch.setattr(refine_mod, "bound_series", lambda series: checks.append(series) or
+                        real(series))
     targets = count_find_phases(monkeypatch)
     spectral_oracle_backend(random_with_condition(4, kappa, 0), eps_l, kappa=kappa)
     assert checks == []
     first = qsvt_backend(random_with_condition(4, kappa, 1), eps_l, kappa=kappa)
-    record = refine_mod._inverse_record(kappa, eps_l / kappa)
-    assert len(checks) == 1 and checks[0] is record
+    series = refine_mod._inverse_series(kappa, eps_l / kappa)
+    assert len(checks) == 1 and checks[0] is series
     second = qsvt_backend(random_with_condition(8, kappa, 2), eps_l, kappa=kappa)
     assert len(checks) == 1 and len(targets) == 1
-    assert first.degree == second.degree == record.series.degree
+    assert first.degree == second.degree == series.degree
     assert targets[0].rescale < 1.0
-    assert refine_mod._inverse_record.cache_info().misses == 1
+    assert refine_mod._inverse_series.cache_info().misses == 1
 
 
 def test_polynomial_backends_share_one_grid_per_kappa_eps(fresh_phase_memo, monkeypatch):
@@ -620,10 +623,10 @@ def test_polynomial_backends_share_one_grid_per_kappa_eps(fresh_phase_memo, monk
     # whichever backends it serves; its first qsvt_full build adds the bound
     # check's 16M-point scan and the phase table's one interpolant (its
     # sequence read at the grid nodes, no transform), and its second build
-    # nothing: find_phases reads the check's peak and the record's evaluator
+    # nothing: find_phases reads the check's peak and the series' evaluator
     # (unscaled at this key)
     kappa, eps_l = 2.0, 0.1
-    refine_mod._inverse_record.cache_clear()
+    refine_mod._inverse_series.cache_clear()
     sizes, interpolants = [], []
     real_transform, real_interpolant = invpoly._values_on_cheb_grid, invpoly._interpolant
     monkeypatch.setattr(invpoly, "_values_on_cheb_grid", lambda coefs, m, *rest:
@@ -632,7 +635,7 @@ def test_polynomial_backends_share_one_grid_per_kappa_eps(fresh_phase_memo, monk
                         interpolants.append(args) or real_interpolant(*args))
     first = spectral_oracle_backend(random_with_condition(4, kappa, 0), eps_l, kappa=kappa)
     second = spectral_oracle_backend(random_with_condition(8, kappa, 1), eps_l, kappa=kappa)
-    m = refine_mod._inverse_record(kappa, eps_l / kappa).evaluate.values.size - 1
+    m = refine_mod._inverse_series(kappa, eps_l / kappa).evaluate.values.size - 1
     assert sizes == [m] and len(interpolants) == 1
     qsvt = qsvt_backend(random_with_condition(4, kappa, 2), eps_l, kappa=kappa)
     assert sizes == [m, 16 * m] and len(interpolants) == 2
@@ -640,7 +643,7 @@ def test_polynomial_backends_share_one_grid_per_kappa_eps(fresh_phase_memo, monk
     again = qsvt_backend(random_with_condition(8, kappa, 3), eps_l, kappa=kappa)
     assert sizes == [m, 16 * m] and len(interpolants) == 2
     assert first.degree == second.degree == qsvt.degree == again.degree
-    info = refine_mod._inverse_record.cache_info()
+    info = refine_mod._inverse_series.cache_info()
     assert info.misses == 1 and info.currsize == 1
 
 
@@ -671,19 +674,19 @@ def test_refine_names_a_backend_built_for_another_size(factory):
 
 
 def test_shared_grid_values_are_read_only(fresh_phase_memo, monkeypatch):
-    # the record's unscaled grid and the bounded target that phase finding
+    # the key's unscaled grid and the bounded target that phase finding
     # reads (kappa 2, eps_l 1e-4: a factor of 0.949, so its own values)
     targets = count_find_phases(monkeypatch)
     qsvt_backend(random_with_condition(4, 2.0, 0), 1e-4, kappa=2.0)
-    record = refine_mod._inverse_record(2.0, 0.5e-4)
+    series = refine_mod._inverse_series(2.0, 0.5e-4)
     (target,) = targets
     assert target.rescale < 1.0
-    for values in (record.evaluate.values, record.series.coefficients, target.evaluate.values,
+    for values in (series.evaluate.values, series.coefficients, target.series.evaluate.values,
                    target.series.coefficients):
         with pytest.raises(ValueError, match="read-only"):
             values[0] = 0.0
     with pytest.raises(dataclasses.FrozenInstanceError):
-        record.evaluate = None
+        series.evaluate = None
     with pytest.raises(dataclasses.FrozenInstanceError):
         target.rescale = 1.0
 
@@ -859,12 +862,11 @@ def test_qsvt_backends_share_one_phase_vector_per_kappa_eps(fresh_phase_memo, mo
     assert read[0] is read[1] is first
     assert read[2] is read[3] is other is not first
     assert len(targets) == 2 and refine_mod._inverse_phases.cache_info().currsize == 2
-    # each key's bound check reads its memoized record; at a factor of 1 it
-    # hands phase finding the record's own series and evaluator
+    # each key's bound check reads its memoized series; at a factor of 1 it
+    # hands phase finding that series, and with it its evaluator
     for target, eps_l in zip(targets, (0.1, 0.2)):
-        record = refine_mod._inverse_record(kappa, eps_l / kappa)
         assert target.rescale == 1.0
-        assert target.series is record.series and target.evaluate is record.evaluate
+        assert target.series is refine_mod._inverse_series(kappa, eps_l / kappa)
 
 
 def test_shared_phases_are_read_only(fresh_phase_memo):
@@ -892,14 +894,14 @@ def test_phase_finding_error_is_not_cached(fresh_phase_memo, monkeypatch):
 
 
 def test_qsvt_backend_on_memoized_phases_runs_no_bound_check(fresh_phase_memo, monkeypatch):
-    # its degree is the phase count, so a key whose record the record memo
+    # its degree is the phase count, so a key whose series the series memo
     # evicted is not bound-checked again while its phases are memoized
     qsvt_backend(random_with_condition(4, 2.0, 0), 0.1, kappa=2.0)
-    refine_mod._inverse_record.cache_clear()
+    refine_mod._inverse_series.cache_clear()
     checks = []
-    real = refine_mod.check_bound
-    monkeypatch.setattr(refine_mod, "check_bound", lambda record: checks.append(record) or
-                        real(record))
+    real = refine_mod.bound_series
+    monkeypatch.setattr(refine_mod, "bound_series", lambda series: checks.append(series) or
+                        real(series))
     backend = qsvt_backend(random_with_condition(4, 2.0, 1), 0.1, kappa=2.0)
     assert checks == []
     assert backend.degree == refine_mod._inverse_phases(2.0, 0.05)[0].size
@@ -915,10 +917,10 @@ def test_measured_kappa_backends_share_one_phase_vector(fresh_phase_memo, monkey
     backends = [qsvt_backend(a, 1e-2) for a in mats]
     assert len(targets) == 1
     assert len(read) == 3 and all(evaluate is read[0] for evaluate in read)
-    misses = refine_mod._inverse_record.cache_info().misses
+    misses = refine_mod._inverse_series.cache_info().misses
     spectral = spectral_oracle_backend(mats[0], 1e-2)
     assert spectral.kappa == backends[0].kappa
-    assert refine_mod._inverse_record.cache_info().misses == misses
+    assert refine_mod._inverse_series.cache_info().misses == misses
     for a, bk in zip(mats, backends):
         sv = np.linalg.svd(a, compute_uv=False)
         assert bk.kappa >= sv[0] / sv[-1]
@@ -1106,11 +1108,11 @@ def test_factories_reject_a_kappa_below_the_matrix_ratio(factory):
     # spectral oracle used to build at kappa=10 on this kappa-100 matrix and
     # refine to "converged" in 97 iterations against a theorem bound of 8
     a = random_with_condition(16, 100.0, 0)
-    records = refine_mod._inverse_record.cache_info().misses
+    built = refine_mod._inverse_series.cache_info().misses
     phases = refine_mod._inverse_phases.cache_info().misses
     with pytest.raises(ValueError, match=r"kappa = 10.0 is below the matrix's sigma_max"):
         factory(a, 4e-3, kappa=10.0)
-    assert refine_mod._inverse_record.cache_info().misses == records
+    assert refine_mod._inverse_series.cache_info().misses == built
     assert refine_mod._inverse_phases.cache_info().misses == phases
 
 
@@ -1125,6 +1127,29 @@ def test_factories_take_the_nominal_kappa_of_a_prescribed_spectrum(n, kappa, see
     assert backend.kappa == kappa
 
 
+@settings(max_examples=60, deadline=None)
+@given(n=st.sampled_from([2, 4, 16, 64]), log_kappa=st.floats(0.5, 12.0),
+       seed=st.integers(0, 2**32 - 1))
+@example(n=4, log_kappa=10.0, seed=0)  # ratio 1.3e-6 above kappa, past a fixed 1e-9 slack
+def test_factories_take_the_nominal_kappa_up_to_1e12(n, log_kappa, seed):
+    # the SVD gives sigma_min to about u sigma_max (u = 2^-53), so the
+    # measured ratio of a prescribed spectrum exceeds its nominal kappa by
+    # up to about 1.25 u kappa; the slack max(1e-9, 8 u ratio) takes the
+    # nominal kappa and still rejects a kappa below the ratio by more than
+    # the slack. The spectral factory is left out: its series at
+    # kappa >= 1e8 is too large to build
+    kappa = 10.0**log_kappa
+    a = random_with_condition(n, kappa, seed)
+    assert refine_mod._factorize(a, 0.4 / kappa, kappa, None)[2] == kappa
+    assert noisy_oracle_backend(a, 0.4 / kappa, kappa=kappa).kappa == kappa
+    ratio = numerics.singular_value_ratio(numerics.svd(a)[1])
+    below = ratio * (1.0 - 2.0 * max(1e-9, 8 * 2.0**-53 * ratio))
+    with pytest.raises(ValueError, match="is below the matrix's sigma_max"):
+        refine_mod._factorize(a, 0.4 / below, below, None)
+    with pytest.raises(ValueError, match="is below the matrix's sigma_max"):
+        noisy_oracle_backend(a, 0.4 / below, kappa=below)
+
+
 @pytest.mark.parametrize("factory", FACTORIES)
 @pytest.mark.parametrize("shape", [(3, 2), (2, 3), (0, 0)])
 def test_factories_reject_a_matrix_that_is_not_square_or_is_empty_by_shape(factory, shape):
@@ -1134,11 +1159,11 @@ def test_factories_reject_a_matrix_that_is_not_square_or_is_empty_by_shape(facto
     a = np.ones(shape)
     if shape[0]:
         a[:2, :2] = np.eye(2)
-    records = refine_mod._inverse_record.cache_info().misses
+    built = refine_mod._inverse_series.cache_info().misses
     phases = refine_mod._inverse_phases.cache_info().misses
     with pytest.raises(ValueError, match=rf"square matrix, got shape \({shape[0]}, {shape[1]}\)"):
         factory(a, 1e-2, kappa=2.0)
-    assert refine_mod._inverse_record.cache_info().misses == records
+    assert refine_mod._inverse_series.cache_info().misses == built
     assert refine_mod._inverse_phases.cache_info().misses == phases
 
 
@@ -1167,11 +1192,11 @@ def test_factories_reject_an_eps_l_too_small_for_the_cost_model(factory, eps_l):
     # the oracles used to build a backend with which iterative_refine ran
     # the whole refined solve and then failed on the cost; the polynomial
     # backends used to build, bound-check and memoize the series first
-    # (qsvt_full then met its find_phases cap), so no record may be touched
-    before = refine_mod._inverse_record.cache_info()
+    # (qsvt_full then met its find_phases cap), so no memoized series may be built
+    before = refine_mod._inverse_series.cache_info()
     with pytest.raises(ValueError, match=f"eps = {eps_l!r} is too small for the sampling cost"):
         factory(random_with_condition(8, 4.0, 0), eps_l)
-    assert refine_mod._inverse_record.cache_info() == before
+    assert refine_mod._inverse_series.cache_info() == before
 
 
 @pytest.mark.parametrize("factory", FACTORIES)
