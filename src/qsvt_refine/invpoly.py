@@ -37,7 +37,7 @@ _CHUNK_ELEMS = 1 << 19  # points x nodes per evaluation block (4 MiB of float64)
 _EXACT_CENTRAL = 64  # C(2b, b) / 4^b from exact integers below this b
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ChebyshevSeries:
     """Polynomial in the Chebyshev basis.
 
@@ -46,7 +46,7 @@ class ChebyshevSeries:
     approximation records its ``scale`` (``P(x) ~ scale / x``), passed by
     keyword only, so a stray second positional argument is refused rather
     than taken as a scale. ``parity`` is read off the coefficients, which
-    the series keeps as its own read-only copy.
+    the series keeps as its own read-only copy. Series compare by identity.
 
     ``evaluate`` is the series' interpolant on its degree's M grid x_j =
     cos(pi j / M) (1-D arrays of x in [-1, 1], no checks), whose read-only
@@ -57,7 +57,7 @@ class ChebyshevSeries:
 
     coefficients: np.ndarray
     scale: Optional[float] = field(default=None, kw_only=True)
-    evaluate: Callable = field(init=False, repr=False, compare=False)
+    evaluate: Callable = field(init=False, repr=False)
 
     def __post_init__(self):
         coefs = np.array(self.coefficients, dtype=float)

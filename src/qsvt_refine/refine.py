@@ -168,8 +168,9 @@ class SpectralOracleBackend(SolverBackend):
 @dataclass(frozen=True)
 class NoisyOracleBackend(SolverBackend):
     """Exact solve with ``matrix`` plus seeded noise of relative size eps_l;
-    the factory stores A over a power of two (``_unit_scaled``), which
-    leaves every direction unchanged and keeps the squared norms in range."""
+    the factory stores a read-only copy of A over a power of two
+    (``_unit_scaled``), which leaves every direction unchanged and keeps
+    the squared norms in range."""
 
     matrix: np.ndarray
 
@@ -344,10 +345,11 @@ def noisy_oracle_backend(a, eps_l: float, kappa: Optional[float] = None,
     degree = 1  # cost-model degree; no polynomial exists outside (0, 1)
     if 0.0 < eps_l / kappa < 1.0:
         degree = nominal_degree(kappa, eps_l / kappa)
+    matrix, _ = _unit_scaled(np.array(a, dtype=None if np.iscomplexobj(a) else float))
+    matrix.flags.writeable = False
     return NoisyOracleBackend(
         eps_l=eps_l, kappa=kappa, degree=degree, shots=shots,
-        rng=np.random.default_rng([seed, 0x0153]),
-        matrix=_unit_scaled(a.astype(float) if not np.iscomplexobj(a) else a)[0],
+        rng=np.random.default_rng([seed, 0x0153]), matrix=matrix,
     )
 
 
@@ -562,14 +564,13 @@ class ContractionResult:
 
 def contraction_check(trace: RefinementTrace, kappa: float, eps_l: float) -> ContractionResult:
     """Verify omega_i <= (eps_l kappa)^(i+1) (1 + ``_CONTRACTION_SLACK``) for
-    the trace; returns the pass flag and the worst observed ratio."""
+    the trace; returns the pass flag and the worst observed ratio (inf for
+    a NaN omega, which fails the check at any rate)."""
     rate = eps_l * kappa
     worst = 0.0
     for i, omega in enumerate(trace.scaled_residuals):
         bound = rate ** (i + 1)
-        if bound == 0.0:
-            if omega > 0.0:
-                worst = math.inf
-            continue
-        worst = max(worst, omega / bound)
+        ratio = omega / bound if bound > 0.0 else (0.0 if omega <= 0.0 else math.inf)
+        if not ratio <= worst:  # max() would skip a NaN
+            worst = math.inf if math.isnan(ratio) else ratio
     return ContractionResult(passed=worst <= 1.0 + _CONTRACTION_SLACK, worst_ratio=worst)

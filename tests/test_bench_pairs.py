@@ -1,5 +1,5 @@
 """tools/bench_pairs.py against two stub trees whose ``perfbench/run.py``
-prints a result from a table of values per seed."""
+prints a provenance line and a result from a table of values per seed."""
 
 import importlib.util
 import json
@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 TOOL = Path(__file__).resolve().parents[1] / "tools" / "bench_pairs.py"
-BENCHMARK = {"end_to_end": [
+BENCHMARK = {"workloads": [{"name": "w"}, {"name": "v"}], "end_to_end": [
     {"name": "solve_ms_p50", "unit": "ms", "better": "lower", "bound": 0.25},
     {"name": "solves_per_s", "unit": "1/s", "better": "higher", "bound": 0.25},
 ]}
@@ -32,6 +32,13 @@ failed = table.get("failed", {}).get(args.seed, 0)
 metrics = {name: {"value": values[args.seed], "unit": "u"}
            for name, values in table["metrics"].items()}
 print(f"{args.workload} solve_ms_p50 = {metrics['solve_ms_p50']['value']} ms")
+sha = table.get("sha", {}).get(args.seed, "sha-" + here.parent.name)
+print(json.dumps({"provenance": {"python": "3.11.7", "numpy": "2.4.6", "git_commit": None,
+                                 "blas": {"threads_env": "1", "threads": 1}, "src_sha256": sha,
+                                 "workload": args.workload, "seed": int(args.seed)}}))
+if args.seed in table.get("malformed", []):
+    print("{}")
+    sys.exit(0)
 print(json.dumps({"correct": failed == 0, "attempted": 10, "failed": failed,
                   "metrics": metrics}))
 '''
@@ -78,13 +85,14 @@ def test_a_clear_gain_holds_and_the_sides_alternate(tmp_path, capsys):
     assert "claim holds: 10 wins, 9 needed" in text
     assert "change wins 0, ties 9, losses 1 of 10" in text  # solves_per_s, higher is better
     assert "failed solves: parent 0, change 0" in text
-    record = json.loads(out.read_text())
-    p50 = record["metrics"]["solve_ms_p50"]
-    assert p50["values"]["parent"] == PARENT_P50 and p50["claim_holds"] is True
+    record = json.loads(out.read_text())["workloads"]["w"]
+    p50 = record["verdicts"]["solve_ms_p50"]
+    assert record["parent"]["metrics"]["solve_ms_p50"]["values"] == PARENT_P50
+    assert p50["claim_holds"] is True
     assert p50["parent"]["median"] == pytest.approx(1.0)
     assert p50["parent_iqr"] == pytest.approx(1.0175 - 0.9825)
-    assert record["metrics"]["solves_per_s"]["claim_holds"] is False
-    assert p50["regression"] == record["metrics"]["solves_per_s"]["regression"] == "held"
+    assert record["verdicts"]["solves_per_s"]["claim_holds"] is False
+    assert p50["regression"] == record["verdicts"]["solves_per_s"]["regression"] == "held"
     assert record["first"] == ["parent", "change"] * 5
     for tree in (parent, change):  # run.py's own output only
         assert sorted(p.name for p in (tree / "perfbench").iterdir()) == ["out", "run.py"]
@@ -121,10 +129,12 @@ def test_a_failed_solve_sets_exit_one_without_a_claim(tmp_path, capsys):
     (["--seeds", "10x"], "is not an integer or a range"),
     (["--seeds", "105-101"], "is empty"),
     (["--seeds", "101,102,103"], "no perfbench result"),  # seed 103 crashes
+    (["--seeds", "104"], "no perfbench result"),  # seed 104 prints a malformed result
 ])
 def test_bad_input_or_a_run_without_a_result_exits_two(tmp_path, capsys, args, message):
     parent = make_tree(tmp_path, "parent", [1.0] * 10, [1.0] * 10)
-    change = make_tree(tmp_path, "change", [1.0] * 10, [1.0] * 10, crash=["103"])
+    change = make_tree(tmp_path, "change", [1.0] * 10, [1.0] * 10, crash=["103"],
+                       malformed=["104"])
     assert load_tool().main([str(parent), str(change), "--workload", "w", *args]) == 2
     assert message in capsys.readouterr().err
 
@@ -161,7 +171,7 @@ def test_no_regression_compares_the_medians_against_the_bound(tmp_path, capsys, 
     text = capsys.readouterr().out
     for verdict in verdicts:
         assert f"no regression {verdict}: median" in text
-    metrics = json.loads(out.read_text())["metrics"]
+    metrics = json.loads(out.read_text())["workloads"]["w"]["verdicts"]
     assert (metrics["solve_ms_p50"]["regression"], metrics["solves_per_s"]["regression"]) == verdicts
     assert metrics["solve_ms_p50"]["bound"] == 0.25
     assert metrics["solve_ms_p50"]["worse"] == pytest.approx(p50_factor - 1.0)
@@ -195,3 +205,69 @@ def test_a_missing_bound_is_bad_input(tmp_path, capsys):
     assert load_tool().main([str(parent), str(change), "--workload", "w",
                              "--seeds", "101"]) == 2
     assert "declares no end-to-end metrics" in capsys.readouterr().err
+
+
+def test_two_workloads_run_in_turn_and_alternate_within_each(tmp_path, capsys):
+    parent = make_tree(tmp_path, "parent", [1.0] * 3, [1.0] * 3)
+    change = make_tree(tmp_path, "change", [1.0] * 3, [1.0] * 3)
+    out = tmp_path / "pairs.json"
+    assert load_tool().main([str(parent), str(change), "--workload", "w,v", "--seeds", "101-103",
+                             "--seconds", "3", "--out", str(out)]) == 0
+    expected = []
+    for workload in ("w", "v"):
+        for i, seed in enumerate(range(101, 104)):
+            sides = ["parent", "change"] if i % 2 == 0 else ["change", "parent"]
+            expected += [f"{side} {workload} {seed} 3.0 0" for side in sides]
+    assert (tmp_path / "log.txt").read_text().splitlines() == expected
+    text = capsys.readouterr().out
+    assert text.count("failed solves: parent 0, change 0") == 2
+    assert text.index("w: 3 pairs of --seconds 3") < text.index("v: 3 pairs of --seconds 3")
+    workloads = json.loads(out.read_text())["workloads"]
+    assert list(workloads) == ["w", "v"]
+    assert workloads["w"]["first"] == workloads["v"]["first"] == ["parent", "change", "parent"]
+
+
+def test_the_record_holds_each_sides_seeds_values_medians_units_and_provenance(tmp_path):
+    parent = make_tree(tmp_path, "parent", [3.0, 1.0, 2.0], [10.0, 30.0, 20.0])
+    change = make_tree(tmp_path, "change", [0.5, 0.7, 0.6], [40.0, 40.0, 40.0],
+                       failed={"102": 1})
+    out = tmp_path / "pairs.json"
+    assert load_tool().main([str(parent), str(change), "--workload", "v", "--seeds", "101-103",
+                             "--seconds", "9", "--out", str(out)]) == 1  # a failed solve
+    record = json.loads(out.read_text())
+    assert record["seconds"] == 9.0
+    assert record["provenance"] == {
+        side: {"git_commit": None, "src_sha256": f"sha-{side}", "numpy": "2.4.6",
+               "blas_threads": 1} for side in ("parent", "change")}
+    parent_side, change_side = (record["workloads"]["v"][side] for side in ("parent", "change"))
+    assert parent_side["seeds"] == change_side["seeds"] == [101, 102, 103]
+    assert parent_side["correct"] is True and parent_side["failed"] == 0
+    assert change_side["correct"] is False and change_side["failed"] == 1
+    assert parent_side["metrics"] == {
+        "solve_ms_p50": {"unit": "ms", "values": [3.0, 1.0, 2.0], "median": 2.0},
+        "solves_per_s": {"unit": "1/s", "values": [10.0, 30.0, 20.0], "median": 20.0}}
+    assert change_side["metrics"]["solve_ms_p50"] == {"unit": "ms", "values": [0.5, 0.7, 0.6],
+                                                      "median": 0.6}
+    assert record["workloads"]["v"]["verdicts"]["solve_ms_p50"]["change"]["median"] == 0.6
+
+
+def test_a_side_whose_provenance_changes_between_runs_exits_two(tmp_path, capsys):
+    parent = make_tree(tmp_path, "parent", [1.0] * 3, [1.0] * 3, sha={"103": "beef"})
+    change = make_tree(tmp_path, "change", [1.0] * 3, [1.0] * 3)
+    out = tmp_path / "pairs.json"
+    assert load_tool().main([str(parent), str(change), "--workload", "w", "--seeds", "101-103",
+                             "--out", str(out)]) == 2
+    assert "seed 103 has provenance" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("args, message", [
+    (["--workload", "w,x"], "declares no workload ['x']"),
+    (["--workload", "w,v", "--claim", "solve_ms_p50"], "--claim judges one workload, not 2"),
+])
+def test_bad_workloads_exit_two_before_any_run(tmp_path, capsys, args, message):
+    parent = make_tree(tmp_path, "parent", [1.0], [1.0])
+    change = make_tree(tmp_path, "change", [1.0], [1.0])
+    assert load_tool().main([str(parent), str(change), "--seeds", "101", *args]) == 2
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "log.txt").exists()

@@ -36,7 +36,8 @@ def test_a_config_file_reaches_a_rescaled_qsvt_full_key(capsys):
     # the one config whose qsvt_full key the bound check rescales gets its
     # eps_l from a JSON file, so the byte compare covers that path
     tool = load_tool()
-    rescaled = [(config, fields) for config, fields in tool.CONFIGS if fields]
+    rescaled = [(config, fields) for config, fields in tool.CONFIGS
+                if fields and "qsvt_full" in config]
     assert rescaled == [("convergence --backend qsvt_full", {"eps_l": [1e-3]})]
     kappa, eps_l = 10.0, 1e-3  # kappa: the convergence experiment's default
     assert bound_series(inverse_cheb_series(kappa, eps_l / kappa)).rescale < 1.0

@@ -163,6 +163,14 @@ def test_inverse_series_builds_in_small_memory():
     assert peak < 8 * 2**20, peak
 
 
+def test_series_compare_by_identity_and_hash():
+    # compared by value, equal coefficient arrays made == raise ValueError
+    # and hash() TypeError
+    s, t = ChebyshevSeries(np.array([0.0, 0.5])), ChebyshevSeries(np.array([0.0, 0.5]))
+    assert s == s and s != t
+    assert len({s, t, s}) == 2
+
+
 def test_clenshaw_examples():
     # the library evaluator and the Clenshaw reference alike
     for evaluate in (cheb_eval, clenshaw_eval):

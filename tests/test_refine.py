@@ -462,6 +462,18 @@ def test_contraction_check_short_trace():
     assert contraction_check(trace, 10.0, 1e-3).passed
 
 
+@pytest.mark.parametrize("omegas", [[math.nan], [1e-3, math.nan], [math.nan, 1e-3],
+                                    [0.0, math.nan]])
+@pytest.mark.parametrize("eps_l", [1e-2, 0.0])  # rate 0.1, and rate 0 with every bound 0
+def test_contraction_check_fails_a_nan_omega(omegas, eps_l):
+    # max() skipped a NaN ratio, and the rate-0 branch a NaN omega: these passed
+    from qsvt_refine.refine import RefinementTrace
+
+    trace = RefinementTrace(omegas, [1.0] * len(omegas), False, 1)
+    result = contraction_check(trace, 10.0, eps_l)
+    assert not result.passed and result.worst_ratio == math.inf
+
+
 def test_cost_identity_and_table_ratio():
     kappa, eps_l, eps = 10.0, 1e-3, 1e-11
     a = random_with_condition(16, kappa, 2)
@@ -521,6 +533,20 @@ def test_shared_series_is_read_only():
     spectral_oracle_backend(random_with_condition(4, 2.0, 0), 0.1, kappa=2.0)
     with pytest.raises(ValueError, match="read-only"):
         refine_mod._inverse_series(2.0, 0.05).coefficients[1] = 0.0
+
+
+@pytest.mark.parametrize("dtype", [float, complex])
+def test_noisy_oracle_keeps_a_read_only_copy_of_the_matrix(dtype):
+    # peak |entry| 0.75: no power-of-two scaling, which kept a complex
+    # caller's own array
+    a = random_with_condition(8, 4.0, 0).astype(dtype)
+    a *= 0.75 / np.abs(a).max()
+    kept, b = a.copy(), unit_rhs(8, 0)
+    backend = noisy_oracle_backend(a, 1e-2, kappa=4.0, seed=1)
+    a[...] = np.eye(8)
+    assert not backend.matrix.flags.writeable and not np.shares_memory(backend.matrix, a)
+    expected = noisy_oracle_backend(kept, 1e-2, kappa=4.0, seed=1).direction(b)
+    assert np.array_equal(backend.direction(b), expected)
 
 
 @settings(max_examples=12, deadline=None)

@@ -1,22 +1,24 @@
-"""Run alternating parent/change perfbench pairs of one workload and judge them.
+"""Run alternating parent/change perfbench pairs, judge them and write the record.
 
 Usage::
 
-    python tools/bench_pairs.py PARENT CHANGE --workload NAME --seeds 1301-1310
+    python tools/bench_pairs.py PARENT CHANGE --workload NAME[,NAME...] --seeds 1301-1310
         [--seconds 18] [--claim METRIC] [--out FILE]
 
 ``PARENT`` and ``CHANGE`` are checkouts, each with its own
-``perfbench/run.py``. Every seed is one pair: both trees run
-``perfbench/run.py --workload NAME --seed SEED --seconds S --trace 0`` in
-turn, each in its own directory, the parent first on the first pair and
-the side that runs first alternating from pair to pair, so a drift of the
-host's speed does not favour one side. ``--seeds`` takes a comma-separated
-list, ranges ``A-B`` included.
+``perfbench/run.py``. The workloads, each one that ``CHANGE/BENCHMARK.json``
+declares, run one after the other. Within a workload every seed is one
+pair: both trees run ``perfbench/run.py --workload NAME --seed SEED
+--seconds S --trace 0`` in turn, each in its own directory, the parent
+first on the workload's first pair and the side that runs first
+alternating from pair to pair, so a drift of the host's speed does not
+favour one side. ``--seeds`` takes a comma-separated list, ranges ``A-B``
+included.
 
-For every end-to-end metric that ``CHANGE/BENCHMARK.json`` declares it
-prints each pair's two values, the change's wins, ties and losses, each
-side's median and quartiles (``statistics.quantiles``, inclusive method)
-and two verdicts:
+For every workload and every end-to-end metric that ``BENCHMARK.json``
+declares it prints each pair's two values, the change's wins, ties and
+losses, each side's median and quartiles (``statistics.quantiles``,
+inclusive method) and two verdicts:
 
 * the claim: it holds when the change is better on at least nine in ten
   pairs (rounded up) and its median is better than the parent's by more
@@ -28,14 +30,22 @@ and two verdicts:
   (too wide to tell) and not every change run beats every parent run
   (when every one does, the verdict is ``held``).
 
-It also prints each side's failed solves. ``--out`` writes every value and
-verdict as JSON to ``FILE``. A line on stderr marks each finished pair.
+It also prints each side's failed solves. A line on stderr marks each
+finished pair. ``--out`` writes the record as JSON to ``FILE``: each
+side's provenance (git commit, ``src_sha256``, numpy and the BLAS thread
+count, read from the line ``run.py`` prints above its result line, and the
+same in every run of that side) and, per workload, the side that ran first
+in each pair, every metric's verdicts and, per side, the seeds, whether
+every run was correct, the failed solves and, per end-to-end metric, its
+unit, its value per seed and their median.
 
-Exit codes: 0 when every run is correct, no metric has ``regressed`` and,
-with ``--claim``, that metric's claim holds; 1 when a run reports a failed
-solve, a metric has regressed or the claim fails; 2 on bad input or a run
-that gives no result. Standard library only; nothing is written under
-``perfbench/`` beyond what ``run.py`` writes.
+Exit codes: 0 when every run is correct, no metric of any workload has
+``regressed`` and, with ``--claim``, that metric's claim holds; 1 when a
+run reports a failed solve, a metric has regressed or the claim fails; 2
+on bad input (among it ``--claim`` with more than one workload), a run
+that gives no result, or a side whose runs differ in provenance. Standard
+library only; nothing is written under ``perfbench/`` beyond what
+``run.py`` writes.
 """
 
 from __future__ import annotations
@@ -70,19 +80,22 @@ def parse_seeds(text: str) -> list[int]:
     return seeds
 
 
-def end_to_end_metrics(tree: Path) -> list[dict]:
-    """The ``end_to_end`` entries (name, unit, better, bound) of ``tree/BENCHMARK.json``."""
+def declared(tree: Path) -> tuple[list[str], list[dict]]:
+    """The workload names and the ``end_to_end`` entries (name, unit, better,
+    bound) of ``tree/BENCHMARK.json``."""
     try:
-        metrics = json.loads((tree / "BENCHMARK.json").read_text())["end_to_end"]
-        return [{"name": m["name"], "unit": m["unit"], "better": m["better"],
-                 "bound": float(m["bound"])} for m in metrics]
+        bench = json.loads((tree / "BENCHMARK.json").read_text())
+        return ([w["name"] for w in bench["workloads"]],
+                [{"name": m["name"], "unit": m["unit"], "better": m["better"],
+                  "bound": float(m["bound"])} for m in bench["end_to_end"]])
     except (OSError, ValueError, KeyError, TypeError) as exc:
-        raise PairsError(f"{tree / 'BENCHMARK.json'} declares no end-to-end metrics: "
-                         f"{exc!r}") from exc
+        raise PairsError(f"{tree / 'BENCHMARK.json'} declares no end-to-end metrics and "
+                         f"workloads: {exc!r}") from exc
 
 
 def run_once(tree: Path, workload: str, seed: int, seconds: float) -> dict:
-    """The result line of one ``perfbench/run.py --trace 0`` run in ``tree``."""
+    """The result and the shared provenance of one ``perfbench/run.py --trace 0``
+    run in ``tree``, read from the last two lines it prints."""
     proc = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
          "--seconds", repr(seconds), "--trace", "0"],
@@ -91,9 +104,11 @@ def run_once(tree: Path, workload: str, seed: int, seconds: float) -> dict:
     try:
         if proc.returncode != 0:
             raise ValueError(f"exit {proc.returncode}")
-        result = json.loads(lines[-1])
+        prov, result = json.loads(lines[-2])["provenance"], json.loads(lines[-1])
         return {"correct": result["correct"] is True, "failed": int(result["failed"]),
-                "metrics": {k: float(m["value"]) for k, m in result["metrics"].items()}}
+                "metrics": {k: float(m["value"]) for k, m in result["metrics"].items()},
+                "provenance": {**{k: prov[k] for k in ("git_commit", "src_sha256", "numpy")},
+                               "blas_threads": prov["blas"]["threads"]}}
     except (ValueError, KeyError, TypeError, IndexError) as exc:
         raise PairsError(f"{tree} seed {seed}: no perfbench result ({exc!r}); stderr: "
                          f"{proc.stderr.strip()[-500:]}") from exc
@@ -152,58 +167,89 @@ def report(name: str, unit: str, better: str, seeds: list[int], firsts: list[str
     return lines
 
 
+def run_pairs(args: argparse.Namespace, workload: str, seeds: list[int],
+              provenance: dict[str, dict]) -> tuple[list[str], dict[str, list[dict]]]:
+    """The side that ran first in each pair and every run per side of one
+    workload. ``provenance`` holds each side's shared provenance, set by
+    its first run; a run that differs from it is bad input."""
+    runs: dict[str, list[dict]] = {"parent": [], "change": []}
+    firsts = []
+    for i, seed in enumerate(seeds):
+        order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
+        firsts.append(order[0])
+        for side in order:
+            run = run_once(getattr(args, side), workload, seed, args.seconds)
+            if provenance.setdefault(side, run["provenance"]) != run["provenance"]:
+                raise PairsError(f"{getattr(args, side)} {workload} seed {seed} has provenance "
+                                 f"{run['provenance']}, the runs before it {provenance[side]}")
+            runs[side].append(run)
+        print(f"{workload} pair {i + 1}/{len(seeds)} (seed {seed}) done", file=sys.stderr)
+    return firsts, runs
+
+
+def side_record(seeds: list[int], runs: list[dict], metrics: list[dict]) -> dict:
+    """One side's seeds, correctness, failed solves and, per end-to-end
+    metric, its unit, its value per seed and their median."""
+    record = {"seeds": seeds, "correct": all(r["correct"] for r in runs),
+              "failed": sum(r["failed"] for r in runs), "metrics": {}}
+    for m in metrics:
+        try:
+            values = [r["metrics"][m["name"]] for r in runs]
+        except KeyError:
+            raise PairsError(f"a run reports no {m['name']}") from None
+        record["metrics"][m["name"]] = {"unit": m["unit"], "values": values,
+                                        "median": quartiles(values)[1]}
+    return record
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("parent", type=Path, help="the parent checkout")
     parser.add_argument("change", type=Path, help="the changed checkout")
-    parser.add_argument("--workload", required=True)
+    parser.add_argument("--workload", required=True, help="one workload or a comma-separated list")
     parser.add_argument("--seeds", required=True, help="for example 1301-1310 or 971,972")
     parser.add_argument("--seconds", type=float, default=18.0)
     parser.add_argument("--claim", help="the end-to-end metric whose claim sets the exit code")
-    parser.add_argument("--out", type=Path, help="write every value and verdict as JSON here")
+    parser.add_argument("--out", type=Path, help="write the record as JSON here")
     args = parser.parse_args(argv)
+    record = {"seconds": args.seconds, "provenance": {}, "workloads": {}}
     try:
         seeds = parse_seeds(args.seeds)
         for tree in (args.parent, args.change):
             if not (tree / "perfbench" / "run.py").is_file():
                 raise PairsError(f"{tree} has no perfbench/run.py")
-        metrics = end_to_end_metrics(args.change)
+        names, metrics = declared(args.change)
+        workloads = list(dict.fromkeys(w.strip() for w in args.workload.split(",")))
+        unknown = [w for w in workloads if w not in names]
+        if unknown:
+            raise PairsError(f"{args.change / 'BENCHMARK.json'} declares no workload {unknown}")
         if args.claim is not None and args.claim not in {m["name"] for m in metrics}:
             raise PairsError(f"--claim {args.claim!r} is not an end-to-end metric")
-        runs: dict[str, list[dict]] = {"parent": [], "change": []}
-        firsts = []
-        for i, seed in enumerate(seeds):
-            order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
-            firsts.append(order[0])
-            for side in order:
-                runs[side].append(run_once(getattr(args, side), args.workload, seed,
-                                           args.seconds))
-            print(f"pair {i + 1}/{len(seeds)} (seed {seed}) done", file=sys.stderr)
-        lines = [f"{args.workload}: {len(seeds)} pairs of --seconds {args.seconds:g}, "
-                 f"parent {args.parent}, change {args.change}"]
-        verdicts = {}
-        for m in metrics:
-            try:
-                values = {side: [r["metrics"][m["name"]] for r in runs[side]] for side in runs}
-            except KeyError:
-                raise PairsError(f"a run reports no {m['name']}") from None
-            verdicts[m["name"]] = dict(judge(values["parent"], values["change"], m["better"],
-                                             m["bound"]), values=values)
-            lines += report(m["name"], m["unit"], m["better"], seeds, firsts, values["parent"],
-                            values["change"], verdicts[m["name"]])
+        if args.claim is not None and len(workloads) != 1:
+            raise PairsError(f"--claim judges one workload, not {len(workloads)}")
+        for workload in workloads:
+            firsts, runs = run_pairs(args, workload, seeds, record["provenance"])
+            sides = {side: side_record(seeds, runs[side], metrics) for side in runs}
+            lines = [f"{workload}: {len(seeds)} pairs of --seconds {args.seconds:g}, "
+                     f"parent {args.parent}, change {args.change}"]
+            verdicts = {}
+            for m in metrics:
+                p, c = (sides[k]["metrics"][m["name"]]["values"] for k in ("parent", "change"))
+                verdicts[m["name"]] = verdict = judge(p, c, m["better"], m["bound"])
+                lines += report(m["name"], m["unit"], m["better"], seeds, firsts, p, c, verdict)
+            lines.append(f"failed solves: parent {sides['parent']['failed']}, "
+                         f"change {sides['change']['failed']}")
+            print("\n".join(lines))
+            record["workloads"][workload] = {"first": firsts, **sides, "verdicts": verdicts}
     except PairsError as exc:
         print(f"bench_pairs: {exc}", file=sys.stderr)
         return 2
-    failed = {side: sum(r["failed"] for r in runs[side]) for side in runs}
-    correct = all(r["correct"] for side in runs for r in runs[side])
-    lines.append(f"failed solves: parent {failed['parent']}, change {failed['change']}")
-    print("\n".join(lines))
     if args.out is not None:
-        args.out.write_text(json.dumps({"workload": args.workload, "seconds": args.seconds,
-                                        "seeds": seeds, "first": firsts, "failed": failed,
-                                        "metrics": verdicts}, indent=2) + "\n")
-    holds = args.claim is None or verdicts[args.claim]["claim_holds"]
-    regressed = any(v["regression"] == "regressed" for v in verdicts.values())
+        args.out.write_text(json.dumps(record, indent=2) + "\n")
+    judged = record["workloads"].values()
+    correct = all(w[side]["correct"] for w in judged for side in ("parent", "change"))
+    regressed = any(v["regression"] == "regressed" for w in judged for v in w["verdicts"].values())
+    holds = args.claim is None or verdicts[args.claim]["claim_holds"]  # of the one workload
     return 0 if correct and holds and not regressed else 1
 
 

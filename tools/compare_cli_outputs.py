@@ -63,6 +63,8 @@ CONFIGS = [
     # rescales (by 0.827), unlike the qsvt_full keys above (eps_l 0.04,
     # degree 209, certified peak 0.897, under the 0.9 the check scales to)
     ("convergence --backend qsvt_full", {"eps_l": [1e-3]}),
+    # eps_l 1e-3: the only config where complexity checks its crossover
+    ("complexity", {"eps_l": [1e-3]}),
 ]
 KEY_COLUMNS = ("run_id", "backend", "iter")  # one row per key on either side
 DRIFT_COLUMNS = ("omega", "mu")  # float columns compared by relative drift
