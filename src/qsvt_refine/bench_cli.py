@@ -96,6 +96,8 @@ class ExperimentConfig:
             raise ConfigError(f"out = {self.out!r} names a directory, not a CSV path")
         if self.kappa is None:
             self.kappa = {"large_kappa": [100.0, 200.0, 300.0]}.get(self.experiment, [10.0])
+        elif self.experiment == "poisson":
+            raise ConfigError("poisson takes no kappa: its matrix sets the condition number")
         self.kappa = _coerced("kappa", self.kappa, float)
         if not self.kappa:
             raise ConfigError("kappa list must be nonempty")

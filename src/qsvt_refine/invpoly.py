@@ -39,20 +39,22 @@ _EXACT_CENTRAL = 64  # C(2b, b) / 4^b from exact integers below this b
 
 @dataclass(frozen=True, eq=False)
 class ChebyshevSeries:
-    """Polynomial in the Chebyshev basis.
+    """Odd polynomial in the Chebyshev basis, the only kind QSVT turns into
+    an inverse.
 
-    ``coefficients[k]`` multiplies T_k; every coefficient is finite and
-    the trailing one nonzero, so ``degree == len(coefficients) - 1``. An inverse
-    approximation records its ``scale`` (``P(x) ~ scale / x``), passed by
-    keyword only, so a stray second positional argument is refused rather
-    than taken as a scale. ``parity`` is read off the coefficients, which
-    the series keeps as its own read-only copy. Series compare by identity.
+    ``coefficients[k]`` multiplies T_k; every coefficient is finite, every
+    even-index one zero and the trailing one nonzero, so the degree
+    ``len(coefficients) - 1`` is odd; any other vector raises ``ValueError``.
+    An inverse approximation records its ``scale`` (``P(x) ~ scale / x``),
+    passed by keyword only, so a stray second positional argument is
+    refused rather than taken as a scale. The series keeps its own read-only
+    copy of the coefficients. Series compare by identity.
 
     ``evaluate`` is the series' interpolant on its degree's M grid x_j =
     cos(pi j / M) (1-D arrays of x in [-1, 1], no checks), whose read-only
-    ``values`` come from one transform when the series is built: an odd
-    series reads exactly 0 at the node x = 0. The grid's sine table gives
-    its nodes and, at every second entry, the odd series' DCT-II twiddles.
+    ``values`` come from one transform when the series is built: the series
+    reads exactly 0 at the node x = 0. The grid's sine table gives its
+    nodes and, at every second entry, the transform's DCT-II twiddles.
     """
 
     coefficients: np.ndarray
@@ -65,8 +67,8 @@ class ChebyshevSeries:
             raise ValueError("coefficients must be a nonempty 1-D array")
         if not np.all(np.isfinite(coefs)):
             raise ValueError("coefficients must be finite")
-        if coefs.size > 1 and coefs[-1] == 0.0:
-            raise ValueError("trailing coefficient must be nonzero (trim first)")
+        if coefs.size % 2 or np.any(coefs[0::2]) or coefs[-1] == 0.0:
+            raise ValueError("not an odd series (zero even-index, nonzero trailing coefficients)")
         coefs.flags.writeable = False
         object.__setattr__(self, "coefficients", coefs)
         m = _grid_size(self.degree)
@@ -78,22 +80,6 @@ class ChebyshevSeries:
     @property
     def degree(self) -> int:
         return self.coefficients.size - 1
-
-    @property
-    def parity(self) -> str:
-        """``"odd"`` when the degree is odd and every even-index coefficient
-        is zero, ``"even"`` when every odd-index one is (the zero series
-        included), ``"none"`` otherwise."""
-        if self.degree % 2 and not np.any(self.coefficients[0::2]):
-            return "odd"
-        return "none" if np.any(self.coefficients[1::2]) else "even"
-
-
-def _trimmed(coefs: np.ndarray) -> np.ndarray:
-    nz = np.nonzero(coefs)[0]
-    if nz.size == 0:
-        return coefs[:1]
-    return coefs[: nz[-1] + 1]
 
 
 def degree_params(kappa: float, eps: float) -> tuple[int, int]:
@@ -126,8 +112,8 @@ def inverse_cheb_series(kappa: float, eps: float) -> ChebyshevSeries:
     below the last ulp of S_{jmax+1}: beyond jmax each step shrinks them by
     at least q = (b-jmax)/(b+jmax+1), about exp(-2 jmax / b), so n more
     steps leave at most q^n / (1-q) of r_{jmax+1}. O(D + b/D) flops, every
-    sum of positive terms, no array of length b. Coefficients with j >= b
-    vanish and are trimmed.
+    sum of positive terms, no array of length b. As jmax < b, every
+    S_{j+1} and so the trailing coefficient is nonzero.
     """
     b, cap = degree_params(kappa, eps)
     scale = 1.0 / (2.0 * kappa)
@@ -144,7 +130,7 @@ def inverse_cheb_series(kappa: float, eps: float) -> ChebyshevSeries:
     signs[1::2] = -4.0
     coefs = np.zeros(2 * signs.size)
     coefs[1::2] = signs * tail * scale
-    return ChebyshevSeries(_trimmed(coefs), scale=scale)
+    return ChebyshevSeries(coefs, scale=scale)
 
 
 def _central_binomial(b: int) -> float:
@@ -182,38 +168,31 @@ def _quarter_sines(n: int) -> np.ndarray:
 
 def _values_on_cheb_grid(coefs: np.ndarray, m: int,
                          sines: Optional[np.ndarray] = None) -> np.ndarray:
-    """Series values at x_j = cos(pi j / M), j = 0..M; M is ``m``, an
-    FFT-friendly size (the caller picks it) of at least 2 and the
-    coefficients' count. The nodes themselves are not formed. An odd
-    series on an even M takes a DCT-II of length n = M/2 over its odd
-    coefficients, sum_i c_{2i+1} cos((2i+1) pi j / M) at j < M/2, and
-    parity gives P(x_{M/2}) = 0 and P(x_{M-j}) = -P(x_j) exactly; any
-    other series takes a DCT-I of length M+1, the real part of the real
-    FFT of its even extension. The DCT-II is Makhoul's: one real FFT of
-    the coefficients in the order c_1, c_5, c_9, ..., c_7, c_3, whose
-    entry k turned by e^{-i pi k / M} has the value at j = k as its real
-    part and the one at j = n - k as minus its imaginary part. Its
-    twiddles come from ``sines`` = ``_quarter_sines(n)``, computed here
-    unless the caller passes them: the M grid's own table, read at every
-    second entry, is that table bit for bit."""
-    if m % 2 == 0 and not np.any(coefs[0::2]):
-        n = m // 2
-        odd = np.zeros(n)
-        odd[: coefs.size // 2] = coefs[1::2]
-        spectrum = np.fft.rfft(np.concatenate([odd[0::2], odd[1::2][::-1]]))
-        if sines is None:
-            sines = _quarter_sines(n)
-        k = spectrum.size  # n // 2 + 1
-        turned = spectrum * (sines[n:n - k:-1] - 1j * sines[:k])
-        head = np.empty(n)
-        head[:k] = turned.real
-        head[k:] = -turned.imag[(n - 1) // 2:0:-1]
-        return np.concatenate([head, [0.0], -head[::-1]])
-    extended = np.zeros(2 * m)
-    extended[: coefs.size] = coefs
-    extended[1:] *= 0.5
-    extended[m + 1:] = extended[m - 1:0:-1]
-    return np.fft.rfft(extended).real
+    """Odd series values at x_j = cos(pi j / M), j = 0..M; M is ``m``, an
+    even FFT-friendly size (the caller picks it) of at least the
+    coefficients' count. The nodes themselves are not formed. A DCT-II of
+    length n = M/2 over the odd coefficients gives
+    sum_i c_{2i+1} cos((2i+1) pi j / M) at j < M/2, and parity gives
+    P(x_{M/2}) = 0 and P(x_{M-j}) = -P(x_j) exactly. The DCT-II is
+    Makhoul's: one real FFT of the coefficients in the order c_1, c_5,
+    c_9, ..., c_7, c_3, whose entry k turned by e^{-i pi k / M} has the
+    value at j = k as its real part and the one at j = n - k as minus its
+    imaginary part. Its twiddles come from ``sines`` =
+    ``_quarter_sines(n)``, computed here unless the caller passes them: the
+    M grid's own table, read at every second entry, is that table bit for
+    bit."""
+    n = m // 2
+    odd = np.zeros(n)
+    odd[: coefs.size // 2] = coefs[1::2]
+    spectrum = np.fft.rfft(np.concatenate([odd[0::2], odd[1::2][::-1]]))
+    if sines is None:
+        sines = _quarter_sines(n)
+    k = spectrum.size  # n // 2 + 1
+    turned = spectrum * (sines[n:n - k:-1] - 1j * sines[:k])
+    head = np.empty(n)
+    head[:k] = turned.real
+    head[k:] = -turned.imag[(n - 1) // 2:0:-1]
+    return np.concatenate([head, [0.0], -head[::-1]])
 
 
 def _interpolant(vals: np.ndarray, from_one: Optional[np.ndarray] = None):
@@ -339,12 +318,12 @@ def bound_series(series: ChebyshevSeries) -> BoundedSeries:
     degree d < K has max|P| <= max_j |P(x_j)| / cos(pi d / 2K) over the
     K + 1 points x_j = cos(pi j / K). The check transforms its own grid of
     K = ``_OVERSAMPLE`` M points, so d < M gives a peak never below the max
-    of |P| on [-1, 1] and at most sec(pi / 32), 0.48%, above it. A
-    definite-parity |P| is even, so only the grid's x >= 0 half, j = 0..K/2,
-    is scanned."""
+    of |P| on [-1, 1] and at most sec(pi / 32), 0.48%, above it. An odd
+    series' |P| is even, so only the grid's x >= 0 half, j = 0..K/2, is
+    scanned."""
     k = _OVERSAMPLE * (series.evaluate.values.size - 1)
     vals = _values_on_cheb_grid(series.coefficients, k)
-    scan = vals[:k // 2 + 1] if series.parity != "none" else vals  # x_j >= 0 at j <= K/2
+    scan = vals[:k // 2 + 1]  # x_j >= 0 at j <= K/2
     peak = float(np.max(np.abs(scan))) / math.cos(math.pi * series.degree / (2 * k))
     if peak <= QSVT_PEAK * (1.0 + 1e-9):
         return BoundedSeries(series, 1.0, peak)

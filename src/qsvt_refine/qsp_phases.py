@@ -99,19 +99,19 @@ def find_phases(target: BoundedSeries) -> np.ndarray:
     second grid is built here.
 
     The fixed-point iteration on the symmetric phases (Dong, Lin, Ni &
-    Wang, arXiv:2209.10162). The unknowns are the m = ceil((d+1)/2)
-    reduced phases r, unfolded as phi_1 = 2 r_0 and phi_{j+1} =
-    r_{min(j, d-j)} for j = 1..d-1: the symmetric sequence (r_0, r_1, ...,
-    r_1, r_0) of d+1 phases with its trailing e^{i r_0 Z} moved to the
-    front, which leaves M(x)[0,0] unchanged. Re M(x)[0,0] is matched to the
-    target at the m positive Chebyshev nodes x_k = cos((2k-1) pi / (4m)).
-    Each step is r <- r - J0^{-1} err, with J0 = -T R D the folded
-    Jacobian at the start r = (pi/4, 0, ..., 0) of Dong, Meng, Whaley & Lin
-    (arXiv:2002.11649): T = T_{2i+par}(x_k), R reverses the reduced phases
-    and D = diag(2, ..., 2, 2 or 1) counts them (the middle one of an even
-    d appears once). On these nodes T^T T is diagonal, so J0^{-1} err =
-    -(1/m) R T^T err for either parity: a product and a sum, with no BLAS
-    or LAPACK call, so the phases do not depend on the BLAS thread count.
+    Wang, arXiv:2209.10162). The series is odd, so its degree d is odd and
+    the unknowns are the m = (d+1)/2 reduced phases r, unfolded as phi_1 =
+    2 r_0 and phi_{j+1} = r_{min(j, d-j)} for j = 1..d-1: the symmetric
+    sequence (r_0, r_1, ..., r_1, r_0) of d+1 phases with its trailing
+    e^{i r_0 Z} moved to the front, which leaves M(x)[0,0] unchanged.
+    Re M(x)[0,0] is matched to the target at the m positive Chebyshev nodes
+    x_k = cos((2k-1) pi / (4m)). Each step is r <- r - J0^{-1} err, with
+    J0 = -2 T R the folded Jacobian at the start r = (pi/4, 0, ..., 0) of
+    Dong, Meng, Whaley & Lin (arXiv:2002.11649), each reduced phase counted
+    twice: T = T_{2i+1}(x_k) and R reverses the reduced phases. On these
+    nodes T^T T = (m/2) I, so J0^{-1} err = -(1/m) R T^T err: a product and
+    a sum, with no BLAS or LAPACK call, so the phases do not depend on the
+    BLAS thread count.
     It steps while the max node residual falls (at most ``_MAX_STEPS`` =
     200 times; the inverse series at kappa 4-10 take 57-70) and keeps the
     best iterate.
@@ -121,11 +121,7 @@ def find_phases(target: BoundedSeries) -> np.ndarray:
     PhaseFindingError
         If the node residual never reaches ``_NODE_TOL`` (carries the residual).
     """
-    if target.series.parity == "none":
-        raise ValueError("find_phases requires a definite-parity target")
     d = target.series.degree
-    if d < 1:
-        raise ValueError("target degree must be >= 1")
     if d > MAX_DEGREE:
         raise ValueError(
             f"degree {d} exceeds the find_phases cap ({MAX_DEGREE}); "
@@ -135,13 +131,13 @@ def find_phases(target: BoundedSeries) -> np.ndarray:
     if peak > QSVT_PEAK * (1.0 + 1e-9):
         raise ValueError(f"max|P| = {peak} above {QSVT_PEAK}; rescale (bound_series) first")
 
-    m = (d + 2) // 2
+    m = (d + 1) // 2
     angles = (2 * np.arange(1, m + 1) - 1) * np.pi / (4 * m)
     xs = np.cos(angles)
     want = target.series.evaluate(xs)
     j = np.arange(d)  # phases = w * r[idx]
     idx, w = np.minimum(j, d - j), np.where(j == 0, 2.0, 1.0)
-    cheb_r = np.cos(np.outer(angles, 2 * np.arange(m)[::-1] + d % 2))  # T R
+    cheb_r = np.cos(np.outer(angles, np.arange(d, 0, -2)))  # T R: T_d .. T_1 at the nodes
 
     r = np.zeros(m)
     r[0] = np.pi / 4.0

@@ -152,7 +152,7 @@ def apply_inverse_state(block: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, f
     if b.dtype.kind == "c" and np.any(b.imag):
         raise ValueError("qsvt_full is real-only: the right-hand side is complex")
     norm = two_norm(b)
-    if abs(norm - 1.0) > 1e-12:
+    if not abs(norm - 1.0) <= 1e-12:  # a NaN norm fails too
         raise ValueError(f"state is not normalized: ||b|| = {norm!r}")
     raw = block.dot(b.real)
 

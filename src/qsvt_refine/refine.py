@@ -379,9 +379,12 @@ def solve_once(backend: SolverBackend, rhs) -> tuple[np.ndarray, np.ndarray]:
 
     Returns ``(eta, readout)``: the backend's unit direction and the
     direction the classical side actually receives (identical for exact
-    readout, shot-perturbed otherwise). A zero ``rhs`` raises ``ValueError``.
+    readout, shot-perturbed otherwise). An ``rhs`` that is zero, not finite
+    or not of shape ``(backend.size,)`` raises ``ValueError``.
     """
     rhs = np.asarray(rhs)
+    if rhs.shape != (backend.size,) or not np.all(np.isfinite(rhs)):
+        raise ValueError(f"rhs must be finite and of shape ({backend.size},), got {rhs.shape}")
     return _normalized_solve(backend, rhs, two_norm(rhs))
 
 

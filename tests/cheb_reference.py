@@ -29,9 +29,13 @@ itself, and must give the same bits.
 ``random_odd_target`` builds a random odd phase-finding target: the
 ``bound_series`` record that ``find_phases`` and ``verify_phases`` take.
 
-``svt_reference`` is the singular value transform of a series with no
-circuit: numpy's SVD and the Clenshaw recurrence, the ground truth the
+``svt_reference`` is the singular value transform of an odd series with
+no circuit: numpy's SVD and the Clenshaw recurrence, the ground truth the
 QSVT block is checked against.
+
+``trimmed`` and ``parity`` are the library's coefficient trim and parity
+read as they were before every series became odd by construction, so the
+references that used them keep their results on odd series.
 """
 
 import math
@@ -46,12 +50,28 @@ from qsvt_refine.invpoly import (
     _interpolant,
     _node_offsets,
     _quarter_sines,
-    _trimmed,
     _values_on_cheb_grid,
     bound_series,
     cheb_eval,
     degree_params,
 )
+
+
+def trimmed(coefs):
+    """``coefs`` up to its last nonzero entry (its first entry if all are zero)."""
+    nz = np.nonzero(coefs)[0]
+    if nz.size == 0:
+        return coefs[:1]
+    return coefs[: nz[-1] + 1]
+
+
+def parity(coefs):
+    """``"odd"`` when the degree is odd and every even-index coefficient is
+    zero, ``"even"`` when every odd-index one is (the zero vector included),
+    ``"none"`` otherwise."""
+    if (coefs.size - 1) % 2 and not np.any(coefs[0::2]):
+        return "odd"
+    return "none" if np.any(coefs[1::2]) else "even"
 
 
 def clenshaw_eval(series, x):
@@ -136,7 +156,7 @@ def where_inverse_coefficients(kappa, eps):
     j = np.arange(jmax + 1)
     coefs = np.zeros(2 * j.size)
     coefs[1::2] = np.where(j % 2 == 0, 4.0, -4.0) * tail * scale
-    return _trimmed(coefs)
+    return trimmed(coefs)
 
 
 def series_record(series):
@@ -159,7 +179,7 @@ def check_bound(record):
     values = evaluate.values
     k = 16 * (values.size - 1)
     vals = _values_on_cheb_grid(series.coefficients, k)
-    scan = vals[:k // 2 + 1] if series.parity != "none" else vals
+    scan = vals[:k // 2 + 1] if parity(series.coefficients) != "none" else vals
     peak = float(np.max(np.abs(scan))) / math.cos(math.pi * series.degree / (2 * k))
     if peak <= 0.9 * (1.0 + 1e-9):
         return series, 1.0, peak, evaluate
@@ -179,12 +199,6 @@ def random_odd_target(rng, degree, peak):
 
 
 def svt_reference(a, series):
-    """W P(Sigma) V^H of a = W Sigma V^H for an odd ``series``, V P(Sigma)
-    V^H for an even one."""
+    """W P(Sigma) V^H of a = W Sigma V^H for the odd ``series``."""
     w, sigma, vh = np.linalg.svd(a)
-    vals = clenshaw_eval(series, sigma)
-    if series.parity == "odd":
-        return (w * vals) @ vh
-    if series.parity == "even":
-        return (vh.conj().T * vals) @ vh
-    raise ValueError("svt_reference requires a definite-parity series")
+    return (w * clenshaw_eval(series, sigma)) @ vh

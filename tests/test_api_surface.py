@@ -116,6 +116,42 @@ def test_every_memo_is_bounded():
     assert unbounded == []
 
 
+def private_module_names(tree):
+    # the _names a module binds at its top level (dunders excluded)
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            targets = [ast.Name(node.name)]
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = [node.target] if isinstance(node, ast.AnnAssign) else node.targets
+        else:
+            continue
+        for target in targets:
+            for name in ast.walk(target):
+                if (isinstance(name, ast.Name) and name.id.startswith("_")
+                        and not name.id.startswith("__")):
+                    yield name.id
+
+
+def test_every_private_module_level_name_is_read_in_the_package():
+    # a deletion that leaves its helper behind leaves a private name that
+    # nothing in the package reads: a read is a loaded name, an attribute
+    # or an import, anywhere in src/qsvt_refine
+    trees = {path.name: ast.parse(path.read_text())
+             for path in sorted(Path(qsvt_refine.__file__).parent.glob("*.py"))}
+    reads = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                reads.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                reads.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                reads.update(alias.name for alias in node.names)
+    unread = [f"{module}: {name}" for module, tree in trees.items()
+              for name in private_module_names(tree) if name not in reads]
+    assert unread == []
+
+
 def imported_top_level_modules(path):
     for node in ast.walk(ast.parse(path.read_text())):
         if isinstance(node, ast.Import):

@@ -299,7 +299,8 @@ def test_poisson_experiment(tmp_path):
     ({"seeds": ["x"]}, "numbers"),
     ({"eps_target": 1e-15}, "eps_target"),
     ({"backend": "qsvt_full", "kappa": [20.0], "eps_l": [1e-3]}, "phase-finding cap"),
-    ({"backend": "qsvt_full", "experiment": "poisson", "eps_l": None}, "phase-finding cap"),
+    ({"backend": "qsvt_full", "experiment": "poisson", "kappa": None, "eps_l": None},
+     "phase-finding cap"),
     ({"eps_target": math.inf}, "eps_target"),
     ({"eps_target": 2.0}, "eps_target"),
     ({"experiment": "complexity", "kappa": [2.0, 4.0], "eps_l": [0.1, 0.05]},
@@ -330,6 +331,9 @@ def test_poisson_experiment(tmp_path):
     ({"eps_l": [1e-160]}, "eps_l = 1e-160: eps = 1e-160 is too small for the sampling cost model"),
     ({"eps_l": [1e-200], "backend": "qsvt_full"},
      "eps_l = 1e-200: eps = 1e-200 is too small for the sampling cost model"),
+    # poisson ran at its matrix's kappa, 116.46 at n_qubits 4, and dropped a given one
+    ({"experiment": "poisson", "kappa": [5.0], "seeds": [0]},
+     "poisson takes no kappa: its matrix sets the condition number"),
 ])
 def test_bad_config_exits_2_before_any_run(tmp_path, capsys, monkeypatch, overrides, message):
     monkeypatch.setattr(bench_cli, "iterative_refine", lambda *args, **kwargs: pytest.fail("ran"))
@@ -364,7 +368,7 @@ def test_a_bytes_value_for_a_list_field_is_a_config_error(field):
 
 
 def test_poisson_kappa_is_resolved_in_the_config():
-    cfg = ExperimentConfig(experiment="poisson", n_qubits=3, kappa=[10.0])
+    cfg = ExperimentConfig(experiment="poisson", n_qubits=3)
     assert cfg.kappa == [singular_value_ratio(svd(gen_poisson(3)[0])[1])]
 
 

@@ -110,19 +110,12 @@ def test_odd_phases_respect_parity_at_zero():
     assert abs(signal_unitary(0.0, phases)[0, 0].real) <= 1e-10
 
 
-def test_find_phases_even_target():
-    # 0.8 T_2: even degrees fold d phases into d/2 + 1 unknowns
-    target = bound_series(ChebyshevSeries(np.array([0.0, 0.0, 0.8])))
-    assert target.series.parity == "even"
-    phases = find_phases(target)
-    assert verify_phases(phases, target) <= 1e-9
-
-
 def test_find_phases_preconditions():
-    with pytest.raises(ValueError, match="parity"):
-        find_phases(bound_series(ChebyshevSeries(np.array([0.5, 0.5]))))
-    with pytest.raises(ValueError, match="degree"):
-        find_phases(bound_series(ChebyshevSeries(np.array([0.9]))))
+    # a target of no parity, of degree 0 or even is not a series at all, so
+    # find_phases checks neither parity nor degree >= 1
+    for coefs in ([0.5, 0.5], [0.9], [0.0, 0.0, 0.8]):
+        with pytest.raises(ValueError, match="not an odd series"):
+            ChebyshevSeries(np.array(coefs))
     # a hand-built target whose unrescaled peak sits 1e-6 above QSVT_PEAK
     over = ChebyshevSeries(np.array([0.0, QSVT_PEAK + 1e-6]))
     with pytest.raises(ValueError, match=r"above 0\.9; rescale"):
@@ -144,23 +137,21 @@ def test_find_phases_iteration_cap_error(monkeypatch):
 
 
 @st.composite
-def definite_parity_targets(draw):
-    parity = draw(st.sampled_from(["odd", "even"]))
-    degree = 2 * draw(st.integers(0, 31)) + 1 if parity == "odd" else 2 * draw(st.integers(1, 31))
+def odd_targets(draw):
+    degree = 2 * draw(st.integers(0, 31)) + 1
     coefs = np.zeros(degree + 1)
-    coefs[degree % 2::2] = draw(st.lists(st.floats(-1.0, 1.0), min_size=degree // 2 + 1,
-                                         max_size=degree // 2 + 1))
+    coefs[1::2] = draw(st.lists(st.floats(-1.0, 1.0), min_size=degree // 2 + 1,
+                                max_size=degree // 2 + 1))
     coefs[degree] = draw(st.floats(0.05, 1.0)) * draw(st.sampled_from([-1.0, 1.0]))
     # find_phases' domain: a checked peak of at most QSVT_PEAK; the target is
     # built by hand, unrescaled, so the drawn peak is the one it carries
     peak = draw(st.floats(0.5, QSVT_PEAK))
     series = ChebyshevSeries(coefs * (peak / bound_series(ChebyshevSeries(coefs)).peak))
-    assert series.parity == parity
     return BoundedSeries(series, 1.0, peak)
 
 
 @settings(max_examples=80, deadline=None)
-@given(target=definite_parity_targets())
+@given(target=odd_targets())
 def test_find_phases_realizes_definite_parity_targets(target):
     phases = find_phases(target)
     d = target.series.degree

@@ -55,14 +55,13 @@ def test_block_norm_bounded():
     assert np.linalg.norm(u_phi[:4, :4], 2) <= 1.0 + 1e-9
 
 
-def test_svt_reference_t1_and_t0():
-    # the circuit-free reference the QSVT blocks are checked against
+def test_svt_reference_t1_and_t3():
+    # the circuit-free reference the QSVT blocks are checked against:
+    # W T3(Sigma) V^H = 4 A A^T A - 3 A for a real A = W Sigma V^H
     a = random_with_condition(4, 6.0, 4)
     np.testing.assert_allclose(svt_reference(a, T1), a, atol=1e-11)
-    t0 = ChebyshevSeries(np.array([1.0]))
-    np.testing.assert_allclose(svt_reference(a, t0), np.eye(4), atol=1e-11)
-    with pytest.raises(ValueError, match="definite-parity"):
-        svt_reference(a, ChebyshevSeries(np.array([0.5, 0.5])))
+    t3 = ChebyshevSeries(np.array([0.0, 0.0, 0.0, 1.0]))
+    np.testing.assert_allclose(svt_reference(a, t3), 4 * a @ a.T @ a - 3 * a, atol=1e-11)
 
 
 def test_svt_reference_inverse_on_diagonal():
@@ -96,13 +95,10 @@ def test_even_case_block_structure():
     want = np.diag([2 * 0.3**2 - 1.0, 2 * 0.7**2 - 1.0])
     np.testing.assert_allclose(u_phi[:2, :2].real, want, atol=1e-10)
 
-    # non-diagonal check against the oracle route
-    t2 = ChebyshevSeries(np.array([0.0, 0.0, 1.0]))
+    # non-diagonal check against the closed form V T2(S) V^H = 2 A^T A - I
     a = random_with_condition(4, 3.0, 11)
     u_phi = build_u_phi(dilation_encoding(a), np.zeros(2))
-    np.testing.assert_allclose(
-        u_phi[:4, :4].real, svt_reference(a, t2), atol=1e-10
-    )
+    np.testing.assert_allclose(u_phi[:4, :4].real, 2 * a.T @ a - np.eye(4), atol=1e-10)
 
 
 def test_extract_block_inverse_polynomial_on_diagonal():
@@ -160,6 +156,16 @@ def test_apply_inverse_post_selection_failure():
     block = inverse_block(svd(0.5 * np.eye(2)), sequence_evaluator(phases))
     with pytest.raises(PostSelectionError):
         apply_inverse_state(block, np.array([1.0, 0.0]))
+
+
+def test_apply_inverse_state_rejects_a_nan_or_infinite_state():
+    # a NaN norm passed the unit-norm check, as abs(norm - 1.0) > 1e-12 is
+    # False for it, and the state came back as a NaN vector with p = NaN
+    phases = find_phases(bound_series(inverse_cheb_series(2.0, 0.1)))
+    block = inverse_block(svd(0.5 * np.eye(4)), sequence_evaluator(phases))
+    for b in ([np.nan, 0.5, 0.5, 0.5], [np.inf, 0.0, 0.0, 0.0], [np.nan] * 4):
+        with pytest.raises(ValueError, match="not normalized"):
+            apply_inverse_state(block, np.array(b))
 
 
 def test_apply_inverse_input_validation():

@@ -66,6 +66,31 @@ def test_solve_once_rejects_zero_rhs():
         solve_once(backend, np.zeros(2))
 
 
+@pytest.mark.parametrize("factory", [spectral_oracle_backend, noisy_oracle_backend, qsvt_backend])
+def test_solve_once_rejects_a_non_finite_or_misshapen_rhs(factory):
+    # a NaN or inf rhs gave a NaN direction, and a size-8 rhs for a 4 x 4
+    # backend failed in numpy's matmul or solve, in an error naming no field
+    backend = factory(random_with_condition(4, 2.0, 0), 0.1)
+    b = unit_rhs(4, 1)
+    for bad in ([np.nan, 0.5, 0.5, 0.5], [np.inf, 0.0, 0.0, 0.0], np.ones(8), np.ones(3),
+                b[:, None], 1.0):
+        with pytest.raises(ValueError, match=r"rhs must be finite and of shape \(4,\)"):
+            solve_once(backend, np.asarray(bad))
+    eta, _ = solve_once(backend, b)
+    assert eta.shape == (4,) and np.all(np.isfinite(eta))
+
+
+@settings(max_examples=80, deadline=None)
+@given(kappa=st.floats(1.0, 1000.0), eps=st.floats(1e-12, 0.99))
+@example(kappa=1.0, eps=0.5)
+@example(kappa=300.0, eps=0.4 / 300.0**2)
+def test_the_built_series_degree_is_the_charged_degree(kappa, eps):
+    # the noisy oracle and direct_cost charge nominal_degree, the spectral
+    # and qsvt_full backends the degree of the series they build; the series
+    # has every coefficient up to 2 min(D, b - 1) + 1, none trimmed
+    assert invpoly.inverse_cheb_series(kappa, eps).degree == nominal_degree(kappa, eps)
+
+
 def test_noisy_backend_noise_scale_and_determinism():
     a = random_with_condition(8, 5.0, 1)
     b = unit_rhs(8, 1)
