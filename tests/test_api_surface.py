@@ -120,16 +120,13 @@ def private_module_names(tree):
     # the _names a module binds at its top level (dunders excluded)
     for node in tree.body:
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-            targets = [ast.Name(node.name)]
+            names = [node.name]
         elif isinstance(node, (ast.Assign, ast.AnnAssign)):
-            targets = [node.target] if isinstance(node, ast.AnnAssign) else node.targets
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names = [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
         else:
             continue
-        for target in targets:
-            for name in ast.walk(target):
-                if (isinstance(name, ast.Name) and name.id.startswith("_")
-                        and not name.id.startswith("__")):
-                    yield name.id
+        yield from (name for name in names if name.startswith("_") and not name.startswith("__"))
 
 
 def test_every_private_module_level_name_is_read_in_the_package():
