@@ -137,6 +137,13 @@ class ExperimentConfig:
                     f"qsvt_full needs degree {degree} at kappa={kappa:g} "
                     f"eps_l={eps_l:g}, above the phase-finding cap ({MAX_DEGREE})"
                 )
+        run_ids = [_run_id(self.experiment, 2**self.n_qubits, kappa, eps_l, seed, eps)
+                   for kappa, eps_l in points for seed in self.seeds
+                   for eps in (_complexity_eps_sweep(eps_l, self.eps_target)
+                               if self.experiment == "complexity" else [None])]
+        repeated = [run_id for i, run_id in enumerate(run_ids) if run_id in run_ids[:i]]
+        if repeated:  # the ids keep 6 significant digits of each value
+            raise ConfigError(f"runs would share the run_id {repeated[0]!r}")
 
 
 def _load_config(path: Optional[str], overrides: dict) -> ExperimentConfig:
@@ -202,16 +209,21 @@ def _rhs_vector(n: int, seed: int) -> np.ndarray:
 
 
 def _make_backend(cfg: ExperimentConfig, a, kappa: float, eps_l: float, seed: int):
-    shots = samples_for_accuracy(eps_l) if cfg.readout == "shot" else None
-    return _BACKENDS[cfg.backend](a, eps_l, kappa=kappa, seed=seed, shots=shots)
+    return _BACKENDS[cfg.backend](a, eps_l, kappa, seed=seed, shot_readout=cfg.readout == "shot")
+
+
+def _run_id(experiment: str, n: int, kappa: float, eps_l: float, seed: int,
+            eps: Optional[float] = None) -> str:
+    """The id of one run's rows (``eps``: a complexity run's target), unique in a config."""
+    run_id = f"{experiment}-n{n}-k{kappa:g}-el{eps_l:g}-s{seed}"
+    return run_id if eps is None else f"{run_id}-e{eps:g}"
 
 
 def _trace_rows(cfg: ExperimentConfig, n: int, kappa: float, eps_l: float,
                 seed: int, trace, backend) -> list[dict]:
-    run_id = f"{cfg.experiment}-n{n}-k{kappa:g}-el{eps_l:g}-s{seed}"
     samples = samples_for_accuracy(eps_l)
     return [{
-        "run_id": run_id,
+        "run_id": _run_id(cfg.experiment, n, kappa, eps_l, seed),
         "experiment": cfg.experiment,
         "n": n,
         "kappa": repr(kappa),
@@ -309,9 +321,9 @@ def run_complexity(cfg: ExperimentConfig) -> tuple[list[dict], list[str]]:
                 failures.append(f"{type(exc).__name__} at eps={eps} seed={seed}: {exc}")
                 continue
             direct = direct_cost(kappa, eps)
-            run_id = f"complexity-n{n}-k{kappa:g}-el{eps_l:g}-s{seed}-e{eps:g}"
             common = {
-                "run_id": run_id, "experiment": "complexity", "n": n,
+                "run_id": _run_id("complexity", n, kappa, eps_l, seed, eps),
+                "experiment": "complexity", "n": n,
                 "kappa": repr(kappa), "eps_l": repr(eps_l), "eps_target": repr(eps),
                 "readout": cfg.readout, "seed": seed,
                 "converged": trace.converged, "theorem_bound": trace.theorem_bound,

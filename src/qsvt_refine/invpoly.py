@@ -29,9 +29,11 @@ __all__ = [
     "bound_series",
     "max_abs_on_interval",
     "QSVT_PEAK",
+    "QSVT_PEAK_LIMIT",
 ]
 
 QSVT_PEAK = 0.9  # the max|P| bound_series scales a series down to
+QSVT_PEAK_LIMIT = QSVT_PEAK * (1.0 + 1e-9)  # the largest peak kept unscaled and phase-found
 _OVERSAMPLE = 16  # the bound check's scan grid has this many times the series' M points
 _CHUNK_ELEMS = 1 << 19  # points x nodes per evaluation block (4 MiB of float64)
 _EXACT_CENTRAL = 64  # C(2b, b) / 4^b from exact integers below this b
@@ -310,7 +312,7 @@ def grid_interpolant(f: Callable, degree: int) -> Callable:
 def bound_series(series: ChebyshevSeries) -> BoundedSeries:
     """Rescale so |P(x)| <= ``QSVT_PEAK`` on [-1, 1] by the factor
     min(1, QSVT_PEAK / peak) (exactly 1 when the peak is at most
-    QSVT_PEAK * (1 + 1e-9), so a second application keeps the series),
+    ``QSVT_PEAK_LIMIT``, so a second application keeps the series),
     with ``peak`` the certified bound on max|P|. A rescaled series is a new
     one, whose evaluator is one more M-grid transform; ``series`` is kept.
 
@@ -325,7 +327,7 @@ def bound_series(series: ChebyshevSeries) -> BoundedSeries:
     vals = _values_on_cheb_grid(series.coefficients, k)
     scan = vals[:k // 2 + 1]  # x_j >= 0 at j <= K/2
     peak = float(np.max(np.abs(scan))) / math.cos(math.pi * series.degree / (2 * k))
-    if peak <= QSVT_PEAK * (1.0 + 1e-9):
+    if peak <= QSVT_PEAK_LIMIT:
         return BoundedSeries(series, 1.0, peak)
     applied = QSVT_PEAK / peak
     rescaled = replace(

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .invpoly import QSVT_PEAK, BoundedSeries
+from .invpoly import QSVT_PEAK, QSVT_PEAK_LIMIT, BoundedSeries
 
 __all__ = [
     "MAX_DEGREE",
@@ -94,7 +94,8 @@ def find_phases(target: BoundedSeries) -> np.ndarray:
 
     ``target`` is the series' bound check (``bound_series``): its checked
     peak (the certified bound on max|P|, never below it) times its rescale
-    factor must not exceed ``QSVT_PEAK`` (0.9), where the iteration
+    factor must not exceed ``QSVT_PEAK_LIMIT`` (0.9, with the slack up to
+    which ``bound_series`` keeps a series unscaled), where the iteration
     converges, and its series' evaluator gives the node targets, so no
     second grid is built here.
 
@@ -128,7 +129,7 @@ def find_phases(target: BoundedSeries) -> np.ndarray:
             "use the spectral-oracle backend for larger runs"
         )
     peak = target.peak * target.rescale
-    if peak > QSVT_PEAK * (1.0 + 1e-9):
+    if peak > QSVT_PEAK_LIMIT:
         raise ValueError(f"max|P| = {peak} above {QSVT_PEAK}; rescale (bound_series) first")
 
     m = (d + 1) // 2

@@ -11,35 +11,32 @@ most eps_l; the loop needs nothing else from it:
   only (the real part of one sequence is the +-Phi average only for a
   real encoding and b). The sequence acts on each singular pair of that
   dilation as the 2x2 signal product, so the factory reads the key's Re p
-  at the singular values of the SVD that ``_factorize`` took
-  (``inverse_block``): one SVD and no 2N x 2N matrix per build. Each inner
-  solve is one product with the kept real N x N ``block``, a saving of
-  simulator time only (the model still charges ``degree`` calls per
-  inner solve);
+  at the singular values of A (``inverse_block``): one SVD and no 2N x 2N
+  matrix per build, and each inner solve is one product with the real
+  N x N ``block`` (simulator time only: the model still charges
+  ``degree`` calls per inner solve);
 * ``SpectralOracleBackend`` (``spectral_oracle``) -- the same inverse
   polynomial P applied through the SVD (ground truth for the circuit
-  path), kept as the one N x N ``operator`` V P(S / sigma_max) U^H of the
-  unscaled series, formed as the block is (``singular_value_operator``);
+  path), kept as the N x N ``operator`` V P(S / sigma_max) U^H of the
+  unscaled series (``singular_value_operator``);
 * ``NoisyOracleBackend`` (``noisy_oracle``) -- exact solve plus seeded
   noise of relative size eps_l, for stress sweeps.
 
-Each backend reports the ``size`` N it was built for, read off that one
-array, and ``iterative_refine`` rejects a system of another size.
-
-The inverse series and its phase factors, each with an M-grid evaluator
-of the polynomial (the series' own ``evaluate``; the Re p the sequence
-realizes), depend only on (kappa, eps' = eps_l / kappa); two memos of 16
-keys own them, and no backend keeps either. A QSVT circuit needs
-|P| <= 1, so phase finding runs the bound check (one 16M-grid scan that
-certifies a bound on max|P|, and a rescale of that bound to at most 0.9)
-on the memoized series, once per key. The spectral operator carries the
-unscaled series: its direction is raw / ||raw||, which a positive factor
-on P does not change, so a spectral build makes the series' one M-grid
-transform and no bound check. Every factory
-enters through one step, ``_factorize``, which takes the matrix's one SVD
-and rejects a matrix that is not square, is empty or is numerically
-singular, and a ``kappa`` below its sigma_max / sigma_min, before any memo
-is touched.
+Each backend reports the ``size`` N it was built for, which
+``iterative_refine`` checks. A factory takes the caller's kappa, for which
+the series is built, and the backend derives the rest: its charged
+``degree`` and a shot readout's count. Every factory enters through
+``_factorize``, which takes A's one SVD and rejects a matrix that is not
+square, is empty or is numerically singular, and a kappa below its
+sigma_max / sigma_min, before any memo is touched. The inverse series
+and its phase factors, each with an M-grid evaluator (the series' own
+``evaluate``; the Re p the sequence realizes), depend only on (kappa,
+eps' = eps_l / kappa); two memos of 16 keys own them. A QSVT circuit
+needs |P| <= 1, so phase finding runs the bound check (one 16M-grid scan
+certifying a bound on max|P|, rescaled to at most 0.9) on the memoized
+series, once per key. The spectral operator keeps the unscaled series:
+raw / ||raw|| does not see a positive factor on P, so a spectral build
+runs no bound check.
 
 The magnitude is recovered classically by minimizing ||A (x + mu eta) - b||
 over mu. The scaled residual omega = ||b - A x|| / ||b|| both stops the
@@ -55,8 +52,7 @@ import math
 import numbers
 import warnings
 from abc import ABC, abstractmethod
-from dataclasses import dataclass
-from decimal import ROUND_CEILING, Context
+from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
@@ -111,30 +107,33 @@ class DivergenceError(RuntimeError):
         )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, kw_only=True)
 class SolverBackend(ABC):
     """One low-accuracy solver bound to a specific matrix.
 
     A subtype holds what its solve needs and implements ``direction``.
-    ``kappa`` must be finite and >= 1, and ``eps_l`` finite and >= 0 (0 is
-    the noisy oracle's exact solve) with a finite ``samples_for_accuracy``
-    cost. ``shots=None`` means exact readout; a positive integer turns on
-    the shot-noise surrogate (seeded Gaussian direction of norm
-    1/sqrt(shots), then renormalization). Any other value of these three
-    raises ``ValueError``. The surrogate stands in for physical sampling,
-    whose sign recovery the source material leaves unspecified; outputs
-    are flagged accordingly in bench metadata. ``rng`` draws that noise and
-    the noisy oracle's; the other factories leave it ``None`` without shots.
+    ``kappa`` must be finite and >= 1, ``eps_l`` finite and >= 0 (0 is the
+    noisy oracle's exact solve) with a finite ``samples_for_accuracy`` cost,
+    and ``shot_readout`` a bool, else ``ValueError``. ``degree``, the calls
+    charged per solve, is derived: ``nominal_degree(kappa, eps_l / kappa)``
+    as ``direct_cost`` charges, 1 where that eps' is outside (0, 1). Shot
+    readout adds a seeded Gaussian direction of norm
+    1/sqrt(samples_for_accuracy(eps_l)) and renormalizes, a surrogate for
+    physical sampling whose sign recovery is left unmodeled (bench metadata
+    flags it); ``rng`` draws that noise and the noisy oracle's, else None.
     """
 
     eps_l: float
     kappa: float
-    degree: int
-    shots: Optional[int]
     rng: Optional[np.random.Generator]
+    shot_readout: bool = False
+    degree: int = field(init=False)
 
     def __post_init__(self):
-        _check_backend_inputs(self.kappa, self.eps_l, self.shots)
+        _check_backend_inputs(self.kappa, self.eps_l, self.shot_readout)
+        eps_prime = self.eps_l / self.kappa
+        object.__setattr__(self, "degree", nominal_degree(self.kappa, eps_prime)
+                           if 0.0 < eps_prime < 1.0 else 1)
 
     @property
     @abstractmethod
@@ -218,16 +217,15 @@ class QsvtBackend(SolverBackend):
         return apply_inverse_state(self.block, rhs_hat)[0]
 
 
-def _check_backend_inputs(kappa: float, eps_l: float, shots: Optional[int]) -> None:
+def _check_backend_inputs(kappa: float, eps_l: float, shot_readout: bool) -> None:
     """``SolverBackend``'s checks, run by ``_factorize`` for every factory too."""
     if not 1.0 <= kappa < math.inf:
         raise ValueError(f"kappa must be finite and >= 1, got {kappa!r}")
     if not 0.0 <= eps_l < math.inf:
         raise ValueError(f"eps_l must be finite and >= 0, got {eps_l!r}")
     samples_for_accuracy(eps_l)
-    if shots is not None and (isinstance(shots, bool) or not isinstance(shots, numbers.Integral)
-                              or shots < 1):
-        raise ValueError(f"shots must be None or a positive integer, got {shots!r}")
+    if not isinstance(shot_readout, bool):
+        raise ValueError(f"shot_readout must be a bool, got {shot_readout!r}")
 
 
 def _unit_scaled(v, name: str = "matrix") -> tuple[np.ndarray, int]:
@@ -270,30 +268,21 @@ def nominal_degree(kappa: float, eps_prime: float) -> int:
     return 2 * min(cap, b - 1) + 1
 
 
-def _factorize(a, eps_l: float, kappa: Optional[float], shots: Optional[int]):
-    """Every factory's first step: ``(A, svd(A), kappa)`` for a nonempty
-    square, numerically nonsingular A. ``kappa`` is as passed, else
-    sigma_max / sigma_min rounded up to 12 significant digits, so that
-    matrices whose ratios round up alike share the memo keys; a ratio
-    just below a 12-digit value keys on that value, and one just above it
-    on the next, so matrices of one nominal kappa need not share them, and
-    a caller that knows kappa passes it. Either way [1/kappa, 1] must
-    cover every singular value over sigma_max, so a passed kappa below
-    that ratio by more than its slack (``_KAPPA_SLACK``) raises. A's one
-    2-D and finiteness check is the ``as_matrix`` inside ``svd``; the
-    square check follows it."""
+def _factorize(a, eps_l: float, kappa: float, shot_readout: bool):
+    """Every factory's first step: ``(A, svd(A))`` for a nonempty square,
+    numerically nonsingular A whose singular values over sigma_max lie in
+    [1/kappa, 1] up to ``_KAPPA_SLACK``. A's one 2-D and finiteness check is
+    the ``as_matrix`` inside ``svd``; the square check follows it."""
     factors = svd(a)
     a = np.asarray(a)
     if a.shape[0] != a.shape[1] or a.size == 0:
         raise ValueError(f"a backend needs a nonempty square matrix, got shape {a.shape}")
     ratio = singular_value_ratio(factors[1])
-    if kappa is None:
-        kappa = float(Context(prec=12, rounding=ROUND_CEILING).create_decimal(ratio))
-    _check_backend_inputs(kappa, eps_l, shots)
+    _check_backend_inputs(kappa, eps_l, shot_readout)
     if kappa < ratio * (1.0 - max(_KAPPA_SLACK, 8 * 2.0**-53 * ratio)):
         raise ValueError(f"kappa = {kappa!r} is below the matrix's sigma_max / sigma_min "
                          f"= {ratio!r}")
-    return a, factors, kappa
+    return a, factors
 
 
 @functools.lru_cache(maxsize=_MEMO_SIZE)
@@ -325,36 +314,32 @@ def _inverse_phases(kappa: float, eps_prime: float) -> tuple[np.ndarray, Callabl
     return phases, sequence_evaluator(phases)
 
 
-def spectral_oracle_backend(a, eps_l: float, kappa: Optional[float] = None,
-                            seed: int = 0, shots: Optional[int] = None) -> SpectralOracleBackend:
+def spectral_oracle_backend(a, eps_l: float, kappa: float, seed: int = 0,
+                            shot_readout: bool = False) -> SpectralOracleBackend:
     """Inverse polynomial applied via the SVD, no circuits, as one operator,
     from the key's unscaled series: no bound check (no 16M-grid scan) runs."""
-    _, (u, s, vh), kappa = _factorize(a, eps_l, kappa, shots)
-    series = _inverse_series(kappa, eps_l / kappa)
+    factors = _factorize(a, eps_l, kappa, shot_readout)[1]
     return SpectralOracleBackend(
-        eps_l=eps_l, kappa=kappa, degree=series.degree, shots=shots,
-        rng=None if shots is None else np.random.default_rng([seed, 0x5EC7]),
-        operator=singular_value_operator((u, s, vh), series.evaluate),
+        eps_l=eps_l, kappa=kappa, shot_readout=shot_readout,
+        rng=np.random.default_rng([seed, 0x5EC7]) if shot_readout else None,
+        operator=singular_value_operator(factors, _inverse_series(kappa, eps_l / kappa).evaluate),
     )
 
 
-def noisy_oracle_backend(a, eps_l: float, kappa: Optional[float] = None,
-                         seed: int = 0, shots: Optional[int] = None) -> NoisyOracleBackend:
+def noisy_oracle_backend(a, eps_l: float, kappa: float, seed: int = 0,
+                         shot_readout: bool = False) -> NoisyOracleBackend:
     """Exact solve perturbed by seeded noise of relative size eps_l."""
-    a, _, kappa = _factorize(a, eps_l, kappa, shots)
-    degree = 1  # cost-model degree; no polynomial exists outside (0, 1)
-    if 0.0 < eps_l / kappa < 1.0:
-        degree = nominal_degree(kappa, eps_l / kappa)
+    a, _ = _factorize(a, eps_l, kappa, shot_readout)
     matrix, _ = _unit_scaled(np.array(a, dtype=None if np.iscomplexobj(a) else float))
     matrix.flags.writeable = False
     return NoisyOracleBackend(
-        eps_l=eps_l, kappa=kappa, degree=degree, shots=shots,
+        eps_l=eps_l, kappa=kappa, shot_readout=shot_readout,
         rng=np.random.default_rng([seed, 0x0153]), matrix=matrix,
     )
 
 
-def qsvt_backend(a, eps_l: float, kappa: Optional[float] = None, seed: int = 0,
-                 shots: Optional[int] = None) -> QsvtBackend:
+def qsvt_backend(a, eps_l: float, kappa: float, seed: int = 0,
+                 shot_readout: bool = False) -> QsvtBackend:
     """Full simulated pipeline: take the memoized phases of the bounded
     inverse series and apply their sequence on the dilation of
     A^H / sigma_max once, through the singular pairs of A. Real matrices
@@ -362,15 +347,14 @@ def qsvt_backend(a, eps_l: float, kappa: Optional[float] = None, seed: int = 0,
     a = np.asarray(a)
     if a.dtype.kind == "c" and not np.any(a.imag):
         a = a.real  # the real SVD, so a + 0j builds the bytes of a real A
-    a, factors, kappa = _factorize(a, eps_l, kappa, shots)
+    a, factors = _factorize(a, eps_l, kappa, shot_readout)
     if np.iscomplexobj(a):  # a complex A left here has a nonzero imaginary part
         raise ValueError("qsvt_full is real-only: the matrix has a nonzero imaginary part")
     require_power_of_two(a.shape[0], "matrix dimension")
-    phases, evaluate = _inverse_phases(kappa, eps_l / kappa)  # one per degree of the series
     return QsvtBackend(
-        eps_l=eps_l, kappa=kappa, degree=phases.size, shots=shots,
-        rng=None if shots is None else np.random.default_rng([seed, 0x95F7]),
-        block=inverse_block(factors, evaluate),
+        eps_l=eps_l, kappa=kappa, shot_readout=shot_readout,
+        rng=np.random.default_rng([seed, 0x95F7]) if shot_readout else None,
+        block=inverse_block(factors, _inverse_phases(kappa, eps_l / kappa)[1]),
     )
 
 
@@ -393,10 +377,10 @@ def _normalized_solve(backend: SolverBackend, rhs: np.ndarray, norm: float):
     if norm == 0.0:
         raise ValueError("rhs must be nonzero")
     eta = backend.direction(rhs / norm)
-    if backend.shots is None:
+    if not backend.shot_readout:
         return eta, eta
     g = backend.rng.standard_normal(eta.size)
-    readout = eta + g / (two_norm(g) * math.sqrt(backend.shots))
+    readout = eta + g / (two_norm(g) * math.sqrt(samples_for_accuracy(backend.eps_l)))
     return eta, readout / two_norm(readout)
 
 

@@ -34,10 +34,10 @@ def solve_once(backend, rhs):
     if nrm == 0.0:
         raise ValueError("rhs must be nonzero")
     eta = backend.direction(rhs / nrm)
-    if backend.shots is None:
+    if not backend.shot_readout:
         return eta, eta
     g = backend.rng.standard_normal(eta.size)
-    readout = eta + g / (two_norm(g) * math.sqrt(backend.shots))
+    readout = eta + g / (two_norm(g) * math.sqrt(samples_for_accuracy(backend.eps_l)))
     return eta, readout / two_norm(readout)
 
 

@@ -343,6 +343,27 @@ def test_bad_config_exits_2_before_any_run(tmp_path, capsys, monkeypatch, overri
     assert not (tmp_path / "out.csv").exists()
 
 
+@pytest.mark.parametrize("overrides, run_id", [
+    ({"eps_l": [1e-2], "seeds": [0, 0]}, "convergence-n8-k10-el0.01-s0"),
+    ({"kappa": [10.0, 10.000001], "eps_l": [0.04]}, "convergence-n8-k10-el0.04-s0"),
+    ({"experiment": "complexity", "eps_l": [1e-2], "seeds": [3, 3]},
+     "complexity-n8-k10-el0.01-s3-e0.01"),
+    # complexity takes one kappa, and its runs are its targets: an eps_l
+    # equal to the 1e-2 target to 6 digits gives two runs one id
+    ({"experiment": "complexity", "eps_l": [0.0100000001], "seeds": [0]},
+     "complexity-n8-k10-el0.01-s0-e0.01"),
+])
+def test_runs_that_would_share_a_run_id_exit_2_before_any_run(tmp_path, capsys, monkeypatch,
+                                                              overrides, run_id):
+    # each such pair of runs used to be written, exit 0, under one id (the
+    # format keeps 6 digits), as one run: `--seeds 0,0` wrote 6 rows "across 1 runs"
+    monkeypatch.setattr(bench_cli, "iterative_refine", lambda *args, **kwargs: pytest.fail("ran"))
+    path, _ = write_config(tmp_path, **overrides)
+    assert main(["--config", str(path)]) == 2
+    assert f"runs would share the run_id {run_id!r}" in capsys.readouterr().err
+    assert not (tmp_path / "out.csv").exists()
+
+
 def test_an_out_that_names_a_directory_exits_2_before_any_run(tmp_path, capsys, monkeypatch):
     # the runs used to finish and the write to die on IsADirectoryError
     monkeypatch.setattr(bench_cli, "iterative_refine", lambda *args, **kwargs: pytest.fail("ran"))

@@ -579,10 +579,13 @@ def test_series_evaluator_is_the_reference_records_bit_for_bit(degree, seed, pic
        points=st.lists(st.floats(-1.0, 1.0), max_size=8))
 @example(degree=19_999, seed=0, norm=3.0, points=[])
 @example(degree=1, seed=0, norm=0.5, points=[])
+@example(degree=1, seed=0, norm=0.9, points=[])  # certified 0.9011: rescaled
 def test_bound_series_is_the_reference_check_bit_for_bit(degree, seed, norm, points):
     # the peak and the factor are the reference check's bits, from the same
-    # 16M-grid scan; sum |c_k| = ``norm`` bounds the peak, so a norm below
-    # 0.9 leaves the series as it is. A rescaled series' evaluator comes
+    # 16M-grid scan; sum |c_k| = ``norm`` bounds the max, and the certified
+    # peak exceeds that by at most sec(pi d / 2K), K = 16 M, so a norm below
+    # QSVT_PEAK cos(pi d / 2K) leaves the series as it is (a norm of 0.9 at
+    # d = 1 need not). A rescaled series' evaluator comes
     # from its own transform, not from the grid values times the factor:
     # the two differ by the transform's rounding, at most 4 u log2(2M)
     # sum |f c_k| on the grid (u = 2^-53; the FFT's error on values of
@@ -598,8 +601,8 @@ def test_bound_series_is_the_reference_check_bit_for_bit(degree, seed, norm, poi
         assert bounded.series is series
         assert np.array_equal(bounded.series.evaluate.values, evaluate.values)
         return
-    assert norm > QSVT_PEAK
     m = series.evaluate.values.size - 1
+    assert norm > QSVT_PEAK * math.cos(math.pi * series.degree / (32 * m))
     grid = 4 * 2.0**-53 * math.log2(2 * m) * np.sum(np.abs(bounded.series.coefficients))
     assert np.max(np.abs(bounded.series.evaluate.values - evaluate.values)) <= grid
     xs = np.concatenate([special_points(series, []), points])

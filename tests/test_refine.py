@@ -50,9 +50,9 @@ def test_solve_once_identity_all_backends():
     a = np.eye(4)
     b = unit_rhs(4, 0)
     for backend in (
-        spectral_oracle_backend(a, 0.1),
-        noisy_oracle_backend(a, 0.0),
-        qsvt_backend(a, 0.1),
+        spectral_oracle_backend(a, 0.1, kappa=1.0),
+        noisy_oracle_backend(a, 0.0, kappa=1.0),
+        qsvt_backend(a, 0.1, kappa=1.0),
     ):
         eta, readout = solve_once(backend, 3.7 * b)
         np.testing.assert_allclose(np.abs(np.vdot(eta, b)), 1.0, atol=1e-8)
@@ -61,7 +61,7 @@ def test_solve_once_identity_all_backends():
 
 def test_solve_once_rejects_zero_rhs():
     a = np.eye(2)
-    backend = noisy_oracle_backend(a, 0.0)
+    backend = noisy_oracle_backend(a, 0.0, kappa=1.0)
     with pytest.raises(ValueError, match="nonzero"):
         solve_once(backend, np.zeros(2))
 
@@ -70,7 +70,7 @@ def test_solve_once_rejects_zero_rhs():
 def test_solve_once_rejects_a_non_finite_or_misshapen_rhs(factory):
     # a NaN or inf rhs gave a NaN direction, and a size-8 rhs for a 4 x 4
     # backend failed in numpy's matmul or solve, in an error naming no field
-    backend = factory(random_with_condition(4, 2.0, 0), 0.1)
+    backend = factory(random_with_condition(4, 2.0, 0), 0.1, kappa=2.0)
     b = unit_rhs(4, 1)
     for bad in ([np.nan, 0.5, 0.5, 0.5], [np.inf, 0.0, 0.0, 0.0], np.ones(8), np.ones(3),
                 b[:, None], 1.0):
@@ -85,10 +85,29 @@ def test_solve_once_rejects_a_non_finite_or_misshapen_rhs(factory):
 @example(kappa=1.0, eps=0.5)
 @example(kappa=300.0, eps=0.4 / 300.0**2)
 def test_the_built_series_degree_is_the_charged_degree(kappa, eps):
-    # the noisy oracle and direct_cost charge nominal_degree, the spectral
-    # and qsvt_full backends the degree of the series they build; the series
-    # has every coefficient up to 2 min(D, b - 1) + 1, none trimmed
+    # every backend and direct_cost charge nominal_degree, and the series
+    # the polynomial backends build has that degree: every coefficient up
+    # to 2 min(D, b - 1) + 1, none trimmed
     assert invpoly.inverse_cheb_series(kappa, eps).degree == nominal_degree(kappa, eps)
+
+
+@settings(max_examples=20, deadline=None)
+@given(kappa=st.floats(1.5, 4.0), rate=st.floats(0.1, 0.5), seed=st.integers(0, 2**16))
+@example(kappa=1.0, rate=0.1, seed=0)
+def test_each_backend_charges_the_degree_it_applies(kappa, rate, seed):
+    # a backend derives its degree from (kappa, eps_l): the spectral operator
+    # applies the key's series of that degree, the qsvt_full sequence has
+    # that many phases, and the noisy oracle charges it too, or 1 at its
+    # exact solve (eps_l = 0)
+    eps_l = rate / kappa
+    eps_prime = eps_l / kappa
+    a = random_with_condition(4, kappa, seed)
+    assert (spectral_oracle_backend(a, eps_l, kappa=kappa).degree
+            == refine_mod._inverse_series(kappa, eps_prime).degree)
+    assert (qsvt_backend(a, eps_l, kappa=kappa).degree
+            == refine_mod._inverse_phases(kappa, eps_prime)[0].size)
+    assert noisy_oracle_backend(a, eps_l, kappa=kappa).degree == nominal_degree(kappa, eps_prime)
+    assert noisy_oracle_backend(a, 0.0, kappa=kappa).degree == 1
 
 
 def test_noisy_backend_noise_scale_and_determinism():
@@ -97,8 +116,8 @@ def test_noisy_backend_noise_scale_and_determinism():
     exact = np.linalg.solve(a, b)
     exact /= np.linalg.norm(exact)
     eps_l = 1e-2
-    eta1, _ = solve_once(noisy_oracle_backend(a, eps_l, seed=3), b)
-    eta2, _ = solve_once(noisy_oracle_backend(a, eps_l, seed=3), b)
+    eta1, _ = solve_once(noisy_oracle_backend(a, eps_l, kappa=5.0, seed=3), b)
+    eta2, _ = solve_once(noisy_oracle_backend(a, eps_l, kappa=5.0, seed=3), b)
     np.testing.assert_array_equal(eta1, eta2)
     assert 0.0 < np.linalg.norm(eta1 - exact) <= 2.0 * eps_l
 
@@ -121,7 +140,7 @@ def test_qsvt_direction_accuracy():
     kappa, eps_l = 2.0, 0.1
     a = random_with_condition(4, kappa, 9)
     b = unit_rhs(4, 9)
-    backend = qsvt_backend(a, eps_l)
+    backend = qsvt_backend(a, eps_l, kappa=kappa)
     eta, _ = solve_once(backend, b)
     exact = np.linalg.solve(a, b)
     assert angle_between(eta, exact) <= eps_l
@@ -130,12 +149,13 @@ def test_qsvt_direction_accuracy():
 def test_shot_readout_perturbs_and_is_seeded():
     a = random_with_condition(4, 3.0, 2)
     b = unit_rhs(4, 2)
-    shots = 10_000
-    backend = spectral_oracle_backend(a, 1e-2, seed=5, shots=shots)
+    shots = samples_for_accuracy(1e-2)  # 10_000
+    backend = spectral_oracle_backend(a, 1e-2, kappa=3.0, seed=5, shot_readout=True)
     eta, readout = solve_once(backend, b)
     delta = np.linalg.norm(readout - eta)
     assert 0.0 < delta <= 2.0 / math.sqrt(shots)
-    again, readout2 = solve_once(spectral_oracle_backend(a, 1e-2, seed=5, shots=shots), b)
+    again, readout2 = solve_once(spectral_oracle_backend(a, 1e-2, kappa=3.0, seed=5,
+                                                         shot_readout=True), b)
     np.testing.assert_array_equal(readout, readout2)
 
 
@@ -184,7 +204,7 @@ def test_denormalize_degenerate_direction():
 def test_refine_identity_converges_immediately():
     a = np.eye(4)
     b = unit_rhs(4, 4)
-    backend = noisy_oracle_backend(a, 0.0)
+    backend = noisy_oracle_backend(a, 0.0, kappa=1.0)
     x, trace, _ = iterative_refine(a, b, backend, 1e-12)
     assert trace.iterations == 0 and trace.converged
     np.testing.assert_allclose(x, b, atol=1e-12)
@@ -219,9 +239,9 @@ def test_refine_forward_error_sandwich():
 def test_refine_scale_invariance_of_omega():
     a = random_with_condition(8, 5.0, 7)
     b = unit_rhs(8, 7)
-    backend = spectral_oracle_backend(a, 1e-2)
+    backend = spectral_oracle_backend(a, 1e-2, kappa=5.0)
     _, trace1, _ = iterative_refine(a, b, backend, 1e-11)
-    backend2 = spectral_oracle_backend(a, 1e-2)
+    backend2 = spectral_oracle_backend(a, 1e-2, kappa=5.0)
     _, trace2, _ = iterative_refine(a, 17.0 * b, backend2, 1e-11)
     assert len(trace1.scaled_residuals) == len(trace2.scaled_residuals)
     np.testing.assert_allclose(
@@ -304,8 +324,7 @@ class ConstantBackend(SolverBackend):
 def test_refine_rejects_a_non_finite_direction_by_name(value):
     # NaN compares false with every bound, so such a direction used to run
     # max_iter solves and return a NaN x
-    backend = ConstantBackend(eps_l=0.1, kappa=2.0, degree=1, shots=None, rng=None,
-                              value=value, solves=[])
+    backend = ConstantBackend(eps_l=0.1, kappa=2.0, rng=None, value=value, solves=[])
     with pytest.raises(ValueError, match="degenerate direction"):
         iterative_refine(random_with_condition(4, 2.0, 0), unit_rhs(4, 0), backend, 1e-12)
     assert len(backend.solves) == 1
@@ -316,7 +335,7 @@ def test_refine_counts_a_nan_residual_as_a_stall(monkeypatch):
     a = random_with_condition(4, 2.0, 0)
     monkeypatch.setattr(refine_mod, "denormalize", lambda a_eta, residual: math.nan)
     with pytest.raises(DivergenceError) as excinfo:
-        iterative_refine(a, unit_rhs(4, 0), spectral_oracle_backend(a, 0.1), 1e-12)
+        iterative_refine(a, unit_rhs(4, 0), spectral_oracle_backend(a, 0.1, kappa=2.0), 1e-12)
     omegas = excinfo.value.trace.scaled_residuals
     assert len(omegas) == 4 and all(math.isnan(omega) for omega in omegas)
 
@@ -332,7 +351,7 @@ def test_refine_stagnates_outside_contraction_regime():
 
 def test_refine_rejects_tiny_eps_target():
     a = np.eye(2)
-    backend = noisy_oracle_backend(a, 0.0)
+    backend = noisy_oracle_backend(a, 0.0, kappa=1.0)
     with pytest.raises(ValueError, match="1e-14"):
         iterative_refine(a, np.ones(2), backend, 1e-16)
 
@@ -340,7 +359,7 @@ def test_refine_rejects_tiny_eps_target():
 @pytest.mark.parametrize("eps_target", [math.inf, math.nan, 1.0, 2.0])
 def test_refine_rejects_eps_target_outside_unit_range(eps_target):
     a = np.eye(2)
-    backend = noisy_oracle_backend(a, 0.0)
+    backend = noisy_oracle_backend(a, 0.0, kappa=1.0)
     with pytest.raises(ValueError, match="eps_target"):
         iterative_refine(a, np.ones(2), backend, eps_target)
 
@@ -348,8 +367,7 @@ def test_refine_rejects_eps_target_outside_unit_range(eps_target):
 @pytest.mark.parametrize("max_iter", [-1, 2.5, True, math.nan])
 def test_refine_rejects_a_max_iter_that_is_not_an_integer_at_least_zero(max_iter):
     # -1 used to run one solve, and NaN removed the cap
-    backend = ConstantBackend(eps_l=0.1, kappa=2.0, degree=1, shots=None, rng=None,
-                              value=0.5, solves=[])
+    backend = ConstantBackend(eps_l=0.1, kappa=2.0, rng=None, value=0.5, solves=[])
     with pytest.raises(ValueError, match="max_iter must be an integer >= 0"):
         iterative_refine(random_with_condition(4, 2.0, 0), unit_rhs(4, 0), backend, 1e-12,
                          max_iter=max_iter)
@@ -360,7 +378,7 @@ def test_refine_rejects_a_max_iter_that_is_not_an_integer_at_least_zero(max_iter
 def test_refine_caps_the_refinement_steps_at_max_iter(max_iter):
     # 0 stops after the first solve
     a = random_with_condition(4, 2.0, 0)
-    _, trace, _ = iterative_refine(a, unit_rhs(4, 0), spectral_oracle_backend(a, 0.1), 1e-13,
+    _, trace, _ = iterative_refine(a, unit_rhs(4, 0), spectral_oracle_backend(a, 0.1, kappa=2.0), 1e-13,
                                    max_iter=max_iter)
     assert len(trace.scaled_residuals) == max_iter + 1 and not trace.converged
 
@@ -368,7 +386,7 @@ def test_refine_caps_the_refinement_steps_at_max_iter(max_iter):
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
 def test_refine_rejects_non_finite_b(bad):
     a = random_with_condition(4, 3.0, 0)
-    backend = spectral_oracle_backend(a, 1e-2)
+    backend = spectral_oracle_backend(a, 1e-2, kappa=3.0)
     b = unit_rhs(4, 0)
     b[2] = bad
     with pytest.raises(ValueError, match="non-finite"):
@@ -378,7 +396,7 @@ def test_refine_rejects_non_finite_b(bad):
 @pytest.mark.parametrize("factory", [spectral_oracle_backend, noisy_oracle_backend])
 def test_refine_names_a_non_finite_or_one_dimensional_a(factory):
     a = random_with_condition(4, 3.0, 0)
-    backend = factory(a, 1e-2)
+    backend = factory(a, 1e-2, kappa=3.0)
     b = unit_rhs(4, 0)
     for bad in (math.nan, math.inf):
         a_bad = a.copy()
@@ -769,9 +787,9 @@ def test_qsvt_rejects_a_dimension_that_is_not_a_power_of_two():
 
 def test_backend_missing_a_field_fails_at_construction():
     with pytest.raises(TypeError):
-        QsvtBackend(eps_l=0.1, kappa=2.0, degree=3, shots=None, rng=np.random.default_rng(0))
+        QsvtBackend(eps_l=0.1, kappa=2.0, rng=np.random.default_rng(0))
     with pytest.raises(TypeError):
-        SolverBackend(eps_l=0.1, kappa=2.0, degree=3, shots=None, rng=np.random.default_rng(0))
+        SolverBackend(eps_l=0.1, kappa=2.0, rng=np.random.default_rng(0))
 
 
 def plain_refine(a, b, backend, eps_target, max_iter=100):
@@ -796,12 +814,11 @@ def plain_refine(a, b, backend, eps_target, max_iter=100):
        shot=st.booleans(), factory=st.sampled_from([spectral_oracle_backend, noisy_oracle_backend]))
 def test_refine_equals_plain_loop(kappa, rate, seed, shot, factory):
     eps_l = rate / kappa
-    shots = samples_for_accuracy(eps_l) if shot else None
     a = random_with_condition(8, kappa, seed)
     b = unit_rhs(8, seed)
 
     def backend():
-        return factory(a, eps_l, kappa=kappa, seed=seed, shots=shots)
+        return factory(a, eps_l, kappa=kappa, seed=seed, shot_readout=shot)
 
     x, trace, _ = iterative_refine(a, b, backend(), 1e-11)
     x_plain, omegas, mus = plain_refine(a, b, backend(), 1e-11)
@@ -958,49 +975,25 @@ def test_qsvt_backend_on_memoized_phases_runs_no_bound_check(fresh_phase_memo, m
     assert backend.degree == refine_mod._inverse_phases(2.0, 0.05)[0].size
 
 
-def test_measured_kappa_backends_share_one_phase_vector(fresh_phase_memo, monkeypatch):
-    # sigma_max / sigma_min differs in its last bits between these matrices
-    # (10.000000000000005, ...02, ...09); the memo key rounds it up to 12
-    # significant digits, so one phase finding serves all three
-    targets = count_find_phases(monkeypatch)
-    read = record_block_evaluators(monkeypatch)
-    mats = [random_with_condition(16, 10.0, seed) for seed in (0, 1, 2)]
-    backends = [qsvt_backend(a, 1e-2) for a in mats]
-    assert len(targets) == 1
-    assert len(read) == 3 and all(evaluate is read[0] for evaluate in read)
-    misses = refine_mod._inverse_series.cache_info().misses
-    spectral = spectral_oracle_backend(mats[0], 1e-2)
-    assert spectral.kappa == backends[0].kappa
-    assert refine_mod._inverse_series.cache_info().misses == misses
-    for a, bk in zip(mats, backends):
-        sv = np.linalg.svd(a, compute_uv=False)
-        assert bk.kappa >= sv[0] / sv[-1]
-
-
 FACTORIES = (spectral_oracle_backend, noisy_oracle_backend, qsvt_backend)
 
 
 @pytest.mark.parametrize("factory", FACTORIES)
-@pytest.mark.parametrize("shots", [0, -3, True, False, 2.0, 1.5, "10"])
-def test_factories_reject_shots_that_are_not_a_positive_integer(factory, shots):
-    # shots=0 used to run max_iter iterations of NaN residuals silently
-    with pytest.raises(ValueError, match="shots"):
-        factory(np.eye(2), 0.1, shots=shots)
-
-
-@pytest.mark.parametrize("factory", FACTORIES)
-def test_factories_take_a_positive_integer_shot_count(factory):
-    for shots in (None, 1, np.int64(100)):
-        assert factory(np.eye(2), 0.1, shots=shots).shots == shots
+@pytest.mark.parametrize("shot_readout", [0, 1, -3, 2.0, 1.5, "10", None, np.True_])
+def test_factories_reject_a_shot_readout_that_is_not_a_bool(factory, shot_readout):
+    # a truthy non-bool would have turned the readout on by accident
+    with pytest.raises(ValueError, match="^shot_readout must be a bool, got "):
+        factory(np.eye(2), 0.1, kappa=1.0, shot_readout=shot_readout)
 
 
 @pytest.mark.parametrize("factory", FACTORIES)
 def test_only_a_backend_that_draws_seeds_a_generator(factory):
     # exact readout draws nothing on the polynomial backends; the noisy
-    # oracle draws its perturbation at any shots
-    exact = factory(np.eye(2), 0.1, shots=None).rng
+    # oracle draws its perturbation at either readout
+    exact = factory(np.eye(2), 0.1, kappa=1.0).rng
     assert (exact is None) == (factory is not noisy_oracle_backend)
-    assert isinstance(factory(np.eye(2), 0.1, shots=4).rng, np.random.Generator)
+    assert isinstance(factory(np.eye(2), 0.1, kappa=1.0, shot_readout=True).rng,
+                      np.random.Generator)
 
 
 @pytest.mark.parametrize("factory", FACTORIES)
@@ -1012,7 +1005,7 @@ def test_refinement_converges_far_from_unit_scale(factory, scale_a, scale_b):
     eps_target = 1e-12
     a = random_with_condition(8, 4.0, 0) * scale_a
     b = unit_rhs(8, 0) * scale_b
-    x, trace, _ = iterative_refine(a, b, factory(a, 1e-2), eps_target)
+    x, trace, _ = iterative_refine(a, b, factory(a, 1e-2, kappa=4.0), eps_target)
     assert trace.converged and trace.iterations <= trace.theorem_bound
     true_residual = np.linalg.norm((b - a @ x) / scale_b) / np.linalg.norm(b / scale_b)
     assert true_residual <= eps_target
@@ -1035,23 +1028,23 @@ def test_refinement_is_exactly_invariant_under_power_of_two_scaling_of_a(kappa, 
 
 @pytest.mark.parametrize("factory", FACTORIES)
 def test_factories_reject_a_singular_matrix_by_name(factory):
-    # with kappa passed, the spectral factory used to build from 0/0 (the
-    # zero matrix) or refine through NaN iterations (rank 2), and the others
-    # failed later under another name
+    # the spectral factory used to build from 0/0 (the zero matrix) or
+    # refine through NaN iterations (rank 2), and the others failed later
+    # under another name
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        with pytest.raises(ValueError, match="matrix numerically singular"):
-            factory(np.diag([1.0, 0.0]), 1e-2)
-        for a in (np.zeros((4, 4)), np.diag([1.0, 0.5, 0.0, 0.0])):
+        for a in (np.diag([1.0, 0.0]), np.zeros((4, 4)), np.diag([1.0, 0.5, 0.0, 0.0])):
             with pytest.raises(ValueError, match="matrix numerically singular"):
                 factory(a, 1e-2, kappa=10.0)
 
 
 def test_factories_measure_one_kappa_per_matrix():
+    # every factory keys on the kappa it is passed, which the SVD's ratio
+    # of a prescribed spectrum may exceed by rounding
     for seed in range(4):
         a = random_with_condition(8, 5.0, seed)
-        kappas = {factory(a, 1e-2).kappa for factory in FACTORIES}
-        assert len(kappas) == 1, kappas
+        kappas = {factory(a, 1e-2, kappa=5.0).kappa for factory in FACTORIES}
+        assert kappas == {5.0}, kappas
 
 
 def test_qsvt_solve_checks_unitarity_at_construction_only(fresh_phase_memo, monkeypatch):
@@ -1191,12 +1184,12 @@ def test_factories_take_the_nominal_kappa_up_to_1e12(n, log_kappa, seed):
     # kappa >= 1e8 is too large to build
     kappa = 10.0**log_kappa
     a = random_with_condition(n, kappa, seed)
-    assert refine_mod._factorize(a, 0.4 / kappa, kappa, None)[2] == kappa
+    refine_mod._factorize(a, 0.4 / kappa, kappa, False)
     assert noisy_oracle_backend(a, 0.4 / kappa, kappa=kappa).kappa == kappa
     ratio = numerics.singular_value_ratio(numerics.svd(a)[1])
     below = ratio * (1.0 - 2.0 * max(1e-9, 8 * 2.0**-53 * ratio))
     with pytest.raises(ValueError, match="is below the matrix's sigma_max"):
-        refine_mod._factorize(a, 0.4 / below, below, None)
+        refine_mod._factorize(a, 0.4 / below, below, False)
     with pytest.raises(ValueError, match="is below the matrix's sigma_max"):
         noisy_oracle_backend(a, 0.4 / below, kappa=below)
 
@@ -1223,7 +1216,7 @@ def test_noisy_oracle_rejects_an_eps_l_that_is_not_finite_and_non_negative(eps_l
     # NaN used to fail after the whole refinement, inf to report a total
     # cost of 0 and a negative eps_l to run the exact solve
     with pytest.raises(ValueError, match="eps_l must be finite and >= 0"):
-        noisy_oracle_backend(random_with_condition(8, 4.0, 0), eps_l)
+        noisy_oracle_backend(random_with_condition(8, 4.0, 0), eps_l, kappa=4.0)
 
 
 @pytest.mark.parametrize("eps", [7e-155, 1e-160, 1e-170, 1e-200])
@@ -1246,7 +1239,7 @@ def test_factories_reject_an_eps_l_too_small_for_the_cost_model(factory, eps_l):
     # (qsvt_full then met its find_phases cap), so no memoized series may be built
     before = refine_mod._inverse_series.cache_info()
     with pytest.raises(ValueError, match=f"eps = {eps_l!r} is too small for the sampling cost"):
-        factory(random_with_condition(8, 4.0, 0), eps_l)
+        factory(random_with_condition(8, 4.0, 0), eps_l, kappa=4.0)
     assert refine_mod._inverse_series.cache_info() == before
 
 
@@ -1261,7 +1254,7 @@ def test_refine_names_both_shapes_before_any_solve(factory, monkeypatch):
 
     monkeypatch.setattr(refine_mod, "_normalized_solve", normalized_solve)
     a = random_with_condition(4, 3.0, 0)
-    backend = factory(a, 1e-2)
+    backend = factory(a, 1e-2, kappa=3.0)
     b = unit_rhs(4, 0)
     cases = [(a[:, :3], b, r"A \(4, 3\), b \(4,\)"), (a[:3], b, r"A \(3, 4\), b \(4,\)"),
              (a, b[:3], r"A \(4, 4\), b \(3,\)"), (a, b[:, None], r"A \(4, 4\), b \(4, 1\)"),
@@ -1316,11 +1309,12 @@ REFINE_KEYS = [(2.0, 0.1), (2.0, 0.5), (4.0, 0.3)]  # (kappa, eps_l * kappa): fe
 @settings(max_examples=150, deadline=None)
 @given(factory=st.sampled_from(FACTORIES), n=st.sampled_from([2, 4, 8, 16]),
        key=st.sampled_from(REFINE_KEYS), seed=st.integers(0, 2**16),
-       shots=st.sampled_from([None, 100, 10**6]), complex_b=st.booleans(),
+       shot_readout=st.booleans(), complex_b=st.booleans(),
        a_exp=st.sampled_from([-600, 0, 600]), b_exp=st.sampled_from([-600, 0, 600]),
        max_iter=st.sampled_from([0, 1, 100]), eps_target=st.sampled_from([1e-14, 1e-11, 1e-6]))
-def test_refine_matches_the_reference_loop_bit_for_bit(factory, n, key, seed, shots, complex_b,
-                                                        a_exp, b_exp, max_iter, eps_target):
+def test_refine_matches_the_reference_loop_bit_for_bit(factory, n, key, seed, shot_readout,
+                                                        complex_b, a_exp, b_exp, max_iter,
+                                                        eps_target):
     # the loop that takes each residual's norm once, and denormalize's dot,
     # return the reference's bytes of x, trace and cost, or its exception
     kappa, rate = key
@@ -1329,7 +1323,8 @@ def test_refine_matches_the_reference_loop_bit_for_bit(factory, n, key, seed, sh
     if complex_b:
         b = b + 1j * np.roll(b, 1)
     outcomes = [refine_outcome(refine, a, b, factory(a, rate / kappa, kappa=kappa, seed=seed,
-                                                     shots=shots), eps_target, max_iter)
+                                                     shot_readout=shot_readout),
+                               eps_target, max_iter)
                 for refine in (iterative_refine, refine_reference.iterative_refine)]
     assert outcomes[0] == outcomes[1]
 
@@ -1338,7 +1333,7 @@ def test_refine_matches_the_reference_loop_bit_for_bit(factory, n, key, seed, sh
 def test_a_stalled_run_matches_the_reference_loop(seed):
     a = random_with_condition(4, 4.0, seed)
     b = unit_rhs(4, seed)
-    backend = StalledBackend(eps_l=1e-2, kappa=4.0, degree=1, shots=None, rng=None, matrix=a)
+    backend = StalledBackend(eps_l=1e-2, kappa=4.0, rng=None, matrix=a)
     outcomes = [refine_outcome(refine, a, b, backend, 1e-13, 100)
                 for refine in (iterative_refine, refine_reference.iterative_refine)]
     assert outcomes[0][0] is DivergenceError

@@ -59,6 +59,10 @@ CONFIGS = [
     ("convergence --backend qsvt_full --seeds 0,1", {}),
     ("convergence --backend qsvt_full --readout shot --seeds 0,1", {}),
     ("complexity --backend qsvt_full", {}),
+    # complexity alone refines several times on one backend, so its rng
+    # carries the noisy oracle's draws and the shot readout's across them
+    ("complexity --backend noisy_oracle", {}),
+    ("complexity --readout shot", {}),
     # kappa 10, eps_l 1e-3: degree 287, whose series the bound check
     # rescales (by 0.827), unlike the qsvt_full keys above (eps_l 0.04,
     # degree 209, certified peak 0.897, under the 0.9 the check scales to)
